@@ -13,7 +13,6 @@ attribute *values* each scheme reveals to the user.
 import pytest
 
 from conftest import format_table, report
-from repro.baselines.devanbu import DevanbuMHT
 from repro.core.cost_model import CostParameters
 from repro.core.publisher import Publisher
 from repro.core.verifier import ResultVerifier
@@ -24,6 +23,7 @@ from repro.db.workload import (
     figure1_policy,
     generate_employees,
 )
+from repro.schemes.devanbu import DevanbuPublication
 
 # Run the table-regeneration tests under --benchmark-only as well: they are
 # what actually reproduces the paper's figures.
@@ -39,7 +39,7 @@ def figure1_world(owner, signature_scheme):
     signed = owner.publish_relation(augmented)
     publisher = Publisher({"employees": signed}, policy=policy)
     verifier = ResultVerifier({"employees": signed.manifest}, policy=policy)
-    baseline = DevanbuMHT(figure1_employee_relation(), signature_scheme)
+    baseline = DevanbuPublication(figure1_employee_relation(), signature_scheme)
     return publisher, verifier, baseline
 
 
@@ -75,7 +75,7 @@ def test_report_column_level_precision(owner, signature_scheme):
     signed = owner.publish_relation(relation)
     publisher = Publisher({"employees": signed})
     verifier = ResultVerifier({"employees": signed.manifest})
-    baseline = DevanbuMHT(generate_employees(100, seed=5, photo_bytes=256), signature_scheme)
+    baseline = DevanbuPublication(generate_employees(100, seed=5, photo_bytes=256), signature_scheme)
 
     keys = relation.keys()
     low, high = keys[20], keys[39]

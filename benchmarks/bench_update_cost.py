@@ -10,11 +10,12 @@ re-signs every node on the path.
 import pytest
 
 from conftest import format_table, report
-from repro.baselines.devanbu import DevanbuMHT
-from repro.baselines.naive import NaiveSignedRelation
-from repro.baselines.vbtree import VBTree
 from repro.db.btree import BPlusTree
 from repro.db.workload import generate_employees
+from repro.schemes.devanbu import DevanbuPublication
+from repro.schemes.naive import NaivePublication
+from repro.schemes.vbtree import VBTreePublication
+from repro.wire.updates import RecordDelta
 
 # Run the table-regeneration tests under --benchmark-only as well: they are
 # what actually reproduces the paper's figures.
@@ -28,6 +29,16 @@ def _fresh_salary(relation):
     return next(s for s in range(40_000, 100_000) if s not in used)
 
 
+def _fresh_row(relation, emp_id):
+    return {
+        "salary": _fresh_salary(relation),
+        "emp_id": emp_id,
+        "name": emp_id[0].upper(),
+        "dept": 1,
+        "photo": b"",
+    }
+
+
 @pytest.fixture(scope="module")
 def update_worlds(owner, signature_scheme):
     worlds = {}
@@ -38,13 +49,13 @@ def update_worlds(owner, signature_scheme):
             "ours": owner.publish_relation(
                 generate_employees(size, seed=31, photo_bytes=4)
             ),
-            "devanbu": DevanbuMHT(
+            "devanbu": DevanbuPublication(
                 generate_employees(size, seed=31, photo_bytes=4), signature_scheme
             ),
-            "vbtree": VBTree(
+            "vbtree": VBTreePublication(
                 generate_employees(size, seed=31, photo_bytes=4), signature_scheme, fanout=8
             ),
-            "naive": NaiveSignedRelation(
+            "naive": NaivePublication(
                 generate_employees(size, seed=31, photo_bytes=4), signature_scheme
             ),
         }
@@ -57,30 +68,24 @@ def test_report_update_costs(update_worlds):
     devanbu_hashes = {}
     for size, world in sorted(update_worlds.items()):
         ours = world["ours"]
-        receipt = ours.insert_record(
-            {
-                "salary": _fresh_salary(ours.relation),
-                "emp_id": "upd",
-                "name": "U",
-                "dept": 1,
-                "photo": b"",
-            }
+        # The same mutation under every scheme: one inserted row.
+        receipt = ours.insert_record(_fresh_row(ours.relation, "upd"))
+        devanbu_cost, vbtree_cost, naive_cost = (
+            world[name].apply_deltas(
+                [RecordDelta("insert", _fresh_row(world[name].relation, "upd"))]
+            )
+            for name in ("devanbu", "vbtree", "naive")
         )
-        victim = world["devanbu"].relation[size // 2]
-        devanbu_cost = world["devanbu"].update_record(victim, victim.replace(name="u"))
-        vb_victim = world["vbtree"].relation[size // 2]
-        vbtree_cost = world["vbtree"].update_record(vb_victim, vb_victim.replace(name="u"))
-        naive_victim = world["naive"].relation[size // 2]
-        naive_cost = world["naive"].update_record(naive_victim, naive_victim.replace(name="u"))
         ours_signatures[size] = receipt.signatures_recomputed
-        devanbu_hashes[size] = devanbu_cost[0]
+        devanbu_hashes[size] = devanbu_cost.digests_recomputed
         rows.append(
             (
                 size,
                 f"{receipt.signatures_recomputed} sigs",
-                f"{devanbu_cost[0]} hashes + {devanbu_cost[1]} sig (root)",
-                f"{vbtree_cost[1]} sigs (path)",
-                f"{naive_cost[1]} sig",
+                f"{devanbu_cost.digests_recomputed} hashes + "
+                f"{devanbu_cost.signatures_recomputed} sig (root)",
+                f"{vbtree_cost.signatures_recomputed} sigs (path)",
+                f"{naive_cost.signatures_recomputed} sig",
             )
         )
     report(
@@ -132,13 +137,7 @@ def test_our_update_time(benchmark, update_worlds, size):
     ours = update_worlds[size]["ours"]
 
     def insert_and_remove():
-        row = {
-            "salary": _fresh_salary(ours.relation),
-            "emp_id": "bench",
-            "name": "B",
-            "dept": 1,
-            "photo": b"",
-        }
+        row = _fresh_row(ours.relation, "bench")
         ours.insert_record(row)
         ours.delete_record(ours.relation[ours.relation.range_indices(row["salary"], row["salary"])[0]])
 
@@ -149,8 +148,8 @@ def test_our_update_time(benchmark, update_worlds, size):
 def test_devanbu_update_time(benchmark, update_worlds, size):
     baseline = update_worlds[size]["devanbu"]
 
-    def touch():
-        victim = baseline.relation[size // 3]
-        baseline.update_record(victim, victim.replace(name="t"))
+    def insert_and_remove():
+        row = _fresh_row(baseline.relation, "bench")
+        baseline.apply_deltas([RecordDelta("insert", row), RecordDelta("delete", row)])
 
-    benchmark.pedantic(touch, rounds=3, iterations=1)
+    benchmark.pedantic(insert_and_remove, rounds=3, iterations=1)

@@ -8,11 +8,11 @@ result size (ours linearly, by 3 digests per entry).
 import pytest
 
 from conftest import format_table, report
-from repro.baselines.devanbu import DevanbuMHT
 from repro.core.cost_model import CostParameters
 from repro.core.publisher import Publisher
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.db.workload import generate_employees
+from repro.schemes.devanbu import DevanbuPublication
 
 # Run the table-regeneration tests under --benchmark-only as well: they are
 # what actually reproduces the paper's figures.
@@ -33,7 +33,7 @@ def worlds(owner, signature_scheme):
         built[size] = (
             relation,
             Publisher({"employees": signed}),
-            DevanbuMHT(relation, signature_scheme),
+            DevanbuPublication(relation, signature_scheme),
         )
     return built
 

@@ -24,7 +24,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from repro import VerificationError
 from repro.core.verifier import ResultVerifier
 from repro.db.query import Conjunction, JoinQuery, Query, RangeCondition
-from repro.service import PublicationServer, VerifyingClient, build_demo_world
+from repro.service import (
+    PublicationServer,
+    QuerySpec,
+    VerifyingClient,
+    build_demo_world,
+)
 from repro.service.protocol import QueryResponse
 from repro.wire import WireFormatError, decode, encode
 
@@ -45,7 +50,7 @@ def main() -> None:
                 "employees",
                 Conjunction((RangeCondition("salary", 20_000, 60_000),)),
             )
-            result = client.query(query)
+            result = client.execute(QuerySpec(query))
             print(
                 f"  {len(result.rows)} rows verified "
                 f"({result.report.hash_operations} hashes, "
@@ -54,7 +59,7 @@ def main() -> None:
 
             print("\n== User: PK-FK join over the wire ==")
             join = JoinQuery("orders", "customers", "customer_id", "customer_id")
-            join_result = client.query_join(join)
+            join_result = client.execute(QuerySpec(join))
             print(f"  {len(join_result.rows)} joined rows verified")
 
             print("\n== Attacker: flipping one byte of the response in transit ==")

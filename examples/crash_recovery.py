@@ -30,7 +30,7 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
 from repro.db.query import Conjunction, Query, RangeCondition
-from repro.service import OwnerClient, VerifyingClient
+from repro.service import OwnerClient, QuerySpec, VerifyingClient
 from repro.service.retry import RetryPolicy
 from repro.storage.checkpoint import load_keys
 
@@ -113,7 +113,7 @@ def main() -> None:
             print(f"serving on port {port}, storage {origin}")
             with VerifyingClient("127.0.0.1", port) as client:
                 manifest_after = client.relations()["employees"]
-                result = client.query(SALARIES)
+                result = client.execute(QuerySpec(SALARIES))
             assert manifest_after == manifest_before, "manifest id changed!"
             recovered = sorted(
                 row["emp_id"]

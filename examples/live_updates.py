@@ -28,6 +28,7 @@ from repro.db.query import Conjunction, Query, RangeCondition
 from repro.service import (
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     RecordDelta,
     RemoteError,
     VerifyingClient,
@@ -64,7 +65,7 @@ def main() -> None:
         ) as client, OwnerClient(
             host, port, world.owner.signature_scheme
         ) as owner_client:
-            result = client.query(SALARY_RANGE)
+            result = client.execute(QuerySpec(SALARY_RANGE))
             print(
                 f"client sees {len(result.rows)} employees in range at "
                 f"manifest sequence {result.manifest_sequence}"
@@ -91,7 +92,7 @@ def main() -> None:
             )
 
             print("\n== Client observes the rotation and re-pins ==")
-            refreshed = client.query(SALARY_RANGE)
+            refreshed = client.execute(QuerySpec(SALARY_RANGE))
             print(
                 f"client now sees {len(refreshed.rows)} employees at "
                 f"sequence {refreshed.manifest_sequence} "

@@ -33,7 +33,7 @@ from repro.crypto.signature import rsa_scheme
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.schemes import CompletenessUnsupported, SchemeMismatchError, get_scheme
-from repro.service import PublicationServer, ShardRouter, VerifyingClient
+from repro.service import PublicationServer, QuerySpec, ShardRouter, VerifyingClient
 from repro.wire import encode, manifest_id
 from repro.wire.updates import ManifestRotated, manifest_signing_message
 
@@ -72,15 +72,15 @@ def main() -> None:
                 )
                 scheme = get_scheme(name)
                 if scheme.proves_completeness:
-                    result = client.query(query)
+                    result = client.execute(QuerySpec(query))
                     note = "completeness + authenticity"
                 else:
                     try:
-                        client.query(query)
+                        client.execute(QuerySpec(query))
                         raise AssertionError("opt-in gate did not fire")
                     except CompletenessUnsupported:
                         pass  # the typed gate: under-verification is explicit
-                    result = client.query(query, allow_incomplete=True)
+                    result = client.execute(QuerySpec(query, allow_incomplete=True))
                     note = "authenticity only (explicit allow_incomplete)"
                 vo_bytes = len(encode(result.proof))
                 print(

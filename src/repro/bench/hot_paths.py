@@ -290,8 +290,8 @@ def _bench_fixed_base_verify(
     The uncached baseline is a pure-Python square-and-multiply loop over the
     public exponent — what a from-scratch verifier pays per signature.  The
     cached path is :meth:`VerifyKeyContext.pow_verify` for the pinned owner
-    key: native ``powmod`` when gmpy2 is active, otherwise the fixed-window /
-    builtin-``pow`` route.  Both must agree on every value before timing.
+    key: native ``powmod`` when gmpy2 is active, otherwise the builtin
+    ``pow``.  Both must agree on every value before timing.
     """
     public_key = scheme.verifier
     modulus, exponent = public_key.modulus, public_key.exponent

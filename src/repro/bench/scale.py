@@ -40,7 +40,7 @@ from repro.crypto.backend import backend_stats
 from repro.crypto.signature import SignatureScheme, rsa_scheme
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
-from repro.service.client import VerifyingClient
+from repro.service.client import QuerySpec, VerifyingClient
 from repro.service.config import ServerConfig
 from repro.service.owner import OwnerClient
 from repro.service.router import ShardRouter
@@ -308,7 +308,7 @@ def _drive_workload(
                 current[key] = new
             else:
                 start = time.perf_counter()
-                result = client.query(query_for(kind, key))
+                result = client.execute(QuerySpec(query_for(kind, key)))
                 latencies[kind].append((time.perf_counter() - start) * 1000.0)
                 assert result.report is not None
     return {

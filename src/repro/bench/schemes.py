@@ -31,7 +31,7 @@ from repro.crypto.signature import SignatureScheme, rsa_scheme
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.schemes import available_schemes, get_scheme
-from repro.service.client import VerifyingClient
+from repro.service.client import QuerySpec, VerifyingClient
 from repro.service.config import ServerConfig
 from repro.service.router import ShardRouter
 from repro.service.server import PublicationServer
@@ -130,9 +130,7 @@ def run_scheme_benchmarks(
                 client.fetch_manifest(hosting)
                 for selectivity in config.selectivities:
                     query = _selectivity_query(hosting, selectivity)
-                    result = client.query(
-                        query, allow_incomplete=allow
-                    )
+                    result = client.execute(QuerySpec(query, allow_incomplete=allow))
                     vo_bytes = (
                         len(encode(result.proof))
                         if result.proof is not None

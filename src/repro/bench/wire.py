@@ -35,7 +35,7 @@ from repro.crypto.backend import backend_stats
 from repro.crypto.signature import SignatureScheme, rsa_scheme
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
-from repro.service.client import VerifyingClient
+from repro.service.client import QuerySpec, VerifyingClient
 from repro.service.config import FreshnessPolicy, ServerConfig
 from repro.service.owner import build_attestation
 from repro.service.protocol import (
@@ -179,7 +179,7 @@ def bench_service_throughput(
 ) -> Dict[str, object]:
     """End-to-end requests/sec against a live server, concurrent clients.
 
-    Clients run **pipelined** (:meth:`VerifyingClient.query_many`): a batch
+    Clients run **pipelined** (:meth:`VerifyingClient.execute_many`): a batch
     of requests is written in one syscall and the responses stream back in
     order, so the per-query network round trip of the seed's
     request/response lockstep disappears.  The sequential (one round trip
@@ -214,10 +214,10 @@ def bench_service_throughput(
                             for index in range(config.requests_per_client)
                         ]
                         if pipelined:
-                            client.query_many(batch, verify=verify)
+                            client.execute_many([QuerySpec(q, verify=verify) for q in batch])
                         else:
                             for query in batch:
-                                client.query(query, verify=verify)
+                                client.execute(QuerySpec(query, verify=verify))
                 except BaseException as error:  # pragma: no cover - surfaced below
                     errors.append(error)
 
@@ -337,7 +337,7 @@ def bench_pooled_identity(
                 try:
                     with VerifyingClient(host, port) as client:
                         client.fetch_manifest("employees")
-                        client.query_many(batch, verify=False)
+                        client.execute_many([QuerySpec(q, verify=False) for q in batch])
                 except BaseException as error:  # pragma: no cover
                     errors.append(error)
 
@@ -411,7 +411,7 @@ def bench_replica_availability(
         start = time.perf_counter()
         while time.perf_counter() < deadline:
             try:
-                client.query(query)
+                client.execute(QuerySpec(query))
                 answered += 1
             except FailoverExhausted:
                 lost += 1

@@ -34,7 +34,8 @@ from repro.core.errors import (
 )
 from repro.core.proof import GreaterThanProof, SignatureBundle
 from repro.core.report import VerificationReport
-from repro.crypto.aggregate import aggregate_signatures, verify_aggregate
+from repro.core.verifier import check_signature_bundle
+from repro.crypto.aggregate import aggregate_signatures
 from repro.crypto.encoding import concat_digests, encode_many
 from repro.crypto.hashing import HASH_COUNTER, HashFunction, default_hash
 from repro.crypto.signature import SignatureScheme
@@ -362,10 +363,18 @@ class ListVerifier:
                 self.hash_function.combine(predecessor_digest, delimiter_digest, right_anchor)
             )
 
-        self._check_signatures(messages, proof.signatures)
+        bundle = proof.signatures
+        failure = check_signature_bundle(
+            messages, bundle.individual, bundle.aggregate, self.manifest.public_key
+        )
+        if failure is not None:
+            reason, what = failure
+            raise CompletenessError(
+                f"{what} does not match the reconstructed chain", reason=reason
+            )
         return VerificationReport(
             checked_messages=len(messages),
-            signature_verifications=1 if proof.signatures.is_aggregated else len(messages),
+            signature_verifications=1,
             hash_operations=HASH_COUNTER.count - start_hashes,
             result_rows=len(result),
         )
@@ -391,25 +400,3 @@ class ListVerifier:
                     "result values are not strictly increasing", reason="unsorted-result"
                 )
             previous = value
-
-    def _check_signatures(self, messages: List[bytes], bundle: SignatureBundle) -> None:
-        public_key = self.manifest.public_key
-        if bundle.is_aggregated:
-            assert bundle.aggregate is not None
-            if not verify_aggregate(bundle.aggregate, messages, public_key):
-                raise CompletenessError(
-                    "aggregated signature does not match the reconstructed chain",
-                    reason="signature-mismatch",
-                )
-            return
-        if len(bundle.individual) != len(messages):
-            raise CompletenessError(
-                "number of signatures does not match the reconstructed chain",
-                reason="signature-count-mismatch",
-            )
-        for message, signature in zip(messages, bundle.individual):
-            if not public_key.verify(message, signature):
-                raise CompletenessError(
-                    "a chain signature does not match the reconstructed digests",
-                    reason="signature-mismatch",
-                )

@@ -29,11 +29,11 @@ from repro.core.proof import (
     JoinQueryProof,
     MatchedEntryProof,
     RangeQueryProof,
-    SignatureBundle,
 )
 from repro.core.relational import RelationManifest
 from repro.core.report import VerificationReport
 from repro.crypto.aggregate import (
+    AggregateSignature,
     batch_verify_signatures,
     find_invalid_signature,
     verify_aggregate,
@@ -47,7 +47,50 @@ from repro.db.access_control import AccessControlPolicy, visibility_column_name
 from repro.db.query import Conjunction, JoinQuery, Projection, Query, RangeCondition
 from repro.db.schema import Schema
 
-__all__ = ["ResultVerifier"]
+__all__ = ["ResultVerifier", "check_signature_bundle"]
+
+
+def check_signature_bundle(
+    messages: Sequence[bytes],
+    individual: Sequence[int],
+    aggregate: Optional[AggregateSignature],
+    public_key,
+) -> Optional[Tuple[str, str]]:
+    """Does a signature bundle vouch for exactly ``messages``?
+
+    The one "aggregate, else count-check, else per-signature" decision every
+    verifier shares (chain, value-list and naive per-tuple).  Returns None
+    when the bundle is accepted, otherwise ``(reason, what)``: the ``reason``
+    code of the typed error the caller raises (``signature-mismatch`` /
+    ``signature-count-mismatch``) and the part of the bundle that failed,
+    worded to start the caller's message.
+
+    Individual signatures verify in one accumulated pass (the
+    Bellare-Garay-Rabin screening test; ~3x faster than one modular
+    exponentiation per message); only on failure does per-signature
+    verification run, to localise the broken entry.
+    """
+    if aggregate is not None:
+        if not messages:
+            return "signature-count-mismatch", "an aggregate over zero messages"
+        if not verify_aggregate(aggregate, messages, public_key):
+            return "signature-mismatch", "the aggregated signature"
+        return None
+    if len(individual) != len(messages):
+        return "signature-count-mismatch", "the number of signatures"
+    if not messages:
+        return None
+    if len(messages) == 1:
+        if public_key.verify(messages[0], individual[0]):
+            return None
+        return "signature-mismatch", "signature 0"
+    if batch_verify_signatures(messages, individual, public_key):
+        return None
+    bad_index = find_invalid_signature(messages, individual, public_key)
+    return (
+        "signature-mismatch",
+        f"signature {bad_index}" if bad_index is not None else "the signature batch",
+    )
 
 
 @contextlib.contextmanager
@@ -254,12 +297,20 @@ class ResultVerifier:
         messages = self._chain_messages(
             proof, lower_digest, upper_digest, entry_digests, hash_function
         )
-        self._check_signatures(messages, proof.signatures, manifest)
+        bundle = proof.signatures
+        failure = check_signature_bundle(
+            messages, bundle.individual, bundle.aggregate, manifest.public_key
+        )
+        if failure is not None:
+            reason, what = failure
+            raise CompletenessError(
+                f"{what} does not match the reconstructed chain", reason=reason
+            )
         return VerificationReport(
             checked_messages=len(messages),
             # One modular exponentiation per answer either way: condensed
             # aggregates verify as one product, and individual bundles go
-            # through the accumulated screening pass of _check_signatures.
+            # through the accumulated screening pass of check_signature_bundle.
             signature_verifications=1,
             hash_operations=HASH_COUNTER.count - start_hashes,
             result_rows=len(rows),
@@ -498,48 +549,6 @@ class ResultVerifier:
                 proof.outer_neighbor_digest, lower_digest, upper_digest
             )
         ]
-
-    def _check_signatures(
-        self,
-        messages: List[bytes],
-        bundle: SignatureBundle,
-        manifest: RelationManifest,
-    ) -> None:
-        public_key = manifest.public_key
-        if bundle.is_aggregated:
-            assert bundle.aggregate is not None
-            if not verify_aggregate(bundle.aggregate, messages, public_key):
-                raise CompletenessError(
-                    "the aggregated signature does not match the reconstructed chain",
-                    reason="signature-mismatch",
-                )
-            return
-        if len(bundle.individual) != len(messages):
-            raise CompletenessError(
-                "the number of signatures does not match the reconstructed chain",
-                reason="signature-count-mismatch",
-            )
-        if len(messages) == 1:
-            if not public_key.verify(messages[0], bundle.individual[0]):
-                raise CompletenessError(
-                    "a chain signature does not match the reconstructed digests",
-                    reason="signature-mismatch",
-                )
-            return
-        # Individual signatures verify in one accumulated pass (the
-        # Bellare-Garay-Rabin screening test; ~3x faster than one modular
-        # exponentiation per chain entry).  On failure, fall back to
-        # per-signature verification to localise the broken entry.
-        if batch_verify_signatures(messages, bundle.individual, public_key):
-            return
-        bad_index = find_invalid_signature(messages, bundle.individual, public_key)
-        location = (
-            f"chain signature {bad_index}" if bad_index is not None else "the batch"
-        )
-        raise CompletenessError(
-            f"{location} does not match the reconstructed digests",
-            reason="signature-mismatch",
-        )
 
     # -- joins ------------------------------------------------------------------------------
 

@@ -32,14 +32,9 @@ Per-key amortisation
 Verifying clients check thousands of signatures under the *same* pinned owner
 key.  :func:`key_context` returns a bounded-cached
 :class:`VerifyKeyContext` per ``(modulus, exponent)`` pair holding everything
-that is constant across those verifications:
-
-* the backend-native operands (``mpz(n)``, ``mpz(e)`` under gmpy2 — the
-  int->mpz conversion of the modulus is paid once per key, not per answer),
-* the fixed window schedule of the public exponent (the 2^w-ary left-to-right
-  decomposition, computed once per key and replayed per signature by the
-  pure-Python :func:`fixed_window_pow` when the exponent is large enough for
-  windowing to beat the builtin).
+that is constant across those verifications: the backend-native operands
+(``mpz(n)``, ``mpz(e)`` under gmpy2 — the int->mpz conversion of the modulus
+is paid once per key, not per answer).
 
 The context cache is FIFO-bounded (:data:`_KEY_CONTEXT_MAX` keys) so a client
 that talks to many publishers cannot grow it without bound.
@@ -50,7 +45,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "PurePythonBackend",
@@ -64,8 +59,6 @@ __all__ = [
     "use_backend",
     "powmod",
     "key_context",
-    "fixed_window_pow",
-    "exponent_schedule",
 ]
 
 logger = logging.getLogger("repro.crypto")
@@ -75,14 +68,6 @@ _DISABLE_VALUES = frozenset({"0", "false", "no", "off"})
 
 #: Bound on the module-level (modulus, exponent) -> VerifyKeyContext cache.
 _KEY_CONTEXT_MAX = 64
-
-#: Exponents at or below this bit length use the builtin ``pow`` on the
-#: pure-Python backend: CPython's C-level exponentiation beats a Python-level
-#: window loop until the exponent is large enough that the window schedule
-#: saves whole multiplications (the common verification exponent 65537 is one
-#: squaring run and a single multiply either way).
-_SMALL_EXPONENT_BITS = 64
-
 
 class PurePythonBackend:
     """Standard-library arithmetic: CPython ``int`` and builtin ``pow``."""
@@ -220,71 +205,8 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     return _ACTIVE.powmod(base, exponent, modulus)
 
 
-# -- fixed-window exponentiation ----------------------------------------------
-
-
-def exponent_schedule(exponent: int, window: Optional[int] = None):
-    """Precompute the 2^w-ary window decomposition of a fixed exponent.
-
-    Returns ``(window_bits, digits)`` where ``digits`` is the exponent in
-    base ``2**window_bits``, most significant digit first.  The decomposition
-    depends only on the exponent, so a verification key computes it once and
-    replays it for every signature checked under that key.
-    """
-    if exponent < 0:
-        raise ValueError("window schedules require a non-negative exponent")
-    if window is None:
-        bits = exponent.bit_length()
-        # Standard window sizing: larger exponents amortise a bigger
-        # odd-powers table.  Matches the classic k-ary analysis breakpoints.
-        if bits <= 8:
-            window = 1
-        elif bits <= 64:
-            window = 3
-        elif bits <= 256:
-            window = 4
-        else:
-            window = 5
-    if window < 1:
-        raise ValueError("window width must be at least 1")
-    digits: List[int] = []
-    remaining = exponent
-    mask = (1 << window) - 1
-    while remaining:
-        digits.append(remaining & mask)
-        remaining >>= window
-    digits.reverse()
-    return window, tuple(digits)
-
-
-def fixed_window_pow(base: int, schedule, modulus: int) -> int:
-    """Left-to-right 2^w-ary modular exponentiation from a precomputed schedule.
-
-    ``schedule`` is the ``(window, digits)`` pair from
-    :func:`exponent_schedule`.  The base-powers table (``base^0 .. base^(2^w -
-    1)``) is built per call — the *schedule* is what the per-key context
-    amortises.  Byte-identical to ``pow(base, e, modulus)`` by construction;
-    the parity suite property-tests the equivalence.
-    """
-    window, digits = schedule
-    if not digits:
-        return 1 % modulus
-    base %= modulus
-    table = [1] * (1 << window)
-    table[1] = base
-    for index in range(2, 1 << window):
-        table[index] = (table[index - 1] * base) % modulus
-    result = table[digits[0]]
-    for digit in digits[1:]:
-        for _ in range(window):
-            result = (result * result) % modulus
-        if digit:
-            result = (result * table[digit]) % modulus
-    return result
-
-
 class VerifyKeyContext:
-    """Per-key verification state: wrapped operands + fixed window schedule.
+    """Per-key verification state: the backend-wrapped operands.
 
     One context exists per pinned ``(modulus, exponent)`` pair (see
     :func:`key_context`); ``pow_verify`` is the amortised
@@ -295,10 +217,8 @@ class VerifyKeyContext:
         "modulus",
         "exponent",
         "backend",
-        "schedule",
         "_wrapped_exponent",
         "_wrapped_modulus",
-        "_use_window",
         "verifications",
     )
 
@@ -306,22 +226,13 @@ class VerifyKeyContext:
         self.modulus = modulus
         self.exponent = exponent
         self.backend = backend
-        self.schedule = exponent_schedule(exponent)
         self._wrapped_exponent = backend.wrap(exponent)
         self._wrapped_modulus = backend.wrap(modulus)
-        # Pure Python only wins with a window once the exponent is big enough
-        # to trade table multiplies for saved ones; small exponents (65537)
-        # go straight to the C-level builtin.
-        self._use_window = (
-            not backend.native and exponent.bit_length() > _SMALL_EXPONENT_BITS
-        )
         self.verifications = 0
 
     def pow_verify(self, value: int) -> int:
         """``value ** e mod n`` with every per-key constant precomputed."""
         self.verifications += 1
-        if self._use_window:
-            return fixed_window_pow(value, self.schedule, self.modulus)
         return self.backend.powmod_wrapped(
             value, self._wrapped_exponent, self._wrapped_modulus
         )

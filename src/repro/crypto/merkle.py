@@ -8,7 +8,7 @@ Merkle hash trees (MHTs) show up in three places in the reproduction:
   instead of their values (Section 4.2);
 * the Section 5.1 optimisation builds a small MHT over the ``m`` preferred
   non-canonical representations of the exponent ``delta_t``;
-* the Devanbu et al. baseline (:mod:`repro.baselines.devanbu`) builds one MHT
+* the Devanbu et al. baseline (:mod:`repro.schemes.devanbu`) builds one MHT
   over every sort order of a table.
 
 The tree here is a standard binary MHT: leaves are digests of the data values,

@@ -293,8 +293,7 @@ class RSAPublicKey:
         The modular exponentiation runs through the per-key
         :class:`~repro.crypto.backend.VerifyKeyContext`, so repeated
         verifications under one pinned key (the verifying-client steady
-        state) reuse the backend-wrapped operands and the fixed window
-        schedule of the public exponent.
+        state) reuse the backend-wrapped operands.
         """
         SIGN_COUNTER.verifications += 1
         if not 0 < signature < self.modulus:

@@ -10,7 +10,7 @@ complete in-memory relational layer so the owner / publisher / user pipeline in
 * :mod:`repro.db.relation` — sorted relations with duplicate-key handling,
 * :mod:`repro.db.query` — the query model (range/equality selection,
   projection, PK-FK joins, multipoint queries),
-* :mod:`repro.db.engine` — a reference query engine used by the publisher,
+* :mod:`repro.db.engine` — the tests' reference query evaluator,
 * :mod:`repro.db.access_control` — role-based policies and query rewriting,
 * :mod:`repro.db.btree` — a B+-tree that stores per-record signatures in its
   leaves (Section 6.3),

@@ -1,10 +1,12 @@
-"""A reference query engine.
+"""A reference query engine: the tests' evaluator, not the serving path.
 
-The publisher uses this engine to evaluate (rewritten) queries before building
-the completeness proof.  The engine intentionally returns more than the bare
-result: for the proof the publisher needs to know *where* in the sorted
-relation the result sits (the boundary positions) and, for multipoint queries,
-which records inside the contiguous key range were filtered out and why.
+Nothing under ``src/`` evaluates queries through this module — the publisher
+scans its signed relations directly while it builds the proof.  The engine is
+the plain, proof-free definition of what a (rewritten) query must return,
+which ``tests/test_db_relation_query_engine.py`` pins.  It intentionally
+returns more than the bare result: *where* in the sorted relation the result
+sits (the boundary positions) and, for multipoint queries, which records
+inside the contiguous key range were filtered out and why.
 """
 
 from __future__ import annotations

@@ -114,9 +114,7 @@ class CompletenessUnsupported(VerificationError):
     schemes that support it.
     """
 
-    def __init__(
-        self, message: str, reason: str = "completeness-unsupported"
-    ) -> None:
+    def __init__(self, message: str, reason: str = "completeness-unsupported") -> None:
         super().__init__(message, reason)
 
 
@@ -206,16 +204,12 @@ class SchemePublication(abc.ABC):
         """
         from repro.wire.updates import manifest_signing_message
 
-        return self._signature_scheme.sign(
-            manifest_signing_message(self.manifest, previous_id)
-        )
+        return self._signature_scheme.sign(manifest_signing_message(self.manifest, previous_id))
 
     # -- queries -------------------------------------------------------------
 
     @abc.abstractmethod
-    def answer_range(
-        self, low: int, high: int
-    ) -> Tuple[List[Dict[str, object]], object]:
+    def answer_range(self, low: int, high: int) -> Tuple[List[Dict[str, object]], object]:
         """Rows of ``low <= key <= high`` plus this scheme's VO artifact."""
 
     # -- updates -------------------------------------------------------------
@@ -309,9 +303,7 @@ class SchemePublisher:
     a chain shard.
     """
 
-    def __init__(
-        self, scheme: "ProofScheme", database: Mapping[str, SchemePublication]
-    ) -> None:
+    def __init__(self, scheme: "ProofScheme", database: Mapping[str, SchemePublication]) -> None:
         self.scheme = scheme
         self.database: Dict[str, SchemePublication] = dict(database)
         for name, publication in self.database.items():
@@ -336,9 +328,7 @@ class SchemePublisher:
         if alpha > beta:
             return PublishedResult(query.relation_name, [], None, query)
         rows, proof = publication.answer_range(alpha, beta)
-        return PublishedResult(
-            query.relation_name, [dict(row) for row in rows], proof, query
-        )
+        return PublishedResult(query.relation_name, [dict(row) for row in rows], proof, query)
 
     def answer_join(self, join, role: Optional[str] = None):
         raise ProofConstructionError(
@@ -465,9 +455,7 @@ class ProofScheme(abc.ABC):
     ) -> SchemePublication:
         """Sign ``relation`` under this scheme (the owner-side step)."""
 
-    def make_publisher(
-        self, database: Mapping[str, SchemePublication], policy=None
-    ):
+    def make_publisher(self, database: Mapping[str, SchemePublication], policy=None):
         """The publisher-side engine over already-published relations."""
         if policy is not None:
             raise ProofConstructionError(
@@ -536,6 +524,4 @@ def available_schemes() -> List[str]:
 
 def registered_vo_types() -> Tuple[type, ...]:
     """The VO artifact classes of every registered scheme (union members)."""
-    return tuple(
-        scheme.vo_type for _, scheme in sorted(_REGISTRY.items())
-    )
+    return tuple(scheme.vo_type for _, scheme in sorted(_REGISTRY.items()))

@@ -38,8 +38,8 @@ __all__ = ["ChainScheme", "ChainVerifier"]
 class ChainVerifier(SchemeVerifier):
     """Adapter binding a :class:`~repro.core.verifier.ResultVerifier` to one relation."""
 
-    def __init__(self, inner: ResultVerifier) -> None:
-        self.inner = inner
+    def __init__(self, result_verifier: ResultVerifier) -> None:
+        self.result_verifier = result_verifier
 
     def _verify(
         self,
@@ -49,7 +49,7 @@ class ChainVerifier(SchemeVerifier):
         role: Optional[str],
     ) -> VerificationReport:
         CHAIN.check_proof_type(proof)
-        return self.inner.verify(query, rows, proof, role=role)
+        return self.result_verifier.verify(query, rows, proof, role=role)
 
 
 class ChainScheme(ProofScheme):
@@ -89,9 +89,7 @@ class ChainScheme(ProofScheme):
         manifest: RelationManifest,
         policy=None,
     ) -> ChainVerifier:
-        return ChainVerifier(
-            ResultVerifier({relation_name: manifest}, policy=policy)
-        )
+        return ChainVerifier(ResultVerifier({relation_name: manifest}, policy=policy))
 
 
 CHAIN = register_scheme(ChainScheme())

@@ -1,27 +1,39 @@
 """Devanbu et al. Merkle-tree publication as a registered ``ProofScheme``.
 
-Wraps :mod:`repro.baselines.devanbu` (one Merkle hash tree per sort order,
-root signed by the owner) behind the :class:`~repro.schemes.base.ProofScheme`
-interface.  The scheme **does** prove completeness — the VO expands the result
-with the boundary tuples just outside the range and the sibling digests up to
-the signed root — which is exactly why it is the paper's main comparison
-target: completeness comes at the cost of a VO that grows with the *table*
-size, full-tuple exposure of the boundary records, and updates that re-hash
-and re-sign the whole root path (Section 2.3's criticisms, measurable live via
-``repro.bench.schemes``).
+Devanbu, Gertz, Martel and Stubblebine ("Authentic Data Publication over the
+Internet", 2000) — reference [10] of the paper — authenticate query results by
+building a Merkle hash tree over every sort order of a table and signing the
+root.  To prove completeness of a range query the publisher must *expand* the
+result with the tuples immediately beyond its left and right boundaries and
+ship the sibling digests up to the root.
+
+The scheme **does** prove completeness, which is exactly why it is the paper's
+main comparison target.  The paper criticises it on five counts (Section 2.3);
+the benchmarks quantify them, here and live via ``repro.bench.schemes``:
+
+1. one MHT per sort order (same as the proposed scheme, so not benchmarked),
+2. the VO grows logarithmically with the *table* size (``bench_vo_scaling``),
+3. projected-out attributes must still be shipped (``bench_precision_comparison``),
+4. the boundary tuples are exposed in full, potentially violating row-level
+   access control (``bench_precision_comparison``),
+5. range queries on unsorted attributes are not supported (no equivalent of
+   the multipoint machinery exists here).
+
+Updates must recompute every digest on the leaf-to-root path and re-sign the
+root (``bench_update_cost``).
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.devanbu import DevanbuMHT, DevanbuProof, DevanbuVerifier
 from repro.core.errors import CompletenessError, VerificationError
 from repro.core.relational import RelationManifest, UpdateReceipt
 from repro.core.report import VerificationReport
+from repro.crypto.encoding import encode_record_payload
 from repro.crypto.hashing import HashFunction
 from repro.crypto.signature import SignatureScheme
-from repro.db.query import Query
 from repro.db.relation import Relation
 from repro.schemes.base import (
     ProofScheme,
@@ -33,7 +45,60 @@ from repro.schemes.base import (
 )
 from repro.wire import codec
 
-__all__ = ["DevanbuScheme", "DevanbuPublication", "DevanbuSchemeVerifier"]
+__all__ = [
+    "DevanbuProof",
+    "DevanbuScheme",
+    "DevanbuPublication",
+    "DevanbuSchemeVerifier",
+]
+
+
+@dataclass(frozen=True)
+class DevanbuProof:
+    """Verification object of the Devanbu scheme for one range query.
+
+    Attributes
+    ----------
+    expanded_rows:
+        The result tuples *plus* the boundary tuples just outside the range,
+        each with every attribute (no projection is possible).
+    sibling_digests:
+        Digests of the maximal subtrees not overlapping the expanded range, in
+        the deterministic order the verifier's recursion consumes them.
+    root_signature:
+        The owner's signature over the root digest.
+    left_is_table_start, right_is_table_end:
+        True when the expanded range abuts the corresponding end of the table
+        (no boundary tuple exists on that side).
+    """
+
+    expanded_rows: Tuple[Dict[str, object], ...]
+    sibling_digests: Tuple[bytes, ...]
+    root_signature: int
+    leaf_range: Tuple[int, int]
+    table_size: int
+    left_is_table_start: bool
+    right_is_table_end: bool
+
+    @property
+    def digest_count(self) -> int:
+        return len(self.sibling_digests)
+
+    @property
+    def signature_count(self) -> int:
+        return 1
+
+    @property
+    def boundary_rows_exposed(self) -> int:
+        """How many out-of-range tuples the user gets to see."""
+        return (0 if self.left_is_table_start else 1) + (0 if self.right_is_table_end else 1)
+
+    def size_bytes(self, digest_bytes: int, signature_bytes: int) -> int:
+        return self.digest_count * digest_bytes + self.signature_count * signature_bytes
+
+
+def _leaf_digest(hash_function: HashFunction, row, attribute_names) -> bytes:
+    return hash_function.digest(b"devanbu-leaf|" + encode_record_payload(row, attribute_names))
 
 
 _ROW = codec.MapField(codec.STR, codec.SCALAR)
@@ -79,54 +144,113 @@ class DevanbuPublication(SchemePublication):
         hash_function: Optional[HashFunction] = None,
     ) -> None:
         super().__init__(relation, signature_scheme, hash_function)
-        self.inner = DevanbuMHT(
-            relation, signature_scheme, hash_function=self.hash_function
+        self._rebuild()
+
+    # -- tree construction ---------------------------------------------------
+
+    def _rebuild(self) -> None:
+        names = self.schema.attribute_names
+        self._leaves = [
+            _leaf_digest(self.hash_function, record.as_dict(), names) for record in self.relation
+        ]
+        self.root = self._subtree_digest(0, len(self._leaves))
+        self.root_signature = self._signature_scheme.sign(self.root)
+
+    def _subtree_digest(self, start: int, stop: int) -> bytes:
+        if stop - start == 0:
+            return self.hash_function.digest(b"devanbu-empty")
+        if stop - start == 1:
+            return self._leaves[start]
+        mid = (start + stop + 1) // 2
+        return self.hash_function.digest(
+            b"devanbu-node|" + self._subtree_digest(start, mid) + self._subtree_digest(mid, stop)
         )
 
-    def answer_range(
-        self, low: int, high: int
-    ) -> Tuple[List[dict], DevanbuProof]:
-        return self.inner.answer_range(low, high)
+    @property
+    def height(self) -> int:
+        """Tree height (number of internal levels)."""
+        size = max(1, len(self._leaves))
+        height = 0
+        while size > 1:
+            size = (size + 1) // 2
+            height += 1
+        return height
 
-    def _receipt(self, hashes: int) -> UpdateReceipt:
-        # One root signature per mutation; the affected "entry" is the root.
+    # -- query answering -----------------------------------------------------
+
+    def answer_range(self, low: int, high: int) -> Tuple[List[dict], DevanbuProof]:
+        """Answer ``low <= key <= high`` with the expanded result and its VO."""
+        start, stop = self.relation.range_indices(low, high)
+        expanded_start = max(0, start - 1)
+        expanded_stop = min(len(self._leaves), stop + 1)
+        expanded = [
+            self.relation[index].as_dict() for index in range(expanded_start, expanded_stop)
+        ]
+        siblings: List[bytes] = []
+        self._collect_siblings(0, len(self._leaves), expanded_start, expanded_stop, siblings)
+        proof = DevanbuProof(
+            expanded_rows=tuple(expanded),
+            sibling_digests=tuple(siblings),
+            root_signature=self.root_signature,
+            leaf_range=(expanded_start, expanded_stop),
+            table_size=len(self._leaves),
+            left_is_table_start=start == 0,
+            right_is_table_end=stop == len(self._leaves),
+        )
+        rows = [self.relation[index].as_dict() for index in range(start, stop)]
+        return rows, proof
+
+    def _collect_siblings(self, start: int, stop: int, lo: int, hi: int, out: List[bytes]) -> None:
+        """Digests of maximal subtrees outside ``[lo, hi)``, left to right."""
+        if stop <= lo or start >= hi or start >= stop:
+            if start < stop:
+                out.append(self._subtree_digest(start, stop))
+            return
+        if stop - start == 1:
+            return  # in-range leaf: the verifier recomputes it from the tuple
+        mid = (start + stop + 1) // 2
+        self._collect_siblings(start, mid, lo, hi, out)
+        self._collect_siblings(mid, stop, lo, hi, out)
+
+    # -- updates -------------------------------------------------------------
+
+    def _rebuild_receipt(self) -> UpdateReceipt:
+        """Every mutation re-hashes the leaf-to-root path and re-signs the
+        root — the locking hot-spot the paper's Section 6.3 points out.  The
+        affected "entry" is the root."""
+        path_length = self.height + 1
+        self._rebuild()
         return UpdateReceipt(
             signatures_recomputed=1,
-            digests_recomputed=hashes,
+            digests_recomputed=path_length,
             entries_affected=(0,),
             chain_messages_recomputed=1,
         )
 
     def _apply_insert(self, record) -> UpdateReceipt:
-        hashes, _ = self.inner.insert_record(record)
-        return self._receipt(hashes)
+        self.relation.insert(record)
+        return self._rebuild_receipt()
 
     def _apply_delete(self, record) -> UpdateReceipt:
-        hashes, _ = self.inner.delete_record(record)
-        return self._receipt(hashes)
+        self.relation.delete(record)
+        return self._rebuild_receipt()
 
 
 class DevanbuSchemeVerifier(SchemeVerifier):
     """User-side verification against the owner-signed Merkle root.
 
-    On top of :class:`~repro.baselines.devanbu.DevanbuVerifier`'s root
-    reconstruction, the adapter pins the *result rows* to the in-range slice
-    of the authenticated expanded rows — a tampered result row can then never
-    hide behind an honest expansion — and checks that every expanded tuple
-    carries exactly the schema attributes (extra, unauthenticated attributes
-    are rejected rather than passed through).
+    Besides reconstructing the root from the expanded rows and the sibling
+    digests, the verifier pins the *result rows* to the in-range slice of the
+    authenticated expanded rows — a tampered result row can then never hide
+    behind an honest expansion — and checks that every expanded tuple carries
+    exactly the schema attributes (extra, unauthenticated attributes are
+    rejected rather than passed through).
     """
 
     def __init__(self, relation_name: str, manifest: RelationManifest) -> None:
         self.relation_name = relation_name
         self.manifest = manifest
-        schema = manifest.schema
-        self.inner = DevanbuVerifier(
-            schema.attribute_names,
-            schema.key,
-            manifest.public_key,
-            hash_function=manifest.hash_function(),
-        )
+        self.hash_function = manifest.hash_function()
 
     def _verify(self, query, rows, proof, role) -> VerificationReport:
         DEVANBU.check_proof_type(proof)
@@ -210,8 +334,16 @@ class DevanbuSchemeVerifier(SchemeVerifier):
                 "authenticated expansion",
                 reason="row-mismatch",
             )
-        materialised = [dict(row) for row in rows]
-        if not self.inner.verify_range(alpha, beta, materialised, proof):
+        leaf_digests = [
+            _leaf_digest(self.hash_function, row, schema.attribute_names) for row in expanded
+        ]
+        siblings = list(proof.sibling_digests)
+        root = self._reconstruct(0, proof.table_size, *proof.leaf_range, leaf_digests, siblings)
+        if (
+            siblings
+            or leaf_digests
+            or not self.manifest.public_key.verify(root, proof.root_signature)
+        ):
             raise CompletenessError(
                 "the expanded result does not reconstruct the signed Merkle root",
                 reason="signature-mismatch",
@@ -221,6 +353,28 @@ class DevanbuSchemeVerifier(SchemeVerifier):
             signature_verifications=1,
             result_rows=len(rows),
         )
+
+    def _reconstruct(
+        self,
+        start: int,
+        stop: int,
+        lo: int,
+        hi: int,
+        leaf_digests: List[bytes],
+        siblings: List[bytes],
+    ) -> bytes:
+        """Mirror of ``DevanbuPublication._collect_siblings``: consume leaf
+        and sibling digests in the order the publisher emitted them."""
+        if stop <= lo or start >= hi or start >= stop:
+            if start < stop:
+                return siblings.pop(0)
+            return self.hash_function.digest(b"devanbu-empty")
+        if stop - start == 1:
+            return leaf_digests.pop(0)
+        mid = (start + stop + 1) // 2
+        left = self._reconstruct(start, mid, lo, hi, leaf_digests, siblings)
+        right = self._reconstruct(mid, stop, lo, hi, leaf_digests, siblings)
+        return self.hash_function.digest(b"devanbu-node|" + left + right)
 
 
 class DevanbuScheme(ProofScheme):

@@ -1,8 +1,11 @@
 """Naive per-tuple signatures as a registered ``ProofScheme``.
 
-The strawman of the paper's related-work section
-(:mod:`repro.baselines.naive`): the owner signs every tuple, the publisher
-ships matching tuples with their signatures, the user verifies each signature.
+The strawman the paper's related-work section starts from: the owner signs
+the digest of every tuple, the publisher ships matching tuples with their
+signatures, and the user verifies them.  Verification cost is one signature
+per result tuple unless the publisher condenses them — which is what Section
+5.2's aggregation (and the Ma et al. scheme) set out to remove.
+
 Authenticity only — dropping qualifying tuples is undetectable, so the scheme
 registers with ``proves_completeness = False`` and a
 :class:`~repro.service.client.VerifyingClient` refuses to answer under it
@@ -12,17 +15,17 @@ without an explicit ``allow_incomplete=True`` opt-in
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.baselines.naive import NaiveProof, NaiveSignedRelation
 from repro.core.errors import AuthenticityError, VerificationError
 from repro.core.relational import RelationManifest, UpdateReceipt
 from repro.core.report import VerificationReport
-from repro.crypto.aggregate import AggregateSignature, verify_aggregate
+from repro.core.verifier import check_signature_bundle
+from repro.crypto.aggregate import AggregateSignature, aggregate_signatures
 from repro.crypto.encoding import encode_record_payload
 from repro.crypto.hashing import HashFunction
 from repro.crypto.signature import SignatureScheme
-from repro.db.query import Query
 from repro.db.relation import Relation
 from repro.schemes.base import (
     ProofScheme,
@@ -34,7 +37,19 @@ from repro.schemes.base import (
 )
 from repro.wire import codec
 
-__all__ = ["NaiveScheme", "NaivePublication", "NaiveSchemeVerifier"]
+__all__ = ["NaiveProof", "NaiveScheme", "NaivePublication", "NaiveSchemeVerifier"]
+
+
+@dataclass(frozen=True)
+class NaiveProof:
+    """Per-tuple signatures (or one condensed signature) for a result."""
+
+    signatures: Tuple[int, ...] = ()
+    aggregate: Optional[AggregateSignature] = None
+
+    @property
+    def signature_count(self) -> int:
+        return 1 if self.aggregate is not None else len(self.signatures)
 
 
 #: Wire field-spec of the naive VO — the single source the binary writer, the
@@ -59,26 +74,43 @@ class NaivePublication(SchemePublication):
         hash_function: Optional[HashFunction] = None,
     ) -> None:
         super().__init__(relation, signature_scheme, hash_function)
-        self.inner = NaiveSignedRelation(
-            relation, signature_scheme, hash_function=self.hash_function
+        self._signatures = [self._sign(record) for record in relation]
+
+    def _sign(self, record) -> int:
+        return self._signature_scheme.sign(
+            encode_record_payload(record.as_dict(), self.schema.attribute_names)
         )
 
     def answer_range(
-        self, low: int, high: int
+        self, low: int, high: int, aggregate: bool = False
     ) -> Tuple[List[dict], NaiveProof]:
-        return self.inner.answer_range(low, high)
+        """Matching tuples and their signatures; no completeness proof exists."""
+        start, stop = self.relation.range_indices(low, high)
+        rows = [self.relation[index].as_dict() for index in range(start, stop)]
+        signatures = self._signatures[start:stop]
+        if aggregate and signatures:
+            messages = [encode_record_payload(row, self.schema.attribute_names) for row in rows]
+            return rows, NaiveProof(
+                aggregate=aggregate_signatures(
+                    signatures, self._signature_scheme.verifier, messages
+                )
+            )
+        return rows, NaiveProof(signatures=tuple(signatures))
 
     def _apply_insert(self, record) -> UpdateReceipt:
-        self.inner.insert_record(record)
+        """Exactly one new tuple signature is computed."""
+        position = self.relation.insert(record)
+        self._signatures.insert(position, self._sign(self.relation[position]))
         return UpdateReceipt(
             signatures_recomputed=1,
             digests_recomputed=1,
-            entries_affected=(self.relation.position_of(record),),
+            entries_affected=(position,),
             chain_messages_recomputed=1,
         )
 
     def _apply_delete(self, record) -> UpdateReceipt:
-        self.inner.delete_record(record)
+        """No signature work at all (the scheme's one strength)."""
+        del self._signatures[self.relation.delete(record)]
         return UpdateReceipt(
             signatures_recomputed=0,
             digests_recomputed=0,
@@ -129,35 +161,20 @@ class NaiveSchemeVerifier(SchemeVerifier):
                     reason="key-out-of-range",
                 )
             messages.append(encode_record_payload(materialised, names))
-        public_key = self.manifest.public_key
-        if proof.aggregate is not None:
-            if not messages:
-                raise AuthenticityError(
-                    "an aggregate signature cannot cover zero rows",
-                    reason="signature-count-mismatch",
-                )
-            if not verify_aggregate(proof.aggregate, messages, public_key):
-                raise AuthenticityError(
-                    "the condensed tuple signature does not match the rows",
-                    reason="signature-mismatch",
-                )
-            verifications = 1
-        else:
-            if len(proof.signatures) != len(messages):
-                raise AuthenticityError(
-                    "the number of tuple signatures does not match the rows",
-                    reason="signature-count-mismatch",
-                )
-            for message, signature in zip(messages, proof.signatures):
-                if not public_key.verify(message, signature):
-                    raise AuthenticityError(
-                        "a tuple signature does not match its row",
-                        reason="signature-mismatch",
-                    )
-            verifications = len(messages)
+        # Relation refuses exact duplicates, so no honest answer repeats a
+        # row; a repeated row with its signature repeated (or multiplied into
+        # the aggregate) would otherwise verify.
+        if len(set(messages)) != len(messages):
+            raise AuthenticityError("the result repeats a row", reason="duplicate-row")
+        failure = check_signature_bundle(
+            messages, proof.signatures, proof.aggregate, self.manifest.public_key
+        )
+        if failure is not None:
+            reason, what = failure
+            raise AuthenticityError(f"{what} does not match the result rows", reason=reason)
         return VerificationReport(
             checked_messages=len(messages),
-            signature_verifications=verifications,
+            signature_verifications=1 if messages else 0,
             result_rows=len(rows),
         )
 

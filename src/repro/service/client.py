@@ -329,8 +329,7 @@ class QuerySpec:
     """One verifiable request, whatever its shape: range, point or join.
 
     The single value object behind :meth:`VerifyingClient.execute` /
-    :meth:`~VerifyingClient.execute_many`; the historical ``query`` /
-    ``query_many`` / ``query_join`` methods are thin delegates over it.
+    :meth:`~VerifyingClient.execute_many`.
 
     ``allow_incomplete`` opts in to schemes that prove authenticity but not
     completeness (typed :class:`~repro.schemes.CompletenessUnsupported`
@@ -890,8 +889,8 @@ class VerifyingClient(ServiceConnection):
     def execute(self, spec: QuerySpec) -> Union[VerifiedResult, VerifiedJoinResult]:
         """Issue one :class:`QuerySpec` — range, point or join — and verify.
 
-        The single entry point behind :meth:`query` / :meth:`query_join`:
-        dispatches on the spec's query shape and returns a
+        The single entry point for reads: dispatches on the spec's query
+        shape and returns a
         :class:`VerifiedResult` (single relation) or
         :class:`VerifiedJoinResult` (join).
         """
@@ -936,49 +935,6 @@ class VerifyingClient(ServiceConnection):
             verify=head.verify,
             allow_incomplete=head.allow_incomplete,
         )
-
-    def query(
-        self,
-        query: Query,
-        role: Optional[str] = None,
-        verify: bool = True,
-        allow_incomplete: bool = False,
-    ) -> VerifiedResult:
-        """Thin delegate: :meth:`execute` over a single-relation spec."""
-        return self.execute(
-            QuerySpec(
-                query=query,
-                role=role,
-                verify=verify,
-                allow_incomplete=allow_incomplete,
-            )
-        )
-
-    def query_many(
-        self,
-        queries: Sequence[Query],
-        role: Optional[str] = None,
-        verify: bool = True,
-        allow_incomplete: bool = False,
-    ) -> List[VerifiedResult]:
-        """Thin delegate: :meth:`execute_many` over uniform specs."""
-        return self.execute_many(
-            [
-                QuerySpec(
-                    query=query,
-                    role=role,
-                    verify=verify,
-                    allow_incomplete=allow_incomplete,
-                )
-                for query in queries
-            ]
-        )
-
-    def query_join(
-        self, join: JoinQuery, role: Optional[str] = None, verify: bool = True
-    ) -> VerifiedJoinResult:
-        """Thin delegate: :meth:`execute` over a join spec."""
-        return self.execute(QuerySpec(query=join, role=role, verify=verify))
 
     def _execute_query(
         self,
@@ -1167,7 +1123,7 @@ class VerifyingClient(ServiceConnection):
         :class:`~repro.service.protocol.RemoteError` after the whole exchange
         has been drained (the connection stays usable).  Answers revealing a
         manifest rotation are re-verified — or re-queried — through the
-        normal rotation-chasing path of :meth:`query`.
+        normal rotation-chasing path of :meth:`execute`.
         """
         queries = list(queries)
         for name in {query.relation_name for query in queries}:
@@ -1209,7 +1165,7 @@ class VerifyingClient(ServiceConnection):
                     if stamped is None:
                         # Stamp already evicted server-side: re-issue.
                         results.append(
-                            self.query(
+                            self._execute_query(
                                 query,
                                 role=role,
                                 verify=verify,
@@ -1253,7 +1209,7 @@ class VerifyingClient(ServiceConnection):
     ) -> VerifiedJoinResult:
         """Issue a PK-FK join query and verify completeness + authenticity.
 
-        Staleness is handled like :meth:`query`, on either side of the join.
+        Staleness is handled like single-relation queries, on either side of the join.
         Both relations must be published under a scheme that supports
         verifiable joins (currently only ``chain``); anything else is a typed
         :class:`~repro.schemes.CompletenessUnsupported`.

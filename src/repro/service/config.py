@@ -15,16 +15,13 @@ sprawl:
   refused, and the clock that judges it.
 
 All are frozen dataclasses that validate on construction, so an invalid
-configuration fails where it is written, not where it is first used.  The
-legacy keyword arguments on :class:`PublicationServer` and
-:func:`~repro.storage.store.open_publication_storage` keep working for one
-release through a shim that emits :class:`DeprecationWarning`.
+configuration fails where it is written, not where it is first used.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.storage.store import STORAGE_BACKENDS
@@ -73,8 +70,7 @@ class FreshnessPolicy:
 class ServerConfig:
     """How a :class:`~repro.service.server.PublicationServer` binds and scales.
 
-    Parameters mirror the historical keyword arguments; see the server class
-    for their full semantics.
+    See the server class for the fields' full semantics.
     """
 
     host: str = "127.0.0.1"
@@ -113,10 +109,6 @@ class ServerConfig:
         if self.max_pipelined_frames < 1:
             raise ValueError("max_pipelined_frames must be >= 1")
 
-    def with_overrides(self, **fields) -> "ServerConfig":
-        """A copy with ``fields`` replaced (re-validated)."""
-        return replace(self, **fields)
-
 
 @dataclass(frozen=True)
 class StorageConfig:
@@ -150,7 +142,3 @@ class StorageConfig:
             )
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-
-    def with_overrides(self, **fields) -> "StorageConfig":
-        """A copy with ``fields`` replaced (re-validated)."""
-        return replace(self, **fields)

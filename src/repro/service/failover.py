@@ -304,15 +304,6 @@ class FailoverClient:
     def execute_many(self, specs):
         return self._read(lambda client: client.execute_many(specs))
 
-    def query(self, query, **options):
-        return self._read(lambda client: client.query(query, **options))
-
-    def query_many(self, queries, **options):
-        return self._read(lambda client: client.query_many(queries, **options))
-
-    def query_join(self, join, **options):
-        return self._read(lambda client: client.query_join(join, **options))
-
     def relations(self):
         return self._read(lambda client: client.relations())
 

@@ -35,7 +35,7 @@ Live updates rotate manifests: every applied ``UpdateRequest`` bumps the
 relation's manifest ``sequence`` and therefore its 32-byte id.  Query answers
 carry the id they were built under, which is how a client detects that its
 pinned manifest went stale (see
-:meth:`~repro.service.client.VerifyingClient.query`).
+:meth:`~repro.service.client.VerifyingClient.execute`).
 """
 
 from __future__ import annotations

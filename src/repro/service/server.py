@@ -6,7 +6,7 @@ event loop.  Connections are **pipelined**: a client may write any number of
 request frames back-to-back without waiting for responses, and the server
 answers each connection's requests strictly in order — so a client pays the
 network round trip once per *batch*, not once per query (see
-:meth:`~repro.service.client.VerifyingClient.query_many`).
+:meth:`~repro.service.client.VerifyingClient.execute_many`).
 
 Proof construction is CPU-bound hashing, so the loop can either run it inline
 (``worker_processes=0``, the default — one core, zero IPC overhead) or
@@ -42,7 +42,6 @@ import selectors
 import socket
 import threading
 import time
-import warnings
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -71,9 +70,6 @@ __all__ = ["PublicationServer"]
 #: drain — backpressure instead of unbounded buffering.  Tunable per server
 #: via :attr:`repro.service.config.ServerConfig.max_pipelined_frames`.
 MAX_PIPELINED_FRAMES = 256
-
-#: Sentinel distinguishing "not passed" from any real legacy-kwarg value.
-_LEGACY_UNSET = object()
 
 _RECV_CHUNK = 256 * 1024
 
@@ -158,47 +154,17 @@ class PublicationServer:
     faults:
         Optional :class:`~repro.storage.faults.FaultRegistry` for
         deterministic crash/drop/stall injection (testing only).
-    host, port, max_workers, worker_processes, response_cache:
-        Deprecated keyword equivalents of the :class:`ServerConfig` fields;
-        they still work for one release (emitting ``DeprecationWarning``)
-        and override the matching ``config`` field when passed.
     """
 
     def __init__(
         self,
         router: ShardRouter,
-        host=_LEGACY_UNSET,
-        port=_LEGACY_UNSET,
-        max_workers=_LEGACY_UNSET,
-        worker_processes=_LEGACY_UNSET,
-        response_cache=_LEGACY_UNSET,
         storage=None,
         faults=None,
         config: Optional[ServerConfig] = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("host", host),
-                ("port", port),
-                ("max_workers", max_workers),
-                ("worker_processes", worker_processes),
-                ("response_cache", response_cache),
-            )
-            if value is not _LEGACY_UNSET
-        }
-        if legacy:
-            warnings.warn(
-                "PublicationServer keyword arguments "
-                f"{sorted(legacy)} are deprecated; pass "
-                "config=ServerConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if config is None:
-            config = ServerConfig(**legacy)
-        elif legacy:
-            config = config.with_overrides(**legacy)
+            config = ServerConfig()
         self.config = config
         self.router = router
         self._requested = (config.host, config.port)

@@ -1,11 +1,20 @@
-"""Tests for the baseline schemes: Devanbu MHT, naive signatures, VB-tree."""
+"""Tests for the baseline schemes: Devanbu MHT, naive signatures, VB-tree.
+
+Every construction is exercised through the classes the service serves —
+``repro.schemes.*`` publications and their typed verifiers.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.baselines.devanbu import DevanbuMHT, DevanbuVerifier
-from repro.baselines.naive import NaiveSignedRelation
-from repro.baselines.vbtree import VBTree
+from repro.core.errors import VerificationError
+from repro.db.query import Conjunction, Query, RangeCondition
 from repro.db.workload import figure1_employee_relation, generate_employees
+from repro.schemes.devanbu import DevanbuPublication, DevanbuSchemeVerifier
+from repro.schemes.naive import NaivePublication, NaiveSchemeVerifier
+from repro.schemes.vbtree import VBTreePublication
+from repro.wire.updates import RecordDelta
 
 
 @pytest.fixture(scope="module")
@@ -13,36 +22,44 @@ def employees():
     return generate_employees(50, seed=12, photo_bytes=4)
 
 
+def _range(low, high):
+    return Query("employees", Conjunction((RangeCondition("salary", low, high),)))
+
+
+def _update(victim, **changes):
+    return RecordDelta(
+        kind="update",
+        values=victim.replace(**changes).as_dict(),
+        old_values=victim.as_dict(),
+    )
+
+
 class TestDevanbu:
     @pytest.fixture(scope="class")
     def mht(self, signature_scheme, employees):
-        return DevanbuMHT(employees, signature_scheme)
+        return DevanbuPublication(employees, signature_scheme)
 
     @pytest.fixture(scope="class")
-    def verifier(self, signature_scheme, employees):
-        return DevanbuVerifier(
-            employees.schema.attribute_names,
-            employees.schema.key,
-            signature_scheme.verifier,
-        )
+    def verifier(self, mht):
+        return DevanbuSchemeVerifier("employees", mht.manifest)
 
     def test_range_query_round_trip(self, mht, verifier, employees):
         keys = employees.keys()
         rows, proof = mht.answer_range(keys[10], keys[20])
         assert len(rows) == 11
-        assert verifier.verify_range(keys[10], keys[20], rows, proof)
+        verifier.verify(_range(keys[10], keys[20]), rows, proof)
 
     def test_range_at_table_start(self, mht, verifier, employees):
         keys = employees.keys()
         rows, proof = mht.answer_range(1, keys[5])
         assert proof.left_is_table_start
-        assert verifier.verify_range(1, keys[5], rows, proof)
+        verifier.verify(_range(1, keys[5]), rows, proof)
 
     def test_range_at_table_end(self, mht, verifier, employees):
         keys = employees.keys()
         rows, proof = mht.answer_range(keys[-5], 99_999)
         assert proof.right_is_table_end
-        assert verifier.verify_range(keys[-5], 99_999, rows, proof)
+        verifier.verify(_range(keys[-5], 99_999), rows, proof)
 
     def test_boundary_tuples_are_exposed(self, mht, employees):
         """Limitation (4): the user sees tuples outside the query range."""
@@ -60,8 +77,12 @@ class TestDevanbu:
 
     def test_vo_grows_with_table_size(self, signature_scheme):
         """Limitation (2): the VO carries O(log |table|) digests."""
-        small = DevanbuMHT(generate_employees(32, seed=1, photo_bytes=2), signature_scheme)
-        large = DevanbuMHT(generate_employees(512, seed=1, photo_bytes=2), signature_scheme)
+        small = DevanbuPublication(
+            generate_employees(32, seed=1, photo_bytes=2), signature_scheme
+        )
+        large = DevanbuPublication(
+            generate_employees(512, seed=1, photo_bytes=2), signature_scheme
+        )
         small_keys = small.relation.keys()
         large_keys = large.relation.keys()
         _, small_proof = small.answer_range(small_keys[10], small_keys[12])
@@ -71,42 +92,41 @@ class TestDevanbu:
     def test_omitted_row_detected(self, mht, verifier, employees):
         keys = employees.keys()
         rows, proof = mht.answer_range(keys[10], keys[20])
-        assert not verifier.verify_range(keys[10], keys[20], rows[:-1], proof)
+        with pytest.raises(VerificationError):
+            verifier.verify(_range(keys[10], keys[20]), rows[:-1], proof)
 
     def test_tampered_row_detected(self, mht, verifier, employees):
+        """A row forged consistently in the result *and* the expansion."""
         keys = employees.keys()
         rows, proof = mht.answer_range(keys[10], keys[20])
-        tampered_expanded = tuple(
-            dict(row, name="EVIL") if index == 2 else row
-            for index, row in enumerate(proof.expanded_rows)
-        )
-        forged = type(proof)(
-            expanded_rows=tampered_expanded,
-            sibling_digests=proof.sibling_digests,
-            root_signature=proof.root_signature,
-            leaf_range=proof.leaf_range,
-            table_size=proof.table_size,
-            left_is_table_start=proof.left_is_table_start,
-            right_is_table_end=proof.right_is_table_end,
+        forged = dataclasses.replace(
+            proof,
+            expanded_rows=tuple(
+                dict(row, name="EVIL") if index == 2 else row
+                for index, row in enumerate(proof.expanded_rows)
+            ),
         )
         tampered_rows = [dict(r) for r in rows]
         tampered_rows[1]["name"] = "EVIL"
-        assert not verifier.verify_range(keys[10], keys[20], tampered_rows, forged)
+        with pytest.raises(VerificationError) as excinfo:
+            verifier.verify(_range(keys[10], keys[20]), tampered_rows, forged)
+        assert excinfo.value.reason == "signature-mismatch"
 
     def test_update_propagates_to_root(self, signature_scheme):
         relation = generate_employees(64, seed=6, photo_bytes=2)
-        mht = DevanbuMHT(relation, signature_scheme)
+        mht = DevanbuPublication(relation, signature_scheme)
         old_root = mht.root
-        victim = relation[10]
-        hashes, signatures = mht.update_record(victim, victim.replace(name="changed"))
+        receipt = mht.apply_deltas([_update(relation[10], name="changed")])
         assert mht.root != old_root
-        assert signatures == 1
-        assert hashes >= mht.height  # whole root path re-hashed
+        # an update is a delete plus an insert: each re-signs the root once
+        # and re-hashes the whole root path
+        assert receipt.signatures_recomputed == 2
+        assert receipt.digests_recomputed >= 2 * mht.height
 
     def test_figure1_hr_executive_violation(self, signature_scheme):
         """The introduction's point: Devanbu exposes records beyond the policy bound."""
         relation = figure1_employee_relation()
-        mht = DevanbuMHT(relation, signature_scheme)
+        mht = DevanbuPublication(relation, signature_scheme)
         rows, proof = mht.answer_range(1, 8999)  # the rewritten executive query
         exposed = [row["salary"] for row in proof.expanded_rows]
         assert 12100 in exposed  # a record the executive must not see
@@ -115,44 +135,52 @@ class TestDevanbu:
 class TestNaive:
     @pytest.fixture(scope="class")
     def naive(self, signature_scheme, employees):
-        return NaiveSignedRelation(employees, signature_scheme)
+        return NaivePublication(employees, signature_scheme)
 
-    def test_round_trip(self, naive, employees):
+    @pytest.fixture(scope="class")
+    def verifier(self, naive):
+        return NaiveSchemeVerifier("employees", naive.manifest)
+
+    def test_round_trip(self, naive, verifier, employees):
         keys = employees.keys()
         rows, proof = naive.answer_range(keys[5], keys[15])
-        assert naive.verify(rows, proof)
+        verifier.verify(_range(keys[5], keys[15]), rows, proof)
         assert proof.signature_count == len(rows)
 
-    def test_aggregated_transport(self, naive, employees):
+    def test_aggregated_transport(self, naive, verifier, employees):
         keys = employees.keys()
         rows, proof = naive.answer_range(keys[5], keys[15], aggregate=True)
         assert proof.signature_count == 1
-        assert naive.verify(rows, proof)
+        verifier.verify(_range(keys[5], keys[15]), rows, proof)
 
-    def test_tampering_detected(self, naive, employees):
+    def test_tampering_detected(self, naive, verifier, employees):
         keys = employees.keys()
         rows, proof = naive.answer_range(keys[5], keys[15])
         rows[0]["name"] = "EVIL"
-        assert not naive.verify(rows, proof)
+        with pytest.raises(VerificationError):
+            verifier.verify(_range(keys[5], keys[15]), rows, proof)
 
-    def test_omission_is_not_detected(self, naive, employees):
+    def test_omission_is_not_detected(self, naive, verifier, employees):
         """The scheme's fundamental gap: dropping rows goes unnoticed."""
         keys = employees.keys()
         rows, proof = naive.answer_range(keys[5], keys[15])
-        truncated = rows[:-1]
         truncated_proof = type(proof)(signatures=proof.signatures[:-1])
-        assert naive.verify(truncated, truncated_proof)
+        report = verifier.verify(
+            _range(keys[5], keys[15]), rows[:-1], truncated_proof
+        )
+        assert report.result_rows == len(rows) - 1
 
-    def test_update_touches_one_signature(self, naive, employees):
-        victim = employees[3]
-        hashes, signatures = naive.update_record(victim, victim.replace(name="x"))
-        assert signatures == 1
+    def test_update_touches_one_signature(self, signature_scheme):
+        relation = generate_employees(50, seed=12, photo_bytes=4)
+        naive = NaivePublication(relation, signature_scheme)
+        receipt = naive.apply_deltas([_update(relation[3], name="x")])
+        assert receipt.signatures_recomputed == 1
 
 
 class TestVBTree:
     @pytest.fixture(scope="class")
     def vbtree(self, signature_scheme, employees):
-        return VBTree(employees, signature_scheme, fanout=4)
+        return VBTreePublication(employees, signature_scheme, fanout=4)
 
     def test_covering_proof_round_trip(self, vbtree, employees):
         keys = employees.keys()
@@ -169,20 +197,21 @@ class TestVBTree:
 
     def test_update_resigns_root_path(self, signature_scheme):
         relation = generate_employees(64, seed=4, photo_bytes=2)
-        tree = VBTree(relation, signature_scheme, fanout=4)
-        victim = relation[10]
-        hashes, signatures = tree.update_record(victim, victim.replace(name="x"))
-        assert signatures == tree.height
-        assert signatures > 1  # strictly worse than the chain scheme's 3 flat signatures
+        tree = VBTreePublication(relation, signature_scheme, fanout=4)
+        receipt = tree.apply_deltas([_update(relation[10], name="x")])
+        # delete + insert, each re-signing the whole root path — strictly
+        # worse than the chain scheme's 3 flat signatures
+        assert receipt.signatures_recomputed == 2 * tree.height
+        assert tree.height > 1
 
     def test_small_fanout_rejected(self, signature_scheme, employees):
         with pytest.raises(ValueError):
-            VBTree(employees, signature_scheme, fanout=1)
+            VBTreePublication(employees, signature_scheme, fanout=1)
 
     def test_empty_relation_supported(self, signature_scheme):
         from repro.db.relation import Relation
         from repro.db.workload import employee_schema
 
-        tree = VBTree(Relation(employee_schema()), signature_scheme)
+        tree = VBTreePublication(Relation(employee_schema()), signature_scheme)
         rows, proof = tree.answer_range(1, 99_999)
         assert rows == []

@@ -11,7 +11,12 @@ from repro.core.verifier import ResultVerifier
 from repro.crypto import rsa
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
-from repro.service import PublicationServer, VerifyingClient, build_demo_world
+from repro.service import (
+    PublicationServer,
+    QuerySpec,
+    VerifyingClient,
+    build_demo_world,
+)
 
 RANGE = Query("employees", Conjunction((RangeCondition("salary", 1_000, 90_000),)))
 
@@ -77,8 +82,8 @@ def test_server_cache_stats_cover_responses_and_shards():
     with PublicationServer(world.router) as server:
         host, port = server.address
         with VerifyingClient(host, port) as client:
-            client.query(RANGE, verify=False)
-            client.query(RANGE, verify=False)
+            client.execute(QuerySpec(RANGE, verify=False))
+            client.execute(QuerySpec(RANGE, verify=False))
         stats = server.cache_stats()
         assert stats["responses"]["hits"] >= 1
         assert set(stats["shards"]) == {"hr", "sales"}

@@ -33,7 +33,7 @@ from dataclasses import replace
 import pytest
 
 from repro.db.query import Conjunction, Query, RangeCondition
-from repro.service import FailoverClient, VerifyingClient
+from repro.service import FailoverClient, QuerySpec, VerifyingClient
 from repro.service.chaos import ChaosProxy, ChaosRegistry
 from repro.service.owner import build_update_request
 from repro.service.protocol import (
@@ -229,7 +229,7 @@ def _push_direct(port: int, requests) -> int:
 
 def _tagged_rows(port: int, tag: str):
     with VerifyingClient("127.0.0.1", port) as client:
-        result = client.query(FULL_RANGE)
+        result = client.execute(QuerySpec(FULL_RANGE))
     assert result.report is not None
     return sorted(
         str(row["emp_id"])
@@ -259,7 +259,7 @@ def test_sigkill_replica_group_keeps_answering_and_catches_up(group, victim):
     started = time.monotonic()
     with FailoverClient(endpoints, failure_threshold=1, timeout=5.0) as client:
         for _ in range(3):
-            result = client.query(FULL_RANGE)
+            result = client.execute(QuerySpec(FULL_RANGE))
             assert result.report is not None
             assert _tagged_rows_in(result.rows, "kill") == UPDATES
     assert time.monotonic() - started < 20.0
@@ -329,7 +329,7 @@ def test_trickle_fed_replica_loses_the_hedged_race(group):
             timeout=5.0,
         ) as client:
             started = time.monotonic()
-            result = client.query(FULL_RANGE)
+            result = client.execute(QuerySpec(FULL_RANGE))
             elapsed = time.monotonic() - started
             assert result.report is not None
             stats = client.stats()

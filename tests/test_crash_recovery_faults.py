@@ -32,7 +32,7 @@ from dataclasses import replace
 import pytest
 
 from repro.db.query import Conjunction, Query, RangeCondition
-from repro.service import VerifyingClient
+from repro.service import QuerySpec, VerifyingClient
 from repro.service.owner import build_update_request
 from repro.service.protocol import (
     ErrorResponse,
@@ -184,7 +184,7 @@ def _capture_state(port: int):
 def _crash_row_count(port: int) -> int:
     """How many of the stream's inserts a live server currently holds."""
     with VerifyingClient("127.0.0.1", port) as client:
-        rows = client.query(FULL_RANGE).rows
+        rows = client.execute(QuerySpec(FULL_RANGE)).rows
     return sum(1 for row in rows if str(row["emp_id"]).startswith("crash-"))
 
 

@@ -7,7 +7,7 @@ computed it.  These tests run the same workloads under
 ``force_backend(pure_backend())`` and under the import-selected backend and
 compare the results exactly.  On a machine without gmpy2 the two coincide
 and the suite degenerates to (still useful) self-consistency plus the
-fixed-window/powmod algebraic properties; in the CI native lane the active
+powmod algebraic properties; in the CI native lane the active
 backend is gmpy2 and every comparison is a true cross-implementation check.
 
 A tamper sweep runs under the *active* backend so the native lane proves
@@ -33,8 +33,6 @@ from repro.crypto.backend import (
     active_backend,
     backend_name,
     backend_stats,
-    exponent_schedule,
-    fixed_window_pow,
     force_backend,
     key_context,
     powmod,
@@ -116,35 +114,6 @@ def test_powmod_matches_builtin_pow_on_both_backends(base, exponent, modulus):
     assert powmod(base, exponent, modulus) == expected
     with force_backend(pure_backend()):
         assert powmod(base, exponent, modulus) == expected
-
-
-@given(
-    base=st.integers(min_value=0, max_value=2**521),
-    exponent=st.integers(min_value=0, max_value=2**521),
-    modulus=st.integers(min_value=2, max_value=2**521),
-    window=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
-)
-@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-def test_fixed_window_pow_matches_builtin_pow(base, exponent, modulus, window):
-    schedule = exponent_schedule(exponent, window)
-    assert fixed_window_pow(base, schedule, modulus) == pow(base, exponent, modulus)
-
-
-@given(
-    exponent=st.integers(min_value=0, max_value=2**521),
-    window=st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=100)
-def test_exponent_schedule_reconstructs_the_exponent(exponent, window):
-    window_bits, digits = exponent_schedule(exponent, window)
-    assert window_bits == window
-    value = 0
-    for digit in digits:
-        assert 0 <= digit < (1 << window)
-        value = (value << window) | digit
-    assert value == exponent
-    if digits:
-        assert digits[0] != 0  # no leading zero digits
 
 
 @given(value=st.integers(min_value=0, max_value=2**600))

@@ -29,6 +29,7 @@ from repro.service import (
     FreshnessPolicy,
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     RemoteError,
     ReplicationStatus,
     ReplicationStatusRequest,
@@ -280,7 +281,7 @@ def test_live_updates_replicate_and_answers_stay_byte_identical(
         )
         # The replicated rows are served verified to a real client.
         with VerifyingClient(*replica["address"]) as client:
-            rows = client.query(FULL_RANGE).rows
+            rows = client.execute(QuerySpec(FULL_RANGE)).rows
         assert any(row["emp_id"] == "rep-u4" for row in rows)
     finally:
         _stop_replica(replica)
@@ -319,7 +320,7 @@ def test_replicated_attestations_satisfy_freshness_clients(primary, tmp_path):
         assert _wait(lambda: _status(replica["address"]).epoch == 1)
         policy = FreshnessPolicy(max_staleness=3600.0)
         with VerifyingClient(*replica["address"], freshness=policy) as client:
-            result = client.query(FULL_RANGE)
+            result = client.execute(QuerySpec(FULL_RANGE))
         assert result.attestation is not None
         assert result.attestation.epoch == 1
     finally:

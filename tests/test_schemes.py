@@ -38,6 +38,7 @@ from repro.schemes import (
 from repro.service import (
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     RemoteError,
     ServerConfig,
     ShardRouter,
@@ -157,7 +158,7 @@ def test_manifests_carry_their_scheme_tag(signature_scheme):
 def test_honest_answer_verifies_over_the_wire(scheme_world, scheme_client):
     scheme_name, publication, publisher, _, _, _ = scheme_world
     allow = not get_scheme(scheme_name).proves_completeness
-    result = scheme_client.query(RANGE_QUERY, allow_incomplete=allow)
+    result = scheme_client.execute(QuerySpec(RANGE_QUERY, allow_incomplete=allow))
     assert result.report is not None
     expected = [
         record.as_dict()
@@ -175,10 +176,10 @@ def test_honest_answer_verifies_over_the_wire(scheme_world, scheme_client):
 def test_incomplete_schemes_require_explicit_opt_in(scheme_world, scheme_client):
     scheme_name = scheme_world[0]
     if get_scheme(scheme_name).proves_completeness:
-        scheme_client.query(RANGE_QUERY)  # no opt-in needed
+        scheme_client.execute(QuerySpec(RANGE_QUERY))  # no opt-in needed
     else:
         with pytest.raises(CompletenessUnsupported):
-            scheme_client.query(RANGE_QUERY)
+            scheme_client.execute(QuerySpec(RANGE_QUERY))
 
 
 def test_baseline_schemes_reject_unsupported_query_shapes(scheme_world, scheme_client):
@@ -191,7 +192,7 @@ def test_baseline_schemes_reject_unsupported_query_shapes(scheme_world, scheme_c
         Projection(("name",)),
     )
     with pytest.raises(RemoteError) as excinfo:
-        scheme_client.query(projected, allow_incomplete=True)
+        scheme_client.execute(QuerySpec(projected, allow_incomplete=True))
     assert excinfo.value.code == "ProofConstructionError"
 
 
@@ -201,7 +202,7 @@ def test_vacuous_range_needs_no_proof(scheme_world, scheme_client):
         "employees", Conjunction((RangeCondition("salary", 50, 10),))
     )
     allow = not get_scheme(scheme_name).proves_completeness
-    result = scheme_client.query(empty, allow_incomplete=allow)
+    result = scheme_client.execute(QuerySpec(empty, allow_incomplete=allow))
     assert result.rows == ()
     assert result.proof is None
 
@@ -280,6 +281,178 @@ def test_completeness_schemes_reject_a_dropped_row(scheme_name, signature_scheme
         )
 
 
+# -- frozen reason table --------------------------------------------------------
+#
+# The shared tamper set as one table: every (scheme variant, tamper case) maps
+# to the exact typed rejection — exception class and ``reason`` — or to None
+# when the answer must verify.  Clients dispatch on these reasons, so a row
+# only changes together with a CHANGES.md entry saying why.
+
+_ROW_COUNT = ("VerificationError", "row-count-mismatch")
+_WRONG_VO = ("VerificationError", "scheme-proof-mismatch")
+_CHAIN_SIG = ("CompletenessError", "signature-mismatch")
+_ROW_MISMATCH = ("CompletenessError", "row-mismatch")
+_AUTH_SIG = ("AuthenticityError", "signature-mismatch")
+_AUTH_COUNT = ("AuthenticityError", "signature-count-mismatch")
+_DUPLICATE = ("AuthenticityError", "duplicate-row")
+
+REASON_TABLE = {
+    ("chain", "honest"): None,
+    ("chain", "modified-value"): _CHAIN_SIG,
+    ("chain", "spurious-row"): _ROW_COUNT,
+    ("chain", "dropped-row"): ("CompletenessError", "row-count-mismatch"),
+    ("chain", "duplicate-row"): _ROW_COUNT,
+    ("chain", "wrong-scheme-vo"): _WRONG_VO,
+    ("chain", "forged-signature"): _CHAIN_SIG,
+    ("chain", "count-mismatch"): _CHAIN_SIG,
+    ("chain-individual", "honest"): None,
+    ("chain-individual", "modified-value"): _CHAIN_SIG,
+    ("chain-individual", "spurious-row"): _ROW_COUNT,
+    ("chain-individual", "dropped-row"): ("CompletenessError", "row-count-mismatch"),
+    ("chain-individual", "duplicate-row"): _ROW_COUNT,
+    ("chain-individual", "wrong-scheme-vo"): _WRONG_VO,
+    ("chain-individual", "forged-signature"): _CHAIN_SIG,
+    ("chain-individual", "count-mismatch"): ("CompletenessError", "signature-count-mismatch"),
+    ("devanbu", "honest"): None,
+    ("devanbu", "modified-value"): _ROW_MISMATCH,
+    ("devanbu", "spurious-row"): _ROW_MISMATCH,
+    ("devanbu", "dropped-row"): _ROW_MISMATCH,
+    ("devanbu", "duplicate-row"): _ROW_MISMATCH,
+    ("devanbu", "wrong-scheme-vo"): _WRONG_VO,
+    ("devanbu", "forged-signature"): _CHAIN_SIG,
+    ("devanbu", "count-mismatch"): ("VerificationError", "malformed-proof"),
+    ("naive", "honest"): None,
+    ("naive", "modified-value"): _AUTH_SIG,
+    ("naive", "spurious-row"): _AUTH_COUNT,
+    ("naive", "dropped-row"): _AUTH_COUNT,
+    ("naive", "duplicate-row"): _DUPLICATE,
+    ("naive", "wrong-scheme-vo"): _WRONG_VO,
+    ("naive", "forged-signature"): _AUTH_SIG,
+    ("naive", "count-mismatch"): _AUTH_COUNT,
+    ("naive-aggregated", "honest"): None,
+    ("naive-aggregated", "modified-value"): _AUTH_SIG,
+    ("naive-aggregated", "spurious-row"): _AUTH_SIG,
+    ("naive-aggregated", "dropped-row"): _AUTH_SIG,
+    ("naive-aggregated", "duplicate-row"): _DUPLICATE,
+    ("naive-aggregated", "wrong-scheme-vo"): _WRONG_VO,
+    ("naive-aggregated", "forged-signature"): _AUTH_SIG,
+    ("naive-aggregated", "count-mismatch"): _AUTH_SIG,
+    ("vbtree", "honest"): None,
+    ("vbtree", "modified-value"): _AUTH_SIG,
+    ("vbtree", "spurious-row"): _AUTH_SIG,
+    ("vbtree", "dropped-row"): _AUTH_SIG,
+    ("vbtree", "duplicate-row"): _AUTH_SIG,
+    ("vbtree", "wrong-scheme-vo"): _WRONG_VO,
+    ("vbtree", "forged-signature"): _AUTH_SIG,
+    ("vbtree", "count-mismatch"): _AUTH_SIG,
+}
+
+
+def _variant_answer(variant, signature_scheme):
+    """(scheme name, publication, honest rows, honest VO) for one variant."""
+    scheme_name = variant.split("-")[0]
+    scheme = get_scheme(scheme_name)
+    publication = scheme.publish(_fresh_relation(), signature_scheme)
+    if variant == "chain-individual":
+        publisher = scheme.make_publisher({"employees": publication}, aggregate=False)
+    else:
+        publisher = scheme.make_publisher({"employees": publication})
+    if variant == "naive-aggregated":
+        rows, proof = publication.answer_range(20_000, 60_000, aggregate=True)
+        return scheme_name, publication, [dict(row) for row in rows], proof
+    rows, proof = _direct_answer(publisher)
+    return scheme_name, publication, rows, proof
+
+
+def _break_signatures(variant, proof, count):
+    """Forge one signature (``count=False``) or make the bundle miscount."""
+    replace = dataclasses.replace
+
+    def cut_or_flip(signatures):
+        return signatures[:-1] if count else (signatures[0] ^ 1,) + signatures[1:]
+
+    def miscount_or_flip(aggregate):
+        if count:
+            return replace(aggregate, count=aggregate.count + 1)
+        return replace(aggregate, value=aggregate.value ^ 1)
+
+    if variant == "chain":
+        bundle = proof.signatures
+        return replace(
+            proof,
+            signatures=replace(bundle, aggregate=miscount_or_flip(bundle.aggregate)),
+        )
+    if variant == "chain-individual":
+        bundle = proof.signatures
+        return replace(
+            proof,
+            signatures=replace(bundle, individual=cut_or_flip(bundle.individual)),
+        )
+    if variant == "devanbu":
+        if count:
+            return replace(proof, sibling_digests=proof.sibling_digests[:-1])
+        return replace(proof, root_signature=proof.root_signature ^ 1)
+    if variant == "naive":
+        return replace(proof, signatures=cut_or_flip(proof.signatures))
+    if variant == "naive-aggregated":
+        return replace(proof, aggregate=miscount_or_flip(proof.aggregate))
+    return replace(
+        proof, covering_signatures=cut_or_flip(proof.covering_signatures)
+    )
+
+
+def _tampered(variant, case, rows, proof, signature_scheme):
+    if case == "honest":
+        return rows, proof
+    if case == "modified-value":
+        return [dict(rows[0], name="EVIL")] + rows[1:], proof
+    if case == "spurious-row":
+        ghost = dict(rows[-1], salary=rows[-1]["salary"] + 1, name="GHOST")
+        return rows + [ghost], proof
+    if case == "dropped-row":
+        return rows[:-1], proof
+    if case == "duplicate-row":
+        # The publisher repeats an authentic row — and, where the VO is a
+        # per-row signature bundle, repeats that row's signature with it.
+        if variant.startswith("naive"):
+            _, _, _, individual = _variant_answer("naive", signature_scheme)
+            first = individual.signatures[0]
+            if variant == "naive":
+                proof = dataclasses.replace(
+                    proof, signatures=proof.signatures + (first,)
+                )
+            else:
+                aggregate = proof.aggregate
+                modulus = signature_scheme.verifier.modulus
+                proof = dataclasses.replace(
+                    proof,
+                    aggregate=dataclasses.replace(
+                        aggregate,
+                        value=aggregate.value * first % modulus,
+                        count=aggregate.count + 1,
+                    ),
+                )
+        return rows + [dict(rows[0])], proof
+    if case == "wrong-scheme-vo":
+        other = "vbtree" if variant.startswith("naive") else "naive"
+        return rows, _variant_answer(other, signature_scheme)[3]
+    return rows, _break_signatures(variant, proof, count=case == "count-mismatch")
+
+
+@pytest.mark.parametrize("variant, case", sorted(REASON_TABLE))
+def test_frozen_reason_table(variant, case, signature_scheme):
+    scheme_name, publication, rows, proof = _variant_answer(variant, signature_scheme)
+    rows, proof = _tampered(variant, case, rows, proof, signature_scheme)
+    verifier = _verifier_for(scheme_name, publication)
+    expected = REASON_TABLE[variant, case]
+    if expected is None:
+        assert verifier.verify(RANGE_QUERY, rows, proof).result_rows == len(rows)
+        return
+    with pytest.raises(VerificationError) as excinfo:
+        verifier.verify(RANGE_QUERY, rows, proof)
+    assert (type(excinfo.value).__name__, excinfo.value.reason) == expected
+
+
 def test_naive_omission_gap_is_real_and_documented(signature_scheme):
     """The naive scheme's fundamental gap: a dropped row still verifies.
 
@@ -318,12 +491,8 @@ def test_updates_rotate_scheme_tagged_manifests(scheme_world, signature_scheme):
     # a fresh client sees (and verifies) the new row under the rotated manifest
     allow = not get_scheme(scheme_name).proves_completeness
     with VerifyingClient(host, port) as reader:
-        result = reader.query(
-            Query(
-                "employees",
-                Conjunction((RangeCondition("salary", 33_333, 33_333),)),
-            ),
-            allow_incomplete=allow,
+        result = reader.execute(
+            QuerySpec.point("employees", "salary", 33_333, allow_incomplete=allow)
         )
     assert [dict(row) for row in result.rows] == [new_row]
     # leave the world as found for the other tests in this module
@@ -392,7 +561,7 @@ def test_join_refused_under_schemes_without_join_proofs(signature_scheme):
             client.fetch_manifest("employees")
             join = JoinQuery("employees", "employees", "salary", "salary")
             with pytest.raises(CompletenessUnsupported):
-                client.query_join(join)
+                client.execute(QuerySpec(join))
 
 
 def test_mixed_scheme_shards_behind_one_server(signature_scheme):
@@ -420,7 +589,7 @@ def test_mixed_scheme_shards_behind_one_server(signature_scheme):
                     hosting,
                     Conjunction((RangeCondition("salary", 20_000, 60_000),)),
                 )
-                result = client.query(query, allow_incomplete=allow)
+                result = client.execute(QuerySpec(query, allow_incomplete=allow))
                 assert result.report is not None and result.rows
                 assert isinstance(result.proof, get_scheme(name).vo_type)
 
@@ -447,10 +616,10 @@ def test_devanbu_boundary_flag_forgery_rejected(signature_scheme):
     ``left_is_table_start`` so the verifier never expects a below-range
     boundary tuple.  The flag must be pinned to the leaf range.
     """
-    from repro.baselines.devanbu import DevanbuProof
+    from repro.schemes.devanbu import DevanbuProof
 
     publication, publisher = _publish("devanbu", signature_scheme)
-    mht = publication.inner
+    mht = publication
     full = Query(
         "employees", Conjunction((RangeCondition("salary", 1, 99_999),))
     )

@@ -27,6 +27,7 @@ from repro.db.relation import Relation
 from repro.service import (
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     RecordDelta,
     RemoteError,
     ServerConfig,
@@ -124,11 +125,11 @@ def test_streaming_owner_with_concurrent_verified_readers(owner):
                 ) as client:
                     local = []
                     while not done.is_set():
-                        result = client.query(FULL_RANGE)
+                        result = client.execute(QuerySpec(FULL_RANGE))
                         assert result.report is not None
                         local.append((result.manifest_sequence, result.rows))
                     # One final look at the settled state.
-                    result = client.query(FULL_RANGE)
+                    result = client.execute(QuerySpec(FULL_RANGE))
                     local.append((result.manifest_sequence, result.rows))
                     observations.append(local)
             except BaseException as error:  # pragma: no cover - surfaced below

@@ -1,18 +1,16 @@
-"""The consolidated configuration/client API: configs, shims, QuerySpec.
+"""The consolidated configuration/client API: configs and QuerySpec.
 
-Three api_redesign contracts live here:
+Two api_redesign contracts live here:
 
 * :class:`~repro.service.ServerConfig` / :class:`~repro.service.StorageConfig`
   are frozen, validate on construction, and are the one way tunables reach
   :class:`~repro.service.PublicationServer` and
-  :func:`~repro.storage.open_publication_storage`;
-* the historical keyword arguments still work for one release through a shim
-  that emits :class:`DeprecationWarning` (and legacy kwargs override the
-  matching ``config`` field when both are passed);
+  :func:`~repro.storage.open_publication_storage` — the historical keyword
+  arguments are gone;
 * :class:`~repro.service.QuerySpec` is the single value object behind
-  ``query`` / ``query_many`` / ``query_join`` — the legacy methods are thin
-  delegates, asserted equivalent down to the verified rows and manifest
-  attribution.
+  :meth:`~repro.service.VerifyingClient.execute` /
+  :meth:`~repro.service.VerifyingClient.execute_many`, whatever the query's
+  shape.
 """
 
 import dataclasses
@@ -86,54 +84,9 @@ def test_configs_are_frozen():
         StorageConfig().backend = "sqlite"
 
 
-def test_with_overrides_revalidates():
-    base = ServerConfig(max_workers=2)
-    assert base.with_overrides(max_workers=5).max_workers == 5
-    assert base.max_workers == 2, "with_overrides must not mutate the original"
-    with pytest.raises(ValueError):
-        base.with_overrides(max_workers=0)
-    storage = StorageConfig()
-    assert storage.with_overrides(backend="sqlite").backend == "sqlite"
-    with pytest.raises(ValueError):
-        storage.with_overrides(fsync="maybe")
-
-
-# -- the legacy-kwarg shim -----------------------------------------------------
-
-
-def test_legacy_server_kwargs_warn_but_work(demo_world):
-    with pytest.warns(DeprecationWarning, match="ServerConfig"):
-        server = PublicationServer(demo_world.router, max_workers=2)
-    try:
-        assert server.config.max_workers == 2
-        server.start()
-        host, port = server.address
-        with VerifyingClient(host, port) as active:
-            assert "employees" in active.relations()
-    finally:
-        server.stop()
-
-
-def test_legacy_kwargs_override_config_fields(demo_world):
-    with pytest.warns(DeprecationWarning):
-        server = PublicationServer(
-            demo_world.router,
-            config=ServerConfig(max_workers=4, response_cache=False),
-            max_workers=2,
-        )
-    try:
-        assert server.config.max_workers == 2
-        assert server.config.response_cache is False
-    finally:
-        server.stop()
-
-
-def test_config_only_construction_is_warning_free(demo_world, recwarn):
-    server = PublicationServer(demo_world.router, config=ServerConfig(max_workers=2))
-    try:
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-    finally:
-        server.stop()
+def test_legacy_server_kwargs_are_a_type_error(demo_world):
+    with pytest.raises(TypeError):
+        PublicationServer(demo_world.router, port=0)
 
 
 # -- StorageConfig consumption -------------------------------------------------
@@ -177,28 +130,19 @@ def test_query_spec_constructors():
     assert join.is_join
 
 
-def test_query_delegates_match_execute(client):
-    via_method = client.query(SALARY_RANGE)
-    via_spec = client.execute(QuerySpec(query=SALARY_RANGE))
-    assert via_method.rows == via_spec.rows
-    assert via_method.manifest_id == via_spec.manifest_id
-    assert via_method.report.result_rows == via_spec.report.result_rows
+def test_execute_dispatches_on_query_shape(client):
+    ranged = client.execute(QuerySpec(SALARY_RANGE))
+    assert ranged.report.result_rows == len(ranged.rows) > 0
+    joined = client.execute(QuerySpec.join(ORDERS_JOIN))
+    assert joined.rows and joined.left_manifest_id != joined.right_manifest_id
 
 
-def test_query_many_delegates_match_execute_many(client):
-    queries = [SALARY_RANGE, Query("employees", Conjunction((RangeCondition("salary", 50_000, None),)))]
-    via_method = client.query_many(queries)
-    via_spec = client.execute_many([QuerySpec(query=query) for query in queries])
-    assert [r.rows for r in via_method] == [r.rows for r in via_spec]
-    assert [r.manifest_id for r in via_method] == [r.manifest_id for r in via_spec]
-
-
-def test_query_join_delegates_match_execute(client):
-    via_method = client.query_join(ORDERS_JOIN)
-    via_spec = client.execute(QuerySpec.join(ORDERS_JOIN))
-    assert via_method.rows == via_spec.rows
-    assert via_method.left_manifest_id == via_spec.left_manifest_id
-    assert via_method.right_manifest_id == via_spec.right_manifest_id
+def test_execute_many_matches_execute(client):
+    specs = [QuerySpec(SALARY_RANGE), QuerySpec.range("employees", "salary", 50_000)]
+    pipelined = client.execute_many(specs)
+    single = [client.execute(spec) for spec in specs]
+    assert [r.rows for r in pipelined] == [r.rows for r in single]
+    assert [r.manifest_id for r in pipelined] == [r.manifest_id for r in single]
 
 
 def test_execute_many_rejects_joins_and_mixed_options(client):

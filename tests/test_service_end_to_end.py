@@ -24,6 +24,7 @@ from repro.service import (
     PublicationServer,
     QueryRequest,
     QueryResponse,
+    QuerySpec,
     RelationListing,
     RemoteError,
     ServerConfig,
@@ -75,7 +76,7 @@ def test_listing_and_manifest_ids(client, demo_world):
 
 
 def test_range_query_verified_over_socket(client):
-    result = client.query(SALARY_RANGE)
+    result = client.execute(QuerySpec(SALARY_RANGE))
     assert result.report is not None and result.report.result_rows == len(result.rows)
     assert result.rows, "the demo range should be non-empty"
     for row in result.rows:
@@ -88,26 +89,26 @@ def test_projection_query_verified_over_socket(client):
         Conjunction((RangeCondition("salary", 10_000, 90_000),)),
         Projection(("name",)),
     )
-    result = client.query(query)
+    result = client.execute(QuerySpec(query))
     assert result.rows
     assert set(result.rows[0]) == {"salary", "name"}  # key always retained
 
 
 def test_join_query_verified_over_socket(client):
-    result = client.query_join(ORDERS_JOIN)
+    result = client.execute(QuerySpec(ORDERS_JOIN))
     assert result.rows and result.report is not None
     assert set(result.rows[0]) >= {"orders.customer_id", "customers.customer_id"}
 
 
 def test_vacuous_query_over_socket(client):
     query = Query("employees", Conjunction((RangeCondition("salary", 10, 5),)))
-    result = client.query(query)
+    result = client.execute(QuerySpec(query))
     assert result.rows == () and result.proof is None
 
 
 def test_unknown_relation_is_typed_error(client):
     with pytest.raises(ServiceError):
-        client.query(Query("nope", Conjunction()))
+        client.execute(QuerySpec(Query("nope", Conjunction())))
 
 
 def test_mismatched_manifest_id_is_typed_error(client, live_server):
@@ -133,10 +134,10 @@ def test_overloaded_server_refuses_with_typed_error(demo_world):
     ) as server:
         host, port = server.address
         with VerifyingClient(host, port) as first:
-            assert first.query(SALARY_RANGE).rows  # occupies the only slot
+            assert first.execute(QuerySpec(SALARY_RANGE)).rows  # occupies the only slot
             with VerifyingClient(host, port) as second:
                 with pytest.raises(RemoteError) as excinfo:
-                    second.query(SALARY_RANGE)
+                    second.execute(QuerySpec(SALARY_RANGE))
                 assert excinfo.value.code == "ServerBusy"
         assert server.connections_refused >= 1
 
@@ -165,7 +166,7 @@ def test_concurrent_clients_share_the_server_caches(demo_world, live_server):
         try:
             with VerifyingClient(host, port) as active:
                 for _ in range(4):
-                    result = active.query(SALARY_RANGE)
+                    result = active.execute(QuerySpec(SALARY_RANGE))
                     assert result.rows
         except BaseException as error:  # pragma: no cover - surfaced below
             errors.append(error)
@@ -289,7 +290,7 @@ def test_pinned_client_rejects_impersonating_publisher(demo_world):
             *imposter.address, trusted_manifests=dict(demo_world.manifests)
         ) as active:
             with pytest.raises(VerificationError):
-                active.query(SALARY_RANGE)
+                active.execute(QuerySpec(SALARY_RANGE))
         # Pinned ids alone already reject at manifest-fetch time.
         pinned = {"employees": manifest_id(demo_world.manifests["employees"])}
         with VerifyingClient(*imposter.address, expected_ids=pinned) as active:
@@ -322,7 +323,7 @@ def test_client_rejects_incomplete_or_tampered_answers(demo_world, name, tamper)
     try:
         with VerifyingClient(*evil.address) as active:
             with pytest.raises(VerificationError):
-                active.query(SALARY_RANGE)
+                active.execute(QuerySpec(SALARY_RANGE))
     finally:
         evil.close()
 
@@ -389,10 +390,10 @@ def test_cross_process_server_and_client(tmp_path):
         assert relations_line.startswith("RELATIONS ")
 
         with VerifyingClient("127.0.0.1", port) as active:
-            result = active.query(SALARY_RANGE)
+            result = active.execute(QuerySpec(SALARY_RANGE))
             assert result.rows and result.report is not None
 
-            join_result = active.query_join(ORDERS_JOIN)
+            join_result = active.execute(QuerySpec(ORDERS_JOIN))
             assert join_result.rows and join_result.report is not None
 
             # Tamper with the exact bytes that crossed the socket: re-encode

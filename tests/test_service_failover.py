@@ -28,6 +28,7 @@ from repro.service import (
     FreshnessPolicy,
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     ServerConfig,
     ServiceError,
     ShardRouter,
@@ -217,7 +218,7 @@ def test_reads_fail_over_from_a_dead_endpoint(group):
         trusted_manifests=dict(group["manifests"]),
         failure_threshold=1,
     ) as client:
-        result = client.query(ALL_SALARIES)
+        result = client.execute(QuerySpec(ALL_SALARIES))
         assert result.report is not None
         assert len(result.rows) == 12
         stats = client.stats()
@@ -225,7 +226,7 @@ def test_reads_fail_over_from_a_dead_endpoint(group):
         assert stats["endpoint_states"][dead] == "open"
         # With the dead endpoint's circuit open, the next read goes straight
         # to the live replica: no new failover is recorded.
-        client.query(ALL_SALARIES)
+        client.execute(QuerySpec(ALL_SALARIES))
         assert client.stats()["failovers"] == 1
 
 
@@ -274,7 +275,7 @@ def test_stale_replica_drives_failover_then_half_open_readmission(group):
         open_seconds=30.0,
         clock=clock,
     ) as client:
-        result = client.query(ALL_SALARIES)
+        result = client.execute(QuerySpec(ALL_SALARIES))
         assert result.attestation is not None
         assert result.attestation.epoch == 1
         assert client.stats()["failovers"] == 1
@@ -286,7 +287,7 @@ def test_stale_replica_drives_failover_then_half_open_readmission(group):
         clock.advance(31.0)
         assert client.pool.state(0) == "half-open"
 
-        result = client.query(ALL_SALARIES)
+        result = client.execute(QuerySpec(ALL_SALARIES))
         assert result.attestation.epoch == 2  # the probe answered
         assert client.pool.state(0) == "closed"
         assert client.stats()["failovers"] == 1  # no new failure recorded
@@ -306,7 +307,7 @@ def test_hedged_read_wins_on_a_slow_endpoint(group):
             hedge_after=0.05,
         ) as client:
             started = time.perf_counter()
-            result = client.query(ALL_SALARIES)
+            result = client.execute(QuerySpec(ALL_SALARIES))
             elapsed = time.perf_counter() - started
             assert result.report is not None
             assert len(result.rows) == 12

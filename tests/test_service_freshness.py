@@ -38,6 +38,7 @@ from repro.service import (
     FreshnessPolicy,
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     RemoteError,
     ServerConfig,
     ShardRouter,
@@ -242,7 +243,7 @@ def test_stale_replay_exploit_verifies_without_freshness(world):
         with VerifyingClient(
             host, port, trusted_manifests=dict(world["manifests"])
         ) as client:
-            result = client.query(ALL_SALARIES)
+            result = client.execute(QuerySpec(ALL_SALARIES))
         assert result.report is not None  # verification passed — the hole
         assert any(
             row["emp_id"] == victim["emp_id"] for row in result.rows
@@ -269,7 +270,7 @@ def test_stale_replay_raises_typed_stale_answer_error(world, clock):
             freshness=policy,
         ) as client:
             with pytest.raises(StaleAnswerError) as excinfo:
-                client.query(ALL_SALARIES)
+                client.execute(QuerySpec(ALL_SALARIES))
         assert excinfo.value.reason == "no-attestation"
     finally:
         proxy.stop()
@@ -296,7 +297,7 @@ def test_replayed_old_attestation_is_a_mismatch(world, clock):
             freshness=policy,
         ) as client:
             with pytest.raises(StaleAnswerError) as excinfo:
-                client.query(ALL_SALARIES)
+                client.execute(QuerySpec(ALL_SALARIES))
         assert excinfo.value.reason == "attestation-mismatch"
     finally:
         proxy.stop()
@@ -311,7 +312,7 @@ def test_attested_answers_verify_and_carry_the_attestation(world, clock):
     assert pushed.epoch == 1
     policy = FreshnessPolicy(max_staleness=30.0, clock=clock)
     with _verifying_client(world, freshness=policy) as client:
-        result = client.query(ALL_SALARIES)
+        result = client.execute(QuerySpec(ALL_SALARIES))
     assert result.report is not None
     assert result.attestation is not None
     assert encode(result.attestation) == encode(pushed)
@@ -321,12 +322,12 @@ def test_unattested_relation_refused_under_policy(world, clock):
     policy = FreshnessPolicy(max_staleness=30.0, clock=clock)
     with _verifying_client(world, freshness=policy) as client:
         with pytest.raises(StaleAnswerError) as excinfo:
-            client.query(ALL_SALARIES)
+            client.execute(QuerySpec(ALL_SALARIES))
     assert excinfo.value.reason == "no-attestation"
     # The same relation without a policy keeps the paper's original
     # advisory-freshness behaviour: the answer verifies.
     with _verifying_client(world) as client:
-        assert client.query(ALL_SALARIES).rows
+        assert client.execute(QuerySpec(ALL_SALARIES)).rows
 
 
 def test_fetch_attestation_roundtrip(world, clock):
@@ -356,7 +357,7 @@ def test_rotation_restamps_the_attestation(world, clock):
     # rotation without waiting for the owner's next refresh.
     policy = FreshnessPolicy(max_staleness=30.0, clock=clock)
     with _verifying_client(world, freshness=policy) as client:
-        result = client.query(ALL_SALARIES)
+        result = client.execute(QuerySpec(ALL_SALARIES))
     assert encode(result.attestation) == encode(stamped)
 
 
@@ -389,10 +390,10 @@ def test_joins_enforce_freshness_on_both_sides(owner, clock):
         ) as client:
             owner_client.attest("orders", lifetime=60.0)
             with pytest.raises(StaleAnswerError) as excinfo:
-                client.query_join(join)
+                client.execute(QuerySpec(join))
             assert excinfo.value.reason == "no-attestation"
             owner_client.attest("customers", lifetime=60.0)
-            result = client.query_join(join)
+            result = client.execute(QuerySpec(join))
             assert result.left_attestation.epoch == 1
             assert result.right_attestation.epoch == 1
 
@@ -405,10 +406,10 @@ def test_expired_attestation_refused_by_injected_clock(world, clock):
         owner_client.attest("employees", lifetime=30.0)
     policy = FreshnessPolicy(max_staleness=120.0, clock=clock)
     with _verifying_client(world, freshness=policy) as client:
-        assert client.query(ALL_SALARIES).rows
+        assert client.execute(QuerySpec(ALL_SALARIES)).rows
         clock.advance(31.0)
         with pytest.raises(StaleAnswerError) as excinfo:
-            client.query(ALL_SALARIES)
+            client.execute(QuerySpec(ALL_SALARIES))
     assert excinfo.value.reason == "attestation-expired"
 
 
@@ -418,10 +419,10 @@ def test_staleness_bound_is_the_clients_policy(world, clock):
         owner_client.attest("employees", lifetime=300.0)
     policy = FreshnessPolicy(max_staleness=5.0, clock=clock)
     with _verifying_client(world, freshness=policy) as client:
-        assert client.query(ALL_SALARIES).rows
+        assert client.execute(QuerySpec(ALL_SALARIES)).rows
         clock.advance(6.0)  # inside the owner window, outside the bound
         with pytest.raises(StaleAnswerError) as excinfo:
-            client.query(ALL_SALARIES)
+            client.execute(QuerySpec(ALL_SALARIES))
     assert excinfo.value.reason == "attestation-stale"
 
 
@@ -535,9 +536,9 @@ def test_pooled_workers_serve_attested_answers(owner, clock):
             freshness=policy,
         ) as client:
             owner_client.attest("employees", lifetime=60.0)
-            assert client.query(ALL_SALARIES).rows
+            assert client.execute(QuerySpec(ALL_SALARIES)).rows
             owner_client.insert("employees", _row(70_004, "pooled"))
-            result = client.query(ALL_SALARIES)
+            result = client.execute(QuerySpec(ALL_SALARIES))
             assert result.attestation.epoch == 1
 
 
@@ -739,7 +740,7 @@ def test_sigkill_preserves_the_freshness_chain(tmp_path, backend):
         )
         policy = FreshnessPolicy(max_staleness=3600.0)
         with VerifyingClient("127.0.0.1", port, freshness=policy) as client:
-            result = client.query(ALL_SALARIES)
+            result = client.execute(QuerySpec(ALL_SALARIES))
         assert encode(result.attestation) == before
     finally:
         revived.send_signal(signal.SIGTERM)

@@ -2,7 +2,7 @@
 
 The event-loop server answers each connection's frames strictly in request
 order; these tests drive many frames per round trip through
-:meth:`VerifyingClient.query_many` / :meth:`OwnerClient.push_many` and
+:meth:`VerifyingClient.execute_many` / :meth:`OwnerClient.push_many` and
 interleave them with owner mutations: every answer must still verify as an
 atomic snapshot attributed to exactly one manifest id, with sequences
 non-decreasing along one connection.
@@ -19,6 +19,7 @@ from repro.db.query import Conjunction, Query, RangeCondition
 from repro.service import (
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     RecordDelta,
     RemoteError,
     ServerConfig,
@@ -56,13 +57,13 @@ def test_query_many_orders_and_verifies(world, server):
     with VerifyingClient(
         host, port, trusted_manifests=dict(world.manifests)
     ) as client:
-        results = client.query_many(queries)
+        results = client.execute_many([QuerySpec(q) for q in queries])
         assert len(results) == 4
         assert all(result.report is not None for result in results)
         assert results[0].rows == results[2].rows
         assert results[1].rows == results[3].rows
         # Pipelined and lockstep answers are the same answers.
-        assert client.query(SALARY_RANGE).rows == results[0].rows
+        assert client.execute(QuerySpec(SALARY_RANGE)).rows == results[0].rows
 
 
 def test_error_mid_pipeline_keeps_connection_usable(world, server):
@@ -75,9 +76,9 @@ def test_error_mid_pipeline_keeps_connection_usable(world, server):
     with VerifyingClient(host, port) as client:
         client.fetch_manifest("employees")
         with pytest.raises(RemoteError):
-            client.query_many([SALARY_RANGE, bad, SALARY_RANGE])
+            client.execute_many([QuerySpec(q) for q in (SALARY_RANGE, bad, SALARY_RANGE)])
         # The whole exchange was drained, so the stream is still in sync.
-        result = client.query(SALARY_RANGE)
+        result = client.execute(QuerySpec(SALARY_RANGE))
         assert result.rows and result.report is not None
 
 
@@ -109,12 +110,7 @@ def test_push_many_applies_all_batches_in_order(world, server):
     with VerifyingClient(
         host, port, trusted_manifests=dict(world.manifests)
     ) as client:
-        result = client.query(
-            Query(
-                "employees",
-                Conjunction((RangeCondition("salary", 55_000, 55_005),)),
-            )
-        )
+        result = client.execute(QuerySpec.range("employees", "salary", 55_000, 55_005))
         assert result.report is not None
         assert {row["emp_id"] for row in result.rows} >= {
             f"pm-{index}" for index in range(6)
@@ -131,7 +127,7 @@ def test_backpressure_pauses_and_resumes(world, monkeypatch):
         with VerifyingClient(
             host, port, trusted_manifests=dict(world.manifests), timeout=60
         ) as client:
-            results = client.query_many([SALARY_RANGE] * 20)
+            results = client.execute_many([QuerySpec(SALARY_RANGE)] * 20)
             assert len(results) == 20
             assert all(result.report is not None for result in results)
 
@@ -172,7 +168,9 @@ def test_pipelined_queries_interleaved_with_updates(world, server):
             ) as client:
                 last_sequence = -1
                 while not done.is_set():
-                    for result in client.query_many([FULL_RANGE, SALARY_RANGE]):
+                    for result in client.execute_many(
+                        [QuerySpec(FULL_RANGE), QuerySpec(SALARY_RANGE)]
+                    ):
                         assert result.report is not None
                         assert result.manifest_id, "answers must be attributed"
                         assert result.manifest_sequence >= last_sequence

@@ -24,6 +24,7 @@ from repro.service import (
     OwnerClient,
     PublicationServer,
     QueryRequest,
+    QuerySpec,
     RemoteError,
     ServerConfig,
     VerifyingClient,
@@ -84,9 +85,11 @@ def test_pooled_query_verifies(world):
         with VerifyingClient(
             host, port, trusted_manifests=dict(world.manifests)
         ) as client:
-            result = client.query(SALARY_RANGE)
+            result = client.execute(QuerySpec(SALARY_RANGE))
             assert result.rows and result.report is not None
-            results = client.query_many([SALARY_RANGE, FULL_RANGE, SALARY_RANGE])
+            results = client.execute_many(
+                [QuerySpec(q) for q in (SALARY_RANGE, FULL_RANGE, SALARY_RANGE)]
+            )
             assert [r.rows for r in results] == [
                 result.rows,
                 results[1].rows,
@@ -125,12 +128,7 @@ def test_update_visible_immediately_after_push(world):
         ) as client:
             # Several queries, so both round-robin workers are exercised.
             for _ in range(4):
-                result = client.query(
-                    Query(
-                        "employees",
-                        Conjunction((RangeCondition("salary", 41_414, 41_414),)),
-                    )
-                )
+                result = client.execute(QuerySpec.point("employees", "salary", 41_414))
                 assert result.report is not None
                 assert any(row["emp_id"] == "pool-1" for row in result.rows)
                 assert result.manifest_sequence >= 1
@@ -154,7 +152,7 @@ def test_worker_crash_is_typed_error_not_hang(world):
                 ) as client:
                     for _ in range(6):
                         try:
-                            result = client.query(FULL_RANGE)
+                            result = client.execute(QuerySpec(FULL_RANGE))
                             outcomes.append(("ok", len(result.rows)))
                         except RemoteError as error:
                             outcomes.append(("remote", error.code))
@@ -179,7 +177,7 @@ def test_worker_crash_is_typed_error_not_hang(world):
         with VerifyingClient(
             host, port, trusted_manifests=dict(world.manifests)
         ) as client:
-            result = client.query(SALARY_RANGE)
+            result = client.execute(QuerySpec(SALARY_RANGE))
             assert result.rows and result.report is not None
 
 
@@ -219,11 +217,6 @@ def test_crash_during_update_broadcast_does_not_wedge_owner(world):
         with VerifyingClient(
             host, port, trusted_manifests=dict(world.manifests)
         ) as client:
-            result = client.query(
-                Query(
-                    "employees",
-                    Conjunction((RangeCondition("salary", 70_000, 70_004),)),
-                )
-            )
+            result = client.execute(QuerySpec.range("employees", "salary", 70_000, 70_004))
             assert result.report is not None
             assert len(result.rows) == 5

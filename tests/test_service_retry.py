@@ -23,6 +23,7 @@ from repro.db.query import Conjunction, Query, RangeCondition
 from repro.service import (
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     VerifyingClient,
     build_demo_world,
 )
@@ -184,9 +185,9 @@ def test_query_retries_through_a_torn_response(world):
             trusted_manifests=dict(world.manifests),
             retry_policy=FAST,
         ) as client:
-            baseline = client.query(SALARY_RANGE)
+            baseline = client.execute(QuerySpec(SALARY_RANGE))
             faults.arm("conn-mid-frame", "drop")
-            retried = client.query(SALARY_RANGE)
+            retried = client.execute(QuerySpec(SALARY_RANGE))
             assert retried.rows == baseline.rows
             assert faults.hits.get("conn-mid-frame", 0) >= 1
 
@@ -200,10 +201,10 @@ def test_query_without_a_policy_surfaces_the_torn_response(world):
         with VerifyingClient(
             host, port, trusted_manifests=dict(world.manifests)
         ) as client:
-            client.query(SALARY_RANGE)
+            client.execute(QuerySpec(SALARY_RANGE))
             faults.arm("conn-mid-frame", "drop")
             with pytest.raises(ServiceProtocolError):
-                client.query(SALARY_RANGE)
+                client.execute(QuerySpec(SALARY_RANGE))
 
 
 def test_update_resend_after_lost_ack_applies_once(world):
@@ -242,12 +243,7 @@ def test_update_resend_after_lost_ack_applies_once(world):
         with VerifyingClient(
             host, port, trusted_manifests=dict(world.manifests)
         ) as client:
-            rows = client.query(
-                Query(
-                    "employees",
-                    Conjunction((RangeCondition("salary", 41_000, 41_000),)),
-                )
-            ).rows
+            rows = client.execute(QuerySpec.point("employees", "salary", 41_000)).rows
         assert [row["emp_id"] for row in rows] == ["resend-1"]
 
 
@@ -273,7 +269,7 @@ def test_stalled_server_times_out_into_a_bounded_retry(world, monkeypatch):
             trusted_manifests=dict(world.manifests),
             retry_policy=policy,
         ) as client:
-            baseline = client.query(SALARY_RANGE)
+            baseline = client.execute(QuerySpec(SALARY_RANGE))
             faults.arm("conn-mid-frame", "stall")
-            retried = client.query(SALARY_RANGE)
+            retried = client.execute(QuerySpec(SALARY_RANGE))
             assert retried.rows == baseline.rows

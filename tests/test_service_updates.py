@@ -18,6 +18,7 @@ from repro.db.query import Conjunction, Query, RangeCondition
 from repro.service import (
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     RecordDelta,
     RemoteError,
     ServerConfig,
@@ -110,7 +111,7 @@ def _mixed_deltas(relation, count):
 
 def test_owner_pushes_and_client_follows(world):
     with _owner_client(world) as owner_client, _verifying_client(world) as client:
-        before = client.query(ALL_SALARIES)
+        before = client.execute(QuerySpec(ALL_SALARIES))
         assert before.manifest_sequence == 0
 
         row = _row(123, "newcomer")
@@ -118,7 +119,7 @@ def test_owner_pushes_and_client_follows(world):
         assert receipt.signatures_recomputed == 3
         assert receipt.digests_recomputed == 1
 
-        after = client.query(ALL_SALARIES)
+        after = client.execute(QuerySpec(ALL_SALARIES))
         assert after.report is not None
         assert after.manifest_sequence == 1
         assert client.rotations_observed == {"employees": 1}
@@ -145,7 +146,7 @@ def test_batched_deltas_apply_atomically(world):
         response = owner_client.push("employees", batch)
         # delete (1) + insert (1) + update (2) chain mutations
         assert response.rotation.manifest.sequence == 4
-        result = client.query(ALL_SALARIES)
+        result = client.execute(QuerySpec(ALL_SALARIES))
         assert result.manifest_sequence == 4
         names = {row["name"] for row in result.rows}
         assert "renamed" in names and "a" in names
@@ -161,7 +162,7 @@ def test_sequence_tracks_across_many_batches(world):
             owner_client.push("employees", (delta,))
         expected = sum(2 if d.kind == "update" else 1 for d in deltas)
         assert owner_client.sequence("employees") == expected
-        result = client.query(ALL_SALARIES)
+        result = client.execute(QuerySpec(ALL_SALARIES))
         assert result.manifest_sequence == expected
         assert result.report is not None
 
@@ -340,7 +341,7 @@ def test_id_only_pinned_client_survives_rotations(world):
     with VerifyingClient(
         host, port, expected_ids={"employees": genesis_id}
     ) as client:
-        result = client.query(ALL_SALARIES)
+        result = client.execute(QuerySpec(ALL_SALARIES))
         assert result.report is not None
         assert result.manifest_sequence == 2
         assert {"early", "later"} <= {row["name"] for row in result.rows}

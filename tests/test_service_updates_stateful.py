@@ -50,6 +50,7 @@ from repro.service import (
     FreshnessPolicy,
     OwnerClient,
     PublicationServer,
+    QuerySpec,
     RecordDelta,
     RemoteError,
     ServerConfig,
@@ -303,7 +304,7 @@ class LiveUpdateMachine(RuleBasedStateMachine):
     def query_range(self, bounds):
         low, high = min(bounds), max(bounds)
         query = Query("items", Conjunction((RangeCondition("k", low, high),)))
-        result = self.client.query(query)
+        result = self.client.execute(QuerySpec(query))
         # The answer is attributed to the manifest version the client held —
         # which, after the transparent rotation refresh, is the current one.
         assert result.manifest_sequence == self.version
@@ -354,7 +355,7 @@ class LiveUpdateMachine(RuleBasedStateMachine):
         self.adversary.stale_frame = encode(doctored)
         try:
             with pytest.raises(StaleAnswerError) as excinfo:
-                self.fresh_client.query(_FULL_RANGE)
+                self.fresh_client.execute(QuerySpec(_FULL_RANGE))
             # The captured attestation binds the pre-rotation manifest
             # (mismatch); a pre-attestation capture carries none at all.
             assert excinfo.value.reason in (
@@ -364,7 +365,7 @@ class LiveUpdateMachine(RuleBasedStateMachine):
             )
         finally:
             self.adversary.stale_frame = None
-        result = self.fresh_client.query(_FULL_RANGE)
+        result = self.fresh_client.execute(QuerySpec(_FULL_RANGE))
         assert result.attestation is not None
         assert result.manifest_sequence == self.version
 

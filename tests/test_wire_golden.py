@@ -15,9 +15,9 @@ import os
 import pytest
 
 import repro.service.protocol as protocol
-from repro.baselines.devanbu import DevanbuProof
-from repro.baselines.naive import NaiveProof
-from repro.baselines.vbtree import VBTreeProof
+from repro.schemes.devanbu import DevanbuProof
+from repro.schemes.naive import NaiveProof
+from repro.schemes.vbtree import VBTreeProof
 from repro.core.digest import BoundaryAssist, EntryAssist
 from repro.core.proof import (
     BoundaryEntryProof,
