@@ -44,9 +44,10 @@ _FLOOR_WORKLOADS = {
     # gmpy2 active carries a 2.0x floor in its own targets section — the gate
     # takes the max of the two, so the native lane is held to the native bar.
     "fixed_base_verify_speedup_min": "fixed_base_verify",
-    # For wal_ingest "speedup" is the fraction of no-WAL ingest throughput
-    # retained under fsync="batch" (< 1 by construction) — the floor bounds
-    # the write-ahead logging overhead, not a cache win.
+    # For wal_ingest "speedup" is the fraction of storage-less in-RAM ingest
+    # throughput retained over a durable root under fsync="batch" (< 1 by
+    # construction) — the floor bounds the overhead of the log append plus
+    # the relation-store commit, not a cache win.
     "wal_ingest_speedup_min": "wal_ingest",
 }
 

@@ -3,15 +3,16 @@
 
 The durable serving stack from :mod:`repro.storage`, end to end:
 
-1. a server bootstraps the demo database into a storage directory —
+1. a server bootstraps the demo database into a storage directory — a
+   relation store holding rows and the owner's chain signatures,
    per-relation write-ahead logs (owner-signed update frames, fsynced
-   before each acknowledgement) plus owner-signed checkpoints,
+   before each acknowledgement) and owner-signed checkpoints,
 2. the owner pushes signed inserts over the wire (with a
    :class:`~repro.service.retry.RetryPolicy`, so a torn connection would be
    resent and deduplicated by the server's applied-update registry),
 3. the server is killed with SIGKILL — no shutdown hooks, no flushing —
    exactly the crash the log exists for,
-4. a restarted server recovers from checkpoint + WAL replay (re-verifying
+4. a restarted server recovers from store + WAL replay (re-verifying
    every owner signature), resumes the *same* manifest id, and a verifying
    client finds every acknowledged row present and provable,
 5. ``walctl verify`` re-checks the whole directory offline.
@@ -107,7 +108,7 @@ def main() -> None:
         print(f"server killed (exit {server.returncode})")
         time.sleep(0.1)
 
-        print("\n== Run 2: recover from checkpoint + write-ahead log ==")
+        print("\n== Run 2: recover from relation store + write-ahead log ==")
         server, port, origin = start_server(storage_dir)
         try:
             print(f"serving on port {port}, storage {origin}")

@@ -7,9 +7,8 @@ sprawl:
 * :class:`ServerConfig` — socket binding and concurrency: bind address,
   connection cap, proof-worker pool size, response cache, per-connection
   pipelining cap.
-* :class:`StorageConfig` — durability: the storage root, the row backend
-  (``memory`` or ``sqlite``; see :data:`repro.storage.store.STORAGE_BACKENDS`),
-  the WAL fsync policy and the checkpoint cadence.
+* :class:`StorageConfig` — durability: the storage root, the WAL fsync
+  policy and the checkpoint cadence.
 * :class:`FreshnessPolicy` — the client-side bounded-staleness contract: how
   old an owner-signed freshness attestation may be before an answer is
   refused, and the clock that judges it.
@@ -24,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.storage.store import STORAGE_BACKENDS
 from repro.storage.wal import FSYNC_POLICIES
 
 __all__ = ["FreshnessPolicy", "ServerConfig", "StorageConfig"]
@@ -121,10 +119,11 @@ class StorageConfig:
     """
 
     root: str = ""
-    #: ``memory`` (rows in checkpoints, rebuilt in RAM on recovery) or
-    #: ``sqlite`` (rows + chain digests in a per-shard relation store,
-    #: recovery streams from disk).
-    backend: str = "memory"
+    #: Not a choice: rows live in the per-shard sqlite relation store and
+    #: ``"sqlite"`` is the only value accepted.  The field survives because
+    #: the frozen ``benchmarks/e2e/common.py`` passes ``backend="sqlite"``; a
+    #: later benchmark PR drops that argument, and then this field.
+    backend: str = "sqlite"
     #: WAL fsync policy: ``always`` / ``batch`` / ``off``.
     fsync: str = "always"
     #: Checkpoint + compact a relation's WAL every N applied updates
@@ -132,9 +131,9 @@ class StorageConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in STORAGE_BACKENDS:
+        if self.backend != "sqlite":
             raise ValueError(
-                f"unknown backend {self.backend!r}; known: {STORAGE_BACKENDS}"
+                f"unknown backend {self.backend!r}; the only store is 'sqlite'"
             )
         if self.fsync not in FSYNC_POLICIES:
             raise ValueError(

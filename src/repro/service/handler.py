@@ -210,8 +210,8 @@ class RequestHandler:
             if guards is not None:
                 cache.put(frame, (payload, guards), weight=len(payload) + len(frame))
         if isinstance(request, UpdateRequest):
-            # The durable twin of this registry entry (sqlite backend) was
-            # already written inside the apply's atomic store transaction —
+            # The durable twin of this registry entry (if storage is
+            # attached) was already written inside the apply's atomic store transaction —
             # see _answer_update; the wire encoding is canonical, so the
             # payload persisted there is byte-identical to this one.
             self.router.remember_applied_update(frame, payload)

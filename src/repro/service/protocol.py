@@ -453,9 +453,10 @@ class ReplicaSnapshot:
     """A storage root as ``(relative path, bytes)`` pairs.
 
     Checkpoints and WAL files are owner-signed content the replica re-verifies
-    during recovery, so nothing in the snapshot is trusted as-is.  The
-    per-relation owner *signing* keys (``keys.json``) never travel on this
-    channel: they are provisioned out-of-band (see
+    during recovery, and the relation-store copy carries the owner's chain
+    signatures next to the rows, so nothing in the snapshot is trusted as-is.
+    The per-relation owner *signing* keys (``keys.json``) never travel on
+    this channel: they are provisioned out-of-band (see
     :func:`~repro.service.replication.bootstrap_replica_root`), and a
     snapshot that names a key file is refused by the receiving side.
     """

@@ -21,9 +21,12 @@ makes a replica literally *continuous recovery from the network*:
   (deterministic FDH signing makes the re-stamp byte-identical),
 * catch-up after a disconnect is just the next poll (the primary serves its
   WAL suffix from any ``after_sequence`` at or above its checkpoint floor),
-* a fresh join ships the whole storage root once
-  (:func:`bootstrap_replica_root`) and recovers it locally through
-  :func:`~repro.storage.recovery.recover_router`, signatures re-checked.
+* a fresh join ships the primary's storage root once — checkpoints, WALs
+  and a consistent copy of each shard's relation store
+  (:func:`bootstrap_replica_root`) — and recovers it locally through
+  :func:`~repro.storage.recovery.recover_router`: the replica attaches to
+  the owner's stored signatures, and what it serves is checked by every
+  verifying client exactly as the primary's answers are.
 
 Two things deliberately stay *out* of band of this protocol.  Serving frames
 and snapshots is an operator opt-in
@@ -49,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.errors import ReproError
 from repro.service.client import ServiceConnection
 from repro.service.protocol import (
+    MAX_FRAME_BYTES,
     AttestationPush,
     ReplicaFrames,
     ReplicaFramesRequest,
@@ -153,26 +157,24 @@ def answer_replica_frames(
 def answer_replica_snapshot(router, storage) -> ReplicaSnapshot:
     """The storage root's *public* files as ``(relative path, bytes)`` pairs.
 
-    Every relation's checkpoint + WAL pair is read under its shard lock, so
-    each relation's files are a consistent cut of its history (the WAL frames
-    chain from exactly the checkpointed manifest).  The per-relation owner
-    signing keys (``keys.json``) are **never** included: everything shipped
-    here is owner-signed public content, while the keys would let any peer
-    forge owner updates and attestations — replicas obtain them out-of-band
-    (see :func:`bootstrap_replica_root`).  Restricted to the ``memory``
-    backend: a live sqlite relation store cannot be copied as a flat file
-    mid-transaction.
+    Each shard is read under its lock: every relation's checkpoint + WAL pair
+    together with a backup-API copy of the shard's relation store
+    (:meth:`~repro.storage.relstore.RelationStore.snapshot`), so a shard's
+    files are one consistent cut — the store holds exactly the updates the
+    WAL says were applied.  The per-relation owner signing keys
+    (``keys.json``) are **never** included: everything shipped here is
+    owner-signed public content, while the keys would let any peer forge
+    owner updates and attestations — replicas obtain them out-of-band (see
+    :func:`bootstrap_replica_root`).
+
+    A snapshot travels as one frame; a root that does not fit is refused here
+    with a typed ``snapshot-too-large`` instead of being sent for the peer's
+    length check to drop.
     """
     if storage is None:
         raise ReplicationError(
             "this server has no durable storage to replicate from",
             reason="replication-unsupported",
-        )
-    if storage.backend != "memory":
-        raise ReplicationError(
-            f"snapshot shipping supports the 'memory' backend only, "
-            f"not {storage.backend!r}",
-            reason="snapshot-unsupported",
         )
     root = storage.root
 
@@ -182,11 +184,24 @@ def answer_replica_snapshot(router, storage) -> ReplicaSnapshot:
 
     files = [_read(os.path.join(root, "storage.json"))]
     for shard, names in sorted(storage.layout.items()):
-        for name in sorted(names):
-            target = router.route(router.current_id(name))
-            with target.lock:
+        # One lock per shard, shared by every relation it hosts.
+        with router.route(router.current_id(names[0])).lock:
+            for name in sorted(names):
                 files.append(_read(storage.checkpoint_path(shard, name)))
                 files.append(_read(storage.wal_path(shard, name)))
+            files.append(
+                (
+                    os.path.relpath(storage.relstore_path(shard), root),
+                    storage.relation_store(shard).snapshot(),
+                )
+            )
+    size = sum(len(relative) + len(payload) for relative, payload in files)
+    if size > MAX_FRAME_BYTES:
+        raise ReplicationError(
+            f"the storage root holds {size} bytes of snapshot files, over the "
+            f"{MAX_FRAME_BYTES}-byte cap on the one frame a snapshot travels in",
+            reason="snapshot-too-large",
+        )
     return ReplicaSnapshot(files=tuple(files))
 
 
@@ -208,7 +223,9 @@ def bootstrap_replica_root(
     already holds a storage root (catch-up handles the rest).  Nothing
     fetched is trusted as-is: the written checkpoints and WAL frames are
     owner-signed content that :func:`~repro.storage.recovery.recover_router`
-    re-verifies when the replica server opens the root.
+    re-verifies when the replica server opens the root, and the relation
+    store's rows are only ever served next to the owner's chain signatures,
+    which clients verify.
 
     The owner *signing* keys are the one thing never fetched from the
     primary: a snapshot entry naming a key file is refused outright, and a

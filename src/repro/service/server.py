@@ -770,7 +770,6 @@ def _main(argv=None) -> int:
     from repro.service.demo import build_demo_router
     from repro.storage import (
         FSYNC_POLICIES,
-        STORAGE_BACKENDS,
         fault_registry_from_env,
         open_publication_storage,
     )
@@ -797,17 +796,8 @@ def _main(argv=None) -> int:
         default=None,
         help=(
             "durable publication root: bootstrap the demo database into it on "
-            "first run, recover from its checkpoints + write-ahead logs on "
-            "every later run"
-        ),
-    )
-    parser.add_argument(
-        "--storage-backend",
-        choices=STORAGE_BACKENDS,
-        default="memory",
-        help=(
-            "row backend for a *fresh* --storage-dir root (an existing root "
-            "keeps the backend it was created with)"
+            "first run, recover from its relation store + write-ahead logs "
+            "on every later run"
         ),
     )
     parser.add_argument(
@@ -883,7 +873,6 @@ def _main(argv=None) -> int:
     if args.storage_dir is not None:
         storage_config = StorageConfig(
             root=args.storage_dir,
-            backend=args.storage_backend,
             fsync=args.fsync,
             checkpoint_every=args.checkpoint_every,
         )

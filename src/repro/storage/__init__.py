@@ -1,8 +1,9 @@
-"""Durable publications: WAL, checkpoints, crash recovery, fault injection.
+"""Durable publications: relation store, WAL, checkpoints, crash recovery.
 
-The serving stack keeps shard state in RAM; this package makes an
-acknowledged owner update survive the process.  The design inherits the
-paper's trust model instead of adding a new one: the log's payloads are the
+This package makes a publication, and every acknowledged owner update to it,
+survive the process.  The design inherits the paper's trust model instead of
+adding a new one: rows are stored with the owner's chain signatures
+(:mod:`repro.storage.relstore`), the log's payloads are the
 already-owner-signed wire frames (:mod:`repro.storage.wal`), checkpoints
 carry owner-signed manifest rotations (:mod:`repro.storage.checkpoint`), and
 recovery re-verifies every signature while replaying through the live
@@ -33,11 +34,7 @@ from repro.storage.faults import (
     FaultRegistry,
     fault_registry_from_env,
 )
-from repro.storage.recovery import (
-    rebuild_publication,
-    rebuild_stored_publication,
-    recover_router,
-)
+from repro.storage.recovery import rebuild_stored_publication, recover_router
 from repro.storage.relstore import (
     ChainState,
     RelationStore,
@@ -47,11 +44,7 @@ from repro.storage.relstore import (
     dump_publication,
     stored_current_rotation,
 )
-from repro.storage.store import (
-    STORAGE_BACKENDS,
-    PublicationStorage,
-    open_publication_storage,
-)
+from repro.storage.store import PublicationStorage, open_publication_storage
 from repro.storage.wal import (
     FSYNC_POLICIES,
     WalScan,
@@ -71,7 +64,6 @@ __all__ = [
     "PublicationStorage",
     "RecoveryError",
     "RelationStore",
-    "STORAGE_BACKENDS",
     "StorageError",
     "StoredRelation",
     "StoredSignedRelation",
@@ -85,7 +77,6 @@ __all__ = [
     "load_checkpoint",
     "load_keys",
     "open_publication_storage",
-    "rebuild_publication",
     "rebuild_stored_publication",
     "recover_router",
     "save_keys",

@@ -1,29 +1,27 @@
-"""Checkpoints: one relation's rows plus its owner-signed manifest state.
+"""Checkpoints: one relation's owner-signed manifest state at a WAL boundary.
 
 A checkpoint bounds recovery time and lets the WAL be compacted: restart
-loads the snapshot and replays only the records logged after it.  The file
-reuses the WAL's ``[length | crc32 | payload]`` record framing
-(:mod:`repro.storage.wal`) with exactly three kinds of records::
+attaches to the relation store and replays only the records logged after
+the snapshot.  Rows, chain digests and signatures live in the shard's
+:class:`~repro.storage.relstore.RelationStore`; the checkpoint file carries
+no rows.  It reuses the WAL's ``[length | crc32 | payload]`` record framing
+(:mod:`repro.storage.wal`) with exactly two records::
 
-    record 0   JSON header   {"format", "relation", "sequence", "rows"}
+    record 0   JSON header   {"format", "relation", "sequence"}
     record 1   wire frame    ManifestRotated — the relation's latest
                              owner-signed rotation at checkpoint time
-    record 2+  wire frame    RecordDelta(kind="insert", values=row), one per
-                             row, in the relation's canonical sort order
 
 **Trust argument.**  The rotation record is owner-signed over (superseded
 id, manifest bytes), and loading re-verifies that signature — so the
 *metadata* a recovered shard serves (key, schema, scheme, sequence) is
-owner-authorised, not just CRC-intact.  The row records are CRC-protected
-but not owner-signed per row: row integrity here is a *crash-safety*
-property, not a security one, because this reproduction's deployment model
-(see :mod:`repro.service.owner`) already trusts the publisher host with the
-signing key — a host that can edit checkpoint rows can equally re-sign
-them.  The security boundary the files do hold is the one the paper
-promises against everyone *else*: the WAL's update frames are owner-signed,
-so a party holding only the disk (no key) can truncate history but never
-extend or alter it, and ``walctl verify`` re-checks every signature in both
-files.
+owner-authorised, not just CRC-intact.  Nothing else is read from this
+file: the rotation is the only thing in it the owner signed, so a checkpoint
+carrying any further record (rows, say) is refused as corrupt rather than
+trusted on its CRC.  The rows a recovered chain serves come with the owner's
+stored signatures (see :mod:`repro.storage.relstore`), which every verifying
+client re-checks.  The WAL's update frames are owner-signed too, so a party
+holding only the disk (no key) can truncate history but never extend or
+alter it, and ``walctl verify`` re-checks every signature in both files.
 
 Writes are atomic: temp file, fsync, rename, directory fsync.  A crash
 mid-checkpoint leaves the previous checkpoint in place and the WAL intact.
@@ -40,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signature import SignatureScheme
@@ -48,7 +46,7 @@ from repro.storage.errors import CheckpointCorruptError
 from repro.storage.faults import FaultRegistry
 from repro.storage.wal import _fsync_directory, encode_record, iter_wal_records
 from repro.wire import decode, encode
-from repro.wire.updates import ManifestRotated, RecordDelta, manifest_signing_message
+from repro.wire.updates import ManifestRotated, manifest_signing_message
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -64,11 +62,10 @@ CHECKPOINT_FORMAT = 1
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A loaded, signature-verified snapshot of one relation."""
+    """A loaded, signature-verified snapshot of one relation's manifest state."""
 
     relation_name: str
     rotation: ManifestRotated
-    rows: Tuple[Dict[str, object], ...]
 
     @property
     def sequence(self) -> int:
@@ -79,7 +76,6 @@ def write_checkpoint(
     path: str,
     relation_name: str,
     rotation: ManifestRotated,
-    rows: List[Dict[str, object]],
     faults: Optional[FaultRegistry] = None,
 ) -> None:
     """Atomically write one relation's snapshot to ``path``."""
@@ -88,7 +84,6 @@ def write_checkpoint(
             "format": CHECKPOINT_FORMAT,
             "relation": relation_name,
             "sequence": rotation.manifest.sequence,
-            "rows": len(rows),
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -96,10 +91,6 @@ def write_checkpoint(
     with open(tmp_path, "wb") as tmp:
         tmp.write(encode_record(header))
         tmp.write(encode_record(encode(rotation)))
-        for row in rows:
-            tmp.write(
-                encode_record(encode(RecordDelta(kind="insert", values=dict(row))))
-            )
         tmp.flush()
         os.fsync(tmp.fileno())
     if faults is not None:
@@ -113,8 +104,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     Verifies: record CRCs (via the shared WAL reader — a torn or corrupt
     checkpoint is a :class:`CheckpointCorruptError`, never a partial load),
-    the header shape, the rotation's owner signature under the manifest's
-    own public key, and the advertised row count.
+    the header shape, that the file holds the header and the rotation and
+    nothing else, and the rotation's owner signature under the manifest's
+    own public key.
     """
     try:
         records = list(iter_wal_records(path))
@@ -122,9 +114,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointCorruptError(
             f"checkpoint {path} is unreadable: {error}", path=path
         ) from error
-    if len(records) < 2:
+    if len(records) != 2:
         raise CheckpointCorruptError(
-            f"checkpoint {path} is truncated (header or rotation missing)",
+            f"checkpoint {path} holds {len(records)} record(s); a checkpoint "
+            "is exactly a header and a rotation (rows live in the relation "
+            "store)",
             path=path,
         )
     try:
@@ -154,27 +148,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"contradicts the signed manifest sequence {manifest.sequence}",
             path=path,
         )
-    row_records = records[2:]
-    if len(row_records) != header.get("rows"):
-        raise CheckpointCorruptError(
-            f"checkpoint {path} advertises {header.get('rows')!r} rows but "
-            f"holds {len(row_records)}",
-            path=path,
-        )
-    rows = []
-    for record in row_records:
-        delta = decode(record, expect=RecordDelta)
-        if delta.kind != "insert":
-            raise CheckpointCorruptError(
-                f"checkpoint {path} contains a {delta.kind!r} delta; "
-                "snapshots hold insert rows only",
-                path=path,
-            )
-        rows.append(dict(delta.values))
     return Checkpoint(
         relation_name=str(header.get("relation", "")),
         rotation=rotation,
-        rows=tuple(rows),
     )
 
 

@@ -30,7 +30,7 @@ Registered points (see :data:`FAILPOINTS`):
 * ``conn-mid-frame``   — the server wrote part of a response frame.
 * ``checkpoint-before-swap`` — a checkpoint was written but not yet renamed
   into place (recovery must keep using the previous one).
-* ``relstore-before-commit`` — a sqlite-backed update batch is fully staged
+* ``relstore-before-commit`` — an update batch is fully staged in the store
   but the outermost COMMIT has not run (kill-style crash tests: the store
   rolls back to the previous update boundary and the WAL replays the rest).
 """

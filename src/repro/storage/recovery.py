@@ -1,24 +1,25 @@
-"""Crash recovery: checkpoints + WAL replay → the same serving state.
+"""Crash recovery: relation store + WAL replay → the same serving state.
 
 Recovery rebuilds a :class:`~repro.service.router.ShardRouter` that is
 indistinguishable — manifest ids, rotation history, query answers, applied-
 update registry — from the router that was serving before the crash:
 
-1. **Checkpoints** rebuild each relation at its snapshot sequence.  The
-   rows come from the checkpoint; the chain signatures are *recomputed*
-   (FDH-RSA signing is deterministic, so the rebuilt relation is
-   bit-identical to the one that was checkpointed), and the rebuilt
-   manifest's 32-byte id must equal the checkpoint's owner-signed one.
-2. **WAL replay** pushes every post-checkpoint
-   :class:`~repro.wire.updates.UpdateRequest` frame through the *same*
+1. **The relation store** holds each relation at its last committed update
+   boundary.  A chain relation *attaches* to it: rows, digests and the
+   owner's signatures are served as stored, nothing is re-signed, and the
+   attached manifest's 32-byte id must lie on the history of the
+   checkpoint's owner-signed one.  (The non-chain comparison schemes keep
+   their proof structures in RAM only and republish from the stored rows.)
+2. **WAL replay** pushes every
+   :class:`~repro.wire.updates.UpdateRequest` frame the store has not yet
+   committed through the *same*
    ``apply_deltas`` path the live server uses — after re-verifying the
    owner's signature over ``(manifest id, sequence, deltas)`` under the
    public key the manifest carries.  A record that fails the signature, the
    sequence chain, or application is a typed
    :class:`~repro.storage.errors.RecoveryError`: a tampered log refuses to
-   serve instead of serving forged history.  Pre-checkpoint leftovers (a
-   crash between checkpoint swap and log compaction) are signature-verified
-   against the rotation chain and skipped.
+   serve instead of serving forged history.  Frames the store already
+   holds are signature-verified against the rotation chain and skipped.
 3. Each replayed batch re-derives its original
    :class:`~repro.wire.updates.UpdateResponse` (receipts and rotation
    signatures are deterministic) and re-registers it in the router's
@@ -35,10 +36,9 @@ un-fsynced suffixes), never extend or alter it — and under
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Union
+from typing import Dict
 
 from repro.core.publisher import Publisher
-from repro.core.relational import SignedRelation
 from repro.crypto.hashing import HashFunction
 from repro.db.relation import Relation
 from repro.schemes import get_scheme
@@ -59,54 +59,13 @@ from repro.wire.updates import (
     update_signing_message,
 )
 
-__all__ = ["recover_router", "rebuild_publication", "rebuild_stored_publication"]
-
-
-def rebuild_publication(checkpoint: Checkpoint, signature_scheme):
-    """One relation at its checkpointed state, signatures recomputed.
-
-    Scheme-polymorphic: the checkpointed manifest's ``scheme`` tag picks the
-    chain scheme's :class:`~repro.core.relational.SignedRelation` or the
-    registered scheme's publication type.  The rebuilt publication must
-    reproduce the checkpoint's manifest id exactly; anything else means the
-    key file, rows, or manifest drifted apart and recovery refuses.
-    """
-    manifest = checkpoint.rotation.manifest
-    if manifest.public_key != signature_scheme.verifier:
-        raise RecoveryError(
-            f"relation {checkpoint.relation_name!r}: the persisted signing key "
-            "does not match the checkpointed manifest's public key",
-            reason="key-mismatch",
-        )
-    relation = Relation.from_rows(manifest.schema, list(checkpoint.rows))
-    scheme_tag = getattr(manifest, "scheme", "chain") or "chain"
-    hash_function = HashFunction(manifest.hash_name)
-    if scheme_tag == "chain":
-        publication = SignedRelation(
-            relation,
-            signature_scheme,
-            scheme_kind=manifest.scheme_kind,
-            base=manifest.base,
-            hash_function=hash_function,
-        )
-    else:
-        publication = get_scheme(scheme_tag).publish(
-            relation, signature_scheme, hash_function=hash_function
-        )
-    publication.restore_sequence(manifest.sequence)
-    if manifest_id(publication.manifest) != manifest_id(manifest):
-        raise RecoveryError(
-            f"relation {checkpoint.relation_name!r}: the relation rebuilt from "
-            "its checkpoint does not reproduce the checkpointed manifest id",
-            reason="checkpoint-divergence",
-        )
-    return publication
+__all__ = ["recover_router", "rebuild_stored_publication"]
 
 
 def rebuild_stored_publication(
     storage: PublicationStorage, shard: str, checkpoint: Checkpoint, signature_scheme
 ):
-    """One relation served from its shard's relation store (sqlite backend).
+    """One relation served from its shard's relation store.
 
     The chain scheme *attaches*: identity index, digests and signatures
     load from SQLite, rows fault in lazily, and nothing is re-signed — the
@@ -167,9 +126,7 @@ def rebuild_stored_publication(
     return publication
 
 
-def _build_shard(
-    storage: PublicationStorage, shard: str, names
-) -> Dict[str, Union[SignedRelation, object]]:
+def _build_shard(storage: PublicationStorage, shard: str, names) -> Dict[str, object]:
     keys = storage.load_shard_keys(shard)
     publications = {}
     for name in names:
@@ -186,13 +143,9 @@ def _build_shard(
                 f"{checkpoint.relation_name!r}",
                 reason="checkpoint-mislabelled",
             )
-        if storage.backend == "sqlite":
-            publication = rebuild_stored_publication(
-                storage, shard, checkpoint, signature_scheme
-            )
-        else:
-            publication = rebuild_publication(checkpoint, signature_scheme)
-        publications[name] = (checkpoint, publication)
+        publications[name] = rebuild_stored_publication(
+            storage, shard, checkpoint, signature_scheme
+        )
     return publications
 
 
@@ -216,54 +169,45 @@ def _make_publisher(shard: str, publications: Dict[str, object]):
 
 def recover_router(storage: PublicationStorage) -> ShardRouter:
     """Rebuild the full router from an opened storage root (see module doc)."""
-    checkpoints: Dict[str, Checkpoint] = {}
-    shard_of: Dict[str, str] = {}
-    by_name: Dict[str, object] = {}
-    shards = {}
-    for shard, names in storage.layout.items():
-        built = _build_shard(storage, shard, names)
-        publications = {}
-        for name, (checkpoint, publication) in built.items():
-            checkpoints[name] = checkpoint
-            shard_of[name] = shard
-            by_name[name] = publication
-            publications[name] = publication
-        shards[shard] = _make_publisher(shard, publications)
-    router = ShardRouter(shards)
+    by_shard = {
+        shard: _build_shard(storage, shard, names)
+        for shard, names in storage.layout.items()
+    }
+    router = ShardRouter(
+        {
+            shard: _make_publisher(shard, publications)
+            for shard, publications in by_shard.items()
+        }
+    )
     # Seed rotation history first: a relation whose WAL is empty must still
     # answer RotationRequest with the rotation it had (its true previous id)
-    # rather than a re-derived genesis-style one.  The memory backend's
-    # current rotation is the checkpoint's; the sqlite store may be ahead of
-    # the checkpoint, so its own stored (or re-derived) rotation wins there.
-    for name, checkpoint in checkpoints.items():
-        if storage.backend == "sqlite":
-            rotation = stored_current_rotation(
-                storage.relation_store(shard_of[name]), name, by_name[name]
+    # rather than a re-derived genesis-style one.  The store may be ahead of
+    # the checkpoint, so its own stored (or re-derived) rotation wins.
+    for shard, publications in by_shard.items():
+        store = storage.relation_store(shard)
+        for name, publication in publications.items():
+            router.restore_rotation(
+                name, stored_current_rotation(store, name, publication)
             )
-        else:
-            rotation = checkpoint.rotation
-        router.restore_rotation(name, rotation)
-        if storage.backend == "sqlite":
             # The store tracks the latest (possibly rotation re-stamped)
             # freshness attestation in chain state; seed it before WAL
             # replay so replayed updates re-stamp the same chain the live
             # server was carrying.
-            state = storage.relation_store(shard_of[name]).chain_state(name)
+            state = store.chain_state(name)
             if state is not None and state.attestation:
                 _restore_attestation(router, name, state.attestation)
     for shard, names in storage.layout.items():
         for name in names:
             _replay_relation(router, storage, name)
-    if storage.backend == "sqlite":
-        # The applied-update registry survives in the store (the in-memory
-        # replay above only re-registers frames the store had not yet
-        # committed); reload it so resubmitted batches from before the last
-        # checkpoint still get their original acknowledgement.
-        for shard, names in storage.layout.items():
-            store = storage.relation_store(shard)
-            for name in names:
-                for frame, response in store.applied_updates(name):
-                    router.remember_applied_update(frame, response)
+    # The applied-update registry survives in the store (the replay above
+    # only re-registers frames the store had not yet committed); reload it
+    # so resubmitted batches from before the last checkpoint still get
+    # their original acknowledgement.
+    for shard, names in storage.layout.items():
+        store = storage.relation_store(shard)
+        for name in names:
+            for frame, response in store.applied_updates(name):
+                router.remember_applied_update(frame, response)
     return router
 
 
@@ -325,17 +269,14 @@ def _replay_update(
     signed = target.publisher.signed_relation(name)
     version = signed.version
     if request.sequence < version:
-        # Already applied — inside the checkpoint (crash between checkpoint
-        # swap and log compaction) or, on the sqlite backend, committed to
-        # the relation store before the crash.  Verify it belongs to this
-        # relation's history — the manifest at that sequence differs from
-        # the current one only in the sequence field — then skip.
+        # Already applied: the relation store committed it before the
+        # crash.  Verify it belongs to this relation's history — the
+        # manifest at that sequence differs from the current one only in the
+        # sequence field — then skip.
         historical = replace(signed.manifest, sequence=request.sequence)
         _verify_update_signature(name, historical, request)
-        if storage.backend == "sqlite":
-            # The store absorbed this batch but no checkpoint covers it yet;
-            # count it so the periodic checkpoint cadence is unchanged.
-            entry.updates_since_checkpoint += 1
+        # Count it, so the periodic checkpoint cadence is unchanged.
+        entry.updates_since_checkpoint += 1
         return
     if request.sequence > version:
         raise RecoveryError(

@@ -9,9 +9,9 @@ SQL schema per relational schema):
     One row per chain entry: the two domain delimiters and every record,
     keyed by ``(relation, kind, key, fingerprint)`` so the natural SQLite
     index *is* the relation's canonical sort order.  Records carry their
-    wire payload (a ``RecordDelta(kind="insert")`` frame, the same encoding
-    checkpoints use) plus the entry's precomputed ``g`` digest and its
-    FDH-RSA chain signature; delimiters carry digest + signature only.
+    wire payload (a ``RecordDelta(kind="insert")`` frame) plus the entry's
+    precomputed ``g`` digest and its FDH-RSA chain signature; delimiters
+    carry digest + signature only.
 
 ``chain_state``
     Per relation: the manifest ``sequence`` the stored chain corresponds
@@ -24,13 +24,13 @@ SQL schema per relational schema):
     ``N`` applied owner update frames and their encoded responses, so a
     recovered server answers a retransmitted update byte-identically.
 
-**Trust boundary.**  Same stance as :mod:`repro.storage.checkpoint`: rows on
-disk are integrity-checked against owner-signed digests on load, not
-blindly trusted.  Every record faulted in from SQLite is re-fingerprinted
-and compared against the fingerprint under which it was filed — the same
-identity that orders the owner-signed chain — and the digests/signatures
-served alongside it are the owner-signed chain artifacts themselves, which
-every verifying client re-checks end to end.  Row integrity beyond that is
+**Trust boundary.**  Rows on disk are integrity-checked against owner-signed
+digests on load, not blindly trusted.  Every record faulted in from SQLite
+is re-fingerprinted and compared against the fingerprint under which it was
+filed — the same identity that orders the owner-signed chain — and the
+digests/signatures served alongside it are the owner-signed chain artifacts
+themselves, which every verifying client re-checks end to end; nothing
+stored is ever re-signed on the way out.  Row integrity beyond that is
 a *crash-safety* property, not a security one: this reproduction's
 deployment model (:mod:`repro.service.owner`) already trusts the publisher
 host with the signing key, so a host that can edit ``relstore.db`` can
@@ -60,9 +60,10 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import tempfile
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -240,6 +241,23 @@ class RelationStore:
             self._conn.close()
         self._conn = None
 
+    def snapshot(self) -> bytes:
+        """A transaction-consistent copy of the database file, as bytes.
+
+        Taken with SQLite's online backup API over a connection of its own,
+        so committed pages still sitting in the ``-wal`` sidecar are included
+        and the store's serving connection is left alone.  The caller keeps
+        writers out (the shard lock) if the copy must line up with files
+        outside the database.
+        """
+        with tempfile.TemporaryDirectory(prefix="relstore-snapshot-") as scratch:
+            copy_path = os.path.join(scratch, "relstore.db")
+            with closing(sqlite3.connect(self.path)) as source:
+                with closing(sqlite3.connect(copy_path)) as copy:
+                    source.backup(copy)
+            with open(copy_path, "rb") as handle:
+                return handle.read()
+
     def __getstate__(self):  # pragma: no cover - stores never cross spawn
         state = dict(self.__dict__)
         state["_conn"] = None
@@ -284,8 +302,7 @@ class RelationStore:
         """Drop the relation's rows and chain state ahead of a full re-dump.
 
         The applied-update registry survives on purpose: it records
-        acknowledgements, not publication state, and a transitional re-dump
-        (every rotation of a non-stored publication) must not forget them.
+        acknowledgements, not publication state.
         """
         with self.transaction():
             conn = self.connection

@@ -3,21 +3,19 @@
 One :class:`PublicationStorage` owns a directory tree::
 
     <root>/
-      storage.json                  shard -> hosted relation names, backend
+      storage.json                  shard -> hosted relation names
       shards/<shard>/keys.json      per-relation owner signing keys (0600)
-      shards/<shard>/<rel>.ckpt     latest checkpoint (rows + signed rotation)
+      shards/<shard>/<rel>.ckpt     latest checkpoint (the signed rotation)
       shards/<shard>/<rel>.wal      updates applied since that checkpoint
-      shards/<shard>/relstore.db    sqlite backend only: rows, chain digests,
-                                    signatures and manifest state
+      shards/<shard>/relstore.db    rows, chain digests, signatures and
+                                    manifest state
                                     (:mod:`repro.storage.relstore`)
 
-Two row backends share this layout.  ``backend="memory"`` (the original) keeps
-every row in the checkpoint file and rebuilds relations fully in RAM on
-recovery.  ``backend="sqlite"`` keeps rows and chain artifacts in a per-shard
-:class:`~repro.storage.relstore.RelationStore`; checkpoints then carry only
-the owner-signed rotation (zero rows), recovery attaches to the store instead
-of materialising rows, and the WAL's role is unchanged — it replays whatever
-landed after the store's last committed update boundary.
+Rows and chain artifacts live in a per-shard
+:class:`~repro.storage.relstore.RelationStore` and nowhere else: a checkpoint
+carries only the owner-signed rotation, recovery *attaches* to the stored
+signatures instead of materialising (or re-signing) rows, and the WAL replays
+whatever landed after the store's last committed update boundary.
 
 The WAL is per shard in the sense of the directory — every relation of a
 shard logs under the shard's directory and shares its fsync policy — but
@@ -38,13 +36,14 @@ the shard's write lock):
   ``FreshnessAttestation`` frame (and track it in sqlite chain state), so
   recovery resumes the freshness chain exactly where the crash left it.
 
-Bootstrap (:meth:`PublicationStorage.create`) persists a freshly built
-router: keys, a genesis checkpoint per relation, an empty log.  Opening an
-existing root (:meth:`PublicationStorage.open`) only opens the log handles
-(truncating torn tails); rebuilding publishers and replaying history is
-:func:`repro.storage.recovery.recover_router`'s job — use
-:func:`open_publication_storage` for the one-call "bootstrap or recover"
-entry point the server uses.
+Bootstrap (:meth:`PublicationStorage.create`) writes a freshly built
+router to disk — keys, the stored publications, a genesis checkpoint per
+relation — and leaves nothing open.  Opening a root
+(:meth:`PublicationStorage.open`) only opens the log handles (truncating
+torn tails); rebuilding publishers and replaying history is
+:func:`repro.storage.recovery.recover_router`'s job.
+:func:`open_publication_storage` — "bootstrap or recover" in one call — is
+the one way to obtain a router that serves over a root.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.relational import SignedRelation
 from repro.db.records import Record
 from repro.db.schema import Schema
 from repro.service.router import ShardRouter, ShardTarget
@@ -79,7 +77,6 @@ from repro.wire.updates import (
 )
 
 __all__ = [
-    "STORAGE_BACKENDS",
     "STORAGE_FORMAT",
     "PublicationStorage",
     "open_publication_storage",
@@ -87,8 +84,6 @@ __all__ = [
 ]
 
 STORAGE_FORMAT = 1
-
-STORAGE_BACKENDS = ("memory", "sqlite")
 
 _MANIFEST_FILE = "storage.json"
 _KEYS_FILE = "keys.json"
@@ -166,8 +161,8 @@ class _RelationStorage:
         self.wal = wal
         self.checkpoint_path = checkpoint_path
         self.updates_since_checkpoint = 0
-        #: sqlite backend: the update frame logged for the batch currently
-        #: being applied, consumed by the rotation that concludes it.
+        #: The update frame logged for the batch currently being applied,
+        #: consumed by the rotation that concludes it.
         self.pending_frame: Optional[bytes] = None
 
 
@@ -188,10 +183,6 @@ class PublicationStorage:
     faults:
         Optional failpoint registry threaded into the WAL and checkpoint
         writers (crash testing).
-    backend:
-        ``"memory"`` (rows in checkpoints, relations rebuilt in RAM) or
-        ``"sqlite"`` (rows and chain artifacts in a per-shard
-        :class:`~repro.storage.relstore.RelationStore`).
     """
 
     def __init__(
@@ -200,30 +191,26 @@ class PublicationStorage:
         fsync: str = "always",
         checkpoint_every: int = 0,
         faults: Optional[FaultRegistry] = None,
-        backend: str = "memory",
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"unknown fsync policy {fsync!r}; known: {FSYNC_POLICIES}")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if backend not in STORAGE_BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; known: {STORAGE_BACKENDS}")
         self.root = root
         self.fsync_policy = fsync
         self.checkpoint_every = checkpoint_every
         self.faults = faults
-        self.backend = backend
         self._lock = threading.Lock()
         self._relations: Dict[str, _RelationStorage] = {}
         self._stores: Dict[str, RelationStore] = {}
         self._layout: Dict[str, List[str]] = {}
         self._closed = False
         self.checkpoints_written = 0
-        #: How this handle came to be: ``"bootstrapped"`` (fresh root built
-        #: from a live router) or ``"recovered"`` (opened from an existing
-        #: root).  The demo server prints it so harnesses can assert which
+        #: How this root came to be served: ``"recovered"`` (it existed) or
+        #: ``"bootstrapped"`` (:func:`open_publication_storage` wrote it just
+        #: now).  The demo server prints it so harnesses can assert which
         #: path ran.
-        self.origin = "bootstrapped"
+        self.origin = "recovered"
 
     # -- layout helpers -------------------------------------------------------
 
@@ -243,12 +230,7 @@ class PublicationStorage:
         return os.path.join(self.shard_dir(shard), _RELSTORE_FILE)
 
     def relation_store(self, shard: str) -> RelationStore:
-        """The shard's row/digest store (sqlite backend only), opened lazily."""
-        if self.backend != "sqlite":
-            raise StorageError(
-                f"storage root {self.root!r} uses the {self.backend!r} backend; "
-                "relation stores exist only under backend='sqlite'"
-            )
+        """The shard's row/digest store, opened lazily."""
         store = self._stores.get(shard)
         if store is None:
             store = RelationStore(
@@ -274,57 +256,47 @@ class PublicationStorage:
         root: str,
         router: ShardRouter,
         fsync: str = "always",
-        checkpoint_every: int = 0,
         faults: Optional[FaultRegistry] = None,
-        backend: str = "memory",
-    ) -> "PublicationStorage":
-        """Bootstrap ``root`` from a live router (fresh publication).
+    ) -> None:
+        """Write a fresh publication root from a built router.
 
-        Under ``backend="sqlite"`` the rows, chain digests and signatures
-        are mirrored byte-exactly into the shard's relation store (nothing
-        is re-signed) and the genesis checkpoints carry the owner-signed
-        rotation only.
+        Rows, chain digests and signatures are mirrored byte-exactly into
+        each shard's relation store (nothing is re-signed) and every relation
+        gets a genesis checkpoint holding its owner-signed rotation.  Nothing
+        stays open and ``router`` is not wired to the root: serving goes
+        through :func:`open_publication_storage`, which reopens what this
+        wrote through recovery.
         """
         if cls.exists(root):
             raise StorageError(f"storage root {root!r} is already initialised")
-        storage = cls(
-            root,
-            fsync=fsync,
-            checkpoint_every=checkpoint_every,
-            faults=faults,
-            backend=backend,
-        )
+        storage = cls(root, fsync=fsync, faults=faults)
         os.makedirs(os.path.join(root, _SHARDS_DIR), exist_ok=True)
         layout: Dict[str, List[str]] = {}
-        for shard_name, publisher in router.shards.items():
-            os.makedirs(storage.shard_dir(shard_name), exist_ok=True)
-            schemes = {}
-            for relation_name in sorted(publisher.database):
-                layout.setdefault(shard_name, []).append(relation_name)
-                signed = publisher.signed_relation(relation_name)
-                schemes[relation_name] = signed.signature_scheme
-                rotation = router.rotation(relation_name)
-                if backend == "sqlite":
-                    rows: List[Dict[str, object]] = []
+        try:
+            for shard_name, publisher in router.shards.items():
+                os.makedirs(storage.shard_dir(shard_name), exist_ok=True)
+                schemes = {}
+                for relation_name in sorted(publisher.database):
+                    layout.setdefault(shard_name, []).append(relation_name)
+                    signed = publisher.signed_relation(relation_name)
+                    schemes[relation_name] = signed.signature_scheme
+                    rotation = router.rotation(relation_name)
                     dump_publication(
                         storage.relation_store(shard_name), relation_name, signed, rotation
                     )
-                else:
-                    rows = [dict(record.values) for record in signed.relation]
-                write_checkpoint(
-                    storage.checkpoint_path(shard_name, relation_name),
-                    relation_name,
-                    rotation,
-                    rows,
-                    faults=faults,
-                )
-                storage._open_relation(shard_name, relation_name)
-            save_keys(storage.keys_path(shard_name), schemes)
-        storage._layout = layout
+                    write_checkpoint(
+                        storage.checkpoint_path(shard_name, relation_name),
+                        relation_name,
+                        rotation,
+                        faults=faults,
+                    )
+                save_keys(storage.keys_path(shard_name), schemes)
+        finally:
+            storage.close()
         manifest_path = os.path.join(root, _MANIFEST_FILE)
         with open(manifest_path + ".tmp", "w") as handle:
             json.dump(
-                {"format": STORAGE_FORMAT, "shards": layout, "backend": backend},
+                {"format": STORAGE_FORMAT, "shards": layout, "backend": "sqlite"},
                 handle,
                 indent=1,
                 sort_keys=True,
@@ -333,7 +305,6 @@ class PublicationStorage:
             os.fsync(handle.fileno())
         os.replace(manifest_path + ".tmp", manifest_path)
         _fsync_directory(root)
-        return storage
 
     @classmethod
     def open(
@@ -361,16 +332,15 @@ class PublicationStorage:
                 f"storage root {root!r} has format {document.get('format')!r}; "
                 f"this build reads format {STORAGE_FORMAT}"
             )
-        # The backend is a property of the root on disk, not of the caller.
-        backend = str(document.get("backend", "memory"))
+        if document.get("backend") != "sqlite":
+            raise StorageError(
+                f"storage root {root!r} is marked backend "
+                f"{document.get('backend')!r}; this build serves only roots "
+                "whose rows live in the sqlite relation store"
+            )
         storage = cls(
-            root,
-            fsync=fsync,
-            checkpoint_every=checkpoint_every,
-            faults=faults,
-            backend=backend,
+            root, fsync=fsync, checkpoint_every=checkpoint_every, faults=faults
         )
-        storage.origin = "recovered"
         storage._layout = {
             shard: list(names) for shard, names in document.get("shards", {}).items()
         }
@@ -412,8 +382,7 @@ class PublicationStorage:
         """
         entry = self.relation(target.relation_name)
         entry.wal.append(frame)
-        if self.backend == "sqlite":
-            entry.pending_frame = frame
+        entry.pending_frame = frame
 
     def log_attestation(
         self, target: ShardTarget, attestation: FreshnessAttestation
@@ -425,18 +394,17 @@ class PublicationStorage:
         the re-stamps :meth:`~repro.service.router.ShardRouter.record_rotation`
         derives on rotation use deterministic (FDH) signing, so WAL replay
         re-derives them byte-identically from the last pushed attestation
-        plus the update frames that follow it.  Under the sqlite backend the
-        chain state additionally tracks the latest (possibly re-stamped)
-        attestation via :meth:`log_rotation`'s ``attestation`` parameter.
+        plus the update frames that follow it.  The store's chain state
+        additionally tracks the latest (possibly re-stamped) attestation via
+        :meth:`log_rotation`'s ``attestation`` parameter.
         """
         entry = self.relation(target.relation_name)
         entry.wal.append(encode(attestation))
-        if self.backend == "sqlite":
-            store = self.relation_store(entry.shard)
-            with store.transaction():
-                store.set_chain_state(
-                    target.relation_name, attestation=encode(attestation)
-                )
+        store = self.relation_store(entry.shard)
+        with store.transaction():
+            store.set_chain_state(
+                target.relation_name, attestation=encode(attestation)
+            )
 
     @contextmanager
     def applied_update_scope(self, target: ShardTarget):
@@ -450,31 +418,25 @@ class PublicationStorage:
         hand a resubmitting owner its original acknowledgement, or it holds
         neither and WAL replay re-applies the frame.  A kill between separate
         transactions would otherwise strand an applied batch whose
-        resubmission can only answer "stale update".  No-op under the memory
-        backend.  Checkpoints must stay *outside* this scope: compacting the
-        WAL against store state that still might roll back would lose the
-        only replayable copy of the batch.
+        resubmission can only answer "stale update".  Checkpoints must stay
+        *outside* this scope: compacting the WAL against store state that
+        still might roll back would lose the only replayable copy of the
+        batch.
         """
-        if self.backend != "sqlite":
-            yield
-            return
         entry = self.relation(target.relation_name)
         with self.relation_store(entry.shard).transaction():
             yield
 
     @contextmanager
     def update_batch(self, target: ShardTarget):
-        """Transaction scope for applying one update batch (sqlite backend).
+        """Transaction scope for applying one update batch.
 
         Wrapping ``publisher.apply_deltas`` in this context groups the
         batch's per-record store writes into one SQLite transaction and
         stamps the batch-level ``previous_sequence`` — so a crash rolls the
         store back to a whole update boundary and the current rotation can
-        be re-derived exactly.  A no-op under the memory backend.
+        be re-derived exactly.
         """
-        if self.backend != "sqlite":
-            yield
-            return
         entry = self.relation(target.relation_name)
         store = self.relation_store(entry.shard)
         signed = target.publisher.signed_relation(target.relation_name)
@@ -500,17 +462,16 @@ class PublicationStorage:
         deterministically by replaying update frames); they let ``walctl``
         verify the log offline and preserve rotation history across
         checkpoint compaction.  Runs under the same shard lock as the apply,
-        so the log order equals the apply order.  Under the sqlite backend
-        the rotation (and, for publications the store merely mirrors, the
-        batch's rows) is also committed to the relation store here;
-        ``attestation`` is the relation's current (rotation re-stamped)
-        freshness attestation, tracked in chain state alongside the rotation
-        so recovery resumes the freshness chain without re-deriving it.
+        so the log order equals the apply order.  The rotation (and, for
+        publications the store merely mirrors, the batch's rows) is also
+        committed to the relation store here; ``attestation`` is the
+        relation's current (rotation re-stamped) freshness attestation,
+        tracked in chain state alongside the rotation so recovery resumes the
+        freshness chain without re-deriving it.
         """
         entry = self.relation(target.relation_name)
         entry.wal.append(encode(rotation))
-        if self.backend == "sqlite":
-            self._persist_rotation_state(entry, target, rotation, attestation)
+        self._persist_rotation_state(entry, target, rotation, attestation)
         entry.updates_since_checkpoint += 1
 
     def maybe_checkpoint(
@@ -554,18 +515,6 @@ class PublicationStorage:
                     **attestation_state,
                 )
             return
-        if isinstance(signed, SignedRelation):
-            # Transitional: an in-RAM chain serving over a sqlite root
-            # (``create()`` used directly, before the documented reopen
-            # through recovery).  Re-mirror the publication wholesale —
-            # correct, if not incremental.
-            dump_publication(store, target.relation_name, signed, rotation)
-            if attestation_state:
-                with store.transaction():
-                    store.set_chain_state(
-                        target.relation_name, **attestation_state
-                    )
-            return
         request = decode(pending, expect=UpdateRequest) if pending else None
         with store.transaction():
             if request is not None:
@@ -583,9 +532,7 @@ class PublicationStorage:
     def remember_applied_response(
         self, relation_name: str, sequence: int, frame: bytes, response: bytes
     ) -> None:
-        """Durably mirror the router's replayed-update registry (sqlite only)."""
-        if self.backend != "sqlite":
-            return
+        """Durably mirror the router's replayed-update registry."""
         entry = self.relation(relation_name)
         self.relation_store(entry.shard).remember_applied(
             relation_name, hashlib.sha256(frame).digest(), sequence, frame, response
@@ -608,38 +555,12 @@ class PublicationStorage:
         ``attestation`` is the re-stamped freshness attestation the replayed
         rotation derived, if one was in force.
         """
-        if self.backend != "sqlite":
-            return
         entry = self.relation(target.relation_name)
-        store = self.relation_store(entry.shard)
-        signed = target.publisher.signed_relation(target.relation_name)
-        attestation_state = {} if attestation is None else {
-            "attestation": encode(attestation)
-        }
-        with store.transaction():
-            if isinstance(signed, StoredSignedRelation):
-                store.set_chain_state(
-                    target.relation_name,
-                    rotation=encode(rotation),
-                    **attestation_state,
-                )
-            else:
-                _apply_mirror_deltas(
-                    store, target.relation_name, signed.schema, request.deltas
-                )
-                store.set_chain_state(
-                    target.relation_name,
-                    sequence=rotation.manifest.sequence,
-                    previous_sequence=request.sequence,
-                    rotation=encode(rotation),
-                    **attestation_state,
-                )
-            store.remember_applied(
-                target.relation_name,
-                hashlib.sha256(frame).digest(),
-                request.sequence,
-                frame,
-                response,
+        entry.pending_frame = frame
+        with self.relation_store(entry.shard).transaction():
+            self._persist_rotation_state(entry, target, rotation, attestation)
+            self.remember_applied_response(
+                target.relation_name, request.sequence, frame, response
             )
 
     def checkpoint_now(
@@ -675,20 +596,10 @@ class PublicationStorage:
         rotation: ManifestRotated,
         attestation: Optional[FreshnessAttestation] = None,
     ) -> None:
-        signed = target.publisher.signed_relation(target.relation_name)
-        if self.backend == "sqlite":
-            # Rows live in the relation store; the checkpoint's job reduces
-            # to filing the owner-signed rotation and compacting the WAL —
-            # O(1) instead of O(rows).
-            rows: List[Dict[str, object]] = []
-        else:
-            rows = [dict(record.values) for record in signed.relation]
+        # Rows live in the relation store: a checkpoint files the
+        # owner-signed rotation and compacts the WAL, O(1) in the row count.
         write_checkpoint(
-            entry.checkpoint_path,
-            target.relation_name,
-            rotation,
-            rows,
-            faults=self.faults,
+            entry.checkpoint_path, target.relation_name, rotation, faults=self.faults
         )
         # Compact only after the new checkpoint is durably in place: a crash
         # between the two leaves checkpoint+full-log, whose replay verifies
@@ -737,26 +648,21 @@ def open_publication_storage(
     fsync: str = "always",
     checkpoint_every: int = 0,
     faults: Optional[FaultRegistry] = None,
-    backend: str = "memory",
     config=None,
 ) -> Tuple[ShardRouter, "PublicationStorage"]:
-    """Bootstrap-or-recover entry point: the ``storage_dir`` mode of the server.
+    """Bootstrap-or-recover: the one way to a router that serves over ``root``.
 
     An uninitialised ``root`` calls ``build_router()`` (fresh keys, fresh
-    data) and persists it; an initialised one ignores ``build_router`` and
-    rebuilds the router from checkpoints + WAL replay — resuming with the
-    *same* manifest ids, rotation history and applied-update registry as
-    before the crash (see :mod:`repro.storage.recovery`).
-
-    A fresh sqlite root is bootstrapped and then immediately reopened
-    through recovery, so the router this returns serves chain relations
-    from the store (lazy row faulting) rather than from the RAM copies the
-    bootstrap dumped.  On an existing root the backend recorded in
-    ``storage.json`` wins over the ``backend`` argument.
+    data) and writes it out (:meth:`PublicationStorage.create`); either way
+    the root is then opened and the router rebuilt through recovery (see
+    :mod:`repro.storage.recovery`).  So the returned router always serves
+    chain relations from the store (lazy row faulting, the stored owner
+    signatures), and on an existing root it resumes with the *same* manifest
+    ids, rotation history and applied-update registry as before the crash.
 
     ``config`` may be a :class:`repro.service.config.StorageConfig` (or any
-    object with ``root``/``fsync``/``checkpoint_every``/``backend``
-    attributes); its fields then override the individual arguments.
+    object with ``root``/``fsync``/``checkpoint_every`` attributes); its
+    fields then override the individual arguments.
     """
     from repro.storage.recovery import recover_router
 
@@ -764,27 +670,17 @@ def open_publication_storage(
         root = config.root or root
         fsync = config.fsync
         checkpoint_every = config.checkpoint_every
-        backend = config.backend
-    if not PublicationStorage.exists(root):
-        router = build_router()
-        storage = PublicationStorage.create(
-            root,
-            router,
-            fsync=fsync,
-            checkpoint_every=checkpoint_every,
-            faults=faults,
-            backend=backend,
-        )
-        if backend == "sqlite":
-            storage.close()
-            storage = PublicationStorage.open(
-                root, fsync=fsync, checkpoint_every=checkpoint_every, faults=faults
-            )
-            router = recover_router(storage)
-            storage.origin = "bootstrapped"
-        return router, storage
+    bootstrapped = not PublicationStorage.exists(root)
+    if bootstrapped:
+        PublicationStorage.create(root, build_router(), fsync=fsync, faults=faults)
     storage = PublicationStorage.open(
         root, fsync=fsync, checkpoint_every=checkpoint_every, faults=faults
     )
-    router = recover_router(storage)
+    try:
+        router = recover_router(storage)
+    except BaseException:
+        storage.close()
+        raise
+    if bootstrapped:
+        storage.origin = "bootstrapped"
     return router, storage

@@ -5,8 +5,10 @@ for ``inspect``/``verify`` — no signing key: everything is checked with the
 public keys embedded in the owner-signed manifests):
 
 ``inspect <root>``
-    JSON summary: per relation, the checkpoint's sequence and row count and
-    the WAL's record count, torn-tail bytes and corruption offset (if any).
+    JSON summary: per relation, the checkpoint's sequence, the relation
+    store's row count and committed sequence (the store runs ahead of the
+    checkpoint between compactions), and the WAL's record count, torn-tail
+    bytes and corruption offset (if any).
     With ``--replication``, also each relation's applied replication mark —
     the ``(sequence, epoch)`` a server over this root would answer to a
     ``ReplicationStatusRequest`` — computed offline by walking the WAL
@@ -36,6 +38,7 @@ import argparse
 import json
 import os
 import shutil
+import sqlite3
 import sys
 from dataclasses import replace
 from typing import List
@@ -43,6 +46,7 @@ from typing import List
 from repro.service.owner import delta_sequence_cost
 from repro.storage.checkpoint import load_checkpoint
 from repro.storage.errors import CheckpointCorruptError, WalCorruptError
+from repro.storage.relstore import RelationStore
 from repro.storage.store import PublicationStorage
 from repro.storage.wal import iter_wal_records, scan_wal
 from repro.wire import decode, manifest_id
@@ -85,6 +89,24 @@ def _replication_mark(storage: PublicationStorage, shard: str, name: str):
     return {"applied_sequence": sequence, "epoch": epoch}
 
 
+def _store_summary(storage: PublicationStorage, shard: str, name: str):
+    """Row count and committed sequence of ``name`` in the shard's store."""
+    path = storage.relstore_path(shard)
+    if not os.path.exists(path):
+        return {"error": "the shard has no relstore.db"}
+    store = RelationStore(path)
+    try:
+        state = store.chain_state(name)
+        rows = store.count_records(name)
+    except sqlite3.DatabaseError as error:
+        return {"error": str(error)}
+    finally:
+        store.close()
+    if state is None:
+        return {"error": "the relation store holds no chain state for it"}
+    return {"rows": rows, "sequence": state.sequence}
+
+
 def _cmd_inspect(args) -> int:
     storage, layout = _layout(args.root)
     report = {"root": args.root, "shards": {}}
@@ -96,11 +118,11 @@ def _cmd_inspect(args) -> int:
                 checkpoint = load_checkpoint(storage.checkpoint_path(shard, name))
                 entry["checkpoint"] = {
                     "sequence": checkpoint.sequence,
-                    "rows": len(checkpoint.rows),
                     "previous_id": checkpoint.rotation.previous_id.hex(),
                 }
             except CheckpointCorruptError as error:
                 entry["checkpoint"] = {"error": str(error)}
+            entry["store"] = _store_summary(storage, shard, name)
             scan = scan_wal(storage.wal_path(shard, name))
             entry["wal"] = {
                 "records": scan.records,

@@ -14,9 +14,8 @@ resubmission and the shadow run all push the *same bytes* — which is also
 what makes resubmission after a lost acknowledgement exercise the
 applied-update registry rather than re-signing around it.
 
-The whole matrix runs twice — once per storage backend (``memory`` rebuilds
-rows from checkpoints, ``sqlite`` streams them from the relation store) — and
-the sqlite lane adds its own failpoint inside the store's transaction commit.
+One of the failpoints sits inside the relation store's transaction commit:
+the kill lands with the update frame logged but the store rolled back.
 """
 
 from __future__ import annotations
@@ -72,31 +71,22 @@ CRASH_MATRIX = {
     "update-after-apply": ("update-after-apply:kill@2", 0),
     "conn-mid-frame": ("conn-mid-frame:kill", 0),
     "checkpoint-before-swap": ("checkpoint-before-swap:kill", 1),
-}
-
-#: Failpoints that only fire when rows live in the sqlite relation store.
-#: ``relstore-before-commit`` fires once per applied update (the whole
-#: update commits in one outer store transaction), so ``@2`` kills the
-#: server with update 1 fully durable and update 2 rolled back to the WAL —
-#: recovery must re-apply exactly the rolled-back half.
-SQLITE_ONLY = {
+    # Fires once per applied update (the whole update commits in one outer
+    # store transaction), so ``@2`` kills the server with update 1 fully
+    # durable and update 2 rolled back to the WAL — recovery must re-apply
+    # exactly the rolled-back half.
     "relstore-before-commit": ("relstore-before-commit:kill@2", 0),
 }
 
 
 def test_every_registered_failpoint_is_in_the_matrix():
-    assert set(CRASH_MATRIX) | set(SQLITE_ONLY) == set(FAILPOINTS)
+    assert set(CRASH_MATRIX) == set(FAILPOINTS)
 
 
 # -- driving real server processes ---------------------------------------------
 
 
-def _spawn(
-    storage_dir: str,
-    fault: str = "",
-    checkpoint_every: int = 0,
-    backend: str = "memory",
-):
+def _spawn(storage_dir: str, fault: str = "", checkpoint_every: int = 0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -115,10 +105,6 @@ def _spawn(
     ]
     if checkpoint_every:
         command += ["--checkpoint-every", str(checkpoint_every)]
-    if backend != "memory":
-        # Only a *fresh* root consults the flag; an existing root keeps the
-        # backend it was bootstrapped with, so re-spawns are backend-stable.
-        command += ["--storage-backend", backend]
     process = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
@@ -191,17 +177,11 @@ def _crash_row_count(port: int) -> int:
 # -- the shared fixtures: one bootstrap, one pre-signed stream, one shadow -----
 
 
-@pytest.fixture(scope="module", params=["memory", "sqlite"])
-def backend(request):
-    """The whole matrix runs once per storage backend."""
-    return request.param
-
-
 @pytest.fixture(scope="module")
-def seed_dir(backend, tmp_path_factory):
+def seed_dir(tmp_path_factory):
     """A storage root bootstrapped by a real server run, shut down cleanly."""
-    root = tmp_path_factory.mktemp(f"crash-seed-{backend}") / "pub"
-    process, _, origin = _spawn(str(root), backend=backend)
+    root = tmp_path_factory.mktemp("crash-seed") / "pub"
+    process, _, origin = _spawn(str(root))
     assert origin == "bootstrapped"
     _terminate(process)
     return root
@@ -251,13 +231,11 @@ def shadow_state(seed_dir, signed_requests, tmp_path_factory):
 # -- the matrix ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("failpoint", sorted({**CRASH_MATRIX, **SQLITE_ONLY}))
+@pytest.mark.parametrize("failpoint", sorted(CRASH_MATRIX))
 def test_sigkill_at_failpoint_recovers_byte_identically(
-    failpoint, backend, seed_dir, signed_requests, shadow_state, tmp_path
+    failpoint, seed_dir, signed_requests, shadow_state, tmp_path
 ):
-    if failpoint in SQLITE_ONLY and backend != "sqlite":
-        pytest.skip("failpoint lives inside the sqlite relation store")
-    fault, checkpoint_every = {**CRASH_MATRIX, **SQLITE_ONLY}[failpoint]
+    fault, checkpoint_every = CRASH_MATRIX[failpoint]
     root = tmp_path / "pub"
     shutil.copytree(seed_dir, root)
 

@@ -173,6 +173,61 @@ def test_bootstrap_recovers_and_serves_byte_identical(primary, tmp_path):
         _stop_replica(replica)
 
 
+def test_bootstrap_mid_stream_ships_the_store_ahead_of_its_checkpoint(
+    primary, tmp_path
+):
+    """A join while the primary's store is ahead of its checkpoint.
+
+    No checkpoint has been taken since genesis, so the applied updates exist
+    only in the relation store and the WAL.  The snapshot is one consistent
+    cut of both: the replica attaches to the shipped store, skips the WAL
+    frames it already holds, serves the primary's bytes, and follows on.
+    """
+    host, port = primary["address"]
+    with OwnerClient(host, port, primary["scheme"]) as owner_client:
+        for index in range(3):
+            owner_client.insert("employees", _row(3_000 + index, f"m{index}"))
+        assert primary["storage"].checkpoints_written == 0
+        replica = _spawn_replica(primary, str(tmp_path / "replica"))
+        try:
+            identifier = primary["router"].current_id("employees")
+            assert replica["router"].current_id("employees") == identifier
+            assert replica["router"].manifest_by_name("employees").sequence == 3
+            assert _raw_answer(replica["address"], identifier) == _raw_answer(
+                primary["address"], identifier
+            )
+            owner_client.insert("employees", _row(3_100, "after-join"))
+            assert _wait(lambda: _sequences_match(primary, replica))
+            assert replica["follower"].last_error is None
+            identifier = primary["router"].current_id("employees")
+            assert _raw_answer(replica["address"], identifier) == _raw_answer(
+                primary["address"], identifier
+            )
+        finally:
+            _stop_replica(replica)
+
+
+def test_snapshot_over_the_frame_cap_is_refused_by_the_primary(
+    primary, tmp_path, monkeypatch
+):
+    """A snapshot is one frame: a root that cannot fit is refused up front,
+    typed, naming both numbers — not sent for the peer's length check."""
+    from repro.service import replication
+
+    monkeypatch.setattr(replication, "MAX_FRAME_BYTES", 4096)
+    with pytest.raises(ReplicationError) as excinfo:
+        replication.answer_replica_snapshot(primary["router"], primary["storage"])
+    assert excinfo.value.reason == "snapshot-too-large"
+    assert "4096-byte cap" in str(excinfo.value)
+    host, port = primary["address"]
+    with pytest.raises(RemoteError) as excinfo:
+        bootstrap_replica_root(
+            host, port, str(tmp_path / "replica"), keys_from=primary["root"]
+        )
+    assert excinfo.value.reason == "snapshot-too-large"
+    assert not os.path.exists(str(tmp_path / "replica"))
+
+
 def test_bootstrap_is_idempotent_on_an_existing_root(primary, tmp_path):
     root = str(tmp_path / "replica")
     host, port = primary["address"]

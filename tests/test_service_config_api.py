@@ -95,7 +95,6 @@ def test_legacy_server_kwargs_are_a_type_error(demo_world):
 def test_storage_config_drives_open_publication_storage(tmp_path, demo_world):
     config = StorageConfig(
         root=str(tmp_path / "pub"),
-        backend="sqlite",
         fsync="off",
         checkpoint_every=3,
     )
@@ -103,7 +102,6 @@ def test_storage_config_drives_open_publication_storage(tmp_path, demo_world):
         "", lambda: demo_world.router, config=config
     )
     try:
-        assert storage.backend == "sqlite"
         assert storage.fsync_policy == "off"
         assert storage.checkpoint_every == 3
         assert storage.root == config.root

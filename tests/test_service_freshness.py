@@ -573,27 +573,27 @@ def test_rotating_past_the_cap_evicts_with_a_typed_error(world):
 # -- durability: recovery resumes the freshness chain -------------------------
 
 
-def _storage_world(tmp_path, signature_scheme, backend, checkpoint_every=0):
-    relation = workload.generate_employees(8, seed=29, photo_bytes=8)
-    publisher = Publisher(
-        {"employees": SignedRelation(relation, signature_scheme)}
-    )
-    router = ShardRouter({"hr": publisher})
-    root = str(tmp_path / f"root-{backend}-{checkpoint_every}")
-    storage = PublicationStorage.create(
-        root, router, checkpoint_every=checkpoint_every, backend=backend
+def _storage_world(tmp_path, signature_scheme, checkpoint_every=0):
+    def build() -> ShardRouter:
+        relation = workload.generate_employees(8, seed=29, photo_bytes=8)
+        return ShardRouter(
+            {"hr": Publisher({"employees": SignedRelation(relation, signature_scheme)})}
+        )
+
+    root = str(tmp_path / f"root-{checkpoint_every}")
+    router, storage = open_publication_storage(
+        root, build, checkpoint_every=checkpoint_every
     )
     handler = RequestHandler(router, response_cache=False, storage=storage)
     return root, router, storage, handler
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("checkpoint_every", [0, 1])
 def test_recovery_resumes_the_freshness_chain_byte_identically(
-    tmp_path, signature_scheme, backend, checkpoint_every, capsys
+    tmp_path, signature_scheme, checkpoint_every, capsys
 ):
     root, router, storage, handler = _storage_world(
-        tmp_path, signature_scheme, backend, checkpoint_every
+        tmp_path, signature_scheme, checkpoint_every
     )
     manifest = router.manifest_by_name("employees")
     attestation = build_attestation(
@@ -621,8 +621,8 @@ def test_recovery_resumes_the_freshness_chain_byte_identically(
     recovered = encode(recovered_router.attestation_for("employees"))
     recovered_storage.close()
     assert recovered == live, (
-        f"{backend}/checkpoint_every={checkpoint_every}: recovery changed "
-        "the freshness chain"
+        f"checkpoint_every={checkpoint_every}: recovery changed the "
+        "freshness chain"
     )
 
     # ``walctl verify`` re-checks every persisted attestation signature.
@@ -633,9 +633,7 @@ def test_recovery_resumes_the_freshness_chain_byte_identically(
 def test_walctl_flags_a_forged_persisted_attestation(
     tmp_path, signature_scheme, forged_scheme, capsys
 ):
-    root, router, storage, handler = _storage_world(
-        tmp_path, signature_scheme, "memory"
-    )
+    root, router, storage, handler = _storage_world(tmp_path, signature_scheme)
     manifest = router.manifest_by_name("employees")
     genuine = build_attestation(
         signature_scheme, manifest, 1, int(T0 * 1000), 60_000
@@ -661,7 +659,7 @@ def test_walctl_flags_a_forged_persisted_attestation(
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _spawn_demo(storage_dir: str, backend: str):
+def _spawn_demo(storage_dir: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -676,8 +674,6 @@ def _spawn_demo(storage_dir: str, backend: str):
         "--storage-dir",
         storage_dir,
     ]
-    if backend != "memory":
-        command += ["--storage-backend", backend]
     process = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
@@ -700,13 +696,12 @@ def _spawn_demo(storage_dir: str, backend: str):
     not (sys.platform.startswith("linux") or sys.platform == "darwin"),
     reason="drives POSIX signals",
 )
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_sigkill_preserves_the_freshness_chain(tmp_path, backend):
+def test_sigkill_preserves_the_freshness_chain(tmp_path):
     """Attest, update, SIGKILL the real server — the restarted process must
     serve the identical attestation bytes and keep satisfying a
     freshness-enforcing client."""
     root = str(tmp_path / "pub")
-    process, port, origin = _spawn_demo(root, backend)
+    process, port, origin = _spawn_demo(root)
     assert origin == "bootstrapped"
     try:
         scheme = load_keys(os.path.join(root, "shards", "hr", "keys.json"))[
@@ -730,14 +725,12 @@ def test_sigkill_preserves_the_freshness_chain(tmp_path, backend):
         process.wait(timeout=30)
     assert process.returncode == -signal.SIGKILL
 
-    revived, port, origin = _spawn_demo(root, backend)
+    revived, port, origin = _spawn_demo(root)
     try:
         assert origin == "recovered"
         with OwnerClient("127.0.0.1", port, scheme) as owner_client:
             after = encode(owner_client.fetch_attestation("employees"))
-        assert after == before, (
-            f"{backend}: SIGKILL recovery changed the freshness chain"
-        )
+        assert after == before, "SIGKILL recovery changed the freshness chain"
         policy = FreshnessPolicy(max_staleness=3600.0)
         with VerifyingClient("127.0.0.1", port, freshness=policy) as client:
             result = client.execute(QuerySpec(ALL_SALARIES))

@@ -1,21 +1,23 @@
-"""Backend equivalence: memory-checkpoint and sqlite relation-store roots.
+"""The durable root against the storage-less in-RAM router.
 
 The disk-backed relation store must be *invisible* on the wire: the same
-pre-signed update stream pushed into a memory-backed root and a sqlite-backed
-root has to produce byte-identical acknowledgements, listings, rotation
-frames and query-answer frames — for every registered proof scheme, before
-and after a close/recover cycle.  FDH-RSA determinism makes the comparison
-exact instead of merely structural.
+pre-signed update stream pushed into a durable root and into a plain
+in-RAM router (no storage at all — the reference implementation) has to
+produce byte-identical acknowledgements, listings, rotation frames and
+query-answer frames — for every registered proof scheme, before and after a
+close/recover cycle.  FDH-RSA determinism makes the comparison exact instead
+of merely structural.
 
-The second contract is the reason the sqlite backend exists at all: recovery
-of a stored chain must *not* materialise the relation's rows in RAM.  The
-bounded-memory tests attach tracemalloc around recovery and compare the
-sqlite peak against the memory-backend peak on the same data; the
-``REPRO_SCALE``-gated variant runs the same assertion at the 10^5-row tier.
+The second contract is the reason rows live in a store at all: recovery of a
+stored chain must *not* materialise the relation's rows in RAM.  The
+bounded-memory tests attach tracemalloc around recovery and compare its peak
+against what the same relation costs as an in-RAM chain; the
+``REPRO_SCALE``-gated variant runs an absolute bound at the 10^5-row tier.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tracemalloc
 
@@ -37,6 +39,7 @@ from repro.service.protocol import (
 from repro.service.router import ShardRouter
 from repro.storage import (
     PublicationStorage,
+    StorageError,
     open_publication_storage,
     recover_router,
 )
@@ -101,45 +104,41 @@ def _serving_frames(router: ShardRouter, storage=None) -> dict:
 def test_backends_serve_byte_identical_frames(
     tmp_path, signature_scheme, scheme_tag
 ):
-    """One signed stream, two backends, identical bytes everywhere."""
-    signed_stream = []
-    results = {}
-    for backend in ("memory", "sqlite"):
-        router = _build_router(scheme_tag, signature_scheme)
-        root = str(tmp_path / backend)
-        storage = PublicationStorage.create(
-            root, router, checkpoint_every=2, backend=backend
+    """One signed stream, a durable root and a RAM router, identical bytes."""
+    reference = _build_router(scheme_tag, signature_scheme)
+    reference_handler = RequestHandler(reference, response_cache=False)
+    root = str(tmp_path / "pub")
+    router, storage = open_publication_storage(
+        root,
+        lambda: _build_router(scheme_tag, signature_scheme),
+        checkpoint_every=2,
+    )
+    handler = RequestHandler(router, response_cache=False, storage=storage)
+    for index in range(UPDATES):
+        # Signed once against the reference's live manifest; the durable
+        # root's manifests evolve identically, so the same bytes apply.
+        frame = _insert_frame(signature_scheme, reference, index)
+        expected = reference_handler.handle_frame(frame)
+        handled = handler.handle_frame(frame)
+        assert not handled.is_error, decode(handled.payload)
+        assert handled.payload == expected.payload, (
+            "the durable root acknowledged a signed batch differently"
         )
-        handler = RequestHandler(router, response_cache=False, storage=storage)
-        acks = []
-        for index in range(UPDATES):
-            if backend == "memory":
-                # Sign against the live manifest; the sqlite run replays the
-                # identical bytes (its manifests evolve identically).
-                signed_stream.append(
-                    _insert_frame(signature_scheme, router, index)
-                )
-            handled = handler.handle_frame(signed_stream[index])
-            assert not handled.is_error, decode(handled.payload)
-            acks.append(handled.payload)
-        live = _serving_frames(router, storage=storage)
-        storage.close()
-        recovered_router, recovered_storage = open_publication_storage(
-            root, lambda: pytest.fail("must recover, not rebuild")
-        )
-        recovered = _serving_frames(recovered_router, storage=recovered_storage)
+    expected = _serving_frames(reference)
+    assert _serving_frames(router, storage=storage) == expected, (
+        "the durable root serves different bytes for the same state"
+    )
+    storage.close()
+    recovered_router, recovered_storage = open_publication_storage(
+        root, lambda: pytest.fail("must recover, not rebuild")
+    )
+    try:
+        assert (
+            _serving_frames(recovered_router, storage=recovered_storage)
+            == expected
+        ), "recovery changed the serving bytes"
+    finally:
         recovered_storage.close()
-        assert live == recovered, (
-            f"{backend}: recovery changed the serving bytes"
-        )
-        results[backend] = {"acks": acks, "frames": live}
-
-    assert results["memory"]["acks"] == results["sqlite"]["acks"], (
-        "the two backends acknowledged the same signed stream differently"
-    )
-    assert results["memory"]["frames"] == results["sqlite"]["frames"], (
-        "the two backends serve different bytes for the same state"
-    )
 
 
 def test_sqlite_resubmission_survives_checkpoint_compaction(
@@ -147,15 +146,14 @@ def test_sqlite_resubmission_survives_checkpoint_compaction(
 ):
     """The durable applied-update registry outlives WAL compaction.
 
-    With ``checkpoint_every=2`` the WAL is compacted mid-stream, so the
-    memory backend forgets pre-checkpoint acknowledgements across recovery.
-    The sqlite backend's registry lives in the relation store and must hand
-    every resubmitted frame its original, byte-identical acknowledgement.
+    With ``checkpoint_every=2`` the WAL is compacted mid-stream, so the log
+    alone no longer holds the pre-checkpoint frames.  The registry lives in
+    the relation store and must hand every resubmitted frame its original,
+    byte-identical acknowledgement.
     """
-    router = _build_router("chain", signature_scheme)
     root = str(tmp_path / "pub")
-    storage = PublicationStorage.create(
-        root, router, checkpoint_every=2, backend="sqlite"
+    router, storage = open_publication_storage(
+        root, lambda: _build_router("chain", signature_scheme), checkpoint_every=2
     )
     handler = RequestHandler(router, response_cache=False, storage=storage)
     outcomes = []
@@ -182,53 +180,84 @@ def test_sqlite_resubmission_survives_checkpoint_compaction(
         recovered_storage.close()
 
 
+@pytest.mark.parametrize("marker", [None, 'memory', "postgres"])
+def test_a_root_not_marked_sqlite_is_refused(tmp_path, signature_scheme, marker):
+    """``storage.json`` must say the rows live in the sqlite relation store.
+
+    A root left by a build that kept rows in its checkpoints (marked
+    'memory', or not marked at all) holds nothing this build can attach to:
+    it is refused with a typed error, never reinterpreted.
+    """
+    root = str(tmp_path / "pub")
+    PublicationStorage.create(root, _build_router("chain", signature_scheme))
+    manifest_path = os.path.join(root, "storage.json")
+    with open(manifest_path) as handle:
+        document = json.load(handle)
+    assert document.pop("backend") == "sqlite"
+    if marker is not None:
+        document["backend"] = marker
+    with open(manifest_path, "w") as handle:
+        json.dump(document, handle)
+    with pytest.raises(StorageError, match="marked backend"):
+        PublicationStorage.open(root)
+    with pytest.raises(StorageError, match="marked backend"):
+        open_publication_storage(root, lambda: pytest.fail("must not rebuild"))
+
+
 # -- bounded-memory recovery ---------------------------------------------------
 
 
-def _bootstrap_rows(tmp_path, signature_scheme, rows: int, backend: str) -> str:
+def _wide_employees(rows: int):
     # Widen the salary domain with the tier: the default domain has fewer
     # than 10^5 distinct keys.
-    relation = workload.generate_employees(
+    return workload.generate_employees(
         rows, seed=47, photo_bytes=64, salary_domain=KeyDomain(0, 4 * rows + 1)
     )
+
+
+def _bootstrap_rows(tmp_path, signature_scheme, rows: int) -> str:
     router = ShardRouter(
-        {"hr": Publisher({"employees": SignedRelation(relation, signature_scheme)})}
+        {
+            "hr": Publisher(
+                {"employees": SignedRelation(_wide_employees(rows), signature_scheme)}
+            )
+        }
     )
-    root = str(tmp_path / backend)
-    PublicationStorage.create(root, router, backend=backend).close()
+    root = str(tmp_path / "pub")
+    PublicationStorage.create(root, router)
     return root
 
 
-def _recovery_peak(root: str) -> tuple:
+def test_stored_recovery_does_not_materialize_rows(tmp_path, signature_scheme):
+    """Recovery attaches to the stored chain instead of loading rows.
+
+    An in-RAM chain holds every row, digest and signature; the stored chain
+    loads keys and fingerprints only and faults rows in lazily — its recovery
+    peak must be well under what the same relation costs in RAM.
+    """
+    rows = 1_500
+    root = _bootstrap_rows(tmp_path, signature_scheme, rows)
+
+    tracemalloc.start()
+    in_ram = SignedRelation(_wide_employees(rows), signature_scheme)
+    _, ram_peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(in_ram.relation) == rows
+
     tracemalloc.start()
     storage = PublicationStorage.open(root)
     router = recover_router(storage)
-    _, peak = tracemalloc.get_traced_memory()
+    _, stored_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # The recovered router must actually serve before the peak counts.
-    target = router.route(router.current_id("employees"))
-    result = target.publisher.answer(FULL_RANGE)
-    storage.close()
-    return peak, len(result.rows)
-
-
-def test_stored_recovery_does_not_materialize_rows(tmp_path, signature_scheme):
-    """sqlite recovery attaches to the stored chain instead of loading rows.
-
-    The memory backend rebuilds the relation (every row, digest and
-    signature in RAM); the stored chain loads keys and fingerprints only and
-    faults rows in lazily — its recovery peak must be well under the
-    memory-backend peak on identical data.
-    """
-    rows = 1_500
-    memory_root = _bootstrap_rows(tmp_path, signature_scheme, rows, "memory")
-    sqlite_root = _bootstrap_rows(tmp_path, signature_scheme, rows, "sqlite")
-    memory_peak, memory_rows = _recovery_peak(memory_root)
-    sqlite_peak, sqlite_rows = _recovery_peak(sqlite_root)
-    assert memory_rows == rows and sqlite_rows == rows
-    assert sqlite_peak < memory_peak * 0.6, (
-        f"stored recovery peaked at {sqlite_peak} bytes vs {memory_peak} for "
-        "the memory backend — the store is materialising rows"
+    try:
+        # The recovered router must actually serve before the peak counts.
+        target = router.route(router.current_id("employees"))
+        assert len(target.publisher.answer(FULL_RANGE).rows) == rows
+    finally:
+        storage.close()
+    assert stored_peak < ram_peak * 0.6, (
+        f"stored recovery peaked at {stored_peak} bytes vs {ram_peak} for the "
+        "in-RAM chain — the store is materialising rows"
     )
 
 
@@ -238,9 +267,9 @@ def test_stored_recovery_does_not_materialize_rows(tmp_path, signature_scheme):
     reason="set REPRO_SCALE=1 to run the 10^5-row recovery tier",
 )
 def test_hundred_thousand_row_recovery_is_bounded(tmp_path, signature_scheme):
-    """ISSUE acceptance: 10^5-row sqlite recovery has O(batch) peak memory."""
+    """ISSUE acceptance: 10^5-row recovery has O(batch) peak memory."""
     rows = int(os.environ.get("REPRO_SCALE_ROWS", "100000"))
-    sqlite_root = _bootstrap_rows(tmp_path, signature_scheme, rows, "sqlite")
+    sqlite_root = _bootstrap_rows(tmp_path, signature_scheme, rows)
 
     tracemalloc.start()
     storage = PublicationStorage.open(sqlite_root)

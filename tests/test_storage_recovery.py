@@ -1,13 +1,14 @@
-"""In-process crash recovery: checkpoint + WAL replay == the pre-crash server.
+"""In-process crash recovery: store + WAL replay == the pre-crash server.
 
 The contract under test is byte-identity: a router recovered from disk must
 be indistinguishable from the one that served before the "crash" — same
 32-byte manifest ids, same rotation history, same proof bytes on the same
-queries, same applied-update registry.  FDH-RSA determinism is what makes
-this possible (rows + key + sequence reproduce every signature), and the
-owner-signed WAL is what makes it safe: tampered or truncated logs are
-refused with typed :class:`~repro.storage.errors.RecoveryError` reasons
-instead of being partially served.
+queries, same applied-update registry.  The relation store keeps the owner's
+signatures next to the rows and FDH-RSA determinism makes replayed updates
+reproduce theirs, which is what makes this possible; the owner-signed WAL is
+what makes it safe: tampered or gapped logs are refused with typed
+:class:`~repro.storage.errors.RecoveryError` reasons instead of being
+partially served.
 
 Also covers the ``walctl`` offline tool against the same roots.
 """
@@ -52,8 +53,7 @@ def _build_router(signature_scheme) -> ShardRouter:
     return ShardRouter({"hr": Publisher({"employees": signed})})
 
 
-def _insert_frame(signature_scheme, router, index: int) -> bytes:
-    manifest = router.manifest_by_name("employees")
+def _insert_frame(signature_scheme, manifest, index: int) -> bytes:
     delta = RecordDelta(
         kind="insert",
         values={
@@ -72,18 +72,26 @@ def _serve_updates(signature_scheme, router, storage, count=3):
     handler = RequestHandler(router, response_cache=False, storage=storage)
     responses = []
     for index in range(count):
-        frame = _insert_frame(signature_scheme, router, index)
+        frame = _insert_frame(
+            signature_scheme, router.manifest_by_name("employees"), index
+        )
         handled = handler.handle_frame(frame)
         assert not handled.is_error, decode(handled.payload)
         responses.append((frame, handled.payload))
     return handler, responses
 
 
+def _open_world(tmp_path, signature_scheme, **options):
+    """A freshly bootstrapped root, served the one way there is: through recovery."""
+    return open_publication_storage(
+        str(tmp_path / "pub"), lambda: _build_router(signature_scheme), **options
+    )
+
+
 @pytest.fixture()
 def durable_world(tmp_path, signature_scheme):
     """A bootstrapped root with three applied updates, storage still open."""
-    router = _build_router(signature_scheme)
-    storage = PublicationStorage.create(str(tmp_path / "pub"), router)
+    router, storage = _open_world(tmp_path, signature_scheme)
     handler, responses = _serve_updates(signature_scheme, router, storage)
     return router, storage, handler, responses
 
@@ -126,9 +134,8 @@ def test_recovery_without_any_updates_keeps_the_genesis_rotation(
     tmp_path, signature_scheme
 ):
     router = _build_router(signature_scheme)
-    storage = PublicationStorage.create(str(tmp_path / "pub"), router)
+    PublicationStorage.create(str(tmp_path / "pub"), router)
     genesis = router.rotation("employees")
-    storage.close()
     recovered = recover_router(PublicationStorage.open(str(tmp_path / "pub")))
     assert recovered.rotation("employees") == genesis
     assert recovered.current_id("employees") == router.current_id("employees")
@@ -157,7 +164,9 @@ def test_recovered_handler_resumes_the_update_sequence(
         recovered_handler = RequestHandler(
             recovered_router, response_cache=False, storage=recovered_storage
         )
-        frame = _insert_frame(signature_scheme, recovered_router, 99)
+        frame = _insert_frame(
+            signature_scheme, recovered_router.manifest_by_name("employees"), 99
+        )
         handled = recovered_handler.handle_frame(frame)
         assert not handled.is_error, decode(handled.payload)
         response = decode(handled.payload, expect=UpdateResponse)
@@ -199,16 +208,37 @@ def test_forged_wal_record_is_refused(durable_world, tmp_path):
     assert excinfo.value.reason == "forged-record"
 
 
-def test_wal_gap_is_refused(durable_world, tmp_path):
-    _, storage, _, _ = durable_world
+def test_wal_gap_is_refused(durable_world, tmp_path, signature_scheme):
+    """An owner-signed frame *ahead* of the store, its predecessor missing."""
+    router, storage, _, _ = durable_world
+    manifest = router.manifest_by_name("employees")
     storage.close()
     root = str(tmp_path / "pub")
-    frames = _read_wal(root)
-    # Drop the first update and its rotation: replay jumps to sequence 1.
-    _rewrite_wal(root, frames[2:])
+    # The store committed sequences 0..2 and stands at 3.  A genuine frame
+    # for sequence 4 (the owner pipelines against predicted manifests) whose
+    # sequence-3 predecessor never reached the log cannot be applied.
+    ahead = replace(manifest, sequence=manifest.sequence + 1)
+    _rewrite_wal(root, _read_wal(root) + [_insert_frame(signature_scheme, ahead, 4)])
     with pytest.raises(RecoveryError) as excinfo:
         recover_router(PublicationStorage.open(root))
     assert excinfo.value.reason == "sequence-gap"
+
+
+def test_dropped_committed_frames_are_verified_and_skipped(durable_world, tmp_path):
+    """Losing log records the store already holds is not a gap.
+
+    The first update and its rotation vanish from the log; the store
+    committed them before the "crash", so replay verifies the frames that
+    remain against the relation's history, skips them, and serves the same
+    bytes.
+    """
+    router, storage, _, _ = durable_world
+    before = _state_fingerprint(router)
+    storage.close()
+    root = str(tmp_path / "pub")
+    _rewrite_wal(root, _read_wal(root)[2:])
+    recovered = recover_router(PublicationStorage.open(root))
+    assert _state_fingerprint(recovered) == before
 
 
 def test_foreign_wal_record_is_refused(durable_world, tmp_path):
@@ -226,8 +256,8 @@ def test_foreign_wal_record_is_refused(durable_world, tmp_path):
 def test_swapped_signing_key_is_refused(durable_world, tmp_path, forged_scheme):
     """A key file that does not match the checkpointed manifest is refused.
 
-    Recovery re-signs the relation with the persisted key, so the first
-    defence is that the key must be the one the owner-signed manifest names.
+    The persisted key signs every later update's chain window and rotation,
+    so it must be the one the owner-signed manifest names.
     """
     _, storage, _, _ = durable_world
     storage.close()
@@ -264,10 +294,7 @@ def test_tampered_checkpoint_header_is_refused(durable_world, tmp_path):
 
 
 def test_automatic_checkpoint_compacts_and_recovers(tmp_path, signature_scheme):
-    router = _build_router(signature_scheme)
-    storage = PublicationStorage.create(
-        str(tmp_path / "pub"), router, checkpoint_every=2
-    )
+    router, storage = _open_world(tmp_path, signature_scheme, checkpoint_every=2)
     _serve_updates(signature_scheme, router, storage, count=5)
     assert storage.checkpoints_written == 2
     # 5 updates, checkpoint after the 2nd and 4th: one update+rotation pair
@@ -283,9 +310,8 @@ def test_crash_between_checkpoint_and_compaction_recovers(
     tmp_path, signature_scheme
 ):
     """checkpoint written, log not yet compacted: replay skips the prefix."""
-    router = _build_router(signature_scheme)
     root = str(tmp_path / "pub")
-    storage = PublicationStorage.create(root, router)
+    router, storage = _open_world(tmp_path, signature_scheme)
     _serve_updates(signature_scheme, router, storage, count=3)
     wal_path = os.path.join(root, "shards", "hr", "employees.wal")
     with open(wal_path, "rb") as handle:
@@ -311,8 +337,7 @@ def test_non_chain_scheme_roundtrip(tmp_path, signature_scheme, scheme_tag):
     publication = get_scheme(scheme_tag).publish(relation, signature_scheme)
     publisher = get_scheme(scheme_tag).make_publisher({"employees": publication})
     router = ShardRouter({"hr": publisher})
-    storage = PublicationStorage.create(str(tmp_path / "pub"), router)
-    storage.close()
+    PublicationStorage.create(str(tmp_path / "pub"), router)
     recovered = recover_router(PublicationStorage.open(str(tmp_path / "pub")))
     assert recovered.current_id("employees") == router.current_id("employees")
     assert recovered.rotation("employees") == router.rotation("employees")
@@ -328,6 +353,11 @@ def test_walctl_inspect_and_verify_clean_root(durable_world, tmp_path, capsys):
     assert walctl(["inspect", root]) == 0
     report = capsys.readouterr().out
     assert '"records": 6' in report  # 3 updates + 3 rotations
+    # The genesis checkpoint stands at sequence 0; the store committed the
+    # three single-row inserts on top of the 14 published rows.
+    entry = json.loads(report)["shards"]["hr"]["employees"]
+    assert entry["checkpoint"]["sequence"] == 0
+    assert entry["store"] == {"rows": 17, "sequence": 3}
     assert walctl(["verify", root]) == 0
     assert "OK 1 relation(s) verified" in capsys.readouterr().out
 

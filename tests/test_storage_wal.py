@@ -255,13 +255,11 @@ def test_checkpoint_roundtrip(tmp_path, small_world, signature_scheme):
 
     router, signed = small_world
     rotation = router.rotation("employees")
-    rows = [dict(record.values) for record in signed.relation]
     path = str(tmp_path / "employees.ckpt")
-    write_checkpoint(path, "employees", rotation, rows)
+    write_checkpoint(path, "employees", rotation)
     checkpoint = load_checkpoint(path)
     assert checkpoint.relation_name == "employees"
     assert checkpoint.sequence == signed.version
-    assert list(checkpoint.rows) == rows
     assert checkpoint.rotation == rotation
 
 
@@ -274,7 +272,7 @@ def test_checkpoint_with_forged_rotation_is_refused(tmp_path, small_world):
     rotation = router.rotation("employees")
     forged = replace(rotation, owner_signature=rotation.owner_signature + 1)
     path = str(tmp_path / "forged.ckpt")
-    write_checkpoint(path, "employees", forged, [])
+    write_checkpoint(path, "employees", forged)
     with pytest.raises(CheckpointCorruptError) as excinfo:
         load_checkpoint(path)
     assert "not signed by the owner key" in str(excinfo.value)
@@ -284,18 +282,37 @@ def test_truncated_checkpoint_is_refused(tmp_path, small_world, signature_scheme
     from repro.storage.checkpoint import write_checkpoint
 
     router, signed = small_world
-    rotation = router.rotation("employees")
-    rows = [dict(record.values) for record in signed.relation]
     path = str(tmp_path / "short.ckpt")
-    write_checkpoint(path, "employees", rotation, rows)
-    # Drop the last row record: the advertised row count no longer matches.
+    write_checkpoint(path, "employees", router.rotation("employees"))
+    # Drop the rotation record: only the header is left.
     records = list(iter_wal_records(path))
     with open(path, "wb") as handle:
         for record in records[:-1]:
             handle.write(encode_record(record))
     with pytest.raises(CheckpointCorruptError) as excinfo:
         load_checkpoint(path)
-    assert "advertises" in str(excinfo.value)
+    assert "holds 1 record(s)" in str(excinfo.value)
+
+
+def test_checkpoint_carrying_row_records_is_refused(tmp_path, small_world):
+    """Only the rotation is owner-signed, so nothing else may ride in the file.
+
+    A CRC-valid row record appended after the rotation — how rows used to be
+    smuggled back in to be re-signed on restart — makes the file corrupt.
+    """
+    from repro.storage.checkpoint import write_checkpoint
+    from repro.wire import encode
+    from repro.wire.updates import RecordDelta
+
+    router, signed = small_world
+    path = str(tmp_path / "rows.ckpt")
+    write_checkpoint(path, "employees", router.rotation("employees"))
+    row = dict(next(iter(signed.relation)).values)
+    with open(path, "ab") as handle:
+        handle.write(encode_record(encode(RecordDelta(kind="insert", values=row))))
+    with pytest.raises(CheckpointCorruptError) as excinfo:
+        load_checkpoint(path)
+    assert "holds 3 record(s)" in str(excinfo.value)
 
 
 def test_keys_roundtrip_preserves_signatures(tmp_path, signature_scheme):
