@@ -2,7 +2,13 @@
 
 Writes ``BENCH_hot_paths.json`` at the repository root (override with
 ``--output``): ops/sec for owner signing, publisher range/join answering and
-verifier checking, cached vs. a faithful replica of the uncached seed path.
+verifier checking, cached vs. a faithful replica of the uncached seed path —
+and a ``cold_range`` section where no cache can help: first-touch 40-key range
+answers over a stored relation re-attached the way recovery does it, reported
+as ms per read and as ``hash_floor_ratio``, the read's time over what its own
+hashes cost on this runner.  That ratio is the per-hash Python overhead of the
+proof path, so its ceiling (``cold_range_hash_floor_ratio_max``) holds on any
+machine.
 
 Usage::
 
@@ -19,7 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import statistics
 import sys
+import tempfile
+import time
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
@@ -30,11 +40,91 @@ from repro.bench.hot_paths import (  # noqa: E402
     HotPathConfig,
     run_hot_path_benchmarks,
 )
+from repro.bench.scale import RELATION, _attach, _row_stream, metrics_schema  # noqa: E402
+from repro.core.publisher import Publisher  # noqa: E402
+from repro.crypto.hashing import HASH_COUNTER, resolve_hash_constructor  # noqa: E402
+from repro.crypto.signature import rsa_scheme  # noqa: E402
+from repro.db.query import Conjunction, Query, RangeCondition  # noqa: E402
+from repro.storage.relstore import RelationStore, build_stored_chain  # noqa: E402
 
 _DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_hot_paths.json",
 )
+
+
+#: A first-touch range read: 40 consecutive keys out of a 42-key block, so the
+#: two boundary records are the block's own and no read touches another's keys
+#: (the shape of ``cold_read`` in ``benchmarks/e2e``).
+COLD_RANGE_KEYS = 40
+COLD_RANGE_BLOCK = COLD_RANGE_KEYS + 2
+#: The key domain is that benchmark's 16,384-key one whatever the table size,
+#: so a smoke run walks the same 15 digit chains per commitment as a full one.
+COLD_RANGE_DOMAIN_ROWS = 16_384
+COLD_RANGE_HASH_FLOOR_RATIO_MAX = 5.0
+
+
+def _hashlib_call_seconds(calls: int = 2_000) -> float:
+    """What one ``hashlib`` call costs right now: construct, hash a digest, read it out."""
+    new = resolve_hash_constructor("sha256")
+    digest = new(b"hash-floor").digest()
+    start = time.perf_counter()
+    for _ in range(calls):
+        digest = new(digest).digest()
+    return (time.perf_counter() - start) / calls
+
+
+def bench_cold_range(reads: int, key_bits: int = 512) -> dict:
+    """First-touch range answers over a re-attached stored relation.
+
+    Every row, digest and signature is faulted from sqlite and every proof
+    fragment built from nothing, so the time is proof construction.  Each
+    read is set against the cost of the hashes it performed, calibrated with
+    a burst of ``hashlib`` calls right after it — a shared box changes speed
+    by the tenth of a second, and both sides of the ratio must see the same
+    one.  Medians over the reads are reported.
+    """
+    scheme = rsa_scheme(bits=key_bits)
+    schema = metrics_schema(COLD_RANGE_DOMAIN_ROWS)
+    rows = reads * COLD_RANGE_BLOCK
+    seconds, hashes, call_seconds = [], [], []
+    tmp = tempfile.mkdtemp(prefix="bench-cold-range-")
+    path = os.path.join(tmp, "relstore.db")
+    try:
+        store = RelationStore(path, fsync="off")
+        try:
+            build_stored_chain(store, RELATION, schema, _row_stream(rows), scheme)
+        finally:
+            store.close()
+        store = RelationStore(path, fsync="off")
+        try:
+            publisher = Publisher({RELATION: _attach(store, schema, scheme)})
+            for low in range(2, rows, COLD_RANGE_BLOCK):
+                bounds = RangeCondition(schema.key, low, low + COLD_RANGE_KEYS - 1)
+                query = Query(RELATION, Conjunction((bounds,)))
+                hashes_before = HASH_COUNTER.count
+                start = time.perf_counter()
+                result = publisher.answer(query)
+                seconds.append(time.perf_counter() - start)
+                hashes.append(HASH_COUNTER.count - hashes_before)
+                call_seconds.append(_hashlib_call_seconds())
+                assert len(result.rows) == COLD_RANGE_KEYS
+        finally:
+            store.close()
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    ratios = [
+        elapsed / (count * per_call)
+        for elapsed, count, per_call in zip(seconds, hashes, call_seconds)
+    ]
+    return {
+        "reads": reads,
+        "table_rows": rows,
+        "ms_per_read": round(statistics.median(seconds) * 1e3, 3),
+        "hashes_per_read": round(statistics.mean(hashes), 1),
+        "hashlib_call_us": round(statistics.median(call_seconds) * 1e6, 4),
+        "hash_floor_ratio": round(statistics.median(ratios), 2),
+    }
 
 
 def main(argv=None) -> int:
@@ -49,6 +139,13 @@ def main(argv=None) -> int:
 
     config = SMOKE_CONFIG if args.smoke else HotPathConfig()
     report = run_hot_path_benchmarks(config)
+    cold = report["cold_range"] = bench_cold_range(
+        reads=12 if args.smoke else 48, key_bits=config.key_bits
+    )
+    report["targets"]["cold_range_hash_floor_ratio_max"] = COLD_RANGE_HASH_FLOOR_RATIO_MAX
+    report["targets_met"]["cold_range"] = (
+        cold["hash_floor_ratio"] <= COLD_RANGE_HASH_FLOOR_RATIO_MAX
+    )
 
     # The wire/scale benches merge their workloads and floors into the same
     # file; re-running the hot paths must refresh its own numbers without
@@ -77,6 +174,11 @@ def main(argv=None) -> int:
             f"  cached {entry['cached_ops_per_sec']:>10.1f}/s"
             f"  speedup {entry['speedup']:>6.2f}x"
         )
+    print(
+        f"  cold_range                   {cold['ms_per_read']:.2f} ms/read, "
+        f"{cold['hashes_per_read']:.0f} hashes/read, "
+        f"hash-floor ratio {cold['hash_floor_ratio']:.2f}"
+    )
     print(f"  proofs identical: {report['proofs_identical']}")
     print(f"  targets met: {report['targets_met']}")
     return 0 if report["proofs_identical"] else 1

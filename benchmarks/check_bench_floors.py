@@ -3,7 +3,8 @@
 Compares a freshly measured benchmark report (usually a ``--smoke`` run
 produced in CI) against the speedup floors stored in the committed
 ``BENCH_hot_paths.json`` (its ``targets`` section).  Exits non-zero when any
-measured speedup is below its floor, when the cached/uncached proof
+measured speedup is below its floor, when a cold range read costs more than
+the stored multiple of its own hashes, when the cached/uncached proof
 equivalence broke, or — if the fresh report carries the wire/service
 workloads — when worker-pool answers stopped being byte-identical to
 in-process answers.
@@ -74,6 +75,30 @@ def _check_hot_paths(floors: dict, fresh: dict, failures: list) -> None:
         if speedup < floor:
             failures.append(
                 f"{workload} speedup {speedup:.2f}x fell below the {floor:.2f}x floor"
+            )
+    # Machine-independent: a first-touch range read's time over the cost of
+    # the hashes it performed, both measured on the runner that produced the
+    # report.  A ceiling, not a floor: it rises when per-hash Python overhead
+    # returns to the proof path.
+    ceiling = floors.get("cold_range_hash_floor_ratio_max")
+    cold = fresh.get("cold_range")
+    if ceiling is None:
+        failures.append(
+            "committed report is missing ceiling 'cold_range_hash_floor_ratio_max'"
+        )
+    elif cold is None:
+        failures.append("fresh report is missing section 'cold_range'")
+    else:
+        ratio = cold.get("hash_floor_ratio", float("inf"))
+        status = "ok" if ratio <= ceiling else "REGRESSION"
+        print(
+            f"cold_range                   hash-floor ratio {ratio:5.2f}  "
+            f"ceiling {ceiling:5.2f}  {status}"
+        )
+        if ratio > ceiling:
+            failures.append(
+                f"a cold range read costs {ratio:.2f}x its own hashes "
+                f"(the ceiling is {ceiling:.2f}x)"
             )
 
 

@@ -13,9 +13,8 @@ compares each against a faithful replica of the seed (uncached) code path:
   isolating the CRT-precompute + FDH-cache win without the signature memo.
 * **publisher repeated range queries** — a fixed set of hot ranges queried
   over and over.  The fast path serves boundary proofs, entry assists and
-  signature bundles from the keyed VO-fragment cache and representation
-  Merkle trees from the digest-scheme memos; the seed path rebuilt everything
-  per query.
+  signature bundles from the keyed VO-fragment cache; the seed path rebuilt
+  everything per query.
 * **publisher PK-FK joins** and **verifier checking** — same repetition
   pattern on the join path (batched point proofs + fragment cache) and the
   user-side verifier (persistent chain schemes vs. rebuilt-per-check).
@@ -24,12 +23,9 @@ Cached and uncached configurations produce byte-identical proofs — the
 harness asserts this for every workload before timing anything, and the
 property tests in ``tests/test_cache_consistency.py`` check it independently.
 
-Baseline fidelity: the module-level LRU memos (polynomial representations, FDH
-representatives) are global and not governed by the ``memoize``/``vo_cache``
-flags, so they are cleared immediately before every uncached timing.  The
-first uncached round re-warms the cheap pure-integer polynomial memos — the
-seed had none at all — so the reported uncached throughput is, if anything, a
-slight *over*-estimate and the speedups a conservative lower bound.
+Baseline fidelity: the module-level FDH representative memo is global and not
+governed by the ``memoize``/``vo_cache`` flags, so it is cleared immediately
+before every uncached timing.
 
 Run ``python benchmarks/bench_hot_paths.py`` to write ``BENCH_hot_paths.json``
 at the repository root; the tier-1 suite runs the same code in smoke mode
@@ -45,7 +41,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core import polynomial
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.core.verifier import ResultVerifier
@@ -65,13 +60,8 @@ _fdh_uncached = rsa._fdh
 
 
 def _clear_global_memos() -> None:
-    """Reset the module-level LRU memos so uncached timings start cold."""
+    """Reset the module-level memos so uncached timings start cold."""
     rsa._full_domain_hash_cached.cache_clear()
-    polynomial.num_digits_for.cache_clear()
-    polynomial.to_canonical_digits.cache_clear()
-    polynomial.canonical_representation.cache_clear()
-    polynomial.preferred_representation.cache_clear()
-    polynomial._all_preferred_representations_cached.cache_clear()
 
 
 @dataclass(frozen=True)

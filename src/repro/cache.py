@@ -1,7 +1,7 @@
 """Shared bounded-cache primitives used by the memoization fast path.
 
-Every memo in the library (signature memo, hash-chain memo, digest-scheme
-memos, the publisher's VO-fragment cache, the server's encoded-response
+Every memo in the library (signature memo, the digest scheme's verifier
+memo, the publisher's VO-fragment cache, the server's encoded-response
 cache) bounds its size the same way: insertion-order FIFO eviction once a
 cap is reached.  Centralising the eviction here keeps the policy identical
 everywhere and gives one place to change it (e.g. to LRU) later.

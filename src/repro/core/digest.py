@@ -22,20 +22,39 @@ Two interchangeable implementations are provided:
   decomposed in base ``B``, one short chain per digit, the ``m`` preferred
   non-canonical representations are committed under a Merkle tree, and hashing
   drops to O(B · log_B(domain width)).
+
+The optimized scheme does that work in one pass per ``(value, total)``.  A
+preferred representation only ever raises a digit by ``B`` (position 0) or
+``B - 1``, or lowers it by one, so each of the ``m`` digit chains is walked
+once to the furthest exponent any representation reaches — straight on the
+:mod:`hashlib` constructor, the exact call count added to ``HASH_COUNTER`` —
+and the canonical digest, the ``m - 1`` representation leaves and a boundary
+proof's intermediates are read off the walked chains: fewer than ``2Bm + 3m``
+hashes per commitment.  The one memo on top is the verifier's ``(value,
+total) -> canonical digest``; ``memoize=False`` removes it and changes no
+byte.  ``tests/reference_digest.py`` keeps the slow construction, one
+representation at a time, as the oracle the kernel is byte-compared against.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.cache import bounded_put
 from repro.core import polynomial
 from repro.core.errors import CheatingAttemptError
 from repro.crypto.encoding import encode_many
-from repro.crypto.hashing import HashFunction, IteratedHasher, default_hash
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.hashing import (
+    HASH_COUNTER,
+    HashFunction,
+    IteratedHasher,
+    chain_preimage_stem,
+    chain_preimage_suffix,
+    default_hash,
+)
+from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root
 
 __all__ = [
     "EntryAssist",
@@ -98,19 +117,22 @@ class BoundaryAssist:
         return count
 
 
-#: Bound on each per-scheme memo (representation trees, canonical digests,
-#: commitments).  Entries are evicted in insertion order once the bound is hit.
-_SCHEME_CACHE_MAX = 8192
+#: Bound on the optimized scheme's ``(value, total)`` memo; entries are evicted
+#: in insertion order once the bound is hit.
+_SCHEME_MEMO_MAX = 8192
+
+#: One walk's yield: the exponent's canonical digits, and ``chains[p][e] = h^e(value | p)``.
+_Digits = Tuple[int, ...]
+_Chains = List[List[bytes]]
 
 
 class ChainDigestScheme(abc.ABC):
     """Interface shared by the conceptual and optimized chain digest schemes.
 
-    ``memoize`` (default True) turns on the digest caches: the per-anchor hash
-    chain memo of :class:`~repro.crypto.hashing.IteratedHasher` and, for the
-    optimized scheme, per-``(value, total)`` memos of representation Merkle
-    trees, canonical digests and commitments.  Cached and uncached schemes
-    produce byte-identical digests — the caches only skip recomputation.
+    ``memoize`` (default True) turns on the one digest cache there is, the
+    optimized scheme's verifier-side ``(value, total)`` memo.  Cached and
+    uncached schemes produce byte-identical digests — the cache only skips
+    recomputation.
     """
 
     def __init__(
@@ -126,7 +148,7 @@ class ChainDigestScheme(abc.ABC):
         self.namespace = namespace
         self.hash_function = hash_function or default_hash()
         self.memoize = memoize
-        self.hasher = IteratedHasher(self.hash_function, memoize=memoize)
+        self.hasher = IteratedHasher(self.hash_function)
 
     # -- anchors -----------------------------------------------------------------
 
@@ -227,86 +249,88 @@ class OptimizedChainScheme(ChainDigestScheme):
             raise ValueError("the polynomial base B must be at least 2")
         self.base = base
         self.num_digits = polynomial.num_digits_for(domain_width, base)
-        # (anchor, total) -> MerkleTree / canonical digest / commitment memos.
-        # The owner commits, the publisher builds assists and boundary proofs
-        # for the *same* (value, total) pairs over and over; each memo turns
-        # that repeated Merkle/chain work into a dictionary lookup.
-        self._tree_cache: dict = {}
-        self._canonical_cache: dict = {}
-        self._commitment_cache: dict = {}
+        self._suffixes = tuple(map(chain_preimage_suffix, range(self.num_digits)))
+        # (value, total) -> canonical digest, filled by the verifier side only:
+        # a client re-verifying a hot query pool lives off it (2.2x on
+        # ``hot_read``), while the owner and publisher sides never see a pair
+        # twice that the VO-fragment cache has not already absorbed.
+        self._memo: dict = {}
 
-    # -- internal helpers -------------------------------------------------------
+    # -- the single-pass kernel ---------------------------------------------------
 
-    def _cache_put(self, cache: dict, key, value):
-        return bounded_put(cache, key, value, _SCHEME_CACHE_MAX)
+    def _walk(
+        self, value: int, total: int, canonical_only: bool = False
+    ) -> Tuple[_Digits, _Chains]:
+        """Walk each digit chain once: ``chains[p][e] = h^e(value | p)``.
 
-    def _digit_digest(self, anchor: bytes, exponent: int, position: int) -> bytes:
-        """``h^{exponent}(value | position)`` for one digit chain."""
-        return self.hasher.iterate(anchor, exponent, suffix=position)
+        Position ``p`` is walked as far as any representation of ``total``
+        reaches: ``c_0 + B`` at position 0, ``c_p + B - 1`` in the middle and
+        ``c_p`` at the top position, which no borrow cascade ever raises —
+        or just ``c_p`` everywhere when only the canonical digest is wanted.
+        """
+        new = self.hash_function.constructor
+        digits = polynomial.to_canonical_digits(total, self.base, self.num_digits)
+        stem = chain_preimage_stem(self._anchor(value))
+        top = self.num_digits - 1
+        chains = []
+        hashes = 0
+        for position, (digit, suffix) in enumerate(zip(digits, self._suffixes)):
+            reach = digit
+            if not canonical_only and position != top:
+                reach += self.base - (1 if position else 0)
+            digest = new(stem + suffix).digest()
+            chain = [digest]
+            for _ in range(reach):
+                digest = new(digest).digest()
+                chain.append(digest)
+            hashes += reach + 1
+            chains.append(chain)
+        HASH_COUNTER.count += hashes
+        return digits, chains
 
-    def _representation_digest(
-        self, anchor: bytes, representation: polynomial.Representation
-    ) -> bytes:
-        """Digest of one representation: hash of its concatenated digit chains."""
-        parts = [
-            self._digit_digest(anchor, representation.digits[position], position)
-            for position in representation.included_positions()
-        ]
-        return self.hash_function.combine(*parts)
-
-    def _canonical_digest(self, anchor: bytes, total: int) -> bytes:
-        if self.memoize:
-            cached = self._canonical_cache.get((anchor, total))
-            if cached is not None:
-                return cached
-        canonical = polynomial.canonical_representation(total, self.base, self.num_digits)
-        digest = self._representation_digest(anchor, canonical)
-        if self.memoize:
-            self._cache_put(self._canonical_cache, (anchor, total), digest)
-        return digest
-
-    def _representation_tree(self, anchor: bytes, total: int) -> MerkleTree:
-        if self.memoize:
-            cached = self._tree_cache.get((anchor, total))
-            if cached is not None:
-                return cached
-        representations = polynomial.all_preferred_representations(
-            total, self.base, self.num_digits
+    def _canonical_digest(self, digits: _Digits, chains: _Chains) -> bytes:
+        return self.hash_function.combine(
+            *[chain[digit] for chain, digit in zip(chains, digits)]
         )
-        leaves = [
-            self._representation_digest(anchor, representation)
-            for representation in representations
-        ]
-        if not leaves:
-            leaves = [_EMPTY_REPRESENTATION_SENTINEL]
-        tree = MerkleTree(leaves, self.hash_function)
-        if self.memoize:
-            self._cache_put(self._tree_cache, (anchor, total), tree)
-        return tree
+
+    def _representation_leaves(self, digits: _Digits, chains: _Chains) -> List[bytes]:
+        """Digests of the ``m - 1`` preferred representations, in index order.
+
+        Representation ``i`` raises positions ``0..i``, lowers position
+        ``i + 1`` by one (dropping it when its canonical digit is zero) and
+        leaves the rest canonical, so it is the previous one's raised prefix
+        plus one more raised digit, joined to a canonical suffix.
+        """
+        if self.num_digits == 1:
+            return [_EMPTY_REPRESENTATION_SENTINEL]
+        new = self.hash_function.constructor
+        canonical = [chain[digit] for chain, digit in zip(chains, digits)]
+        leaves = []
+        raised = b""
+        for index in range(self.num_digits - 1):
+            raised += chains[index][digits[index] + self.base - (1 if index else 0)]
+            borrowed = digits[index + 1]
+            lowered = chains[index + 1][borrowed - 1] if borrowed else b""
+            leaves.append(
+                new(raised + lowered + b"".join(canonical[index + 2 :])).digest()
+            )
+        HASH_COUNTER.count += len(leaves)
+        return leaves
 
     # -- owner side ----------------------------------------------------------------
 
     def commitment(self, value: int, total: int) -> bytes:
         if total < 0:
             raise ValueError("chain exponent must be non-negative")
-        if self.memoize:
-            cached = self._commitment_cache.get((value, total))
-            if cached is not None:
-                return cached
-        anchor = self._anchor(value)
-        canonical_digest = self._canonical_digest(anchor, total)
-        tree = self._representation_tree(anchor, total)
-        digest = self.hash_function.combine(canonical_digest, tree.root)
-        if self.memoize:
-            self._cache_put(self._commitment_cache, (value, total), digest)
-        return digest
+        digits, chains = self._walk(value, total)
+        root = merkle_root(self._representation_leaves(digits, chains), self.hash_function)
+        return self.hash_function.combine(self._canonical_digest(digits, chains), root)
 
     # -- publisher side ---------------------------------------------------------------
 
     def entry_assist(self, value: int, total: int) -> EntryAssist:
-        anchor = self._anchor(value)
-        tree = self._representation_tree(anchor, total)
-        return EntryAssist(mht_root=tree.root)
+        leaves = self._representation_leaves(*self._walk(value, total))
+        return EntryAssist(mht_root=merkle_root(leaves, self.hash_function))
 
     def boundary_proof(self, value: int, total: int, delta_c: int) -> BoundaryAssist:
         if total < delta_c:
@@ -314,29 +338,28 @@ class OptimizedChainScheme(ChainDigestScheme):
                 "the value does not satisfy the claimed bound; "
                 "no valid representation of the intermediate exponent exists"
             )
-        anchor = self._anchor(value)
         c_digits = polynomial.to_canonical_digits(delta_c, self.base, self.num_digits)
         selected = polynomial.select_boundary_representation(
             total, delta_c, self.base, self.num_digits
         )
         delta_e_digits = polynomial.subtract_digitwise(selected.digits, c_digits)
+        digits, chains = self._walk(value, total)
         intermediates = tuple(
-            self._digit_digest(anchor, delta_e_digits[position], position)
-            for position in range(self.num_digits)
+            chain[exponent] for chain, exponent in zip(chains, delta_e_digits)
         )
-        tree = self._representation_tree(anchor, total)
+        leaves = self._representation_leaves(digits, chains)
         if selected.is_canonical:
             return BoundaryAssist(
                 intermediate_digests=intermediates,
                 used_canonical=True,
-                mht_root=tree.root,
+                mht_root=merkle_root(leaves, self.hash_function),
             )
         assert selected.index is not None
         return BoundaryAssist(
             intermediate_digests=intermediates,
             used_canonical=False,
-            canonical_digest=self._canonical_digest(anchor, total),
-            mht_proof=tree.prove(selected.index),
+            canonical_digest=self._canonical_digest(digits, chains),
+            mht_proof=MerkleTree(leaves, self.hash_function).prove(selected.index),
         )
 
     # -- verifier side ---------------------------------------------------------------
@@ -348,8 +371,13 @@ class OptimizedChainScheme(ChainDigestScheme):
             raise ValueError(
                 "the optimized scheme needs the representation-tree root to verify an entry"
             )
-        anchor = self._anchor(value)
-        canonical_digest = self._canonical_digest(anchor, total)
+        canonical_digest = self._memo.get((value, total)) if self.memoize else None
+        if canonical_digest is None:
+            canonical_digest = self._canonical_digest(
+                *self._walk(value, total, canonical_only=True)
+            )
+            if self.memoize:
+                bounded_put(self._memo, (value, total), canonical_digest, _SCHEME_MEMO_MAX)
         return self.hash_function.combine(canonical_digest, assist.mht_root)
 
     def recompute_from_boundary(self, delta_c: int, assist: BoundaryAssist) -> bytes:

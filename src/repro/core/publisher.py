@@ -374,20 +374,21 @@ class Publisher:
             matches = all(condition.matches(record) for condition in non_key_conditions)
             if matches:
                 row = record.project(projected_names)
-                row_signature = tuple(sorted(row.items(), key=lambda item: str(item[0])))
-                if projection.distinct and row_signature in seen_projected:
-                    entries.append(
-                        self._matched_entry(
-                            signed,
-                            relation_name,
-                            record,
-                            dropped_names,
-                            eliminated_duplicate=True,
-                            revealed=row,
+                if projection.distinct:
+                    row_signature = tuple(sorted(row.items(), key=lambda item: str(item[0])))
+                    if row_signature in seen_projected:
+                        entries.append(
+                            self._matched_entry(
+                                signed,
+                                relation_name,
+                                record,
+                                dropped_names,
+                                eliminated_duplicate=True,
+                                revealed=row,
+                            )
                         )
-                    )
-                    continue
-                seen_projected.add(row_signature)
+                        continue
+                    seen_projected.add(row_signature)
                 rows.append(row)
                 entries.append(
                     self._matched_entry(signed, relation_name, record, dropped_names)

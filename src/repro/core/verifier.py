@@ -126,19 +126,21 @@ class ResultVerifier:
         self.manifests: Dict[str, RelationManifest] = dict(manifests)
         self.policy = policy
         self.memoize = memoize
-        # Chain schemes (and their digest memos) are kept per manifest instead
-        # of being rebuilt for every verification, so a verifier checking many
-        # results over the same relation re-uses already-walked hash chains.
+        # Chain schemes (and their digest memos) are kept per scheme
+        # parameters — everything a digest depends on, and not ``sequence`` —
+        # so a verifier checking many results over the same relation re-uses
+        # the digests it derived, across manifest rotations too.
         # ``memoize=False`` keeps the schemes but strips their memos, so cost
         # benchmarks can count the hashes of a from-scratch verification.
-        self._scheme_cache: Dict[RelationManifest, tuple] = {}
+        self._scheme_cache: Dict[tuple, tuple] = {}
 
     def _chain_schemes(self, manifest: RelationManifest) -> tuple:
-        """The manifest's (upper, lower) chain schemes, built once per manifest."""
-        cached = self._scheme_cache.get(manifest)
+        """The manifest's (upper, lower) chain schemes, built once per parameter set."""
+        key = (manifest.scheme_kind, manifest.base, manifest.hash_name, manifest.domain)
+        cached = self._scheme_cache.get(key)
         if cached is None:
             cached = manifest.chain_schemes(self.memoize)
-            self._scheme_cache[manifest] = cached
+            self._scheme_cache[key] = cached
         return cached
 
     def cache_stats(self) -> Dict[str, object]:
@@ -147,7 +149,7 @@ class ResultVerifier:
         ``fdh`` is the module-wide full-domain-hash representative memo (the
         dominant verification cache: every chain message's representative is
         hashed once and reused across answers); ``chain_schemes`` counts the
-        per-manifest persistent schemes this verifier holds;
+        per-parameter-set persistent schemes this verifier holds;
         ``crypto_backend`` reports which arithmetic backend (gmpy2 or pure
         Python) is serving the modular exponentiations and how many per-key
         verification contexts are cached.

@@ -14,6 +14,14 @@ guaranteed by choosing a hash whose output length differs from the encoding
 length of the hashed value.  :class:`IteratedHasher` enforces this by prefixing
 every pre-image with a domain-separation tag, so the chain input never has the
 same format as a digest.
+
+Cost accounting.  :data:`HASH_COUNTER` counts primitive hash invocations for
+the paper's Section 6 cost model.  :meth:`HashFunction.digest` counts itself;
+a kernel that calls :attr:`HashFunction.constructor` directly (the Section 5.1
+digit-chain walk, the Merkle root fold) adds the exact number of calls it
+made, so the counter always equals the number of :mod:`hashlib` objects
+constructed.  Nothing in this module remembers a digest: the constructor is
+resolved once per :class:`HashFunction`, and every chain is walked when asked.
 """
 
 from __future__ import annotations
@@ -21,9 +29,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
-from repro.cache import bounded_put
 from repro.crypto.encoding import encode_value, int_to_bytes
 
 __all__ = [
@@ -32,6 +39,8 @@ __all__ = [
     "HashChain",
     "default_hash",
     "resolve_hash_constructor",
+    "chain_preimage_stem",
+    "chain_preimage_suffix",
     "HASH_COUNTER",
     "HashCounter",
 ]
@@ -96,11 +105,17 @@ class HashFunction:
     """
 
     name: str = "sha256"
+    #: The resolved :mod:`hashlib` constructor, bound once per instance.  Hot
+    #: kernels call it directly and add their call count to :data:`HASH_COUNTER`.
+    constructor: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "constructor", resolve_hash_constructor(self.name))
 
     @property
     def digest_size(self) -> int:
         """Digest size in bytes."""
-        return resolve_hash_constructor(self.name)(b"").digest_size
+        return self.constructor(b"").digest_size
 
     @property
     def digest_bits(self) -> int:
@@ -110,7 +125,7 @@ class HashFunction:
     def digest(self, data: bytes) -> bytes:
         """Hash ``data`` and return the raw digest."""
         HASH_COUNTER.count += 1
-        return resolve_hash_constructor(self.name)(data).digest()
+        return self.constructor(data).digest()
 
     def hash_value(self, value) -> bytes:
         """Hash an arbitrary scalar value using the canonical encoding."""
@@ -126,11 +141,14 @@ def default_hash() -> HashFunction:
     return HashFunction("sha256")
 
 
-#: Bounds on the per-hasher chain memo: number of distinct anchors remembered,
-#: and the longest chain stored step-by-step (longer walks bypass the memo so a
-#: huge conceptual-scheme domain cannot exhaust memory).
-_MAX_MEMO_CHAINS = 4096
-_MAX_MEMO_STEPS = 1024
+def chain_preimage_stem(value) -> bytes:
+    """The tagged pre-image of ``h^0(value)``, before any ``| suffix`` part."""
+    return b"chain-base|" + encode_value(value)
+
+
+def chain_preimage_suffix(suffix: int) -> bytes:
+    """What ``h^0(value | suffix)`` appends to :func:`chain_preimage_stem`."""
+    return b"|" + int_to_bytes(suffix)
 
 
 @dataclass(frozen=True)
@@ -146,25 +164,15 @@ class IteratedHasher:
     ----------
     hash_function:
         Underlying one-way hash.
-    memoize:
-        When True (the default), every chain walked through :meth:`iterate` is
-        remembered digest-by-digest, so overlapping prefixes — the owner
-        committing, the publisher later proving boundaries for the same value —
-        are hashed exactly once.  The memo only ever *removes* hash
-        invocations; the digests themselves are identical either way.
     """
 
     hash_function: HashFunction = field(default_factory=default_hash)
-    memoize: bool = True
-    _chains: Dict[Tuple[object, Optional[int]], list] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def base(self, value, suffix: Optional[int] = None) -> bytes:
         """Return ``h^0(value | suffix)``: the digest of the tagged pre-image."""
-        tag = b"chain-base|" + encode_value(value)
+        tag = chain_preimage_stem(value)
         if suffix is not None:
-            tag += b"|" + int_to_bytes(suffix)
+            tag += chain_preimage_suffix(suffix)
         return self.hash_function.digest(tag)
 
     def extend(self, digest: bytes, times: int) -> bytes:
@@ -191,31 +199,7 @@ class IteratedHasher:
         """
         if times < 0:
             raise ValueError(f"h^i is undefined for negative i (got i={times})")
-        if self.memoize:
-            try:
-                if times <= _MAX_MEMO_STEPS:
-                    return self._iterate_memoized(value, times, suffix)
-                # Long walks: serve the bounded prefix from the memo and hash
-                # only the tail, so repeated long chains still share work.
-                prefix = self._iterate_memoized(value, _MAX_MEMO_STEPS, suffix)
-                return self.extend(prefix, times - _MAX_MEMO_STEPS)
-            except TypeError:  # unhashable anchor value — fall through
-                pass
         return self.extend(self.base(value, suffix), times)
-
-    def _iterate_memoized(self, value, times: int, suffix: Optional[int]) -> bytes:
-        """Serve ``h^{times}(value | suffix)`` from the per-anchor chain memo."""
-        key = (value, suffix)
-        chain = self._chains.get(key)
-        if chain is None:
-            chain = bounded_put(
-                self._chains, key, [self.base(value, suffix)], _MAX_MEMO_CHAINS
-            )
-        digest = chain[-1]
-        while len(chain) <= times:
-            digest = self.hash_function.digest(digest)
-            chain.append(digest)
-        return chain[times]
 
 
 @dataclass

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import HashFunction, default_hash
+from repro.crypto.hashing import HASH_COUNTER, HashFunction, default_hash
 
 __all__ = ["MerkleTree", "MerkleProof", "merkle_root"]
 
@@ -185,21 +185,20 @@ class MerkleTree:
     def root_from_leaf_digests(
         leaf_digests: Sequence[bytes], hash_function: Optional[HashFunction] = None
     ) -> bytes:
-        """Root of the tree whose leaf digests are ``leaf_digests``, in order."""
+        """Root of the tree whose leaf digests are ``leaf_digests``, in order (no tree kept)."""
         if not leaf_digests:
             raise ValueError("a Merkle tree needs at least one leaf")
-        hasher = hash_function or default_hash()
+        new = (hash_function or default_hash()).constructor
         level = list(leaf_digests)
         while len(level) > 1:
-            next_level = []
-            for index in range(0, len(level), 2):
-                if index + 1 < len(level):
-                    next_level.append(
-                        hasher.digest(_NODE_PREFIX + level[index] + level[index + 1])
-                    )
-                else:
-                    next_level.append(level[index])
-            level = next_level
+            paired = [
+                new(_NODE_PREFIX + level[index] + level[index + 1]).digest()
+                for index in range(0, len(level) - 1, 2)
+            ]
+            HASH_COUNTER.count += len(paired)
+            if len(level) % 2:
+                paired.append(level[-1])  # odd node: promoted unchanged
+            level = paired
         return level[0]
 
     @staticmethod
@@ -240,11 +239,12 @@ class MerkleTree:
                 digest = hasher.digest(_NODE_PREFIX + digest + sibling)
         return digest
 
-    def prove_from_digest(self, index: int) -> MerkleProof:
-        """Alias of :meth:`prove`; provided for call-site readability."""
-        return self.prove(index)
-
 
 def merkle_root(leaves: Sequence[bytes], hash_function: Optional[HashFunction] = None) -> bytes:
-    """Convenience wrapper: the root digest of an MHT over ``leaves``."""
-    return MerkleTree(leaves, hash_function).root
+    """The root digest of an MHT over ``leaves``, without building the tree."""
+    hasher = hash_function or default_hash()
+    new = hasher.constructor
+    HASH_COUNTER.count += len(leaves)
+    return MerkleTree.root_from_leaf_digests(
+        [new(_LEAF_PREFIX + leaf).digest() for leaf in leaves], hasher
+    )

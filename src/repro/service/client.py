@@ -829,7 +829,11 @@ class VerifyingClient(ServiceConnection):
         self._manifests[relation_name] = manifest
         self._pinned_ids[relation_name] = manifest_id(manifest)
         self._listing = None  # the server's listing moved with the rotation
-        self._reset_verifiers()
+        # The chain verifier keys its digest memos by the scheme parameters
+        # _validate_rotation just proved unchanged: re-pin it, keep the memos.
+        self._scheme_verifiers.clear()
+        if self._verifier is not None and relation_name in self._verifier.manifests:
+            self._verifier.manifests[relation_name] = manifest
         self.rotations_observed[relation_name] = manifest.sequence
         return manifest
 

@@ -7,6 +7,9 @@ still actually win on repeated work.  Exact throughput numbers are left to the
 full benchmark — timing assertions here are deliberately loose.
 """
 
+import importlib.util
+import os
+
 from repro.bench.hot_paths import SMOKE_CONFIG, run_hot_path_benchmarks
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
@@ -32,6 +35,24 @@ def test_smoke_benchmark_report():
         assert entry["uncached_ops_per_sec"] > 0, name
         assert entry["cached_ops_per_sec"] > 0, name
         assert entry["speedup"] > 0, name
+
+
+def test_cold_range_section():
+    """The CLI's ``cold_range`` section, at toy size: shape, not speed."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "benchmarks",
+        "bench_hot_paths.py",
+    )
+    spec = importlib.util.spec_from_file_location("bench_hot_paths_cli", path)
+    cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli)
+    cold = cli.bench_cold_range(reads=3)
+    assert cold["reads"] == 3 and cold["table_rows"] == 3 * 42
+    # 40 matched entries x 2 chains, each a walk of 15 digit chains: far more
+    # hashes than entries, and a read that costs a small multiple of them.
+    assert cold["hashes_per_read"] > 80 * 40
+    assert 1.0 < cold["hash_floor_ratio"] < 4 * cli.COLD_RANGE_HASH_FLOOR_RATIO_MAX
 
 
 def test_hot_path_caches_actually_engage(signature_scheme):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import HashFunction, default_hash
+from repro.crypto.hashing import HASH_COUNTER, HashFunction, default_hash
 from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root
 
 
@@ -41,9 +41,19 @@ class TestConstruction:
         forged = MerkleTree([inner._levels[0][0] + inner._levels[0][1]])
         assert forged.root != inner.root
 
-    def test_merkle_root_helper(self):
-        leaves = _leaves(5)
-        assert merkle_root(leaves) == MerkleTree(leaves).root
+    @pytest.mark.parametrize("size", range(1, 18))
+    def test_merkle_root_helper(self, size):
+        """The tree-less fold: same root, same hash count, for every shape."""
+        leaves = _leaves(size)
+        start = HASH_COUNTER.count
+        tree = MerkleTree(leaves)
+        tree_hashes = HASH_COUNTER.count - start
+        assert merkle_root(leaves) == tree.root
+        assert HASH_COUNTER.count - start == 2 * tree_hashes
+
+    def test_merkle_root_helper_refuses_no_leaves(self):
+        with pytest.raises(ValueError):
+            merkle_root([])
 
     def test_custom_hash_function(self):
         leaves = _leaves(3)

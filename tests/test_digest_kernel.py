@@ -1,0 +1,299 @@
+"""The single-pass Section 5.1 kernel against the slow reference oracle.
+
+``tests/reference_digest.py`` rebuilds every artifact one representation at a
+time with :mod:`hashlib` itself; ``OptimizedChainScheme`` walks each digit
+chain once and reads everything off the walked chains.  Every byte either
+produces must be the other's, for every base, width, namespace, hash and
+memo setting — and the kernel's bookkeeping on ``HASH_COUNTER`` must equal
+the number of ``hashlib`` calls it really makes.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from reference_digest import SENTINEL_LEAF, ReferenceOptimizedScheme
+from repro.core import polynomial
+from repro.core.digest import OptimizedChainScheme
+from repro.core.errors import CheatingAttemptError
+from repro.core.publisher import Publisher
+from repro.core.relational import SignedRelation
+from repro.core.verifier import ResultVerifier
+from repro.crypto import hashing
+from repro.crypto.hashing import HASH_COUNTER, HashFunction
+from repro.crypto.merkle import MerkleTree
+from repro.db import workload
+from repro.db.query import Conjunction, Query, RangeCondition
+from repro.db.schema import KeyDomain
+
+BASES = (2, 3, 5, 10)
+WIDTHS = (8, 1000, 16386, 2**20, 2**32)
+HASHES = ("sha256", "sha1", "md5")
+
+
+def _pair(width, base, namespace="upper", hash_name="sha256", memoize=True):
+    kernel = OptimizedChainScheme(
+        width, namespace, base, HashFunction(hash_name), memoize=memoize
+    )
+    return kernel, ReferenceOptimizedScheme(width, namespace, base, hash_name)
+
+
+def _assert_all_artifacts_identical(kernel, reference, value, total, delta_cs):
+    committed = reference.commitment(value, total)
+    assist = reference.entry_assist(value, total)
+    # Twice: the second pass is served from the memo when there is one.
+    for _ in range(2):
+        assert kernel.commitment(value, total) == committed
+        assert kernel.entry_assist(value, total) == assist
+        assert kernel.recompute_from_value(value, total, assist) == committed
+    assert reference.recompute_from_value(value, total, assist) == committed
+    for delta_c in delta_cs:
+        proof = reference.boundary_proof(value, total, delta_c)
+        assert kernel.boundary_proof(value, total, delta_c) == proof
+        assert kernel.recompute_from_boundary(delta_c, proof) == committed
+        assert reference.recompute_from_boundary(delta_c, proof) == committed
+
+
+@pytest.mark.parametrize("hash_name", HASHES)
+@pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
+@pytest.mark.parametrize("namespace", ["upper", "lower"])
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("base", BASES)
+def test_kernel_matches_reference(base, width, namespace, memoize, hash_name):
+    """Seeded differential sweep: 240 configurations, 10 boundary claims each."""
+    kernel, reference = _pair(width, base, namespace, hash_name, memoize)
+    rng = random.Random(f"{base}/{width}/{namespace}/{hash_name}")
+    canonical_proofs = 0
+    for total in (0, width - 1, rng.randrange(width), rng.randrange(width)):
+        value = rng.randrange(-5, width)
+        delta_cs = {0, total, rng.randint(0, total)}
+        _assert_all_artifacts_identical(kernel, reference, value, total, sorted(delta_cs))
+        canonical_proofs += sum(
+            polynomial.select_boundary_representation(
+                total, delta_c, base, kernel.num_digits
+            ).is_canonical
+            for delta_c in delta_cs
+        )
+    assert canonical_proofs  # delta_c = 0 always selects the canonical form
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_non_canonical_boundary_proofs_match(base):
+    """Every borrow position gets selected somewhere: exhaustive at width 64."""
+    width = 64
+    kernel, reference = _pair(width, base)
+    selected_indices = set()
+    for total in range(width):
+        for delta_c in range(total + 1):
+            selected = polynomial.select_boundary_representation(
+                total, delta_c, base, kernel.num_digits
+            )
+            if selected.is_canonical:
+                continue
+            selected_indices.add(selected.index)
+            proof = reference.boundary_proof(total, total, delta_c)
+            assert kernel.boundary_proof(total, total, delta_c) == proof
+            assert proof.mht_proof.leaf_index == selected.index
+            assert kernel.recompute_from_boundary(delta_c, proof) == kernel.commitment(
+                total, total
+            )
+    assert selected_indices == set(range(kernel.num_digits - 1))
+
+
+class TestNamedEdgeCases:
+    def test_invalid_representation_drops_its_borrow_position(self):
+        """5055 in base 10: borrowing from the zero hundreds digit is invalid."""
+        kernel, reference = _pair(10_000, 10)
+        representation = polynomial.preferred_representation(5055, 10, 4, 1)
+        assert representation.dropped_position == 2
+        digits, chains = kernel._walk(7, 5055)
+        leaves = kernel._representation_leaves(digits, chains)
+        assert leaves == reference.representation_leaves(7, 5055)
+        # Spelled out: positions 0, 1 raised, position 2 absent, position 3 canonical.
+        expected = HashFunction("sha256").combine(
+            reference._digit_digest(7, 5 + 10, 0),
+            reference._digit_digest(7, 5 + 9, 1),
+            reference._digit_digest(7, 5, 3),
+        )
+        assert leaves[1] == expected
+        _assert_all_artifacts_identical(kernel, reference, 7, 5055, [0, 4999, 5055])
+
+    @pytest.mark.parametrize("width,base", [(2, 2), (8, 10), (5, 5)])
+    def test_single_digit_domain_commits_the_sentinel_leaf(self, width, base):
+        kernel, reference = _pair(width, base)
+        assert kernel.num_digits == 1
+        root = MerkleTree([SENTINEL_LEAF], HashFunction("sha256")).root
+        for total in range(width):
+            assert kernel.entry_assist(3, total).mht_root == root
+            _assert_all_artifacts_identical(
+                kernel, reference, 3, total, range(total + 1)
+            )
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_total_zero(self, base):
+        kernel, reference = _pair(1000, base)
+        _assert_all_artifacts_identical(kernel, reference, 999, 0, [0])
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_total_is_width_minus_one(self, base):
+        kernel, reference = _pair(1000, base)
+        _assert_all_artifacts_identical(kernel, reference, 0, 999, [0, 1, 500, 998, 999])
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_cheating_attempt_when_total_below_delta_c(self, memoize):
+        kernel, reference = _pair(1000, 3, memoize=memoize)
+        kernel.commitment(10, 400)  # a warm memo must not soften the refusal
+        for scheme in (kernel, reference):
+            with pytest.raises(CheatingAttemptError):
+                scheme.boundary_proof(10, 400, 401)
+
+    def test_total_beyond_the_domain_is_refused(self):
+        kernel, _ = _pair(1000, 10)
+        with pytest.raises(ValueError):
+            kernel.commitment(1, 1000)
+        with pytest.raises(ValueError):
+            kernel.commitment(1, -1)
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_the_one_memo_is_the_verifiers(self, memoize):
+        """A repeated entry verification costs one hash; nothing else is remembered."""
+        kernel, reference = _pair(16386, 2, memoize=memoize)
+        assist = reference.entry_assist(5, 1234)
+        committed = reference.commitment(5, 1234)
+
+        def hashes(operation):
+            start = HASH_COUNTER.count
+            operation()
+            return HASH_COUNTER.count - start
+
+        first = hashes(lambda: kernel.recompute_from_value(5, 1234, assist))
+        again = hashes(lambda: kernel.recompute_from_value(5, 1234, assist))
+        assert again == (1 if memoize else first) and first > 15
+        assert kernel.recompute_from_value(5, 1234, assist) == committed
+        # The owner and publisher sides walk afresh every time, memo or not.
+        assert hashes(lambda: kernel.commitment(5, 1234)) == hashes(
+            lambda: kernel.commitment(5, 1234)
+        )
+        assert kernel.entry_assist(5, 1234) == assist
+        assert kernel.commitment(5, 1234) == committed
+
+
+# -- hash accounting ------------------------------------------------------------------
+
+
+@pytest.fixture()
+def counted_hashlib(monkeypatch):
+    """Count real hashlib constructions behind every HashFunction built inside."""
+    calls = {"count": 0}
+    resolve = hashing.resolve_hash_constructor
+
+    def counting_resolve(name):
+        constructor = resolve(name)
+
+        def construct(data=b""):
+            calls["count"] += 1
+            return constructor(data)
+
+        return construct
+
+    monkeypatch.setattr(hashing, "resolve_hash_constructor", counting_resolve)
+    return calls
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+def test_kernel_counts_exactly_its_hashlib_calls(counted_hashlib, memoize):
+    kernel, _ = _pair(16386, 2, memoize=memoize)
+    start = HASH_COUNTER.count
+    for value, total in [(1, 0), (2, 16385), (3, 9000)]:
+        kernel.commitment(value, total)
+        assist = kernel.entry_assist(value, total)
+        kernel.recompute_from_value(value, total, assist)
+        for delta_c in (0, total // 2, total):
+            kernel.recompute_from_boundary(
+                delta_c, kernel.boundary_proof(value, total, delta_c)
+            )
+    assert HASH_COUNTER.count - start == counted_hashlib["count"] > 0
+
+
+def test_cold_verify_hash_operations_is_the_real_count(counted_hashlib, signature_scheme):
+    """``VerificationReport.hash_operations`` against an independent count.
+
+    The reference re-derives the client's chain work for the same answer with
+    its own counter; the verifier's report must account for exactly the
+    hashlib calls made while it ran.
+    """
+    relation = workload.generate_employees(40, seed=5, photo_bytes=8)
+    signed = SignedRelation(relation, signature_scheme)
+    query = Query("employees", Conjunction((RangeCondition("salary", 20_000, 70_000),)))
+    answer = Publisher({"employees": signed}).answer(query)
+    assert len(answer.rows) > 5
+
+    before = counted_hashlib["count"]
+    report = ResultVerifier({"employees": signed.manifest}).verify(
+        query, answer.rows, answer.proof
+    )
+    assert report.hash_operations == counted_hashlib["count"] - before
+
+    # The chain share of that count, rebuilt by the oracle from the proof alone.
+    domain = signed.manifest.domain
+    upper = ReferenceOptimizedScheme(domain.width, "upper")
+    lower = ReferenceOptimizedScheme(domain.width, "lower")
+    for row, entry in zip(answer.rows, answer.proof.entries):
+        key = row["salary"]
+        upper.recompute_from_value(key, domain.upper - key - 1, entry.upper_assist)
+        lower.recompute_from_value(key, key - domain.lower - 1, entry.lower_assist)
+    upper.recompute_from_boundary(
+        domain.upper - 20_000, answer.proof.lower_boundary.chain_boundary
+    )
+    lower.recompute_from_boundary(
+        70_000 - domain.lower, answer.proof.upper_boundary.chain_boundary
+    )
+    chain_hashes = upper.hashes + lower.hashes
+    assert 0 < chain_hashes < report.hash_operations
+    warm = ResultVerifier({"employees": signed.manifest})
+    warm.verify(query, answer.rows, answer.proof)
+    again = warm.verify(query, answer.rows, answer.proof)
+    # A warm verifier skips the per-entry canonical walks, and only those.
+    skipped = report.hash_operations - again.hash_operations
+    assert 0 < skipped < chain_hashes
+
+
+# -- verifier schemes are keyed by what a digest depends on ---------------------------------
+
+
+def test_verifier_schemes_survive_a_rotation_but_not_a_parameter_change(signature_scheme):
+    relation = workload.generate_employees(8, seed=5, photo_bytes=8)
+    manifest = SignedRelation(relation, signature_scheme).manifest
+    verifier = ResultVerifier({"employees": manifest})
+    schemes = verifier._chain_schemes(manifest)
+
+    rotated = replace(manifest, sequence=manifest.sequence + 3)
+    assert verifier._chain_schemes(rotated) is schemes
+
+    other_base = replace(manifest, base=3)
+    assert verifier._chain_schemes(other_base) is not schemes
+    assert verifier._chain_schemes(other_base)[0].base == 3
+
+    schema = manifest.schema
+    other_domain = replace(
+        manifest,
+        schema=replace(
+            schema,
+            attributes=tuple(
+                replace(
+                    attribute,
+                    domain=KeyDomain(attribute.domain.lower, attribute.domain.upper + 1),
+                )
+                if attribute.name == schema.key
+                else attribute
+                for attribute in schema.attributes
+            ),
+        ),
+    )
+    assert other_domain.domain != manifest.domain
+    assert verifier._chain_schemes(other_domain) is not schemes
+    assert replace(manifest, hash_name="sha1") != manifest
+    assert verifier._chain_schemes(replace(manifest, hash_name="sha1")) is not schemes

@@ -167,6 +167,36 @@ def test_sequence_tracks_across_many_batches(world):
         assert result.report is not None
 
 
+def test_verifier_digest_memos_survive_rotations(world):
+    """A rotation changes ``sequence`` only, so it costs the client no re-hashing.
+
+    The chain digests a verifier memoises depend on (scheme kind, base, hash,
+    domain) — exactly what a validated rotation leaves unchanged.  After every
+    rotation the fixed query pool must verify for the warm hash count, not the
+    cold one it paid on first sight.
+    """
+    pool = [
+        Query("employees", Conjunction((RangeCondition("salary", low, high),)))
+        for low, high in [(20_000, 50_000), (58_000, 80_000), (82_000, 95_000)]
+    ]
+    with _owner_client(world) as owner_client, _verifying_client(world) as client:
+        cold = [client.execute(QuerySpec(query)).report.hash_operations for query in pool]
+        warm = [client.execute(QuerySpec(query)).report.hash_operations for query in pool]
+        assert all(w < c for w, c in zip(warm, cold))
+        verifier = client.verifier
+        for step in range(4):
+            # Far below every pooled range and its boundary records.
+            owner_client.insert("employees", _row(100 + step, f"rot-{step}"))
+            after = [
+                client.execute(QuerySpec(query)).report.hash_operations
+                for query in pool
+            ]
+            assert client.rotations_observed == {"employees": step + 1}
+            assert after == warm
+        assert client.verifier is verifier
+        assert verifier.manifest("employees").sequence == 4
+
+
 def test_rotation_request_serves_genesis_and_latest(world):
     with _owner_client(world) as owner_client, _verifying_client(world) as client:
         client.fetch_manifest("employees")
