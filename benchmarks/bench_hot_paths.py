@@ -8,7 +8,10 @@ answers over a stored relation re-attached the way recovery does it, reported
 as ms per read and as ``hash_floor_ratio``, the read's time over what its own
 hashes cost on this runner.  That ratio is the per-hash Python overhead of the
 proof path, so its ceiling (``cold_range_hash_floor_ratio_max``) holds on any
-machine.
+machine.  A ``publish_sign`` section does the same for bulk signing:
+``core_scaling`` is a batch's serial time over its time sharded across this
+runner's CPUs, floored (``publish_sign_core_scaling_min``) wherever the
+affinity mask holds two or more.
 
 Usage::
 
@@ -30,6 +33,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
@@ -42,14 +46,19 @@ from repro.bench.hot_paths import (  # noqa: E402
 )
 from repro.bench.scale import RELATION, _attach, _row_stream, metrics_schema  # noqa: E402
 from repro.core.publisher import Publisher  # noqa: E402
+from repro.crypto import _shard  # noqa: E402
 from repro.crypto.hashing import HASH_COUNTER, resolve_hash_constructor  # noqa: E402
 from repro.crypto.signature import rsa_scheme  # noqa: E402
 from repro.db.query import Conjunction, Query, RangeCondition  # noqa: E402
+from repro.storage import load_keys  # noqa: E402
 from repro.storage.relstore import RelationStore, build_stored_chain  # noqa: E402
 
-_DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_hot_paths.json",
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_DEFAULT_OUTPUT = os.path.join(_ROOT, "BENCH_hot_paths.json")
+#: The committed TEST-ONLY 1024-bit owner key of ``benchmarks/e2e`` (``Msign``
+#: of the paper's Table 1): what a publish signs under.
+_BENCH_KEY = os.path.join(
+    _ROOT, "benchmarks", "e2e", "fixtures", "owner_key_1024.test-only.json"
 )
 
 
@@ -127,6 +136,49 @@ def bench_cold_range(reads: int, key_bits: int = 512) -> dict:
     }
 
 
+PUBLISH_SIGN_CORE_SCALING_MIN = 1.3
+
+
+def bench_publish_sign(messages: int, rounds: int) -> dict:
+    """``sign_batch`` over fresh messages: serial time over sharded time.
+
+    Each round signs the same batch twice under the 1024-bit bench key, each
+    time with an empty signature memo — once with the cut-over patched out of
+    reach (today's serial loop) and once as shipped — back to back, so both
+    sides of the round's ratio see the same machine speed.  The median ratio
+    is how many cores' worth of exponentiation a publish gets on this runner;
+    ``shards`` says how many it could use (1: nothing to gate).
+    """
+    signer = next(iter(load_keys(_BENCH_KEY).values())).signer
+    cut_over = _shard.MIN_SHARD_ITEMS
+    serial_seconds, sharded_seconds, identical = [], [], True
+    try:
+        for round_index in range(rounds):
+            batch = [b"publish-sign|%d|%08d" % (round_index, n) for n in range(messages)]
+            outputs = []
+            for seconds, minimum in ((serial_seconds, sys.maxsize), (sharded_seconds, cut_over)):
+                _shard.MIN_SHARD_ITEMS = minimum
+                key = replace(signer)  # same key material, empty memo
+                start = time.perf_counter()
+                outputs.append(key.sign_batch(batch))
+                seconds.append(time.perf_counter() - start)
+            identical = identical and outputs[0] == outputs[1]
+    finally:
+        _shard.MIN_SHARD_ITEMS = cut_over
+    return {
+        "messages": messages,
+        "rounds": rounds,
+        "key_bits": signer.modulus.bit_length(),
+        "shards": _shard.shard_count(messages),
+        "signatures_identical": identical,
+        "serial_ms_per_signature": round(statistics.median(serial_seconds) / messages * 1e3, 4),
+        "sharded_ms_per_signature": round(statistics.median(sharded_seconds) / messages * 1e3, 4),
+        "core_scaling": round(
+            statistics.median(a / b for a, b in zip(serial_seconds, sharded_seconds)), 2
+        ),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -145,6 +197,13 @@ def main(argv=None) -> int:
     report["targets"]["cold_range_hash_floor_ratio_max"] = COLD_RANGE_HASH_FLOOR_RATIO_MAX
     report["targets_met"]["cold_range"] = (
         cold["hash_floor_ratio"] <= COLD_RANGE_HASH_FLOOR_RATIO_MAX
+    )
+    publish = report["publish_sign"] = bench_publish_sign(
+        messages=512 if args.smoke else 2048, rounds=3
+    )
+    report["targets"]["publish_sign_core_scaling_min"] = PUBLISH_SIGN_CORE_SCALING_MIN
+    report["targets_met"]["publish_sign"] = publish["signatures_identical"] and (
+        publish["shards"] < 2 or publish["core_scaling"] >= PUBLISH_SIGN_CORE_SCALING_MIN
     )
 
     # The wire/scale benches merge their workloads and floors into the same
@@ -178,6 +237,11 @@ def main(argv=None) -> int:
         f"  cold_range                   {cold['ms_per_read']:.2f} ms/read, "
         f"{cold['hashes_per_read']:.0f} hashes/read, "
         f"hash-floor ratio {cold['hash_floor_ratio']:.2f}"
+    )
+    print(
+        f"  publish_sign                 {publish['serial_ms_per_signature']:.3f} ms/signature serial, "
+        f"{publish['sharded_ms_per_signature']:.3f} over {publish['shards']} shard(s), "
+        f"core scaling {publish['core_scaling']:.2f}x"
     )
     print(f"  proofs identical: {report['proofs_identical']}")
     print(f"  targets met: {report['targets_met']}")

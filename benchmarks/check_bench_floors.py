@@ -4,7 +4,8 @@ Compares a freshly measured benchmark report (usually a ``--smoke`` run
 produced in CI) against the speedup floors stored in the committed
 ``BENCH_hot_paths.json`` (its ``targets`` section).  Exits non-zero when any
 measured speedup is below its floor, when a cold range read costs more than
-the stored multiple of its own hashes, when the cached/uncached proof
+the stored multiple of its own hashes, when a bulk ``sign_batch`` stops scaling
+across the runner's cores, when the cached/uncached proof
 equivalence broke, or — if the fresh report carries the wire/service
 workloads — when worker-pool answers stopped being byte-identical to
 in-process answers.
@@ -99,6 +100,39 @@ def _check_hot_paths(floors: dict, fresh: dict, failures: list) -> None:
             failures.append(
                 f"a cold range read costs {ratio:.2f}x its own hashes "
                 f"(the ceiling is {ceiling:.2f}x)"
+            )
+    _check_publish_sign(floors, fresh, failures)
+
+
+def _check_publish_sign(floors: dict, fresh: dict, failures: list) -> None:
+    """Gate a bulk ``sign_batch``'s scaling across the runner's cores.
+
+    Machine-independent wherever there is more than one core to use: the
+    batch's serial time over its time sharded across the runner's affinity
+    mask, both measured by the run that produced the report.  On a one-CPU
+    runner nothing is sharded and the figure (about 1.0) is printed ungated.
+    """
+    scaling_floor = floors.get("publish_sign_core_scaling_min")
+    publish = fresh.get("publish_sign")
+    if scaling_floor is None:
+        failures.append("committed report is missing floor 'publish_sign_core_scaling_min'")
+    elif publish is None:
+        failures.append("fresh report is missing section 'publish_sign'")
+    else:
+        scaling = publish.get("core_scaling", 0.0)
+        shards = publish.get("shards", 1)
+        gated = shards >= 2
+        status = "ungated" if not gated else "ok" if scaling >= scaling_floor else "REGRESSION"
+        print(
+            f"publish_sign                 core scaling {scaling:5.2f}x over {shards} shard(s)  "
+            f"floor {scaling_floor:5.2f}x  {status}"
+        )
+        if publish.get("signatures_identical") is not True:
+            failures.append("sharded and serial sign_batch signatures are no longer identical")
+        if gated and scaling < scaling_floor:
+            failures.append(
+                f"a sharded publish signs only {scaling:.2f}x faster than a serial one "
+                f"over {shards} shards (the floor is {scaling_floor:.2f}x)"
             )
 
 

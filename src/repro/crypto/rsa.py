@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import bounded_put
+from repro.crypto import _shard
 from repro.crypto.backend import active_backend, key_context
 from repro.crypto.hashing import resolve_hash_constructor
 from repro.crypto.primes import generate_prime, modular_inverse
@@ -411,32 +412,51 @@ class RSAPrivateKey:
         bounded per-key memo (re-publication of an unchanged chain, e.g. to an
         additional publisher, then skips the exponentiations entirely).
         """
-        message = _as_bytes(message)
-        memo = self._signature_memo
-        cached = memo.get(message)
-        if cached is not None:
-            SIGN_COUNTER.cache_hits += 1
-            return cached
-        SIGN_COUNTER.signatures += 1
-        representative = full_domain_hash(message, self.modulus, self.hash_name)
-        signature = self._sign_representative(representative)
-        return bounded_put(memo, message, signature, _SIGNATURE_MEMO_MAX)
+        return self.sign_batch((message,))[0]
 
     def sign_batch(self, messages: Sequence[bytes]) -> List[int]:
         """Sign many messages in one call (the owner's bulk-publication path).
 
-        The FDH representatives of every not-yet-memoised message are
-        computed up front through :func:`full_domain_hash_many` — one batched
-        hashing pass instead of a per-message cache miss inside each
-        :meth:`sign` — so the per-message loop below pays only the CRT
-        exponentiations.
+        Each distinct not-yet-memoised message is hashed once through
+        :func:`full_domain_hash_many` and its representative goes straight to
+        the CRT exponentiation — across every CPU of the affinity mask when
+        the batch is large enough (:mod:`repro.crypto._shard`).  Signatures
+        come back positionally; hashing, the memo and ``SIGN_COUNTER`` stay in
+        this process, so they read the same whatever the split.
         """
         normalized = [_as_bytes(message) for message in messages]
         memo = self._signature_memo
-        pending = [message for message in normalized if message not in memo]
+        pending = list(dict.fromkeys(m for m in normalized if m not in memo))
+        fresh: Dict[bytes, int] = {}
         if pending:
-            full_domain_hash_many(pending, self.modulus, self.hash_name)
-        return [self.sign(message) for message in normalized]
+            representatives = full_domain_hash_many(pending, self.modulus, self.hash_name)
+            fresh = dict(zip(pending, self._sign_representatives(pending, representatives)))
+        SIGN_COUNTER.signatures += len(pending)
+        SIGN_COUNTER.cache_hits += len(normalized) - len(pending)
+        # Read the memoised ones out before the fresh ones can evict them.
+        signatures = [fresh[m] if m in fresh else memo[m] for m in normalized]
+        for message, signature in fresh.items():
+            bounded_put(memo, message, signature, _SIGNATURE_MEMO_MAX)
+        return signatures
+
+    def _sign_representatives(
+        self, messages: Sequence[bytes], representatives: Sequence[int]
+    ) -> List[int]:
+        """One CRT exponentiation per representative, sharded across CPUs.
+
+        A child's shard is accepted only after the Bellare-Garay-Rabin
+        screening test (one public-exponent modexp per shard): a faulty CRT
+        half must never reach a published chain.
+        """
+
+        def screened(offset: int, signatures: List[int]) -> bool:
+            from repro.crypto.aggregate import batch_verify_signatures
+
+            batch = messages[offset : offset + len(signatures)]
+            return batch_verify_signatures(batch, signatures, self.public_key())
+
+        width = (self.modulus.bit_length() + 7) // 8
+        return _shard.map_sharded(self._sign_representative, representatives, width, screened)
 
     def signature_memo_stats(self) -> Dict[str, int]:
         """Size/capacity of this key's deterministic-signature memo."""

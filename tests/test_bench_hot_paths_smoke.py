@@ -9,10 +9,12 @@ full benchmark — timing assertions here are deliberately loose.
 
 import importlib.util
 import os
+import threading
 
 from repro.bench.hot_paths import SMOKE_CONFIG, run_hot_path_benchmarks
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
+from repro.crypto import _shard
 from repro.crypto.rsa import SIGN_COUNTER
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.db.workload import generate_employees
@@ -37,22 +39,63 @@ def test_smoke_benchmark_report():
         assert entry["speedup"] > 0, name
 
 
+def _load_benchmark_script(name):
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", name
+    )
+    spec = importlib.util.spec_from_file_location(name[:-3] + "_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_cold_range_section():
     """The CLI's ``cold_range`` section, at toy size: shape, not speed."""
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks",
-        "bench_hot_paths.py",
-    )
-    spec = importlib.util.spec_from_file_location("bench_hot_paths_cli", path)
-    cli = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli)
+    cli = _load_benchmark_script("bench_hot_paths.py")
     cold = cli.bench_cold_range(reads=3)
     assert cold["reads"] == 3 and cold["table_rows"] == 3 * 42
     # 40 matched entries x 2 chains, each a walk of 15 digit chains: far more
     # hashes than entries, and a read that costs a small multiple of them.
     assert cold["hashes_per_read"] > 80 * 40
     assert 1.0 < cold["hash_floor_ratio"] < 4 * cli.COLD_RANGE_HASH_FLOOR_RATIO_MAX
+
+
+def test_publish_sign_section_and_its_gate(monkeypatch, capsys):
+    """The CLI's ``publish_sign`` section at toy size, and the floor that reads it.
+
+    Two CPUs and a lone thread are forced (earlier test files leak parked
+    daemon threads), so the sharded side really forks; the ratio itself is
+    left to the full benchmark.  The gate must bind wherever a batch is
+    sharded and only there.
+    """
+    cli = _load_benchmark_script("bench_hot_paths.py")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    cut_over = _shard.MIN_SHARD_ITEMS
+    publish = cli.bench_publish_sign(messages=64, rounds=1)
+    assert _shard.MIN_SHARD_ITEMS == cut_over
+    assert publish["messages"] == 64 and publish["key_bits"] == 1024
+    assert publish["shards"] == 2 and publish["signatures_identical"] is True
+    assert publish["core_scaling"] > 0
+    assert publish["serial_ms_per_signature"] > 0 and publish["sharded_ms_per_signature"] > 0
+
+    gate = _load_benchmark_script("check_bench_floors.py")
+    floors = {"publish_sign_core_scaling_min": cli.PUBLISH_SIGN_CORE_SCALING_MIN}
+
+    def failures_for(**overrides):
+        failures = []
+        gate._check_publish_sign(floors, {"publish_sign": {**publish, **overrides}}, failures)
+        return failures
+
+    assert failures_for(core_scaling=1.9) == []
+    assert len(failures_for(core_scaling=1.1)) == 1
+    assert failures_for(core_scaling=1.0, shards=1) == []
+    assert "ungated" in capsys.readouterr().out
+    assert len(failures_for(core_scaling=1.9, signatures_identical=False)) == 1
+    missing = []
+    gate._check_publish_sign(floors, {}, missing)
+    assert len(missing) == 1
 
 
 def test_hot_path_caches_actually_engage(signature_scheme):
