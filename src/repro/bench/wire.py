@@ -41,7 +41,6 @@ from repro.service.owner import build_attestation
 from repro.service.protocol import (
     AttestationAck,
     AttestationPush,
-    QueryRequest,
     recv_frame,
     send_message,
 )
@@ -185,9 +184,7 @@ def bench_service_throughput(
     request/response lockstep disappears.  The sequential (one round trip
     per query) rate is measured too — ``pipelined_speedup`` is the ratio on
     identical hardware.  The raw/verified split isolates the client-side
-    verification cost; the server runs in-process proof construction (the
-    single-core configuration — see the ``service_pool`` workload for the
-    worker-pool path).
+    verification cost.
     """
     signed, publisher, _ = _employee_world(scheme, config)
     router = ShardRouter({"bench": publisher})
@@ -276,92 +273,6 @@ def bench_service_throughput(
             round(fresh / verified, 4) if verified else float("inf")
         )
     return report
-
-
-def bench_pooled_identity(
-    scheme: SignatureScheme, config: WireBenchConfig
-) -> Dict[str, object]:
-    """Worker-pool answers must be byte-identical to in-process answers.
-
-    The same shard state is served twice — once with proof construction
-    inline on the event loop, once dispatched to forked proof workers — and
-    the raw response frames are compared byte for byte.  Also records the
-    pooled throughput (which only exceeds the inline rate when there are
-    cores for the workers to use).
-    """
-    signed, publisher, _ = _employee_world(scheme, config)
-    router = ShardRouter({"bench": publisher})
-    queries = [_selectivity_query(s) for s in config.selectivities]
-
-    def collect_frames(worker_processes: int) -> List[bytes]:
-        frames: List[bytes] = []
-        with PublicationServer(
-            router,
-            config=ServerConfig(
-                max_workers=8,
-                worker_processes=worker_processes,
-                response_cache=False,
-            ),
-        ) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=30) as sock:
-                with VerifyingClient(host, port) as client:
-                    identifier = client.relations()["employees"]
-                for query in queries:
-                    send_message(
-                        sock, QueryRequest(manifest_id=identifier, query=query)
-                    )
-                    frame = recv_frame(sock)
-                    assert frame is not None
-                    frames.append(frame)
-        return frames
-
-    inline_frames = collect_frames(0)
-    pooled_frames = collect_frames(2)
-    identical = inline_frames == pooled_frames
-
-    def pooled_rate() -> float:
-        with PublicationServer(
-            router,
-            config=ServerConfig(
-                max_workers=max(8, 2 * config.clients), worker_processes=2
-            ),
-        ) as server:
-            host, port = server.address
-            batch = [
-                queries[index % len(queries)]
-                for index in range(config.requests_per_client)
-            ]
-
-            def worker(errors: List[BaseException]) -> None:
-                try:
-                    with VerifyingClient(host, port) as client:
-                        client.fetch_manifest("employees")
-                        client.execute_many([QuerySpec(q, verify=False) for q in batch])
-                except BaseException as error:  # pragma: no cover
-                    errors.append(error)
-
-            errors: List[BaseException] = []
-            threads = [
-                threading.Thread(target=worker, args=(errors,))
-                for _ in range(config.clients)
-            ]
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - start
-            if errors:
-                raise errors[0]
-            total = config.clients * config.requests_per_client
-            return round(total / elapsed, 2) if elapsed else float("inf")
-
-    return {
-        "pooled_identical": identical,
-        "worker_processes": 2,
-        "requests_per_sec_raw_pooled": pooled_rate(),
-    }
 
 
 def bench_replica_availability(
@@ -504,7 +415,6 @@ def run_wire_benchmarks(config: WireBenchConfig = WireBenchConfig()) -> Dict:
             "wire_vo_sizes": bench_vo_sizes(scheme, config),
             "wire_codec_throughput": bench_codec_throughput(scheme, config),
             "service_throughput": bench_service_throughput(scheme, config),
-            "service_pool": bench_pooled_identity(scheme, config),
             "replica_failover_availability": bench_replica_availability(
                 scheme, config
             ),

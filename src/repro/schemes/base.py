@@ -7,8 +7,7 @@ whole serving stack host those competitors side by side: a
 :class:`ProofScheme` names one way of publishing a relation so that an
 untrusted publisher can serve verifiable answers, and everything downstream —
 the :class:`~repro.service.router.ShardRouter`, the
-:class:`~repro.service.handler.RequestHandler`, the
-:class:`~repro.service.pool.ProofWorkerPool` and the
+:class:`~repro.service.handler.RequestHandler` and the
 :class:`~repro.service.client.VerifyingClient` — dispatches on the scheme tag
 carried by the relation's manifest instead of assuming the chain scheme.
 
@@ -352,8 +351,8 @@ class PublisherProtocol(Protocol):
     :class:`SchemePublisher`, or anything a future scheme supplies — is used
     through precisely these five members, nothing more:
 
-    * :attr:`database` — relation name -> publication mapping; the handler
-      lists it and the worker pool walks it to prime per-process state,
+    * :attr:`database` — relation name -> publication mapping; the router
+      and the durable storage walk it to index and persist every relation,
     * :meth:`signed_relation` — the live publication behind one relation
       (manifests, rotation signatures, recovery hooks),
     * :meth:`answer` / :meth:`answer_join` — proof-carrying query answers,
@@ -491,7 +490,7 @@ def register_scheme(scheme: ProofScheme) -> ProofScheme:
 
     Adding a scheme to the serving stack is exactly: implement the interface,
     register the VO codec from a field-spec table, call this.  Every layer —
-    router, handler, worker pool, client — picks it up through the registry.
+    router, handler, client — picks it up through the registry.
     """
     if not scheme.name:
         raise ValueError("a proof scheme needs a non-empty name")

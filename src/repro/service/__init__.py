@@ -3,8 +3,7 @@
 This package turns the in-process owner/publisher/user pipeline into the
 actual client/server deployment of the paper's Figure 3: a
 :class:`PublicationServer` (a ``selectors`` event loop accepting pipelined
-frames, optionally backed by a :class:`ProofWorkerPool` of forked proof
-workers) fronts one or more shards of signed relations and ships query
+frames) fronts one or more shards of signed relations and ships query
 answers plus verification objects as canonical wire bytes (:mod:`repro.wire`);
 a :class:`VerifyingClient` decodes and verifies them with no access to
 publisher state; an :class:`OwnerClient` authenticates as the data owner and
@@ -35,7 +34,6 @@ from repro.service.owner import (
     build_update_request,
     delta_sequence_cost,
 )
-from repro.service.pool import ProofWorkerPool
 from repro.service.protocol import (
     AttestationAck,
     AttestationPush,
@@ -112,7 +110,6 @@ __all__ = [
     "ManifestRotated",
     "OwnerAuthError",
     "OwnerClient",
-    "ProofWorkerPool",
     "PublicationServer",
     "QueryRequest",
     "QuerySpec",

@@ -5,8 +5,8 @@ durable storage layer lives in one of two value objects instead of a kwarg
 sprawl:
 
 * :class:`ServerConfig` — socket binding and concurrency: bind address,
-  connection cap, proof-worker pool size, response cache, per-connection
-  pipelining cap.
+  connection cap, response cache, per-connection pipelining cap, replica
+  role.
 * :class:`StorageConfig` — durability: the storage root, the WAL fsync
   policy and the checkpoint cadence.
 * :class:`FreshnessPolicy` — the client-side bounded-staleness contract: how
@@ -66,7 +66,7 @@ class FreshnessPolicy:
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """How a :class:`~repro.service.server.PublicationServer` binds and scales.
+    """How a :class:`~repro.service.server.PublicationServer` binds and serves.
 
     See the server class for the fields' full semantics.
     """
@@ -76,12 +76,10 @@ class ServerConfig:
     #: Maximum concurrently open connections (historical name: the
     #: thread-pool ancestor had one thread per connection).
     max_workers: int = 8
-    #: Proof worker pool size; 0 constructs proofs inline on the event loop.
-    worker_processes: int = 0
     #: Encoded-response cache for hot query/join frames.
     response_cache: bool = True
-    #: Per-connection cap on parsed-but-unanswered pipelined frames; beyond
-    #: it the server stops reading that socket until responses drain.
+    #: Per-connection cap on pipelined frames answered between socket
+    #: writes; at it the loop flushes the responses before parsing on.
     max_pipelined_frames: int = 256
     #: Serve reads only: direct owner updates and attestation pushes are
     #: refused with a typed ``ReadOnlyReplica`` error.  Set on replica
@@ -102,8 +100,6 @@ class ServerConfig:
             raise ValueError(f"port {self.port} is not a TCP port")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.worker_processes < 0:
-            raise ValueError("worker_processes must be >= 0")
         if self.max_pipelined_frames < 1:
             raise ValueError("max_pipelined_frames must be >= 1")
 

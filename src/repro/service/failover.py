@@ -50,7 +50,7 @@ __all__ = ["EndpointPool", "FailoverClient", "FailoverExhausted"]
 
 #: RemoteError codes that mean "this endpoint, right now" rather than "this
 #: query": worth trying elsewhere.
-FAILOVER_REMOTE_CODES = frozenset({"ServerBusy", "WorkerCrashed"})
+FAILOVER_REMOTE_CODES = frozenset({"ServerBusy"})
 
 #: Hedge deadline when no latency samples exist yet (seconds).
 _HEDGE_COLD_DEADLINE = 0.05

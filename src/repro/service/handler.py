@@ -1,12 +1,11 @@
-"""Request handling shared by the event-loop server and its proof workers.
+"""Request handling for the event-loop server and the replication follower.
 
 A :class:`RequestHandler` owns everything about turning one decoded request
 into one response — routing, locking, proof construction, owner-update
-authentication — with no knowledge of sockets or processes.  The
+authentication — with no knowledge of sockets.  The
 :class:`~repro.service.server.PublicationServer` event loop calls it inline,
-and every :mod:`~repro.service.pool` worker process runs its own forked copy
-over identical shard state, which is what keeps pooled and in-process answers
-byte-identical.
+and a replica's :class:`~repro.service.replication.ReplicationFollower`
+applies the primary's owner-signed frames through the same pipeline.
 
 The handler also maintains the **encoded-response cache**: for query and join
 frames, the canonical wire bytes of the *request* key the canonical wire
@@ -70,27 +69,16 @@ _RESPONSE_CACHE_MAX_BYTES = 64 * 1024 * 1024
 
 
 class HandledFrame:
-    """The outcome of serving one frame: payload plus connection policy.
+    """The outcome of serving one frame: payload plus connection policy."""
 
-    ``broadcast`` is False when the frame must *not* be propagated to pooled
-    proof workers: an update frame answered from the applied-update registry
-    was already applied (and broadcast) once — re-broadcasting it would make
-    every worker re-apply an already-applied batch and self-destruct.
-    """
-
-    __slots__ = ("payload", "is_error", "close_after", "broadcast")
+    __slots__ = ("payload", "is_error", "close_after")
 
     def __init__(
-        self,
-        payload: bytes,
-        is_error: bool = False,
-        close_after: bool = False,
-        broadcast: bool = True,
+        self, payload: bytes, is_error: bool = False, close_after: bool = False
     ) -> None:
         self.payload = payload
         self.is_error = is_error
         self.close_after = close_after
-        self.broadcast = broadcast
 
 
 class RequestHandler:
@@ -116,8 +104,6 @@ class RequestHandler:
         #: Optional :class:`~repro.storage.store.PublicationStorage`: when
         #: set, every accepted update batch is WAL-logged (and fsynced per
         #: the storage's policy) *before* it is applied or acknowledged.
-        #: Forked pool workers null this out — only the master process owns
-        #: the log handles (see :func:`repro.service.pool._worker_main`).
         self.storage = storage
         #: Optional failpoint registry (crash testing); see
         #: :mod:`repro.storage.faults`.
@@ -173,28 +159,9 @@ class RequestHandler:
             # Idempotent resubmission: a batch this router already applied
             # (same canonical frame bytes — the owner signature covers them)
             # is answered with its original outcome, never applied twice.
-            # The response must not be re-broadcast to pool workers either;
-            # they applied the batch when it first landed.
             replayed = self.router.replayed_update_response(frame)
             if replayed is not None:
-                return HandledFrame(replayed, broadcast=False)
-        if isinstance(request, AttestationPush):
-            # Handled outside dispatch() so the idempotent re-push case can
-            # suppress the pool broadcast: an attestation the router already
-            # stores changed nothing, and re-broadcasting it would make every
-            # worker refuse it as a regression.
-            try:
-                response, applied = self._answer_attestation_push(request)
-            except ReproError as error:
-                return HandledFrame(self._error_payload(error), True)
-            except Exception as error:  # noqa: BLE001 - never leak a traceback
-                return HandledFrame(
-                    self._error_payload(
-                        error, code="InternalError", reason="internal-error"
-                    ),
-                    True,
-                )
-            return HandledFrame(encode(response), broadcast=applied)
+                return HandledFrame(replayed)
         try:
             response = self.dispatch(request, frame=frame)
         except ReproError as error:
@@ -317,8 +284,7 @@ class RequestHandler:
         if isinstance(request, RotationRequest):
             return self.router.rotation(request.relation_name)
         if isinstance(request, AttestationPush):
-            response, _ = self._answer_attestation_push(request)
-            return response
+            return self._answer_attestation_push(request)
         if isinstance(request, AttestationRequest):
             attestation = self.router.attestation_for(request.relation_name)
             if attestation is None:
@@ -522,19 +488,15 @@ class RequestHandler:
             self.router.remember_applied_update(frame, encode(response))
             return response
         if isinstance(request, AttestationPush):
-            response, _ = self._answer_attestation_push(request)
-            return response
+            return self._answer_attestation_push(request)
         raise ServiceProtocolError(
             f"{type(request).__name__} is not a replicable frame"
         )
 
-    def _answer_attestation_push(
-        self, request: AttestationPush
-    ) -> Tuple[AttestationAck, bool]:
+    def _answer_attestation_push(self, request: AttestationPush) -> AttestationAck:
         """Validate, store and durably log one owner freshness attestation.
 
-        Returns ``(ack, applied)``; ``applied`` is False for a byte-identical
-        re-push (nothing logged, nothing to broadcast to pool workers).  The
+        A byte-identical re-push is acknowledged without logging anything.  The
         acknowledgement is only produced after the WAL append returns, so an
         acked attestation survives a crash (same durable-before-ack contract
         as updates); the re-stamped attestations produced by rotations are
@@ -548,11 +510,8 @@ class RequestHandler:
             applied = self.router.store_attestation(target, attestation)
             if applied and storage is not None:
                 storage.log_attestation(target, attestation)
-        return (
-            AttestationAck(
-                relation_name=target.relation_name,
-                sequence=attestation.sequence,
-                epoch=attestation.epoch,
-            ),
-            applied,
+        return AttestationAck(
+            relation_name=target.relation_name,
+            sequence=attestation.sequence,
+            epoch=attestation.epoch,
         )

@@ -15,10 +15,10 @@ Retryability is deliberately narrow:
   the original outcome instead of double-applying (see
   :meth:`repro.service.router.ShardRouter.remember_applied_update`).
 * :class:`~repro.service.protocol.RemoteError` with a code in
-  :attr:`RetryPolicy.retryable_codes` — explicitly transient server states
-  (``ServerBusy``, ``WorkerCrashed``).  Every other typed server error —
-  stale updates, bad signatures, unknown manifests — is a *semantic* answer
-  and retrying it verbatim would just repeat it.
+  :attr:`RetryPolicy.retryable_codes` — an explicitly transient server state
+  (``ServerBusy``).  Every other typed server error — stale updates, bad
+  signatures, unknown manifests — is a *semantic* answer and retrying it
+  verbatim would just repeat it.
 
 Exhaustion is a typed :class:`RetriesExhausted` carrying the attempt count
 and the last underlying error, so callers can distinguish "the server kept
@@ -41,7 +41,7 @@ from repro.service.protocol import (
 __all__ = ["RetryPolicy", "RetriesExhausted", "DEFAULT_RETRYABLE_CODES"]
 
 #: Server error codes that describe a transient condition worth retrying.
-DEFAULT_RETRYABLE_CODES: FrozenSet[str] = frozenset({"ServerBusy", "WorkerCrashed"})
+DEFAULT_RETRYABLE_CODES: FrozenSet[str] = frozenset({"ServerBusy"})
 
 
 class RetriesExhausted(ServiceError):

@@ -466,7 +466,7 @@ class ShardRouter:
 
         Must be called with ``target.lock`` held.  Returns ``False`` for a
         byte-identical re-push (an owner retrying an unacked push) — already
-        stored, nothing to log or broadcast.  A push that does not strictly
+        stored, nothing to log.  A push that does not strictly
         advance the stored ``(sequence, epoch)`` order is refused with a
         typed :class:`StaleAnswerError` so a captured old attestation can
         never roll freshness back.

@@ -8,29 +8,19 @@ answers each connection's requests strictly in order — so a client pays the
 network round trip once per *batch*, not once per query (see
 :meth:`~repro.service.client.VerifyingClient.execute_many`).
 
-Proof construction is CPU-bound hashing, so the loop can either run it inline
-(``worker_processes=0``, the default — one core, zero IPC overhead) or
-dispatch query/join frames to a :class:`~repro.service.pool.ProofWorkerPool`
-of pre-warmed forked workers (``worker_processes=N``) so throughput scales
-with cores.  The event loop itself never blocks on proof work in pooled mode:
-it routes frames by *peeking* at their envelope
-(:func:`repro.wire.codec.frame_type` — four bytes, no payload decode) and
-ships raw bytes to the workers.
+Proof construction runs inline on the loop thread — one core, no IPC.  To put
+reads on more cores, run one more publisher: a same-host read replica
+(:mod:`repro.service.replication`) behind a
+:class:`~repro.service.failover.FailoverClient`; see
+``examples/replica_scaleout.py``.
 
-Owner mutations (:class:`~repro.wire.updates.UpdateRequest`) are always
-applied by the master process — owner-signature verification, all-or-nothing
-application and manifest rotation under the shard's write lock — and then
-broadcast to every worker, which re-applies them to its forked copy (FDH-RSA
-is deterministic, so all copies stay identical and pooled answers remain
-byte-identical to in-process answers).  The owner's ``UpdateResponse`` is
-held until every worker acknowledged the broadcast.
+Owner mutations (:class:`~repro.wire.updates.UpdateRequest`) are applied
+under the shard's write lock: owner-signature verification, all-or-nothing
+application and manifest rotation.
 
 Every failure is answered with a typed
 :class:`~repro.service.protocol.ErrorResponse`; the server never leaks a
-stack trace to the peer and never dies on a malformed request.  A worker that
-crashes mid-query produces a typed ``ErrorResponse(code="WorkerCrashed")``
-for each request it took with it — never a hang — and is replaced by a fresh
-fork of the master's current state.
+stack trace to the peer and never dies on a malformed request.
 
 Run ``python -m repro.service`` to serve the built-in demo database
 (prints ``PORT <n>`` once it is listening; see :mod:`repro.service.demo`).
@@ -42,52 +32,29 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.backend import backend_stats
 from repro.service.config import ServerConfig
 from repro.service.handler import HandledFrame, RequestHandler
-from repro.service.pool import ProofWorkerPool
 from repro.service.protocol import (
-    AttestationPush,
     ErrorResponse,
-    JoinRequest,
     MAX_FRAME_BYTES,
     MID_FRAME_STALL_SECONDS,
-    QueryRequest,
 )
-from repro.service.router import ShardRouter, UnknownManifestError
+from repro.service.router import ShardRouter
 from repro.wire import encode
-from repro.wire.codec import frame_type, peek_leading_fields
-from repro.wire.errors import WireFormatError
-from repro.wire.updates import UpdateRequest
 
 __all__ = ["PublicationServer"]
 
-#: Default per-connection cap on queued (parsed but unanswered) pipelined
-#: frames; beyond it the server stops reading that socket until responses
-#: drain — backpressure instead of unbounded buffering.  Tunable per server
-#: via :attr:`repro.service.config.ServerConfig.max_pipelined_frames`.
+#: Default per-connection cap on pipelined frames answered between socket
+#: writes: after this many the loop hands the responses to the socket before
+#: it parses on, so a deep pipeline's first answers leave while the later
+#: ones are computed.  Tunable per server via
+#: :attr:`repro.service.config.ServerConfig.max_pipelined_frames`.
 MAX_PIPELINED_FRAMES = 256
 
 _RECV_CHUNK = 256 * 1024
-
-
-class _Slot:
-    """One in-order response slot of a connection's pipeline."""
-
-    __slots__ = ("payload", "is_error", "close_after")
-
-    def __init__(self) -> None:
-        self.payload: Optional[bytes] = None
-        self.is_error = False
-        self.close_after = False
-
-    def complete(self, handled: HandledFrame) -> None:
-        self.payload = handled.payload
-        self.is_error = handled.is_error
-        self.close_after = handled.close_after
 
 
 class _Connection:
@@ -97,9 +64,7 @@ class _Connection:
         "sock",
         "inbuf",
         "outbuf",
-        "pending",
         "closing",
-        "paused",
         "stalled",
         "last_recv",
         "registered_events",
@@ -109,11 +74,8 @@ class _Connection:
         self.sock = sock
         self.inbuf = bytearray()
         self.outbuf = bytearray()
-        self.pending: Deque[_Slot] = deque()
         #: True once the connection must be torn down after the outbuf drains.
         self.closing = False
-        #: True while reads are suspended for pipeline backpressure.
-        self.paused = False
         #: True once a "stall" fault froze this connection's writes: the
         #: outbuf is never flushed again and the peer must time out.
         self.stalled = False
@@ -122,7 +84,7 @@ class _Connection:
 
     def wants_events(self) -> int:
         events = 0
-        if not self.closing and not self.paused:
+        if not self.closing:
             events |= selectors.EVENT_READ
         if self.outbuf and not self.stalled:
             events |= selectors.EVENT_WRITE
@@ -141,10 +103,8 @@ class PublicationServer:
         picks a free port; read it back from :attr:`address` after
         :meth:`start`), connection cap (a connection beyond it immediately
         receives a typed ``ErrorResponse(code="ServerBusy")`` — overload,
-        never an unexplained hang), proof-worker pool size (0 constructs
-        proofs inline; N > 0 forks N pre-warmed workers, requires a ``fork``
-        platform), the encoded-response cache switch and the per-connection
-        pipelining cap.
+        never an unexplained hang), the encoded-response cache switch and the
+        per-connection pipelining cap.
     storage:
         Optional :class:`~repro.storage.store.PublicationStorage`: accepted
         update batches are write-ahead logged (and fsynced per the storage's
@@ -169,7 +129,6 @@ class PublicationServer:
         self.router = router
         self._requested = (config.host, config.port)
         self._max_connections = config.max_workers
-        self._worker_processes = config.worker_processes
         self._max_pipelined = config.max_pipelined_frames
         self.storage = storage
         self.faults = faults
@@ -185,14 +144,9 @@ class PublicationServer:
         self._loop_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._wake_send: Optional[socket.socket] = None
-        self._pool: Optional[ProofWorkerPool] = None
         # Event-loop state (touched only from the loop thread after start).
         self._selector: Optional[selectors.BaseSelector] = None
         self._connections: Dict[socket.socket, _Connection] = {}
-        self._request_counter = 0
-        self._pool_slots: Dict[int, Tuple[_Connection, _Slot]] = {}
-        self._worker_regs: Dict[int, object] = {}
-        self._deferred_updates: Dict[int, List[Tuple[_Connection, _Slot, HandledFrame]]] = {}
         # Stats (monotonic counters; read by tests and the demo logger).
         self._stats_lock = threading.Lock()
         self.requests_served = 0
@@ -206,11 +160,6 @@ class PublicationServer:
         return self.handler.updates_applied
 
     @property
-    def workers_restarted(self) -> int:
-        """How many crashed proof workers were replaced."""
-        return self._pool.workers_restarted if self._pool is not None else 0
-
-    @property
     def address(self) -> Tuple[str, int]:
         """The bound (host, port); only meaningful after :meth:`start`."""
         if self._listener is None:
@@ -218,7 +167,7 @@ class PublicationServer:
         return self._listener.getsockname()[:2]
 
     def start(self) -> Tuple[str, int]:
-        """Bind, listen, fork the worker pool and start the event loop."""
+        """Bind, listen and start the event loop."""
         if self._listener is not None:
             raise RuntimeError("the server is already running")
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -228,12 +177,6 @@ class PublicationServer:
         listener.setblocking(False)
         self._listener = listener
         self._stopping.clear()
-        if self._worker_processes > 0:
-            # Fork *before* the loop thread starts: the children inherit a
-            # quiescent single-threaded master.
-            self._pool = ProofWorkerPool(
-                lambda: self.handler, self._worker_processes
-            )
         self._wake_send, wake_recv = socket.socketpair()
         self._wake_send.setblocking(False)
         wake_recv.setblocking(False)
@@ -259,7 +202,7 @@ class PublicationServer:
                 pass
 
     def stop(self) -> None:
-        """Stop the loop, drain connections, release sockets and workers."""
+        """Stop the loop, drain connections and release the sockets."""
         if self._listener is None:
             return
         self.request_stop()
@@ -270,9 +213,6 @@ class PublicationServer:
             # Every acknowledged batch is already on disk under
             # fsync="always"; this flushes whatever a weaker policy buffered.
             self.storage.sync()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         if self._wake_send is not None:
             self._wake_send.close()
             self._wake_send = None
@@ -316,12 +256,6 @@ class PublicationServer:
         assert self._listener is not None
         selector.register(self._listener, selectors.EVENT_READ, ("listener", None))
         selector.register(wake_recv, selectors.EVENT_READ, ("wake", None))
-        if self._pool is not None:
-            for index, connection in self._pool.connections():
-                key = selector.register(
-                    connection, selectors.EVENT_READ, ("worker", index)
-                )
-                self._worker_regs[index] = key.fileobj
         last_sweep = time.monotonic()
         try:
             while not self._stopping.is_set():
@@ -335,8 +269,6 @@ class PublicationServer:
                             wake_recv.recv(4096)
                         except OSError:
                             pass
-                    elif tag == "worker":
-                        self._worker_ready(payload)
                     else:  # a client connection
                         self._connection_ready(payload, mask)
                 now = time.monotonic()
@@ -356,9 +288,7 @@ class PublicationServer:
 
         A graceful shutdown (SIGTERM/``request_stop``) should not cut off a
         response the server already produced: writable outbufs are flushed
-        for up to ``deadline_seconds``.  Requests still *pending* (e.g. on a
-        crashed-and-not-yet-replaced worker) are abandoned — the peer sees
-        EOF and retries under its retry policy.
+        for up to ``deadline_seconds``.
         """
         deadline = time.monotonic() + deadline_seconds
         while time.monotonic() < deadline:
@@ -366,7 +296,7 @@ class PublicationServer:
             for connection in list(self._connections.values()):
                 if connection.sock not in self._connections or connection.stalled:
                     continue
-                self._flush_completed(connection)
+                self._flush_outbuf(connection)
                 if connection.sock in self._connections and connection.outbuf:
                     busy = True
             if not busy:
@@ -434,7 +364,7 @@ class PublicationServer:
         if mask & selectors.EVENT_READ and not connection.closing:
             self._read_ready(connection)
         if connection.sock in self._connections:
-            if connection.closing and not connection.outbuf and not connection.pending:
+            if connection.closing and not connection.outbuf:
                 self._drop_connection(connection)
             else:
                 self._reregister(connection)
@@ -448,7 +378,7 @@ class PublicationServer:
             self._drop_connection(connection)
             return
         if not chunk:
-            # Clean or abrupt EOF.  Any responses still pending are moot —
+            # Clean or abrupt EOF.  Any responses still buffered are moot —
             # the peer is no longer reading.
             self._drop_connection(connection)
             return
@@ -460,15 +390,13 @@ class PublicationServer:
         inbuf = connection.inbuf
         offset = 0
         total = len(inbuf)
+        unflushed = 0
         while not connection.closing:
-            if len(connection.pending) >= self._max_pipelined:
-                connection.paused = True
-                break
             if total - offset < 4:
                 break
             length = int.from_bytes(inbuf[offset : offset + 4], "big")
             if length > MAX_FRAME_BYTES:
-                self._complete_inline(
+                self._respond(
                     connection,
                     self._framing_error(
                         f"announced frame of {length} bytes exceeds the cap"
@@ -480,10 +408,17 @@ class PublicationServer:
             with memoryview(inbuf) as view:
                 frame = bytes(view[offset + 4 : offset + 4 + length])
             offset += 4 + length
-            self._handle_frame(connection, frame)
+            self._respond(connection, self.handler.handle_frame(frame))
+            unflushed += 1
+            if unflushed >= self._max_pipelined:
+                unflushed = 0
+                self._flush_outbuf(connection)
+                if connection.sock not in self._connections:
+                    return  # the peer went away mid-pipeline
         if offset:
             del inbuf[:offset]
-        self._flush_completed(connection)
+        if connection.outbuf:
+            self._flush_outbuf(connection)
 
     def _framing_error(self, message: str) -> HandledFrame:
         payload = encode(
@@ -493,197 +428,17 @@ class PublicationServer:
         )
         return HandledFrame(payload, is_error=True, close_after=True)
 
-    def _complete_inline(self, connection: _Connection, handled: HandledFrame) -> None:
-        slot = _Slot()
-        slot.complete(handled)
-        connection.pending.append(slot)
-
-    # -- frame handling ------------------------------------------------------
-
-    def _handle_frame(self, connection: _Connection, frame: bytes) -> None:
-        pool = self._pool
-        if pool is not None:
-            try:
-                cls = frame_type(frame)
-            except WireFormatError as error:
-                handled = HandledFrame(
-                    self.handler._error_payload(error), True, close_after=True
-                )
-                self._complete_inline(connection, handled)
-                return
-            if cls is QueryRequest or cls is JoinRequest:
-                rejection = self._peek_route_rejection(cls, frame)
-                if rejection is not None:
-                    self._complete_inline(connection, rejection)
-                    return
-                slot = _Slot()
-                connection.pending.append(slot)
-                self._request_counter += 1
-                request_id = self._request_counter
-                self._pool_slots[request_id] = (connection, slot)
-                pool.submit(request_id, frame)
-                return
-            if cls is UpdateRequest or cls is AttestationPush:
-                handled = self.handler.handle_frame(frame)
-                slot = _Slot()
-                connection.pending.append(slot)
-                if handled.is_error or not handled.broadcast:
-                    # Errors were never applied; non-broadcast responses come
-                    # from the applied-update registry (or an idempotent
-                    # attestation re-push) — the workers already applied that
-                    # mutation when it first landed.
-                    slot.complete(handled)
-                    return
-                # Applied by the master: propagate to every forked worker and
-                # hold the owner's response until all copies acknowledged.
-                # Attestation pushes ride the same coherence path — workers
-                # stamp answers from their own router state, which must match
-                # the master's for pooled answers to stay byte-identical.
-                epoch, outstanding = pool.broadcast_update(frame)
-                if outstanding == 0:
-                    slot.complete(handled)
-                else:
-                    self._deferred_updates.setdefault(epoch, []).append(
-                        (connection, slot, handled)
-                    )
-                return
-        self._complete_inline(connection, self.handler.handle_frame(frame))
-
-    def _peek_route_rejection(
-        self, cls: type, frame: bytes
-    ) -> Optional[HandledFrame]:
-        """Routing pre-check for pooled frames, from the envelope peek alone.
-
-        Query/join frames lead with their manifest id(s)
-        (:func:`repro.wire.peek_leading_fields` materialises just those), so
-        a frame addressing an id this router has never hosted is refused by
-        the master without decoding the payload or consuming worker
-        capacity.  Anything else — including a frame whose leading fields do
-        not even parse — goes to a worker, whose full strict decode produces
-        the canonical typed error.
-        """
-        try:
-            count = 1 if cls is QueryRequest else 2
-            for identifier in peek_leading_fields(frame, count):
-                self.router.route(identifier)
-        except UnknownManifestError as error:
-            return HandledFrame(self.handler._error_payload(error), is_error=True)
-        except Exception:  # noqa: BLE001 - defer to the worker's strict decode
-            return None
-        return None
-
-    def _worker_ready(self, worker_index: int) -> None:
-        assert self._pool is not None
-        worker = self._pool.worker(worker_index)
-        try:
-            while worker.connection.poll(0):
-                message = worker.connection.recv()
-                self._worker_message(worker_index, message)
-        except (EOFError, OSError):
-            self._worker_crashed(worker_index)
-
-    def _worker_message(self, worker_index: int, message) -> None:
-        assert self._pool is not None
-        # Every reply frees pipe budget and pumps the worker's outbox.
-        self._pool.note_reply(worker_index)
-        kind = message[0]
-        if kind == "r":
-            _, request_id, payload, is_error, close_after = message
-            worker = self._pool.worker(worker_index)
-            try:
-                worker.in_flight.remove(request_id)
-            except ValueError:
-                pass
-            entry = self._pool_slots.pop(request_id, None)
-            if entry is None:
-                return
-            connection, slot = entry
-            slot.complete(HandledFrame(payload, is_error, close_after))
-            self._flush_completed(connection)
-            if connection.sock in self._connections:
-                self._reregister(connection)
-        elif kind == "a":
-            _, epoch = message
-            if self._pool.note_ack(worker_index, epoch):
-                self._finish_update_epoch(epoch)
-
-    def _finish_update_epoch(self, epoch: int) -> None:
-        for connection, slot, handled in self._deferred_updates.pop(epoch, ()):
-            slot.complete(handled)
-            self._flush_completed(connection)
-            if connection.sock in self._connections:
-                self._reregister(connection)
-
-    def _worker_crashed(self, worker_index: int) -> None:
-        assert self._pool is not None and self._selector is not None
-        registered = self._worker_regs.pop(worker_index, None)
-        if registered is not None:
-            try:
-                self._selector.unregister(registered)
-            except KeyError:
-                pass
-        lost = self._pool.handle_worker_eof(worker_index)
-        payload = encode(
-            ErrorResponse(
-                code="WorkerCrashed",
-                reason="worker-crashed",
-                message=(
-                    "the proof worker serving this request died; it has been "
-                    "replaced — retry the request"
-                ),
-            )
-        )
-        for request_id in lost:
-            entry = self._pool_slots.pop(request_id, None)
-            if entry is None:
-                continue
-            connection, slot = entry
-            slot.complete(HandledFrame(payload, is_error=True))
-            self._flush_completed(connection)
-            if connection.sock in self._connections:
-                self._reregister(connection)
-        # A crash may have been the last outstanding ack of an update epoch.
-        for epoch in self._pool.resolved_epochs():
-            self._pool.finish_resolved_epoch(epoch)
-            self._finish_update_epoch(epoch)
-        key = self._selector.register(
-            self._pool.worker(worker_index).connection,
-            selectors.EVENT_READ,
-            ("worker", worker_index),
-        )
-        self._worker_regs[worker_index] = key.fileobj
-
-    # -- response flushing ---------------------------------------------------
-
-    def _flush_completed(self, connection: _Connection) -> None:
-        pending = connection.pending
-        served = 0
-        errors = 0
-        while pending and pending[0].payload is not None:
-            slot = pending.popleft()
-            connection.outbuf += len(slot.payload).to_bytes(4, "big")
-            connection.outbuf += slot.payload
-            if slot.is_error:
-                errors += 1
+    def _respond(self, connection: _Connection, handled: HandledFrame) -> None:
+        """Queue one response, in request order, behind the earlier ones."""
+        connection.outbuf += len(handled.payload).to_bytes(4, "big")
+        connection.outbuf += handled.payload
+        if handled.close_after:
+            connection.closing = True
+        with self._stats_lock:
+            if handled.is_error:
+                self.errors_answered += 1
             else:
-                served += 1
-            if slot.close_after:
-                connection.closing = True
-                pending.clear()
-                break
-        if served or errors:
-            with self._stats_lock:
-                self.requests_served += served
-                self.errors_answered += errors
-        if connection.paused and len(pending) <= self._max_pipelined // 2:
-            connection.paused = False
-            # Frames may already be buffered past the pause point; any
-            # partial tail left after parsing starts a fresh stall window
-            # (the peer was not stalling while reads were suspended).
-            connection.last_recv = time.monotonic()
-            self._parse_frames(connection)
-        if connection.outbuf:
-            self._flush_outbuf(connection)
+                self.requests_served += 1
 
     def _flush_outbuf(self, connection: _Connection) -> None:
         if connection.stalled:
@@ -718,12 +473,7 @@ class PublicationServer:
         except OSError:
             self._drop_connection(connection)
             return
-        if (
-            connection.closing
-            and not outbuf
-            and not connection.pending
-            and connection.sock in self._connections
-        ):
+        if connection.closing and not outbuf:
             self._drop_connection(connection)
 
     def _drop_connection(self, connection: _Connection) -> None:
@@ -735,27 +485,14 @@ class PublicationServer:
             except KeyError:
                 pass
         connection.registered_events = 0
-        # Results still in flight for this connection are discarded on arrival.
-        stale = [
-            request_id
-            for request_id, (owner, _) in self._pool_slots.items()
-            if owner is connection
-        ]
-        for request_id in stale:
-            del self._pool_slots[request_id]
         connection.sock.close()
 
     def _sweep_stalled(self, now: float) -> None:
         for connection in list(self._connections.values()):
             # Only a frame cut off in the middle is bounded here (see
-            # protocol.MID_FRAME_STALL_SECONDS).  A connection paused for
-            # pipeline backpressure, or with answers still being produced,
-            # is making progress — its inbuf legitimately holds bytes while
-            # reads (and therefore last_recv) are suspended.
-            if connection.paused or connection.pending:
-                continue
-            mid_frame = bool(connection.inbuf)
-            if mid_frame and now - connection.last_recv > MID_FRAME_STALL_SECONDS:
+            # protocol.MID_FRAME_STALL_SECONDS): whole frames are answered as
+            # they are parsed, so bytes left in inbuf are a partial frame.
+            if connection.inbuf and now - connection.last_recv > MID_FRAME_STALL_SECONDS:
                 self._drop_connection(connection)
 
 
@@ -774,18 +511,13 @@ def _main(argv=None) -> int:
         open_publication_storage,
     )
 
+    defaults = ServerConfig()
     parser = argparse.ArgumentParser(description=_main.__doc__)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0)
+    parser.add_argument("--host", default=defaults.host)
+    parser.add_argument("--port", type=int, default=defaults.port)
     parser.add_argument("--key-bits", type=int, default=512)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--max-workers", type=int, default=64)
-    parser.add_argument(
-        "--worker-processes",
-        type=int,
-        default=0,
-        help="size of the proof worker pool (0 = construct proofs inline)",
-    )
+    parser.add_argument("--max-workers", type=int, default=defaults.max_workers)
     parser.add_argument(
         "--no-response-cache",
         action="store_true",
@@ -892,7 +624,6 @@ def _main(argv=None) -> int:
             host=args.host,
             port=args.port,
             max_workers=args.max_workers,
-            worker_processes=args.worker_processes,
             response_cache=not args.no_response_cache,
             read_only=primary is not None,
             serve_replication=args.serve_replication,

@@ -46,14 +46,6 @@ the WAL replays the rest.  The ``relstore-before-commit`` failpoint fires
 just before the outermost ``COMMIT`` and is meant for ``kill``-style crash
 tests (an ``error`` action rolls the store back while the in-memory chain
 keeps the mutation, deliberately modelling a torn process about to die).
-
-**Forked proof workers** call :meth:`StoredSignedRelation.set_worker_mode`:
-persistence is disabled, reads pin a WAL snapshot (one long-lived read
-transaction per worker process), and re-applied broadcast rows are kept in
-the unevictable pending cache — so a worker never depends on rows the
-master has since rewritten.  A worker that does hit an inconsistent read
-exits and is re-forked from the master's current state by the pool, which
-is the pool's designed recovery path for any worker crash.
 """
 
 from __future__ import annotations
@@ -141,7 +133,7 @@ class ChainState:
 class RelationStore:
     """One shard's SQLite store of rows, chain digests and manifest state.
 
-    Connections are opened lazily per process (a forked worker that
+    Connections are opened lazily per process (a forked child that
     inherits this object transparently reconnects under its own pid) and
     shared across threads — the service applies every mutation on its
     single event-loop thread, and SQLite's serialized mode plus the
@@ -162,7 +154,6 @@ class RelationStore:
         self._conn: Optional[sqlite3.Connection] = None
         self._pid: Optional[int] = None
         self._depth = 0
-        self._snapshot_reads = False
         self._txn_lock = threading.RLock()
 
     # -- connection management -------------------------------------------------
@@ -218,23 +209,7 @@ class RelationStore:
             self._conn = conn
             self._pid = os.getpid()
             self._depth = 0
-            if self._snapshot_reads:
-                conn.execute("BEGIN")
-                conn.execute("SELECT COUNT(*) FROM chain_state").fetchone()
         return self._conn
-
-    def enable_snapshot_reads(self) -> None:
-        """Pin all reads to the current WAL snapshot (forked workers).
-
-        Opens a fresh connection immediately (discarding any inherited one)
-        and starts a read transaction that is never committed, so every
-        later fault-in sees the database exactly as it was now — the
-        master's subsequent commits are invisible, matching the worker's
-        own in-memory re-application of broadcast updates.
-        """
-        self._snapshot_reads = True
-        self._conn = None
-        _ = self.connection
 
     def close(self) -> None:
         if self._conn is not None and self._pid == os.getpid():
@@ -544,8 +519,7 @@ class _RecordColumn:
     column resolves to a record *identity* ``(key, fingerprint)``, which is
     loaded from the store, integrity-checked against its fingerprint, and
     kept in a bounded LRU cache.  Freshly inserted records sit in the
-    unevictable ``_pending`` overlay until their transaction commits (or
-    forever, in pinned worker mode).
+    unevictable ``_pending`` overlay until their transaction commits.
     """
 
     __slots__ = (
@@ -556,7 +530,6 @@ class _RecordColumn:
         "_cache",
         "_cache_size",
         "_pending",
-        "_pin_pending",
         "faulted",
     )
 
@@ -575,7 +548,6 @@ class _RecordColumn:
         self._cache: "OrderedDict[Tuple[int, bytes], Record]" = OrderedDict()
         self._cache_size = max(1, cache_size)
         self._pending: Dict[Tuple[int, bytes], Record] = {}
-        self._pin_pending = False
         self.faulted = 0
 
     def _materialise(self, identity: Tuple[int, bytes]) -> Record:
@@ -633,8 +605,6 @@ class _RecordColumn:
 
     def committed(self, identity: Tuple[int, bytes]) -> None:
         """Move a pending insert into the evictable cache (post-commit)."""
-        if self._pin_pending:
-            return
         record = self._pending.pop(identity, None)
         if record is not None:
             self._cache[identity] = record
@@ -791,7 +761,6 @@ class StoredSignedRelation(SignedRelation):
         self._manifest = None
         self._store = store
         self._name = relation_name
-        self._persist = True
         self._entries = (
             [ChainEntry(_LEFT_DELIMITER, self.domain.lower)]
             + [ChainEntry(_RECORD, key) for key, _ in relation._sort_keys]
@@ -846,12 +815,6 @@ class StoredSignedRelation(SignedRelation):
                 self._name, kind, key, fingerprint, self.signatures[index]
             )
 
-    def set_worker_mode(self) -> None:
-        """Switch to forked-proof-worker mode: read-only, snapshot-pinned."""
-        self._persist = False
-        self.relation._records._pin_pending = True
-        self._store.enable_snapshot_reads()
-
     # -- persisted mutations ---------------------------------------------------
 
     def insert_record(self, record):
@@ -869,10 +832,6 @@ class StoredSignedRelation(SignedRelation):
         self.signatures.insert(chain_index, 0)
         identity = (inserted.key, inserted.fingerprint())
         window = (chain_index - 1, chain_index, chain_index + 1)
-        if not self._persist:
-            receipt = self._resign_window(window, digests_recomputed=1)
-            self._notify(receipt.entries_affected)
-            return receipt
         store = self._store
         batched = store.in_transaction()
         with store.transaction():
@@ -908,10 +867,6 @@ class StoredSignedRelation(SignedRelation):
         del self._digests[chain_index]
         del self.signatures[chain_index]
         window = (chain_index - 1, chain_index)
-        if not self._persist:
-            receipt = self._resign_window(window, digests_recomputed=0)
-            self._notify(receipt.entries_affected, extra_keys=(removed_key,))
-            return receipt
         store = self._store
         batched = store.in_transaction()
         with store.transaction():
@@ -927,8 +882,6 @@ class StoredSignedRelation(SignedRelation):
         return receipt
 
     def update_record(self, old, new):
-        if not self._persist:
-            return super().update_record(old, new)
         store = self._store
         batched = store.in_transaction()
         version_before = self._version

@@ -16,11 +16,9 @@ from repro.wire.codec import (
     WIRE_VERSION,
     decode,
     encode,
-    frame_type,
     from_json,
     from_json_obj,
     manifest_id,
-    peek_leading_fields,
     register_artifact,
     to_json,
     to_json_obj,
@@ -44,9 +42,7 @@ __all__ = [
     "UpdateResponse",
     "decode",
     "encode",
-    "frame_type",
     "from_json",
-    "peek_leading_fields",
     "from_json_obj",
     "manifest_id",
     "manifest_signing_message",

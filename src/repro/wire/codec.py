@@ -68,8 +68,6 @@ from repro.wire.primitives import WireReader, WireWriter
 __all__ = [
     "encode",
     "decode",
-    "frame_type",
-    "peek_leading_fields",
     "to_json",
     "from_json",
     "to_json_obj",
@@ -1185,12 +1183,13 @@ def encode(artifact) -> bytes:
     return _MAGIC + bytes((WIRE_VERSION,)) + writer.getvalue()
 
 
-def _open_frame(data) -> Tuple[WireReader, "_ArtifactCodec"]:
-    """Validate the envelope (magic, version, tag) and position a reader.
+def decode(data, expect: Optional[type] = None):
+    """Decode framed wire bytes back into the artifact they encode.
 
-    Accepts ``bytes`` as well as ``bytearray``/``memoryview`` buffers — the
-    latter without copying the payload, which is what lets a server peek at a
-    frame still sitting in its receive buffer.
+    Accepts ``bytes`` as well as ``bytearray``/``memoryview`` buffers.
+    ``expect`` optionally pins the artifact type: a well-formed frame of a
+    different type is rejected (a publisher cannot, say, answer a range query
+    with a join proof and hope the client mixes them up).
     """
     reader = WireReader(data)
     magic = reader.raw(2, "magic")
@@ -1207,17 +1206,6 @@ def _open_frame(data) -> Tuple[WireReader, "_ArtifactCodec"]:
     codec = _TAGS.get(tag)
     if codec is None:
         raise WireFormatError(f"unknown artifact tag {tag:#04x}", reason="bad-tag")
-    return reader, codec
-
-
-def decode(data, expect: Optional[type] = None):
-    """Decode framed wire bytes back into the artifact they encode.
-
-    ``expect`` optionally pins the artifact type: a well-formed frame of a
-    different type is rejected (a publisher cannot, say, answer a range query
-    with a join proof and hope the client mixes them up).
-    """
-    reader, codec = _open_frame(data)
     artifact = codec.read_body(reader)
     reader.expect_end()
     if expect is not None and not isinstance(artifact, expect):
@@ -1226,36 +1214,6 @@ def decode(data, expect: Optional[type] = None):
             reason="unexpected-artifact",
         )
     return artifact
-
-
-def frame_type(data) -> type:
-    """The artifact class a frame encodes, from the envelope alone.
-
-    Reads four bytes (magic, version, tag) and decodes **nothing else** —
-    the zero-copy peek a server uses to pick a dispatch path for a frame
-    before (or instead of) fully decoding it.
-    """
-    _, codec = _open_frame(data)
-    return codec.cls
-
-
-def peek_leading_fields(data, count: int) -> Tuple[object, ...]:
-    """Lazily decode only the first ``count`` body fields of a frame.
-
-    The rest of the payload is left untouched (and unvalidated — the caller
-    is expected to fully :func:`decode` the frame before trusting it; the
-    peek exists so a router can read e.g. a leading manifest id without
-    materialising the verification object behind it).
-    """
-    reader, codec = _open_frame(data)
-    plan = codec._read_plan[:count]
-    if len(plan) < count:
-        raise WireFormatError(
-            f"{codec.name} has only {len(codec._read_plan)} fields, "
-            f"cannot peek {count}",
-            reason="invalid-artifact",
-        )
-    return tuple(read(reader, label) for read, label in plan)
 
 
 def to_json_obj(artifact) -> Dict[str, object]:

@@ -26,6 +26,7 @@ from repro.core.publisher import Publisher
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.service import (
+    FailoverClient,
     FreshnessPolicy,
     OwnerClient,
     PublicationServer,
@@ -378,6 +379,61 @@ def test_replicated_attestations_satisfy_freshness_clients(primary, tmp_path):
             result = client.execute(QuerySpec(FULL_RANGE))
         assert result.attestation is not None
         assert result.attestation.epoch == 1
+    finally:
+        _stop_replica(replica)
+
+
+def test_same_host_replica_shares_the_read_load(primary, tmp_path):
+    """More read capacity is one more publisher: a replica behind one client.
+
+    Reads rotate over both servers and every answer is verified.  After an
+    update the replica either serves the new sequence or — while it lags — is
+    refused as stale against the group's freshness floor and the read fails
+    over; a lagging replica's answer is never returned.
+    """
+    replica = _spawn_replica(primary, str(tmp_path / "replica"))
+    host, port = primary["address"]
+    servers = (primary["server"], replica["server"])
+    spec = QuerySpec(FULL_RANGE)
+    try:
+        with OwnerClient(host, port, primary["scheme"]) as owner_client, FailoverClient(
+            [primary["address"], replica["address"]],
+            freshness=FreshnessPolicy(max_staleness=3600.0),
+            open_seconds=0.05,
+        ) as client:
+            owner_client.attest("employees", lifetime=3600.0)
+            assert _wait(lambda: _status(replica["address"]).epoch == 1)
+            before = [server.requests_served for server in servers]
+            results = [client.execute(spec) for _ in range(40)]
+            assert all(result.report is not None for result in results)
+            assert all(
+                server.requests_served > served
+                for server, served in zip(servers, before)
+            )
+            assert client.failovers == 0
+
+            replica["follower"].stop()  # the replica lags from here on
+            owner_client.insert("employees", _row(7_000, "scaled"))
+            sequence = primary["router"].manifest_by_name("employees").sequence
+            # The first answer at the new sequence lifts the group's floor ...
+            assert _wait(lambda: client.execute(spec).manifest_sequence == sequence)
+            # ... and from then on the lagging replica is refused, not served.
+            results = [client.execute(spec) for _ in range(6)]
+            assert all(result.report is not None for result in results)
+            assert {result.manifest_sequence for result in results} == {sequence}
+            assert client.failovers > 0
+
+            replica["follower"] = ReplicationFollower(
+                replica["server"], host, port, poll_interval=0.02
+            ).start()
+            assert _wait(lambda: _sequences_match(primary, replica))
+            time.sleep(0.1)  # past open_seconds: the replica is probed again
+            served, failovers = replica["server"].requests_served, client.failovers
+            results = [client.execute(spec) for _ in range(6)]
+            assert {result.manifest_sequence for result in results} == {sequence}
+            assert all(result.report is not None for result in results)
+            assert replica["server"].requests_served > served
+            assert client.failovers == failovers
     finally:
         _stop_replica(replica)
 

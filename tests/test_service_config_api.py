@@ -63,9 +63,30 @@ def test_server_config_validates_on_construction():
     with pytest.raises(ValueError):
         ServerConfig(max_workers=0)
     with pytest.raises(ValueError):
-        ServerConfig(worker_processes=-1)
-    with pytest.raises(ValueError):
         ServerConfig(max_pipelined_frames=0)
+
+
+def test_demo_server_cli_defaults_are_the_dataclass_defaults(monkeypatch):
+    """``python -m repro.service`` with no flags serves under ``ServerConfig()``.
+
+    The CLI once defaulted ``--max-workers`` to 64 against the dataclass's 8,
+    so the demo server and an in-process server capped connections differently.
+    """
+    from repro.service import server as server_module
+
+    class Captured(Exception):
+        pass
+
+    def capture(router, storage=None, faults=None, config=None):
+        raise Captured(config)
+
+    monkeypatch.setattr(server_module, "PublicationServer", capture)
+    monkeypatch.setattr("repro.service.demo.build_demo_router", lambda **_: None)
+    with pytest.raises(Captured) as caught:
+        server_module._main([])
+    assert caught.value.args[0] == ServerConfig()
+    with pytest.raises(SystemExit):
+        server_module._main(["--worker-processes", "2"])
 
 
 def test_storage_config_validates_on_construction():

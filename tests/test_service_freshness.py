@@ -519,29 +519,6 @@ def test_owner_attest_recovers_from_rotation_race(world, clock):
     assert refreshed.epoch == 2
 
 
-def test_pooled_workers_serve_attested_answers(owner, clock):
-    relation = workload.generate_employees(10, seed=23, photo_bytes=8)
-    database = owner.publish_database({"employees": relation})
-    router = ShardRouter({"hr": Publisher(database.relations)})
-    config = ServerConfig(max_workers=4, worker_processes=2)
-    with PublicationServer(router, config=config) as server:
-        host, port = server.address
-        policy = FreshnessPolicy(max_staleness=30.0, clock=clock)
-        with OwnerClient(
-            host, port, owner.signature_scheme, clock=clock
-        ) as owner_client, VerifyingClient(
-            host,
-            port,
-            trusted_manifests=dict(database.manifests),
-            freshness=policy,
-        ) as client:
-            owner_client.attest("employees", lifetime=60.0)
-            assert client.execute(QuerySpec(ALL_SALARIES)).rows
-            owner_client.insert("employees", _row(70_004, "pooled"))
-            result = client.execute(QuerySpec(ALL_SALARIES))
-            assert result.attestation.epoch == 1
-
-
 # -- superseded-manifest eviction (regression for the typed error) ------------
 
 

@@ -27,8 +27,9 @@ from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.schemes import get_scheme
 from repro.service.handler import RequestHandler
-from repro.service.owner import build_update_request
+from repro.service.owner import OwnerClient, build_update_request
 from repro.service.router import ShardRouter
+from repro.service.server import PublicationServer
 from repro.storage import (
     PublicationStorage,
     RecoveryError,
@@ -173,6 +174,42 @@ def test_recovered_handler_resumes_the_update_sequence(
         assert response.rotation.manifest.sequence == 4  # 3 replayed + 1 new
     finally:
         recovered_storage.close()
+
+
+def test_relstore_wal_sidecar_stays_bounded_under_updates(tmp_path, signature_scheme):
+    """sqlite's ``-wal`` sidecar plateaus once autocheckpoints start.
+
+    Nothing may hold a read snapshot of the store open across updates: a
+    pinned reader stops every checkpoint from resetting the sidecar, which
+    then grows by each update's pages for as long as the server runs.
+    """
+    router, storage = _open_world(tmp_path, signature_scheme, fsync="off")
+    sidecar = tmp_path / "pub" / "shards" / "hr" / "relstore.db-wal"
+    autocheckpoint_bytes = 1_000 * 4_096  # sqlite's default threshold, in pages
+    row = {"emp_id": "wal-0", "name": "w", "salary": 77_000, "dept": 2, "photo": b"\x01" * 8}
+    try:
+        with PublicationServer(router, storage=storage) as server, OwnerClient(
+            *server.address, signature_scheme
+        ) as owner:
+            owner.insert("employees", row)
+
+            def update() -> None:
+                nonlocal row
+                new = dict(row, salary=row["salary"] + 1)
+                owner.push("employees", (RecordDelta("update", new, old_values=row),))
+                row = new
+
+            updates = 0
+            while sidecar.stat().st_size < autocheckpoint_bytes:
+                update()
+                updates += 1
+                assert updates < 2_000, "the sidecar never reached the threshold"
+            first = sidecar.stat().st_size
+            for _ in range(updates):
+                update()
+            assert sidecar.stat().st_size <= 1.1 * first
+    finally:
+        storage.close()
 
 
 # -- tampered and damaged logs -------------------------------------------------

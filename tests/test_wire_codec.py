@@ -275,36 +275,3 @@ def test_manifest_id_distinguishes_relations(customers_orders):
     assert len(set(ids.values())) == len(ids)
     for identifier in ids.values():
         assert len(identifier) == 32
-
-
-def test_frame_type_peeks_without_decoding():
-    """The envelope peek names the artifact class from four bytes."""
-    from repro.wire import frame_type
-
-    blob = encode(AggregateSignature(value=5, count=1))
-    assert frame_type(blob) is AggregateSignature
-    # The body may be arbitrarily truncated or corrupt — the envelope peek
-    # never touches it.
-    assert frame_type(blob[:4] + b"\xff") is AggregateSignature
-    with pytest.raises(WireFormatError):
-        frame_type(b"XX\x02\x04")  # bad magic
-    with pytest.raises(WireFormatError):
-        frame_type(blob[:3] + b"\xee")  # unknown tag
-
-
-def test_peek_leading_fields_is_lazy_and_zero_copy():
-    """A router can read a leading manifest id without materialising the VO."""
-    from repro.service.protocol import QueryRequest
-    from repro.db.query import Conjunction, Query
-    from repro.wire import peek_leading_fields
-
-    request = QueryRequest(
-        manifest_id=b"\x07" * 32, query=Query("employees", Conjunction())
-    )
-    blob = encode(request)
-    assert peek_leading_fields(blob, 1) == (b"\x07" * 32,)
-    # Works on a memoryview over a receive buffer, without copying the frame.
-    assert peek_leading_fields(memoryview(bytearray(blob)), 1) == (b"\x07" * 32,)
-    # Peeking past the registered fields is a typed error.
-    with pytest.raises(WireFormatError):
-        peek_leading_fields(blob, 99)
