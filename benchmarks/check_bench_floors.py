@@ -141,8 +141,8 @@ def _check_wire(floors: dict, fresh: dict, failures: list) -> None:
     Absolute requests/sec depend on the runner, so the CI gate leans on the
     machine-independent invariants: decode at
     least as fast as a conservative fraction of encode (the seed's decoder
-    ran at ~0.36x of encode; the zero-copy cursor must stay at or above
-    0.55x even on a noisy runner), the freshness-attestation check costing
+    ran at ~0.36x of encode; the generated per-artifact reader over the
+    strict primitives must stay at or above 0.55x even on a noisy runner), the freshness-attestation check costing
     at most 15% of verified throughput (one *memoized* signature verify plus
     the attestation's wire bytes per answer), and the replica group retaining at
     least half its healthy verified request rate through an abrupt
@@ -168,7 +168,7 @@ def _check_wire(floors: dict, fresh: dict, failures: list) -> None:
         if ratio < 0.55:
             failures.append(
                 f"decode throughput fell to {ratio:.2f}x of encode "
-                "(the zero-copy decoder floor is 0.55x)"
+                "(the generated decoder's floor is 0.55x)"
             )
     service = workloads.get("service_throughput")
     if service is None:

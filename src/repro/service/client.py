@@ -201,8 +201,8 @@ class ServiceConnection:
             return self._request_once(message, expect)
         return self.retry_policy.run(lambda: self._request_once(message, expect))
 
-    def _request_once(self, message, expect: type):
-        """One request/response exchange; typed errors only.
+    def _exchange(self, exchange):
+        """Run ``exchange(sock)``, one attempt's sends and receives; typed errors only.
 
         Any transport-level failure — timeout, connection reset, a frame that
         fails to decode — closes the socket, because a half-consumed exchange
@@ -214,8 +214,7 @@ class ServiceConnection:
             self.connect()
         assert self._sock is not None
         try:
-            send_message(self._sock, message)
-            response = recv_message(self._sock)
+            return exchange(self._sock)
         except socket.timeout:
             self.close()
             raise TimeoutTransportError(
@@ -230,9 +229,18 @@ class ServiceConnection:
         except OSError as error:
             self.close()
             raise ServiceProtocolError(f"connection failed: {error}") from None
-        if response is None:
-            self.close()
-            raise ResetTransportError("server closed the connection")
+
+    def _request_once(self, message, expect: type):
+        """One request/response exchange (see :meth:`_exchange`)."""
+
+        def exchange(sock):
+            send_message(sock, message)
+            response = recv_message(sock)
+            if response is None:
+                raise ResetTransportError("server closed the connection")
+            return response
+
+        response = self._exchange(exchange)
         if isinstance(response, ErrorResponse):
             raise RemoteError(response.code, response.reason, response.message)
         if not isinstance(response, expect):
@@ -264,64 +272,26 @@ class ServiceConnection:
         the stream.  Returns the decoded responses (``ErrorResponse`` objects
         included — callers decide whether one failure poisons the batch).
         """
-        from repro.service.protocol import MAX_FRAME_BYTES, encode_frame
-        from repro.wire import decode
+        # Looked up per call, like send_message's own use of it, so whatever
+        # instruments protocol.encode_frame sees pipelined frames too.
+        from repro.service.protocol import encode_frame
 
         if not messages:
             return []
-        if self._sock is None:
-            self.connect()
-        assert self._sock is not None
-        try:
-            self._sock.sendall(b"".join(encode_frame(m) for m in messages))
-            # Buffered in-order reads: responses stream back in large chunks
-            # and are framed out of one buffer, instead of two recv calls per
-            # message.
+
+        def exchange(sock):
+            sock.sendall(b"".join(encode_frame(m) for m in messages))
             responses = []
-            needed = len(messages)
-            buffer = bytearray()
-            while len(responses) < needed:
-                offset = 0
-                available = len(buffer)
-                while len(responses) < needed and available - offset >= 4:
-                    length = int.from_bytes(buffer[offset : offset + 4], "big")
-                    if length > MAX_FRAME_BYTES:
-                        raise ServiceProtocolError(
-                            f"announced frame of {length} bytes exceeds the cap"
-                        )
-                    if available - offset - 4 < length:
-                        break
-                    # One bulk copy to bytes per frame: full decodes are
-                    # fastest on the reader's bytes path (per-field slices
-                    # need no materialisation there).
-                    with memoryview(buffer) as view:
-                        frame = bytes(view[offset + 4 : offset + 4 + length])
-                    offset += 4 + length
-                    responses.append(decode(frame))
-                if offset:
-                    del buffer[:offset]
-                if len(responses) < needed:
-                    chunk = self._sock.recv(262144)
-                    if not chunk:
-                        raise ResetTransportError(
-                            "server closed the connection mid-pipeline"
-                        )
-                    buffer += chunk
-        except socket.timeout:
-            self.close()
-            raise TimeoutTransportError(
-                f"timed out after {self.timeout}s waiting for the server"
-            ) from None
-        except (ServiceProtocolError, WireFormatError):
-            self.close()
-            raise
-        except (ConnectionResetError, BrokenPipeError) as error:
-            self.close()
-            raise ResetTransportError(f"connection reset: {error}") from None
-        except OSError as error:
-            self.close()
-            raise ServiceProtocolError(f"connection failed: {error}") from None
-        return responses
+            for _ in messages:
+                response = recv_message(sock)
+                if response is None:
+                    raise ResetTransportError(
+                        "server closed the connection mid-pipeline"
+                    )
+                responses.append(response)
+            return responses
+
+        return self._exchange(exchange)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Framing
 
 Every top-level artifact is encoded as::
 
-    magic "PV" (2 bytes) | version (1 byte, currently 0x03) | type tag (1 byte) | body
+    magic "PV" (2 bytes) | version (1 byte, :data:`WIRE_VERSION`) | type tag (1 byte) | body
 
 Bodies are built from the strict primitives of
 :mod:`repro.wire.primitives`: big-endian fixed-width integers, u32
@@ -29,6 +29,9 @@ the binary format is the one that crosses the network.
 
 Each codec is declared as a field-spec table, so the binary writer, the binary
 reader and both JSON directions are always generated from one source of truth.
+There is one decode path: each artifact's table is compiled, on first use,
+into one flat ``read_body`` function whose every byte-level read is a call
+into the strict :class:`~repro.wire.primitives.WireReader` primitives.
 """
 
 from __future__ import annotations
@@ -111,20 +114,17 @@ _MAGIC = b"PV"
 
 
 class _Field:
-    """One wire-field type: binary write/read plus the JSON mirror.
+    """One wire-field type: binary write, decoder emission, the JSON mirror.
 
     ``emit`` contributes to the generated per-artifact decoder (see
     :meth:`_ArtifactCodec._generate_read_body`): it returns a Python
     *expression* that reads this field from ``reader``, with any objects the
-    expression needs registered in ``bindings``.  The default emission simply
-    calls :meth:`read`, so composite fields that keep per-element validation
-    loops (maps, unions) work unchanged inside generated decoders.
+    expression needs registered in ``bindings``.  A field type whose read
+    needs statements (a validating ``raise``) defines ``read(reader, what)``
+    instead, and the default emission calls it.
     """
 
     def write(self, writer: WireWriter, value) -> None:
-        raise NotImplementedError
-
-    def read(self, reader: WireReader, what: str):
         raise NotImplementedError
 
     def emit(self, label_expr: str, bindings: Dict[str, object]) -> str:
@@ -156,9 +156,6 @@ class _Int(_Field):
     def write(self, writer, value):
         writer.int_(value)
 
-    def read(self, reader, what):
-        return reader.int_(what)
-
     def emit(self, label_expr, bindings):
         return f"reader.int_({label_expr})"
 
@@ -174,9 +171,6 @@ class _Int(_Field):
 class _Bool(_Field):
     def write(self, writer, value):
         writer.bool_(value)
-
-    def read(self, reader, what):
-        return reader.bool_(what)
 
     def emit(self, label_expr, bindings):
         return f"reader.bool_({label_expr})"
@@ -194,9 +188,6 @@ class _Str(_Field):
     def write(self, writer, value):
         writer.str_(value)
 
-    def read(self, reader, what):
-        return reader.str_(what)
-
     def emit(self, label_expr, bindings):
         return f"reader.str_({label_expr})"
 
@@ -212,9 +203,6 @@ class _Str(_Field):
 class _Bytes(_Field):
     def write(self, writer, value):
         writer.bytes_(value)
-
-    def read(self, reader, what):
-        return reader.bytes_(what)
 
     def emit(self, label_expr, bindings):
         return f"reader.bytes_({label_expr})"
@@ -238,9 +226,6 @@ class _Scalar(_Field):
 
     def write(self, writer, value):
         writer.scalar(value)
-
-    def read(self, reader, what):
-        return reader.scalar(what)
 
     def emit(self, label_expr, bindings):
         return f"reader.scalar({label_expr})"
@@ -282,9 +267,6 @@ class _FixedBytes(_Field):
     def write(self, writer, value):
         writer.fixed_bytes(value, self.size)
 
-    def read(self, reader, what):
-        return reader.fixed_bytes(self.size, what)
-
     def emit(self, label_expr, bindings):
         return f"reader.fixed_bytes({self.size}, {label_expr})"
 
@@ -317,14 +299,7 @@ class _Optional(_Field):
         if value is not None:
             self.inner.write(writer, value)
 
-    def read(self, reader, what):
-        if reader.optional(what):
-            return self.inner.read(reader, what)
-        return None
-
     def emit(self, label_expr, bindings):
-        if type(self.inner) is _Bytes:
-            return f"reader.optional_bytes({label_expr})"
         inner = self.inner.emit(label_expr, bindings)
         # A conditional expression evaluates its test first, so the presence
         # byte is consumed before the inner field reads anything.
@@ -347,29 +322,9 @@ class _Tuple(_Field):
         for item in items:
             self.inner.write(writer, item)
 
-    def read(self, reader, what):
-        # Hot path: one label for every element (the element index would cost
-        # a string format per field and only ever shows up in error text).
-        length = reader.count(what)
-        inner = self.inner
-        # Digest and signature tuples are homogeneous runs on real traffic;
-        # the reader batch-decodes them with one compiled struct pass.
-        if type(inner) is _Bytes:
-            return tuple(reader.bytes_run(length, what))
-        if type(inner) is _Int:
-            return tuple(reader.int_run(length, what))
-        inner_read = inner.read
-        return tuple([inner_read(reader, what) for _ in range(length)])
-
     def emit(self, label_expr, bindings):
-        if type(self.inner) is _Bytes:
-            return (
-                f"tuple(reader.bytes_run(reader.count({label_expr}), {label_expr}))"
-            )
-        if type(self.inner) is _Int:
-            return (
-                f"tuple(reader.int_run(reader.count({label_expr}), {label_expr}))"
-            )
+        # One label for every element (the element index would cost a string
+        # format per field and only ever shows up in error text).
         inner = self.inner.emit(label_expr, bindings)
         return (
             f"tuple([{inner} for _ in range(reader.count({label_expr}))])"
@@ -395,12 +350,6 @@ class _Pair(_Field):
         a, b = value
         self.first.write(writer, a)
         self.second.write(writer, b)
-
-    def read(self, reader, what):
-        return (
-            self.first.read(reader, what),
-            self.second.read(reader, what),
-        )
 
     def emit(self, label_expr, bindings):
         # Tuple displays evaluate left to right, preserving the field order.
@@ -435,33 +384,9 @@ class _Map(_Field):
             self.key.write(writer, k)
             self.value.write(writer, v)
 
-    def read(self, reader, what):
-        length = reader.count(what)
-        key_read = self.key.read
-        value_read = self.value.read
-        result = {}
-        previous = None
-        for _ in range(length):
-            k = key_read(reader, what)
-            if previous is not None and not k > previous:
-                raise WireFormatError(
-                    f"map keys of {what} are not strictly increasing",
-                    reason="unsorted-map",
-                )
-            previous = k
-            result[k] = value_read(reader, what)
-        return result
-
     def emit(self, label_expr, bindings):
-        # The two hot map shapes (result rows, attribute-digest maps) read
-        # through the reader's fused loops — one call per map.
-        if type(self.key) is _Str:
-            if type(self.value) is _Scalar:
-                return f"reader.map_str_scalar({label_expr})"
-            if type(self.value) is _Bytes:
-                return f"reader.map_str_bytes({label_expr})"
-        # Other maps need a statement loop (the strictly-increasing key check),
-        # so they are generated as a standalone helper the artifact decoder calls.
+        # A map needs a statement loop (the strictly-increasing key check), so
+        # it is generated as a standalone helper the artifact decoder calls.
         generated = getattr(self, "_generated_read", None)
         if generated is None:
             inner_bindings: Dict[str, object] = {"_WireFormatError": WireFormatError}
@@ -529,9 +454,6 @@ class _Nested(_Field):
 
     def write(self, writer, value):
         self._codec().write_body(writer, value)
-
-    def read(self, reader, what):
-        return self._codec().read_body(reader)
 
     def emit(self, label_expr, bindings):
         # Late-bound attribute lookup: the nested codec's read_body may itself
@@ -695,20 +617,17 @@ class _ArtifactCodec:
         self.name = cls.__name__
         self.fields = tuple(fields)
         self.post = post
-        # Decode hot path, precomputed once at registration: the per-field
-        # error-context labels (never formatted per read) and, when the
-        # registered field order matches the constructor's parameter order
-        # exactly, a positional construction fast path that skips building a
-        # kwargs dict per artifact.
-        self._read_plan = tuple(
-            (field.read, f"{self.name}.{name}") for name, field in self.fields
-        )
         self._names = tuple(name for name, _ in self.fields)
-        try:
-            parameters = list(inspect.signature(cls).parameters)
-        except (ValueError, TypeError):  # pragma: no cover - exotic classes
-            parameters = None
-        self._positional = parameters == list(self._names)
+        # The generated decoder constructs positionally, so the field table
+        # must be the constructor's parameter list; a mismatch is a
+        # registration (import-time) error, never a second decode path.
+        parameters = tuple(inspect.signature(cls).parameters)
+        if parameters != self._names:
+            raise ValueError(
+                f"wire fields of {self.name} must be its constructor's "
+                f"parameters in order: registered {list(self._names)}, "
+                f"constructor takes {list(parameters)}"
+            )
 
     def _invalid(self, error) -> WireFormatError:
         return WireFormatError(
@@ -746,61 +665,48 @@ class _ArtifactCodec:
         return self._generate_read_body()(reader)
 
     def _generate_read_body(self):
-        if not self._positional:
-            # Constructor parameters diverge from the registered field order
-            # (possible for extension artifacts): keep the interpreted path.
-            plan = self._read_plan
-
-            def _read_body(reader):
-                values = [read(reader, label) for read, label in plan]
-                return self._construct(dict(zip(self._names, values)))
-
-        else:
-            bindings: Dict[str, object] = {
-                "_cls": self.cls,
-                "_invalid": self._invalid,
-                "_post": self.post,
-                "_new": object.__new__,
-            }
-            expressions = []
-            for name, field in self.fields:
-                label = _bind(bindings, "L", f"{self.name}.{name}")
-                expressions.append(field.emit(label, bindings))
-            if self._plain_dataclass():
-                # A plain frozen/record dataclass whose __init__ only assigns
-                # the registered fields: build the instance directly (field
-                # reads still run left to right via the dict display).  The
-                # codec-level ``post`` validation hook runs as usual.
-                assignments = ", ".join(
-                    f"{name!r}: {expression}"
-                    for (name, _), expression in zip(self.fields, expressions)
-                )
-                lines = [
-                    "def _read_body(reader):",
-                    "    _artifact = _new(_cls)",
-                    # In-place __dict__ update: reading __dict__ bypasses the
-                    # frozen dataclass's __setattr__ guard.
-                    f"    _artifact.__dict__.update({{{assignments}}})",
-                ]
-            else:
-                construct = (
-                    f"_cls({', '.join(expressions)})" if expressions else "_cls()"
-                )
-                lines = [
-                    "def _read_body(reader):",
-                    "    try:",
-                    f"        _artifact = {construct}",
-                    "    except (ValueError, TypeError, KeyError) as _error:",
-                    "        raise _invalid(_error) from None",
-                ]
-            if self.post is not None:
-                lines.append("    _post(_artifact)")
-            lines.append("    return _artifact")
-            exec(  # noqa: S102 - codegen from the trusted field-spec table
-                compile("\n".join(lines), f"<wire codec {self.name}>", "exec"),
-                bindings,
+        bindings: Dict[str, object] = {
+            "_cls": self.cls,
+            "_invalid": self._invalid,
+            "_post": self.post,
+            "_new": object.__new__,
+        }
+        expressions = []
+        for name, field in self.fields:
+            label = _bind(bindings, "L", f"{self.name}.{name}")
+            expressions.append(field.emit(label, bindings))
+        if self._plain_dataclass():
+            # A plain frozen/record dataclass whose __init__ only assigns the
+            # registered fields: build the instance directly (field reads
+            # still run left to right via the dict display).  The codec-level
+            # ``post`` validation hook runs as usual.
+            assignments = ", ".join(
+                f"{name!r}: {expression}"
+                for name, expression in zip(self._names, expressions)
             )
-            _read_body = bindings["_read_body"]
+            lines = [
+                "def _read_body(reader):",
+                "    _artifact = _new(_cls)",
+                # In-place __dict__ update: reading __dict__ bypasses the
+                # frozen dataclass's __setattr__ guard.
+                f"    _artifact.__dict__.update({{{assignments}}})",
+            ]
+        else:
+            lines = [
+                "def _read_body(reader):",
+                "    try:",
+                f"        _artifact = _cls({', '.join(expressions)})",
+                "    except (ValueError, TypeError, KeyError) as _error:",
+                "        raise _invalid(_error) from None",
+            ]
+        if self.post is not None:
+            lines.append("    _post(_artifact)")
+        lines.append("    return _artifact")
+        exec(  # noqa: S102 - codegen from the trusted field-spec table
+            compile("\n".join(lines), f"<wire codec {self.name}>", "exec"),
+            bindings,
+        )
+        _read_body = bindings["_read_body"]
         self.read_body = _read_body  # shadows the method for this codec
         return _read_body
 
@@ -1186,8 +1092,8 @@ def encode(artifact) -> bytes:
 def decode(data, expect: Optional[type] = None):
     """Decode framed wire bytes back into the artifact they encode.
 
-    Accepts ``bytes`` as well as ``bytearray``/``memoryview`` buffers.
-    ``expect`` optionally pins the artifact type: a well-formed frame of a
+    Accepts ``bytes`` as well as ``bytearray``/``memoryview`` buffers (copied
+    to ``bytes`` once).  ``expect`` optionally pins the artifact type: a well-formed frame of a
     different type is rejected (a publisher cannot, say, answer a range query
     with a join proof and hope the client mixes them up).
     """

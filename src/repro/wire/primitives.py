@@ -8,20 +8,18 @@ validates bounds before every read, rejects non-canonical primitive encodings
 a malformed or tampered byte string can never silently decode.
 
 The reader is also the decode **hot path** (a verification object is a few
-thousand fields), so it is written as a zero-copy cursor: one buffer, one
-advancing offset, no per-field slicing of the remaining input, and error
-context strings are only materialised on the failure branch.  The buffer may
-be a ``memoryview`` (e.g. a frame still sitting in a server's receive
-buffer): construction copies nothing, and only the bytes of the fields a
-caller actually reads are ever materialised — which is what lets the service
-layer route and stamp a frame by peeking at its envelope without decoding
-the payload.
+thousand fields), so it is a cursor over one ``bytes`` object: one advancing
+offset, every field a plain slice of the input (the remaining input is never
+re-sliced), and error context strings only materialised on the failure
+branch.  A ``bytearray``/``memoryview`` argument is copied to ``bytes`` once
+at construction.  These primitives are the only byte-level readers: the
+per-artifact decoders :mod:`repro.wire.codec` generates are compositions of
+calls into them.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
 from typing import List, Optional
 
 from repro.crypto.encoding import (
@@ -42,27 +40,11 @@ MAX_FIELD_BYTES = 64 * 1024 * 1024
 #: line of the decoder.
 _U32 = struct.Struct(">I").unpack_from
 
-
-@lru_cache(maxsize=128)
-def _run_struct(length: int) -> struct.Struct:
-    """The compiled ``(u32 prefix, length-byte payload)`` item layout.
-
-    A homogeneous run of length-prefixed fields (digest tuples, signature
-    tuples) is a fixed-stride byte array; one :meth:`struct.Struct.iter_unpack`
-    over the whole window replaces a Python-level loop of prefix reads and
-    slices.  Cached per payload length — real traffic uses a handful (32-byte
-    digests, modulus-sized signatures).
-    """
-    return struct.Struct(f">I{length}s")
-
 #: Decoded spellings of short wire strings (attribute/relation names repeat
 #: on every row of every answer).  Fills up to the cap and then stops
 #: growing, so adversarial unique strings cannot balloon it.
 _SHORT_STR_MEMO: dict = {}
 _SHORT_STR_MEMO_MAX = 4096
-
-#: Sentinel for "the fused scalar fast path did not apply".
-_MISSING = object()
 
 
 class WireWriter:
@@ -126,22 +108,19 @@ class WireWriter:
 
 
 class WireReader:
-    """Strict, bounds-checked, zero-copy cursor over a wire byte string.
+    """Strict, bounds-checked cursor over a wire byte string.
 
     Accepts ``bytes`` as well as ``bytearray``/``memoryview`` buffers; the
-    latter are wrapped in a :class:`memoryview` so nothing is copied at
-    construction — per-field ``bytes`` values are materialised only for the
-    fields actually read.
+    latter are copied to ``bytes`` once, here, so every field read below is a
+    plain slice.
     """
 
-    __slots__ = ("_data", "_offset", "_end", "_is_bytes")
+    __slots__ = ("_data", "_offset", "_end")
 
     def __init__(self, data) -> None:
-        if type(data) is bytes:
-            self._is_bytes = True
-        else:
-            data = memoryview(data)
-            self._is_bytes = False
+        if type(data) is not bytes:
+            # via memoryview: buffers only (bytes(5) would be five zero bytes)
+            data = bytes(memoryview(data))
         self._data = data
         self._offset = 0
         self._end = len(data)
@@ -163,8 +142,7 @@ class WireReader:
         if count < 0 or stop > self._end:
             self._fail_short(count, what)
         self._offset = stop
-        chunk = self._data[offset:stop]
-        return chunk if self._is_bytes else bytes(chunk)
+        return self._data[offset:stop]
 
     def raw(self, count: int, what="raw bytes") -> bytes:
         """Read exactly ``count`` unprefixed bytes (framing fields)."""
@@ -226,8 +204,7 @@ class WireReader:
             self._offset = stop
             self._fail_short(length, what)
         self._offset = payload_stop
-        chunk = self._data[stop:payload_stop]
-        return chunk if self._is_bytes else bytes(chunk)
+        return self._data[stop:payload_stop]
 
     def fixed_bytes(self, size: int, what="fixed bytes") -> bytes:
         """Exactly ``size`` raw bytes (the dual of :meth:`WireWriter.fixed_bytes`)."""
@@ -317,65 +294,15 @@ class WireReader:
                 except UnicodeDecodeError:
                     pass
             elif tag == 89:  # 'Y': raw bytes
-                chunk = data[body:payload_stop]
-                return chunk if self._is_bytes else bytes(chunk)
-        raw = data[stop:payload_stop]
-        if not self._is_bytes:
-            raw = bytes(raw)
+                return data[body:payload_stop]
         try:
-            return decode_value(raw)
+            return decode_value(data[stop:payload_stop])
         except ValueError as error:
             raise WireFormatError(
                 f"malformed scalar {what}: {error}", reason="bad-scalar"
             ) from None
 
-    # -- fused composite readers --------------------------------------------
-    #
-    # The wire hot path is dominated by Python call overhead: a result row is
-    # a map of (string key, scalar value) pairs, and a proof entry carries
-    # maps of (string key, digest) pairs — at three to five reader calls per
-    # pair, a large answer costs thousands of calls.  The generated artifact
-    # decoders therefore emit these two map shapes (and optional-bytes
-    # fields) as single calls into fused loops that inline the primitive
-    # reads over local variables.  The accepted byte language is *identical*
-    # to the per-field primitives' — same bounds checks, same canonical-form
-    # rejections, same error reasons — and the codec tests (round-trip,
-    # golden vectors, byte-flip tampering) hold both paths to it.
-    #
-    # To keep ONE spelling of that language, the two map readers are
-    # generated below (``_generate_fused_map_readers``) from shared text
-    # blocks: the key block and each value block exist exactly once.
-
-    def optional_bytes(self, what="optional bytes") -> Optional[bytes]:
-        """A presence byte followed (if 1) by length-prefixed bytes, fused."""
-        data = self._data
-        end = self._end
-        offset = self._offset
-        if offset >= end:
-            self._fail_short(1, what)
-        flag = data[offset]
-        offset += 1
-        if flag == 0:
-            self._offset = offset
-            return None
-        if flag != 1:
-            self._offset = offset
-            raise WireFormatError(
-                f"boolean byte for presence of {what} must be 0 or 1, got {flag}",
-                reason="bad-bool",
-            )
-        stop = offset + 4
-        if stop > end:
-            self._offset = offset
-            self._fail_short(4, what)
-        size = _U32(data, offset)[0]
-        payload_stop = stop + size
-        if size > MAX_FIELD_BYTES or payload_stop > end:
-            self._offset = offset
-            self.bytes_(what)  # raises the canonical typed error
-        self._offset = payload_stop
-        chunk = data[stop:payload_stop]
-        return chunk if self._is_bytes else bytes(chunk)
+    # -- composite framing ---------------------------------------------------
 
     def count(self, what="count") -> int:
         """A u32 element count, sanity-bounded by the remaining bytes.
@@ -411,228 +338,3 @@ class WireReader:
                 reason="bad-bool",
             )
         return value == 1
-
-    # -- vectorized run decoders ---------------------------------------------
-    #
-    # A tuple of digests or signatures is, on real traffic, a *homogeneous*
-    # run: every element has the same length prefix (32-byte digests,
-    # modulus-sized signature magnitudes), so the whole run is a fixed-stride
-    # byte array.  These readers batch-decode such runs with one compiled
-    # ``struct`` iter_unpack over the window instead of a Python-level
-    # prefix-read-and-slice per element.  Any deviation from the homogeneous
-    # shape — mixed lengths, a non-canonical integer, a truncated tail —
-    # abandons the batch *without consuming anything* and re-decodes the run
-    # through the strict per-element primitives, so the accepted byte
-    # language and every error reason stay exactly canonical.
-
-    def bytes_run(self, count: int, what="bytes") -> List[bytes]:
-        """Decode ``count`` consecutive length-prefixed byte fields."""
-        data = self._data
-        offset = self._offset
-        if count and offset + 4 <= self._end:
-            first = _U32(data, offset)[0]
-            stop = offset + (4 + first) * count
-            if first <= MAX_FIELD_BYTES and stop <= self._end:
-                pairs = list(_run_struct(first).iter_unpack(data[offset:stop]))
-                if all(pair[0] == first for pair in pairs):
-                    self._offset = stop
-                    return [pair[1] for pair in pairs]
-        return [self.bytes_(what) for _ in range(count)]
-
-    def int_run(self, count: int, what="int") -> List[int]:
-        """Decode ``count`` consecutive sign+magnitude integer fields.
-
-        The batch path handles the overwhelmingly common shape — equal-width
-        non-negative canonical integers (signature tuples under one modulus).
-        Anything else (negative values, mixed widths, non-canonical bytes)
-        falls back to the strict per-element decoder.
-        """
-        data = self._data
-        offset = self._offset
-        if count and offset + 4 <= self._end:
-            first = _U32(data, offset)[0]
-            stop = offset + (4 + first) * count
-            if 2 <= first <= MAX_FIELD_BYTES and stop <= self._end:
-                pairs = list(_run_struct(first).iter_unpack(data[offset:stop]))
-                if all(
-                    pair[0] == first
-                    and pair[1][0] == 0
-                    and (first == 2 or pair[1][1] != 0)
-                    for pair in pairs
-                ):
-                    self._offset = stop
-                    from_bytes = int.from_bytes
-                    return [from_bytes(pair[1][1:], "big") for pair in pairs]
-        return [self.int_(what) for _ in range(count)]
-
-
-# -- fused map reader generation ---------------------------------------------
-#
-# One spelling per piece of the accepted language; both fused map readers are
-# composed from these blocks and compiled once at import.  Every block reads
-# over the local variables bound in _FUSED_MAP_TEMPLATE and must leave
-# ``offset`` at the first byte after what it consumed.
-
-#: Length-prefixed UTF-8 key with the short-string memo and the
-#: strictly-increasing canonical-order check.
-_FUSED_KEY_BLOCK = """\
-stop = offset + 4
-if stop > end:
-    self._offset = offset
-    self._fail_short(4, what)
-size = _U32(data, offset)[0]
-key_stop = stop + size
-if size > MAX_FIELD_BYTES or key_stop > end:
-    self._offset = offset
-    self.str_(what)  # raises the canonical typed error
-raw = data[stop:key_stop]
-if not is_bytes:
-    raw = bytes(raw)
-key = memo.get(raw) if size <= 32 else None
-if key is None:
-    try:
-        key = str(raw, "utf-8")
-    except UnicodeDecodeError as error:
-        self._offset = key_stop
-        raise WireFormatError(
-            f"invalid UTF-8 in {what}: {error}", reason="bad-utf8"
-        ) from None
-    if size <= 32 and len(memo) < _SHORT_STR_MEMO_MAX:
-        memo[raw] = key
-if previous is not None and not key > previous:
-    self._offset = key_stop
-    raise WireFormatError(
-        f"map keys of {what} are not strictly increasing",
-        reason="unsorted-map",
-    )
-previous = key
-offset = key_stop
-"""
-
-#: Length prefix of a value, bounds-checked (leaves ``stop``/``value_stop``).
-_FUSED_VALUE_PREFIX_BLOCK = """\
-stop = offset + 4
-if stop > end:
-    self._offset = offset
-    self._fail_short(4, what)
-size = _U32(data, offset)[0]
-value_stop = stop + size
-if size > MAX_FIELD_BYTES or value_stop > end:
-    self._offset = offset
-    self.bytes_(what)  # raises the canonical typed error
-"""
-
-#: A plain bytes value.
-_FUSED_BYTES_VALUE_BLOCK = (
-    _FUSED_VALUE_PREFIX_BLOCK
-    + """\
-chunk = data[stop:value_stop]
-result[key] = chunk if is_bytes else bytes(chunk)
-offset = value_stop
-"""
-)
-
-#: A scalar value: inline fast paths for the int / str / bytes tags, the
-#: strict shared decoder (decode_value) for everything else.
-_FUSED_SCALAR_VALUE_BLOCK = (
-    _FUSED_VALUE_PREFIX_BLOCK
-    + """\
-value = _MISSING
-if size:
-    tag = data[stop]
-    body = stop + 1
-    if tag == 73:  # 'I': sign byte + minimal big-endian magnitude
-        width = value_stop - body
-        if width >= 2 and data[body] <= 1 and not (width > 2 and data[body + 1] == 0):
-            magnitude = int.from_bytes(data[body + 1 : value_stop], "big")
-            if not data[body]:
-                value = magnitude
-            elif magnitude:
-                value = -magnitude
-    elif tag == 83:  # 'S': UTF-8 text
-        try:
-            value = str(data[body:value_stop], "utf-8")
-        except UnicodeDecodeError:
-            pass
-    elif tag == 89:  # 'Y': raw bytes
-        chunk = data[body:value_stop]
-        value = chunk if is_bytes else bytes(chunk)
-if value is _MISSING:
-    raw = data[stop:value_stop]
-    if not is_bytes:
-        raw = bytes(raw)
-    try:
-        value = decode_value(raw)
-    except ValueError as error:
-        self._offset = value_stop
-        raise WireFormatError(
-            f"malformed scalar {what}: {error}", reason="bad-scalar"
-        ) from None
-result[key] = value
-offset = value_stop
-"""
-)
-
-_FUSED_MAP_TEMPLATE = '''\
-def {name}(self, what="map"):
-    """A strictly-increasing-key map, fused ({doc}); generated, one spelling."""
-    data = self._data
-    end = self._end
-    is_bytes = self._is_bytes
-    offset = self._offset
-    stop = offset + 4
-    if stop > end:
-        self._fail_short(4, what)
-    length = _U32(data, offset)[0]
-    if length > end - stop:
-        self._offset = stop
-        raise WireFormatError(
-            "{{what}} of {{length}} exceeds the {{remaining}} remaining bytes".format(
-                what=what, length=length, remaining=end - stop
-            ),
-            reason="bad-count",
-        )
-    offset = stop
-    memo = _SHORT_STR_MEMO
-    result = {{}}
-    previous = None
-    for _ in range(length):
-{key_block}
-{value_block}
-    self._offset = offset
-    return result
-'''
-
-
-def _indent(block: str, spaces: int) -> str:
-    pad = " " * spaces
-    return "\n".join(pad + line if line else line for line in block.splitlines())
-
-
-def _generate_fused_map_readers() -> None:
-    namespace = {
-        "WireFormatError": WireFormatError,
-        "MAX_FIELD_BYTES": MAX_FIELD_BYTES,
-        "_SHORT_STR_MEMO": _SHORT_STR_MEMO,
-        "_SHORT_STR_MEMO_MAX": _SHORT_STR_MEMO_MAX,
-        "_MISSING": _MISSING,
-        "_U32": _U32,
-        "decode_value": decode_value,
-    }
-    for name, doc, value_block in (
-        ("map_str_bytes", "str -> bytes", _FUSED_BYTES_VALUE_BLOCK),
-        ("map_str_scalar", "str -> scalar", _FUSED_SCALAR_VALUE_BLOCK),
-    ):
-        source = _FUSED_MAP_TEMPLATE.format(
-            name=name,
-            doc=doc,
-            key_block=_indent(_FUSED_KEY_BLOCK, 8),
-            value_block=_indent(value_block, 8),
-        )
-        exec(  # noqa: S102 - compile-time composition of the blocks above
-            compile(source, f"<fused wire reader {name}>", "exec"), namespace
-        )
-        setattr(WireReader, name, namespace[name])
-
-
-_generate_fused_map_readers()

@@ -2,7 +2,8 @@
 
 Signature operations are too slow for hypothesis's example counts, so these
 properties target the signature-free layers: polynomial representations, chain
-digests, Merkle trees, encodings, the B+-tree and the relation/engine layer.
+digests, Merkle trees, encodings, the wire reader's scalar fast path, the
+B+-tree and the relation/engine layer.
 End-to-end properties over the full (signed) pipeline live in
 ``test_integration_end_to_end.py`` with hand-picked example counts.
 """
@@ -13,11 +14,20 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core import polynomial
 from repro.core.digest import ConceptualChainScheme, OptimizedChainScheme
-from repro.crypto.encoding import bytes_to_int, encode_many, int_to_bytes
+from repro.crypto.encoding import (
+    bytes_to_int,
+    decode_value,
+    encode_many,
+    encode_value,
+    int_to_bytes,
+)
 from repro.crypto.merkle import MerkleTree
 from repro.db.btree import BPlusTree
 from repro.db.relation import Relation
 from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
+from repro.service.protocol import QueryResponse
+from repro.wire import WireFormatError, decode, encode
+from repro.wire.primitives import WireReader
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +284,85 @@ def test_relation_insert_delete_preserves_order(keys, data):
     victim = next(record for record in relation if record.key == victim_key)
     relation.delete(victim)
     assert relation.keys() == sorted(set(keys) - {victim_key})
+
+
+# ---------------------------------------------------------------------------
+# Wire scalars: WireReader.scalar inlines the int / str / bytes tags
+# ---------------------------------------------------------------------------
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(allow_nan=False),
+    st.text(max_size=24),  # full code-point range, non-BMP included
+    st.binary(max_size=24),
+)
+
+
+def _flip(payload: bytes, index: int, mask: int) -> bytes:
+    index %= len(payload)
+    return payload[:index] + bytes((payload[index] ^ mask,)) + payload[index + 1 :]
+
+
+#: Payloads for the differential test: raw noise, a valid tag over noise
+#: (invalid UTF-8, malformed floats), the integer shapes the inline path must
+#: hand to the strict decoder (bad sign byte, leading zeros, negative zero, no
+#: magnitude), and one-byte mutations of valid encodings.
+_SCALAR_PAYLOADS = st.one_of(
+    st.binary(max_size=48),
+    st.builds(
+        lambda tag, body: tag + body,
+        st.sampled_from([b"N", b"B", b"I", b"F", b"S", b"Y"]),
+        st.binary(max_size=24),
+    ),
+    st.builds(
+        lambda sign, zeros, magnitude: b"I" + bytes((sign,)) + bytes(zeros) + magnitude,
+        st.sampled_from([0, 1, 2, 0xFF]),
+        st.integers(min_value=0, max_value=2),
+        st.binary(max_size=8),
+    ),
+    st.builds(
+        _flip,
+        _SCALARS.map(encode_value),
+        st.integers(min_value=0),
+        st.integers(min_value=1, max_value=255),
+    ),
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.dictionaries(st.text(max_size=12), _SCALARS, max_size=6), max_size=6
+    )
+)
+def test_wire_rows_of_arbitrary_scalars_round_trip(rows):
+    response = QueryResponse(rows=tuple(rows), proof=None)
+    blob = encode(response)
+    decoded = decode(blob)
+    assert decoded == response
+    # Re-encoding is type-sensitive where ``==`` is not (True vs 1, -0.0 vs 0.0).
+    assert encode(decoded) == blob
+
+
+@settings(max_examples=400)
+@given(_SCALAR_PAYLOADS)
+def test_wire_scalar_fast_path_agrees_with_decode_value(payload):
+    """The inline tags accept exactly decode_value's language, with its values."""
+    try:
+        expected = decode_value(payload)
+    except ValueError:
+        expected = ValueError
+    reader = WireReader(len(payload).to_bytes(4, "big") + payload)
+    try:
+        value = reader.scalar()
+    except WireFormatError as error:
+        assert error.reason == "bad-scalar"
+        assert expected is ValueError
+        return
+    assert reader.remaining == 0
+    assert expected is not ValueError
+    assert type(value) is type(expected)
+    # Equality of canonical encodings: exact for NaN and signed zeros too.
+    assert encode_value(value) == encode_value(expected)

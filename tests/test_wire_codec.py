@@ -1,5 +1,7 @@
 """Wire codec: round trips, canonicality and strict decode validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.basic_scheme import ListPublisher
@@ -24,6 +26,7 @@ from repro.db.query import (
 from repro.db.schema import KeyDomain
 from repro.wire import (
     WireFormatError,
+    codec,
     decode,
     encode,
     from_json,
@@ -275,3 +278,24 @@ def test_manifest_id_distinguishes_relations(customers_orders):
     assert len(set(ids.values())) == len(ids)
     for identifier in ids.values():
         assert len(identifier) == 32
+
+
+def test_registration_refuses_fields_out_of_constructor_order():
+    """A field table that is not the constructor's parameter list, in order,
+    fails at registration — there is no slower second decoder to fall back to."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Swapped:
+        first: int
+        second: str
+
+    unused_tag = 0xF0
+    assert unused_tag not in codec._TAGS
+    registries = (dict(codec._TAGS), dict(codec._TYPES), dict(codec._NAMES))
+    with pytest.raises(ValueError, match="Swapped"):
+        codec.register_artifact(
+            unused_tag, Swapped, [("second", codec.STR), ("first", codec.INT)]
+        )
+    assert (codec._TAGS, codec._TYPES, codec._NAMES) == registries
+    with pytest.raises(ValueError):
+        encode(Swapped(1, "x"))

@@ -7,8 +7,16 @@ breaks every deployed client — so any intentional format change must bump
 :data:`repro.wire.WIRE_VERSION` and regenerate the vectors::
 
     PYTHONPATH=src python tests/test_wire_golden.py --regen
+
+The valid vectors pin what the codec *produces*; ``tests/golden/
+wire_outcomes.json`` pins what it *accepts*: a digest over the outcome of
+decoding every single-byte flip, truncation and extension of every vector
+(see :func:`decode_outcomes`).  A decoder change that moves it has changed
+the accepted byte language or a typed rejection reason.
 """
 
+import collections
+import hashlib
 import json
 import os
 
@@ -41,9 +49,14 @@ from repro.db.query import (
     RangeCondition,
 )
 from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
-from repro.wire import decode, encode, from_json, to_json, updates
+from repro.wire import WireFormatError, decode, encode, from_json, to_json, updates
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_vectors.json")
+OUTCOMES_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_outcomes.json")
+
+#: XOR masks of the outcome sweep: gross corruption, a least-significant-bit
+#: nudge, and the sign/high bit (length prefixes, UTF-8 lead bytes).
+_FLIP_MASKS = (0xFF, 0x01, 0x80)
 
 
 def _digest(seed: int) -> bytes:
@@ -393,6 +406,63 @@ def test_future_wire_version_rejected_with_typed_error():
     assert excinfo.value.reason == "bad-version"
 
 
+def _sweep(blob: bytes):
+    """Every input the outcome digest decodes for one golden vector."""
+    for offset in range(len(blob)):
+        for mask in _FLIP_MASKS:
+            yield blob[:offset] + bytes((blob[offset] ^ mask,)) + blob[offset + 1 :]
+    for length in range(len(blob)):
+        yield blob[:length]
+    yield blob + b"\x00"
+    yield blob
+    yield bytearray(blob)
+    yield memoryview(blob)
+
+
+def decode_outcomes():
+    """Digest of what :func:`decode` does with the vectors' neighbourhood.
+
+    The outcome of one input is ``"ok:" + encode(decode(x)).hex()`` or
+    ``"wf:" + error.reason``; any other exception propagates and fails the
+    caller.  The digest is sha256 over the ``name|outcome`` lines in sweep
+    order, so it moves when any input is accepted, rejected, decoded or
+    classified differently.
+    """
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for name, vector in sorted(_load_golden().items()):
+        for data in _sweep(bytes.fromhex(vector["hex"])):
+            try:
+                outcome = "ok:" + encode(decode(data)).hex()
+                counts["ok"] += 1
+            except WireFormatError as error:
+                outcome = "wf:" + error.reason
+                counts[outcome] += 1
+            digest.update(f"{name}|{outcome}\n".encode("ascii"))
+    return {
+        "sha256": digest.hexdigest(),
+        "inputs": sum(counts.values()),
+        "outcomes": dict(sorted(counts.items())),
+    }
+
+
+def test_decode_outcome_digest_is_pinned():
+    """The accepted byte language and every typed reason, not just the vectors."""
+    with open(OUTCOMES_PATH, "r", encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert decode_outcomes() == pinned, (
+        "decode() accepts, rejects or classifies some mutated golden vector "
+        "differently; if intentional, bump WIRE_VERSION and regenerate with: "
+        "python tests/test_wire_golden.py --regen"
+    )
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _regen() -> None:
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     vectors = {
@@ -402,10 +472,11 @@ def _regen() -> None:
         }
         for name, artifact in sorted(build_vectors().items())
     }
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(vectors, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(GOLDEN_PATH, vectors)
     print(f"wrote {len(vectors)} vectors to {GOLDEN_PATH}")
+    outcomes = decode_outcomes()
+    _write_json(OUTCOMES_PATH, outcomes)
+    print(f"wrote the {outcomes['inputs']}-input outcome digest to {OUTCOMES_PATH}")
 
 
 if __name__ == "__main__":
