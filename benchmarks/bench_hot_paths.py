@@ -5,10 +5,13 @@ Writes ``BENCH_hot_paths.json`` at the repository root (override with
 verifier checking, cached vs. a faithful replica of the uncached seed path —
 and a ``cold_range`` section where no cache can help: first-touch 40-key range
 answers over a stored relation re-attached the way recovery does it, reported
-as ms per read and as ``hash_floor_ratio``, the read's time over what its own
-hashes cost on this runner.  That ratio is the per-hash Python overhead of the
-proof path, so its ceiling (``cold_range_hash_floor_ratio_max``) holds on any
-machine.  A ``publish_sign`` section does the same for bulk signing:
+as ms per read and as ``hashes_per_read``, the exact number of hashes one such
+answer performs.  The server hashes for the two boundary records only — a
+matched row's representation-tree roots are read off its stored row — so the
+count is the same on any machine and has a ceiling
+(``cold_range_hashes_per_read_max``); ``hash_floor_ratio``, the read's time
+over what those hashes cost on this runner, is printed beside it, ungated.
+A ``publish_sign`` section does the like for bulk signing:
 ``core_scaling`` is a batch's serial time over its time sharded across this
 runner's CPUs, floored (``publish_sign_core_scaling_min``) wherever the
 affinity mask holds two or more.
@@ -70,7 +73,10 @@ COLD_RANGE_BLOCK = COLD_RANGE_KEYS + 2
 #: The key domain is that benchmark's 16,384-key one whatever the table size,
 #: so a smoke run walks the same 15 digit chains per commitment as a full one.
 COLD_RANGE_DOMAIN_ROWS = 16_384
-COLD_RANGE_HASH_FLOOR_RATIO_MAX = 5.0
+#: Two boundary proofs, the boundary entries' ``g`` and the fingerprint
+#: re-check of 40 faulted rows come to ~415; one digit-chain walk per matched
+#: row, the cost this ceiling exists to keep out, would add ~3,000.
+COLD_RANGE_HASHES_PER_READ_MAX = 800
 
 
 def _hashlib_call_seconds(calls: int = 2_000) -> float:
@@ -86,7 +92,7 @@ def _hashlib_call_seconds(calls: int = 2_000) -> float:
 def bench_cold_range(reads: int, key_bits: int = 512) -> dict:
     """First-touch range answers over a re-attached stored relation.
 
-    Every row, digest and signature is faulted from sqlite and every proof
+    Every row, root and signature is faulted from sqlite and every proof
     fragment built from nothing, so the time is proof construction.  Each
     read is set against the cost of the hashes it performed, calibrated with
     a burst of ``hashlib`` calls right after it — a shared box changes speed
@@ -194,9 +200,9 @@ def main(argv=None) -> int:
     cold = report["cold_range"] = bench_cold_range(
         reads=12 if args.smoke else 48, key_bits=config.key_bits
     )
-    report["targets"]["cold_range_hash_floor_ratio_max"] = COLD_RANGE_HASH_FLOOR_RATIO_MAX
+    report["targets"]["cold_range_hashes_per_read_max"] = COLD_RANGE_HASHES_PER_READ_MAX
     report["targets_met"]["cold_range"] = (
-        cold["hash_floor_ratio"] <= COLD_RANGE_HASH_FLOOR_RATIO_MAX
+        cold["hashes_per_read"] <= COLD_RANGE_HASHES_PER_READ_MAX
     )
     publish = report["publish_sign"] = bench_publish_sign(
         messages=512 if args.smoke else 2048, rounds=3

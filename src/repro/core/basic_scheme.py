@@ -24,6 +24,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.core.digest import (
     ChainDigestScheme,
     ConceptualChainScheme,
+    EntryAssist,
     OptimizedChainScheme,
 )
 from repro.core.errors import (
@@ -126,6 +127,9 @@ class SignedValueList:
             self.values.append(value)
         self.signatures: List[int] = []
         self._digests: List[bytes] = []
+        #: Per entry, the representation-tree root the owner's walk produced
+        #: beside the digest: what the publisher ships as the entry's assist.
+        self._roots: List[Optional[bytes]] = []
         self._resign_all()
 
     # -- digests and signatures ----------------------------------------------------
@@ -159,15 +163,21 @@ class SignedValueList:
         """The committed digest ``g`` of chain entry ``index``."""
         return self._digests[index]
 
-    def _compute_digest(self, index: int) -> bytes:
+    def entry_assist(self, index: int) -> EntryAssist:
+        """What a verifier needs to recompute ``g`` of chain entry ``index``."""
+        return EntryAssist(self._roots[index])
+
+    def _commit(self, index: int) -> Tuple[bytes, Optional[bytes]]:
+        """``(digest, root)`` of chain entry ``index``, from one walk."""
         value = self._entry_value(index)
         if index == len(self.values) + 1:
             # Right delimiter sits at U; its upper chain would have a negative
             # exponent, so it is committed to through a distinguished digest.
-            return self.hash_function.digest(
-                self.manifest.right_delimiter_digest_preimage()
+            return (
+                self.hash_function.digest(self.manifest.right_delimiter_digest_preimage()),
+                None,
             )
-        return self.chain_scheme.commitment(value, self.domain.upper - value - 1)
+        return self.chain_scheme.commit(value, self.domain.upper - value - 1)
 
     def chain_message(self, index: int) -> bytes:
         """The byte string signed for entry ``index`` (formula (1))."""
@@ -183,7 +193,8 @@ class SignedValueList:
         return self.hash_function.combine(previous, self._digests[index], following)
 
     def _resign_all(self) -> None:
-        self._digests = [self._compute_digest(i) for i in range(self.entry_count())]
+        committed = [self._commit(i) for i in range(self.entry_count())]
+        self._digests, self._roots = map(list, zip(*committed))
         messages = [self.chain_message(i) for i in range(self.entry_count())]
         self.signatures = self._signature_scheme.sign_batch(messages)
 
@@ -203,7 +214,9 @@ class SignedValueList:
         position = bisect.bisect_left(self.values, value)
         self.values.insert(position, value)
         entry_index = position + 1
-        self._digests.insert(entry_index, self._compute_digest(entry_index))
+        digest, root = self._commit(entry_index)
+        self._digests.insert(entry_index, digest)
+        self._roots.insert(entry_index, root)
         self.signatures.insert(entry_index, 0)
         return self._resign_window(entry_index)
 
@@ -213,6 +226,7 @@ class SignedValueList:
         entry_index = position + 1
         del self.values[position]
         del self._digests[entry_index]
+        del self._roots[entry_index]
         del self.signatures[entry_index]
         # The two entries that are now adjacent across the gap reference each
         # other in their chain messages and must be re-signed.
@@ -230,8 +244,6 @@ class SignedValueList:
         touched = 0
         start = max(0, entry_index - 1)
         stop = min(self.entry_count(), start + width)
-        for index in range(start, stop):
-            self._digests[index] = self._compute_digest(index)
         for index in range(start, stop):
             self.signatures[index] = self._signature_scheme.sign(self.chain_message(index))
             touched += 1
@@ -263,8 +275,7 @@ class ListPublisher:
             domain.upper - alpha,
         )
         assists = tuple(
-            published.chain_scheme.entry_assist(value, domain.upper - value - 1)
-            for value in result
+            published.entry_assist(index) for index in range(first + 1, len(values) + 1)
         )
         delimiter_digest = published.entry_digest(len(values) + 1)
 

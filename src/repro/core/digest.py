@@ -30,10 +30,17 @@ once to the furthest exponent any representation reaches — straight on the
 :mod:`hashlib` constructor, the exact call count added to ``HASH_COUNTER`` —
 and the canonical digest, the ``m - 1`` representation leaves and a boundary
 proof's intermediates are read off the walked chains: fewer than ``2Bm + 3m``
-hashes per commitment.  The one memo on top is the verifier's ``(value,
-total) -> canonical digest``; ``memoize=False`` removes it and changes no
-byte.  ``tests/reference_digest.py`` keeps the slow construction, one
-representation at a time, as the oracle the kernel is byte-compared against.
+hashes per commitment.  That full walk happens in two places only: when the
+owner commits to an entry (:meth:`ChainDigestScheme.commit`, which hands back
+the representation-tree root beside the commitment, to be *stored* with the
+entry and served as its :class:`EntryAssist`) and when the publisher proves a
+boundary.  Everything else — the verifier, and a server re-deriving a stored
+entry's ``g`` — is :meth:`~ChainDigestScheme.recompute_from_value`: the
+canonical digits only, combined with the root it was given.  The one memo on
+top is that method's ``(value, total) -> canonical digest``; ``memoize=False``
+removes it and changes no byte.  ``tests/reference_digest.py`` keeps the slow
+construction, one representation at a time, as the oracle the kernel is
+byte-compared against.
 """
 
 from __future__ import annotations
@@ -159,12 +166,18 @@ class ChainDigestScheme(abc.ABC):
     # -- abstract API ---------------------------------------------------------------
 
     @abc.abstractmethod
+    def commit(self, value: int, total: int) -> Tuple[bytes, Optional[bytes]]:
+        """Owner side: ``(commitment, root)`` for chain exponent ``total``.
+
+        The commitment is what the owner folds into ``g(r)``.  The root is
+        what the publisher ships — as an :class:`EntryAssist` — for a result
+        entry whose value the user knows; it is stored beside the entry at
+        publish time so that no read ever computes it.
+        """
+
     def commitment(self, value: int, total: int) -> bytes:
         """The digest the owner folds into ``g(r)`` for chain exponent ``total``."""
-
-    @abc.abstractmethod
-    def entry_assist(self, value: int, total: int) -> EntryAssist:
-        """What the publisher ships for a result entry whose value the user knows."""
+        return self.commit(value, total)[0]
 
     @abc.abstractmethod
     def recompute_from_value(
@@ -194,13 +207,10 @@ class ConceptualChainScheme(ChainDigestScheme):
     invocations is linear in the domain width — use only for small domains.
     """
 
-    def commitment(self, value: int, total: int) -> bytes:
+    def commit(self, value: int, total: int) -> Tuple[bytes, Optional[bytes]]:
         if total < 0:
             raise ValueError("chain exponent must be non-negative")
-        return self.hasher.iterate(self._anchor(value), total, suffix=0)
-
-    def entry_assist(self, value: int, total: int) -> EntryAssist:
-        return EntryAssist(mht_root=None)
+        return self.hasher.iterate(self._anchor(value), total, suffix=0), None
 
     def recompute_from_value(
         self, value: int, total: int, assist: EntryAssist
@@ -250,10 +260,10 @@ class OptimizedChainScheme(ChainDigestScheme):
         self.base = base
         self.num_digits = polynomial.num_digits_for(domain_width, base)
         self._suffixes = tuple(map(chain_preimage_suffix, range(self.num_digits)))
-        # (value, total) -> canonical digest, filled by the verifier side only:
-        # a client re-verifying a hot query pool lives off it (2.2x on
-        # ``hot_read``), while the owner and publisher sides never see a pair
-        # twice that the VO-fragment cache has not already absorbed.
+        # (value, total) -> canonical digest, filled by recompute_from_value
+        # only: a client re-verifying a hot query pool lives off it (2.2x on
+        # ``hot_read``), while the owner's and the publisher's full walks never
+        # see a pair twice that the VO-fragment cache has not already absorbed.
         self._memo: dict = {}
 
     # -- the single-pass kernel ---------------------------------------------------
@@ -319,18 +329,14 @@ class OptimizedChainScheme(ChainDigestScheme):
 
     # -- owner side ----------------------------------------------------------------
 
-    def commitment(self, value: int, total: int) -> bytes:
+    def commit(self, value: int, total: int) -> Tuple[bytes, Optional[bytes]]:
         if total < 0:
             raise ValueError("chain exponent must be non-negative")
         digits, chains = self._walk(value, total)
         root = merkle_root(self._representation_leaves(digits, chains), self.hash_function)
-        return self.hash_function.combine(self._canonical_digest(digits, chains), root)
+        return self.hash_function.combine(self._canonical_digest(digits, chains), root), root
 
     # -- publisher side ---------------------------------------------------------------
-
-    def entry_assist(self, value: int, total: int) -> EntryAssist:
-        leaves = self._representation_leaves(*self._walk(value, total))
-        return EntryAssist(mht_root=merkle_root(leaves, self.hash_function))
 
     def boundary_proof(self, value: int, total: int, delta_c: int) -> BoundaryAssist:
         if total < delta_c:

@@ -168,8 +168,8 @@ class Publisher:
     """Hosts signed relations and answers queries with completeness proofs.
 
     ``vo_cache`` (default True) enables the keyed verification-object fragment
-    cache: boundary proofs, entry-assist pairs and signature bundles for hot
-    key ranges are built once and served from the cache afterwards.  Cache
+    cache: boundary proofs and signature bundles for hot key ranges are built
+    once and served from the cache afterwards.  Cache
     entries are content-keyed (entry key + query bound), so cached and uncached
     publishers ship byte-identical proofs; ``insert_record`` / ``delete_record``
     / ``update_record`` on a hosted relation evict exactly the fragments whose
@@ -380,7 +380,7 @@ class Publisher:
                         entries.append(
                             self._matched_entry(
                                 signed,
-                                relation_name,
+                                chain_index,
                                 record,
                                 dropped_names,
                                 eliminated_duplicate=True,
@@ -391,7 +391,7 @@ class Publisher:
                     seen_projected.add(row_signature)
                 rows.append(row)
                 entries.append(
-                    self._matched_entry(signed, relation_name, record, dropped_names)
+                    self._matched_entry(signed, chain_index, record, dropped_names)
                 )
             else:
                 entries.append(
@@ -491,14 +491,14 @@ class Publisher:
     def _matched_entry(
         self,
         signed: SignedRelation,
-        relation_name: str,
+        chain_index: int,
         record: Record,
         dropped_names: Sequence[str],
         eliminated_duplicate: bool = False,
         revealed: Optional[Dict[str, object]] = None,
     ) -> MatchedEntryProof:
         """Proof material for a record returned to the user (or a DISTINCT duplicate)."""
-        upper_assist, lower_assist = self._entry_assists(signed, relation_name, record.key)
+        upper_assist, lower_assist = signed.entry_assists(chain_index)
         dropped_digests = self._attribute_leaf_digests(signed, record, dropped_names)
         return MatchedEntryProof(
             upper_assist=upper_assist,
@@ -508,23 +508,6 @@ class Publisher:
             revealed_attributes=dict(revealed or {}),
             key=record.key if eliminated_duplicate else None,
         )
-
-    def _entry_assists(self, signed: SignedRelation, relation_name: str, key: int):
-        """The (upper, lower) chain-scheme assists for a result entry.
-
-        Assists depend only on the key value and the chain schemes, so records
-        sharing a key share the cache slot; mutations touching the key evict it.
-        """
-        cache_key = (relation_name, "assist", key)
-        cached = self._vo_cache_get(cache_key)
-        if cached is not None:
-            return cached
-        domain = signed.domain
-        assists = (
-            signed.upper_scheme.entry_assist(key, domain.upper - key - 1),
-            signed.lower_scheme.entry_assist(key, key - domain.lower - 1),
-        )
-        return self._vo_cache_put(cache_key, assists)
 
     def _filtered_entry(
         self,
@@ -623,12 +606,13 @@ class Publisher:
                 else signed.entry_digest(start - 1)
             )
         raw = [signed.signatures[index] for index in indices]
-        messages = [signed.chain_message(index) for index in indices]
         if self.aggregate:
+            # The chain messages behind these signatures are pairwise distinct
+            # by construction (each embeds its own entry's g, and the entries
+            # are strictly ascending in (key, fingerprint)), so they are not
+            # rebuilt here to be compared; the client checks its own.
             bundle = SignatureBundle(
-                aggregate=aggregate_signatures(
-                    raw, signed.manifest.public_key, messages
-                )
+                aggregate=aggregate_signatures(raw, signed.manifest.public_key)
             )
         else:
             bundle = SignatureBundle(individual=tuple(raw))

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.digest import (
     ChainDigestScheme,
     ConceptualChainScheme,
+    EntryAssist,
     OptimizedChainScheme,
 )
 from repro.crypto.encoding import concat_digests, encode_many
@@ -42,6 +43,10 @@ __all__ = ["RelationManifest", "ChainEntry", "SignedRelation", "UpdateReceipt"]
 _LEFT_DELIMITER = "left-delimiter"
 _RIGHT_DELIMITER = "right-delimiter"
 _RECORD = "record"
+
+#: The representation-tree roots of an entry's (upper, lower) chains; ``None``
+#: where there is no tree (the conceptual scheme, a delimiter's sentinel chain).
+_Roots = Tuple[Optional[bytes], Optional[bytes]]
 
 
 def build_chain_schemes(
@@ -142,6 +147,35 @@ class ChainEntry:
         return self.kind == _RECORD
 
 
+def entry_components(
+    entry: ChainEntry,
+    domain: KeyDomain,
+    upper_scheme: ChainDigestScheme,
+    lower_scheme: ChainDigestScheme,
+    hash_function: HashFunction,
+) -> Tuple[Tuple[bytes, bytes, bytes], _Roots]:
+    """``(components, roots)`` of a chain entry (formula 3), each chain walked once.
+
+    A delimiter's sentinel chain has no representation tree: its root is ``None``.
+    """
+    upper_root = lower_root = None
+    if entry.kind == _RIGHT_DELIMITER:
+        upper = hash_function.digest(encode_many(["right-delimiter-upper", domain.upper]))
+    else:
+        upper, upper_root = upper_scheme.commit(entry.key, domain.upper - entry.key - 1)
+    if entry.kind == _LEFT_DELIMITER:
+        lower = hash_function.digest(encode_many(["left-delimiter-lower", domain.lower]))
+    else:
+        lower, lower_root = lower_scheme.commit(entry.key, entry.key - domain.lower - 1)
+    if entry.is_record:
+        attribute_root = entry.record.attribute_root(hash_function)
+    else:
+        attribute_root = hash_function.digest(
+            encode_many(["delimiter-attributes", entry.kind])
+        )
+    return (upper, lower, attribute_root), (upper_root, lower_root)
+
+
 @dataclass(frozen=True)
 class UpdateReceipt:
     """What an insert/delete/update cost the owner (Section 6.3 accounting).
@@ -163,11 +197,11 @@ class UpdateReceipt:
     def merge(receipts: Sequence["UpdateReceipt"]) -> "UpdateReceipt":
         """Combine per-step receipts into one batch receipt.
 
-        This is the *single* definition of batch accounting: the in-process
-        path (:meth:`SignedRelation.update_record`) and the wire path (a
-        publisher applying an ``UpdateRequest`` batch) both merge through it,
-        so a receipt replayed over the wire reproduces exactly the counts the
-        in-process path reports.  ``entries_affected`` concatenates the
+        This is the *single* definition of batch accounting: every publisher
+        applying an ``UpdateRequest`` batch merges its per-delta receipts
+        through it, so a receipt replayed over the wire reproduces exactly
+        the counts the in-process path reports.  ``entries_affected``
+        concatenates the
         per-step chain indices in application order; indices are relative to
         the chain as it stood when that step ran.
         """
@@ -210,7 +244,7 @@ class SignedRelation:
         self._manifest: Optional[RelationManifest] = None
         self._entries: List[ChainEntry] = []
         self._components: List[Tuple[bytes, bytes, bytes]] = []
-        self._digests: List[bytes] = []
+        self._roots: List[_Roots] = []
         self.signatures: List[int] = []
         self._version = 0
         self._listeners: List[Callable[[int, Tuple[int, ...]], None]] = []
@@ -333,46 +367,36 @@ class SignedRelation:
         """The (upper-chain, lower-chain, attribute-root) digests of entry ``index``."""
         return self._components[index]
 
+    def entry_assists(self, index: int) -> Tuple[EntryAssist, EntryAssist]:
+        """What a verifier needs to recompute entry ``index``'s two chain digests.
+
+        The Section 5.1 representation-tree roots, kept from the owner's own
+        walk at publish time — serving them hashes nothing.
+        """
+        upper_root, lower_root = self._roots[index]
+        return EntryAssist(upper_root), EntryAssist(lower_root)
+
     def entry_digest(self, index: int) -> bytes:
-        """The full ``g`` digest of entry ``index`` (precomputed at build time)."""
-        return self._digests[index]
+        """The full ``g`` digest of entry ``index``."""
+        return concat_digests(*self._components[index])
 
     def chain_message(self, index: int) -> bytes:
         """The signed byte string of entry ``index`` (formula (1))."""
         manifest = self.manifest
-        digests = self._digests
-        previous = manifest.left_anchor() if index == 0 else digests[index - 1]
+        previous = manifest.left_anchor() if index == 0 else self.entry_digest(index - 1)
         following = (
             manifest.right_anchor()
             if index == len(self._entries) - 1
-            else digests[index + 1]
+            else self.entry_digest(index + 1)
         )
-        return self.hash_function.combine(previous, digests[index], following)
+        return self.hash_function.combine(previous, self.entry_digest(index), following)
 
     # -- digest construction ----------------------------------------------------------------
 
-    def _delimiter_attribute_root(self, kind: str) -> bytes:
-        return self.hash_function.digest(encode_many(["delimiter-attributes", kind]))
-
-    def _sentinel_digest(self, tag: str, bound: int) -> bytes:
-        return self.hash_function.digest(encode_many([tag, bound]))
-
-    def _entry_components(self, entry: ChainEntry) -> Tuple[bytes, bytes, bytes]:
-        domain = self.domain
-        if entry.kind == _LEFT_DELIMITER:
-            upper = self.upper_scheme.commitment(entry.key, domain.upper - entry.key - 1)
-            lower = self._sentinel_digest("left-delimiter-lower", domain.lower)
-            attribute_root = self._delimiter_attribute_root(entry.kind)
-        elif entry.kind == _RIGHT_DELIMITER:
-            upper = self._sentinel_digest("right-delimiter-upper", domain.upper)
-            lower = self.lower_scheme.commitment(entry.key, entry.key - domain.lower - 1)
-            attribute_root = self._delimiter_attribute_root(entry.kind)
-        else:
-            assert entry.record is not None
-            upper = self.upper_scheme.commitment(entry.key, domain.upper - entry.key - 1)
-            lower = self.lower_scheme.commitment(entry.key, entry.key - domain.lower - 1)
-            attribute_root = entry.record.attribute_root(self.hash_function)
-        return upper, lower, attribute_root
+    def _entry_components(self, entry: ChainEntry):
+        return entry_components(
+            entry, self.domain, self.upper_scheme, self.lower_scheme, self.hash_function
+        )
 
     def _build_entries(self) -> List[ChainEntry]:
         entries = [ChainEntry(_LEFT_DELIMITER, self.domain.lower)]
@@ -384,8 +408,8 @@ class SignedRelation:
 
     def _rebuild_all(self) -> None:
         self._entries = self._build_entries()
-        self._components = [self._entry_components(entry) for entry in self._entries]
-        self._digests = [concat_digests(*components) for components in self._components]
+        built = [self._entry_components(entry) for entry in self._entries]
+        self._components, self._roots = map(list, zip(*built))
         messages = [self.chain_message(index) for index in range(len(self._entries))]
         self.signatures = self._signature_scheme.sign_batch(messages)
 
@@ -410,17 +434,33 @@ class SignedRelation:
             chain_messages_recomputed=len(affected),
         )
 
-    def insert_record(self, record) -> UpdateReceipt:
-        """Insert a record and refresh the three affected signatures."""
+    def _insert_entry(self, record) -> int:
+        """Structural half of an insert: place the new entry, unsigned."""
         position = self.relation.insert(record)
         chain_index = self.record_chain_index(position)
         inserted = self.relation[position]
         entry = ChainEntry(_RECORD, inserted.key, inserted)
-        components = self._entry_components(entry)
+        components, roots = self._entry_components(entry)
         self._entries.insert(chain_index, entry)
         self._components.insert(chain_index, components)
-        self._digests.insert(chain_index, concat_digests(*components))
+        self._roots.insert(chain_index, roots)
         self.signatures.insert(chain_index, 0)
+        return chain_index
+
+    def _remove_entry(self, record: Record) -> Tuple[int, int]:
+        """Structural half of a delete: ``(chain index, key)`` of the gap."""
+        position = self.relation.delete(record)
+        chain_index = self.record_chain_index(position)
+        removed_key = self._entries[chain_index].key
+        del self._entries[chain_index]
+        del self._components[chain_index]
+        del self._roots[chain_index]
+        del self.signatures[chain_index]
+        return chain_index, removed_key
+
+    def insert_record(self, record) -> UpdateReceipt:
+        """Insert a record and refresh the three affected signatures."""
+        chain_index = self._insert_entry(record)
         # Exactly one g digest is computed: the new entry's.  The neighbours
         # keep their digests; only their chain messages (and signatures) move.
         receipt = self._resign_window(
@@ -431,13 +471,7 @@ class SignedRelation:
 
     def delete_record(self, record: Record) -> UpdateReceipt:
         """Delete a record and refresh the two signatures around the gap."""
-        position = self.relation.delete(record)
-        chain_index = self.record_chain_index(position)
-        removed_key = self._entries[chain_index].key
-        del self._entries[chain_index]
-        del self._components[chain_index]
-        del self._digests[chain_index]
-        del self.signatures[chain_index]
+        chain_index, removed_key = self._remove_entry(record)
         # No g digest changes on delete — the gap's neighbours keep their
         # digests and only re-derive the chain messages binding them.
         receipt = self._resign_window(
@@ -447,10 +481,26 @@ class SignedRelation:
         return receipt
 
     def update_record(self, old: Record, new) -> UpdateReceipt:
-        """Replace ``old`` with ``new``; affected signatures are refreshed."""
-        delete_receipt = self.delete_record(old)
-        insert_receipt = self.insert_record(new)
-        return UpdateReceipt.merge((delete_receipt, insert_receipt))
+        """Replace ``old`` with ``new`` (Section 6.3): a delete and an insert.
+
+        Both structural edits land first and the union of their two windows
+        is re-signed once: three signatures when ``new`` sits where ``old``
+        sat, never more than five.  The signatures are those a delete
+        followed by an insert leaves behind, and the sequence advances by
+        the same two steps.
+        """
+        gap_index, removed_key = self._remove_entry(old)
+        chain_index = self._insert_entry(new)
+        around_gap = {
+            index + (index >= chain_index) for index in (gap_index - 1, gap_index)
+        }
+        receipt = self._resign_window(
+            sorted(around_gap | {chain_index - 1, chain_index, chain_index + 1}),
+            digests_recomputed=1,
+        )
+        self._version += 1  # the delete's step; _notify takes the insert's
+        self._notify(receipt.entries_affected, extra_keys=(removed_key,))
+        return receipt
 
     # -- verification convenience ------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ indistinguishable — manifest ids, rotation history, query answers, applied-
 update registry — from the router that was serving before the crash:
 
 1. **The relation store** holds each relation at its last committed update
-   boundary.  A chain relation *attaches* to it: rows, digests and the
+   boundary.  A chain relation *attaches* to it: rows, stored roots and the
    owner's signatures are served as stored, nothing is re-signed, and the
    attached manifest's 32-byte id must lie on the history of the
    checkpoint's owner-signed one.  (The non-chain comparison schemes keep
@@ -67,7 +67,7 @@ def rebuild_stored_publication(
 ):
     """One relation served from its shard's relation store.
 
-    The chain scheme *attaches*: identity index, digests and signatures
+    The chain scheme *attaches*: identity index, stored roots and signatures
     load from SQLite, rows fault in lazily, and nothing is re-signed — the
     stored signatures are the owner's chain, so peak memory is a few dozen
     bytes per row instead of the rows themselves.  The other registered

@@ -9,9 +9,18 @@ SQL schema per relational schema):
     One row per chain entry: the two domain delimiters and every record,
     keyed by ``(relation, kind, key, fingerprint)`` so the natural SQLite
     index *is* the relation's canonical sort order.  Records carry their
-    wire payload (a ``RecordDelta(kind="insert")`` frame) plus the entry's
-    precomputed ``g`` digest and its FDH-RSA chain signature; delimiters
-    carry digest + signature only.
+    wire payload (a ``RecordDelta(kind="insert")`` frame), their FDH-RSA
+    chain signature and, in ``digest``, ``upper_root | lower_root |
+    attribute_root``: the Section 5.1 representation-tree roots the owner's
+    walk of the entry's two digit chains produced, and the root of its
+    attribute tree.  The roots are what the publisher ships with a result
+    row (its entry assists), so a read looks them up and hashes nothing;
+    where the server needs the entry's ``g`` itself — a boundary or filtered
+    entry, the neighbours of a re-sign window — it re-derives each chain
+    digest from the key and the stored root with the canonical-only walk a
+    verifier does.  Delimiters carry the same column and a signature (the
+    slot of the chain a delimiter does not have keeps its sentinel digest).
+    A non-chain scheme's mirrored rows leave ``digest`` empty.
 
 ``chain_state``
     Per relation: the manifest ``sequence`` the stored chain corresponds
@@ -28,9 +37,11 @@ SQL schema per relational schema):
 digests on load, not blindly trusted.  Every record faulted in from SQLite
 is re-fingerprinted and compared against the fingerprint under which it was
 filed — the same identity that orders the owner-signed chain — and the
-digests/signatures served alongside it are the owner-signed chain artifacts
-themselves, which every verifying client re-checks end to end; nothing
-stored is ever re-signed on the way out.  Row integrity beyond that is
+roots and signatures served alongside it are client-checked like every other
+served artifact: a verifying client recomputes each ``g`` from the row and
+the root it was handed and checks the owner's signature over the result, so
+a root altered on disk yields an answer that fails verification, never a
+wrong answer that passes; nothing stored is ever re-signed on the way out.  Row integrity beyond that is
 a *crash-safety* property, not a security one: this reproduction's
 deployment model (:mod:`repro.service.owner`) already trusts the publisher
 host with the signing key, so a host that can edit ``relstore.db`` can
@@ -59,14 +70,16 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.digest import EntryAssist
 from repro.core.relational import (
     ChainEntry,
     RelationManifest,
     SignedRelation,
     build_chain_schemes,
+    entry_components,
 )
 from repro.core.relational import _LEFT_DELIMITER, _RECORD, _RIGHT_DELIMITER
-from repro.crypto.encoding import concat_digests, encode_many
+from repro.crypto.encoding import concat_digests
 from repro.crypto.hashing import HashFunction, default_hash
 from repro.crypto.signature import SignatureScheme
 from repro.db.records import Record
@@ -351,20 +364,6 @@ class RelationStore:
             )
         ]
 
-    def load_chain(self, relation: str) -> Tuple[List[bytes], List[int]]:
-        """(digests, signatures) in chain order: left, records, right."""
-        digests: List[bytes] = []
-        signatures: List[int] = []
-        conn = self.connection
-        for kind, order in ((KIND_LEFT, ""), (KIND_RECORD, " ORDER BY key, fingerprint"), (KIND_RIGHT, "")):
-            for row in conn.execute(
-                f"SELECT digest, signature FROM entries WHERE relation=? AND kind=?{order}",
-                (relation, kind),
-            ):
-                digests.append(row[0])
-                signatures.append(_signature_int(row[1]))
-        return digests, signatures
-
     def count_chain_entries(self, relation: str) -> int:
         """Total chain length on disk: delimiters plus record entries."""
         row = self.connection.execute(
@@ -375,7 +374,7 @@ class RelationStore:
     def load_entry_chain(
         self, relation: str, kind: str, key: int, fingerprint: bytes
     ) -> Tuple[bytes, int]:
-        """(digest, signature) of one chain entry, by identity."""
+        """(stored roots, signature) of one chain entry, by identity."""
         row = self.connection.execute(
             "SELECT digest, signature FROM entries"
             " WHERE relation=? AND kind=? AND key=? AND fingerprint=?",
@@ -603,13 +602,13 @@ class _RecordColumn:
         self._cache.pop(identity, None)
         return record
 
-    def committed(self, identity: Tuple[int, bytes]) -> None:
-        """Move a pending insert into the evictable cache (post-commit)."""
-        record = self._pending.pop(identity, None)
-        if record is not None:
+    def committed(self) -> None:
+        """Move the pending inserts into the evictable cache (post-commit)."""
+        while self._pending:
+            identity, record = self._pending.popitem()
             self._cache[identity] = record
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+        while len(self._cache) > self._cache_size:
+            self._cache.popitem(last=False)
 
 
 class StoredRelation(Relation):
@@ -639,58 +638,29 @@ class StoredRelation(Relation):
         return self._records
 
 
-# -- lazy chain components -----------------------------------------------------
+# -- lazy chain columns --------------------------------------------------------
 
-
-class _LazyComponents:
-    """The ``_components`` list of a stored chain, computed on first touch.
-
-    Component triples are only needed for entries that appear in an answer
-    window or get re-signed, so they start as ``None`` placeholders and are
-    reconstructed (faulting the record if necessary) when indexed.
-    """
-
-    __slots__ = ("_owner", "_memo")
-
-    def __init__(self, owner: "StoredSignedRelation", length: int) -> None:
-        self._owner = owner
-        self._memo: List[Optional[Tuple[bytes, bytes, bytes]]] = [None] * length
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def __getitem__(self, index: int) -> Tuple[bytes, bytes, bytes]:
-        value = self._memo[index]
-        if value is None:
-            value = self._owner._components_at(index)
-            self._memo[index] = value
-        return value
-
-    def insert(self, index: int, value: Tuple[bytes, bytes, bytes]) -> None:
-        self._memo.insert(index, value)
-
-    def __delitem__(self, index: int) -> None:
-        del self._memo[index]
-
-
-#: placeholder for a chain value that still lives only on disk
+#: placeholder for a chain value not yet faulted in
 _UNLOADED = object()
 
 
 class _LazyChainColumn:
-    """One chain-aligned column (digests or signatures), faulted from disk.
+    """One chain-aligned column of a stored chain, filled on first touch.
 
     Presents the list surface the chain mutators use — indexing, assignment,
-    ``insert``/``del`` and iteration — over ``_UNLOADED`` placeholders; a
-    faulted index asks the owning :class:`StoredSignedRelation` to load that
-    entry's digest *and* signature in one store read, so recovery holds eight
-    bytes per untouched entry instead of its digest and signature.
+    ``insert``/``del`` and iteration — over ``_UNLOADED`` placeholders, so
+    recovery holds eight bytes per untouched entry; indexing a placeholder
+    calls ``fault(index)``, which must fill the slot.  Stored roots and
+    signatures come from disk, both in one store read; component triples
+    are only needed where the server needs an entry's ``g`` — a boundary or
+    filtered entry, the neighbours of a re-sign window — and are re-derived
+    from the entry's key and stored roots.
     """
 
-    __slots__ = ("_owner", "_memo")
+    __slots__ = ("_fault", "_memo")
 
-    def __init__(self, owner: "StoredSignedRelation", length: int) -> None:
-        self._owner = owner
+    def __init__(self, fault, length: int) -> None:
+        self._fault = fault
         self._memo: List[object] = [_UNLOADED] * length
 
     def __len__(self) -> int:
@@ -703,7 +673,7 @@ class _LazyChainColumn:
         index = self._resolve(index)
         value = self._memo[index]
         if value is _UNLOADED:
-            self._owner._fault_chain(index)
+            self._fault(index)
             value = self._memo[index]
         return value
 
@@ -721,11 +691,28 @@ class _LazyChainColumn:
             yield self[index]
 
 
+def _require_optimized(relation_name: str, scheme_kind: str) -> None:
+    if scheme_kind != "optimized":
+        raise StorageError(
+            f"relation {relation_name!r}: a stored chain keeps each entry's Section 5.1 "
+            f"representation-tree roots, which a {scheme_kind!r} chain does not have"
+        )
+
+
+def _stored_roots(components: Tuple[bytes, bytes, bytes], roots) -> bytes:
+    """An entry's ``entries.digest`` value: ``upper_root | lower_root | attribute_root``.
+
+    A delimiter's sentinel chain has no tree; its slot keeps the sentinel.
+    """
+    upper, lower, attribute_root = components
+    return concat_digests(roots[0] or upper, roots[1] or lower, attribute_root)
+
+
 class StoredSignedRelation(SignedRelation):
     """A :class:`SignedRelation` served from a :class:`RelationStore`.
 
     Construction attaches to an existing store: only the sorted identity
-    index (keys and fingerprints) loads eagerly; rows, chain digests,
+    index (keys and fingerprints) loads eagerly; rows, stored roots,
     signatures and component triples all fault in lazily, and nothing is
     re-signed — the signatures on disk *are* the owner's chain.  Mutations
     re-sign the usual window and persist the changed entries and chain
@@ -746,6 +733,7 @@ class StoredSignedRelation(SignedRelation):
                 f"relation {relation_name!r}: stored chains serve the 'chain' scheme, "
                 f"manifest says {manifest.scheme!r}"
             )
+        _require_optimized(relation_name, manifest.scheme_kind)
         relation = StoredRelation(store, relation_name, manifest.schema, cache_size)
         self.relation = relation
         self.schema = manifest.schema
@@ -761,6 +749,7 @@ class StoredSignedRelation(SignedRelation):
         self._manifest = None
         self._store = store
         self._name = relation_name
+        self._width = self.hash_function.digest_size
         self._entries = (
             [ChainEntry(_LEFT_DELIMITER, self.domain.lower)]
             + [ChainEntry(_RECORD, key) for key, _ in relation._sort_keys]
@@ -772,29 +761,53 @@ class StoredSignedRelation(SignedRelation):
                 f"relation {relation_name!r}: store holds {stored} chain entries, "
                 f"the identity index implies {len(self._entries)}"
             )
-        self._digests = _LazyChainColumn(self, len(self._entries))
-        self.signatures = _LazyChainColumn(self, len(self._entries))
-        self._components = _LazyComponents(self, len(self._entries))
+        self._roots = _LazyChainColumn(self._fault_chain, len(self._entries))
+        self.signatures = _LazyChainColumn(self._fault_chain, len(self._entries))
+        self._components = _LazyChainColumn(self._fault_components, len(self._entries))
         self._version = 0
         self._listeners = []
 
     # -- lazy plumbing ---------------------------------------------------------
 
-    def _components_at(self, index: int) -> Tuple[bytes, bytes, bytes]:
-        entry = self._entries[index]
-        if entry.is_record and entry.record is None:
-            entry = ChainEntry(_RECORD, entry.key, self.relation[index - 1])
-        return self._entry_components(entry)
+    def entry_assists(self, index: int) -> Tuple[EntryAssist, EntryAssist]:
+        stored, width = self._roots[index], self._width
+        return EntryAssist(stored[:width]), EntryAssist(stored[width : 2 * width])
+
+    def _fault_components(self, index: int) -> None:
+        """Entry ``index``'s ``g`` components, from its key and stored roots.
+
+        The canonical-only walk a verifier does for a value it knows: no
+        record is faulted and no representation rebuilt.
+        """
+        stored, width = self._roots[index], self._width
+        upper, lower, attribute_root = (
+            stored[:width], stored[width : 2 * width], stored[2 * width :]
+        )
+        entry, domain = self._entries[index], self.domain
+        if entry.kind != _RIGHT_DELIMITER:
+            upper = self.upper_scheme.recompute_from_value(
+                entry.key, domain.upper - entry.key - 1, EntryAssist(upper)
+            )
+        if entry.kind != _LEFT_DELIMITER:
+            lower = self.lower_scheme.recompute_from_value(
+                entry.key, entry.key - domain.lower - 1, EntryAssist(lower)
+            )
+        self._components[index] = (upper, lower, attribute_root)
 
     def _fault_chain(self, index: int) -> None:
         kind, key, fingerprint = self._entry_identity(index)
-        digest, signature = self._store.load_entry_chain(
+        stored, signature = self._store.load_entry_chain(
             self._name, kind, key, fingerprint
         )
+        if len(stored) != 3 * self._width:
+            raise StorageError(
+                f"relation {self._name!r}: the stored {kind} entry at key {key} does "
+                "not hold upper_root | lower_root | attribute_root"
+            )
         # Fill only still-unloaded slots: a freshly re-signed (or inserted)
         # in-memory value is newer than what a sibling-column fault read.
-        if self._digests._memo[index] is _UNLOADED:
-            self._digests._memo[index] = digest
+        if self._roots._memo[index] is _UNLOADED:
+            self._roots._memo[index] = stored
         if self.signatures._memo[index] is _UNLOADED:
             self.signatures._memo[index] = signature
 
@@ -806,94 +819,71 @@ class StoredSignedRelation(SignedRelation):
         key, fingerprint = self.relation._sort_keys[index - 1]
         return (KIND_RECORD, key, fingerprint)
 
-    def _persist_window(self, affected: Sequence[int], skip: Optional[int] = None) -> None:
-        for index in affected:
-            if index == skip:
-                continue
+    # -- persisted mutations ---------------------------------------------------
+
+    def _insert_entry(self, record) -> int:
+        chain_index = super()._insert_entry(record)
+        inserted = self._entries[chain_index].record
+        # The entry is kept key-only: the record itself stays behind the
+        # faulting column, so long-running servers do not re-grow an
+        # in-memory copy of every row they ever inserted.
+        self._entries[chain_index] = ChainEntry(_RECORD, inserted.key)
+        stored = _stored_roots(self._components[chain_index], self._roots[chain_index])
+        self._roots[chain_index] = stored
+        self._store.put_entry(
+            self._name,
+            KIND_RECORD,
+            inserted.key,
+            inserted.fingerprint(),
+            payload=encode(RecordDelta(kind="insert", values=inserted.as_dict())),
+            digest=stored,
+            signature=0,  # signed, with its neighbours, by the re-sign that follows
+        )
+        return chain_index
+
+    def _remove_entry(self, record) -> Tuple[int, int]:
+        materialised = self.relation._coerce(record)
+        removed = super()._remove_entry(materialised)
+        self._store.delete_entry(
+            self._name, KIND_RECORD, materialised.key, materialised.fingerprint()
+        )
+        return removed
+
+    def _resign_window(self, candidates, digests_recomputed):
+        receipt = super()._resign_window(candidates, digests_recomputed)
+        for index in receipt.entries_affected:
             kind, key, fingerprint = self._entry_identity(index)
             self._store.set_entry_signature(
                 self._name, kind, key, fingerprint, self.signatures[index]
             )
-
-    # -- persisted mutations ---------------------------------------------------
-
-    def insert_record(self, record):
-        position = self.relation.insert(record)
-        chain_index = self.record_chain_index(position)
-        inserted = self.relation[position]
-        components = self._entry_components(ChainEntry(_RECORD, inserted.key, inserted))
-        digest = concat_digests(*components)
-        # The entry is stored key-only: the record itself stays behind the
-        # faulting column, so long-running servers do not re-grow an
-        # in-memory copy of every row they ever inserted.
-        self._entries.insert(chain_index, ChainEntry(_RECORD, inserted.key))
-        self._components.insert(chain_index, components)
-        self._digests.insert(chain_index, digest)
-        self.signatures.insert(chain_index, 0)
-        identity = (inserted.key, inserted.fingerprint())
-        window = (chain_index - 1, chain_index, chain_index + 1)
-        store = self._store
-        batched = store.in_transaction()
-        with store.transaction():
-            receipt = self._resign_window(window, digests_recomputed=1)
-            payload = encode(RecordDelta(kind="insert", values=inserted.as_dict()))
-            store.put_entry(
-                self._name,
-                KIND_RECORD,
-                identity[0],
-                identity[1],
-                payload=payload,
-                digest=digest,
-                signature=self.signatures[chain_index],
-            )
-            self._persist_window(receipt.entries_affected, skip=chain_index)
-            store.set_chain_state(
-                self._name,
-                sequence=self._version + 1,
-                previous_sequence=None if batched else self._version,
-            )
-        self.relation._records.committed(identity)
-        self._notify(receipt.entries_affected)
         return receipt
 
-    def delete_record(self, record):
-        materialised = self.relation._coerce(record)
-        identity = (materialised.key, materialised.fingerprint())
-        position = self.relation.delete(materialised)
-        chain_index = self.record_chain_index(position)
-        removed_key = self._entries[chain_index].key
-        del self._entries[chain_index]
-        del self._components[chain_index]
-        del self._digests[chain_index]
-        del self.signatures[chain_index]
-        window = (chain_index - 1, chain_index)
-        store = self._store
-        batched = store.in_transaction()
-        with store.transaction():
-            receipt = self._resign_window(window, digests_recomputed=0)
-            store.delete_entry(self._name, KIND_RECORD, identity[0], identity[1])
-            self._persist_window(receipt.entries_affected)
-            store.set_chain_state(
-                self._name,
-                sequence=self._version + 1,
-                previous_sequence=None if batched else self._version,
-            )
-        self._notify(receipt.entries_affected, extra_keys=(removed_key,))
-        return receipt
-
-    def update_record(self, old, new):
+    @contextmanager
+    def _persisted(self):
+        """One store transaction around a mutation and its chain-state bump."""
         store = self._store
         batched = store.in_transaction()
         version_before = self._version
         with store.transaction():
-            receipt = super().update_record(old, new)
-            if not batched:
-                store.set_chain_state(
-                    self._name,
-                    sequence=self._version,
-                    previous_sequence=version_before,
-                )
-        return receipt
+            yield
+            store.set_chain_state(
+                self._name,
+                sequence=self._version,
+                previous_sequence=None if batched else version_before,
+            )
+        self.relation._records.committed()
+
+    def insert_record(self, record):
+        with self._persisted():
+            return super().insert_record(record)
+
+    def delete_record(self, record):
+        with self._persisted():
+            return super().delete_record(record)
+
+    def update_record(self, old, new):
+        with self._persisted():
+            return super().update_record(old, new)
 
 
 # -- construction paths --------------------------------------------------------
@@ -907,21 +897,26 @@ def dump_publication(
 ) -> None:
     """Mirror an in-memory publication's state into the store, byte-exactly.
 
-    For a chain publication the precomputed digests and signatures are
-    copied as-is (nothing is re-signed); for the other registered schemes
-    only the rows are stored and the scheme republishes from them on
-    recovery.
+    For a chain publication the roots the owner's walk left behind and the
+    signatures are copied as-is (nothing is re-hashed or re-signed); for the
+    other registered schemes only the rows are stored and the scheme
+    republishes from them on recovery.
     """
     manifest = publication.manifest
     domain = manifest.schema.key_domain
     with store.transaction():
         store.clear_relation(relation_name)
         if isinstance(publication, SignedRelation):
-            digests = publication._digests
+            _require_optimized(relation_name, publication.scheme_kind)
             signatures = publication.signatures
 
+            def stored(chain_index: int) -> bytes:
+                return _stored_roots(
+                    publication.components(chain_index), publication._roots[chain_index]
+                )
+
             def entry_rows():
-                yield (KIND_LEFT, domain.lower, b"", None, digests[0], signatures[0])
+                yield (KIND_LEFT, domain.lower, b"", None, stored(0), signatures[0])
                 for position, record in enumerate(publication.relation):
                     chain_index = position + 1
                     payload = encode(RecordDelta(kind="insert", values=record.as_dict()))
@@ -930,10 +925,10 @@ def dump_publication(
                         record.key,
                         record.fingerprint(),
                         payload,
-                        digests[chain_index],
+                        stored(chain_index),
                         signatures[chain_index],
                     )
-                yield (KIND_RIGHT, domain.upper, b"", None, digests[-1], signatures[-1])
+                yield (KIND_RIGHT, domain.upper, b"", None, stored(-1), signatures[-1])
 
             store.insert_entries(relation_name, entry_rows())
         else:
@@ -981,6 +976,7 @@ def build_stored_chain(
     :class:`~repro.core.relational.SignedRelation` over the same rows.
     Returns the number of records stored.
     """
+    _require_optimized(relation_name, scheme_kind)
     hash_function = hash_function or default_hash()
     domain = schema.key_domain
     upper, lower = build_chain_schemes(scheme_kind, domain, base, hash_function, memoize)
@@ -996,21 +992,16 @@ def build_stored_chain(
     left_anchor = manifest.left_anchor()
     right_anchor = manifest.right_anchor()
 
-    def delimiter_root(kind: str) -> bytes:
-        return hash_function.digest(encode_many(["delimiter-attributes", kind]))
-
-    def sentinel(tag: str, bound: int) -> bytes:
-        return hash_function.digest(encode_many([tag, bound]))
-
     row_count = [0]
 
+    def chain_row(kind, entry, fingerprint=b"", payload=None):
+        """An entry's row, its signature still to come, and its ``g`` digest."""
+        components, roots = entry_components(entry, domain, upper, lower, hash_function)
+        row = (kind, entry.key, fingerprint, payload, _stored_roots(components, roots))
+        return row, concat_digests(*components)
+
     def entry_stream():
-        components = (
-            upper.commitment(domain.lower, domain.upper - domain.lower - 1),
-            sentinel("left-delimiter-lower", domain.lower),
-            delimiter_root(_LEFT_DELIMITER),
-        )
-        yield (KIND_LEFT, domain.lower, b"", None, concat_digests(*components))
+        yield chain_row(KIND_LEFT, ChainEntry(_LEFT_DELIMITER, domain.lower))
         previous_identity = None
         for row in rows:
             record = row if isinstance(row, Record) else Record(schema, dict(row))
@@ -1020,20 +1011,12 @@ def build_stored_chain(
                     "build_stored_chain requires strictly ascending (key, fingerprint) rows"
                 )
             previous_identity = identity
-            components = (
-                upper.commitment(record.key, domain.upper - record.key - 1),
-                lower.commitment(record.key, record.key - domain.lower - 1),
-                record.attribute_root(hash_function),
-            )
             payload = encode(RecordDelta(kind="insert", values=record.as_dict()))
             row_count[0] += 1
-            yield (KIND_RECORD, identity[0], identity[1], payload, concat_digests(*components))
-        components = (
-            sentinel("right-delimiter-upper", domain.upper),
-            lower.commitment(domain.upper, domain.upper - domain.lower - 1),
-            delimiter_root(_RIGHT_DELIMITER),
-        )
-        yield (KIND_RIGHT, domain.upper, b"", None, concat_digests(*components))
+            yield chain_row(
+                KIND_RECORD, ChainEntry(_RECORD, record.key, record), identity[1], payload
+            )
+        yield chain_row(KIND_RIGHT, ChainEntry(_RIGHT_DELIMITER, domain.upper))
 
     held_entries: List[Tuple[str, int, bytes, Optional[bytes], bytes]] = []
     held_messages: List[bytes] = []
@@ -1054,15 +1037,15 @@ def build_stored_chain(
         for entry in entry_stream():
             if held is not None:
                 left = left_anchor if before is None else before
-                held_messages.append(hash_function.combine(left, held[4], entry[4]))
-                held_entries.append(held)
-                before = held[4]
+                held_messages.append(hash_function.combine(left, held[1], entry[1]))
+                held_entries.append(held[0])
+                before = held[1]
                 if len(held_entries) >= batch_size:
                     flush()
             held = entry
         left = left_anchor if before is None else before
-        held_messages.append(hash_function.combine(left, held[4], right_anchor))
-        held_entries.append(held)
+        held_messages.append(hash_function.combine(left, held[1], right_anchor))
+        held_entries.append(held[0])
         flush()
         store.set_chain_state(
             relation_name,

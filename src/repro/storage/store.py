@@ -7,7 +7,7 @@ One :class:`PublicationStorage` owns a directory tree::
       shards/<shard>/keys.json      per-relation owner signing keys (0600)
       shards/<shard>/<rel>.ckpt     latest checkpoint (the signed rotation)
       shards/<shard>/<rel>.wal      updates applied since that checkpoint
-      shards/<shard>/relstore.db    rows, chain digests, signatures and
+      shards/<shard>/relstore.db    rows, stored roots, signatures and
                                     manifest state
                                     (:mod:`repro.storage.relstore`)
 
@@ -79,11 +79,14 @@ from repro.wire.updates import (
 __all__ = [
     "STORAGE_FORMAT",
     "PublicationStorage",
+    "check_storage_format",
     "open_publication_storage",
     "relation_file_stem",
 ]
 
-STORAGE_FORMAT = 1
+#: 2: ``relstore.db``'s ``entries.digest`` holds each chain entry's
+#: representation-tree roots (format 1 held its ``g`` digest in the same bytes).
+STORAGE_FORMAT = 2
 
 _MANIFEST_FILE = "storage.json"
 _KEYS_FILE = "keys.json"
@@ -130,6 +133,15 @@ def _apply_mirror_deltas(
             )
         else:
             raise StorageError(f"cannot mirror a {delta.kind!r} delta")
+
+
+def check_storage_format(root: str, found: object) -> None:
+    """Refuse a root this build cannot serve, naming the remedy."""
+    if found != STORAGE_FORMAT:
+        raise StorageError(
+            f"storage root {root!r} has format {found!r}; this build reads format "
+            f"{STORAGE_FORMAT} — republish the relations into a fresh root"
+        )
 
 
 def relation_file_stem(name: str) -> str:
@@ -260,7 +272,7 @@ class PublicationStorage:
     ) -> None:
         """Write a fresh publication root from a built router.
 
-        Rows, chain digests and signatures are mirrored byte-exactly into
+        Rows, stored roots and signatures are mirrored byte-exactly into
         each shard's relation store (nothing is re-signed) and every relation
         gets a genesis checkpoint holding its owner-signed rotation.  Nothing
         stays open and ``router`` is not wired to the root: serving goes
@@ -327,11 +339,7 @@ class PublicationStorage:
             raise StorageError(
                 f"storage root {root!r} is not initialised or unreadable: {error}"
             ) from error
-        if document.get("format") != STORAGE_FORMAT:
-            raise StorageError(
-                f"storage root {root!r} has format {document.get('format')!r}; "
-                f"this build reads format {STORAGE_FORMAT}"
-            )
+        check_storage_format(root, document.get("format"))
         if document.get("backend") != "sqlite":
             raise StorageError(
                 f"storage root {root!r} is marked backend "

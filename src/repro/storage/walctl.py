@@ -45,9 +45,9 @@ from typing import List
 
 from repro.service.owner import delta_sequence_cost
 from repro.storage.checkpoint import load_checkpoint
-from repro.storage.errors import CheckpointCorruptError, WalCorruptError
+from repro.storage.errors import CheckpointCorruptError, StorageError, WalCorruptError
 from repro.storage.relstore import RelationStore
-from repro.storage.store import PublicationStorage
+from repro.storage.store import PublicationStorage, check_storage_format
 from repro.storage.wal import iter_wal_records, scan_wal
 from repro.wire import decode, manifest_id
 from repro.wire.updates import (
@@ -63,11 +63,12 @@ __all__ = ["main"]
 
 
 def _layout(root: str):
+    """``storage.json`` as (unopened storage, shard layout, storage format)."""
     storage = PublicationStorage(root)
     manifest_path = os.path.join(root, "storage.json")
     with open(manifest_path, "r") as handle:
         document = json.load(handle)
-    return storage, document.get("shards", {})
+    return storage, document.get("shards", {}), document.get("format")
 
 
 def _replication_mark(storage: PublicationStorage, shard: str, name: str):
@@ -108,8 +109,12 @@ def _store_summary(storage: PublicationStorage, shard: str, name: str):
 
 
 def _cmd_inspect(args) -> int:
-    storage, layout = _layout(args.root)
-    report = {"root": args.root, "shards": {}}
+    storage, layout, found_format = _layout(args.root)
+    report = {"root": args.root, "format": found_format, "shards": {}}
+    try:
+        check_storage_format(args.root, found_format)
+    except StorageError as error:
+        report["format_error"] = str(error)
     for shard, names in sorted(layout.items()):
         entries = {}
         for name in names:
@@ -235,7 +240,7 @@ def _verify_relation(storage: PublicationStorage, shard: str, name: str) -> List
 
 
 def _cmd_verify(args) -> int:
-    storage, layout = _layout(args.root)
+    storage, layout, _ = _layout(args.root)
     failures: List[str] = []
     relations = 0
     for shard, names in sorted(layout.items()):
@@ -251,7 +256,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    storage, layout = _layout(args.root)
+    storage, layout, _ = _layout(args.root)
     repaired = 0
     blocked = 0
     for shard, names in sorted(layout.items()):

@@ -311,12 +311,41 @@ class TestUpdateReceiptAccounting:
         assert receipt.chain_messages_recomputed == 2
 
     def test_update_sums_delete_and_insert(self, signature_scheme):
+        """A non-key change lands where the old record sat: one window of three."""
         signed = self._signed(signature_scheme)
         victim = signed.relation[2]
+        before = signed.version
         receipt = signed.update_record(victim, victim.replace(grade=9))
         assert receipt.digests_recomputed == 1  # 0 for the delete + 1 for the insert
-        assert receipt.signatures_recomputed == 5
-        assert receipt.chain_messages_recomputed == 5
+        assert receipt.signatures_recomputed == 3
+        assert receipt.chain_messages_recomputed == 3
+        assert receipt.entries_affected == (2, 3, 4)
+        assert signed.version == before + 2  # still a delete and an insert
+
+    @pytest.mark.parametrize(
+        "new_key, expected", [(60, 5), (120, 4), (160, 3), (240, 3), (270, 4), (320, 5)]
+    )
+    def test_update_that_moves_resigns_the_union_once(
+        self, signature_scheme, new_key, expected
+    ):
+        """Wherever the replacement lands: at most five signatures, each made
+        once, and the chain a delete followed by an insert leaves behind."""
+        keys = (50, 100, 150, 200, 250, 300, 350)
+        signed = self._signed(signature_scheme, keys)
+        twin = self._signed(signature_scheme, keys)
+        victim = signed.relation[3]  # key 200
+        moved = {"k": new_key, "name": "moved", "grade": 3}
+        receipt = signed.update_record(victim, moved)
+        assert receipt.signatures_recomputed == len(set(receipt.entries_affected))
+        assert receipt.signatures_recomputed == expected
+        twin.delete_record(twin.relation[3])
+        twin.insert_record(moved)
+        assert signed.signatures == twin.signatures
+        assert [signed.entry_digest(i) for i in range(signed.entry_count())] == [
+            twin.entry_digest(i) for i in range(twin.entry_count())
+        ]
+        assert signed.manifest == twin.manifest
+        assert signed.verify_internal_consistency()
 
     def test_version_bumps_and_listeners_fire(self, signature_scheme):
         signed = self._signed(signature_scheme)

@@ -41,15 +41,14 @@ class TestCommitments:
 
     def test_entry_round_trip(self, scheme):
         value, total = 77, DOMAIN_WIDTH - 77 - 1
-        committed = scheme.commitment(value, total)
-        assist = scheme.entry_assist(value, total)
-        assert scheme.recompute_from_value(value, total, assist) == committed
+        committed, root = scheme.commit(value, total)
+        assert committed == scheme.commitment(value, total)
+        assert scheme.recompute_from_value(value, total, EntryAssist(root)) == committed
 
     def test_entry_round_trip_wrong_value_fails(self, scheme):
         value, total = 77, DOMAIN_WIDTH - 77 - 1
-        committed = scheme.commitment(value, total)
-        assist = scheme.entry_assist(value, total)
-        assert scheme.recompute_from_value(value + 1, total, assist) != committed
+        committed, root = scheme.commit(value, total)
+        assert scheme.recompute_from_value(value + 1, total, EntryAssist(root)) != committed
 
 
 class TestBoundaryProofs:
@@ -118,7 +117,7 @@ class TestOptimizedSpecifics:
 
     def test_entry_assist_carries_tree_root(self):
         scheme = OptimizedChainScheme(DOMAIN_WIDTH, "upper", base=4)
-        assist = scheme.entry_assist(5, 100)
+        assist = EntryAssist(scheme.commit(5, 100)[1])
         assert assist.mht_root is not None
         assert assist.digest_count == 1
 

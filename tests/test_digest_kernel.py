@@ -17,7 +17,7 @@ import pytest
 
 from reference_digest import SENTINEL_LEAF, ReferenceOptimizedScheme
 from repro.core import polynomial
-from repro.core.digest import OptimizedChainScheme
+from repro.core.digest import EntryAssist, OptimizedChainScheme
 from repro.core.errors import CheatingAttemptError
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
@@ -46,8 +46,7 @@ def _assert_all_artifacts_identical(kernel, reference, value, total, delta_cs):
     assist = reference.entry_assist(value, total)
     # Twice: the second pass is served from the memo when there is one.
     for _ in range(2):
-        assert kernel.commitment(value, total) == committed
-        assert kernel.entry_assist(value, total) == assist
+        assert kernel.commit(value, total) == (committed, assist.mht_root)
         assert kernel.recompute_from_value(value, total, assist) == committed
     assert reference.recompute_from_value(value, total, assist) == committed
     for delta_c in delta_cs:
@@ -127,7 +126,7 @@ class TestNamedEdgeCases:
         assert kernel.num_digits == 1
         root = MerkleTree([SENTINEL_LEAF], HashFunction("sha256")).root
         for total in range(width):
-            assert kernel.entry_assist(3, total).mht_root == root
+            assert kernel.commit(3, total)[1] == root
             _assert_all_artifacts_identical(
                 kernel, reference, 3, total, range(total + 1)
             )
@@ -177,8 +176,7 @@ class TestNamedEdgeCases:
         assert hashes(lambda: kernel.commitment(5, 1234)) == hashes(
             lambda: kernel.commitment(5, 1234)
         )
-        assert kernel.entry_assist(5, 1234) == assist
-        assert kernel.commitment(5, 1234) == committed
+        assert kernel.commit(5, 1234) == (committed, assist.mht_root)
 
 
 # -- hash accounting ------------------------------------------------------------------
@@ -208,8 +206,7 @@ def test_kernel_counts_exactly_its_hashlib_calls(counted_hashlib, memoize):
     kernel, _ = _pair(16386, 2, memoize=memoize)
     start = HASH_COUNTER.count
     for value, total in [(1, 0), (2, 16385), (3, 9000)]:
-        kernel.commitment(value, total)
-        assist = kernel.entry_assist(value, total)
+        assist = EntryAssist(kernel.commit(value, total)[1])
         kernel.recompute_from_value(value, total, assist)
         for delta_c in (0, total // 2, total):
             kernel.recompute_from_boundary(
@@ -297,3 +294,95 @@ def test_verifier_schemes_survive_a_rotation_but_not_a_parameter_change(signatur
     assert verifier._chain_schemes(other_domain) is not schemes
     assert replace(manifest, hash_name="sha1") != manifest
     assert verifier._chain_schemes(replace(manifest, hash_name="sha1")) is not schemes
+
+
+# -- the roots a publish leaves behind ------------------------------------------------
+
+
+def _stored_metrics(tmp_path, signature_scheme, rows, via_dump):
+    """A ``rows``-row stored chain over the bench schema, re-attached cold."""
+    from repro.bench.scale import RELATION, _attach, _row_stream, metrics_schema
+    from repro.db.relation import Relation
+    from repro.storage.relstore import RelationStore, build_stored_chain, dump_publication
+    from repro.wire.updates import ManifestRotated
+
+    schema = metrics_schema(16_384)
+    store = RelationStore(str(tmp_path / ("dump.db" if via_dump else "stream.db")), fsync="off")
+    if via_dump:
+        signed = SignedRelation(Relation.from_rows(schema, _row_stream(rows)), signature_scheme)
+        rotation = ManifestRotated(signed.manifest, b"", signed.sign_rotation(b""))
+        dump_publication(store, RELATION, signed, rotation)
+    else:
+        build_stored_chain(store, RELATION, schema, _row_stream(rows), signature_scheme)
+    store.close()
+    store = RelationStore(store.path, fsync="off")
+    return store, _attach(store, schema, signature_scheme)
+
+
+@pytest.mark.parametrize("via_dump", [False, True], ids=["streamed", "dumped"])
+def test_stored_roots_are_the_reference_roots(tmp_path, signature_scheme, via_dump):
+    """What ``entries.digest`` holds, against the oracle: both roots of sampled
+    rows and of a row inserted later, and each delimiter's one root."""
+    store, signed = _stored_metrics(tmp_path, signature_scheme, 60, via_dump)
+    try:
+        domain = signed.domain
+        upper = ReferenceOptimizedScheme(domain.width, "upper")
+        lower = ReferenceOptimizedScheme(domain.width, "lower")
+        signed.insert_record({"metric_id": 9_000, "value": 1, "label": "late"})
+
+        def reference_roots(key):
+            return (
+                upper.entry_assist(key, domain.upper - key - 1).mht_root,
+                lower.entry_assist(key, key - domain.lower - 1).mht_root,
+            )
+
+        for index in (1, 2, 17, 40, 60, 61):
+            stored, _ = store.load_entry_chain(signed._name, *signed._entry_identity(index))
+            key = signed.entry(index).key
+            assert (stored[:32], stored[32:64]) == reference_roots(key)
+            assert stored[64:] == signed.relation[index - 1].attribute_root()
+            assert signed.entry_assists(index) == tuple(map(EntryAssist, reference_roots(key)))
+        left, _ = store.load_entry_chain(signed._name, *signed._entry_identity(0))
+        right, _ = store.load_entry_chain(signed._name, *signed._entry_identity(62))
+        span = domain.upper - domain.lower - 1
+        assert left[:32] == upper.entry_assist(domain.lower, span).mht_root
+        assert right[32:64] == lower.entry_assist(domain.upper, span).mht_root
+        # ... and the g the server re-derives from them is the one the owner signed.
+        assert signed.verify_internal_consistency()
+    finally:
+        store.close()
+
+
+def test_cold_range_answer_hashes_at_the_boundaries_only(tmp_path, signature_scheme):
+    """A first-touch 40-key range over a stored chain: two boundary proofs (a
+    full walk each), the two boundary entries' ``g`` (canonical walks) and the
+    fingerprint re-check of the faulted rows — nothing per matched entry."""
+    from repro.bench.scale import RELATION
+    from repro.db.records import Record
+
+    store, signed = _stored_metrics(tmp_path, signature_scheme, 84, via_dump=False)
+    try:
+        low, high = 23, 62
+        query = Query(RELATION, Conjunction((RangeCondition("metric_id", low, high),)))
+        start = HASH_COUNTER.count
+        answer = Publisher({RELATION: signed}).answer(query)
+        spent = HASH_COUNTER.count - start
+        assert len(answer.rows) == 40
+
+        domain = signed.domain
+        upper, lower = signed.manifest.chain_schemes(memoize=False)
+        start = HASH_COUNTER.count
+        upper.boundary_proof(low - 1, domain.upper - low, domain.upper - low)
+        lower.boundary_proof(high + 1, high - domain.lower, high - domain.lower)
+        for key in (low - 1, high + 1):
+            for scheme, total in ((upper, domain.upper - key - 1), (lower, key - domain.lower - 1)):
+                scheme.recompute_from_value(key, total, EntryAssist(b"\0" * 32))
+        for row in answer.rows:
+            Record(signed.schema, row).fingerprint()
+        at_the_boundaries = HASH_COUNTER.count - start
+        assert spent == at_the_boundaries
+        one_walk = ReferenceOptimizedScheme(domain.width, "upper")
+        one_walk.commitment(low, domain.upper - low - 1)
+        assert spent < 40 * one_walk.hashes / 4
+    finally:
+        store.close()

@@ -470,7 +470,8 @@ def test_wire_receipts_match_in_process_accounting(world):
 
 
 def test_update_record_uses_merged_accounting(owner):
-    """update_record's receipt is exactly merge(delete receipt, insert receipt)."""
+    """update_record accounts for the merged window of its delete and its
+    insert once, and leaves the chain the two separate steps leave."""
     twin_a = owner.publish_relation(_build_relation())
     twin_b = owner.publish_relation(_build_relation())
     old = twin_a.relation.records[3]
@@ -480,7 +481,11 @@ def test_update_record_uses_merged_accounting(owner):
     parts = UpdateReceipt.merge(
         (twin_b.delete_record(twin_b.relation.records[3]), twin_b.insert_record(new))
     )
-    assert merged == parts
+    assert merged.digests_recomputed == parts.digests_recomputed == 1
+    assert merged.signatures_recomputed == len(set(merged.entries_affected))
+    assert 3 <= merged.signatures_recomputed < parts.signatures_recomputed == 5
+    assert twin_a.signatures == twin_b.signatures
+    assert twin_a.manifest == twin_b.manifest
 
 
 def test_drifted_receipt_is_rejected_at_decode(world):

@@ -26,7 +26,7 @@ import pytest
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.db import workload
-from repro.db.query import Conjunction, Query, RangeCondition
+from repro.db.query import Conjunction, EqualityCondition, Query, RangeCondition
 from repro.db.schema import KeyDomain
 from repro.schemes import available_schemes, get_scheme
 from repro.service.handler import RequestHandler
@@ -51,10 +51,35 @@ FULL_RANGE = Query(
     "employees", Conjunction((RangeCondition("salary", None, None),))
 )
 UPDATES = 5
+ROWS = 48
+
+
+def _employees():
+    return workload.generate_employees(ROWS, seed=31, photo_bytes=8)
+
+
+def _salary_query(low, high, *conditions) -> Query:
+    return Query(
+        "employees", Conjunction((RangeCondition("salary", low, high),) + conditions)
+    )
+
+
+_SALARIES = [record.key for record in _employees()]
+_GAP = next(s + 1 for s, t in zip(_SALARIES, _SALARIES[1:]) if t - s > 1)
+#: Every way the chain server needs an entry: a returned row (its stored
+#: roots), both boundaries, the outer neighbour of an empty range (its g,
+#: re-derived) and a row the predicate filters out (both chain digests).
+QUERIES = {
+    "answer": FULL_RANGE,
+    "point": _salary_query(_SALARIES[5], _SALARIES[5]),
+    "range40": _salary_query(_SALARIES[3], _SALARIES[42]),
+    "empty": _salary_query(_GAP, _GAP),
+    "filtered": _salary_query(_SALARIES[3], _SALARIES[20], EqualityCondition("dept", 3)),
+}
 
 
 def _build_router(scheme_tag: str, signature_scheme) -> ShardRouter:
-    relation = workload.generate_employees(12, seed=31, photo_bytes=8)
+    relation = _employees()
     if scheme_tag == "chain":
         publisher = Publisher(
             {"employees": SignedRelation(relation, signature_scheme)}
@@ -90,13 +115,10 @@ def _serving_frames(router: ShardRouter, storage=None) -> dict:
     frames["rotation"] = handler.handle_frame(
         encode(RotationRequest("employees"))
     ).payload
-    frames["answer"] = handler.handle_frame(
-        encode(
-            QueryRequest(
-                manifest_id=router.current_id("employees"), query=FULL_RANGE
-            )
-        )
-    ).payload
+    for name, query in QUERIES.items():
+        frames[name] = handler.handle_frame(
+            encode(QueryRequest(manifest_id=router.current_id("employees"), query=query))
+        ).payload
     return frames
 
 
@@ -128,6 +150,13 @@ def test_backends_serve_byte_identical_frames(
     assert _serving_frames(router, storage=storage) == expected, (
         "the durable root serves different bytes for the same state"
     )
+    if scheme_tag == "chain":  # the queries are the shapes their names claim
+        answers = {name: decode(expected[name]) for name in QUERIES}
+        assert len(answers["point"].rows) == 1 and len(answers["range40"].rows) >= 40
+        assert not answers["empty"].rows and answers["empty"].proof.outer_neighbor_digest
+        assert any(
+            hasattr(entry, "upper_chain_digest") for entry in answers["filtered"].proof.entries
+        )
     storage.close()
     recovered_router, recovered_storage = open_publication_storage(
         root, lambda: pytest.fail("must recover, not rebuild")

@@ -33,11 +33,18 @@ from repro.service.server import PublicationServer
 from repro.storage import (
     PublicationStorage,
     RecoveryError,
+    StorageError,
     open_publication_storage,
     recover_router,
 )
 from repro.storage.checkpoint import save_keys
 from repro.storage.errors import CheckpointCorruptError
+from repro.storage.faults import FaultInjected
+from repro.storage.relstore import (
+    RelationStore,
+    StoredSignedRelation,
+    build_stored_chain,
+)
 from repro.storage.wal import encode_record, iter_wal_records
 from repro.storage.walctl import main as walctl
 from repro.wire import decode, encode, manifest_id
@@ -380,6 +387,103 @@ def test_non_chain_scheme_roundtrip(tmp_path, signature_scheme, scheme_tag):
     assert recovered.rotation("employees") == router.rotation("employees")
 
 
+# -- what a stored chain holds, and the roots this build refuses ---------------
+
+
+def test_crash_between_the_two_edits_of_an_update_recovers_whole(
+    tmp_path, signature_scheme, monkeypatch
+):
+    """An update dies after its delete, before its insert: the store stays at
+    the previous update boundary and replay lands the whole update."""
+    twin, twin_storage = open_publication_storage(
+        str(tmp_path / "twin"), lambda: _build_router(signature_scheme)
+    )
+    router, storage = _open_world(tmp_path, signature_scheme)
+    victim = router.route(router.current_id("employees")).publisher.answer(SALARIES).rows[4]
+    moved = dict(victim, salary=victim["salary"] + 1, name="Moved")
+    frame = encode(
+        build_update_request(
+            signature_scheme,
+            router.manifest_by_name("employees"),
+            (RecordDelta(kind="update", values=moved, old_values=victim),),
+        )
+    )
+
+    def die(self, record):
+        raise FaultInjected("between-the-edits")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StoredSignedRelation, "_insert_entry", die)
+        handled = RequestHandler(router, response_cache=False, storage=storage).handle_frame(frame)
+        assert handled.is_error
+    storage.close()
+
+    store = RelationStore(str(tmp_path / "pub" / "shards" / "hr" / "relstore.db"))
+    try:  # neither edit landed: 14 rows at sequence 0, the old row among them
+        assert store.chain_state("employees").sequence == 0
+        assert victim in list(store.iter_row_values("employees"))
+        assert store.count_records("employees") == 14
+    finally:
+        store.close()
+
+    expected = RequestHandler(twin, response_cache=False, storage=twin_storage).handle_frame(frame)
+    assert not expected.is_error
+    recovered_storage = PublicationStorage.open(str(tmp_path / "pub"))
+    try:
+        recovered = recover_router(recovered_storage)
+        assert _state_fingerprint(recovered) == _state_fingerprint(twin)
+        assert recovered.manifest_by_name("employees").sequence == 2
+    finally:
+        recovered_storage.close()
+        twin_storage.close()
+
+
+def test_parent_format_root_is_refused_with_the_remedy(
+    durable_world, tmp_path, signature_scheme, capsys
+):
+    """Format 1 kept ``g`` where format 2 keeps the roots: same bytes, other
+    meaning — refused by the typed format check, reported by ``inspect``."""
+    _, storage, _, _ = durable_world
+    storage.close()
+    root = str(tmp_path / "pub")
+    manifest_path = os.path.join(root, "storage.json")
+    with open(manifest_path) as handle:
+        document = json.load(handle)
+    assert document["format"] == 2
+    document["format"] = 1
+    with open(manifest_path, "w") as handle:
+        json.dump(document, handle)
+    with pytest.raises(StorageError, match="format 1.*republish"):
+        PublicationStorage.open(root)
+    with pytest.raises(StorageError, match="republish"):
+        open_publication_storage(root, lambda: pytest.fail("must not rebuild"))
+    assert walctl(["inspect", root]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["format"] == 1 and "republish" in report["format_error"]
+    assert report["shards"]["hr"]["employees"]["store"] == {"rows": 17, "sequence": 3}
+
+
+def test_conceptual_chain_is_refused_by_the_store(tmp_path, signature_scheme):
+    """A conceptual chain has no representation-tree roots to store."""
+    relation = workload.generate_employees(6, seed=19, photo_bytes=8)
+    signed = SignedRelation(relation, signature_scheme, scheme_kind="conceptual")
+    router = ShardRouter({"hr": Publisher({"employees": signed})})
+    with pytest.raises(StorageError, match="'conceptual' chain"):
+        PublicationStorage.create(str(tmp_path / "pub"), router)
+    store = RelationStore(str(tmp_path / "relstore.db"))
+    try:
+        with pytest.raises(StorageError, match="'conceptual' chain"):
+            build_stored_chain(
+                store, "employees", relation.schema, relation, signature_scheme,
+                scheme_kind="conceptual",
+            )
+        build_stored_chain(store, "employees", relation.schema, relation, signature_scheme)
+        with pytest.raises(StorageError, match="'conceptual' chain"):
+            StoredSignedRelation(store, "employees", signed.manifest, signature_scheme)
+    finally:
+        store.close()
+
+
 # -- walctl --------------------------------------------------------------------
 
 
@@ -392,6 +496,7 @@ def test_walctl_inspect_and_verify_clean_root(durable_world, tmp_path, capsys):
     assert '"records": 6' in report  # 3 updates + 3 rotations
     # The genesis checkpoint stands at sequence 0; the store committed the
     # three single-row inserts on top of the 14 published rows.
+    assert json.loads(report)["format"] == 2 and "format_error" not in report
     entry = json.loads(report)["shards"]["hr"]["employees"]
     assert entry["checkpoint"]["sequence"] == 0
     assert entry["store"] == {"rows": 17, "sequence": 3}

@@ -11,6 +11,12 @@ edit is refused when the row is faulted in, or fails verification at the
 client.  It is never returned as a verified answer; that holds for a root
 edited offline and for a replica bootstrapped from a snapshot that was
 edited in flight.
+
+The same goes for the other stored artifact a row carries: the Section 5.1
+representation-tree roots the server hands out as the row's entry assists and
+re-derives its ``g`` from.  A flipped root is served as it is found — the
+server never recomputes one — and every answer the row takes part in, as a
+result row or as either boundary, fails the client's recomputation.
 """
 
 from __future__ import annotations
@@ -85,6 +91,52 @@ def _forge_stored_row(db_path: str, schema, fix_fingerprint: bool) -> None:
         connection.close()
 
 
+def _flip_stored_roots(db_path: str, schema=None) -> None:
+    """Flip one bit in both stored roots of the employee ``_forge_stored_row`` edits."""
+    connection = sqlite3.connect(db_path)
+    try:
+        key, fingerprint, stored = connection.execute(
+            "SELECT key, fingerprint, digest FROM entries"
+            " WHERE relation='employees' AND kind='record'"
+            " ORDER BY key LIMIT 1 OFFSET 5"
+        ).fetchone()
+        assert len(stored) == 96  # upper_root | lower_root | attribute_root
+        flipped = bytes([stored[0] ^ 1]) + stored[1:32] + bytes([stored[32] ^ 1]) + stored[33:]
+        connection.execute(
+            "UPDATE entries SET digest=?"
+            " WHERE relation='employees' AND kind='record' AND key=? AND fingerprint=?",
+            (flipped, key, fingerprint),
+        )
+        connection.commit()
+    finally:
+        connection.close()
+
+
+def _assert_flipped_roots_are_never_verified(root: str) -> None:
+    """The tampered row as a result row, as the lower and as the upper boundary."""
+    router, storage = open_publication_storage(root, _must_not_rebuild)
+    try:
+        keys = [record.key for record in workload.generate_employees(12, seed=31, photo_bytes=8)]
+        victim = keys[5]
+        queries = [
+            FULL_RANGE,
+            Query("employees", Conjunction((RangeCondition("salary", victim, victim),))),
+            Query("employees", Conjunction((RangeCondition("salary", victim + 1, keys[8]),))),
+            Query("employees", Conjunction((RangeCondition("salary", keys[2], victim - 1),))),
+        ]
+        with PublicationServer(router, storage=storage) as server:
+            with VerifyingClient(*server.address) as client:
+                for query in queries:
+                    with pytest.raises(VerificationError):
+                        client.execute(QuerySpec(query))
+                untouched = Query(
+                    "employees", Conjunction((RangeCondition("salary", keys[7], keys[10]),))
+                )
+                assert len(client.execute(QuerySpec(untouched)).rows) == 4
+    finally:
+        storage.close()
+
+
 def _assert_forged_row_is_never_verified(root: str, fix_fingerprint: bool) -> None:
     router, storage = open_publication_storage(root, _must_not_rebuild)
     try:
@@ -122,10 +174,38 @@ def test_row_edited_offline_is_never_served_verified(
     _assert_forged_row_is_never_verified(root, fix_fingerprint)
 
 
+def test_root_flipped_offline_is_never_served_verified(tmp_path, signature_scheme):
+    root = str(tmp_path / "pub")
+    _, storage = open_publication_storage(root, lambda: _build_router(signature_scheme))
+    storage.close()
+    _flip_stored_roots(os.path.join(root, "shards", "hr", "relstore.db"))
+    _assert_flipped_roots_are_never_verified(root)
+
+
 @pytest.mark.parametrize("fix_fingerprint", [False, True])
 def test_row_edited_in_a_snapshot_in_flight_is_never_served_verified(
     tmp_path, signature_scheme, monkeypatch, fix_fingerprint
 ):
+    replica_root = _replica_from_forged_snapshot(
+        tmp_path,
+        signature_scheme,
+        monkeypatch,
+        lambda path, schema: _forge_stored_row(path, schema, fix_fingerprint),
+    )
+    _assert_forged_row_is_never_verified(replica_root, fix_fingerprint)
+
+
+def test_root_flipped_in_a_snapshot_in_flight_is_never_served_verified(
+    tmp_path, signature_scheme, monkeypatch
+):
+    replica_root = _replica_from_forged_snapshot(
+        tmp_path, signature_scheme, monkeypatch, _flip_stored_roots
+    )
+    _assert_flipped_roots_are_never_verified(replica_root)
+
+
+def _replica_from_forged_snapshot(tmp_path, signature_scheme, monkeypatch, forge) -> str:
+    """Bootstrap a replica whose ``relstore.db`` ``forge(path, schema)`` edited in flight."""
     primary_root = str(tmp_path / "primary")
     router, storage = open_publication_storage(
         primary_root, lambda: _build_router(signature_scheme)
@@ -141,7 +221,7 @@ def test_row_edited_in_a_snapshot_in_flight_is_never_served_verified(
                 scratch = str(tmp_path / "in-flight.db")
                 with open(scratch, "wb") as handle:
                     handle.write(payload)
-                _forge_stored_row(scratch, schema, fix_fingerprint)
+                forge(scratch, schema)
                 with open(scratch, "rb") as handle:
                     payload = handle.read()
             files.append((relative, payload))
@@ -161,4 +241,4 @@ def test_row_edited_in_a_snapshot_in_flight_is_never_served_verified(
             monkeypatch.undo()
     finally:
         storage.close()
-    _assert_forged_row_is_never_verified(replica_root, fix_fingerprint)
+    return replica_root
