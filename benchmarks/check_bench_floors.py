@@ -5,8 +5,7 @@ produced in CI) against the speedup floors stored in the committed
 ``BENCH_hot_paths.json`` (its ``targets`` section).  Exits non-zero when any
 measured speedup is below its floor, when a cold range read performs more
 hashes than the stored ceiling, when a bulk ``sign_batch`` stops scaling
-across the runner's cores, when the cached/uncached proof
-equivalence broke, or — if the fresh report carries the wire/service
+across the runner's cores, or — if the fresh report carries the wire/service
 workloads — when decoding fell below its floor against encoding.
 
 Usage::
@@ -36,8 +35,6 @@ _COMMITTED = os.path.join(_ROOT, "BENCH_hot_paths.json")
 
 #: targets key in the committed report -> workload whose speedup it bounds
 _FLOOR_WORKLOADS = {
-    "publisher_repeated_range_speedup_min": "publisher_repeated_range",
-    "owner_bulk_signing_speedup_min": "owner_bulk_signing",
     "crt_single_shot_signing_speedup_min": "crt_single_shot_signing",
     "batch_verify_speedup_min": "batch_verify",
     # The fixed-base floor is backend-aware: the committed (pure-Python)
@@ -54,8 +51,6 @@ _FLOOR_WORKLOADS = {
 
 
 def _check_hot_paths(floors: dict, fresh: dict, failures: list) -> None:
-    if fresh.get("proofs_identical") is not True:
-        failures.append("cached and uncached proofs are no longer byte-identical")
     workloads = fresh.get("workloads", {})
     for floor_key, workload in _FLOOR_WORKLOADS.items():
         floor = floors.get(floor_key)

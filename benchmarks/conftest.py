@@ -1,11 +1,10 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
-Every benchmark module reproduces one table or figure of the paper (see
-DESIGN.md for the experiment index).  Besides the pytest-benchmark timings,
+Every ``bench_<experiment>.py`` module here reproduces one table or figure of
+the paper, named in its own docstring.  Besides the pytest-benchmark timings,
 each module writes the regenerated table — the same rows/series the paper
-reports — to ``benchmarks/results/<experiment>.txt`` and prints it, so the
-numbers recorded in EXPERIMENTS.md can be regenerated with
-``pytest benchmarks/ --benchmark-only``.
+reports — to the tracked ``benchmarks/results/<experiment>.txt`` and prints
+it; regenerate one with ``pytest benchmarks/bench_<experiment>.py -k report``.
 """
 
 from __future__ import annotations

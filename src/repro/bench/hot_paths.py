@@ -1,31 +1,22 @@
-"""Hot-path throughput benchmarks for the memoized proof-engine fast path.
+"""Hot-path throughput benchmarks: each fast path against the code it replaced.
 
-This harness measures the four hot paths the PR-1 fast path optimises and
-compares each against a faithful replica of the seed (uncached) code path:
+Every workload times one mechanism against a faithful replica of the path
+without it, and asserts first that both produce the same bytes:
 
-* **owner bulk signing** — signing one batch of chain messages per
-  "re-publication round" (the owner distributing the same signed chain to
-  several publishers, or re-signing after a no-op refresh).  The fast path
-  combines precomputed CRT constants, the FDH representative cache and the
-  deterministic-signature memo; the seed path recomputed the CRT constants and
-  the full-domain hash for every single signature.
-* **crt single-shot signing** — signing fresh, never-before-seen messages,
-  isolating the CRT-precompute + FDH-cache win without the signature memo.
-* **publisher repeated range queries** — a fixed set of hot ranges queried
-  over and over.  The fast path serves boundary proofs, entry assists and
-  signature bundles from the keyed VO-fragment cache; the seed path rebuilt
-  everything per query.
-* **publisher PK-FK joins** and **verifier checking** — same repetition
-  pattern on the join path (batched point proofs + fragment cache) and the
-  user-side verifier (persistent chain schemes vs. rebuilt-per-check).
+* **crt single-shot signing** — fresh, never-before-seen messages under the
+  shipped multi-prime key with CRT constants precomputed at keygen, against
+  the seed's two-prime signer that recomputed them per signature.
+* **batch verify** and **fixed-base verify** — the client's screening test
+  against one ``pow`` per chain entry, and the per-key verify context against
+  a naive square-and-multiply loop.
+* **verifier repeated check** — a persistent verifier (chain schemes and
+  their canonical-digest memo kept across checks) against one rebuilt per
+  check.
+* **wal ingest** — owner updates through the live handler with the
+  write-ahead log on, as a fraction of storage-less throughput.
 
-Cached and uncached configurations produce byte-identical proofs — the
-harness asserts this for every workload before timing anything, and the
-property tests in ``tests/test_cache_consistency.py`` check it independently.
-
-Baseline fidelity: the module-level FDH representative memo is global and not
-governed by the ``memoize``/``vo_cache`` flags, so it is cleared immediately
-before every uncached timing.
+The module-level FDH representative memo is global, so it is cleared
+immediately before every uncached timing.
 
 Run ``python benchmarks/bench_hot_paths.py`` to write ``BENCH_hot_paths.json``
 at the repository root; the tier-1 suite runs the same code in smoke mode
@@ -51,7 +42,7 @@ from repro.crypto.primes import modular_inverse
 from repro.crypto.rsa import RSAPrivateKey, full_domain_hash
 from repro.crypto.signature import SignatureScheme, rsa_scheme
 from repro.db import workload
-from repro.db.query import Conjunction, JoinQuery, Query, RangeCondition
+from repro.db.query import Conjunction, Query, RangeCondition
 
 __all__ = ["HotPathConfig", "SMOKE_CONFIG", "run_hot_path_benchmarks"]
 
@@ -60,7 +51,7 @@ _fdh_uncached = rsa._fdh
 
 
 def _clear_global_memos() -> None:
-    """Reset the module-level memos so uncached timings start cold."""
+    """Reset the module-level FDH memo so uncached timings start cold."""
     rsa._full_domain_hash_cached.cache_clear()
 
 
@@ -72,12 +63,7 @@ class HotPathConfig:
     table_rows: int = 300
     distinct_ranges: int = 8
     range_width: int = 4_000
-    range_rounds: int = 10
     signing_messages: int = 150
-    signing_rounds: int = 3
-    join_customers: int = 30
-    join_orders: int = 120
-    join_rounds: int = 10
     verify_rounds: int = 10
     batch_verify_messages: int = 120
     batch_verify_rounds: int = 5
@@ -90,12 +76,7 @@ SMOKE_CONFIG = HotPathConfig(
     table_rows=48,
     distinct_ranges=3,
     range_width=6_000,
-    range_rounds=3,
     signing_messages=24,
-    signing_rounds=2,
-    join_customers=8,
-    join_orders=24,
-    join_rounds=2,
     verify_rounds=3,
     batch_verify_messages=48,
     batch_verify_rounds=3,
@@ -146,42 +127,23 @@ def _workload_entry(
 # -- owner-side workloads -----------------------------------------------------
 
 
-def _bench_owner_signing(
+def _bench_single_shot_signing(
     scheme: SignatureScheme, default_scheme: SignatureScheme, config: HotPathConfig
-) -> Dict[str, Dict[str, float]]:
+) -> Dict[str, float]:
     signer = scheme.signer
-    messages = [b"chain-message|%08d" % index for index in range(config.signing_messages)]
-    rounds = config.signing_rounds
-
-    # Correctness first: both paths must produce identical signatures.
-    assert [signer.sign(m) for m in messages[:4]] == [
-        _sign_seed_path(signer, m) for m in messages[:4]
+    probes = [b"chain-message|%08d" % index for index in range(4)]
+    assert [signer.sign(m) for m in probes] == [
+        _sign_seed_path(signer, m) for m in probes
     ], "fast-path signatures diverge from the seed path"
 
-    ops = len(messages) * rounds
-    _clear_global_memos()
-    uncached = _timed(
-        lambda: [
-            _sign_seed_path(signer, message)
-            for _ in range(rounds)
-            for message in messages
-        ]
-    )
-    cached = _timed(
-        lambda: [scheme.sign_batch(messages) for _ in range(rounds)]
-    )
-    bulk = _workload_entry(ops, uncached, ops, cached)
-    bulk["messages"] = len(messages)
-    bulk["rounds"] = rounds
-
-    # Single-shot signing: fresh, never-before-seen messages, so neither the
-    # signature memo nor the FDH cache helps.  The fast path is the *shipped
-    # default* — a multi-prime key (RFC 8017) with all CRT constants
-    # precomputed at keygen; the baseline is the seed's implementation at the
-    # same modulus size — a two-prime key with the CRT constants (including
-    # the modular inverse) recomputed per signature.  Both produce standard
-    # RSA signatures under their respective (n, e); correctness of the
-    # multi-prime path against plain pow(r, d, n) is asserted first.
+    # Fresh, never-before-seen messages, so the FDH cache does not help.  The
+    # fast path is the *shipped default* — a multi-prime key (RFC 8017) with
+    # all CRT constants precomputed at keygen; the baseline is the seed's
+    # implementation at the same modulus size — a two-prime key with the CRT
+    # constants (including the modular inverse) recomputed per signature.
+    # Both produce standard RSA signatures under their respective (n, e);
+    # correctness of the multi-prime path against plain pow(r, d, n) is
+    # asserted first.
     default_signer = default_scheme.signer
     fresh_probe = b"multi-prime-probe"
     probe_signature = default_signer.sign(fresh_probe)
@@ -202,7 +164,7 @@ def _bench_owner_signing(
     cached_fresh = _timed(lambda: default_scheme.sign_batch(fresh_b))
     single = _workload_entry(len(fresh_a), uncached_fresh, len(fresh_b), cached_fresh)
     single["crt_primes"] = len(getattr(default_signer, "_primes", (0, 0)))
-    return {"owner_bulk_signing": bulk, "crt_single_shot_signing": single}
+    return single
 
 
 def _bench_batch_verify(
@@ -330,16 +292,6 @@ def _bench_fixed_base_verify(
 # -- publisher / verifier workloads -------------------------------------------
 
 
-def _employee_world(
-    scheme: SignatureScheme, config: HotPathConfig, memoize: bool
-) -> Tuple[SignedRelation, Publisher, ResultVerifier]:
-    relation = workload.generate_employees(config.table_rows, seed=21, photo_bytes=32)
-    signed = SignedRelation(relation, scheme, memoize=memoize)
-    publisher = Publisher({"employees": signed}, vo_cache=memoize)
-    verifier = ResultVerifier({"employees": signed.manifest})
-    return signed, publisher, verifier
-
-
 def _range_queries(config: HotPathConfig) -> List[Query]:
     domain_low, domain_high = 1, 99_999
     span = domain_high - domain_low - config.range_width
@@ -357,92 +309,12 @@ def _range_queries(config: HotPathConfig) -> List[Query]:
     return queries
 
 
-def _bench_publisher_ranges(
-    scheme: SignatureScheme, config: HotPathConfig
-) -> Tuple[Dict[str, float], bool]:
-    _, cold_publisher, _ = _employee_world(scheme, config, memoize=False)
-    _, hot_publisher, verifier = _employee_world(scheme, config, memoize=True)
-    queries = _range_queries(config)
-
-    # Correctness pass: byte-identical proofs, and the verifier accepts both.
-    identical = True
-    for query in queries:
-        cold = cold_publisher.answer(query)
-        hot = hot_publisher.answer(query)
-        repeat = hot_publisher.answer(query)  # served from the fragment cache
-        identical = identical and cold.proof == hot.proof == repeat.proof
-        identical = identical and cold.rows == hot.rows
-        verifier.verify(query, hot.rows, hot.proof)
-
-    ops = len(queries) * config.range_rounds
-    _clear_global_memos()
-    uncached = _timed(
-        lambda: [
-            cold_publisher.answer(query)
-            for _ in range(config.range_rounds)
-            for query in queries
-        ]
-    )
-    cached = _timed(
-        lambda: [
-            hot_publisher.answer(query)
-            for _ in range(config.range_rounds)
-            for query in queries
-        ]
-    )
-    entry = _workload_entry(ops, uncached, ops, cached)
-    entry["distinct_ranges"] = len(queries)
-    entry["rounds"] = config.range_rounds
-    entry["table_rows"] = config.table_rows
-    return entry, identical
-
-
-def _join_world(
-    scheme: SignatureScheme, config: HotPathConfig, memoize: bool
-) -> Tuple[Publisher, ResultVerifier]:
-    customers, orders = workload.generate_customers_and_orders(
-        config.join_customers, config.join_orders, seed=9
-    )
-    signed_customers = SignedRelation(customers, scheme, memoize=memoize)
-    signed_orders = SignedRelation(orders, scheme, memoize=memoize)
-    database = {"customers": signed_customers, "orders": signed_orders}
-    publisher = Publisher(database, vo_cache=memoize)
-    verifier = ResultVerifier(
-        {name: signed.manifest for name, signed in database.items()}
-    )
-    return publisher, verifier
-
-
-def _bench_publisher_join(
-    scheme: SignatureScheme, config: HotPathConfig
-) -> Tuple[Dict[str, float], bool]:
-    cold_publisher, _ = _join_world(scheme, config, memoize=False)
-    hot_publisher, verifier = _join_world(scheme, config, memoize=True)
-    join = JoinQuery("orders", "customers", "customer_id", "customer_id")
-
-    cold = cold_publisher.answer_join(join)
-    hot = hot_publisher.answer_join(join)
-    identical = cold.proof == hot.proof and cold.rows == hot.rows
-    verifier.verify_join(join, hot.rows, hot.proof, hot.left_rows)
-
-    ops = config.join_rounds
-    _clear_global_memos()
-    uncached = _timed(
-        lambda: [cold_publisher.answer_join(join) for _ in range(ops)]
-    )
-    cached = _timed(
-        lambda: [hot_publisher.answer_join(join) for _ in range(ops)]
-    )
-    entry = _workload_entry(ops, uncached, ops, cached)
-    entry["rounds"] = ops
-    entry["orders"] = config.join_orders
-    return entry, identical
-
-
 def _bench_verifier(
     scheme: SignatureScheme, config: HotPathConfig
 ) -> Dict[str, float]:
-    signed, publisher, _ = _employee_world(scheme, config, memoize=True)
+    relation = workload.generate_employees(config.table_rows, seed=21, photo_bytes=32)
+    signed = SignedRelation(relation, scheme)
+    publisher = Publisher({"employees": signed})
     queries = _range_queries(config)
     answers = [(query, publisher.answer(query)) for query in queries]
     manifests = {"employees": signed.manifest}
@@ -573,10 +445,10 @@ def _bench_wal_ingest(config: HotPathConfig) -> Dict[str, object]:
 def run_hot_path_benchmarks(config: HotPathConfig = HotPathConfig()) -> Dict:
     """Run every hot-path workload and return the report dictionary.
 
-    The seed-comparison workloads (bulk signing, publisher, verifier) run on
-    a classic two-prime key so the seed-replica baselines are byte-faithful;
-    the single-shot workload additionally measures the shipped multi-prime
-    default against that baseline at equal modulus size.
+    The seed-comparison workloads run on a classic two-prime key so the
+    seed-replica baselines are byte-faithful; the single-shot workload
+    additionally measures the shipped multi-prime default against that
+    baseline at equal modulus size.
     """
     scheme = rsa_scheme(bits=config.key_bits, crt_primes=2)
     default_scheme = rsa_scheme(bits=config.key_bits)
@@ -591,41 +463,22 @@ def run_hot_path_benchmarks(config: HotPathConfig = HotPathConfig()) -> Dict:
         "config": asdict(config),
         "workloads": {},
         "targets": {
-            # What the fragment cache still saves a repeated range query is
-            # its two boundary proofs and its signature bundle (a matched
-            # row's assists are looked up, cache or no cache): 4.8-7.1x
-            # measured, where 5.0 used to be a safe floor under ~30x.
-            "publisher_repeated_range_speedup_min": 3.0,
-            "owner_bulk_signing_speedup_min": 2.0,
             "crt_single_shot_signing_speedup_min": 1.3,
             "batch_verify_speedup_min": 3.0,
             "fixed_base_verify_speedup_min": fixed_base_floor,
             "wal_ingest_speedup_min": 0.5,
         },
     }
-    report["workloads"].update(_bench_owner_signing(scheme, default_scheme, config))
-    report["workloads"]["batch_verify"] = _bench_batch_verify(scheme, config)
-    report["workloads"]["fixed_base_verify"] = _bench_fixed_base_verify(scheme, config)
-    range_entry, ranges_identical = _bench_publisher_ranges(scheme, config)
-    report["workloads"]["publisher_repeated_range"] = range_entry
-    join_entry, join_identical = _bench_publisher_join(scheme, config)
-    report["workloads"]["publisher_join"] = join_entry
-    report["workloads"]["verifier_repeated_check"] = _bench_verifier(scheme, config)
-    report["workloads"]["wal_ingest"] = _bench_wal_ingest(config)
-    report["proofs_identical"] = bool(ranges_identical and join_identical)
     workloads = report["workloads"]
+    workloads["crt_single_shot_signing"] = _bench_single_shot_signing(
+        scheme, default_scheme, config
+    )
+    workloads["batch_verify"] = _bench_batch_verify(scheme, config)
+    workloads["fixed_base_verify"] = _bench_fixed_base_verify(scheme, config)
+    workloads["verifier_repeated_check"] = _bench_verifier(scheme, config)
+    workloads["wal_ingest"] = _bench_wal_ingest(config)
     report["targets_met"] = {
-        "publisher_repeated_range": range_entry["speedup"]
-        >= report["targets"]["publisher_repeated_range_speedup_min"],
-        "owner_bulk_signing": workloads["owner_bulk_signing"]["speedup"]
-        >= report["targets"]["owner_bulk_signing_speedup_min"],
-        "crt_single_shot_signing": workloads["crt_single_shot_signing"]["speedup"]
-        >= report["targets"]["crt_single_shot_signing_speedup_min"],
-        "batch_verify": workloads["batch_verify"]["speedup"]
-        >= report["targets"]["batch_verify_speedup_min"],
-        "fixed_base_verify": workloads["fixed_base_verify"]["speedup"]
-        >= report["targets"]["fixed_base_verify_speedup_min"],
-        "wal_ingest": workloads["wal_ingest"]["speedup"]
-        >= report["targets"]["wal_ingest_speedup_min"],
+        name: workloads[name]["speedup"] >= report["targets"][f"{name}_speedup_min"]
+        for name in ("crt_single_shot_signing", "batch_verify", "fixed_base_verify", "wal_ingest")
     }
     return report

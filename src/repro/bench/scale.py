@@ -214,7 +214,6 @@ def _ingest(
         _row_stream(config.rows),
         signature_scheme,
         batch_size=config.batch_size,
-        memoize=True,
     )
     elapsed = time.perf_counter() - start
     return {

@@ -1,23 +1,23 @@
 """Shared bounded-cache primitives used by the memoization fast path.
 
-Every memo in the library (signature memo, the digest scheme's verifier
-memo, the publisher's VO-fragment cache, the server's encoded-response
-cache) bounds its size the same way: insertion-order FIFO eviction once a
-cap is reached.  Centralising the eviction here keeps the policy identical
-everywhere and gives one place to change it (e.g. to LRU) later.
+Every memo in the library (the FDH representative memo, the digest scheme's
+canonical-digest and boundary-assist memos, the server's encoded-response
+cache, the client's attestation-verify memo) bounds its size the same way:
+insertion-order FIFO eviction once a cap is reached.  Centralising the
+eviction here keeps the policy identical everywhere.
 
 Two interfaces:
 
 * :func:`bounded_put` — the primitive for plain-dict memos that do not need
   observability.
 * :class:`BoundedCache` — a dict-backed cache with the same eviction policy
-  plus hit/miss/eviction counters and a configurable capacity, for the
-  long-running-server caches that must expose ``cache_stats()``.
+  plus hit/miss/eviction counters, for the long-running-server caches that
+  must expose ``cache_stats()``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Optional, TypeVar
+from typing import Callable, Dict, Generic, Optional, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -42,10 +42,7 @@ class CacheStats(dict):
 class BoundedCache(Generic[K, V]):
     """A FIFO-bounded mapping with hit/miss/eviction accounting.
 
-    The capacity is fixed per instance but chosen by the owner of the cache
-    (Publisher / Verifier / server expose it as a constructor parameter), so
-    a long-running deployment can size its memory ceiling explicitly instead
-    of inheriting a module constant.
+    The capacity is fixed per instance, chosen by the owner of the cache.
 
     ``max_weight`` optionally bounds the *sum of entry weights* as well —
     callers whose values vary wildly in size (e.g. encoded response frames)
@@ -78,12 +75,6 @@ class BoundedCache(Generic[K, V]):
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._data
 
     def get(self, key: K) -> Optional[V]:
         """Counted lookup: a present key is a hit, an absent one a miss."""
@@ -121,17 +112,11 @@ class BoundedCache(Generic[K, V]):
             self.total_weight += weight
         return value
 
-    def pop(self, key: K, default: Optional[V] = None) -> Optional[V]:
-        self.total_weight -= self._weights.pop(key, 0)
-        return self._data.pop(key, default)
-
-    def keys(self):
-        return self._data.keys()
-
-    def clear(self) -> None:
-        self._data.clear()
-        self._weights.clear()
-        self.total_weight = 0
+    def evict_while(self, stale: Callable[[V], bool]) -> None:
+        """Evict from the old end for as long as ``stale(oldest value)`` holds."""
+        data = self._data
+        while data and stale(data[next(iter(data))]):
+            self._evict_oldest()
 
     def stats(self) -> CacheStats:
         """Hits/misses/evictions plus the current and maximum size."""

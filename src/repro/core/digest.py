@@ -36,11 +36,13 @@ the representation-tree root beside the commitment, to be *stored* with the
 entry and served as its :class:`EntryAssist`) and when the publisher proves a
 boundary.  Everything else — the verifier, and a server re-deriving a stored
 entry's ``g`` — is :meth:`~ChainDigestScheme.recompute_from_value`: the
-canonical digits only, combined with the root it was given.  The one memo on
-top is that method's ``(value, total) -> canonical digest``; ``memoize=False``
-removes it and changes no byte.  ``tests/reference_digest.py`` keeps the slow
-construction, one representation at a time, as the oracle the kernel is
-byte-compared against.
+canonical digits only, combined with the root it was given.  Two memos sit on
+top, both of pure functions of their keys, so no insert, delete or update can
+stale them: that method's ``(value, total) -> canonical digest`` and
+:meth:`~ChainDigestScheme.boundary_proof`'s ``(value, total, delta_c) ->
+BoundaryAssist``; ``memoize=False`` removes both and changes no byte.
+``tests/reference_digest.py`` keeps the slow construction, one representation
+at a time, as the oracle the kernel is byte-compared against.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import abc
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.cache import bounded_put
+from repro.cache import BoundedCache, bounded_put
 from repro.core import polynomial
 from repro.core.errors import CheatingAttemptError
 from repro.crypto.encoding import encode_many
@@ -124,8 +126,8 @@ class BoundaryAssist:
         return count
 
 
-#: Bound on the optimized scheme's ``(value, total)`` memo; entries are evicted
-#: in insertion order once the bound is hit.
+#: Bound on each of the optimized scheme's two memos; entries are evicted in
+#: insertion order once the bound is hit.
 _SCHEME_MEMO_MAX = 8192
 
 #: One walk's yield: the exponent's canonical digits, and ``chains[p][e] = h^e(value | p)``.
@@ -136,10 +138,10 @@ _Chains = List[List[bytes]]
 class ChainDigestScheme(abc.ABC):
     """Interface shared by the conceptual and optimized chain digest schemes.
 
-    ``memoize`` (default True) turns on the one digest cache there is, the
-    optimized scheme's verifier-side ``(value, total)`` memo.  Cached and
-    uncached schemes produce byte-identical digests — the cache only skips
-    recomputation.
+    ``memoize`` (default True) turns on the optimized scheme's two memos, the
+    verifier-side ``(value, total)`` canonical digest and the publisher-side
+    ``(value, total, delta_c)`` boundary assist.  Cached and uncached schemes
+    produce byte-identical digests — a memo only skips recomputation.
     """
 
     def __init__(
@@ -262,9 +264,13 @@ class OptimizedChainScheme(ChainDigestScheme):
         self._suffixes = tuple(map(chain_preimage_suffix, range(self.num_digits)))
         # (value, total) -> canonical digest, filled by recompute_from_value
         # only: a client re-verifying a hot query pool lives off it (2.2x on
-        # ``hot_read``), while the owner's and the publisher's full walks never
-        # see a pair twice that the VO-fragment cache has not already absorbed.
+        # ``hot_read``); the owner's full walk never sees a pair twice.
         self._memo: dict = {}
+        # (value, total, delta_c) -> BoundaryAssist, filled by boundary_proof:
+        # a server re-answering a query pool between owner updates lives off
+        # it (every lookup of a warm ``mixed_update`` hits).  The counters are
+        # the publisher's ``cache_stats()["vo_fragments"]``.
+        self._boundary_memo: BoundedCache = BoundedCache(_SCHEME_MEMO_MAX)
 
     # -- the single-pass kernel ---------------------------------------------------
 
@@ -344,6 +350,15 @@ class OptimizedChainScheme(ChainDigestScheme):
                 "the value does not satisfy the claimed bound; "
                 "no valid representation of the intermediate exponent exists"
             )
+        if not self.memoize:
+            return self._boundary_proof(value, total, delta_c)
+        key = (value, total, delta_c)
+        assist = self._boundary_memo.get(key)
+        if assist is None:
+            assist = self._boundary_memo.put(key, self._boundary_proof(value, total, delta_c))
+        return assist
+
+    def _boundary_proof(self, value: int, total: int, delta_c: int) -> BoundaryAssist:
         c_digits = polynomial.to_canonical_digits(delta_c, self.base, self.num_digits)
         selected = polynomial.select_boundary_representation(
             total, delta_c, self.base, self.num_digits

@@ -16,11 +16,10 @@ catches every manipulation of Section 3.2's case analysis.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cache import BoundedCache
+from repro.cache import CacheStats
 from repro.core.errors import (
     PolicyViolationError,
     ProofConstructionError,
@@ -160,25 +159,15 @@ class PublishedJoinResult:
         return self.proof is None
 
 
-#: Default bound on the publisher's verification-object fragment cache.
-_VO_CACHE_MAX = 16384
-
-
 class Publisher:
     """Hosts signed relations and answers queries with completeness proofs.
 
-    ``vo_cache`` (default True) enables the keyed verification-object fragment
-    cache: boundary proofs and signature bundles for hot key ranges are built
-    once and served from the cache afterwards.  Cache
-    entries are content-keyed (entry key + query bound), so cached and uncached
-    publishers ship byte-identical proofs; ``insert_record`` / ``delete_record``
-    / ``update_record`` on a hosted relation evict exactly the fragments whose
-    entry keys the mutation touched (signature bundles are version-keyed and
-    flushed wholesale, since any mutation moves the chain).
-
-    ``vo_cache_max`` bounds the fragment cache (FIFO eviction), so a
-    long-running server's memory ceiling is explicit; :meth:`cache_stats`
-    exposes hits/misses/evictions for observability.
+    Every answer is assembled from the relation's current per-entry columns;
+    the one thing worth remembering across answers, a boundary entry's chain
+    proof, is memoised by the digest scheme it is a pure function of
+    (:meth:`~repro.core.digest.OptimizedChainScheme.boundary_proof`), so the
+    publisher keeps no cache of its own and a mutation has nothing to
+    invalidate here.
     """
 
     def __init__(
@@ -186,128 +175,33 @@ class Publisher:
         database: Mapping[str, SignedRelation],
         policy: Optional[AccessControlPolicy] = None,
         aggregate: bool = True,
-        vo_cache: bool = True,
-        vo_cache_max: int = _VO_CACHE_MAX,
     ) -> None:
         self.database: Dict[str, SignedRelation] = dict(database)
         self.policy = policy
         self.aggregate = aggregate
-        self.vo_cache_enabled = vo_cache
-        self._vo_cache: BoundedCache = BoundedCache(vo_cache_max)
-        # Cache keys carry the *hosting* name of a relation (the database key
-        # the query used, threaded through every proof-building helper), so
-        # the invalidation listeners and the cache writers agree on keys even
-        # when one relation object is hosted under several names.
-        # name -> currently registered relation object (strong ref, so a live
-        # registration can never be confused with a recycled id), and
-        # relation -> names we already subscribed a listener for (weak keys, so
-        # dead relations drop out instead of pinning memory or recycled ids).
-        self._registered: Dict[str, SignedRelation] = {}
-        self._subscribed: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        for name, signed in self.database.items():
-            self._ensure_registered(name, signed)
-
-    # -- VO fragment cache --------------------------------------------------------
-
-    def _ensure_registered(self, name: str, signed: SignedRelation) -> None:
-        """Bind ``signed`` to hosting ``name`` for caching and invalidation.
-
-        Called on construction and again on every lookup, so a relation that
-        is swapped into (or added to) ``self.database`` after construction gets
-        its listener registered and any cache entries left by the previous
-        occupant of the name are flushed instead of being served stale.
-        """
-        if self._registered.get(name) is signed:
-            return
-        if name in self._registered:
-            self._flush_relation(name)
-        self._registered[name] = signed
-        if self.vo_cache_enabled:
-            register = getattr(signed, "add_invalidation_listener", None)
-            if register is not None:
-                subscribed_names = self._subscribed.setdefault(signed, set())
-                if name not in subscribed_names:
-                    register(self._invalidator_for(name))
-                    subscribed_names.add(name)
-
-    def _flush_relation(self, relation_name: str) -> None:
-        for key in [key for key in self._vo_cache.keys() if key[0] == relation_name]:
-            self._vo_cache.pop(key)
-
-    def _invalidator_for(self, relation_name: str):
-        # The listener outlives this publisher inside the SignedRelation, so it
-        # holds only a weak reference; once the publisher is gone it returns
-        # False, which asks the relation to deregister it (no leak, and dead
-        # publishers cost mutations nothing).
-        self_ref = weakref.ref(self)
-
-        def _invalidate(version: int, affected_keys: Tuple[int, ...]):
-            publisher = self_ref()
-            if publisher is None:
-                return False
-            affected = set(affected_keys)
-            stale = [
-                key
-                for key in publisher._vo_cache.keys()
-                if key[0] == relation_name
-                and (key[1] == "bundle" or key[2] in affected)
-            ]
-            for key in stale:
-                publisher._vo_cache.pop(key)
-            return True
-
-        return _invalidate
-
-    def _vo_cache_get(self, key: tuple):
-        if not self.vo_cache_enabled:
-            return None
-        return self._vo_cache.get(key)
-
-    def _vo_cache_put(self, key: tuple, value):
-        if not self.vo_cache_enabled:
-            return value
-        return self._vo_cache.put(key, value)
-
-    @property
-    def vo_cache_hits(self) -> int:
-        """Fragment-cache hits (kept as an attribute-style counter for tests)."""
-        return self._vo_cache.hits
-
-    @property
-    def vo_cache_misses(self) -> int:
-        """Fragment-cache lookup misses (each one fills a cache slot)."""
-        return self._vo_cache.misses
 
     def cache_stats(self) -> Dict[str, object]:
-        """Hit/miss/eviction counters of the publisher-side caches.
-
-        ``vo_fragments`` is the keyed verification-object fragment cache;
-        ``signature_memos`` sums the hosted relations' deterministic
-        signature memos (size only — hits are counted globally by
-        :data:`repro.crypto.rsa.SIGN_COUNTER`).
-        """
-        memo_sizes = {}
-        for name, signed in self.database.items():
-            signer = getattr(
-                getattr(signed, "_signature_scheme", None), "signer", None
-            )
-            memo = getattr(signer, "signature_memo_stats", None)
-            if memo is not None:
-                memo_sizes[name] = memo()
-        return {
-            "vo_fragments": self._vo_cache.stats(),
-            "signature_memos": memo_sizes,
+        """``vo_fragments``: the hosted relations' boundary-assist memo counters, summed."""
+        schemes = {  # a set: one relation may be hosted under several names
+            scheme
+            for signed in self.database.values()
+            for scheme in (signed.upper_scheme, signed.lower_scheme)
         }
+        totals = CacheStats(hits=0, misses=0, evictions=0, size=0, capacity=0)
+        for scheme in schemes:
+            memo = getattr(scheme, "_boundary_memo", None)  # the conceptual scheme has none
+            if memo is not None:
+                for counter, value in memo.stats().items():
+                    totals[counter] += value
+        return {"vo_fragments": totals}
 
     # -- helpers ------------------------------------------------------------------
 
     def signed_relation(self, name: str) -> SignedRelation:
         try:
-            signed = self.database[name]
+            return self.database[name]
         except KeyError as error:
             raise KeyError(f"publisher does not host relation {name!r}") from error
-        self._ensure_registered(name, signed)
-        return signed
 
     def _rewrite(
         self, query: Query, role: Optional[str], schema: Schema
@@ -355,12 +249,11 @@ class Publisher:
     ) -> PublishedResult:
         """Assemble rows and proof for an already-located key range."""
         schema = signed.schema
-        relation_name = rewritten.relation_name
         scanned = signed.relation.records[start:stop]
         non_key_conditions = rewritten.where.non_key_conditions(schema)
 
-        lower_boundary = self._lower_boundary_proof(signed, relation_name, start, alpha)
-        upper_boundary = self._upper_boundary_proof(signed, relation_name, stop, beta)
+        lower_boundary = self._lower_boundary_proof(signed, start, alpha)
+        upper_boundary = self._upper_boundary_proof(signed, stop, beta)
 
         rows: List[Dict[str, object]] = []
         entries: List[object] = []
@@ -405,7 +298,7 @@ class Publisher:
                     )
                 )
 
-        bundle, outer_digest = self._signature_bundle(signed, relation_name, start, stop)
+        bundle, outer_digest = self._signature_bundle(signed, start, stop)
         proof = RangeQueryProof(
             key_low=alpha,
             key_high=beta,
@@ -420,73 +313,45 @@ class Publisher:
     # -- proof building blocks ---------------------------------------------------------
 
     def _lower_boundary_proof(
-        self, signed: SignedRelation, relation_name: str, start: int, alpha: int
+        self, signed: SignedRelation, start: int, alpha: int
     ) -> BoundaryEntryProof:
         """Proof for the entry immediately below the query range.
 
-        Cached per (entry key, ``delta_c``): the proof depends only on the
-        boundary entry itself and on how far ``alpha`` sits from the domain
-        edge, so hot range bounds are served from the fragment cache.
-        ``relation_name`` is the hosting name the query looked the relation up
-        under — the same name the invalidation listener evicts by.
+        The chain proof depends only on the entry's key and on how far
+        ``alpha`` sits from the domain edge, so the scheme memoises it; the
+        other two fields are the entry's current columns, read per answer.
         """
         chain_index = start  # record at relation position start-1, or the left delimiter
         entry = signed.entry(chain_index)
-        delta_c = signed.domain.upper - alpha
-        cache_key = (
-            relation_name,
-            "boundary",
-            entry.key,
-            "lower",
-            delta_c,
-        )
-        cached = self._vo_cache_get(cache_key)
-        if cached is not None:
-            return cached
-        upper, lower, attribute_root = signed.components(chain_index)
-        assist = signed.upper_scheme.boundary_proof(
-            entry.key,
-            signed.domain.upper - entry.key - 1,
-            delta_c,
-        )
-        proof = BoundaryEntryProof(
+        _, lower, attribute_root = signed.components(chain_index)
+        return BoundaryEntryProof(
             side="lower",
-            chain_boundary=assist,
+            chain_boundary=signed.upper_scheme.boundary_proof(
+                entry.key,
+                signed.domain.upper - entry.key - 1,
+                signed.domain.upper - alpha,
+            ),
             other_chain_digest=lower,
             attribute_root=attribute_root,
         )
-        return self._vo_cache_put(cache_key, proof)
 
     def _upper_boundary_proof(
-        self, signed: SignedRelation, relation_name: str, stop: int, beta: int
+        self, signed: SignedRelation, stop: int, beta: int
     ) -> BoundaryEntryProof:
-        """Proof for the entry immediately above the query range (cached)."""
+        """Proof for the entry immediately above the query range."""
         chain_index = stop + 1
         entry = signed.entry(chain_index)
-        delta_c = beta - signed.domain.lower
-        cache_key = (
-            relation_name,
-            "boundary",
-            entry.key,
-            "upper",
-            delta_c,
-        )
-        cached = self._vo_cache_get(cache_key)
-        if cached is not None:
-            return cached
-        upper, lower, attribute_root = signed.components(chain_index)
-        assist = signed.lower_scheme.boundary_proof(
-            entry.key,
-            entry.key - signed.domain.lower - 1,
-            delta_c,
-        )
-        proof = BoundaryEntryProof(
+        upper, _, attribute_root = signed.components(chain_index)
+        return BoundaryEntryProof(
             side="upper",
-            chain_boundary=assist,
+            chain_boundary=signed.lower_scheme.boundary_proof(
+                entry.key,
+                entry.key - signed.domain.lower - 1,
+                beta - signed.domain.lower,
+            ),
             other_chain_digest=upper,
             attribute_root=attribute_root,
         )
-        return self._vo_cache_put(cache_key, proof)
 
     def _matched_entry(
         self,
@@ -577,24 +442,9 @@ class Publisher:
         return {name: tree.leaf_digest(positions[name]) for name in names}
 
     def _signature_bundle(
-        self, signed: SignedRelation, relation_name: str, start: int, stop: int
+        self, signed: SignedRelation, start: int, stop: int
     ) -> Tuple[SignatureBundle, Optional[bytes]]:
-        """Signatures covering the scanned range (or the boundary pair when empty).
-
-        Cached per (relation version, scanned index range): the bundle depends
-        on the chain contents, so the version in the key makes every mutation
-        start a fresh slot (old versions are flushed by the invalidator).
-        """
-        cache_key = (
-            relation_name,
-            "bundle",
-            getattr(signed, "version", 0),
-            start,
-            stop,
-        )
-        cached = self._vo_cache_get(cache_key)
-        if cached is not None:
-            return cached
+        """Signatures covering the scanned range (or the boundary pair when empty)."""
         if stop > start:
             indices = [signed.record_chain_index(position) for position in range(start, stop)]
             outer_digest = None
@@ -616,7 +466,7 @@ class Publisher:
             )
         else:
             bundle = SignatureBundle(individual=tuple(raw))
-        return self._vo_cache_put(cache_key, (bundle, outer_digest))
+        return bundle, outer_digest
 
     # -- live updates (Section 6.3 over the wire) ----------------------------------------
 
@@ -629,10 +479,8 @@ class Publisher:
         the first real mutation, so a bad delta anywhere in the batch raises
         :class:`~repro.core.errors.UpdateApplicationError` and leaves the
         chain, the signatures and the manifest untouched.  Application then
-        goes through the normal receipt machinery — which also fires the
-        VO-cache invalidation listeners for exactly the touched entry keys —
-        and the per-step receipts are merged with
-        :meth:`~repro.core.relational.UpdateReceipt.merge`.
+        goes through the normal receipt machinery and the per-step receipts
+        are merged with :meth:`~repro.core.relational.UpdateReceipt.merge`.
         """
         signed = self.signed_relation(relation_name)
         plan = plan_deltas(signed.schema, deltas)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.digest import (
     ChainDigestScheme,
@@ -228,7 +228,6 @@ class SignedRelation:
         scheme_kind: str = "optimized",
         base: int = 2,
         hash_function: Optional[HashFunction] = None,
-        memoize: bool = True,
     ) -> None:
         self.relation = relation
         self.schema: Schema = relation.schema
@@ -236,10 +235,9 @@ class SignedRelation:
         self.hash_function = hash_function or default_hash()
         self.scheme_kind = scheme_kind
         self.base = base
-        self.memoize = memoize
         self._signature_scheme = signature_scheme
         self.upper_scheme, self.lower_scheme = build_chain_schemes(
-            scheme_kind, self.domain, base, self.hash_function, memoize
+            scheme_kind, self.domain, base, self.hash_function
         )
         self._manifest: Optional[RelationManifest] = None
         self._entries: List[ChainEntry] = []
@@ -247,7 +245,6 @@ class SignedRelation:
         self._roots: List[_Roots] = []
         self.signatures: List[int] = []
         self._version = 0
-        self._listeners: List[Callable[[int, Tuple[int, ...]], None]] = []
         self._rebuild_all()
 
     # -- manifest -------------------------------------------------------------------
@@ -291,7 +288,7 @@ class SignedRelation:
             manifest_signing_message(self.manifest, previous_id)
         )
 
-    # -- cache coordination --------------------------------------------------------
+    # -- versioning ----------------------------------------------------------------
 
     @property
     def version(self) -> int:
@@ -317,33 +314,6 @@ class SignedRelation:
             raise ValueError("sequence must be >= 0")
         self._version = int(sequence)
         self._manifest = None
-
-    def add_invalidation_listener(
-        self, listener: Callable[[int, Tuple[int, ...]], object]
-    ) -> None:
-        """Register ``listener(version, affected_keys)`` to run after each mutation.
-
-        Publishers use this to evict derived verification-object fragments for
-        exactly the entry keys a mutation touched.  A listener that returns
-        ``False`` is deregistered — publishers register weakly-bound listeners
-        that answer ``False`` once their owner has been garbage-collected, so a
-        long-lived relation does not accumulate dead subscribers.
-        """
-        self._listeners.append(listener)
-
-    def _notify(self, affected_indices: Sequence[int], extra_keys: Sequence[int] = ()) -> None:
-        self._version += 1
-        keys = tuple(
-            sorted(
-                {self._entries[index].key for index in affected_indices}
-                | set(extra_keys)
-            )
-        )
-        self._listeners = [
-            listener
-            for listener in self._listeners
-            if listener(self._version, keys) is not False
-        ]
 
     # -- chain structure -----------------------------------------------------------------
 
@@ -447,16 +417,15 @@ class SignedRelation:
         self.signatures.insert(chain_index, 0)
         return chain_index
 
-    def _remove_entry(self, record: Record) -> Tuple[int, int]:
-        """Structural half of a delete: ``(chain index, key)`` of the gap."""
+    def _remove_entry(self, record: Record) -> int:
+        """Structural half of a delete: the chain index of the gap."""
         position = self.relation.delete(record)
         chain_index = self.record_chain_index(position)
-        removed_key = self._entries[chain_index].key
         del self._entries[chain_index]
         del self._components[chain_index]
         del self._roots[chain_index]
         del self.signatures[chain_index]
-        return chain_index, removed_key
+        return chain_index
 
     def insert_record(self, record) -> UpdateReceipt:
         """Insert a record and refresh the three affected signatures."""
@@ -466,18 +435,18 @@ class SignedRelation:
         receipt = self._resign_window(
             (chain_index - 1, chain_index, chain_index + 1), digests_recomputed=1
         )
-        self._notify(receipt.entries_affected)
+        self._version += 1
         return receipt
 
     def delete_record(self, record: Record) -> UpdateReceipt:
         """Delete a record and refresh the two signatures around the gap."""
-        chain_index, removed_key = self._remove_entry(record)
+        chain_index = self._remove_entry(record)
         # No g digest changes on delete — the gap's neighbours keep their
         # digests and only re-derive the chain messages binding them.
         receipt = self._resign_window(
             (chain_index - 1, chain_index), digests_recomputed=0
         )
-        self._notify(receipt.entries_affected, extra_keys=(removed_key,))
+        self._version += 1
         return receipt
 
     def update_record(self, old: Record, new) -> UpdateReceipt:
@@ -489,7 +458,7 @@ class SignedRelation:
         followed by an insert leaves behind, and the sequence advances by
         the same two steps.
         """
-        gap_index, removed_key = self._remove_entry(old)
+        gap_index = self._remove_entry(old)
         chain_index = self._insert_entry(new)
         around_gap = {
             index + (index >= chain_index) for index in (gap_index - 1, gap_index)
@@ -498,8 +467,7 @@ class SignedRelation:
             sorted(around_gap | {chain_index - 1, chain_index, chain_index + 1}),
             digests_recomputed=1,
         )
-        self._version += 1  # the delete's step; _notify takes the insert's
-        self._notify(receipt.entries_affected, extra_keys=(removed_key,))
+        self._version += 2  # the delete's step and the insert's
         return receipt
 
     # -- verification convenience ------------------------------------------------------------------

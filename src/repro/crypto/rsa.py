@@ -43,8 +43,6 @@ __all__ = [
     "generate_keypair",
     "full_domain_hash",
     "full_domain_hash_many",
-    "configure_fdh_cache",
-    "configure_signature_memo",
     "fdh_cache_stats",
     "SIGN_COUNTER",
     "SignatureCounter",
@@ -58,35 +56,22 @@ _DEFAULT_PUBLIC_EXPONENT = 65537
 #: modulus size; the public key and all signatures remain standard RSA.
 DEFAULT_CRT_PRIMES = 3
 
-#: Default bound on the per-key memo of already-produced signatures.  FDH-RSA
-#: is deterministic, so a (message -> signature) memo is sound; the bound
-#: keeps a long-lived owner process from accumulating one entry per record
-#: ever signed.  Configurable via :func:`configure_signature_memo`.
-_SIGNATURE_MEMO_MAX = 16384
-
-#: Default bound on the FDH representative memo (module-wide LRU).
+#: Bound on the FDH representative memo (module-wide, FIFO eviction).
 _FDH_CACHE_MAX = 8192
 
 
 class SignatureCounter:
-    """Counts signing and verification operations for the cost benchmarks.
+    """Counts signing and verification operations for the cost benchmarks."""
 
-    ``cache_hits`` counts signatures served from the deterministic signature
-    memo — those cost no modular exponentiation and are excluded from
-    ``signatures`` so the counter keeps measuring actual RSA operations.
-    """
-
-    __slots__ = ("signatures", "verifications", "cache_hits")
+    __slots__ = ("signatures", "verifications")
 
     def __init__(self) -> None:
         self.signatures = 0
         self.verifications = 0
-        self.cache_hits = 0
 
     def reset(self) -> None:
         self.signatures = 0
         self.verifications = 0
-        self.cache_hits = 0
 
 
 #: Module-level counter shared by all keys.
@@ -160,37 +145,8 @@ class _FDHCache:
         self.misses = 0
 
 
-def _make_fdh_cache(maxsize: int) -> _FDHCache:
-    return _FDHCache(maxsize)
-
-
-#: The memoised MGF1 expansion.  Kept as a module global (rather than baked
-#: into ``full_domain_hash``) so :func:`configure_fdh_cache` can re-bound it.
-_full_domain_hash_cached = _make_fdh_cache(_FDH_CACHE_MAX)
-
-
-def configure_fdh_cache(maxsize: int) -> None:
-    """Re-bound the FDH representative memo (drops the current contents).
-
-    Long-running servers size this to their memory budget; the default of
-    8192 entries bounds the memo at a few megabytes.
-    """
-    global _full_domain_hash_cached
-    if maxsize < 1:
-        raise ValueError("the FDH cache needs a capacity of at least 1")
-    _full_domain_hash_cached = _make_fdh_cache(maxsize)
-
-
-def configure_signature_memo(maxsize: int) -> None:
-    """Re-bound the per-key deterministic-signature memo (affects new puts).
-
-    Existing keys keep their memo contents; the new bound applies from the
-    next signature on (FIFO eviction down to the bound).
-    """
-    global _SIGNATURE_MEMO_MAX
-    if maxsize < 1:
-        raise ValueError("the signature memo needs a capacity of at least 1")
-    _SIGNATURE_MEMO_MAX = maxsize
+#: The memoised MGF1 expansion.
+_full_domain_hash_cached = _FDHCache(_FDH_CACHE_MAX)
 
 
 def fdh_cache_stats() -> Dict[str, int]:
@@ -213,8 +169,8 @@ def full_domain_hash(message: bytes, modulus: int, hash_name: str = "sha256") ->
     modulus.  The same function is used by signing, verification and
     condensed-RSA aggregation, so all parties agree on the representative.
 
-    The expansion is deterministic, so representatives are memoised under an
-    LRU cache: signing, verifying and aggregating the same chain message pays
+    The expansion is deterministic, so representatives are memoised (FIFO
+    bounded): signing, verifying and aggregating the same chain message pays
     the MGF1 hashing once.
     """
     return _full_domain_hash_cached(_as_bytes(message), modulus, hash_name)
@@ -357,7 +313,6 @@ class RSAPrivateKey:
         object.__setattr__(self, "_exponents", exponents)
         object.__setattr__(self, "_garner_prefixes", tuple(prefixes))
         object.__setattr__(self, "_garner_inverses", tuple(inverses))
-        object.__setattr__(self, "_signature_memo", {})
         object.__setattr__(self, "_crt_operand_cache", {})
 
     def public_key(self) -> RSAPublicKey:
@@ -407,37 +362,26 @@ class RSAPrivateKey:
 
         Uses the Chinese Remainder Theorem with per-key precomputed constants
         (multi-prime when the key was generated that way), which matters
-        because the owner signs one digest per record per sort order.  FDH-RSA
-        is deterministic, so previously produced signatures are served from a
-        bounded per-key memo (re-publication of an unchanged chain, e.g. to an
-        additional publisher, then skips the exponentiations entirely).
+        because the owner signs one digest per record per sort order.
         """
         return self.sign_batch((message,))[0]
 
     def sign_batch(self, messages: Sequence[bytes]) -> List[int]:
         """Sign many messages in one call (the owner's bulk-publication path).
 
-        Each distinct not-yet-memoised message is hashed once through
+        Each distinct message is hashed once through
         :func:`full_domain_hash_many` and its representative goes straight to
         the CRT exponentiation — across every CPU of the affinity mask when
         the batch is large enough (:mod:`repro.crypto._shard`).  Signatures
-        come back positionally; hashing, the memo and ``SIGN_COUNTER`` stay in
-        this process, so they read the same whatever the split.
+        come back positionally; hashing and ``SIGN_COUNTER`` stay in this
+        process, so they read the same whatever the split.
         """
         normalized = [_as_bytes(message) for message in messages]
-        memo = self._signature_memo
-        pending = list(dict.fromkeys(m for m in normalized if m not in memo))
-        fresh: Dict[bytes, int] = {}
-        if pending:
-            representatives = full_domain_hash_many(pending, self.modulus, self.hash_name)
-            fresh = dict(zip(pending, self._sign_representatives(pending, representatives)))
-        SIGN_COUNTER.signatures += len(pending)
-        SIGN_COUNTER.cache_hits += len(normalized) - len(pending)
-        # Read the memoised ones out before the fresh ones can evict them.
-        signatures = [fresh[m] if m in fresh else memo[m] for m in normalized]
-        for message, signature in fresh.items():
-            bounded_put(memo, message, signature, _SIGNATURE_MEMO_MAX)
-        return signatures
+        distinct = list(dict.fromkeys(normalized))
+        representatives = full_domain_hash_many(distinct, self.modulus, self.hash_name)
+        signed = dict(zip(distinct, self._sign_representatives(distinct, representatives)))
+        SIGN_COUNTER.signatures += len(distinct)
+        return [signed[message] for message in normalized]
 
     def _sign_representatives(
         self, messages: Sequence[bytes], representatives: Sequence[int]
@@ -457,10 +401,6 @@ class RSAPrivateKey:
 
         width = (self.modulus.bit_length() + 7) // 8
         return _shard.map_sharded(self._sign_representative, representatives, width, screened)
-
-    def signature_memo_stats(self) -> Dict[str, int]:
-        """Size/capacity of this key's deterministic-signature memo."""
-        return {"size": len(self._signature_memo), "capacity": _SIGNATURE_MEMO_MAX}
 
 
 @dataclass(frozen=True)

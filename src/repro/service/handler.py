@@ -12,9 +12,11 @@ frames, the canonical wire bytes of the *request* key the canonical wire
 bytes of the *response*.  The wire format is canonical (one byte string per
 artifact), so two clients asking the same hot question hit the same slot; a
 cached response is only served while the manifest ids it was built under are
-still current, so a manifest rotation — the existing mutation-version
-invalidation signal — invalidates every response built before it without any
-bookkeeping on the update path.
+still current, so a manifest rotation invalidates every response built before
+it without any bookkeeping on the update path — the server's one invalidation
+rule.  A request frame embeds the manifest id, so what a rotation stales can
+never be asked for again: each insert first drops such entries from the
+cache's old end.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from repro.wire.updates import (
 
 __all__ = ["RequestHandler", "HandledFrame"]
 
-#: Default bounds on the encoded-response cache (FIFO; see RequestHandler):
+#: Bounds on the encoded-response cache (FIFO; see RequestHandler):
 #: entry count and, because encoded responses vary from a few hundred bytes
 #: to hundreds of kilobytes, an accumulated-bytes ceiling so the cache is an
 #: actual memory bound.
@@ -88,8 +90,6 @@ class RequestHandler:
         self,
         router: ShardRouter,
         response_cache: bool = True,
-        response_cache_max: int = _RESPONSE_CACHE_MAX,
-        response_cache_max_bytes: int = _RESPONSE_CACHE_MAX_BYTES,
         storage=None,
         faults=None,
         read_only: bool = False,
@@ -97,7 +97,7 @@ class RequestHandler:
     ) -> None:
         self.router = router
         self._response_cache: Optional[BoundedCache] = (
-            BoundedCache(response_cache_max, max_weight=response_cache_max_bytes)
+            BoundedCache(_RESPONSE_CACHE_MAX, max_weight=_RESPONSE_CACHE_MAX_BYTES)
             if response_cache
             else None
         )
@@ -175,6 +175,7 @@ class RequestHandler:
         if cache is not None:
             guards = self._guards_for(request, response)
             if guards is not None:
+                cache.evict_while(lambda entry: not self._guards_current(entry[1]))
                 cache.put(frame, (payload, guards), weight=len(payload) + len(frame))
         if isinstance(request, UpdateRequest):
             # The durable twin of this registry entry (if storage is

@@ -22,11 +22,12 @@ detects the rotation), while owner updates must address the *current* id —
 a delta batch against a superseded id is exactly a replayed or raced update
 and is refused with a typed :class:`~repro.service.protocol.StaleManifestError`.
 
-Each shard carries a lock; proof construction mutates the shard's VO-fragment
-cache and updates mutate the chain itself, so the lock makes every answer an
-atomic snapshot: concurrent queries see the relation entirely before or
-entirely after a delta batch, never a mix.  The id index has its own small
-lock — rotations of one shard must not block lookups for another.
+Each shard carries a lock; proof construction fills the relation's lazily
+faulted columns and memos and updates mutate the chain itself, so the lock
+makes every answer an atomic snapshot: concurrent queries see the relation
+entirely before or entirely after a delta batch, never a mix.  The id index
+has its own small lock — rotations of one shard must not block lookups for
+another.
 """
 
 from __future__ import annotations

@@ -47,13 +47,6 @@ from repro.wire import encode
 
 __all__ = ["PublicationServer"]
 
-#: Default per-connection cap on pipelined frames answered between socket
-#: writes: after this many the loop hands the responses to the socket before
-#: it parses on, so a deep pipeline's first answers leave while the later
-#: ones are computed.  Tunable per server via
-#: :attr:`repro.service.config.ServerConfig.max_pipelined_frames`.
-MAX_PIPELINED_FRAMES = 256
-
 _RECV_CHUNK = 256 * 1024
 
 

@@ -725,7 +725,6 @@ class StoredSignedRelation(SignedRelation):
         relation_name: str,
         manifest: RelationManifest,
         signature_scheme: SignatureScheme,
-        memoize: bool = True,
         cache_size: int = DEFAULT_RECORD_CACHE,
     ) -> None:
         if manifest.scheme != "chain":
@@ -741,10 +740,9 @@ class StoredSignedRelation(SignedRelation):
         self.hash_function = manifest.hash_function()
         self.scheme_kind = manifest.scheme_kind
         self.base = manifest.base
-        self.memoize = memoize
         self._signature_scheme = signature_scheme
         self.upper_scheme, self.lower_scheme = build_chain_schemes(
-            manifest.scheme_kind, self.domain, manifest.base, self.hash_function, memoize
+            manifest.scheme_kind, self.domain, manifest.base, self.hash_function
         )
         self._manifest = None
         self._store = store
@@ -765,7 +763,6 @@ class StoredSignedRelation(SignedRelation):
         self.signatures = _LazyChainColumn(self._fault_chain, len(self._entries))
         self._components = _LazyChainColumn(self._fault_components, len(self._entries))
         self._version = 0
-        self._listeners = []
 
     # -- lazy plumbing ---------------------------------------------------------
 
@@ -841,13 +838,13 @@ class StoredSignedRelation(SignedRelation):
         )
         return chain_index
 
-    def _remove_entry(self, record) -> Tuple[int, int]:
+    def _remove_entry(self, record) -> int:
         materialised = self.relation._coerce(record)
-        removed = super()._remove_entry(materialised)
+        chain_index = super()._remove_entry(materialised)
         self._store.delete_entry(
             self._name, KIND_RECORD, materialised.key, materialised.fingerprint()
         )
-        return removed
+        return chain_index
 
     def _resign_window(self, candidates, digests_recomputed):
         receipt = super()._resign_window(candidates, digests_recomputed)
@@ -964,7 +961,6 @@ def build_stored_chain(
     scheme_kind: str = "optimized",
     base: int = 2,
     hash_function: Optional[HashFunction] = None,
-    memoize: bool = False,
     batch_size: int = 512,
 ) -> int:
     """Stream ``rows`` (ascending by key) into a signed chain on disk.
@@ -979,7 +975,7 @@ def build_stored_chain(
     _require_optimized(relation_name, scheme_kind)
     hash_function = hash_function or default_hash()
     domain = schema.key_domain
-    upper, lower = build_chain_schemes(scheme_kind, domain, base, hash_function, memoize)
+    upper, lower = build_chain_schemes(scheme_kind, domain, base, hash_function)
     manifest = RelationManifest(
         schema=schema,
         scheme_kind=scheme_kind,

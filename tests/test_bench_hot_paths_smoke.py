@@ -1,10 +1,10 @@
 """Tier-1 smoke mode of the hot-path perf harness (``benchmarks/bench_hot_paths.py``).
 
 Runs the same workloads as the JSON-producing benchmark at scaled-down sizes,
-so every ordinary ``pytest`` run re-checks that (a) the harness works, (b) the
-cached fast path still produces byte-identical proofs, and (c) the caches
-still actually win on repeated work.  Exact throughput numbers are left to the
-full benchmark — timing assertions here are deliberately loose.
+so every ordinary ``pytest`` run re-checks that the harness works (each
+workload asserts its two paths agree before timing them) and that the memos
+still engage on repeated work.  Exact throughput numbers are left to the full
+benchmark — timing assertions here are deliberately loose.
 """
 
 import importlib.util
@@ -15,15 +15,14 @@ from repro.bench.hot_paths import SMOKE_CONFIG, run_hot_path_benchmarks
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.crypto import _shard
-from repro.crypto.rsa import SIGN_COUNTER
+from repro.crypto.rsa import fdh_cache_stats
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.db.workload import generate_employees
 
 EXPECTED_WORKLOADS = {
-    "owner_bulk_signing",
     "crt_single_shot_signing",
-    "publisher_repeated_range",
-    "publisher_join",
+    "batch_verify",
+    "fixed_base_verify",
     "verifier_repeated_check",
     "wal_ingest",
 }
@@ -31,8 +30,8 @@ EXPECTED_WORKLOADS = {
 
 def test_smoke_benchmark_report():
     report = run_hot_path_benchmarks(SMOKE_CONFIG)
-    assert report["proofs_identical"] is True
-    assert EXPECTED_WORKLOADS <= set(report["workloads"])
+    assert EXPECTED_WORKLOADS == set(report["workloads"])
+    assert set(report["targets_met"]) == EXPECTED_WORKLOADS - {"verifier_repeated_check"}
     for name, entry in report["workloads"].items():
         assert entry["uncached_ops_per_sec"] > 0, name
         assert entry["cached_ops_per_sec"] > 0, name
@@ -109,12 +108,12 @@ def test_hot_path_caches_actually_engage(signature_scheme):
     publisher = Publisher({"employees": signed})
     query = Query("employees", Conjunction((RangeCondition("salary", 20_000, 80_000),)))
     publisher.answer(query)
-    hits_before = publisher.vo_cache_hits
+    hits_before = publisher.cache_stats()["vo_fragments"]["hits"]
     publisher.answer(query)
-    assert publisher.vo_cache_hits > hits_before
+    assert publisher.cache_stats()["vo_fragments"]["hits"] == hits_before + 2
 
     message = b"smoke-cache-engage"
     signature_scheme.sign(message)
-    sign_hits_before = SIGN_COUNTER.cache_hits
+    fdh_hits_before = fdh_cache_stats()["hits"]
     signature_scheme.sign(message)
-    assert SIGN_COUNTER.cache_hits == sign_hits_before + 1
+    assert fdh_cache_stats()["hits"] == fdh_hits_before + 1

@@ -1,12 +1,15 @@
-"""Cache correctness: the fast path must be invisible in every proof byte.
+"""Memo correctness: the fast path must be invisible in every proof byte.
 
-Property-based tests asserting that cached and uncached publishers/verifiers
-produce byte-identical proofs and identical accept/reject decisions — including
-after ``insert_record`` / ``delete_record`` / ``update_record`` invalidation —
-plus the Section 6.3 update-receipt accounting the caches rely on.
+A long-lived publisher (its schemes' boundary-assist memo warm) and one built
+fresh over the same rows must produce byte-identical proofs and identical
+accept/reject decisions — including after ``insert_record`` /
+``delete_record`` / ``update_record``, which the memo never hears about —
+plus the Section 6.3 update-receipt accounting.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,21 +44,20 @@ def _rows(keys, grades):
     ]
 
 
+def _fresh_publisher(rows, signature_scheme):
+    """A publisher over a newly built relation: nothing memoised yet."""
+    return Publisher(
+        {"t": SignedRelation(Relation.from_rows(SCHEMA, rows), signature_scheme)}
+    )
+
+
 def _publisher_pair(rows, signature_scheme):
-    """(cached, uncached) publishers over independently built identical relations."""
-    cached = Publisher(
-        {"t": SignedRelation(Relation.from_rows(SCHEMA, rows), signature_scheme)},
-        vo_cache=True,
-    )
-    uncached = Publisher(
-        {
-            "t": SignedRelation(
-                Relation.from_rows(SCHEMA, rows), signature_scheme, memoize=False
-            )
-        },
-        vo_cache=False,
-    )
-    return cached, uncached
+    """(long-lived, fresh) publishers over independently built identical relations."""
+    return _fresh_publisher(rows, signature_scheme), _fresh_publisher(rows, signature_scheme)
+
+
+def _boundary_hits(publisher):
+    return publisher.cache_stats()["vo_fragments"]["hits"]
 
 
 def _assert_identical(first, second):
@@ -87,7 +89,7 @@ class TestCachedUncachedEquivalence:
         query = Query("t", Conjunction((RangeCondition("k", low, high),)))
         hot_first = cached.answer(query)
         cold = uncached.answer(query)
-        hot_repeat = cached.answer(query)  # second answer: served from the cache
+        hot_repeat = cached.answer(query)  # second answer: boundary assists memoised
         _assert_identical(cold, hot_first)
         _assert_identical(cold, hot_repeat)
 
@@ -147,12 +149,12 @@ class TestCachedUncachedEquivalence:
     def test_mutations_invalidate_precisely(
         self, signature_scheme, keys, grades, low, high, mutation, fresh_key,
     ):
-        """After any mutation the cached publisher matches a cold rebuild."""
+        """After any mutation the long-lived publisher matches a fresh build."""
         rows = _rows(keys, grades)
-        cached, _ = _publisher_pair(rows, signature_scheme)
+        cached = _fresh_publisher(rows, signature_scheme)
         signed = cached.signed_relation("t")
         query = Query("t", Conjunction((RangeCondition("k", low, high),)))
-        cached.answer(query)  # warm the fragment cache before mutating
+        cached.answer(query)  # warm the boundary memo before mutating
 
         if mutation == "insert" and fresh_key not in set(keys):
             signed.insert_record({"k": fresh_key, "name": "new", "grade": 1})
@@ -163,7 +165,7 @@ class TestCachedUncachedEquivalence:
             signed.update_record(victim, victim.replace(grade=victim["grade"] + 1))
 
         current_rows = [record.as_dict() for record in signed.relation]
-        _, rebuilt = _publisher_pair(current_rows, signature_scheme)
+        rebuilt = _fresh_publisher(current_rows, signature_scheme)
         _assert_identical(rebuilt.answer(query), cached.answer(query))
 
         verifier = ResultVerifier({"t": signed.manifest})
@@ -172,24 +174,25 @@ class TestCachedUncachedEquivalence:
             verifier.verify(query, result.rows, result.proof)
 
     def test_swapped_relation_not_served_stale_fragments(self, signature_scheme):
-        """Replacing a hosted relation after construction must flush its cache."""
+        """A relation swapped in after construction answers from its own memo:
+        the old one's dies with the relation that owned the schemes."""
         rows_a = _rows([10, 20, 30], [1, 2, 3])
         rows_b = _rows([10, 25, 30], [4, 5, 6])
-        cached, _ = _publisher_pair(rows_a, signature_scheme)
+        cached = _fresh_publisher(rows_a, signature_scheme)
         query = Query("t", Conjunction((RangeCondition("k", 5, 28),)))
-        cached.answer(query)  # warm the cache with relation A's fragments
+        cached.answer(query)  # warm relation A's memo
 
         replacement = SignedRelation(
             Relation.from_rows(SCHEMA, rows_b), signature_scheme
         )
         cached.database["t"] = replacement
         swapped = cached.answer(query)
-        rebuilt = Publisher({"t": replacement}, vo_cache=False).answer(query)
+        rebuilt = _fresh_publisher(rows_b, signature_scheme).answer(query)
         _assert_identical(rebuilt, swapped)
         ResultVerifier({"t": replacement.manifest}).verify(
             query, swapped.rows, swapped.proof
         )
-        # ...and mutations on the replacement now invalidate the cache too.
+        # ...and mutations on the replacement are seen too.
         replacement.insert_record({"k": 15, "name": "late", "grade": 2})
         after = cached.answer(query)
         ResultVerifier({"t": replacement.manifest}).verify(
@@ -198,8 +201,8 @@ class TestCachedUncachedEquivalence:
         assert len(after.rows) == len(swapped.rows) + 1
 
     def test_multi_name_hosting_survives_swap_of_one_name(self, signature_scheme):
-        """One relation hosted under two names: swapping one must not detach
-        the other name's cache from invalidation."""
+        """One relation hosted under two names: swapping one name must not
+        disturb answers under the other."""
         rows = _rows([10, 20, 30], [1, 2, 3])
         shared = SignedRelation(Relation.from_rows(SCHEMA, rows), signature_scheme)
         publisher = Publisher({"a": shared, "b": shared})
@@ -210,7 +213,7 @@ class TestCachedUncachedEquivalence:
         )
         publisher.database["a"] = other
         publisher.answer(Query("a", Conjunction((RangeCondition("k", 5, 25),))))
-        publisher.answer(query_b)  # caches fragments for name "b"
+        publisher.answer(query_b)  # warms the shared relation's memo
 
         victim = shared.relation[0]
         shared.update_record(victim, victim.replace(grade=7))
@@ -219,26 +222,84 @@ class TestCachedUncachedEquivalence:
             query_b, result.rows, result.proof
         )
 
-    def test_dead_publisher_listeners_are_pruned(self, signature_scheme):
-        """Garbage-collected publishers must not stay subscribed to the relation."""
-        import gc
+    def test_boundary_neighbour_update_is_served_with_its_new_attribute_root(
+        self, signature_scheme
+    ):
+        """Only the chain assist is memoised: a boundary entry's other fields
+        are read from the relation on every answer."""
+        rows = _rows([10, 20, 30, 40, 50], [1, 2, 3, 4, 5])
+        publisher = _fresh_publisher(rows, signature_scheme)
+        signed = publisher.signed_relation("t")
+        query = Query("t", Conjunction((RangeCondition("k", 25, 45),)))
+        before = publisher.answer(query)
+        hits = _boundary_hits(publisher)
 
-        rows = _rows([10, 20, 30], [1, 2, 3])
-        signed = SignedRelation(Relation.from_rows(SCHEMA, rows), signature_scheme)
-        for _ in range(5):
-            Publisher({"t": signed}).answer(
-                Query("t", Conjunction((RangeCondition("k", 5, 25),)))
-            )
-        gc.collect()
-        assert len(signed._listeners) == 5
-        signed.insert_record({"k": 40, "name": "x", "grade": 1})  # prunes dead ones
-        assert signed._listeners == []
+        for position in (1, 4):  # keys 20 and 50: just below and just above the range
+            victim = signed.relation[position]
+            signed.update_record(victim, victim.replace(grade=victim["grade"] + 10))
+        after = publisher.answer(query)
+        assert _boundary_hits(publisher) == hits + 2  # both chain assists came from the memo
+
+        hash_function = signed.hash_function
+        for side, position in (("lower_boundary", 1), ("upper_boundary", 4)):
+            old, new = getattr(before.proof, side), getattr(after.proof, side)
+            assert new.attribute_root == signed.relation[position].attribute_root(hash_function)
+            assert new.attribute_root != old.attribute_root
+            assert new.chain_boundary == old.chain_boundary
+        assert after.rows == before.rows
+        ResultVerifier({"t": signed.manifest}).verify(query, after.rows, after.proof)
+        current_rows = [record.as_dict() for record in signed.relation]
+        _assert_identical(_fresh_publisher(current_rows, signature_scheme).answer(query), after)
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_long_lived_publisher_matches_fresh_across_mutations(self, signature_scheme, seed):
+        """A seeded insert/delete/update sequence, every query asked twice after
+        every step: same bytes, same accept and reject decisions."""
+        rng = random.Random(seed)
+        keys = rng.sample(range(2, 511), 8)
+        grades = [rng.randrange(6) for _ in keys]
+        publisher = _fresh_publisher(_rows(keys, grades), signature_scheme)
+        signed = publisher.signed_relation("t")
+        bounds = sorted(rng.sample(range(1, 512), 6))
+        queries = [
+            Query("t", Conjunction((RangeCondition("k", low, high),)))
+            for low, high in zip(bounds[:3], bounds[3:])
+        ]
+        for step in range(8):
+            kind = rng.choice(["insert", "delete", "update"])
+            if kind == "insert" or len(signed.relation) < 3:
+                free = [key for key in range(1, 512) if key not in set(signed.relation.keys())]
+                signed.insert_record({"k": rng.choice(free), "name": f"new-{step}", "grade": 1})
+            elif kind == "delete":
+                signed.delete_record(rng.choice(list(signed.relation)))
+            else:
+                victim = rng.choice(list(signed.relation))
+                signed.update_record(victim, victim.replace(grade=victim["grade"] + 1))
+            current_rows = [record.as_dict() for record in signed.relation]
+            fresh = _fresh_publisher(current_rows, signature_scheme)
+            verifier = ResultVerifier({"t": signed.manifest})
+            for query in queries:
+                expected = fresh.answer(query)
+                for _ in range(2):
+                    result = publisher.answer(query)
+                    _assert_identical(expected, result)
+                    verifier.verify(query, result.rows, result.proof)
+                if result.rows:
+                    tampered = [dict(row) for row in result.rows]
+                    tampered[0]["name"] = "forged"
+                    reasons = []
+                    for proof in (expected.proof, result.proof):
+                        with pytest.raises(VerificationError) as rejection:
+                            verifier.verify(query, tampered, proof)
+                        reasons.append(rejection.value.reason)
+                    assert reasons[0] == reasons[1]
 
     def test_reject_decisions_identical(self, signature_scheme):
-        """Tampered rows are rejected with or without caches."""
+        """Tampered rows are rejected whether or not the memo served the proof."""
         rows = _rows([10, 20, 30], [1, 2, 3])
         cached, uncached = _publisher_pair(rows, signature_scheme)
         query = Query("t", Conjunction((RangeCondition("k", 5, 25),)))
+        cached.answer(query)
         for publisher in (cached, uncached):
             result = publisher.answer(query)
             verifier = ResultVerifier({"t": publisher.signed_relation("t").manifest})
@@ -347,20 +408,10 @@ class TestUpdateReceiptAccounting:
         assert signed.manifest == twin.manifest
         assert signed.verify_internal_consistency()
 
-    def test_version_bumps_and_listeners_fire(self, signature_scheme):
+    def test_version_bumps(self, signature_scheme):
         signed = self._signed(signature_scheme)
-        events = []
-        signed.add_invalidation_listener(
-            lambda version, keys: events.append((version, keys))
-        )
         before = signed.version
         signed.insert_record({"k": 60, "name": "y", "grade": 2})
+        assert signed.version == before + 1
         signed.delete_record(signed.relation[0])
         assert signed.version == before + 2
-        assert len(events) == 2
-        inserted_version, inserted_keys = events[0]
-        assert inserted_version == before + 1
-        assert 60 in inserted_keys
-        deleted_version, deleted_keys = events[1]
-        assert deleted_version == before + 2
-        assert 50 in deleted_keys  # the removed record's key is announced

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cache import BoundedCache
+from repro.core.digest import _SCHEME_MEMO_MAX
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.core.verifier import ResultVerifier
-from repro.crypto import rsa
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
 from repro.service import (
@@ -19,6 +17,19 @@ from repro.service import (
 )
 
 RANGE = Query("employees", Conjunction((RangeCondition("salary", 1_000, 90_000),)))
+
+
+def test_bounded_cache_evict_while_stops_at_the_first_keeper():
+    cache = BoundedCache(8, max_weight=100)
+    for key, value in [("a", 1), ("b", 2), ("c", 30), ("d", 4)]:
+        cache.put(key, value, weight=10)
+    cache.evict_while(lambda value: value < 10)
+    assert cache.get("a") is None and cache.get("b") is None
+    assert cache.get("c") == 30 and cache.get("d") == 4  # "d" sits behind a keeper
+    stats = cache.stats()
+    assert (stats["size"], stats["evictions"], stats["weight"]) == (2, 2, 20)
+    cache.evict_while(lambda value: True)
+    assert cache.stats()["size"] == 0 and cache.stats()["weight"] == 0
 
 
 def test_bounded_cache_counts_and_evicts():
@@ -36,17 +47,19 @@ def test_bounded_cache_counts_and_evicts():
 
 
 def test_publisher_cache_stats_and_capacity(signature_scheme):
+    """``vo_fragments`` sums the hosted schemes' boundary-assist memo counters."""
     relation = workload.generate_employees(40, seed=3, photo_bytes=8)
     signed = SignedRelation(relation, signature_scheme)
-    publisher = Publisher({"employees": signed}, vo_cache_max=64)
+    # One relation under two names is still two schemes, counted once each.
+    publisher = Publisher({"employees": signed, "staff": signed})
     publisher.answer(RANGE)
     publisher.answer(RANGE)
     stats = publisher.cache_stats()
+    assert set(stats) == {"vo_fragments"}
     fragments = stats["vo_fragments"]
-    assert fragments["capacity"] == 64
-    assert fragments["hits"] > 0 and fragments["misses"] > 0
-    assert publisher.vo_cache_hits == fragments["hits"]
-    assert "employees" in stats["signature_memos"]
+    assert fragments["capacity"] == 2 * _SCHEME_MEMO_MAX
+    assert (fragments["hits"], fragments["misses"], fragments["size"]) == (2, 2, 2)
+    assert fragments["evictions"] == 0
 
 
 def test_verifier_cache_stats(signature_scheme):
@@ -61,22 +74,6 @@ def test_verifier_cache_stats(signature_scheme):
     assert stats["chain_schemes"]["size"] == 1
 
 
-def test_fdh_and_signature_memo_capacities_configurable():
-    original = rsa.fdh_cache_stats()["capacity"]
-    try:
-        rsa.configure_fdh_cache(16)
-        assert rsa.fdh_cache_stats()["capacity"] == 16
-        for index in range(40):  # far past the bound; the memo must not grow
-            rsa.full_domain_hash(b"cap|%d" % index, 2**64 + 13)
-        assert rsa.fdh_cache_stats()["size"] <= 16
-        with pytest.raises(ValueError):
-            rsa.configure_fdh_cache(0)
-        with pytest.raises(ValueError):
-            rsa.configure_signature_memo(0)
-    finally:
-        rsa.configure_fdh_cache(original)
-
-
 def test_server_cache_stats_cover_responses_and_shards():
     world = build_demo_world(key_bits=512, seed=5)
     with PublicationServer(world.router) as server:
@@ -88,4 +85,4 @@ def test_server_cache_stats_cover_responses_and_shards():
         assert stats["responses"]["hits"] >= 1
         assert set(stats["shards"]) == {"hr", "sales"}
         for shard_stats in stats["shards"].values():
-            assert "vo_fragments" in shard_stats
+            assert {"hits", "misses"} <= set(shard_stats["vo_fragments"])

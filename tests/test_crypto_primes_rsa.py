@@ -98,19 +98,15 @@ class TestRSA:
         assert 0 < signature < signature_scheme.verifier.modulus
 
     def test_sign_accepts_buffer_types(self, signature_scheme):
-        # bytearray/memoryview messages must keep working despite the memo.
+        # bytearray/memoryview messages must keep working despite the FDH memo.
         reference = signature_scheme.sign(b"buffer-msg")
         assert signature_scheme.sign(bytearray(b"buffer-msg")) == reference
         assert signature_scheme.sign(memoryview(b"buffer-msg")) == reference
         assert signature_scheme.verify(bytearray(b"buffer-msg"), reference)
 
-    def test_repeated_signing_is_deterministic_and_memoized(self, signature_scheme):
-        from repro.crypto.rsa import SIGN_COUNTER
-
-        first = signature_scheme.sign(b"memo-msg")
-        hits_before = SIGN_COUNTER.cache_hits
-        assert signature_scheme.sign(b"memo-msg") == first
-        assert SIGN_COUNTER.cache_hits == hits_before + 1
+    def test_repeated_signing_is_deterministic(self, signature_scheme):
+        first = signature_scheme.sign(b"repeat-msg")
+        assert signature_scheme.sign(b"repeat-msg") == first
 
     def test_out_of_range_signature_rejected(self, signature_scheme):
         public = signature_scheme.verifier

@@ -157,7 +157,7 @@ def test_concurrent_clients_share_the_server_caches(demo_world, live_server):
     target = demo_world.router.route(
         dict(demo_world.router.listing())["employees"]
     )
-    vo_hits_before = target.publisher.vo_cache_hits
+    vo_hits_before = target.publisher.cache_stats()["vo_fragments"]["hits"]
     response_stats = live_server.handler.cache_stats().get("responses", {})
     response_hits_before = response_stats.get("hits", 0)
     errors = []
@@ -179,8 +179,8 @@ def test_concurrent_clients_share_the_server_caches(demo_world, live_server):
     assert not errors
     # A query that became hot through one client's connection is served from
     # shared server-side caches for every other client: either the encoded
-    # response itself (response cache) or its VO fragments.
-    vo_hits = target.publisher.vo_cache_hits - vo_hits_before
+    # response itself (response cache) or its boundary assists.
+    vo_hits = target.publisher.cache_stats()["vo_fragments"]["hits"] - vo_hits_before
     response_stats = live_server.handler.cache_stats().get("responses", {})
     response_hits = response_stats.get("hits", 0) - response_hits_before
     assert vo_hits + response_hits > 0, (

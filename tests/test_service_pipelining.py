@@ -118,11 +118,17 @@ def test_push_many_applies_all_batches_in_order(world, server):
 
 
 def test_backpressure_pauses_and_resumes(world, monkeypatch):
-    """Floods beyond the pipeline cap are parked, not dropped or ballooned."""
-    from repro.service import server as server_module
+    """A flood beyond the pipeline cap is answered in cap-sized flushes."""
+    events = []
+    for name, mark in (("_respond", "r"), ("_flush_outbuf", "f")):
 
-    monkeypatch.setattr(server_module, "MAX_PIPELINED_FRAMES", 4)
-    with PublicationServer(world.router) as live:
+        def spy(self, *args, _real=getattr(PublicationServer, name), _mark=mark):
+            events.append(_mark)
+            return _real(self, *args)
+
+        monkeypatch.setattr(PublicationServer, name, spy)
+    config = ServerConfig(max_pipelined_frames=4)
+    with PublicationServer(world.router, config=config) as live:
         host, port = live.address
         with VerifyingClient(
             host, port, trusted_manifests=dict(world.manifests), timeout=60
@@ -130,6 +136,10 @@ def test_backpressure_pauses_and_resumes(world, monkeypatch):
             results = client.execute_many([QuerySpec(SALARY_RANGE)] * 20)
             assert len(results) == 20
             assert all(result.report is not None for result in results)
+    answered_between_flushes = [len(run) for run in "".join(events).split("f")]
+    # The 20 frames arrive in one burst: the cap is reached, never exceeded.
+    assert max(answered_between_flushes) == 4
+    assert answered_between_flushes.count(4) >= 4
 
 
 def test_mid_frame_stall_drops_connection(world, monkeypatch):

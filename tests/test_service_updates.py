@@ -197,6 +197,30 @@ def test_verifier_digest_memos_survive_rotations(world):
         assert verifier.manifest("employees").sequence == 4
 
 
+def test_response_cache_drops_what_a_rotation_made_unreachable(world):
+    """A request frame embeds the manifest id, so an answer cached before a
+    rotation can never be asked for again: it must not stay until FIFO age."""
+    pool = [
+        Query("employees", Conjunction((RangeCondition("salary", low, high),)))
+        for low, high in [(0, 30_000), (20_000, 50_000), (58_000, 80_000), (82_000, 95_000)]
+    ]
+    server = world["server"]
+    with _owner_client(world) as owner_client, _verifying_client(world) as client:
+        for step in range(50):
+            owner_client.insert("employees", _row(100 + step, f"rot-{step}"))
+            for _ in range(2):  # the second pass is served from the cache
+                for query in pool:
+                    assert client.execute(QuerySpec(query)).report is not None
+            # What is left was answered under the current manifest id: the
+            # pool, and the step's first read, which still carried the
+            # superseded id (a lagging client may ask that again).
+            assert server.cache_stats()["responses"]["size"] <= len(pool) + 1
+        stats = server.cache_stats()["responses"]
+        assert stats["hits"] >= 50 * (len(pool) - 1)
+        assert stats["evictions"] >= 49 * len(pool)
+        assert stats["weight"] < 64 * 1024
+
+
 def test_rotation_request_serves_genesis_and_latest(world):
     with _owner_client(world) as owner_client, _verifying_client(world) as client:
         client.fetch_manifest("employees")

@@ -18,7 +18,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -81,8 +80,7 @@ def _record_shards(monkeypatch):
 
 def _serial_reference(key, messages):
     """What a never-sharded key of the same material signs, one message at a time."""
-    reference = replace(key)  # same key material, empty memo
-    return [reference.sign(message) for message in messages]
+    return [key.sign(message) for message in messages]
 
 
 def _assert_no_debris(fds_before):
@@ -114,7 +112,7 @@ def _open_fds():
     ],
 )
 def test_sharded_output_is_byte_identical(monkeypatch, keys, primes, cpus, count, expected_shards):
-    key = replace(keys[primes])
+    key = keys[primes]
     messages = _messages(count)
     _force_cpus(monkeypatch, cpus)
     seen = _record_shards(monkeypatch)
@@ -151,7 +149,7 @@ def test_accept_sees_each_child_shard_at_its_offset(monkeypatch):
 def test_single_cpu_mask_stays_serial(monkeypatch, keys):
     _force_cpus(monkeypatch, 1)
     seen = _record_shards(monkeypatch)
-    key = replace(keys[3])
+    key = keys[3]
     assert key.sign_batch(_messages(200)) == _serial_reference(key, _messages(200))
     assert seen == []
 
@@ -160,72 +158,45 @@ def test_platform_without_fork_stays_serial(monkeypatch, keys):
     _force_cpus(monkeypatch, 4)
     monkeypatch.delattr(os, "fork")
     seen = _record_shards(monkeypatch)
-    key = replace(keys[3])
+    key = keys[3]
     assert key.sign_batch(_messages(200)) == _serial_reference(key, _messages(200))
     assert seen == []
 
 
-def _counter_deltas(key, messages):
-    before = (SIGN_COUNTER.signatures, SIGN_COUNTER.cache_hits)
-    signatures = key.sign_batch(messages)
-    return signatures, (
-        SIGN_COUNTER.signatures - before[0],
-        SIGN_COUNTER.cache_hits - before[1],
-    )
+def _signed_and_counted(key, messages):
+    before = SIGN_COUNTER.signatures
+    return key.sign_batch(messages), SIGN_COUNTER.signatures - before
 
 
-def test_duplicates_and_partly_memoised_batches(monkeypatch, keys):
-    """Each distinct pending message is signed once; everything else is a memo hit."""
+def test_duplicates_in_a_batch_sign_once(monkeypatch, keys):
+    """Each distinct message is signed once, wherever its copies sit in the batch."""
     fresh = _messages(150, b"fresh")
-    known = _messages(40, b"known")
-    batch = known[:20] + fresh + fresh[:30] + known[20:] + fresh[100:]
+    batch = fresh[:20] + fresh + fresh[:30] + fresh[100:]
     reference = _serial_reference(keys[3], batch)
 
     _force_cpus(monkeypatch, 3)
-    sharded_key, serial_key = replace(keys[3]), replace(keys[3])
-    sharded_key.sign_batch(known)
     seen = _record_shards(monkeypatch)
-    sharded, sharded_deltas = _counter_deltas(sharded_key, batch)
+    sharded = _signed_and_counted(keys[3], batch)
     assert seen == [[50, 50, 50]]
-
     _force_serial(monkeypatch)
-    serial_key.sign_batch(known)
-    serial, serial_deltas = _counter_deltas(serial_key, batch)
+    serial = _signed_and_counted(keys[3], batch)
     assert len(seen) == 1
-
-    assert sharded == serial == reference
-    assert sharded_deltas == serial_deltas == (150, len(batch) - 150)
-
-
-def test_batch_larger_than_the_signature_memo(monkeypatch, keys):
-    monkeypatch.setattr(rsa, "_SIGNATURE_MEMO_MAX", 48)
-    known = _messages(40, b"known")
-    batch = known + _messages(200) + known
-    reference = _serial_reference(keys[2], batch)
-    results = []
-    for force in (lambda: _force_cpus(monkeypatch, 2), lambda: _force_serial(monkeypatch)):
-        force()
-        key = replace(keys[2])
-        key.sign_batch(known)
-        results.append(_counter_deltas(key, batch))
-        assert key.signature_memo_stats()["size"] == 48
-    assert results[0] == results[1] == (reference, (200, 80))
+    assert sharded == serial == (reference, 150)
 
 
 def test_each_pending_message_is_hashed_once(monkeypatch, keys):
     """A batch that outgrows the FDH cache used to hash every message twice."""
     monkeypatch.setattr(rsa, "_full_domain_hash_cached", rsa._FDHCache(16))
     _force_serial(monkeypatch)
-    key = replace(keys[3])
-    known = _messages(10, b"known")
-    key.sign_batch(known)
+    key = keys[3]
     fresh = _messages(120)
     before = rsa.fdh_cache_stats()
-    signatures = key.sign_batch(known + fresh + fresh[:50])
+    signatures = key.sign_batch(fresh + fresh[:50])
     after = rsa.fdh_cache_stats()
     assert after["misses"] - before["misses"] == len(fresh)
     assert after["hits"] == before["hits"]
-    assert signatures == _serial_reference(key, known + fresh + fresh[:50])
+    assert after["size"] == after["capacity"] == 16  # the memo stays at its bound
+    assert signatures == _serial_reference(key, fresh + fresh[:50])
 
 
 # -- whole publications ------------------------------------------------------------
@@ -238,7 +209,6 @@ def test_signed_relation_built_sharded_equals_serial(monkeypatch, keys):
     seen = _record_shards(monkeypatch)
     sharded = SignedRelation(relation, scheme)
     assert [sum(sizes) for sizes in seen] == [1026]
-    keys[3]._signature_memo.clear()
     _force_serial(monkeypatch)
     serial = SignedRelation(relation, scheme)
     assert len(seen) == 1
@@ -259,7 +229,6 @@ def test_stored_chain_built_sharded_equals_serial(monkeypatch, tmp_path, keys):
     schema = metrics_schema(1024)
 
     def build(name):
-        keys[3]._signature_memo.clear()
         store = RelationStore(str(tmp_path / name), fsync="off")
         try:
             build_stored_chain(store, RELATION, schema, _row_stream(1024), scheme)
@@ -319,15 +288,15 @@ def _corrupt(count, signature):
 def test_failed_child_shard_is_resigned_with_one_warning(
     monkeypatch, caplog, capfd, keys, on_item, reason
 ):
-    key = replace(keys[3])
+    key = keys[3]
     messages = _messages(96)
     reference = _serial_reference(key, messages)
     _force_cpus(monkeypatch, 2)
     _patch_child_signing(monkeypatch, on_item)
     fds = _open_fds()
     with caplog.at_level(logging.DEBUG, logger="repro.crypto"):
-        signatures, deltas = _counter_deltas(key, messages)
-    assert signatures == reference and deltas == (96, 0)
+        signed = _signed_and_counted(key, messages)
+    assert signed == (reference, 96)
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert warnings[0].getMessage() == f"sign_batch: shard 1 of 2 re-signed serially: {reason}"
@@ -336,7 +305,7 @@ def test_failed_child_shard_is_resigned_with_one_warning(
 
 
 def test_truncated_pipe_is_a_short_read(monkeypatch, caplog, keys):
-    key = replace(keys[3])
+    key = keys[3]
     messages = _messages(96)
     parent = os.getpid()
     real_write = os.write
@@ -360,7 +329,7 @@ def test_truncated_pipe_is_a_short_read(monkeypatch, caplog, keys):
 
 def test_short_writes_are_resumed(monkeypatch, caplog, keys):
     """``os.write`` may take less than it was given; the child loops until done."""
-    key = replace(keys[3])
+    key = keys[3]
     messages = _messages(96)
     real_write = os.write
     monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:100])))
@@ -373,7 +342,7 @@ def test_short_writes_are_resumed(monkeypatch, caplog, keys):
 
 
 def test_interrupt_in_the_parent_reaps_the_children(monkeypatch, keys):
-    key = replace(keys[3])
+    key = keys[3]
     parent = os.getpid()
     real = RSAPrivateKey._sign_representative
     made = [0]
@@ -393,7 +362,6 @@ def test_interrupt_in_the_parent_reaps_the_children(monkeypatch, keys):
         key.sign_batch(_messages(3000))
     _assert_no_debris(fds)
     assert SIGN_COUNTER.signatures == signed_before
-    assert key.signature_memo_stats()["size"] == 0
 
 
 # -- the process around it -----------------------------------------------------------
@@ -402,8 +370,8 @@ def test_interrupt_in_the_parent_reaps_the_children(monkeypatch, keys):
 def test_sharded_batch_logs_one_debug_line(monkeypatch, caplog, keys):
     _force_cpus(monkeypatch, 2)
     with caplog.at_level(logging.DEBUG, logger="repro.crypto"):
-        replace(keys[3]).sign_batch(_messages(64))
-        replace(keys[3]).sign_batch(_messages(63))
+        keys[3].sign_batch(_messages(64))
+        keys[3].sign_batch(_messages(63))
     lines = [r.getMessage() for r in caplog.records]
     assert len(lines) == 1 and lines[0].startswith("sign_batch: 64 messages in 2 shards, ")
 
@@ -415,7 +383,7 @@ def test_second_thread_alive_stays_serial_and_quiet(monkeypatch, keys):
     bystander = threading.Thread(target=release.wait, args=(30,))
     bystander.start()
     try:
-        key = replace(keys[3])
+        key = keys[3]
         signatures = key.sign_batch(_messages(200))  # a DeprecationWarning is an error here
     finally:
         release.set()
