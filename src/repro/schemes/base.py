@@ -513,7 +513,7 @@ def get_scheme(name: str) -> ProofScheme:
 
 def scheme_of(manifest: RelationManifest) -> ProofScheme:
     """Resolve a manifest's scheme tag against the registry."""
-    return get_scheme(getattr(manifest, "scheme", "chain") or "chain")
+    return get_scheme(manifest.scheme)
 
 
 def available_schemes() -> List[str]:

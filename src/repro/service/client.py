@@ -27,8 +27,8 @@ Query answers carry the id they were built under; when it differs from the
 client's pinned id, the client fetches the latest
 :class:`~repro.wire.updates.ManifestRotated`, authenticates it against the
 trust root it already holds (same owner key, valid rotation signature,
-strictly increasing sequence), re-pins, and retries the query — so a caller
-just sees a verified answer, attributed via
+strictly increasing sequence), re-pins, and verifies the answer it already
+has — so a caller just sees a verified answer, attributed via
 :attr:`VerifiedResult.manifest_sequence` to the data version it reflects.
 
 **Bounded staleness.**  Chain signatures prove authenticity and completeness
@@ -112,10 +112,10 @@ __all__ = [
     "VerifyingClient",
 ]
 
-#: How many manifest rotations a single query call will chase before giving
-#: up.  Each retry is triggered by an actual rotation observed on an answer,
-#: so hitting the bound means the relation is rotating faster than the client
-#: can re-pin — surfacing that beats looping forever.
+#: How many times one call asks the server before giving up.  An answer is
+#: asked for again only when the server no longer serves the manifest it was
+#: stamped with, so hitting the bound means the relation rotates faster than
+#: its history is retained — surfacing that beats looping forever.
 MAX_ROTATIONS_PER_CALL = 8
 
 
@@ -240,7 +240,10 @@ class ServiceConnection:
                 raise ResetTransportError("server closed the connection")
             return response
 
-        response = self._exchange(exchange)
+        return self._typed(self._exchange(exchange), expect)
+
+    def _typed(self, response, expect: type):
+        """``response`` if it is an ``expect``; the typed error it is otherwise."""
         if isinstance(response, ErrorResponse):
             raise RemoteError(response.code, response.reason, response.message)
         if not isinstance(response, expect):
@@ -588,11 +591,7 @@ class VerifyingClient(ServiceConnection):
     def _ensure_manifest(self, relation_name: str) -> bytes:
         if relation_name not in self._manifests:
             self.fetch_manifest(relation_name)
-        identifier = self._pinned_ids.get(relation_name)
-        if identifier is None:  # defensive; fetch/init always record the id
-            identifier = manifest_id(self._manifests[relation_name])
-            self._pinned_ids[relation_name] = identifier
-        return identifier
+        return self._pinned_ids[relation_name]  # fetch/init always record the id
 
     @property
     def verifier(self) -> ResultVerifier:
@@ -607,7 +606,7 @@ class VerifyingClient(ServiceConnection):
             chain_manifests = {
                 name: manifest
                 for name, manifest in self._manifests.items()
-                if (getattr(manifest, "scheme", "chain") or "chain") == "chain"
+                if manifest.scheme == "chain"
             }
             self._verifier = ResultVerifier(chain_manifests, policy=self.policy)
         return self._verifier
@@ -665,6 +664,10 @@ class VerifyingClient(ServiceConnection):
                 "completeness; pass allow_incomplete=True to accept "
                 "possibly-incomplete answers"
             )
+        # The response's proof field is a wire union over every registered
+        # VO type: a publisher answering under the wrong scheme is refused
+        # with the typed reason before either verifier touches the proof.
+        scheme.check_proof_type(proof)
         if scheme.name == "chain":
             return self.verifier.verify(query, rows, proof, role=role)
         return self.scheme_verifier_for(relation_name).verify(
@@ -814,16 +817,14 @@ class VerifyingClient(ServiceConnection):
         rotation: ManifestRotated,
     ) -> None:
         manifest = rotation.manifest
-        pinned_scheme = getattr(pinned, "scheme", "chain") or "chain"
-        rotated_scheme = getattr(manifest, "scheme", "chain") or "chain"
-        if rotated_scheme != pinned_scheme:
+        if manifest.scheme != pinned.scheme:
             # Checked before any signature math: rotations carry data
             # updates, never scheme migrations, so a scheme change is a
             # downgrade attempt (or a misconfigured publisher) even when the
             # owner key and signature would check out.
             raise SchemeMismatchError(
                 f"rotated manifest for {relation_name!r} switches the proof "
-                f"scheme from {pinned_scheme!r} to {rotated_scheme!r}; a "
+                f"scheme from {pinned.scheme!r} to {manifest.scheme!r}; a "
                 "rotation may never change the scheme"
             )
         if manifest.public_key != pinned.public_key:
@@ -863,38 +864,44 @@ class VerifyingClient(ServiceConnection):
     def execute(self, spec: QuerySpec) -> Union[VerifiedResult, VerifiedJoinResult]:
         """Issue one :class:`QuerySpec` — range, point or join — and verify.
 
-        The single entry point for reads: dispatches on the spec's query
-        shape and returns a
-        :class:`VerifiedResult` (single relation) or
-        :class:`VerifiedJoinResult` (join).
+        The single entry point for reads: a single-relation spec is a batch
+        of one through :meth:`execute_many` and returns a
+        :class:`VerifiedResult`; a join returns a :class:`VerifiedJoinResult`.
         """
         if isinstance(spec.query, JoinQuery):
             return self._execute_join(spec.query, role=spec.role, verify=spec.verify)
-        return self._execute_query(
-            spec.query,
-            role=spec.role,
-            verify=spec.verify,
-            allow_incomplete=spec.allow_incomplete,
-        )
+        return self.execute_many([spec])[0]
 
     def execute_many(self, specs: Sequence[QuerySpec]) -> List[VerifiedResult]:
-        """Issue many single-relation specs down one pipelined exchange.
+        """Ask, attribute, verify: the read loop for single-relation specs.
 
         All specs must share role/verify/allow_incomplete (one exchange, one
-        verification policy) and none may be a join — joins need their own
-        two-sided rotation handling and are served by :meth:`execute`.
+        verification policy) and none may be a join (:meth:`execute` serves
+        those).  The asks go out in one round trip — one frame, or many
+        written back-to-back and answered in order, each still an atomic
+        snapshot — and results come back in spec order.
+
+        Every answer is attributed to a snapshot by :meth:`_attribute`,
+        checked against the freshness policy and verified under the scheme
+        its relation's pinned manifest names (:meth:`_verify_answer`).  Only
+        the answers whose stamped snapshot the server no longer serves are
+        asked again, at most :data:`MAX_ROTATIONS_PER_CALL` times.
+
+        ``verify=False`` skips freshness and verification and returns the raw
+        decoded rows — for measurement and relaying only; a consuming client
+        should never disable it.
         """
         specs = list(specs)
         if not specs:
             return []
+        head = specs[0]
+        queries = [spec.query for spec in specs]
         for spec in specs:
             if spec.is_join:
                 raise ValueError(
                     "execute_many serves single-relation specs; send joins "
                     "through execute()"
                 )
-        head = specs[0]
-        for spec in specs[1:]:
             if (spec.role, spec.verify, spec.allow_incomplete) != (
                 head.role,
                 head.verify,
@@ -903,124 +910,120 @@ class VerifyingClient(ServiceConnection):
                 raise ValueError(
                     "execute_many specs must share role/verify/allow_incomplete"
                 )
-        return self._execute_query_many(
-            [spec.query for spec in specs],
-            role=head.role,
-            verify=head.verify,
-            allow_incomplete=head.allow_incomplete,
-        )
-
-    def _execute_query(
-        self,
-        query: Query,
-        role: Optional[str] = None,
-        verify: bool = True,
-        allow_incomplete: bool = False,
-    ) -> VerifiedResult:
-        """Issue a select-project(-multipoint) query and verify the answer.
-
-        Verification runs under the scheme named by the relation's pinned
-        manifest (``chain``, ``devanbu``, ``naive``, ``vbtree``, ...).  A
-        scheme that cannot prove completeness is refused with a typed
-        :class:`~repro.schemes.CompletenessUnsupported` unless
-        ``allow_incomplete=True`` — accepting authenticity-only answers is an
-        explicit caller decision, never a silent downgrade.
-
-        If the answer reveals that the relation's manifest rotated (live
-        update), the client refreshes its pinned manifest — authenticating
-        the rotation against the existing trust root — and retries, up to
-        :data:`MAX_ROTATIONS_PER_CALL` times.
-
-        ``verify=False`` skips verification and returns the raw decoded rows
-        — for measurement and relaying only; a consuming client should never
-        disable it.
-        """
-        name = query.relation_name
-        chases = 0
+        results: List[Optional[VerifiedResult]] = [None] * len(specs)
+        unsettled = list(range(len(specs)))
         for _ in range(MAX_ROTATIONS_PER_CALL):
-            identifier = self._ensure_manifest(name)
-            response: QueryResponse = self._request(
-                QueryRequest(manifest_id=identifier, query=query, role=role),
-                QueryResponse,
-            )
-            if response.manifest_id and response.manifest_id != identifier:
-                # Built under a rotated manifest: authenticate the rotation
-                # before attributing the rows to any snapshot.  The answer
-                # itself was built under the *current* snapshot (superseded
-                # ids route on purpose), so once the refreshed pin matches
-                # the answer's id it is verified as-is — no second round
-                # trip, no rebuilt proof.  Only if the relation rotated yet
-                # again is the query re-issued.
-                self.refresh_rotated_manifest(name)
-                identifier = self._pinned_ids[name]
-                if identifier != response.manifest_id:
-                    chases += 1
-                    if chases < 2:
-                        continue
-                    # The relation is rotating faster than this client can
-                    # chase (a streaming owner).  That must not starve the
-                    # reader: rotations cannot change scheme parameters
-                    # (enforced by _validate_rotation), so the answer is
-                    # exactly as verifiable under the refreshed trust root —
-                    # verify it now and attribute it to the manifest it was
-                    # built under, fetched by its id and authenticated by
-                    # hashing to it.
-                    stamped = self._manifest_for_stamp(name, response.manifest_id)
-                    if stamped is None:
-                        continue  # stamp already evicted server-side; retry
-                    report = None
-                    if verify:
-                        self._check_freshness(
-                            name, stamped, response.manifest_id,
-                            response.attestation,
-                        )
-                        report = self._verify_answer(
-                            name, query, response.rows, response.proof,
-                            role, allow_incomplete,
-                        )
-                    return VerifiedResult(
-                        rows=response.rows,
-                        report=report,
-                        proof=response.proof,
-                        manifest_id=response.manifest_id,
-                        manifest_sequence=stamped.sequence,
-                        attestation=response.attestation,
+            requests = [
+                QueryRequest(
+                    manifest_id=self._ensure_manifest(queries[index].relation_name),
+                    query=queries[index],
+                    role=head.role,
+                )
+                for index in unsettled
+            ]
+            if len(requests) == 1:
+                responses = [self._request(requests[0], QueryResponse)]
+            else:
+                # One pipelined write; a typed server error for any request
+                # raises only after the whole exchange has been drained.
+                responses = [
+                    self._typed(response, QueryResponse)
+                    for response in self._request_pipeline(requests)
+                ]
+            asked, unsettled = unsettled, []
+            for index, response in zip(asked, responses):
+                query = queries[index]
+                name = query.relation_name
+                identifier = response.manifest_id or self._pinned_ids[name]
+                manifest = self._attribute(name, identifier)
+                if manifest is None:
+                    unsettled.append(index)
+                    continue
+                report = None
+                if head.verify:
+                    self._check_freshness(
+                        name, manifest, identifier, response.attestation
                     )
-            report = None
-            if verify:
-                self._check_freshness(
-                    name, self._manifests[name], identifier,
-                    response.attestation,
+                    report = self._verify_answer(
+                        name, query, response.rows, response.proof,
+                        head.role, head.allow_incomplete,
+                    )
+                results[index] = VerifiedResult(
+                    rows=response.rows,
+                    report=report,
+                    proof=response.proof,
+                    manifest_id=identifier,
+                    manifest_sequence=manifest.sequence,
+                    attestation=response.attestation,
                 )
-                report = self._verify_answer(
-                    name, query, response.rows, response.proof,
-                    role, allow_incomplete,
-                )
-            return VerifiedResult(
-                rows=response.rows,
-                report=report,
-                proof=response.proof,
-                manifest_id=identifier,
-                manifest_sequence=self._manifests[name].sequence,
-                attestation=response.attestation,
-            )
-        self._chase_exhausted(
-            StaleManifestError(
-                f"relation {name!r} rotated more than {MAX_ROTATIONS_PER_CALL} "
-                "times within one query call"
-            )
-        )
+            if not unsettled:
+                return results
+        names = sorted({queries[index].relation_name for index in unsettled})
+        self._chase_exhausted(f"answers for {names}")
 
-    def _chase_exhausted(self, error: StaleManifestError) -> None:
-        """Surface an exhausted rotation chase; typed either way.
+    def _attribute(
+        self, relation_name: str, identifier: bytes
+    ) -> Optional[RelationManifest]:
+        """The manifest an answer stamped ``identifier`` is attributed to.
 
-        The chase loop is bounded like any other retry loop: with a
+        The one snapshot-attribution policy, shared by single, pipelined and
+        joined reads:
+
+        * the pinned id: the pinned manifest.
+        * otherwise the relation rotated: authenticate the latest rotation
+          against the trust root and re-pin.  The answer was built under the
+          snapshot current when it was answered (superseded ids route on
+          purpose), so when the refreshed pin matches the stamp it verifies
+          as-is.  A batch can carry several answers stamped with an id the
+          client has *already* chased past; the refresh then finds a rotation
+          that does not advance the pin — not a replay attack (nothing is
+          accepted), just "already current" — and the pin is kept.
+        * if the stamp still differs, the relation is rotating faster than
+          the client can re-pin (a streaming owner), which must not starve
+          the reader: rotations cannot change the owner key or any scheme
+          parameter (:meth:`_validate_rotation`), so the answer is exactly as
+          verifiable under the refreshed trust root.  Fetch the stamped
+          manifest by id, check that it hashes to the stamp and keeps those
+          parameters, and attribute to it *without* pinning it (the pin keeps
+          following the rotation chain).
+
+        ``None`` means the server no longer serves the stamp's manifest
+        (evicted history, or one that fails those checks): ask again.
+        """
+        if identifier == self._pinned_ids[relation_name]:
+            return self._manifests[relation_name]
+        try:
+            self.refresh_rotated_manifest(relation_name)
+        except StaleManifestError as error:
+            if error.reason != "rotation-replayed":
+                raise
+        pinned = self._manifests[relation_name]
+        if identifier == self._pinned_ids[relation_name]:
+            return pinned
+        try:
+            stamped = self._request(
+                ManifestByIdRequest(identifier), ManifestResponse
+            ).manifest
+        except (RemoteError, ServiceProtocolError):
+            return None
+        if manifest_id(stamped) == identifier and _same_parameters(stamped, pinned):
+            return stamped
+        return None
+
+    def _chase_exhausted(self, what: str) -> None:
+        """Surface a read loop that ran out of asks; typed either way.
+
+        The read loop is bounded like any other retry loop: with a
         :attr:`retry_policy` configured the exhaustion is reported as a
         :class:`~repro.service.retry.RetriesExhausted` (same type callers
         already handle for transport retries, carrying the underlying
         stale-manifest error); without one, the stale-manifest error itself
         is raised.
         """
+        error = StaleManifestError(
+            f"{what} stayed unattributable to a snapshot the server still "
+            f"serves for {MAX_ROTATIONS_PER_CALL} asks within one call"
+        )
         if self.retry_policy is not None:
             raise RetriesExhausted(
                 f"rotation chase exhausted: {error}",
@@ -1029,169 +1032,23 @@ class VerifyingClient(ServiceConnection):
             ) from error
         raise error
 
-    def _refresh_pin_tolerating_current(self, relation_name: str) -> None:
-        """Advance the pin along the rotation chain, if it advances at all.
-
-        In pipelined exchanges a batch can contain several answers built
-        under an id this client has *already* chased past — the follow-up
-        refresh then finds the server's latest rotation does not advance the
-        pin.  That is not a replayed-rotation attack (nothing was accepted),
-        just "already current": keep the pin and let the caller attribute the
-        answer via its hash-checked stamp.  Every other failure propagates.
-        """
-        try:
-            self.refresh_rotated_manifest(relation_name)
-        except StaleManifestError as error:
-            if error.reason != "rotation-replayed":
-                raise
-
-    def _manifest_for_stamp(
-        self, relation_name: str, stamp: bytes
-    ) -> Optional[RelationManifest]:
-        """The manifest an answer was stamped with, authenticated by its hash.
-
-        Used for snapshot attribution when the relation rotates faster than
-        the client can re-pin: the returned manifest is cross-checked to hash
-        to the stamp and to carry the pinned trust root's key and scheme
-        parameters, but is *not* pinned (the pin keeps following the rotation
-        chain).  Returns None when the server no longer serves the stamp's
-        manifest (evicted history).
-        """
-        try:
-            response: ManifestResponse = self._request(
-                ManifestByIdRequest(stamp), ManifestResponse
-            )
-        except (RemoteError, ServiceProtocolError):
-            return None
-        manifest = response.manifest
-        if manifest_id(manifest) != stamp:
-            return None
-        pinned = self._manifests.get(relation_name)
-        if pinned is not None and (
-            manifest.public_key != pinned.public_key
-            or manifest.schema != pinned.schema
-            or manifest.scheme != pinned.scheme
-            or manifest.scheme_kind != pinned.scheme_kind
-            or manifest.base != pinned.base
-            or manifest.hash_name != pinned.hash_name
-        ):
-            return None
-        return manifest
-
-    def _execute_query_many(
-        self,
-        queries: Sequence[Query],
-        role: Optional[str] = None,
-        verify: bool = True,
-        allow_incomplete: bool = False,
-    ) -> List[VerifiedResult]:
-        """Issue many queries down one pipelined exchange; verify each answer.
-
-        All requests are written back-to-back and the responses are read in
-        order, so a batch of N queries costs one network round trip instead
-        of N (the server interleaves other connections' work between the
-        frames; each answer is still an atomic snapshot).  Results come back
-        in query order.
-
-        A typed server error for any query raises its
-        :class:`~repro.service.protocol.RemoteError` after the whole exchange
-        has been drained (the connection stays usable).  Answers revealing a
-        manifest rotation are re-verified — or re-queried — through the
-        normal rotation-chasing path of :meth:`execute`.
-        """
-        queries = list(queries)
-        for name in {query.relation_name for query in queries}:
-            self._ensure_manifest(name)
-        requests = [
-            QueryRequest(
-                manifest_id=self._pinned_ids[query.relation_name],
-                query=query,
-                role=role,
-            )
-            for query in queries
-        ]
-        responses = self._request_pipeline(requests)
-        results: List[VerifiedResult] = []
-        for query, response in zip(queries, responses):
-            if isinstance(response, ErrorResponse):
-                raise RemoteError(response.code, response.reason, response.message)
-            if not isinstance(response, QueryResponse):
-                self.close()
-                raise ServiceProtocolError(
-                    f"expected a QueryResponse, got {type(response).__name__}"
-                )
-            name = query.relation_name
-            identifier = self._pinned_ids[name]
-            sequence = None
-            stamp_manifest: Optional[RelationManifest] = None
-            if response.manifest_id and response.manifest_id != identifier:
-                # The relation rotated under the pipeline: authenticate the
-                # rotation; if the answer was built under the refreshed pin
-                # it verifies as-is.  If the relation rotated *again*
-                # already, attribute the answer to the manifest it carries
-                # (hash-checked, parameter-identical — see
-                # :meth:`_manifest_for_stamp`) rather than re-querying, so
-                # a batch's answers keep their in-order attribution.
-                self._refresh_pin_tolerating_current(name)
-                identifier = self._pinned_ids[name]
-                if identifier != response.manifest_id:
-                    stamped = self._manifest_for_stamp(name, response.manifest_id)
-                    if stamped is None:
-                        # Stamp already evicted server-side: re-issue.
-                        results.append(
-                            self._execute_query(
-                                query,
-                                role=role,
-                                verify=verify,
-                                allow_incomplete=allow_incomplete,
-                            )
-                        )
-                        continue
-                    identifier = response.manifest_id
-                    sequence = stamped.sequence
-                    stamp_manifest = stamped
-            report = None
-            if verify:
-                self._check_freshness(
-                    name,
-                    stamp_manifest or self._manifests[name],
-                    identifier,
-                    response.attestation,
-                )
-                report = self._verify_answer(
-                    name, query, response.rows, response.proof,
-                    role, allow_incomplete,
-                )
-            results.append(
-                VerifiedResult(
-                    rows=response.rows,
-                    report=report,
-                    proof=response.proof,
-                    manifest_id=identifier,
-                    manifest_sequence=(
-                        self._manifests[name].sequence
-                        if sequence is None
-                        else sequence
-                    ),
-                    attestation=response.attestation,
-                )
-            )
-        return results
-
     def _execute_join(
         self, join: JoinQuery, role: Optional[str] = None, verify: bool = True
     ) -> VerifiedJoinResult:
         """Issue a PK-FK join query and verify completeness + authenticity.
 
-        Staleness is handled like single-relation queries, on either side of the join.
-        Both relations must be published under a scheme that supports
-        verifiable joins (currently only ``chain``); anything else is a typed
-        :class:`~repro.schemes.CompletenessUnsupported`.
+        The read loop of :meth:`execute_many` with two sides: each side is
+        attributed by :meth:`_attribute` and bounded by the freshness policy
+        independently, and the join is asked again only when a side's stamp
+        was evicted.  Both relations must be published under a scheme that
+        supports verifiable joins (currently only ``chain``); anything else
+        is a typed :class:`~repro.schemes.CompletenessUnsupported`.
         """
+        left, right = join.left_relation, join.right_relation
         for _ in range(MAX_ROTATIONS_PER_CALL):
-            left_id = self._ensure_manifest(join.left_relation)
-            right_id = self._ensure_manifest(join.right_relation)
-            for name in (join.left_relation, join.right_relation):
+            left_pin = self._ensure_manifest(left)
+            right_pin = self._ensure_manifest(right)
+            for name in (left, right):
                 scheme = self.scheme_for(name)
                 if not scheme.supports_joins:
                     raise CompletenessUnsupported(
@@ -1201,40 +1058,26 @@ class VerifyingClient(ServiceConnection):
                     )
             response: JoinResponse = self._request(
                 JoinRequest(
-                    left_manifest_id=left_id,
-                    right_manifest_id=right_id,
+                    left_manifest_id=left_pin,
+                    right_manifest_id=right_pin,
                     join=join,
                     role=role,
                 ),
                 JoinResponse,
             )
-            if response.left_manifest_id and response.left_manifest_id != left_id:
-                self.refresh_rotated_manifest(join.left_relation)
-                left_id = self._pinned_ids[join.left_relation]
-            if (
-                response.right_manifest_id
-                and response.right_manifest_id != right_id
-            ):
-                self.refresh_rotated_manifest(join.right_relation)
-                right_id = self._pinned_ids[join.right_relation]
-            if (response.left_manifest_id and left_id != response.left_manifest_id) or (
-                response.right_manifest_id
-                and right_id != response.right_manifest_id
-            ):
-                continue  # rotated again while refreshing; ask afresh
+            left_id = response.left_manifest_id or left_pin
+            right_id = response.right_manifest_id or right_pin
+            left_manifest = self._attribute(left, left_id)
+            right_manifest = self._attribute(right, right_id)
+            if left_manifest is None or right_manifest is None:
+                continue
             report = None
             if verify:
                 self._check_freshness(
-                    join.left_relation,
-                    self._manifests[join.left_relation],
-                    left_id,
-                    response.left_attestation,
+                    left, left_manifest, left_id, response.left_attestation
                 )
                 self._check_freshness(
-                    join.right_relation,
-                    self._manifests[join.right_relation],
-                    right_id,
-                    response.right_attestation,
+                    right, right_manifest, right_id, response.right_attestation
                 )
                 report = self.verifier.verify_join(
                     join, response.rows, response.proof, response.left_rows, role=role
@@ -1246,18 +1089,21 @@ class VerifyingClient(ServiceConnection):
                 proof=response.proof,
                 left_manifest_id=left_id,
                 right_manifest_id=right_id,
-                left_manifest_sequence=self._manifests[
-                    join.left_relation
-                ].sequence,
-                right_manifest_sequence=self._manifests[
-                    join.right_relation
-                ].sequence,
+                left_manifest_sequence=left_manifest.sequence,
+                right_manifest_sequence=right_manifest.sequence,
                 left_attestation=response.left_attestation,
                 right_attestation=response.right_attestation,
             )
-        self._chase_exhausted(
-            StaleManifestError(
-                f"join {join.left_relation!r}/{join.right_relation!r} kept "
-                f"rotating for {MAX_ROTATIONS_PER_CALL} attempts"
-            )
-        )
+        self._chase_exhausted(f"join {left!r}/{right!r}")
+
+
+def _same_parameters(a: RelationManifest, b: RelationManifest) -> bool:
+    """Whether two manifests agree on everything a rotation must preserve."""
+    return (
+        a.public_key == b.public_key
+        and a.schema == b.schema
+        and a.scheme == b.scheme
+        and a.scheme_kind == b.scheme_kind
+        and a.base == b.base
+        and a.hash_name == b.hash_name
+    )

@@ -93,7 +93,7 @@ def rebuild_stored_publication(
             "state for it",
             reason="store-missing",
         )
-    scheme_tag = getattr(manifest, "scheme", "chain") or "chain"
+    scheme_tag = manifest.scheme
     if state.scheme != scheme_tag:
         raise RecoveryError(
             f"relation {name!r}: the relation store says scheme "
@@ -151,10 +151,7 @@ def _build_shard(storage: PublicationStorage, shard: str, names) -> Dict[str, ob
 
 def _make_publisher(shard: str, publications: Dict[str, object]):
     """One publisher object per shard; every relation must share one scheme."""
-    tags = {
-        getattr(publication.manifest, "scheme", "chain") or "chain"
-        for publication in publications.values()
-    }
+    tags = {publication.manifest.scheme for publication in publications.values()}
     if len(tags) != 1:
         raise RecoveryError(
             f"shard {shard!r} mixes proof schemes {sorted(tags)}; one shard "

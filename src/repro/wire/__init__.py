@@ -1,13 +1,13 @@
 """Wire format for verification objects and publication metadata.
 
 This package gives every proof artifact of the reproduction a **canonical,
-versioned, length-prefixed binary encoding** (plus a JSON debug codec), so
+versioned, length-prefixed binary encoding** (plus a JSON debug printer), so
 that query answers and their verification objects can actually cross a
 network or be persisted — the client/server separation the paper's data
 publishing model (Figure 3) assumes.
 
 * :func:`encode` / :func:`decode` — framed binary codec, strict validation
-* :func:`to_json` / :func:`from_json` — human-readable debug mirror
+* :func:`to_json` / :func:`to_json_obj` — human-readable debug printer
 * :func:`manifest_id` — 32-byte routing/commitment id of a relation manifest
 * :class:`WireFormatError` — typed rejection of malformed bytes
 """
@@ -16,8 +16,6 @@ from repro.wire.codec import (
     WIRE_VERSION,
     decode,
     encode,
-    from_json,
-    from_json_obj,
     manifest_id,
     register_artifact,
     to_json,
@@ -42,8 +40,6 @@ __all__ = [
     "UpdateResponse",
     "decode",
     "encode",
-    "from_json",
-    "from_json_obj",
     "manifest_id",
     "manifest_signing_message",
     "register_artifact",

@@ -23,12 +23,12 @@ tags — with a typed :class:`~repro.wire.errors.WireFormatError`.  Round-trip
 identity (``decode(encode(x)) == x`` and ``encode(decode(b)) == b``) is locked
 in by golden vectors under ``tests/golden/``.
 
-A JSON debug codec (:func:`to_json` / :func:`from_json`) mirrors the same
-field model with hex-encoded byte strings, for logging and troubleshooting;
-the binary format is the one that crosses the network.
+A JSON debug printer (:func:`to_json`) mirrors the same field model with
+hex-encoded byte strings, for logging and troubleshooting; it is one-way —
+the binary format is the one that crosses the network and the only one read.
 
 Each codec is declared as a field-spec table, so the binary writer, the binary
-reader and both JSON directions are always generated from one source of truth.
+reader and the JSON printer are always generated from one source of truth.
 There is one decode path: each artifact's table is compiled, on first use,
 into one flat ``read_body`` function whose every byte-level read is a call
 into the strict :class:`~repro.wire.primitives.WireReader` primitives.
@@ -72,9 +72,7 @@ __all__ = [
     "encode",
     "decode",
     "to_json",
-    "from_json",
     "to_json_obj",
-    "from_json_obj",
     "manifest_id",
     "register_artifact",
     "WIRE_VERSION",
@@ -134,22 +132,12 @@ class _Field:
     def to_json(self, value):
         raise NotImplementedError
 
-    def from_json(self, obj, what: str):
-        raise NotImplementedError
-
 
 def _bind(bindings: Dict[str, object], prefix: str, value) -> str:
     """Register ``value`` under a fresh name in a codegen namespace."""
     name = f"_{prefix}{len(bindings)}"
     bindings[name] = value
     return name
-
-
-def _json_type_error(what: str, expected: str, obj) -> WireFormatError:
-    return WireFormatError(
-        f"JSON field {what} must be {expected}, got {type(obj).__name__}",
-        reason="bad-json",
-    )
 
 
 class _Int(_Field):
@@ -162,11 +150,6 @@ class _Int(_Field):
     def to_json(self, value):
         return int(value)
 
-    def from_json(self, obj, what):
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            raise _json_type_error(what, "an integer", obj)
-        return obj
-
 
 class _Bool(_Field):
     def write(self, writer, value):
@@ -177,11 +160,6 @@ class _Bool(_Field):
 
     def to_json(self, value):
         return bool(value)
-
-    def from_json(self, obj, what):
-        if not isinstance(obj, bool):
-            raise _json_type_error(what, "a boolean", obj)
-        return obj
 
 
 class _Str(_Field):
@@ -194,11 +172,6 @@ class _Str(_Field):
     def to_json(self, value):
         return str(value)
 
-    def from_json(self, obj, what):
-        if not isinstance(obj, str):
-            raise _json_type_error(what, "a string", obj)
-        return obj
-
 
 class _Bytes(_Field):
     def write(self, writer, value):
@@ -209,16 +182,6 @@ class _Bytes(_Field):
 
     def to_json(self, value):
         return bytes(value).hex()
-
-    def from_json(self, obj, what):
-        if not isinstance(obj, str):
-            raise _json_type_error(what, "a hex string", obj)
-        try:
-            return bytes.fromhex(obj)
-        except ValueError:
-            raise WireFormatError(
-                f"JSON field {what} is not valid hex", reason="bad-json"
-            ) from None
 
 
 class _Scalar(_Field):
@@ -234,20 +197,6 @@ class _Scalar(_Field):
         if isinstance(value, (bytes, bytearray, memoryview)):
             return {"__bytes__": bytes(value).hex()}
         return value
-
-    def from_json(self, obj, what):
-        if isinstance(obj, dict):
-            if set(obj) != {"__bytes__"} or not isinstance(obj["__bytes__"], str):
-                raise _json_type_error(what, "a scalar or {'__bytes__': hex}", obj)
-            try:
-                return bytes.fromhex(obj["__bytes__"])
-            except ValueError:
-                raise WireFormatError(
-                    f"JSON field {what} is not valid hex", reason="bad-json"
-                ) from None
-        if obj is None or isinstance(obj, (bool, int, float, str)):
-            return obj
-        raise _json_type_error(what, "a scalar", obj)
 
 
 class _FixedBytes(_Field):
@@ -273,22 +222,6 @@ class _FixedBytes(_Field):
     def to_json(self, value):
         return bytes(value).hex()
 
-    def from_json(self, obj, what):
-        if not isinstance(obj, str):
-            raise _json_type_error(what, "a hex string", obj)
-        try:
-            raw = bytes.fromhex(obj)
-        except ValueError:
-            raise WireFormatError(
-                f"JSON field {what} is not valid hex", reason="bad-json"
-            ) from None
-        if len(raw) != self.size:
-            raise WireFormatError(
-                f"JSON field {what} must be {self.size} bytes, got {len(raw)}",
-                reason="bad-json",
-            )
-        return raw
-
 
 class _Optional(_Field):
     def __init__(self, inner: _Field) -> None:
@@ -307,9 +240,6 @@ class _Optional(_Field):
 
     def to_json(self, value):
         return None if value is None else self.inner.to_json(value)
-
-    def from_json(self, obj, what):
-        return None if obj is None else self.inner.from_json(obj, what)
 
 
 class _Tuple(_Field):
@@ -333,13 +263,6 @@ class _Tuple(_Field):
     def to_json(self, value):
         return [self.inner.to_json(item) for item in value]
 
-    def from_json(self, obj, what):
-        if not isinstance(obj, list):
-            raise _json_type_error(what, "a list", obj)
-        return tuple(
-            self.inner.from_json(item, f"{what}[{i}]") for i, item in enumerate(obj)
-        )
-
 
 class _Pair(_Field):
     def __init__(self, first: _Field, second: _Field) -> None:
@@ -360,14 +283,6 @@ class _Pair(_Field):
     def to_json(self, value):
         a, b = value
         return [self.first.to_json(a), self.second.to_json(b)]
-
-    def from_json(self, obj, what):
-        if not isinstance(obj, list) or len(obj) != 2:
-            raise _json_type_error(what, "a 2-element list", obj)
-        return (
-            self.first.from_json(obj[0], f"{what}.0"),
-            self.second.from_json(obj[1], f"{what}.1"),
-        )
 
 
 class _Map(_Field):
@@ -420,24 +335,6 @@ class _Map(_Field):
             str(k): self.value.to_json(v) for k, v in sorted(value.items())
         }
 
-    def from_json(self, obj, what):
-        if not isinstance(obj, dict):
-            raise _json_type_error(what, "an object", obj)
-        result = {}
-        for k, v in obj.items():
-            if isinstance(self.key, _Int):
-                try:
-                    key = int(k)
-                except (ValueError, TypeError):
-                    raise WireFormatError(
-                        f"map key {k!r} of {what} is not an integer",
-                        reason="bad-json",
-                    ) from None
-            else:
-                key = k
-            result[key] = self.value.from_json(v, f"{what}[{k}]")
-        return result
-
 
 class _Nested(_Field):
     """An embedded artifact of one fixed type (body-only, no tag)."""
@@ -463,11 +360,6 @@ class _Nested(_Field):
 
     def to_json(self, value):
         return self._codec().json_body(value)
-
-    def from_json(self, obj, what):
-        if not isinstance(obj, dict):
-            raise _json_type_error(what, "an object", obj)
-        return _codec_for_type(self.cls).unjson_body(obj)
 
 
 class _Union(_Field):
@@ -513,19 +405,6 @@ class _Union(_Field):
         codec = _codec_for_type(type(value))
         return {"type": codec.name, "body": codec.json_body(value)}
 
-    def from_json(self, obj, what):
-        if not isinstance(obj, dict) or set(obj) != {"type", "body"}:
-            raise _json_type_error(what, "a {'type','body'} object", obj)
-        codec = _NAMES.get(obj["type"])
-        if codec is None or codec.cls not in self.classes:
-            raise WireFormatError(
-                f"JSON type {obj['type']!r} of {what} is not in this union",
-                reason="bad-union-tag",
-            )
-        if not isinstance(obj["body"], dict):
-            raise _json_type_error(what, "an object body", obj["body"])
-        return codec.unjson_body(obj["body"])
-
 
 class _EnumStr(_Field):
     """A string restricted to a fixed set of values (validated on decode)."""
@@ -548,11 +427,6 @@ class _EnumStr(_Field):
     def to_json(self, value):
         return str(value)
 
-    def from_json(self, obj, what):
-        if not isinstance(obj, str) or obj not in self.allowed:
-            raise _json_type_error(what, f"one of {sorted(self.allowed)}", obj)
-        return obj
-
 
 class _AttrType(_Field):
     """:class:`~repro.db.schema.AttributeType` as its canonical value string."""
@@ -571,12 +445,6 @@ class _AttrType(_Field):
 
     def to_json(self, value):
         return value.value
-
-    def from_json(self, obj, what):
-        try:
-            return AttributeType(obj)
-        except (ValueError, TypeError):
-            raise _json_type_error(what, "an attribute type string", obj)
 
 
 INT = _Int()
@@ -634,15 +502,6 @@ class _ArtifactCodec:
             f"decoded fields do not form a valid {self.name}: {error}",
             reason="invalid-artifact",
         )
-
-    def _construct(self, kwargs: Dict[str, object]):
-        try:
-            artifact = self.cls(**kwargs)
-        except (ValueError, TypeError, KeyError) as error:
-            raise self._invalid(error) from None
-        if self.post is not None:
-            self.post(artifact)
-        return artifact
 
     def write_body(self, writer: WireWriter, artifact) -> None:
         for name, field in self.fields:
@@ -733,24 +592,9 @@ class _ArtifactCodec:
             for name, field in self.fields
         }
 
-    def unjson_body(self, body: Dict[str, object]):
-        expected = {name for name, _ in self.fields}
-        if set(body) != expected:
-            raise WireFormatError(
-                f"JSON body of {self.name} must have exactly the fields "
-                f"{sorted(expected)}, got {sorted(body)}",
-                reason="bad-json",
-            )
-        kwargs = {
-            name: field.from_json(body[name], f"{self.name}.{name}")
-            for name, field in self.fields
-        }
-        return self._construct(kwargs)
-
 
 _TAGS: Dict[int, _ArtifactCodec] = {}
 _TYPES: Dict[type, _ArtifactCodec] = {}
-_NAMES: Dict[str, _ArtifactCodec] = {}
 
 
 def register_artifact(
@@ -772,7 +616,6 @@ def register_artifact(
     codec = _ArtifactCodec(tag, cls, fields, post)
     _TAGS[tag] = codec
     _TYPES[cls] = codec
-    _NAMES[codec.name] = codec
 
 
 def _codec_for_type(cls: type) -> _ArtifactCodec:
@@ -1132,38 +975,9 @@ def to_json_obj(artifact) -> Dict[str, object]:
     }
 
 
-def from_json_obj(obj: Dict[str, object]):
-    """Rebuild an artifact from its JSON debug representation."""
-    if not isinstance(obj, dict):
-        raise WireFormatError("JSON artifact must be an object", reason="bad-json")
-    if obj.get("format") != f"repro-wire-json/{WIRE_VERSION}":
-        raise WireFormatError(
-            f"unsupported JSON format marker {obj.get('format')!r}",
-            reason="bad-version",
-        )
-    codec = _NAMES.get(obj.get("type"))
-    if codec is None:
-        raise WireFormatError(
-            f"unknown artifact type {obj.get('type')!r}", reason="bad-tag"
-        )
-    body = obj.get("body")
-    if not isinstance(body, dict):
-        raise WireFormatError("JSON artifact body must be an object", reason="bad-json")
-    return codec.unjson_body(body)
-
-
 def to_json(artifact, indent: Optional[int] = None) -> str:
     """Serialise ``artifact`` to a JSON debug string."""
     return json.dumps(to_json_obj(artifact), indent=indent, sort_keys=True)
-
-
-def from_json(text: str):
-    """Parse a JSON debug string back into an artifact."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise WireFormatError(f"invalid JSON: {error}", reason="bad-json") from None
-    return from_json_obj(obj)
 
 
 def manifest_id(manifest: RelationManifest) -> bytes:

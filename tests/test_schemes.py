@@ -36,6 +36,7 @@ from repro.schemes import (
     scheme_of,
 )
 from repro.service import (
+    FailoverClient,
     OwnerClient,
     PublicationServer,
     QuerySpec,
@@ -205,6 +206,69 @@ def test_vacuous_range_needs_no_proof(scheme_world, scheme_client):
     result = scheme_client.execute(QuerySpec(empty, allow_incomplete=allow))
     assert result.rows == ()
     assert result.proof is None
+
+
+# -- a publisher answering under the wrong scheme -------------------------------
+
+
+class _WrongVOPublisher:
+    """Hosts one scheme's publication but answers with another scheme's VO.
+
+    ``QueryResponse.proof`` is a wire union over every registered VO type, so
+    nothing at the codec layer stops a publisher from doing this.
+    """
+
+    def __init__(self, honest, liar):
+        self._honest, self._liar = honest, liar
+
+    def __getattr__(self, name):
+        return getattr(self._honest, name)
+
+    def answer(self, query, role=None):
+        return self._liar.answer(query, role=role)
+
+
+def _lying_publisher(scheme_name, signature_scheme):
+    _, honest = _publish(scheme_name, signature_scheme)
+    other = "naive" if scheme_name != "naive" else "vbtree"
+    _, liar = _publish(other, signature_scheme)
+    return honest, _WrongVOPublisher(honest, liar)
+
+
+@pytest.mark.parametrize("scheme_name", available_schemes())
+def test_wrong_scheme_vo_over_the_wire_is_a_typed_mismatch(
+    scheme_name, signature_scheme
+):
+    """Every scheme's client refuses a foreign VO with the frozen reason —
+    never a raw AttributeError out of a verifier reading the wrong fields."""
+    _, lying = _lying_publisher(scheme_name, signature_scheme)
+    router = ShardRouter({"shard": lying})
+    with PublicationServer(router, config=ServerConfig(max_workers=2)) as server:
+        with VerifyingClient(*server.address) as client:
+            with pytest.raises(VerificationError) as excinfo:
+                client.execute(QuerySpec(RANGE_QUERY, allow_incomplete=True))
+    assert (type(excinfo.value).__name__, excinfo.value.reason) == _WRONG_VO
+
+
+def test_failover_leaves_a_replica_answering_under_the_wrong_scheme(
+    signature_scheme,
+):
+    """The lying replica is distrusted and the honest one answers."""
+    honest, lying = _lying_publisher("chain", signature_scheme)
+    config = ServerConfig(max_workers=2)
+    with PublicationServer(
+        ShardRouter({"shard": lying}), config=config
+    ) as liar, PublicationServer(
+        ShardRouter({"shard": honest}), config=config
+    ) as replica:
+        with FailoverClient(
+            [liar.address, replica.address], failure_threshold=1
+        ) as client:
+            result = client.execute(QuerySpec(RANGE_QUERY))
+            assert result.report is not None and result.rows
+            stats = client.stats()
+            assert stats["failovers"] == 1
+            assert stats["endpoint_states"][liar.address] == "open"
 
 
 # -- cross-scheme tamper property ---------------------------------------------

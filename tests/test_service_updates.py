@@ -8,20 +8,26 @@ regression — receipts replayed through the wire round-trip reproduce exactly
 the digest/signature/chain-message accounting of the in-process path.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.errors import UpdateApplicationError
 from repro.core.publisher import Publisher
 from repro.core.relational import UpdateReceipt
 from repro.db import workload
-from repro.db.query import Conjunction, Query, RangeCondition
+from repro.db.query import Conjunction, JoinQuery, Query, RangeCondition
+from repro.schemes import SchemeMismatchError
 from repro.service import (
+    JoinRequest,
     OwnerClient,
     PublicationServer,
+    QueryRequest,
     QuerySpec,
     RecordDelta,
     RemoteError,
     ServerConfig,
+    RotationRequest,
     ServiceError,
     ShardRouter,
     StaleManifestError,
@@ -553,3 +559,160 @@ def test_publisher_apply_deltas_is_typed_in_process(owner):
             "employees",
             (RecordDelta(kind="insert", values={"salary": "not-an-int"}),),
         )
+
+
+# -- one attribution policy, three read shapes --------------------------------
+#
+# A single read, a pipelined batch and a join attribute their answers to a
+# snapshot through the same routine, so every scenario below must end the
+# same way whatever the shape: same snapshot, same follow-up frames, same
+# typed refusal.  Nothing races: the rotations are scripted between one of the
+# server's responses and the client's next frame.
+
+ORDERS = Query("orders", Conjunction((RangeCondition("customer_id", 0, 1_000),)))
+ORDERS_JOIN = JoinQuery("orders", "customers", "customer_id", "customer_id")
+
+
+class _ScriptedClient(VerifyingClient):
+    """Logs each round trip and runs ``script(kind)`` once it is answered.
+
+    A round trip's kind is ``"ask"`` for a query, a join or a pipelined batch
+    of queries, the request's class name otherwise.
+    """
+
+    frames = ()
+    script = staticmethod(lambda kind: None)
+    rewrite_rotation = None
+
+    def _round_trip(self, kind, exchange):
+        self.frames = [*self.frames, kind]
+        response = exchange()
+        self.script(kind)
+        return response
+
+    def _request(self, message, expect):
+        is_ask = isinstance(message, (QueryRequest, JoinRequest))
+        response = self._round_trip(
+            "ask" if is_ask else type(message).__name__,
+            lambda: VerifyingClient._request(self, message, expect),
+        )
+        if isinstance(message, RotationRequest) and self.rewrite_rotation:
+            response = self.rewrite_rotation(response)
+        return response
+
+    def _request_pipeline(self, messages):
+        return self._round_trip(
+            "ask", lambda: VerifyingClient._request_pipeline(self, messages)
+        )
+
+
+def _read(client, shape):
+    """One read of ``shape``: the (manifest id, sequence) of each orders answer."""
+    if shape == "join":
+        result = client.execute(QuerySpec(ORDERS_JOIN))
+        assert result.report is not None
+        assert result.right_manifest_sequence == 0  # customers never rotate
+        return [(result.left_manifest_id, result.left_manifest_sequence)]
+    if shape == "single":
+        results = [client.execute(QuerySpec(ORDERS))]
+    else:
+        results = client.execute_many([QuerySpec(ORDERS)] * 3)
+    assert all(result.report is not None for result in results)
+    return [(result.manifest_id, result.manifest_sequence) for result in results]
+
+
+@pytest.mark.parametrize("shape", ["single", "batch", "join"])
+@pytest.mark.parametrize(
+    "scenario, attributed, follow_ups, refusal",
+    [
+        ("pinned", 0, [], None),
+        ("rotated-once", 1, ["RotationRequest"], None),
+        # A streaming owner: the relation rotates again before the refresh
+        # lands, and again before anything the client could send next.
+        ("rotated-twice", 1, ["RotationRequest", "ManifestByIdRequest"], None),
+        # The stamp falls out of the server's history before the refresh.
+        ("stamp-evicted", 4, ["RotationRequest", "ManifestByIdRequest"], None),
+        ("forged-rotation", None, ["RotationRequest"], "rotation-forged"),
+        ("scheme-swap", None, ["RotationRequest"], "scheme-mismatch"),
+    ],
+)
+def test_one_attribution_policy_for_every_read_shape(
+    owner, forged_scheme, monkeypatch, shape, scenario, attributed, follow_ups, refusal
+):
+    import repro.service.router as router_module
+
+    customers, orders = workload.generate_customers_and_orders(6, 10, seed=3)
+    database = owner.publish_database({"customers": customers, "orders": orders})
+    signed = database["orders"]
+    router = ShardRouter({"sales": Publisher(database.relations)})
+    if scenario == "stamp-evicted":
+        monkeypatch.setattr(router_module, "MAX_SUPERSEDED_PER_RELATION", 1)
+    with PublicationServer(router, config=ServerConfig(max_workers=4)) as server:
+        host, port = server.address
+        with OwnerClient(
+            host, port, owner.signature_scheme
+        ) as owner_client, _ScriptedClient(
+            host, port, trusted_manifests=dict(database.manifests)
+        ) as client:
+            ids = [manifest_id(signed.manifest)]
+
+            def rotate():
+                owner_client.insert(
+                    "orders",
+                    {
+                        "customer_id": customers.records[0].key,
+                        "order_id": f"late-{len(ids)}",
+                        "amount": len(ids),
+                        "status": "open",
+                    },
+                )
+                ids.append(manifest_id(signed.manifest))
+
+            def script(kind):
+                if scenario == "rotated-twice" and kind != "ManifestByIdRequest":
+                    rotate()
+                elif scenario == "stamp-evicted" and len(ids) == 2:
+                    for _ in range(3):
+                        rotate()
+
+            def resign(rotation, manifest, scheme):
+                return ManifestRotated(
+                    manifest=manifest,
+                    previous_id=rotation.previous_id,
+                    owner_signature=scheme.sign(
+                        manifest_signing_message(manifest, rotation.previous_id)
+                    ),
+                )
+
+            if scenario == "forged-rotation":
+                client.rewrite_rotation = lambda rotation: resign(
+                    rotation, rotation.manifest, forged_scheme
+                )
+            elif scenario == "scheme-swap":
+                client.rewrite_rotation = lambda rotation: resign(
+                    rotation,
+                    dataclasses.replace(rotation.manifest, scheme="naive"),
+                    owner.signature_scheme,
+                )
+            if scenario != "pinned":
+                rotate()  # the answer will be stamped 1; the client pins 0
+            client.script = script
+
+            answers = 3 if shape == "batch" else 1
+            if refusal is not None:
+                with pytest.raises((StaleManifestError, SchemeMismatchError)) as excinfo:
+                    _read(client, shape)
+                assert excinfo.value.reason == refusal
+                assert client.frames == ["ask"] + follow_ups
+                pinned = 0
+            else:
+                assert _read(client, shape) == [(ids[attributed], attributed)] * answers
+                # A refreshed pin that matches the stamp settles the rest of
+                # the batch too; an answer the pin has overtaken is followed
+                # up on its own, and only an evicted stamp is asked for again.
+                overtaken = answers if "ManifestByIdRequest" in follow_ups else 1
+                re_ask = ["ask"] if scenario == "stamp-evicted" else []
+                assert client.frames == ["ask"] + follow_ups * overtaken + re_ask
+                pinned = 1 + overtaken if scenario == "rotated-twice" else attributed
+            assert client._manifests["orders"].sequence == pinned
+            assert client.rotations_observed == ({"orders": pinned} if pinned else {})

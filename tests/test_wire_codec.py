@@ -29,9 +29,7 @@ from repro.wire import (
     codec,
     decode,
     encode,
-    from_json,
     manifest_id,
-    to_json,
 )
 
 
@@ -43,12 +41,11 @@ def employee_world(employees_100):
 
 
 def _roundtrip(artifact):
-    """Assert binary and JSON round-trip identity; return the wire bytes."""
+    """Assert binary round-trip identity; return the wire bytes."""
     blob = encode(artifact)
     decoded = decode(blob)
     assert decoded == artifact
     assert encode(decoded) == blob, "re-encoding must be canonical"
-    assert from_json(to_json(artifact)) == artifact
     return blob
 
 
@@ -260,15 +257,6 @@ def test_decode_rejects_non_minimal_int():
     _expect_reject(tampered)
 
 
-def test_json_rejects_garbage():
-    with pytest.raises(WireFormatError):
-        from_json("not json at all")
-    with pytest.raises(WireFormatError):
-        from_json('{"format": "repro-wire-json/1", "type": "Nope", "body": {}}')
-    with pytest.raises(WireFormatError):
-        from_json('{"format": "repro-wire-json/9", "type": "Query", "body": {}}')
-
-
 def test_manifest_id_distinguishes_relations(customers_orders):
     _, _, database = customers_orders
     ids = {
@@ -291,11 +279,11 @@ def test_registration_refuses_fields_out_of_constructor_order():
 
     unused_tag = 0xF0
     assert unused_tag not in codec._TAGS
-    registries = (dict(codec._TAGS), dict(codec._TYPES), dict(codec._NAMES))
+    registries = (dict(codec._TAGS), dict(codec._TYPES))
     with pytest.raises(ValueError, match="Swapped"):
         codec.register_artifact(
             unused_tag, Swapped, [("second", codec.STR), ("first", codec.INT)]
         )
-    assert (codec._TAGS, codec._TYPES, codec._NAMES) == registries
+    assert (codec._TAGS, codec._TYPES) == registries
     with pytest.raises(ValueError):
         encode(Swapped(1, "x"))

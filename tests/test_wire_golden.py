@@ -49,7 +49,7 @@ from repro.db.query import (
     RangeCondition,
 )
 from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
-from repro.wire import WireFormatError, decode, encode, from_json, to_json, updates
+from repro.wire import WireFormatError, decode, encode, to_json, updates
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_vectors.json")
 OUTCOMES_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_outcomes.json")
@@ -374,7 +374,6 @@ def test_golden_vector(name):
     )
     assert decode(blob) == artifact
     assert json.loads(to_json(artifact)) == golden["json"]
-    assert from_json(json.dumps(golden["json"])) == artifact
 
 
 def test_previous_wire_version_rejected_with_typed_error():
