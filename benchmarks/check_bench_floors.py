@@ -6,7 +6,8 @@ produced in CI) against the speedup floors stored in the committed
 measured speedup is below its floor, when a cold range read performs more
 hashes than the stored ceiling, when a bulk ``sign_batch`` stops scaling
 across the runner's cores, or — if the fresh report carries the wire/service
-workloads — when decoding fell below its floor against encoding.
+workloads — when decoding fell below its floor against encoding or an owner
+update stales more of a cached read pool than the chain window it touched.
 
 Usage::
 
@@ -210,6 +211,7 @@ def _check_wire(floors: dict, fresh: dict, failures: list) -> None:
                     "plain verified throughput (the attestation-check floor "
                     "is 0.85x)"
                 )
+    _check_update_locality(floors, workloads.get("update_locality"), failures)
     availability = workloads.get("replica_failover_availability")
     if availability is None:
         failures.append(
@@ -233,6 +235,38 @@ def _check_wire(floors: dict, fresh: dict, failures: list) -> None:
                 f"the failover workload accepted {unverified} unverified "
                 "answer(s); every accepted answer must be verified"
             )
+
+
+def _check_update_locality(floors: dict, locality, failures: list) -> None:
+    """Exact and machine-independent: what a seeded stream of owner updates
+    leaves of a cached read pool.  The publisher's answers per read rise, and
+    the response cache's hit ratio falls, when an update goes back to
+    invalidating more than the chain window it touched."""
+    ceiling = floors.get("update_locality_answers_per_read_max")
+    floor = floors.get("update_locality_hit_ratio_min")
+    if ceiling is None or floor is None:
+        failures.append("committed report is missing the 'update_locality_*' bounds")
+        return
+    if locality is None:
+        failures.append("fresh report is missing workload 'update_locality'")
+        return
+    answers = locality.get("answers_per_read", float("inf"))
+    ratio = locality.get("response_cache_hit_ratio", 0.0)
+    status = "ok" if answers <= ceiling and ratio >= floor else "REGRESSION"
+    print(
+        f"update_locality              {answers:.4f} answers/read  ceiling {ceiling:4.2f}, "
+        f"hit ratio {ratio:.4f}  floor {floor:4.2f}   {status}"
+    )
+    if answers > ceiling:
+        failures.append(
+            f"the publisher builds {answers:.4f} answers per pooled read under "
+            f"updates (the ceiling is {ceiling:.2f})"
+        )
+    if ratio < floor:
+        failures.append(
+            f"the response cache's hit ratio under updates fell to {ratio:.4f} "
+            f"(the floor is {floor:.2f})"
+        )
 
 
 def _check_schemes(fresh: dict, failures: list) -> None:

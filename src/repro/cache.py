@@ -17,7 +17,7 @@ Two interfaces:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Optional, TypeVar
+from typing import Dict, Generic, Optional, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -111,12 +111,6 @@ class BoundedCache(Generic[K, V]):
             self._weights[key] = weight
             self.total_weight += weight
         return value
-
-    def evict_while(self, stale: Callable[[V], bool]) -> None:
-        """Evict from the old end for as long as ``stale(oldest value)`` holds."""
-        data = self._data
-        while data and stale(data[next(iter(data))]):
-            self._evict_oldest()
 
     def stats(self) -> CacheStats:
         """Hits/misses/evictions plus the current and maximum size."""

@@ -137,6 +137,10 @@ class PublishedResult:
     rows: List[Dict[str, object]]
     proof: Optional[RangeQueryProof]
     rewritten_query: Query
+    #: Closed sort-key interval of the chain entries the answer read (see
+    #: :func:`_chain_window`), ``None`` if unbounded.  In-process only: a
+    #: server tells by it which later updates could have changed the answer.
+    window: Optional[Tuple[int, int]] = None
 
     @property
     def is_vacuous(self) -> bool:
@@ -157,6 +161,19 @@ class PublishedJoinResult:
     def is_vacuous(self) -> bool:
         """True when the (rewritten) key range was empty and no proof is required."""
         return self.proof is None
+
+
+def _chain_window(signed: SignedRelation, start: int, stop: int) -> Tuple[int, int]:
+    """Keys bounding every chain entry an answer over records ``[start, stop)`` reads.
+
+    Section 6.3's update locality, read backwards: a mutation re-signs the
+    entries next to the key it touches and no other, so the answer stays
+    exact while no touched key falls in this interval — from the entry below
+    the lower boundary entry (an empty range ships ``g`` of that outer
+    neighbour) to the entry above the upper one, clamped at the delimiters.
+    """
+    last = signed.entry_count() - 1
+    return signed.entry(max(start - 1, 0)).key, signed.entry(min(stop + 2, last)).key
 
 
 class Publisher:
@@ -308,7 +325,9 @@ class Publisher:
             signatures=bundle,
             outer_neighbor_digest=outer_digest,
         )
-        return PublishedResult(rewritten.relation_name, rows, proof, rewritten)
+        return PublishedResult(
+            rewritten.relation_name, rows, proof, rewritten, _chain_window(signed, start, stop)
+        )
 
     # -- proof building blocks ---------------------------------------------------------
 

@@ -16,6 +16,7 @@ benchmarks.
 from __future__ import annotations
 
 import contextlib
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import (
@@ -241,19 +242,32 @@ class ResultVerifier:
                 reason="range-mismatch",
             )
 
+        projection = rewritten.projection
         upper_scheme, lower_scheme = self._chain_schemes(manifest)
-        hash_function = manifest.hash_function()
-        domain = manifest.domain
+        # What every entry of this answer is checked against: derived once
+        # here, not once per row.
+        constants = SimpleNamespace(
+            key_name=schema.key,
+            domain=manifest.domain,
+            upper_scheme=upper_scheme,
+            lower_scheme=lower_scheme,
+            hash_function=manifest.hash_function(),
+            expected_names=set(projection.effective_attributes(schema)),
+            # (non-key attribute, its encoded name: the head of its leaf payload)
+            leaf_heads=[
+                (attribute.name, encode_many([attribute.name]))
+                for attribute in schema.non_key_attributes
+            ],
+        )
 
         lower_digest = self._boundary_digest(
-            proof.lower_boundary, "lower", alpha, beta, manifest
+            proof.lower_boundary, "lower", alpha, beta, constants
         )
         upper_digest = self._boundary_digest(
-            proof.upper_boundary, "upper", alpha, beta, manifest
+            proof.upper_boundary, "upper", alpha, beta, constants
         )
 
         non_key_conditions = rewritten.where.non_key_conditions(schema)
-        projection = rewritten.projection
         entry_digests: List[bytes] = []
         row_iterator = iter(rows)
         consumed_rows = 0
@@ -262,7 +276,7 @@ class ResultVerifier:
             if isinstance(entry, MatchedEntryProof):
                 if entry.eliminated_duplicate:
                     digest = self._duplicate_entry_digest(
-                        entry, rows, alpha, beta, manifest, projection
+                        entry, rows, alpha, beta, constants, projection
                     )
                 else:
                     try:
@@ -274,17 +288,11 @@ class ResultVerifier:
                         ) from None
                     consumed_rows += 1
                     digest = self._matched_entry_digest(
-                        entry,
-                        row,
-                        alpha,
-                        beta,
-                        manifest,
-                        projection,
-                        non_key_conditions,
+                        entry, row, alpha, beta, constants, non_key_conditions
                     )
             elif isinstance(entry, FilteredEntryProof):
                 digest = self._filtered_entry_digest(
-                    entry, manifest, non_key_conditions, role
+                    entry, constants, non_key_conditions, role
                 )
             else:  # pragma: no cover - defensive
                 raise VerificationError("unknown proof entry type")
@@ -297,7 +305,7 @@ class ResultVerifier:
             )
 
         messages = self._chain_messages(
-            proof, lower_digest, upper_digest, entry_digests, hash_function
+            proof, lower_digest, upper_digest, entry_digests, constants.hash_function
         )
         bundle = proof.signatures
         failure = check_signature_bundle(
@@ -326,7 +334,7 @@ class ResultVerifier:
         expected_side: str,
         alpha: int,
         beta: int,
-        manifest: RelationManifest,
+        constants: SimpleNamespace,
     ) -> bytes:
         """Reassemble ``g`` for a boundary record from its boundary proof."""
         if boundary.side != expected_side:
@@ -334,16 +342,15 @@ class ResultVerifier:
                 f"expected a {expected_side!r} boundary proof, got {boundary.side!r}",
                 reason="boundary-side-mismatch",
             )
-        upper_scheme, lower_scheme = self._chain_schemes(manifest)
-        domain = manifest.domain
+        domain = constants.domain
         if expected_side == "lower":
-            derived = upper_scheme.recompute_from_boundary(
+            derived = constants.upper_scheme.recompute_from_boundary(
                 domain.upper - alpha, boundary.chain_boundary
             )
             return concat_digests(
                 derived, boundary.other_chain_digest, boundary.attribute_root
             )
-        derived = lower_scheme.recompute_from_boundary(
+        derived = constants.lower_scheme.recompute_from_boundary(
             beta - domain.lower, boundary.chain_boundary
         )
         return concat_digests(
@@ -351,14 +358,13 @@ class ResultVerifier:
         )
 
     def _entry_chain_digests(
-        self, key: int, entry: MatchedEntryProof, manifest: RelationManifest
+        self, key: int, entry: MatchedEntryProof, constants: SimpleNamespace
     ) -> Tuple[bytes, bytes]:
-        upper_scheme, lower_scheme = self._chain_schemes(manifest)
-        domain = manifest.domain
-        upper = upper_scheme.recompute_from_value(
+        domain = constants.domain
+        upper = constants.upper_scheme.recompute_from_value(
             key, domain.upper - key - 1, entry.upper_assist
         )
-        lower = lower_scheme.recompute_from_value(
+        lower = constants.lower_scheme.recompute_from_value(
             key, key - domain.lower - 1, entry.lower_assist
         )
         return upper, lower
@@ -369,12 +375,10 @@ class ResultVerifier:
         row: Mapping[str, object],
         alpha: int,
         beta: int,
-        manifest: RelationManifest,
-        projection: Projection,
+        constants: SimpleNamespace,
         non_key_conditions: Sequence[object],
     ) -> bytes:
-        schema = manifest.schema
-        key_name = schema.key
+        key_name = constants.key_name
         if key_name not in row:
             raise VerificationError(
                 "result rows must include the sort-key attribute",
@@ -386,8 +390,7 @@ class ResultVerifier:
                 f"result row key {key!r} falls outside the query range",
                 reason="key-out-of-range",
             )
-        expected_names = set(projection.effective_attributes(schema))
-        if set(row.keys()) != expected_names:
+        if set(row.keys()) != constants.expected_names:
             raise VerificationError(
                 "result row attributes do not match the query projection",
                 reason="projection-mismatch",
@@ -400,9 +403,9 @@ class ResultVerifier:
                     reason="spurious-row",
                 )
         attribute_root = self._attribute_root(
-            row, entry.dropped_attribute_digests, manifest
+            row, entry.dropped_attribute_digests, constants
         )
-        upper, lower = self._entry_chain_digests(key, entry, manifest)
+        upper, lower = self._entry_chain_digests(key, entry, constants)
         return concat_digests(upper, lower, attribute_root)
 
     def _duplicate_entry_digest(
@@ -411,7 +414,7 @@ class ResultVerifier:
         rows: Sequence[Mapping[str, object]],
         alpha: int,
         beta: int,
-        manifest: RelationManifest,
+        constants: SimpleNamespace,
         projection: Projection,
     ) -> bytes:
         """Digest of an eliminated DISTINCT duplicate (Section 4.2)."""
@@ -441,15 +444,15 @@ class ResultVerifier:
                 reason="false-duplicate",
             )
         attribute_root = self._attribute_root(
-            revealed, entry.dropped_attribute_digests, manifest
+            revealed, entry.dropped_attribute_digests, constants
         )
-        upper, lower = self._entry_chain_digests(entry.key, entry, manifest)
+        upper, lower = self._entry_chain_digests(entry.key, entry, constants)
         return concat_digests(upper, lower, attribute_root)
 
     def _filtered_entry_digest(
         self,
         entry: FilteredEntryProof,
-        manifest: RelationManifest,
+        constants: SimpleNamespace,
         non_key_conditions: Sequence[object],
         role: Optional[str],
     ) -> bytes:
@@ -490,7 +493,7 @@ class ResultVerifier:
                 f"unknown filtering reason {entry.reason!r}", reason="bad-proof"
             )
         attribute_root = self._attribute_root(
-            revealed, entry.attribute_leaf_digests, manifest
+            revealed, entry.attribute_leaf_digests, constants
         )
         return concat_digests(
             entry.upper_chain_digest, entry.lower_chain_digest, attribute_root
@@ -500,21 +503,18 @@ class ResultVerifier:
         self,
         revealed: Mapping[str, object],
         provided_digests: Mapping[str, bytes],
-        manifest: RelationManifest,
+        constants: SimpleNamespace,
     ) -> bytes:
         """Rebuild ``MHT(r.A)`` from revealed values and provided leaf digests."""
-        schema = manifest.schema
-        hash_function = manifest.hash_function()
+        hash_function = constants.hash_function
         leaf_digests: List[bytes] = []
-        non_key = schema.non_key_attributes
-        if not non_key:
+        if not constants.leaf_heads:
             return MerkleTree(
                 [b"__no_non_key_attributes__"], hash_function
             ).root
-        for attribute in non_key:
-            name = attribute.name
+        for name, head in constants.leaf_heads:
             if name in revealed:
-                payload = encode_many([name, revealed[name]])
+                payload = head + encode_many([revealed[name]])
                 leaf_digests.append(MerkleTree.leaf_digest_of(payload, hash_function))
             elif name in provided_digests:
                 leaf_digests.append(provided_digests[name])

@@ -7,22 +7,27 @@ authentication — with no knowledge of sockets.  The
 and a replica's :class:`~repro.service.replication.ReplicationFollower`
 applies the primary's owner-signed frames through the same pipeline.
 
-The handler also maintains the **encoded-response cache**: for query and join
-frames, the canonical wire bytes of the *request* key the canonical wire
-bytes of the *response*.  The wire format is canonical (one byte string per
-artifact), so two clients asking the same hot question hit the same slot; a
-cached response is only served while the manifest ids it was built under are
-still current, so a manifest rotation invalidates every response built before
-it without any bookkeeping on the update path — the server's one invalidation
-rule.  A request frame embeds the manifest id, so what a rotation stales can
-never be asked for again: each insert first drops such entries from the
-cache's old end.
+The handler also maintains the **encoded-response cache**, keyed on what a
+query or join frame *asks* — its canonical bytes with the manifest id(s) cut
+out — so a hot answer outlives the rotations that do not concern it.  An
+entry holds the encoded ``rows | proof`` prefix of the response and the key
+interval of the chain window the answer read; every applied update logs the
+sort keys it touched, and an entry is served while no update since its last
+check touched a key inside its interval (Section 6.3's update locality: a
+mutation re-signs its neighbours and nothing else).  The tail — current
+manifest id and attestation — is taken under the shard lock at serve time and
+spliced on, so every payload is byte-identical to what a cache-less handler
+builds at that instant.  Relations whose publisher reports no window (the
+Merkle-style baselines: one update changes every VO) and both sides of a join
+are guarded by the whole key domain.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import nullcontext
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.cache import BoundedCache
 from repro.core.errors import ReproError
@@ -52,9 +57,9 @@ from repro.service.protocol import (
 )
 from repro.service.router import ShardRouter
 from repro.wire import decode, encode
+from repro.wire.codec import cut_leading_bytes, encode_tail, frame_header
 from repro.wire.errors import WireFormatError
 from repro.wire.updates import (
-    FreshnessAttestation,
     UpdateRequest,
     UpdateResponse,
     update_signing_message,
@@ -68,6 +73,27 @@ __all__ = ["RequestHandler", "HandledFrame"]
 #: actual memory bound.
 _RESPONSE_CACHE_MAX = 4096
 _RESPONSE_CACHE_MAX_BYTES = 64 * 1024 * 1024
+
+#: Applied batches each relation's touched-key log remembers; a cached answer
+#: not asked for within this many updates is rebuilt.
+_TOUCHED_LOG_MAX = 256
+#: Cacheable request frames: header -> how many manifest-id fields lead the body.
+_ID_FIELDS = {frame_header(QueryRequest): 1, frame_header(JoinRequest): 2}
+#: Per response type, the first field of the uncached tail (ids, attestations).
+_TAIL_FROM = {QueryResponse: "manifest_id", JoinResponse: "left_manifest_id"}
+
+
+@dataclass
+class _Window:
+    """A cached answer's dependence on one relation: the closed sort-key
+    interval ``[low, high]`` of the chain entries it read, untouched by every
+    update up to relation sequence ``checked``."""
+
+    publisher: object  # the shard's PublisherProtocol
+    relation: str
+    low: int
+    high: int
+    checked: int
 
 
 class HandledFrame:
@@ -115,6 +141,15 @@ class RequestHandler:
         #: an explicit opt-in; see ServerConfig.serve_replication.
         self.serve_replication = serve_replication
         self.updates_applied = 0
+        #: Relation -> (sequence before, sequence after, sort keys touched) of
+        #: its latest applied batches.  Written by whichever thread applies an
+        #: update, read by the event loop; both hold the shard lock.
+        self._touched: Dict[str, Deque[Tuple[int, int, frozenset]]] = {
+            name: deque(maxlen=_TOUCHED_LOG_MAX) for name, _ in router.listing()
+        }
+        #: Relation names -> (their (id, attestation) stamps, the encoded response tail).
+        self._tails: Dict[Tuple[str, ...], Tuple[tuple, bytes]] = {}
+        self.window_invalidations = self.log_overruns = 0
 
     # -- frame-level entry point --------------------------------------------
 
@@ -128,12 +163,13 @@ class RequestHandler:
         trusted).
         """
         cache = self._response_cache
-        if cache is not None:
-            cached = cache.get(frame)
-            if cached is not None:
-                payload, guards = cached
-                if self._guards_current(guards):
-                    return HandledFrame(payload)
+        key = None
+        id_fields = _ID_FIELDS.get(frame[:4]) if cache is not None else None
+        cut = cut_leading_bytes(frame, id_fields) if id_fields else None
+        if cut is not None:
+            payload, key = self._serve_cached(*cut)
+            if payload is not None:
+                return HandledFrame(payload)
         try:
             request = decode(frame)
         except (WireFormatError, ServiceProtocolError) as error:
@@ -162,8 +198,14 @@ class RequestHandler:
             replayed = self.router.replayed_update_response(frame)
             if replayed is not None:
                 return HandledFrame(replayed)
+        guards = None
         try:
-            response = self.dispatch(request, frame=frame)
+            if isinstance(request, QueryRequest):
+                response, guards = self._answer_query(request)
+            elif isinstance(request, JoinRequest):
+                response, guards = self._answer_join(request)
+            else:
+                response = self.dispatch(request, frame=frame)
         except ReproError as error:
             return HandledFrame(self._error_payload(error), True)
         except Exception as error:  # noqa: BLE001 - never leak a traceback
@@ -172,11 +214,13 @@ class RequestHandler:
                 True,
             )
         payload = encode(response)
-        if cache is not None:
-            guards = self._guards_for(request, response)
-            if guards is not None:
-                cache.evict_while(lambda entry: not self._guards_current(entry[1]))
-                cache.put(frame, (payload, guards), weight=len(payload) + len(frame))
+        if key is not None and guards is not None:
+            tail = encode_tail(response, _TAIL_FROM[type(response)])
+            cache.put(
+                key,
+                (payload[: len(payload) - len(tail)], guards),
+                weight=len(payload) + len(key[0]),
+            )
         if isinstance(request, UpdateRequest):
             # The durable twin of this registry entry (if storage is
             # attached) was already written inside the apply's atomic store transaction —
@@ -201,75 +245,98 @@ class RequestHandler:
 
     # -- response cache -----------------------------------------------------
 
-    @staticmethod
-    def _attestation_key(
-        attestation: Optional[FreshnessAttestation],
-    ) -> Optional[Tuple[int, int]]:
-        return (
-            None
-            if attestation is None
-            else (attestation.sequence, attestation.epoch)
-        )
+    def _serve_cached(
+        self, ids: Tuple[bytes, ...], identity: bytes
+    ) -> Tuple[Optional[bytes], Optional[tuple]]:
+        """``(payload, key)`` for a read frame cut into its ids and the rest.
 
-    def _guards_for(self, request, response) -> Optional[Tuple[tuple, ...]]:
-        """The (relation, manifest id, attestation state) triples a cached
-        response depends on.
-
-        Only query/join answers are cached: they are the hot path, they are
-        deterministic for a given snapshot, and their staleness is exactly
-        "the manifest id (or freshness attestation) the answer was stamped
-        with is no longer current".  The attestation state is part of the
-        guard because an owner epoch refresh changes the stamp without
-        rotating the manifest — a cached pre-refresh answer must not keep
-        serving the older attestation.
+        The payload is the cached answer if still exact, else ``None`` and the
+        rebuilt answer goes under ``key``.  The ids are resolved on every call:
+        one the router refuses gets no key (the uncached path answers the
+        typed error), and the names they resolve to are part of the key, so
+        another relation's id never meets this question's entry.
         """
-        if isinstance(request, QueryRequest) and isinstance(response, QueryResponse):
-            return (
-                (
-                    request.query.relation_name,
-                    response.manifest_id,
-                    self._attestation_key(response.attestation),
-                ),
-            )
-        if isinstance(request, JoinRequest) and isinstance(response, JoinResponse):
-            return (
-                (
-                    request.join.left_relation,
-                    response.left_manifest_id,
-                    self._attestation_key(response.left_attestation),
-                ),
-                (
-                    request.join.right_relation,
-                    response.right_manifest_id,
-                    self._attestation_key(response.right_attestation),
-                ),
-            )
-        return None
-
-    def _guards_current(self, guards: Tuple[tuple, ...]) -> bool:
-        router = self.router
         try:
-            return all(
-                router.current_id(name) == identifier
-                and router.attestation_state(name) == attestation_key
-                for name, identifier, attestation_key in guards
-            )
+            targets = [self.router.route(identifier) for identifier in ids]
         except ReproError:
+            return None, None
+        names = tuple(target.relation_name for target in targets)
+        key = (identity, names)
+        cache = self._response_cache
+        entry = cache.get(key)
+        if entry is None:
+            return None, key
+        prefix, guards = entry
+        # Guard check and tail in one lock section, as on the uncached path:
+        # the bytes served belong to exactly one snapshot.  (A cached join
+        # passed route_join, so both its sides share this lock.)
+        with targets[0].lock:
+            if all(map(self._window_untouched, guards)):
+                return prefix + self._tail(names), key
+        cache.hits -= 1  # found but stale: a miss to whoever asked
+        cache.misses += 1
+        return None, key
+
+    def _window_untouched(self, guard: _Window) -> bool:
+        """Whether no update since ``guard.checked`` touched a key in its window.
+
+        Walks the touched-key log from its newest record back to the guard's
+        sequence; on success the guard advances, so the next probe reads only
+        what is new.  A log that no longer reaches that far proves nothing.
+        """
+        version = guard.publisher.signed_relation(guard.relation).version
+        if version == guard.checked:
+            return True
+        expected = version
+        for before, after, keys in reversed(self._touched[guard.relation]):
+            if expected <= guard.checked or after != expected:
+                break
+            if any(guard.low <= key <= guard.high for key in keys):
+                self.window_invalidations += 1
+                return False
+            expected = before
+        if expected != guard.checked:
+            self.log_overruns += 1
             return False
+        guard.checked = version
+        return True
+
+    def _tail(self, names: Tuple[str, ...]) -> bytes:
+        """The encoded current ids and attestations of ``names``: what a
+        response ends with.  Encoded once per rotation or attestation push."""
+        stamps = tuple(map(self.router.stamp, names))
+        memo = self._tails.get(names)
+        if memo is None or memo[0] != stamps:
+            ids, attestations = zip(*stamps)
+            shape = (
+                QueryResponse((), None, *ids, *attestations)
+                if len(names) == 1
+                else JoinResponse((), (), None, *ids, *attestations)
+            )
+            memo = self._tails[names] = (stamps, encode_tail(shape, _TAIL_FROM[type(shape)]))
+        return memo[1]
+
+    @staticmethod
+    def _guard(target, name: str, window: Optional[Tuple[int, int]] = None) -> _Window:
+        """The guard of an answer just built over ``name`` (lock held); with
+        no chain window it spans the key domain: any update invalidates it."""
+        signed = target.publisher.signed_relation(name)
+        low, high = window or (signed.domain.lower, signed.domain.upper)
+        return _Window(target.publisher, name, low, high, signed.version)
 
     def cache_stats(self) -> Dict[str, object]:
         """Counters of the encoded-response cache (empty dict when disabled)."""
         if self._response_cache is None:
             return {}
-        return {"responses": self._response_cache.stats()}
+        stats = self._response_cache.stats()
+        stats["window_invalidations"] = self.window_invalidations
+        stats["log_overruns"] = self.log_overruns
+        return {"responses": stats}
 
     # -- request dispatch ---------------------------------------------------
 
     def dispatch(self, request, frame: Optional[bytes] = None):
-        if isinstance(request, QueryRequest):
-            return self._answer_query(request)
-        if isinstance(request, JoinRequest):
-            return self._answer_join(request)
+        """Answer any request but the two cacheable reads (see handle_frame)."""
         if isinstance(request, ListRelationsRequest):
             return RelationListing(entries=self.router.listing())
         if isinstance(request, ManifestRequest):
@@ -336,7 +403,8 @@ class RequestHandler:
                 reason="replication-disabled",
             )
 
-    def _answer_query(self, request: QueryRequest) -> QueryResponse:
+    def _answer_query(self, request: QueryRequest) -> Tuple[QueryResponse, tuple]:
+        """The answer, and the guards under which it may be served again."""
         target = self.router.route(request.manifest_id)
         if request.query.relation_name != target.relation_name:
             raise ServiceProtocolError(
@@ -350,26 +418,31 @@ class RequestHandler:
             # (old rows, old id) — a client can attribute every answer to
             # exactly one snapshot.
             result = target.publisher.answer(request.query, role=request.role)
-            current_id = self.router.current_id(target.relation_name)
-            attestation = self.router.attestation_for(target.relation_name)
-        return QueryResponse(
+            current_id, attestation = self.router.stamp(target.relation_name)
+            guards = (self._guard(target, target.relation_name, result.window),)
+        response = QueryResponse(
             rows=tuple(dict(row) for row in result.rows),
             proof=result.proof,
             manifest_id=current_id,
             attestation=attestation,
         )
+        return response, guards
 
-    def _answer_join(self, request: JoinRequest) -> JoinResponse:
+    def _answer_join(self, request: JoinRequest) -> Tuple[JoinResponse, tuple]:
         target = self.router.route_join(
             request.left_manifest_id, request.right_manifest_id, request.join
         )
         with target.lock:
             result = target.publisher.answer_join(request.join, role=request.role)
-            left_id = self.router.current_id(request.join.left_relation)
-            right_id = self.router.current_id(request.join.right_relation)
-            left_attestation = self.router.attestation_for(request.join.left_relation)
-            right_attestation = self.router.attestation_for(request.join.right_relation)
-        return JoinResponse(
+            left_id, left_attestation = self.router.stamp(request.join.left_relation)
+            right_id, right_attestation = self.router.stamp(request.join.right_relation)
+            # One window per point proof would cost more than it saves:
+            # both sides are guarded by their whole key domain.
+            guards = (
+                self._guard(target, request.join.left_relation),
+                self._guard(target, request.join.right_relation),
+            )
+        response = JoinResponse(
             rows=tuple(dict(row) for row in result.rows),
             left_rows=tuple(dict(row) for row in result.left_rows),
             proof=result.proof,
@@ -378,6 +451,7 @@ class RequestHandler:
             left_attestation=left_attestation,
             right_attestation=right_attestation,
         )
+        return response, guards
 
     def _answer_update(
         self, request: UpdateRequest, frame: Optional[bytes] = None
@@ -443,6 +517,15 @@ class RequestHandler:
                     receipt = target.publisher.apply_deltas(
                         target.relation_name, request.deltas
                     )
+                touched = frozenset(
+                    values[signed.schema.key]
+                    for delta in request.deltas
+                    for values in (delta.values, delta.old_values)
+                    if values is not None
+                )
+                self._touched[target.relation_name].append(
+                    (request.sequence, signed.version, touched)
+                )
                 rotation = self.router.record_rotation(target)
                 response = UpdateResponse(receipt=receipt, rotation=rotation)
                 if storage is not None:
@@ -476,8 +559,9 @@ class RequestHandler:
         verification, WAL logging, delta application, rotation — but with the
         read-only refusal bypassed (the follower *is* the replica's one
         writer) and without touching the encoded-response cache, which has no
-        internal lock and belongs to the event-loop thread.  Raises the same
-        typed errors the primary would have raised; an already-applied frame
+        internal lock and belongs to the event-loop thread (the touched-key
+        log this thread does write, the event loop reads: both under the
+        shard lock).  Raises the same typed errors the primary would have raised; an already-applied frame
         returns its original outcome via the applied-update registry.
         """
         request = decode(frame)

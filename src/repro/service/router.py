@@ -214,6 +214,18 @@ class ShardRouter:
             )
         return identifier
 
+    def stamp(self, relation_name: str) -> Tuple[bytes, Optional[FreshnessAttestation]]:
+        """What every answer over a relation ends with: its current manifest
+        id and latest stored attestation, read in one index-lock section."""
+        with self._index_lock:
+            identifier = self._current_ids.get(relation_name)
+            attestation = self._attestations.get(relation_name)
+        if identifier is None:
+            raise UnknownManifestError(
+                f"no hosted relation is named {relation_name!r}"
+            )
+        return identifier, attestation
+
     def route(self, identifier: bytes) -> ShardTarget:
         """Resolve a manifest id — current or superseded — to its shard.
 
@@ -405,9 +417,8 @@ class ShardRouter:
     def attestation_state(self, relation_name: str) -> Optional[Tuple[int, int]]:
         """The stored attestation's ``(sequence, epoch)``, or ``None``.
 
-        Freshness advances lexicographically over this pair; it keys the
-        handler's response-cache guards so cached answers are invalidated by
-        an epoch refresh even when no rotation happened.
+        Freshness advances lexicographically over this pair: recovery and
+        the replication feed compare it to tell which side is ahead.
         """
         with self._index_lock:
             attestation = self._attestations.get(relation_name)

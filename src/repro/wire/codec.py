@@ -75,6 +75,9 @@ __all__ = [
     "to_json_obj",
     "manifest_id",
     "register_artifact",
+    "frame_header",
+    "cut_leading_bytes",
+    "encode_tail",
     "WIRE_VERSION",
     # field types, for registering extension artifacts (see repro.service.protocol)
     "INT",
@@ -930,6 +933,40 @@ def encode(artifact) -> bytes:
     writer.u8(codec.tag)
     codec.write_body(writer, artifact)
     return _MAGIC + bytes((WIRE_VERSION,)) + writer.getvalue()
+
+
+def frame_header(cls: type) -> bytes:
+    """The four bytes every framed ``cls`` artifact starts with."""
+    return _MAGIC + bytes((WIRE_VERSION, _codec_for_type(cls).tag))
+
+
+def cut_leading_bytes(
+    frame: bytes, count: int
+) -> Optional[Tuple[Tuple[bytes, ...], bytes]]:
+    """Cut a frame's first ``count`` BYTES fields out, without decoding it.
+
+    Returns ``(values, the frame without them)``, or ``None`` for a frame too
+    short to hold them.  What follows the cut fields decodes independently
+    of them, so frames with equal remainders differ in those fields only.
+    """
+    offset = 4
+    values = []
+    for _ in range(count):
+        end = offset + 4 + int.from_bytes(frame[offset : offset + 4], "big")
+        values.append(frame[offset + 4 : end])
+        offset = end
+    if offset > len(frame):
+        return None
+    return tuple(values), frame[:4] + frame[offset:]
+
+
+def encode_tail(artifact, first_field: str) -> bytes:
+    """What ``encode(artifact)`` ends with: its fields from ``first_field`` on."""
+    codec = _codec_for_type(type(artifact))
+    writer = WireWriter()
+    for name, field in codec.fields[codec._names.index(first_field) :]:
+        field.write(writer, getattr(artifact, name))
+    return writer.getvalue()
 
 
 def decode(data, expect: Optional[type] = None):

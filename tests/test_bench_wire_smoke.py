@@ -6,6 +6,8 @@ client/server throughput workload at scaled-down sizes, so every ordinary
 (the VO/result overhead ratio falls as selectivity rises) still holds.
 """
 
+from test_bench_hot_paths_smoke import _load_benchmark_script
+
 from repro.bench.wire import SMOKE_WIRE_CONFIG, run_wire_benchmarks
 
 
@@ -34,3 +36,16 @@ def test_wire_smoke_benchmark_report():
     service = workloads["service_throughput"]
     assert service["requests_per_sec_raw"] > 0
     assert service["requests_per_sec_verified"] > 0
+
+
+def test_update_locality_counts():
+    """The CLI's ``update_locality`` workload: exact counts, the same on every
+    machine — an owner update stales the cached answers whose chain window it
+    touched and no others."""
+    cli = _load_benchmark_script("bench_wire_service.py")
+    locality = cli.bench_update_locality()
+    assert locality["reads"] == 896
+    assert locality["publisher_answers"] == locality["window_invalidations"] > 0
+    assert locality["answers_per_read"] <= cli.UPDATE_LOCALITY_ANSWERS_PER_READ_MAX
+    assert locality["response_cache_hit_ratio"] >= cli.UPDATE_LOCALITY_HIT_RATIO_MIN
+    assert locality["log_overruns"] == 0

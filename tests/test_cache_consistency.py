@@ -1,4 +1,8 @@
-"""Memo correctness: the fast path must be invisible in every proof byte.
+"""Memo correctness: the fast path must be invisible in every served byte.
+
+The server's encoded-response cache (second half of this file) must serve
+exactly what a cache-less handler builds at the same instant, whatever the
+owner inserts, deletes or updates next to a cached answer's chain window.
 
 A long-lived publisher (its schemes' boundary-assist memo warm) and one built
 fresh over the same rows must produce byte-identical proofs and identical
@@ -15,14 +19,31 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.publisher as publisher_module
+import repro.service.handler as handler_module
+import repro.service.router as router_module
 from repro.core.errors import VerificationError
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.core.verifier import ResultVerifier
-from repro.db.query import Conjunction, JoinQuery, Projection, Query, RangeCondition
+from repro.db.access_control import AccessControlPolicy, Role
+from repro.db.query import (
+    Conjunction,
+    EqualityCondition,
+    JoinQuery,
+    Projection,
+    Query,
+    RangeCondition,
+)
 from repro.db.relation import Relation
 from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
 from repro.db.workload import generate_customers_and_orders
+from repro.service.handler import RequestHandler
+from repro.service.owner import build_update_request
+from repro.service.protocol import ErrorResponse, QueryRequest
+from repro.service.router import ShardRouter
+from repro.wire import decode, encode
+from repro.wire.updates import RecordDelta
 
 DOMAIN = KeyDomain(0, 512)
 
@@ -415,3 +436,272 @@ class TestUpdateReceiptAccounting:
         assert signed.version == before + 1
         signed.delete_record(signed.relation[0])
         assert signed.version == before + 2
+
+
+# -- the server's encoded-response cache ---------------------------------------
+#
+# Keyed on the question and guarded by the chain window the answer read: every
+# payload it serves must be byte-identical to what a cache-less handler over
+# the same router builds at that instant.
+
+WIDE = KeyDomain(0, 1024)
+
+
+
+def _served_schema(name):
+    return Schema.build(
+        name,
+        [
+            Attribute("k", AttributeType.INTEGER, domain=WIDE),
+            Attribute("name", AttributeType.STRING),
+            Attribute("grade", AttributeType.INTEGER),
+        ],
+        key="k",
+    )
+
+
+SERVED_SCHEMA = _served_schema("t")
+
+
+def _served_row(key, name=None, grade=None):
+    return {
+        "k": key,
+        "name": name or f"row-{key}",
+        "grade": key // 10 % 3 if grade is None else grade,
+    }
+
+
+def _key_range(low, high, *conditions, relation="t"):
+    return Query(relation, Conjunction((RangeCondition("k", low, high),) + conditions))
+
+
+class _ServedWorld:
+    """Relations behind a caching and a cache-less handler over one router."""
+
+    def __init__(self, signature_scheme, keys, relations=("t",)):
+        policy = AccessControlPolicy()
+        policy.add_role(Role("clerk", visible_attributes=("k", "name")))
+        self.scheme = signature_scheme
+        rows = [_served_row(key) for key in keys]
+        database = {
+            name: SignedRelation(
+                Relation.from_rows(_served_schema(name), rows), signature_scheme
+            )
+            for name in relations
+        }
+        self.signed = database["t"]
+        self.router = ShardRouter({"s": Publisher(database, policy=policy)})
+        self.cached = RequestHandler(self.router)
+        self.plain = RequestHandler(self.router, response_cache=False)
+
+    def stats(self):
+        return self.cached.cache_stats()["responses"]
+
+    def ask(self, query, role=None, identifier=None):
+        """(caching handler's payload, the cache-less handler's) for one frame."""
+        if identifier is None:
+            identifier = self.router.current_id(query.relation_name)
+        frame = encode(QueryRequest(identifier, query, role))
+        return self.cached.handle_frame(frame).payload, self.plain.handle_frame(frame).payload
+
+    def identical(self, query, role=None):
+        served, rebuilt = self.ask(query, role)
+        return served == rebuilt
+
+    def push(self, *deltas):
+        request = build_update_request(self.scheme, self.signed.manifest, deltas)
+        handled = self.cached.handle_frame(encode(request))
+        assert not handled.is_error, decode(handled.payload)
+
+    def record(self, position):
+        return self.signed.relation[position].as_dict()
+
+
+#: name -> (query, role).  The empty range comes first so the narrowed-window
+#: negative reaches its counterexample quickly.
+_SHAPES = {
+    "empty": (_key_range(255, 258), None),
+    "point": (_key_range(300, 300), None),
+    "range": (_key_range(100, 490), None),  # 40 keys
+    "domain-edge": (_key_range(560, 1023), None),
+    "role": (_key_range(300, 340), "clerk"),
+    "filtered": (_key_range(300, 340, EqualityCondition("grade", 1)), None),
+}
+_FAR_KEY = 900  # a record no pooled window reaches, to move next to a boundary
+
+
+def _mutations(world, position):
+    """(kind, deltas, deltas that undo them) for the record at ``position``."""
+    target = world.record(position)
+    key = target["k"]
+    bumped = dict(target, grade=target["grade"] + 7)
+    neighbour = _served_row(key + 1)
+    twin = _served_row(key, name=f"twin-{key}")
+    away = dict(target, k=_FAR_KEY + 1)
+    far = _served_row(_FAR_KEY)
+    near = dict(far, k=key + 1)
+
+    def insert(row):
+        return RecordDelta(kind="insert", values=row)
+
+    def delete(row):
+        return RecordDelta(kind="delete", values=row)
+
+    def update(old, new):
+        return RecordDelta(kind="update", values=new, old_values=old)
+
+    return [
+        ("insert", insert(neighbour), delete(neighbour)),
+        ("delete", delete(target), insert(target)),
+        ("in-place update", update(target, bumped), update(bumped, target)),
+        ("key moves away", update(target, away), update(away, target)),
+        ("key moves in", update(far, near), update(near, far)),
+        ("duplicate key", insert(twin), delete(twin)),
+    ]
+
+
+def _directed_mismatches(world):
+    """Drive the boundary matrix; yield every ask the cache answered differently."""
+    relation = world.signed.relation
+    positions = set()
+    for query, _ in _SHAPES.values():
+        low, high = query.where.key_condition(SERVED_SCHEMA).bounds(WIDE)
+        start, stop = relation.range_indices(low, high)
+        for boundary in (start - 1, stop):  # the records just outside the range
+            positions.update(
+                boundary + offset
+                for offset in range(-3, 4)
+                if 0 <= boundary + offset < len(relation)
+            )
+    for position in sorted(positions):
+        key = world.record(position)["k"]
+        asks = dict(_SHAPES)
+        asks["adjacent point"] = (_key_range(key, key), None)
+        asks["adjacent range"] = (_key_range(key - 12, key + 12), None)
+        for kind, forward, backward in _mutations(world, position):
+            for step, delta in (("", forward), (" undone", backward)):
+                world.push(delta)
+                for shape, (query, role) in asks.items():
+                    if not world.identical(query, role):
+                        yield (shape, kind + step, key)
+
+
+@pytest.fixture()
+def served(signature_scheme):
+    return _ServedWorld(signature_scheme, list(range(10, 610, 10)) + [_FAR_KEY])
+
+
+class TestResponseCacheWindows:
+    def test_directed_boundary_matrix_is_byte_identical(self, served):
+        for query, role in _SHAPES.values():
+            assert served.identical(query, role)
+        assert list(_directed_mismatches(served)) == []
+        stats = served.stats()
+        # The windows did their job in both directions: most asks were served
+        # from the cache, and the touched ones were rebuilt.
+        assert stats["hits"] > stats["misses"] > stats["window_invalidations"] > 0
+        assert stats["size"] <= len(_SHAPES) + 2 * 61
+
+    def test_a_window_one_entry_short_serves_a_stale_answer(self, served, monkeypatch):
+        """The matrix has teeth: cut the entry below the lower boundary entry
+        out of the window and an empty range's outer digest goes stale."""
+        exact = publisher_module._chain_window
+
+        def one_entry_short(signed, start, stop):
+            return signed.entry(start).key, exact(signed, start, stop)[1]
+
+        monkeypatch.setattr(publisher_module, "_chain_window", one_entry_short)
+        shape, kind, key = next(_directed_mismatches(served))
+        assert shape == "empty" and key == 240  # the outer neighbour of boundary 250
+
+    @pytest.mark.parametrize("seed", [5, 17, 40])
+    def test_seeded_update_sequences_are_byte_identical(self, signature_scheme, seed):
+        rng = random.Random(seed)
+        world = _ServedWorld(signature_scheme, rng.sample(range(1, 1024), 40))
+        lows = rng.sample(range(1, 900), 4)
+        bounds = [(low, low + rng.randrange(120)) for low in lows]
+        pool = [(_key_range(low, high), None) for low, high in bounds]
+        pool += [(_key_range(key, key), None) for key in rng.sample(range(1, 1024), 2)]
+        pool.append((_key_range(*bounds[0]), "clerk"))
+        pool.append((_key_range(*bounds[1], EqualityCondition("grade", 1)), None))
+        for step in range(400):
+            records = [record.as_dict() for record in world.signed.relation]
+            taken = {row["k"] for row in records}
+            kind = rng.choice(["insert", "delete", "update", "move"])
+            if kind == "insert" or len(records) < 8:
+                # now and then a duplicate of an existing key
+                key = rng.choice(sorted(taken)) if step % 9 == 0 else rng.randrange(1, 1024)
+                row = _served_row(key, name=f"new-{step}")
+                world.push(RecordDelta(kind="insert", values=row))
+            elif kind == "delete":
+                row = rng.choice(records)
+                world.push(RecordDelta(kind="delete", values=row))
+            else:
+                old = rng.choice(records)
+                key = old["k"] if kind == "update" else rng.randrange(1, 1024)
+                row = dict(old, k=key, grade=old["grade"] + 1)
+                world.push(RecordDelta(kind="update", values=row, old_values=old))
+            near = row["k"]
+            asks = pool + [
+                (_key_range(near, near), None),
+                (_key_range(near - 9, near + 9), None),
+            ]
+            for query, role in asks:
+                assert world.identical(query, role), (step, kind, near, query, role)
+        stats = world.stats()
+        # Two of every ten asks are new questions (the adjacent pair); most
+        # of the pool's were served from the cache, some had to be rebuilt.
+        assert stats["hits"] > 400 * len(pool) // 2
+        assert stats["window_invalidations"] > 0 == stats["log_overruns"]
+
+    def test_hit_path_refuses_what_the_uncached_path_refuses(self, signature_scheme):
+        world = _ServedWorld(signature_scheme, range(10, 110, 10), relations=("t", "u"))
+        query = _key_range(30, 60)
+        genesis = world.router.current_id("t")
+        body, _ = world.ask(query)
+        assert world.stats()["size"] == 1
+
+        def refusal(identifier):
+            served, rebuilt = world.ask(query, identifier=identifier)
+            assert served == rebuilt
+            error = decode(served)
+            assert isinstance(error, ErrorResponse)
+            return error.code
+
+        assert refusal(b"\x07" * 32) == "UnknownManifestError"
+        assert refusal(b"short") == "UnknownManifestError"
+        assert refusal(world.router.current_id("u")) == "ServiceProtocolError"
+        # The same question asked of the other relation is its own entry.
+        assert world.identical(_key_range(30, 60, relation="u"))
+        assert world.stats()["size"] == 2
+        # A role is part of the question: a separate entry, never this body.
+        as_clerk, rebuilt = world.ask(query, role="clerk")
+        assert as_clerk == rebuilt and as_clerk != body
+        assert world.stats()["size"] == 3
+        # A superseded id is served under the current snapshot from the same
+        # entry; once it rotates out of the router's window it is refused.
+        world.push(RecordDelta(kind="insert", values=_served_row(99)))
+        hits = world.stats()["hits"]
+        assert world.identical(query) and world.ask(query, identifier=genesis)[0] != body
+        assert world.stats()["hits"] == hits + 2
+        for step in range(router_module.MAX_SUPERSEDED_PER_RELATION):
+            world.push(RecordDelta(kind="insert", values=_served_row(200 + step)))
+        assert refusal(genesis) == "EvictedManifestError"
+        assert world.identical(query)
+
+    def test_more_updates_than_the_log_holds_is_a_miss(self, signature_scheme, monkeypatch):
+        monkeypatch.setattr(handler_module, "_TOUCHED_LOG_MAX", 4)
+        world = _ServedWorld(signature_scheme, range(10, 110, 10))
+        query = _key_range(30, 60)
+        assert world.identical(query)
+        for step in range(4):  # as many as the log holds: still provable
+            world.push(RecordDelta(kind="insert", values=_served_row(500 + step)))
+        assert world.identical(query)
+        assert (world.stats()["hits"], world.stats()["log_overruns"]) == (1, 0)
+        for step in range(5):  # one more than it holds: the first is forgotten
+            world.push(RecordDelta(kind="insert", values=_served_row(600 + step)))
+        assert world.identical(query)
+        stats = world.stats()
+        assert (stats["hits"], stats["misses"], stats["log_overruns"]) == (1, 2, 1)
+        assert world.identical(query)  # rebuilt and cached again
+        assert world.stats()["hits"] == 2

@@ -19,19 +19,6 @@ from repro.service import (
 RANGE = Query("employees", Conjunction((RangeCondition("salary", 1_000, 90_000),)))
 
 
-def test_bounded_cache_evict_while_stops_at_the_first_keeper():
-    cache = BoundedCache(8, max_weight=100)
-    for key, value in [("a", 1), ("b", 2), ("c", 30), ("d", 4)]:
-        cache.put(key, value, weight=10)
-    cache.evict_while(lambda value: value < 10)
-    assert cache.get("a") is None and cache.get("b") is None
-    assert cache.get("c") == 30 and cache.get("d") == 4  # "d" sits behind a keeper
-    stats = cache.stats()
-    assert (stats["size"], stats["evictions"], stats["weight"]) == (2, 2, 20)
-    cache.evict_while(lambda value: True)
-    assert cache.stats()["size"] == 0 and cache.stats()["weight"] == 0
-
-
 def test_bounded_cache_counts_and_evicts():
     cache = BoundedCache(2)
     assert cache.get("a") is None
@@ -44,6 +31,18 @@ def test_bounded_cache_counts_and_evicts():
     assert stats["size"] == 2 and stats["capacity"] == 2
     assert stats["hits"] == 1 and stats["misses"] == 1
     assert cache.get("a") is None
+
+
+def test_bounded_cache_weight_budget_evicts_and_replaces():
+    cache = BoundedCache(8, max_weight=30)
+    for key in "abc":
+        cache.put(key, key, weight=10)
+    cache.put("b", "again", weight=10)  # same key: its old weight is released
+    assert (cache.stats()["size"], cache.stats()["weight"]) == (3, 30)
+    cache.put("d", "d", weight=20)  # over budget: the two oldest go
+    stats = cache.stats()
+    assert (stats["size"], stats["evictions"], stats["weight"]) == (2, 2, 30)
+    assert cache.get("a") is None and cache.get("b") == "again"
 
 
 def test_publisher_cache_stats_and_capacity(signature_scheme):

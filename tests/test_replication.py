@@ -66,10 +66,10 @@ def _wait(predicate, timeout: float = 15.0) -> bool:
     return predicate()
 
 
-def _raw_answer(address, identifier: bytes) -> bytes:
-    """The raw full-range answer frame — the byte-identity comparison surface."""
+def _raw_answer(address, identifier: bytes, query: Query = FULL_RANGE) -> bytes:
+    """The raw answer frame — the byte-identity comparison surface."""
     with socket.create_connection(address, timeout=10) as sock:
-        send_message(sock, QueryRequest(manifest_id=identifier, query=FULL_RANGE))
+        send_message(sock, QueryRequest(manifest_id=identifier, query=query))
         frame = recv_frame(sock)
     assert frame is not None
     return frame
@@ -339,6 +339,47 @@ def test_live_updates_replicate_and_answers_stay_byte_identical(
         with VerifyingClient(*replica["address"]) as client:
             rows = client.execute(QuerySpec(FULL_RANGE)).rows
         assert any(row["emp_id"] == "rep-u4" for row in rows)
+    finally:
+        _stop_replica(replica)
+
+
+def test_replica_response_cache_follows_replicated_updates(primary, tmp_path):
+    """The follower thread writes the replica's touched-key log, its event
+    loop reads it: answers cached on the replica before a run of replicated
+    updates are afterwards the primary's bytes — rebuilt where an update
+    touched their chain window, served from the cache where none did."""
+    salaries = sorted(
+        record.key
+        for record in primary["router"].shards["hr"].signed_relation("employees").relation
+    )
+    pool = [
+        Query("employees", Conjunction((RangeCondition("salary", low, high),)))
+        for low, high in [
+            (salaries[0], salaries[2]),
+            (salaries[3], salaries[3]),
+            (salaries[-3], salaries[-1]),
+        ]
+    ]
+    replica = _spawn_replica(primary, str(tmp_path / "replica"))
+    host, port = primary["address"]
+    try:
+        genesis = primary["router"].current_id("employees")
+        for query in pool:
+            _raw_answer(replica["address"], genesis, query)
+        with OwnerClient(host, port, primary["scheme"]) as owner_client:
+            for index in range(6):  # every insert lands inside the first range
+                owner_client.insert(
+                    "employees", _row(salaries[0] + 1 + index, f"c{index}")
+                )
+        assert _wait(lambda: _sequences_match(primary, replica))
+        identifier = primary["router"].current_id("employees")
+        for query in pool:
+            assert _raw_answer(replica["address"], identifier, query) == _raw_answer(
+                primary["address"], identifier, query
+            )
+        stats = replica["server"].cache_stats()["responses"]
+        assert (stats["hits"], stats["window_invalidations"]) == (2, 1)
+        assert stats["size"] == len(pool)
     finally:
         _stop_replica(replica)
 

@@ -106,6 +106,7 @@ def world(owner):
             "owner": owner,
             "manifests": database.manifests,
             "router": router,
+            "server": server,
             "address": server.address,
         }
 
@@ -298,6 +299,65 @@ def test_replayed_old_attestation_is_a_mismatch(world, clock):
         ) as client:
             with pytest.raises(StaleAnswerError) as excinfo:
                 client.execute(QuerySpec(ALL_SALARIES))
+        assert excinfo.value.reason == "attestation-mismatch"
+    finally:
+        proxy.stop()
+
+
+def test_cached_body_is_served_under_the_attestation_in_force(world, clock):
+    """The response cache holds ``rows | proof`` only: an attestation push
+    with no rotation, and a rotation outside the answer's chain window, both
+    re-serve the cached body under the *current* id and attestation — and a
+    captured answer re-labelled with the rotated id is still refused."""
+    salaries = sorted(
+        row["salary"] for row in _exchange(
+            world["address"],
+            QueryRequest(world["router"].current_id("employees"), ALL_SALARIES),
+        ).rows
+    )
+    top = Query(
+        "employees", Conjunction((RangeCondition("salary", salaries[-3], salaries[-1]),))
+    )
+
+    def ask():
+        current = world["router"].current_id("employees")
+        return _exchange(world["address"], QueryRequest(current, top))
+
+    def counters():
+        stats = world["server"].cache_stats()["responses"]
+        return stats["hits"], stats["misses"]
+
+    with _owner_client(world, clock) as owner_client:
+        first = owner_client.attest("employees", lifetime=60.0)
+        cold = ask()
+        hits, misses = counters()
+        clock.advance(5.0)
+        second = owner_client.attest("employees", lifetime=60.0)
+        refreshed = ask()
+        assert encode(cold.attestation) == encode(first)
+        assert encode(refreshed.attestation) == encode(second)
+        assert replace(refreshed, attestation=first) == cold
+        owner_client.insert("employees", _row(salaries[0] - 1, "far-below"))
+        rotated = ask()
+        stamped = owner_client.fetch_attestation("employees")
+    assert counters() == (hits + 2, misses)  # neither ask rebuilt the body
+    assert rotated.manifest_id == world["router"].current_id("employees")
+    assert rotated.manifest_id != refreshed.manifest_id
+    assert encode(rotated.attestation) == encode(stamped)
+    assert (rotated.rows, rotated.proof) == (cold.rows, cold.proof)
+
+    doctored = replace(refreshed, manifest_id=rotated.manifest_id)
+    proxy = _ReplayProxy(world["address"], encode(doctored))
+    proxy.start()
+    try:
+        policy = FreshnessPolicy(max_staleness=30.0, clock=clock)
+        with VerifyingClient(
+            *proxy.address,
+            trusted_manifests=dict(world["manifests"]),
+            freshness=policy,
+        ) as client:
+            with pytest.raises(StaleAnswerError) as excinfo:
+                client.execute(QuerySpec(top))
         assert excinfo.value.reason == "attestation-mismatch"
     finally:
         proxy.stop()

@@ -203,9 +203,10 @@ def test_verifier_digest_memos_survive_rotations(world):
         assert verifier.manifest("employees").sequence == 4
 
 
-def test_response_cache_drops_what_a_rotation_made_unreachable(world):
-    """A request frame embeds the manifest id, so an answer cached before a
-    rotation can never be asked for again: it must not stay until FIFO age."""
+def test_response_cache_keeps_one_entry_per_question_across_rotations(world):
+    """The cache is keyed on the question, not on the manifest id it was asked
+    under: 50 rotations leave exactly one entry per pooled query, and only
+    the asks whose chain window an insert touched are rebuilt."""
     pool = [
         Query("employees", Conjunction((RangeCondition("salary", low, high),)))
         for low, high in [(0, 30_000), (20_000, 50_000), (58_000, 80_000), (82_000, 95_000)]
@@ -213,17 +214,20 @@ def test_response_cache_drops_what_a_rotation_made_unreachable(world):
     server = world["server"]
     with _owner_client(world) as owner_client, _verifying_client(world) as client:
         for step in range(50):
+            # Every insert lands inside the first pooled range and below the
+            # windows of the other three.
             owner_client.insert("employees", _row(100 + step, f"rot-{step}"))
-            for _ in range(2):  # the second pass is served from the cache
+            for _ in range(2):
                 for query in pool:
                     assert client.execute(QuerySpec(query)).report is not None
-            # What is left was answered under the current manifest id: the
-            # pool, and the step's first read, which still carried the
-            # superseded id (a lagging client may ask that again).
-            assert server.cache_stats()["responses"]["size"] <= len(pool) + 1
+            assert server.cache_stats()["responses"]["size"] == len(pool)
         stats = server.cache_stats()["responses"]
-        assert stats["hits"] >= 50 * (len(pool) - 1)
-        assert stats["evictions"] >= 49 * len(pool)
+        # Per step: the first ask of the touched range is rebuilt, the other
+        # seven asks are served from the cache.
+        assert stats["window_invalidations"] == 49
+        assert stats["misses"] == len(pool) + 49
+        assert stats["hits"] == 100 * len(pool) - stats["misses"]
+        assert stats["log_overruns"] == stats["evictions"] == 0
         assert stats["weight"] < 64 * 1024
 
 
