@@ -1,11 +1,11 @@
-"""Scheme-comparison benchmark over the live publication service.
+"""Scheme-comparison benchmark, in process.
 
-Publishes the same relation under every registered proof scheme (chain,
-Devanbu MHT, naive per-tuple signatures, VB-tree), hosts one shard per scheme
-behind one :class:`~repro.service.server.PublicationServer`, and measures at
-the verifying client: serialized VO bytes and verification wall time per
-selectivity, plus the owner-update cost per scheme — the paper's Section
-2.3/6 comparisons reproduced end to end instead of in-process.
+Publishes the same relation under every proof scheme (chain, Devanbu MHT,
+naive per-tuple signatures, VB-tree) with one fixed-seed owner key, and
+measures each scheme's ``publish → answer → verify`` triple: serialized VO
+bytes and verification wall time per selectivity, plus the owner-update cost
+per scheme — the paper's Section 2.3/6 comparisons.  The byte and count
+cells reproduce exactly from run to run; only the timings move.
 
 Results are merged into ``BENCH_hot_paths.json`` (``scheme_config`` section +
 the ``scheme_comparison`` workload) and a comparison table is written to
@@ -45,7 +45,7 @@ _RESULTS_TXT = os.path.join(
 
 def _render_table(comparison: dict) -> str:
     lines = [
-        "Proof-scheme comparison over the live publication service",
+        "Proof-scheme comparison, in process (fixed-seed owner key)",
         "",
         f"employees table: {comparison['table_rows']} rows "
         "(1 KiB blob attribute per record; the chain scheme ships digests for",
@@ -87,10 +87,9 @@ def _render_table(comparison: dict) -> str:
         "Trends (paper Sections 2.3 and 6): the chain VO is flat in the table",
         "size and never exposes out-of-range tuples; the Devanbu VO carries",
         "O(log n) digests plus whole boundary/result tuples; the naive and",
-        "VB-tree VOs are smaller but prove authenticity only (the verifying",
-        "client requires an explicit allow_incomplete opt-in for them); chain",
-        "updates re-sign a constant 2-3 chain entries while the tree schemes",
-        "re-hash (and the VB-tree re-signs) whole root paths.",
+        "VB-tree VOs are smaller but prove authenticity only; chain updates",
+        "re-sign a constant 2-3 chain entries while the tree schemes re-hash",
+        "(and the VB-tree re-signs) whole root paths.",
     ]
     return "\n".join(lines) + "\n"
 

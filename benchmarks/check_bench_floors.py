@@ -272,11 +272,10 @@ def _check_update_locality(floors: dict, locality, failures: list) -> None:
 def _check_schemes(fresh: dict, failures: list) -> None:
     """Gates on the scheme-comparison workload (run with ``--schemes``).
 
-    The paper's comparative claim, kept true on a live service: at the
-    sweep's lowest selectivity the chain scheme's serialized VO must stay
-    below the Devanbu MHT's (which ships O(log n) digests plus whole
-    boundary/result tuples).  Also checks that every registered scheme
-    actually served and verified answers at every selectivity point.
+    The paper's comparative claim: at the sweep's lowest selectivity the
+    chain scheme's serialized VO must stay below the Devanbu MHT's (which
+    ships O(log n) digests plus whole boundary/result tuples).  Also checks
+    that every scheme answered and verified at every selectivity point.
     """
     comparison = fresh.get("workloads", {}).get("scheme_comparison")
     if comparison is None:

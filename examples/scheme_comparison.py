@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
-"""One relation, three proof schemes, one server — and a scheme-swap attack.
+"""One relation, four proof schemes, in one process — the paper's comparison.
 
 The SIGMOD 2005 paper's claims are comparative: its signature-chain scheme
-against Merkle-tree publication (Devanbu et al. 2000) and the VB-tree (Pang &
-Tan 2004).  With the serving stack scheme-polymorphic, that comparison runs
-live:
+against Merkle-tree publication (Devanbu et al. 2000), the VB-tree (Pang &
+Tan 2004) and naive per-tuple signatures.  The paper makes that comparison
+analytically and in process, and so does this walkthrough:
 
-1. the owner publishes the *same* employee relation under the ``chain``,
-   ``devanbu`` and ``vbtree`` schemes (one scheme-tagged manifest each),
-2. a single :class:`~repro.service.PublicationServer` fronts all three,
-3. a :class:`~repro.service.VerifyingClient` queries each hosting and
-   verifies every answer under the scheme named by its pinned manifest —
-   including the explicit ``allow_incomplete=True`` opt-in the VB-tree needs
-   because it cannot prove completeness,
-4. we then play attacker: a *correctly signed* manifest rotation that swaps
-   the chain relation to the VB-tree scheme is presented to the client, and
-   is rejected with a typed ``SchemeMismatchError`` — a rotation may update
-   data, never weaken the proof scheme.
+1. the owner publishes the *same* employee relation under every scheme of
+   ``repro.schemes.SCHEMES``,
+2. each scheme's publisher answers the same range query with its own VO, and
+   each scheme's verifier checks it — we print rows, VO bytes and what the
+   scheme proves,
+3. then we play a publisher that drops the last qualifying row (and, under
+   the naive scheme, its signature): the chain scheme refuses the answer, the
+   naive scheme cannot notice — the completeness gap the chain closes.
+
+Only the chain scheme is served over the wire; ``examples/client_server.py``
+shows that side.
 
 Run with: ``python examples/scheme_comparison.py``
 """
@@ -29,89 +29,53 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
+from repro.core.errors import VerificationError
 from repro.crypto.signature import rsa_scheme
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
-from repro.schemes import CompletenessUnsupported, SchemeMismatchError, get_scheme
-from repro.service import PublicationServer, QuerySpec, ShardRouter, VerifyingClient
-from repro.wire import encode, manifest_id
-from repro.wire.updates import ManifestRotated, manifest_signing_message
-
-SCHEMES = ("chain", "devanbu", "vbtree")
+from repro.schemes import CHAIN, NAIVE, SCHEMES
+from repro.wire import encode
 
 
 def main() -> None:
-    print("== Owner: one relation, published under three proof schemes ==")
+    print("== Owner: one relation, published under every proof scheme ==")
     signature_scheme = rsa_scheme(bits=512)
-    shards = {}
-    for name in SCHEMES:
-        scheme = get_scheme(name)
+    query = Query(
+        "employees", Conjunction((RangeCondition("salary", 20_000, 60_000),))
+    )
+    answers = {}
+    for scheme in SCHEMES:
         relation = workload.generate_employees(60, seed=13, photo_bytes=64)
         publication = scheme.publish(relation, signature_scheme)
-        hosting = f"employees_{name}"
-        shards[name] = scheme.make_publisher({hosting: publication})
+        publisher = scheme.make_publisher({"employees": publication})
+        verifier = scheme.verifier_for("employees", publication.manifest)
+        result = publisher.answer(query)
+        rows = [dict(row) for row in result.rows]
+        verifier.verify(query, rows, result.proof)
+        answers[scheme.name] = (verifier, rows, result.proof)
+        proves = (
+            "completeness + authenticity"
+            if scheme.proves_completeness
+            else "authenticity only"
+        )
         print(
-            f"  {hosting:18s} scheme={name:8s} "
-            f"manifest id {manifest_id(publication.manifest).hex()[:16]}…"
+            f"  {scheme.name:8s} {len(rows):2d} rows verified, "
+            f"VO {len(encode(result.proof)):5d} bytes  [{proves}]"
         )
 
-    router = ShardRouter(shards)
-    with PublicationServer(router) as server:
-        host, port = server.address
-        print(f"\n== Publisher: one server for all three schemes ({host}:{port}) ==")
-
-        with VerifyingClient(host, port) as client:
-            print("\n== User: the same range query, verified under each scheme ==")
-            for name in SCHEMES:
-                hosting = f"employees_{name}"
-                manifest = client.fetch_manifest(hosting)
-                assert manifest.scheme == name
-                query = Query(
-                    hosting,
-                    Conjunction((RangeCondition("salary", 20_000, 60_000),)),
-                )
-                scheme = get_scheme(name)
-                if scheme.proves_completeness:
-                    result = client.execute(QuerySpec(query))
-                    note = "completeness + authenticity"
-                else:
-                    try:
-                        client.execute(QuerySpec(query))
-                        raise AssertionError("opt-in gate did not fire")
-                    except CompletenessUnsupported:
-                        pass  # the typed gate: under-verification is explicit
-                    result = client.execute(QuerySpec(query, allow_incomplete=True))
-                    note = "authenticity only (explicit allow_incomplete)"
-                vo_bytes = len(encode(result.proof))
-                print(
-                    f"  {name:8s} {len(result.rows):2d} rows verified, "
-                    f"VO {vo_bytes:5d} bytes  [{note}]"
-                )
-
-            print("\n== Attacker: a signed rotation that swaps the scheme ==")
-            pinned = client.fetch_manifest("employees_chain")
-            downgraded = dataclasses.replace(
-                pinned, scheme="vbtree", sequence=pinned.sequence + 1
-            )
-            previous = manifest_id(pinned)
-            # The attacker even holds the owner's key here (worst case): the
-            # rotation signature is genuine, yet the client still refuses.
-            forged = ManifestRotated(
-                manifest=downgraded,
-                previous_id=previous,
-                owner_signature=signature_scheme.sign(
-                    manifest_signing_message(downgraded, previous)
-                ),
-            )
-            try:
-                client._validate_rotation("employees_chain", pinned, forged)
-                print("  !! the scheme swap was accepted (this must never print)")
-            except SchemeMismatchError as error:
-                print(f"  rejected ({error.reason}): {error}")
-
+    print("\n== Publisher: drop the last qualifying row ==")
+    verifier, rows, proof = answers[CHAIN.name]
+    try:
+        verifier.verify(query, rows[:-1], proof)
+        print("  !! chain accepted a truncated answer (this must never print)")
+    except VerificationError as error:
+        print(f"  chain    refused ({error.reason})")
+    verifier, rows, proof = answers[NAIVE.name]
+    truncated = dataclasses.replace(proof, signatures=proof.signatures[:-1])
+    report = verifier.verify(query, rows[:-1], truncated)
     print(
-        "\nServer stopped; every scheme verified under its own tag, and the "
-        "downgrade was caught."
+        f"  naive    accepted {report.result_rows} of {len(rows)} rows: "
+        "the omission is invisible without a completeness proof"
     )
 
 

@@ -236,7 +236,6 @@ def _attach(
         hash_name="sha256",
         public_key=signature_scheme.verifier,
         sequence=0,
-        scheme="chain",
     )
     return StoredSignedRelation(store, RELATION, manifest, signature_scheme)
 

@@ -1,24 +1,26 @@
-"""Scheme-comparison benchmarks over the *live* publication service.
+"""Scheme-comparison benchmarks, run in process.
 
 The paper's claims are comparative (Sections 2.3 and 6): the signature-chain
 scheme ships smaller VOs than Merkle-tree publication at low selectivity,
 verifies competitively, and updates touch a constant number of signatures
-where the tree schemes re-sign whole root paths.  With the serving stack
-scheme-polymorphic, those comparisons run end to end — one
-:class:`~repro.service.server.PublicationServer` fronting one shard per
-registered scheme, the same relation and the same query workload behind each,
-measured at the :class:`~repro.service.client.VerifyingClient`:
+where the tree schemes re-sign whole root paths.  Every scheme of
+:data:`repro.schemes.SCHEMES` publishes the same relation under the same
+owner key, answers the same queries and verifies them — a
+``publish → answer → verify`` triple in one process, as the paper compares
+them:
 
-* **VO bytes vs selectivity** — the actual wire bytes of each scheme's
-  verification object, per selectivity (Figure 9's axis, now per scheme),
-* **verify ms** — client-side verification wall time per scheme,
+* **VO bytes vs selectivity** — the canonical wire encoding of each scheme's
+  verification object, per selectivity (Figure 9's axis, per scheme),
+* **verify ms** — verification wall time per scheme,
 * **update cost** — signatures/digests recomputed (and wall time) for one
   owner update batch applied through each scheme's publisher.
 
-``run_scheme_benchmarks`` returns a report fragment keyed like the hot-path
-benchmark's ``workloads`` section; ``benchmarks/bench_scheme_comparison.py``
-merges it into ``BENCH_hot_paths.json`` and renders
-``benchmarks/results/scheme_comparison.txt``.
+The owner key comes from a seeded prime search (:data:`KEY_SEED`), so the
+byte and count cells reproduce exactly from run to run; only the timings
+move.  ``run_scheme_benchmarks`` returns a report fragment keyed like the
+hot-path benchmark's ``workloads`` section;
+``benchmarks/bench_scheme_comparison.py`` merges it into a JSON report and
+renders ``benchmarks/results/scheme_comparison.txt``.
 """
 
 from __future__ import annotations
@@ -27,22 +29,24 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List
 
-from repro.crypto.signature import SignatureScheme, rsa_scheme
+from repro.crypto.rsa import generate_keypair
+from repro.crypto.signature import scheme_from_keypair
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
-from repro.schemes import available_schemes, get_scheme
-from repro.service.client import QuerySpec, VerifyingClient
-from repro.service.config import ServerConfig
-from repro.service.router import ShardRouter
-from repro.service.server import PublicationServer
+from repro.schemes import SCHEMES
 from repro.wire import encode
 from repro.wire.updates import RecordDelta
 
 __all__ = [
+    "KEY_SEED",
     "SchemeBenchConfig",
     "SMOKE_SCHEME_CONFIG",
     "run_scheme_benchmarks",
 ]
+
+#: Seed of the owner key every run signs with.  A signature's byte length
+#: follows the key drawn, so a fresh key per run would move the VO bytes.
+KEY_SEED = 2005
 
 
 @dataclass(frozen=True)
@@ -83,23 +87,6 @@ def _selectivity_query(hosting: str, selectivity: float) -> Query:
     )
 
 
-def _build_worlds(scheme_sig: SignatureScheme, config: SchemeBenchConfig):
-    """One publication + publisher per registered scheme, same logical data."""
-    worlds = {}
-    shards = {}
-    for name in available_schemes():
-        scheme = get_scheme(name)
-        relation = workload.generate_employees(
-            config.table_rows, seed=21, photo_bytes=config.photo_bytes
-        )
-        publication = scheme.publish(relation, scheme_sig)
-        hosting = f"employees_{name}"
-        publisher = scheme.make_publisher({hosting: publication})
-        worlds[name] = (hosting, publication, publisher)
-        shards[name] = publisher
-    return worlds, shards
-
-
 def _update_batch(publication, marker: int):
     victim = publication.relation[len(publication.relation) // 2]
     replacement = dict(victim.as_dict())
@@ -114,63 +101,51 @@ def _update_batch(publication, marker: int):
 def run_scheme_benchmarks(
     config: SchemeBenchConfig = SchemeBenchConfig(),
 ) -> Dict:
-    """Run the live scheme comparison and return a report fragment."""
-    scheme_sig = rsa_scheme(bits=config.key_bits)
-    worlds, shards = _build_worlds(scheme_sig, config)
-    router = ShardRouter(shards)
+    """Run the scheme comparison and return a report fragment."""
+    signature_scheme = scheme_from_keypair(
+        generate_keypair(bits=config.key_bits, rng_seed=KEY_SEED)
+    )
     per_scheme: Dict[str, Dict] = {}
-
-    with PublicationServer(router, config=ServerConfig(max_workers=4)) as server:
-        host, port = server.address
-        for name, (hosting, publication, publisher) in worlds.items():
-            scheme = get_scheme(name)
-            allow = not scheme.proves_completeness
-            points: List[Dict[str, object]] = []
-            with VerifyingClient(host, port) as client:
-                client.fetch_manifest(hosting)
-                for selectivity in config.selectivities:
-                    query = _selectivity_query(hosting, selectivity)
-                    result = client.execute(QuerySpec(query, allow_incomplete=allow))
-                    vo_bytes = (
-                        len(encode(result.proof))
-                        if result.proof is not None
-                        else 0
-                    )
-                    verifier = client.scheme_verifier_for(hosting) if name != "chain" else client.verifier
-                    best = float("inf")
-                    for _ in range(config.verify_rounds):
-                        start = time.perf_counter()
-                        verifier.verify(query, result.rows, result.proof)
-                        best = min(best, time.perf_counter() - start)
-                    points.append(
-                        {
-                            "selectivity": selectivity,
-                            "result_rows": len(result.rows),
-                            "vo_bytes": vo_bytes,
-                            "verify_ms": round(best * 1000.0, 3),
-                        }
-                    )
-            per_scheme[name] = {
-                "proves_completeness": scheme.proves_completeness,
-                "points": points,
-            }
-
-    # Update cost: applied through each scheme's publisher (the same path the
-    # server's update dispatch takes), counted via the merged receipts.
-    for name, (hosting, publication, publisher) in worlds.items():
-        signatures = digests = 0
+    for scheme in SCHEMES:
+        hosting = f"employees_{scheme.name}"
+        relation = workload.generate_employees(
+            config.table_rows, seed=21, photo_bytes=config.photo_bytes
+        )
+        publication = scheme.publish(relation, signature_scheme)
+        publisher = scheme.make_publisher({hosting: publication})
+        verifier = scheme.verifier_for(hosting, publication.manifest)
+        points: List[Dict[str, object]] = []
+        for selectivity in config.selectivities:
+            query = _selectivity_query(hosting, selectivity)
+            result = publisher.answer(query)
+            best = float("inf")
+            for _ in range(config.verify_rounds):
+                start = time.perf_counter()
+                verifier.verify(query, result.rows, result.proof)
+                best = min(best, time.perf_counter() - start)
+            points.append(
+                {
+                    "selectivity": selectivity,
+                    "result_rows": len(result.rows),
+                    "vo_bytes": len(encode(result.proof)) if result.proof is not None else 0,
+                    "verify_ms": round(best * 1000.0, 3),
+                }
+            )
+        # Update cost, read off the receipt of one update delta.
         best = float("inf")
         for round_index in range(config.update_rounds):
             batch = _update_batch(publication, round_index)
             start = time.perf_counter()
             receipt = publisher.apply_deltas(hosting, batch)
             best = min(best, time.perf_counter() - start)
-            signatures = receipt.signatures_recomputed
-            digests = receipt.digests_recomputed
-        per_scheme[name]["update"] = {
-            "signatures_recomputed": signatures,
-            "digests_recomputed": digests,
-            "best_ms": round(best * 1000.0, 3),
+        per_scheme[scheme.name] = {
+            "proves_completeness": scheme.proves_completeness,
+            "points": points,
+            "update": {
+                "signatures_recomputed": receipt.signatures_recomputed,
+                "digests_recomputed": receipt.digests_recomputed,
+                "best_ms": round(best * 1000.0, 3),
+            },
         }
 
     lowest = min(config.selectivities)

@@ -52,9 +52,9 @@ __all__ = [
 def plan_deltas(schema: Schema, deltas: Sequence) -> List[Tuple[str, Record, Optional[Record]]]:
     """Materialise wire deltas into validated records; typed errors only.
 
-    Shared by every proof scheme's publication (the chain scheme's
-    :class:`Publisher` and the baseline schemes of :mod:`repro.schemes`), so
-    "what makes a well-formed delta batch" has exactly one definition.
+    Shared by the chain scheme's :class:`Publisher` and the in-process
+    comparison baselines, so "what makes a well-formed delta batch" has
+    exactly one definition.
     """
     if not deltas:
         raise UpdateApplicationError("an update batch needs at least one delta")

@@ -75,7 +75,9 @@ class RelationManifest:
     """Public metadata a user needs to verify results over one signed relation.
 
     The manifest is what the owner distributes (alongside its public key); it
-    carries no record data.
+    carries no record data.  It always describes a signature chain:
+    ``scheme_kind``, ``base`` and ``hash_name`` are the chain's digest
+    parameters, and a rotation may change none of them.
     """
 
     schema: Schema
@@ -88,13 +90,6 @@ class RelationManifest:
     #: exactly when their sequences differ, which is what rotates the 32-byte
     #: manifest id on every live update and lets clients detect staleness.
     sequence: int = 0
-    #: Which proof scheme published this relation (``repro.schemes`` registry
-    #: name).  The tag is part of the manifest's canonical bytes — and hence
-    #: of the 32-byte manifest id a client pins — so a publisher can never
-    #: silently swap a relation to a weaker scheme.  ``scheme_kind`` and
-    #: ``base`` configure the chain scheme's digest chains and are ignored by
-    #: the other schemes.
-    scheme: str = "chain"
 
     @property
     def domain(self) -> KeyDomain:
@@ -268,7 +263,6 @@ class SignedRelation:
                 hash_name=self.hash_function.name,
                 public_key=self._signature_scheme.verifier,
                 sequence=self._version,
-                scheme="chain",
             )
         return self._manifest
 

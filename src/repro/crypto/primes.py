@@ -9,7 +9,7 @@ small primes, and random prime generation of a requested bit length.
 from __future__ import annotations
 
 import secrets
-from typing import Iterable, List
+from typing import Callable, Iterable, List
 
 __all__ = [
     "is_probable_prime",
@@ -90,17 +90,18 @@ def is_probable_prime(candidate: int, rounds: int = 40) -> bool:
     return True
 
 
-def generate_prime(bits: int) -> int:
+def generate_prime(bits: int, randbits: Callable[[int], int] = secrets.randbits) -> int:
     """Generate a random prime with exactly ``bits`` bits.
 
     The top two bits are forced to 1 so that the product of two such primes has
     the full ``2*bits`` length, and the bottom bit is forced to 1 so the
-    candidate is odd.
+    candidate is odd.  ``randbits`` draws the candidates (the system CSPRNG
+    unless a caller seeds a reproducible key).
     """
     if bits < 8:
         raise ValueError("refusing to generate primes below 8 bits")
     while True:
-        candidate = secrets.randbits(bits)
+        candidate = randbits(bits)
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
         if is_probable_prime(candidate):
             return candidate

@@ -25,6 +25,7 @@ single-shot signing pay only the modular exponentiations themselves.
 
 from __future__ import annotations
 
+import random
 import secrets
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -427,15 +428,16 @@ def generate_keypair(
         512 for speed.  Values below 512 are accepted but flagged for tests
         only.
     rng_seed:
-        Ignored (key generation always uses the system CSPRNG); accepted so
-        call sites can document deterministic intent without weakening keys.
+        Seeds the prime search for a reproducible key — for benchmarks whose
+        output must not depend on the key drawn, never for a deployed key.
+        ``None`` (the default) draws from the system CSPRNG.
     crt_primes:
         How many primes the modulus is a product of (RFC 8017 multi-prime
         RSA).  The default of 3 makes CRT signing ~1.5x faster at equal
         modulus size; pass 2 for a classic two-prime key.  The public key is
         identical either way.
     """
-    del rng_seed  # keys are always generated from the system CSPRNG
+    randbits = secrets.randbits if rng_seed is None else random.Random(rng_seed).getrandbits
     if bits < 256:
         raise ValueError("modulus below 256 bits is not supported")
     if not 2 <= crt_primes <= 4:
@@ -448,7 +450,7 @@ def generate_keypair(
         primes = []
         for size in sizes:
             while True:
-                candidate = generate_prime(size)
+                candidate = generate_prime(size, randbits)
                 if candidate not in primes:
                     primes.append(candidate)
                     break

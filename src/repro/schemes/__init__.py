@@ -1,75 +1,68 @@
-"""Proof schemes: one ``ProofScheme`` interface from publisher to wire to client.
+"""Proof schemes: the paper's signature chains and the baselines it is compared against.
 
-Importing this package registers every built-in scheme:
+==========  ============  ==========================================
+name        completeness  construction
+==========  ============  ==========================================
+``chain``   yes           the paper's signature chains (Sections 3-6)
+``devanbu`` yes           Merkle hash tree, signed root (Devanbu 2000)
+``naive``   no            one signature per tuple (strawman)
+``vbtree``  no            signed digest hierarchy (Pang & Tan 2004)
+==========  ============  ==========================================
 
-==========  ============  =====  ==========================================
-name        completeness  joins  construction
-==========  ============  =====  ==========================================
-``chain``   yes           yes    the paper's signature chains (Sections 3-6)
-``devanbu`` yes           no     Merkle hash tree, signed root (Devanbu 2000)
-``naive``   no            no     one signature per tuple (strawman)
-``vbtree``  no            no     signed digest hierarchy (Pang & Tan 2004)
-==========  ============  =====  ==========================================
-
-Every layer of the serving stack dispatches through this registry: manifests
-carry a ``scheme`` tag, the wire codec knows each scheme's VO artifact (from
-the scheme module's own field-spec table), the
-:class:`~repro.service.router.ShardRouter` hosts any scheme's publisher, and
-the :class:`~repro.service.client.VerifyingClient` resolves its verifier from
-the scheme tag of the manifest it pinned.  Adding a scheme is one module plus
-an import line below.
+Each is an in-process ``publish → answer → verify`` triple behind the one
+:class:`ProofScheme` interface, and :data:`SCHEMES` lists them in table
+order: the scheme comparison (:mod:`repro.bench.schemes`),
+``examples/scheme_comparison.py`` and the tests drive them side by side, as
+the paper's Sections 2.3 and 6 do.  Only the chain scheme is served,
+stored, recovered or replicated; the baselines' VO artifacts keep their wire
+field-specs because their canonical encoding is how the comparison counts
+VO bytes, but no service message carries them.
 """
 
+from typing import Tuple
+
 from repro.schemes.base import (
-    CompletenessUnsupported,
     ProofScheme,
-    PublisherProtocol,
-    SchemeMismatchError,
     SchemePublication,
     SchemePublisher,
     SchemeVerifier,
-    UnknownSchemeError,
-    available_schemes,
-    get_scheme,
-    register_scheme,
-    registered_vo_types,
-    scheme_of,
 )
-from repro.schemes.chain import ChainScheme, ChainVerifier
+from repro.schemes.chain import CHAIN, ChainScheme, ChainVerifier
 from repro.schemes.devanbu import (
+    DEVANBU,
     DevanbuPublication,
     DevanbuScheme,
     DevanbuSchemeVerifier,
 )
-from repro.schemes.naive import NaivePublication, NaiveScheme, NaiveSchemeVerifier
+from repro.schemes.naive import NAIVE, NaivePublication, NaiveScheme, NaiveSchemeVerifier
 from repro.schemes.vbtree import (
+    VBTREE,
     VBTreePublication,
     VBTreeScheme,
     VBTreeSchemeVerifier,
 )
 
+#: Every scheme of the comparison, in table order.
+SCHEMES: Tuple[ProofScheme, ...] = (CHAIN, DEVANBU, NAIVE, VBTREE)
+
 __all__ = [
-    "CompletenessUnsupported",
+    "SCHEMES",
     "ProofScheme",
-    "PublisherProtocol",
-    "SchemeMismatchError",
     "SchemePublication",
     "SchemePublisher",
     "SchemeVerifier",
-    "UnknownSchemeError",
-    "available_schemes",
-    "get_scheme",
-    "register_scheme",
-    "registered_vo_types",
-    "scheme_of",
+    "CHAIN",
     "ChainScheme",
     "ChainVerifier",
+    "DEVANBU",
     "DevanbuPublication",
     "DevanbuScheme",
     "DevanbuSchemeVerifier",
+    "NAIVE",
     "NaivePublication",
     "NaiveScheme",
     "NaiveSchemeVerifier",
+    "VBTREE",
     "VBTreePublication",
     "VBTreeScheme",
     "VBTreeSchemeVerifier",

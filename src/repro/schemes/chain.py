@@ -1,20 +1,17 @@
-"""The paper's signature-chain construction as a registered ``ProofScheme``.
+"""The paper's signature-chain construction behind the ``ProofScheme`` interface.
 
 This is the scheme the whole repository reproduces (Sections 3-6): per-entry
 hash-chain digests, one chain signature per record, boundary proofs for
-completeness, per-record attribute Merkle trees for precision.  The heavy
-machinery lives where it always did — :mod:`repro.core.relational` (owner),
+completeness, per-record attribute Merkle trees for precision.  The machinery
+lives where it always did — :mod:`repro.core.relational` (owner),
 :mod:`repro.core.publisher` (untrusted publisher) and
-:mod:`repro.core.verifier` (user) — and this module is the thin registration
-that puts it behind the :class:`~repro.schemes.base.ProofScheme` interface so
-the serving stack treats it as *one scheme among several* instead of the only
-one.
+:mod:`repro.core.verifier` (user) — and the service serves it directly; this
+module is the thin adapter that lines it up with the baselines for the
+in-process comparison.
 
-The chain scheme is the only registered scheme that proves completeness **and**
-supports verifiable PK-FK joins, projections, multipoint predicates and
-access-control rewriting; its VO artifact is
-:class:`~repro.core.proof.RangeQueryProof` (already registered with the wire
-codec by :mod:`repro.wire.codec`).
+The chain scheme is the only one that proves completeness **and** supports
+verifiable PK-FK joins, projections, multipoint predicates and access-control
+rewriting; its VO artifact is :class:`~repro.core.proof.RangeQueryProof`.
 """
 
 from __future__ import annotations
@@ -30,9 +27,9 @@ from repro.crypto.hashing import HashFunction
 from repro.crypto.signature import SignatureScheme
 from repro.db.query import Query
 from repro.db.relation import Relation
-from repro.schemes.base import ProofScheme, SchemeVerifier, register_scheme
+from repro.schemes.base import ProofScheme, SchemeVerifier
 
-__all__ = ["ChainScheme", "ChainVerifier"]
+__all__ = ["CHAIN", "ChainScheme", "ChainVerifier"]
 
 
 class ChainVerifier(SchemeVerifier):
@@ -53,11 +50,10 @@ class ChainVerifier(SchemeVerifier):
 
 
 class ChainScheme(ProofScheme):
-    """Registry entry for the paper's signature-chain scheme."""
+    """The paper's signature-chain scheme."""
 
     name = "chain"
     proves_completeness = True
-    supports_joins = True
     vo_type = RangeQueryProof
 
     def publish(
@@ -92,4 +88,4 @@ class ChainScheme(ProofScheme):
         return ChainVerifier(ResultVerifier({relation_name: manifest}, policy=policy))
 
 
-CHAIN = register_scheme(ChainScheme())
+CHAIN = ChainScheme()

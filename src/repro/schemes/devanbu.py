@@ -1,4 +1,4 @@
-"""Devanbu et al. Merkle-tree publication as a registered ``ProofScheme``.
+"""Devanbu et al. Merkle-tree publication behind the ``ProofScheme`` interface.
 
 Devanbu, Gertz, Martel and Stubblebine ("Authentic Data Publication over the
 Internet", 2000) — reference [10] of the paper — authenticate query results by
@@ -9,7 +9,7 @@ ship the sibling digests up to the root.
 
 The scheme **does** prove completeness, which is exactly why it is the paper's
 main comparison target.  The paper criticises it on five counts (Section 2.3);
-the benchmarks quantify them, here and live via ``repro.bench.schemes``:
+the benchmarks quantify them, here and in-process via ``repro.bench.schemes``:
 
 1. one MHT per sort order (same as the proposed scheme, so not benchmarked),
 2. the VO grows logarithmically with the *table* size (``bench_vo_scaling``),
@@ -41,11 +41,11 @@ from repro.schemes.base import (
     SchemeVerifier,
     check_plain_range_query,
     range_bounds,
-    register_scheme,
 )
 from repro.wire import codec
 
 __all__ = [
+    "DEVANBU",
     "DevanbuProof",
     "DevanbuScheme",
     "DevanbuPublication",
@@ -378,11 +378,10 @@ class DevanbuSchemeVerifier(SchemeVerifier):
 
 
 class DevanbuScheme(ProofScheme):
-    """Registry entry for the Devanbu et al. Merkle-tree baseline."""
+    """The Devanbu et al. Merkle-tree baseline."""
 
     name = "devanbu"
     proves_completeness = True
-    supports_joins = False
     vo_type = DevanbuProof
 
     def publish(
@@ -403,4 +402,4 @@ class DevanbuScheme(ProofScheme):
         return DevanbuSchemeVerifier(relation_name, manifest)
 
 
-DEVANBU = register_scheme(DevanbuScheme())
+DEVANBU = DevanbuScheme()

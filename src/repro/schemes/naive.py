@@ -1,4 +1,4 @@
-"""Naive per-tuple signatures as a registered ``ProofScheme``.
+"""Naive per-tuple signatures behind the ``ProofScheme`` interface.
 
 The strawman the paper's related-work section starts from: the owner signs
 the digest of every tuple, the publisher ships matching tuples with their
@@ -7,10 +7,7 @@ per result tuple unless the publisher condenses them — which is what Section
 5.2's aggregation (and the Ma et al. scheme) set out to remove.
 
 Authenticity only — dropping qualifying tuples is undetectable, so the scheme
-registers with ``proves_completeness = False`` and a
-:class:`~repro.service.client.VerifyingClient` refuses to answer under it
-without an explicit ``allow_incomplete=True`` opt-in
-(:class:`~repro.schemes.base.CompletenessUnsupported`).
+declares ``proves_completeness = False``.
 """
 
 from __future__ import annotations
@@ -33,11 +30,10 @@ from repro.schemes.base import (
     SchemeVerifier,
     check_plain_range_query,
     range_bounds,
-    register_scheme,
 )
 from repro.wire import codec
 
-__all__ = ["NaiveProof", "NaiveScheme", "NaivePublication", "NaiveSchemeVerifier"]
+__all__ = ["NAIVE", "NaiveProof", "NaiveScheme", "NaivePublication", "NaiveSchemeVerifier"]
 
 
 @dataclass(frozen=True)
@@ -180,11 +176,10 @@ class NaiveSchemeVerifier(SchemeVerifier):
 
 
 class NaiveScheme(ProofScheme):
-    """Registry entry for the per-tuple-signature baseline."""
+    """The per-tuple-signature baseline."""
 
     name = "naive"
     proves_completeness = False
-    supports_joins = False
     vo_type = NaiveProof
 
     def publish(
@@ -205,4 +200,4 @@ class NaiveScheme(ProofScheme):
         return NaiveSchemeVerifier(relation_name, manifest)
 
 
-NAIVE = register_scheme(NaiveScheme())
+NAIVE = NaiveScheme()

@@ -1,4 +1,4 @@
-"""The VB-tree (Pang & Tan, ICDE 2004) as a registered ``ProofScheme``.
+"""The VB-tree (Pang & Tan, ICDE 2004) behind the ``ProofScheme`` interface.
 
 Pang & Tan's VB-tree ("Authenticating Query Results in Edge Computing" —
 reference [20] of the paper) augments a B+-tree with digests computed
@@ -15,9 +15,7 @@ the parts the SIGMOD 2005 paper actually compares against:
   path, the churn cost the paper's Section 6.3 comparison highlights.
 
 Like the naive scheme, the VB-tree authenticates values but cannot prove
-completeness (``proves_completeness = False``): clients must opt in with
-``allow_incomplete=True`` or receive a typed
-:class:`~repro.schemes.base.CompletenessUnsupported`.
+completeness (``proves_completeness = False``).
 """
 
 from __future__ import annotations
@@ -38,11 +36,11 @@ from repro.schemes.base import (
     SchemeVerifier,
     check_plain_range_query,
     range_bounds,
-    register_scheme,
 )
 from repro.wire import codec
 
 __all__ = [
+    "VBTREE",
     "VBTreeProof",
     "VBTreeScheme",
     "VBTreePublication",
@@ -397,11 +395,10 @@ class VBTreeSchemeVerifier(SchemeVerifier):
 
 
 class VBTreeScheme(ProofScheme):
-    """Registry entry for the VB-tree baseline."""
+    """The VB-tree baseline."""
 
     name = "vbtree"
     proves_completeness = False
-    supports_joins = False
     vo_type = VBTreeProof
 
     def publish(
@@ -423,4 +420,4 @@ class VBTreeScheme(ProofScheme):
         return VBTreeSchemeVerifier(relation_name, manifest)
 
 
-VBTREE = register_scheme(VBTreeScheme())
+VBTREE = VBTreeScheme()

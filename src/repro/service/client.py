@@ -11,15 +11,11 @@ incomplete one raises a typed error
 :class:`~repro.core.errors.VerificationError` at the proof layer, or
 :class:`~repro.service.protocol.ServiceError` at the transport layer).
 
-**Scheme polymorphism.**  Each manifest names the proof scheme its relation
-was published under (``chain``, ``devanbu``, ``naive``, ``vbtree`` — see
-:mod:`repro.schemes`); the tag sits inside the canonical bytes the pinned
-manifest id commits to, and the client resolves its verifier from it.  A
-scheme that cannot prove completeness requires an explicit
-``allow_incomplete=True`` opt-in (typed
-:class:`~repro.schemes.CompletenessUnsupported` otherwise), and a rotation
-that tries to change a relation's scheme — however well signed — is refused
-with a typed :class:`~repro.schemes.SchemeMismatchError`.
+Every relation is a signature chain, so one
+:class:`~repro.core.verifier.ResultVerifier` over every pinned manifest
+verifies every answer, joins included; a rotation that changes the chain's
+parameters — however well signed — is refused with a typed
+``rotation-scheme-mismatch``.
 
 **Live updates.**  A publisher that applies owner deltas rotates the
 relation's manifest (its ``sequence`` bumps, so its 32-byte id changes).
@@ -62,13 +58,6 @@ from repro.core.report import VerificationReport
 from repro.core.verifier import ResultVerifier
 from repro.db.access_control import AccessControlPolicy
 from repro.db.query import Conjunction, JoinQuery, Query, RangeCondition
-from repro.schemes import (
-    CompletenessUnsupported,
-    ProofScheme,
-    SchemeMismatchError,
-    SchemeVerifier,
-    scheme_of,
-)
 from repro.service.config import FreshnessPolicy
 from repro.service.protocol import (
     ConnectionRefusedTransportError,
@@ -303,17 +292,11 @@ class QuerySpec:
 
     The single value object behind :meth:`VerifyingClient.execute` /
     :meth:`~VerifyingClient.execute_many`.
-
-    ``allow_incomplete`` opts in to schemes that prove authenticity but not
-    completeness (typed :class:`~repro.schemes.CompletenessUnsupported`
-    otherwise); it has no meaning for joins, which are only served by
-    completeness-proving schemes in the first place.
     """
 
     query: Union[Query, JoinQuery]
     role: Optional[str] = None
     verify: bool = True
-    allow_incomplete: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.query, (Query, JoinQuery)):
@@ -498,9 +481,6 @@ class VerifyingClient(ServiceConnection):
                 )
             self._pinned_ids[name] = bytes(identifier)
         self._verifier: Optional[ResultVerifier] = None
-        #: Per-relation scheme verifiers, keyed (relation name, manifest id):
-        #: rebuilt whenever the pinned manifest rotates.
-        self._scheme_verifiers: Dict[Tuple[str, bytes], SchemeVerifier] = {}
         #: Rotations this client accepted: relation name -> sequence, for
         #: observability (tests assert the refresh path actually ran).
         self.rotations_observed: Dict[str, int] = {}
@@ -561,7 +541,7 @@ class VerifyingClient(ServiceConnection):
             )
         self._manifests[relation_name] = manifest
         self._pinned_ids.setdefault(relation_name, manifest_id(manifest))
-        self._reset_verifiers()  # rebuilt lazily over the new manifest set
+        self._verifier = None  # rebuilt lazily over the new manifest set
         return manifest
 
     def _bootstrap_pinned_manifest(
@@ -585,7 +565,7 @@ class VerifyingClient(ServiceConnection):
                 "does not hash to it"
             )
         self._manifests[relation_name] = historical
-        self._reset_verifiers()
+        self._verifier = None
         return self.refresh_rotated_manifest(relation_name)
 
     def _ensure_manifest(self, relation_name: str) -> bytes:
@@ -595,84 +575,10 @@ class VerifyingClient(ServiceConnection):
 
     @property
     def verifier(self) -> ResultVerifier:
-        """The local chain-scheme verifier over every chain manifest so far.
-
-        Joins verify across relations, so the chain verifier spans all pinned
-        chain-scheme manifests.  Relations published under other schemes are
-        verified by their scheme-resolved verifier instead
-        (:meth:`scheme_verifier_for`).
-        """
+        """The local verifier over every manifest pinned so far (joins span two)."""
         if self._verifier is None:
-            chain_manifests = {
-                name: manifest
-                for name, manifest in self._manifests.items()
-                if manifest.scheme == "chain"
-            }
-            self._verifier = ResultVerifier(chain_manifests, policy=self.policy)
+            self._verifier = ResultVerifier(dict(self._manifests), policy=self.policy)
         return self._verifier
-
-    def _reset_verifiers(self) -> None:
-        """Drop every verifier derived from the (now changed) manifest set."""
-        self._verifier = None
-        self._scheme_verifiers.clear()
-
-    def scheme_for(self, relation_name: str) -> ProofScheme:
-        """The registered proof scheme of a pinned relation's manifest.
-
-        Resolution is by the manifest's ``scheme`` tag — which is part of the
-        canonical bytes behind the pinned 32-byte id, so the publisher cannot
-        steer a client to a different verifier than the owner published.
-        Raises a typed :class:`~repro.schemes.UnknownSchemeError` when this
-        build has no implementation for the tag.
-        """
-        return scheme_of(self._manifests[relation_name])
-
-    def scheme_verifier_for(self, relation_name: str) -> SchemeVerifier:
-        """The scheme-resolved verifier for one pinned relation."""
-        identifier = self._pinned_ids[relation_name]
-        key = (relation_name, identifier)
-        verifier = self._scheme_verifiers.get(key)
-        if verifier is None:
-            manifest = self._manifests[relation_name]
-            verifier = self.scheme_for(relation_name).verifier_for(
-                relation_name, manifest, policy=self.policy
-            )
-            self._scheme_verifiers[key] = verifier
-        return verifier
-
-    def _verify_answer(
-        self,
-        relation_name: str,
-        query: Query,
-        rows,
-        proof,
-        role: Optional[str],
-        allow_incomplete: bool,
-    ) -> VerificationReport:
-        """Verify one decoded answer under the relation's pinned scheme.
-
-        A scheme that cannot prove completeness is refused with a typed
-        :class:`~repro.schemes.CompletenessUnsupported` unless the caller
-        opted in with ``allow_incomplete=True`` — under-verification is never
-        silent.
-        """
-        scheme = self.scheme_for(relation_name)
-        if not scheme.proves_completeness and not allow_incomplete:
-            raise CompletenessUnsupported(
-                f"relation {relation_name!r} is published under the "
-                f"{scheme.name!r} scheme, which proves authenticity but not "
-                "completeness; pass allow_incomplete=True to accept "
-                "possibly-incomplete answers"
-            )
-        # The response's proof field is a wire union over every registered
-        # VO type: a publisher answering under the wrong scheme is refused
-        # with the typed reason before either verifier touches the proof.
-        scheme.check_proof_type(proof)
-        if scheme.name == "chain":
-            return self.verifier.verify(query, rows, proof, role=role)
-        return self.scheme_verifier_for(relation_name).verify(
-            query, rows, proof, role=role
-        )
 
     # -- freshness -----------------------------------------------------------
 
@@ -802,9 +708,8 @@ class VerifyingClient(ServiceConnection):
         self._manifests[relation_name] = manifest
         self._pinned_ids[relation_name] = manifest_id(manifest)
         self._listing = None  # the server's listing moved with the rotation
-        # The chain verifier keys its digest memos by the scheme parameters
+        # The verifier keys its digest memos by the scheme parameters
         # _validate_rotation just proved unchanged: re-pin it, keep the memos.
-        self._scheme_verifiers.clear()
         if self._verifier is not None and relation_name in self._verifier.manifests:
             self._verifier.manifests[relation_name] = manifest
         self.rotations_observed[relation_name] = manifest.sequence
@@ -817,16 +722,6 @@ class VerifyingClient(ServiceConnection):
         rotation: ManifestRotated,
     ) -> None:
         manifest = rotation.manifest
-        if manifest.scheme != pinned.scheme:
-            # Checked before any signature math: rotations carry data
-            # updates, never scheme migrations, so a scheme change is a
-            # downgrade attempt (or a misconfigured publisher) even when the
-            # owner key and signature would check out.
-            raise SchemeMismatchError(
-                f"rotated manifest for {relation_name!r} switches the proof "
-                f"scheme from {pinned.scheme!r} to {manifest.scheme!r}; a "
-                "rotation may never change the scheme"
-            )
         if manifest.public_key != pinned.public_key:
             raise StaleManifestError(
                 f"rotated manifest for {relation_name!r} is signed under a "
@@ -875,17 +770,17 @@ class VerifyingClient(ServiceConnection):
     def execute_many(self, specs: Sequence[QuerySpec]) -> List[VerifiedResult]:
         """Ask, attribute, verify: the read loop for single-relation specs.
 
-        All specs must share role/verify/allow_incomplete (one exchange, one
-        verification policy) and none may be a join (:meth:`execute` serves
-        those).  The asks go out in one round trip — one frame, or many
-        written back-to-back and answered in order, each still an atomic
-        snapshot — and results come back in spec order.
+        All specs must share role and verify (one exchange, one verification
+        policy) and none may be a join (:meth:`execute` serves those).  The
+        asks go out in one round trip — one frame, or many written
+        back-to-back and answered in order, each still an atomic snapshot —
+        and results come back in spec order.
 
         Every answer is attributed to a snapshot by :meth:`_attribute`,
-        checked against the freshness policy and verified under the scheme
-        its relation's pinned manifest names (:meth:`_verify_answer`).  Only
-        the answers whose stamped snapshot the server no longer serves are
-        asked again, at most :data:`MAX_ROTATIONS_PER_CALL` times.
+        checked against the freshness policy and verified by
+        :attr:`verifier`.  Only the answers whose stamped snapshot the server
+        no longer serves are asked again, at most
+        :data:`MAX_ROTATIONS_PER_CALL` times.
 
         ``verify=False`` skips freshness and verification and returns the raw
         decoded rows — for measurement and relaying only; a consuming client
@@ -902,14 +797,8 @@ class VerifyingClient(ServiceConnection):
                     "execute_many serves single-relation specs; send joins "
                     "through execute()"
                 )
-            if (spec.role, spec.verify, spec.allow_incomplete) != (
-                head.role,
-                head.verify,
-                head.allow_incomplete,
-            ):
-                raise ValueError(
-                    "execute_many specs must share role/verify/allow_incomplete"
-                )
+            if (spec.role, spec.verify) != (head.role, head.verify):
+                raise ValueError("execute_many specs must share role and verify")
         results: List[Optional[VerifiedResult]] = [None] * len(specs)
         unsettled = list(range(len(specs)))
         for _ in range(MAX_ROTATIONS_PER_CALL):
@@ -944,9 +833,8 @@ class VerifyingClient(ServiceConnection):
                     self._check_freshness(
                         name, manifest, identifier, response.attestation
                     )
-                    report = self._verify_answer(
-                        name, query, response.rows, response.proof,
-                        head.role, head.allow_incomplete,
+                    report = self.verifier.verify(
+                        query, response.rows, response.proof, role=head.role
                     )
                 results[index] = VerifiedResult(
                     rows=response.rows,
@@ -980,7 +868,7 @@ class VerifyingClient(ServiceConnection):
           accepted), just "already current" — and the pin is kept.
         * if the stamp still differs, the relation is rotating faster than
           the client can re-pin (a streaming owner), which must not starve
-          the reader: rotations cannot change the owner key or any scheme
+          the reader: rotations cannot change the owner key or any chain
           parameter (:meth:`_validate_rotation`), so the answer is exactly as
           verifiable under the refreshed trust root.  Fetch the stamped
           manifest by id, check that it hashes to the stamp and keeps those
@@ -1040,22 +928,12 @@ class VerifyingClient(ServiceConnection):
         The read loop of :meth:`execute_many` with two sides: each side is
         attributed by :meth:`_attribute` and bounded by the freshness policy
         independently, and the join is asked again only when a side's stamp
-        was evicted.  Both relations must be published under a scheme that
-        supports verifiable joins (currently only ``chain``); anything else
-        is a typed :class:`~repro.schemes.CompletenessUnsupported`.
+        was evicted.
         """
         left, right = join.left_relation, join.right_relation
         for _ in range(MAX_ROTATIONS_PER_CALL):
             left_pin = self._ensure_manifest(left)
             right_pin = self._ensure_manifest(right)
-            for name in (left, right):
-                scheme = self.scheme_for(name)
-                if not scheme.supports_joins:
-                    raise CompletenessUnsupported(
-                        f"relation {name!r} is published under the "
-                        f"{scheme.name!r} scheme, which cannot prove join "
-                        "results"
-                    )
             response: JoinResponse = self._request(
                 JoinRequest(
                     left_manifest_id=left_pin,
@@ -1102,7 +980,6 @@ def _same_parameters(a: RelationManifest, b: RelationManifest) -> bool:
     return (
         a.public_key == b.public_key
         and a.schema == b.schema
-        and a.scheme == b.scheme
         and a.scheme_kind == b.scheme_kind
         and a.base == b.base
         and a.hash_name == b.hash_name

@@ -17,9 +17,8 @@ check touched a key inside its interval (Section 6.3's update locality: a
 mutation re-signs its neighbours and nothing else).  The tail — current
 manifest id and attestation — is taken under the shard lock at serve time and
 spliced on, so every payload is byte-identical to what a cache-less handler
-builds at that instant.  Relations whose publisher reports no window (the
-Merkle-style baselines: one update changes every VO) and both sides of a join
-are guarded by the whole key domain.
+builds at that instant.  An answer that reports no window (a vacuous range)
+and both sides of a join are guarded by the whole key domain.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.cache import BoundedCache
 from repro.core.errors import ReproError
-from repro.core.publisher import plan_deltas, simulate_deltas
+from repro.core.publisher import Publisher, plan_deltas, simulate_deltas
 from repro.service.protocol import (
     AttestationAck,
     AttestationPush,
@@ -89,7 +88,7 @@ class _Window:
     interval ``[low, high]`` of the chain entries it read, untouched by every
     update up to relation sequence ``checked``."""
 
-    publisher: object  # the shard's PublisherProtocol
+    publisher: Publisher
     relation: str
     low: int
     high: int

@@ -49,7 +49,6 @@ from repro.core.errors import ReproError
 from repro.core.proof import JoinQueryProof, RangeQueryProof
 from repro.core.relational import RelationManifest
 from repro.db.query import JoinQuery, Query
-from repro.schemes import registered_vo_types
 from repro.wire import codec, decode, encode
 from repro.wire.primitives import MAX_FIELD_BYTES
 from repro.wire.updates import (  # noqa: F401 - re-exported protocol messages
@@ -272,11 +271,9 @@ class QueryRequest:
 class QueryResponse:
     """Rows plus the verification object; ``proof`` is None only for vacuous ranges.
 
-    ``proof`` is whichever VO artifact the hosted relation's scheme produces
-    (a :class:`~repro.core.proof.RangeQueryProof` under the chain scheme, a
-    Devanbu / naive / VB-tree proof under the baseline schemes) — on the wire
-    it is a tagged union over every registered scheme's VO type, and the
-    client's scheme-resolved verifier rejects a VO of the wrong type.
+    ``proof`` is the chain scheme's :class:`~repro.core.proof.RangeQueryProof`,
+    embedded as a body of that one type: a frame carrying any other VO does
+    not decode.
 
     ``manifest_id`` is the id of the manifest the answer was built under,
     captured atomically with the answer (same shard lock).  A client whose
@@ -292,7 +289,7 @@ class QueryResponse:
     """
 
     rows: Tuple[Dict[str, object], ...]
-    proof: Optional[object]
+    proof: Optional[RangeQueryProof]
     manifest_id: bytes = b""
     attestation: Optional[FreshnessAttestation] = None
 
@@ -490,10 +487,7 @@ codec.register_artifact(
     QueryResponse,
     [
         ("rows", codec.TupleField(_ROW)),
-        # One response artifact for every scheme: the proof is a tagged union
-        # over the VO types of all registered schemes (chain range proofs,
-        # Devanbu expansions, naive signature lists, VB-tree covers).
-        ("proof", codec.OptionalField(codec.UnionField(*registered_vo_types()))),
+        ("proof", codec.OptionalField(codec.NestedField(RangeQueryProof))),
         ("manifest_id", codec.BYTES),
         ("attestation", codec.OptionalField(codec.NestedField(FreshnessAttestation))),
     ],

@@ -1,18 +1,13 @@
 """Manifest-id shard routing: one server fronting several relations.
 
-A *shard* is one publisher — the chain scheme's
-:class:`~repro.core.publisher.Publisher` or any registered scheme's
-:class:`~repro.schemes.base.SchemePublisher` (the router is
-scheme-polymorphic: it consumes only the shared
-:class:`~repro.schemes.base.PublisherProtocol` surface, and each
-hosted relation's manifest carries its scheme tag inside the bytes the
-32-byte id commits to).  The router indexes every hosted relation by the
-:func:`repro.wire.manifest_id` of its manifest and dispatches incoming
-requests to the owning shard.  Addressing by manifest id rather than by name
-means a client always talks about the exact signed artefact it verified the
-manifest of — renaming or re-hosting a relation can never silently redirect
-its queries, and re-publishing a relation under a different scheme changes
-every id a client could pin.
+A *shard* is one chain-scheme :class:`~repro.core.publisher.Publisher`;
+anything else is refused at construction with a :class:`TypeError` (the
+paper's comparison baselines run in-process only).  The router indexes
+every hosted relation by the :func:`repro.wire.manifest_id` of its manifest
+and dispatches incoming requests to the owning shard.  Addressing by
+manifest id rather than by name means a client always talks about the
+exact signed artefact it verified the manifest of — renaming or re-hosting a
+relation can never silently redirect its queries.
 
 Live updates rotate manifests: every applied delta batch bumps the relation's
 manifest ``sequence`` and therefore its id.  The router keeps every
@@ -39,9 +34,9 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Mapping, Optional, Tuple
 
 from repro.cache import BoundedCache
+from repro.core.publisher import Publisher
 from repro.core.relational import RelationManifest
 from repro.db.query import JoinQuery
-from repro.schemes.base import PublisherProtocol
 from repro.service.protocol import (
     OwnerAuthError,
     ServiceError,
@@ -109,17 +104,23 @@ class ShardTarget:
 
     shard_name: str
     relation_name: str
-    publisher: PublisherProtocol
+    publisher: Publisher
     lock: threading.Lock = field(compare=False)
 
 
 class ShardRouter:
     """Routes manifest ids to the shard publisher hosting them."""
 
-    def __init__(self, shards: Mapping[str, PublisherProtocol]) -> None:
+    def __init__(self, shards: Mapping[str, Publisher]) -> None:
         if not shards:
             raise ValueError("a shard router needs at least one shard")
-        self.shards: Dict[str, PublisherProtocol] = dict(shards)
+        for shard_name, publisher in shards.items():
+            if not isinstance(publisher, Publisher):
+                raise TypeError(
+                    f"shard {shard_name!r} is a {type(publisher).__name__}; a "
+                    "shard is a chain-scheme Publisher"
+                )
+        self.shards: Dict[str, Publisher] = dict(shards)
         self._index_lock = threading.Lock()
         self._by_id: Dict[bytes, ShardTarget] = {}
         self._by_name: Dict[str, ShardTarget] = {}

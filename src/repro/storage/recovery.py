@@ -5,11 +5,10 @@ indistinguishable — manifest ids, rotation history, query answers, applied-
 update registry — from the router that was serving before the crash:
 
 1. **The relation store** holds each relation at its last committed update
-   boundary.  A chain relation *attaches* to it: rows, stored roots and the
+   boundary.  Every relation *attaches* to it: rows, stored roots and the
    owner's signatures are served as stored, nothing is re-signed, and the
    attached manifest's 32-byte id must lie on the history of the
-   checkpoint's owner-signed one.  (The non-chain comparison schemes keep
-   their proof structures in RAM only and republish from the stored rows.)
+   checkpoint's owner-signed one.
 2. **WAL replay** pushes every
    :class:`~repro.wire.updates.UpdateRequest` frame the store has not yet
    committed through the *same*
@@ -39,9 +38,6 @@ from dataclasses import replace
 from typing import Dict
 
 from repro.core.publisher import Publisher
-from repro.crypto.hashing import HashFunction
-from repro.db.relation import Relation
-from repro.schemes import get_scheme
 from repro.service.router import ShardRouter, ShardTarget
 from repro.storage.checkpoint import Checkpoint
 from repro.storage.errors import RecoveryError
@@ -67,15 +63,13 @@ def rebuild_stored_publication(
 ):
     """One relation served from its shard's relation store.
 
-    The chain scheme *attaches*: identity index, stored roots and signatures
+    The relation *attaches*: identity index, stored roots and signatures
     load from SQLite, rows fault in lazily, and nothing is re-signed — the
     stored signatures are the owner's chain, so peak memory is a few dozen
-    bytes per row instead of the rows themselves.  The other registered
-    schemes stream their rows out of the store and republish (their proof
-    structures only exist in RAM).  The store may be *ahead* of the
-    checkpoint (it commits every update batch; checkpoints are periodic):
-    the publication resumes at the store's sequence, and the checkpoint's
-    owner-signed manifest id must still lie on the same history.
+    bytes per row instead of the rows themselves.  The store may be *ahead*
+    of the checkpoint (it commits every update batch; checkpoints are
+    periodic): the publication resumes at the store's sequence, and the
+    checkpoint's owner-signed manifest id must still lie on the same history.
     """
     name = checkpoint.relation_name
     manifest = checkpoint.rotation.manifest
@@ -93,13 +87,6 @@ def rebuild_stored_publication(
             "state for it",
             reason="store-missing",
         )
-    scheme_tag = manifest.scheme
-    if state.scheme != scheme_tag:
-        raise RecoveryError(
-            f"relation {name!r}: the relation store says scheme "
-            f"{state.scheme!r}, the checkpoint says {scheme_tag!r}",
-            reason="store-scheme-mismatch",
-        )
     if state.sequence < manifest.sequence:
         raise RecoveryError(
             f"relation {name!r}: the relation store stopped at sequence "
@@ -107,14 +94,7 @@ def rebuild_stored_publication(
             f"{manifest.sequence}",
             reason="store-behind-checkpoint",
         )
-    hash_function = HashFunction(manifest.hash_name)
-    if scheme_tag == "chain":
-        publication = StoredSignedRelation(store, name, manifest, signature_scheme)
-    else:
-        relation = Relation.from_rows(manifest.schema, store.iter_row_values(name))
-        publication = get_scheme(scheme_tag).publish(
-            relation, signature_scheme, hash_function=hash_function
-        )
+    publication = StoredSignedRelation(store, name, manifest, signature_scheme)
     publication.restore_sequence(state.sequence)
     expected = replace(publication.manifest, sequence=manifest.sequence)
     if manifest_id(expected) != manifest_id(manifest):
@@ -126,7 +106,9 @@ def rebuild_stored_publication(
     return publication
 
 
-def _build_shard(storage: PublicationStorage, shard: str, names) -> Dict[str, object]:
+def _build_shard(
+    storage: PublicationStorage, shard: str, names
+) -> Dict[str, StoredSignedRelation]:
     keys = storage.load_shard_keys(shard)
     publications = {}
     for name in names:
@@ -149,21 +131,6 @@ def _build_shard(storage: PublicationStorage, shard: str, names) -> Dict[str, ob
     return publications
 
 
-def _make_publisher(shard: str, publications: Dict[str, object]):
-    """One publisher object per shard; every relation must share one scheme."""
-    tags = {publication.manifest.scheme for publication in publications.values()}
-    if len(tags) != 1:
-        raise RecoveryError(
-            f"shard {shard!r} mixes proof schemes {sorted(tags)}; one shard "
-            "is one publisher and hosts one scheme",
-            reason="mixed-schemes",
-        )
-    tag = tags.pop()
-    if tag == "chain":
-        return Publisher(publications)
-    return get_scheme(tag).make_publisher(publications)
-
-
 def recover_router(storage: PublicationStorage) -> ShardRouter:
     """Rebuild the full router from an opened storage root (see module doc)."""
     by_shard = {
@@ -171,10 +138,7 @@ def recover_router(storage: PublicationStorage) -> ShardRouter:
         for shard, names in storage.layout.items()
     }
     router = ShardRouter(
-        {
-            shard: _make_publisher(shard, publications)
-            for shard, publications in by_shard.items()
-        }
+        {shard: Publisher(publications) for shard, publications in by_shard.items()}
     )
     # Seed rotation history first: a relation whose WAL is empty must still
     # answer RotationRequest with the rotation it had (its true previous id)

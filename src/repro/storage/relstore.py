@@ -20,13 +20,12 @@ SQL schema per relational schema):
     digest from the key and the stored root with the canonical-only walk a
     verifier does.  Delimiters carry the same column and a signature (the
     slot of the chain a delimiter does not have keeps its sentinel digest).
-    A non-chain scheme's mirrored rows leave ``digest`` empty.
 
 ``chain_state``
     Per relation: the manifest ``sequence`` the stored chain corresponds
     to, the sequence it superseded (for re-deriving the current rotation
-    after a crash), the proof-scheme tag, and the latest owner-signed
-    ``ManifestRotated`` frame verbatim.
+    after a crash), and the latest owner-signed ``ManifestRotated`` frame
+    and freshness attestation verbatim.
 
 ``applied_updates``
     The durable twin of the router's replayed-update registry: the last
@@ -134,7 +133,6 @@ class ChainState:
     #: (``previous_id == b""``).  Used to re-derive the rotation frame when
     #: a crash tore the stored one.
     previous_sequence: int
-    scheme: str
     rotation: Optional[bytes]
     #: Encoded :class:`~repro.wire.updates.FreshnessAttestation` in force
     #: when the state was written (the rotation re-stamped one), or ``None``
@@ -199,7 +197,6 @@ class RelationStore:
                     relation          TEXT PRIMARY KEY,
                     sequence          INTEGER NOT NULL,
                     previous_sequence INTEGER NOT NULL,
-                    scheme            TEXT NOT NULL,
                     rotation          BLOB,
                     attestation       BLOB
                 );
@@ -213,12 +210,6 @@ class RelationStore:
                 );
                 """
             )
-            try:
-                # Roots written before freshness attestations existed lack
-                # the column; adding it is the only schema migration.
-                conn.execute("ALTER TABLE chain_state ADD COLUMN attestation BLOB")
-            except sqlite3.OperationalError:
-                pass
             self._conn = conn
             self._pid = os.getpid()
             self._depth = 0
@@ -417,27 +408,25 @@ class RelationStore:
         *,
         sequence: Optional[int] = None,
         previous_sequence: Optional[int] = None,
-        scheme: Optional[str] = None,
         rotation=_UNSET,
         attestation=_UNSET,
     ) -> None:
         """Merge the given fields into the relation's chain state row."""
         with self.transaction():
             row = self.connection.execute(
-                "SELECT sequence, previous_sequence, scheme, rotation, attestation"
+                "SELECT sequence, previous_sequence, rotation, attestation"
                 " FROM chain_state WHERE relation=?",
                 (relation,),
             ).fetchone()
             if row is None:
-                if sequence is None or scheme is None:
+                if sequence is None:
                     raise StorageError(
                         f"relation {relation!r} has no chain state yet; "
-                        "sequence and scheme are required to create it"
+                        "a sequence is required to create it"
                     )
                 merged = (
                     sequence,
                     -1 if previous_sequence is None else previous_sequence,
-                    scheme,
                     None if rotation is _UNSET else rotation,
                     None if attestation is _UNSET else attestation,
                 )
@@ -445,23 +434,22 @@ class RelationStore:
                 merged = (
                     row[0] if sequence is None else sequence,
                     row[1] if previous_sequence is None else previous_sequence,
-                    row[2] if scheme is None else scheme,
-                    row[3] if rotation is _UNSET else rotation,
-                    row[4] if attestation is _UNSET else attestation,
+                    row[2] if rotation is _UNSET else rotation,
+                    row[3] if attestation is _UNSET else attestation,
                 )
             self.connection.execute(
                 "INSERT INTO chain_state"
-                " (relation, sequence, previous_sequence, scheme, rotation, attestation)"
-                " VALUES (?, ?, ?, ?, ?, ?)"
+                " (relation, sequence, previous_sequence, rotation, attestation)"
+                " VALUES (?, ?, ?, ?, ?)"
                 " ON CONFLICT(relation) DO UPDATE SET sequence=excluded.sequence,"
-                " previous_sequence=excluded.previous_sequence, scheme=excluded.scheme,"
+                " previous_sequence=excluded.previous_sequence,"
                 " rotation=excluded.rotation, attestation=excluded.attestation",
                 (relation, *merged),
             )
 
     def chain_state(self, relation: str) -> Optional[ChainState]:
         row = self.connection.execute(
-            "SELECT sequence, previous_sequence, scheme, rotation, attestation"
+            "SELECT sequence, previous_sequence, rotation, attestation"
             " FROM chain_state WHERE relation=?",
             (relation,),
         ).fetchone()
@@ -470,9 +458,8 @@ class RelationStore:
         return ChainState(
             sequence=int(row[0]),
             previous_sequence=int(row[1]),
-            scheme=str(row[2]),
-            rotation=row[3],
-            attestation=row[4],
+            rotation=row[2],
+            attestation=row[3],
         )
 
     # -- applied updates -------------------------------------------------------
@@ -727,11 +714,6 @@ class StoredSignedRelation(SignedRelation):
         signature_scheme: SignatureScheme,
         cache_size: int = DEFAULT_RECORD_CACHE,
     ) -> None:
-        if manifest.scheme != "chain":
-            raise StorageError(
-                f"relation {relation_name!r}: stored chains serve the 'chain' scheme, "
-                f"manifest says {manifest.scheme!r}"
-            )
         _require_optimized(relation_name, manifest.scheme_kind)
         relation = StoredRelation(store, relation_name, manifest.schema, cache_size)
         self.relation = relation
@@ -889,65 +871,45 @@ class StoredSignedRelation(SignedRelation):
 def dump_publication(
     store: RelationStore,
     relation_name: str,
-    publication,
+    publication: SignedRelation,
     rotation: ManifestRotated,
 ) -> None:
-    """Mirror an in-memory publication's state into the store, byte-exactly.
+    """Mirror an in-memory signed relation into the store, byte-exactly.
 
-    For a chain publication the roots the owner's walk left behind and the
-    signatures are copied as-is (nothing is re-hashed or re-signed); for the
-    other registered schemes only the rows are stored and the scheme
-    republishes from them on recovery.
+    The roots the owner's walk left behind and the signatures are copied
+    as-is: nothing is re-hashed or re-signed.
     """
-    manifest = publication.manifest
-    domain = manifest.schema.key_domain
+    _require_optimized(relation_name, publication.scheme_kind)
+    domain = publication.domain
+    signatures = publication.signatures
+
+    def stored(chain_index: int) -> bytes:
+        return _stored_roots(
+            publication.components(chain_index), publication._roots[chain_index]
+        )
+
+    def entry_rows():
+        yield (KIND_LEFT, domain.lower, b"", None, stored(0), signatures[0])
+        for position, record in enumerate(publication.relation):
+            chain_index = position + 1
+            payload = encode(RecordDelta(kind="insert", values=record.as_dict()))
+            yield (
+                KIND_RECORD,
+                record.key,
+                record.fingerprint(),
+                payload,
+                stored(chain_index),
+                signatures[chain_index],
+            )
+        yield (KIND_RIGHT, domain.upper, b"", None, stored(-1), signatures[-1])
+
     with store.transaction():
         store.clear_relation(relation_name)
-        if isinstance(publication, SignedRelation):
-            _require_optimized(relation_name, publication.scheme_kind)
-            signatures = publication.signatures
-
-            def stored(chain_index: int) -> bytes:
-                return _stored_roots(
-                    publication.components(chain_index), publication._roots[chain_index]
-                )
-
-            def entry_rows():
-                yield (KIND_LEFT, domain.lower, b"", None, stored(0), signatures[0])
-                for position, record in enumerate(publication.relation):
-                    chain_index = position + 1
-                    payload = encode(RecordDelta(kind="insert", values=record.as_dict()))
-                    yield (
-                        KIND_RECORD,
-                        record.key,
-                        record.fingerprint(),
-                        payload,
-                        stored(chain_index),
-                        signatures[chain_index],
-                    )
-                yield (KIND_RIGHT, domain.upper, b"", None, stored(-1), signatures[-1])
-
-            store.insert_entries(relation_name, entry_rows())
-        else:
-            store.insert_entries(
-                relation_name,
-                (
-                    (
-                        KIND_RECORD,
-                        record.key,
-                        record.fingerprint(),
-                        encode(RecordDelta(kind="insert", values=record.as_dict())),
-                        b"",
-                        0,
-                    )
-                    for record in publication.relation
-                ),
-            )
+        store.insert_entries(relation_name, entry_rows())
         store.set_chain_state(
             relation_name,
             sequence=publication.version,
             previous_sequence=-1,
-            scheme=manifest.scheme,
             rotation=encode(rotation),
         )
 
@@ -983,7 +945,6 @@ def build_stored_chain(
         hash_name=hash_function.name,
         public_key=signature_scheme.verifier,
         sequence=0,
-        scheme="chain",
     )
     left_anchor = manifest.left_anchor()
     right_anchor = manifest.right_anchor()
@@ -1047,7 +1008,6 @@ def build_stored_chain(
             relation_name,
             sequence=0,
             previous_sequence=-1,
-            scheme="chain",
             rotation=None,
         )
     return row_count[0]

@@ -55,26 +55,14 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.db.records import Record
-from repro.db.schema import Schema
 from repro.service.router import ShardRouter, ShardTarget
 from repro.storage.checkpoint import load_checkpoint, load_keys, save_keys, write_checkpoint
 from repro.storage.errors import StorageError
 from repro.storage.faults import FaultRegistry
-from repro.storage.relstore import (
-    KIND_RECORD,
-    RelationStore,
-    StoredSignedRelation,
-    dump_publication,
-)
+from repro.storage.relstore import RelationStore, dump_publication
 from repro.storage.wal import FSYNC_POLICIES, WriteAheadLog, _fsync_directory
-from repro.wire import decode, encode
-from repro.wire.updates import (
-    FreshnessAttestation,
-    ManifestRotated,
-    RecordDelta,
-    UpdateRequest,
-)
+from repro.wire import encode
+from repro.wire.updates import FreshnessAttestation, ManifestRotated, UpdateRequest
 
 __all__ = [
     "STORAGE_FORMAT",
@@ -86,53 +74,14 @@ __all__ = [
 
 #: 2: ``relstore.db``'s ``entries.digest`` holds each chain entry's
 #: representation-tree roots (format 1 held its ``g`` digest in the same bytes).
-STORAGE_FORMAT = 2
+#: 3: every stored relation is a signature chain; ``chain_state`` has no
+#: ``scheme`` column (format 2's ``NOT NULL`` one refuses this build's writes).
+STORAGE_FORMAT = 3
 
 _MANIFEST_FILE = "storage.json"
 _KEYS_FILE = "keys.json"
 _SHARDS_DIR = "shards"
 _RELSTORE_FILE = "relstore.db"
-
-
-def _apply_mirror_deltas(
-    store: RelationStore, relation_name: str, schema: Schema, deltas
-) -> None:
-    """Replay one applied batch's deltas into a mirrored row store.
-
-    Used for publications the store does not manage directly (the non-chain
-    schemes, which rebuild their proof structures from rows on recovery):
-    rows are mirrored, digests stay empty.
-    """
-    for delta in deltas:
-        if delta.kind == "insert":
-            record = Record(schema, dict(delta.values))
-            store.put_entry(
-                relation_name,
-                KIND_RECORD,
-                record.key,
-                record.fingerprint(),
-                payload=encode(RecordDelta(kind="insert", values=record.as_dict())),
-                digest=b"",
-                signature=0,
-            )
-        elif delta.kind == "delete":
-            record = Record(schema, dict(delta.values))
-            store.delete_entry(relation_name, KIND_RECORD, record.key, record.fingerprint())
-        elif delta.kind == "update":
-            old = Record(schema, dict(delta.old_values or {}))
-            new = Record(schema, dict(delta.values))
-            store.delete_entry(relation_name, KIND_RECORD, old.key, old.fingerprint())
-            store.put_entry(
-                relation_name,
-                KIND_RECORD,
-                new.key,
-                new.fingerprint(),
-                payload=encode(RecordDelta(kind="insert", values=new.as_dict())),
-                digest=b"",
-                signature=0,
-            )
-        else:
-            raise StorageError(f"cannot mirror a {delta.kind!r} delta")
 
 
 def check_storage_format(root: str, found: object) -> None:
@@ -164,7 +113,6 @@ class _RelationStorage:
         "wal",
         "checkpoint_path",
         "updates_since_checkpoint",
-        "pending_frame",
     )
 
     def __init__(self, shard: str, name: str, wal: WriteAheadLog, checkpoint_path: str) -> None:
@@ -173,9 +121,6 @@ class _RelationStorage:
         self.wal = wal
         self.checkpoint_path = checkpoint_path
         self.updates_since_checkpoint = 0
-        #: The update frame logged for the batch currently being applied,
-        #: consumed by the rotation that concludes it.
-        self.pending_frame: Optional[bytes] = None
 
 
 class PublicationStorage:
@@ -388,9 +333,7 @@ class PublicationStorage:
         acknowledged): under ``fsync="always"``, by the time the owner sees a
         receipt the signed frame that produced it is on disk.
         """
-        entry = self.relation(target.relation_name)
-        entry.wal.append(frame)
-        entry.pending_frame = frame
+        self.relation(target.relation_name).wal.append(frame)
 
     def log_attestation(
         self, target: ShardTarget, attestation: FreshnessAttestation
@@ -451,12 +394,11 @@ class PublicationStorage:
         version_before = signed.version
         with store.transaction():
             yield
-            if isinstance(signed, StoredSignedRelation):
-                store.set_chain_state(
-                    target.relation_name,
-                    sequence=signed.version,
-                    previous_sequence=version_before,
-                )
+            store.set_chain_state(
+                target.relation_name,
+                sequence=signed.version,
+                previous_sequence=version_before,
+            )
 
     def log_rotation(
         self,
@@ -470,8 +412,7 @@ class PublicationStorage:
         deterministically by replaying update frames); they let ``walctl``
         verify the log offline and preserve rotation history across
         checkpoint compaction.  Runs under the same shard lock as the apply,
-        so the log order equals the apply order.  The rotation (and, for
-        publications the store merely mirrors, the batch's rows) is also
+        so the log order equals the apply order.  The rotation is also
         committed to the relation store here; ``attestation`` is the
         relation's current (rotation re-stamped) freshness attestation,
         tracked in chain state alongside the rotation so recovery resumes the
@@ -506,33 +447,15 @@ class PublicationStorage:
         rotation: ManifestRotated,
         attestation: Optional[FreshnessAttestation] = None,
     ) -> None:
-        store = self.relation_store(entry.shard)
-        signed = target.publisher.signed_relation(target.relation_name)
-        pending = entry.pending_frame
-        entry.pending_frame = None
+        # Rows, roots, signatures and the sequence were committed by the
+        # apply itself; file the rotation frame.
         attestation_state = {} if attestation is None else {
             "attestation": encode(attestation)
         }
-        if isinstance(signed, StoredSignedRelation):
-            # Store-managed chain: rows/digests/signatures and the sequence
-            # were committed by the apply itself; file the rotation frame.
-            with store.transaction():
-                store.set_chain_state(
-                    target.relation_name,
-                    rotation=encode(rotation),
-                    **attestation_state,
-                )
-            return
-        request = decode(pending, expect=UpdateRequest) if pending else None
+        store = self.relation_store(entry.shard)
         with store.transaction():
-            if request is not None:
-                _apply_mirror_deltas(
-                    store, target.relation_name, signed.schema, request.deltas
-                )
             store.set_chain_state(
                 target.relation_name,
-                sequence=rotation.manifest.sequence,
-                previous_sequence=None if request is None else request.sequence,
                 rotation=encode(rotation),
                 **attestation_state,
             )
@@ -564,7 +487,6 @@ class PublicationStorage:
         rotation derived, if one was in force.
         """
         entry = self.relation(target.relation_name)
-        entry.pending_frame = frame
         with self.relation_store(entry.shard).transaction():
             self._persist_rotation_state(entry, target, rotation, attestation)
             self.remember_applied_response(

@@ -90,7 +90,6 @@ __all__ = [
     "PairField",
     "MapField",
     "NestedField",
-    "UnionField",
     "EnumStrField",
     "FixedBytesField",
 ]
@@ -105,7 +104,9 @@ __all__ = [
 #: Version 4 added owner-signed freshness: the ``FreshnessAttestation``
 #: artifact, attestation stamps on query/join responses, and the attestation
 #: push/fetch service messages (:mod:`repro.service.protocol`).
-WIRE_VERSION = 4
+#: Version 5 serves the chain only: manifests lose the ``scheme`` tag and a
+#: query response's proof is a ``RangeQueryProof`` body, no union tag.
+WIRE_VERSION = 5
 _MAGIC = b"PV"
 
 
@@ -463,7 +464,6 @@ TupleField = _Tuple
 PairField = _Pair
 MapField = _Map
 NestedField = _Nested
-UnionField = _Union
 EnumStrField = _EnumStr
 FixedBytesField = _FixedBytes
 
@@ -674,10 +674,6 @@ def _check_hash_name(name: str) -> None:
 def _post_manifest(manifest: RelationManifest) -> None:
     _check(manifest.base >= 2, "digest-scheme base must be at least 2")
     _check(manifest.sequence >= 0, "negative manifest sequence")
-    # The scheme tag must be present but is *not* validated against the local
-    # scheme registry: a relay may forward manifests for schemes it does not
-    # implement, and the client's registry lookup is the typed failure point.
-    _check(bool(manifest.scheme), "empty proof-scheme tag")
     _check_hash_name(manifest.hash_name)
 
 
@@ -866,7 +862,6 @@ register_artifact(
         ("hash_name", STR),
         ("public_key", _Nested(RSAPublicKey)),
         ("sequence", INT),
-        ("scheme", STR),
     ],
     post=_post_manifest,
 )

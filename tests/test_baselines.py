@@ -1,7 +1,7 @@
 """Tests for the baseline schemes: Devanbu MHT, naive signatures, VB-tree.
 
-Every construction is exercised through the classes the service serves —
-``repro.schemes.*`` publications and their typed verifiers.
+Every construction is exercised in process through the classes the scheme
+comparison uses — ``repro.schemes.*`` publications and their typed verifiers.
 """
 
 import dataclasses

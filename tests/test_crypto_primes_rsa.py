@@ -1,5 +1,7 @@
 """Unit tests for prime generation and the RSA implementation."""
 
+import random
+
 import pytest
 
 from repro.crypto.primes import (
@@ -41,6 +43,11 @@ class TestPrimality:
             prime = generate_prime(bits)
             assert prime.bit_length() == bits
             assert is_probable_prime(prime)
+
+    def test_seeded_prime_search_reproduces(self):
+        first = generate_prime(64, random.Random(5).getrandbits)
+        assert generate_prime(64, random.Random(5).getrandbits) == first
+        assert is_probable_prime(first) and first.bit_length() == 64
 
     def test_tiny_prime_request_rejected(self):
         with pytest.raises(ValueError):
@@ -125,6 +132,21 @@ class TestRSA:
     def test_keys_are_distinct_across_generations(self):
         first = generate_keypair(bits=512)
         second = generate_keypair(bits=512)
+        assert first.public_key.modulus != second.public_key.modulus
+
+    @pytest.mark.parametrize("crt_primes", [2, 3])
+    def test_seeded_keys_reproduce(self, crt_primes):
+        """A seed fixes the key, so output that depends on it (VO byte
+        counts of a benchmark table) reproduces run to run."""
+        first = generate_keypair(bits=512, rng_seed=11, crt_primes=crt_primes)
+        second = generate_keypair(bits=512, rng_seed=11, crt_primes=crt_primes)
+        assert first == second
+        scheme = scheme_from_keypair(first)
+        assert scheme.verify(b"x", scheme.sign(b"x"))
+
+    def test_seeds_draw_distinct_keys(self):
+        first = generate_keypair(bits=512, rng_seed=11)
+        second = generate_keypair(bits=512, rng_seed=12)
         assert first.public_key.modulus != second.public_key.modulus
 
     def test_cross_key_verification_fails(self, signature_scheme):

@@ -1,64 +1,57 @@
-"""Scheme-polymorphic serving: every registered scheme, one serving stack.
+"""The proof schemes side by side, in process.
 
-The matrix lane (``pytest -m schemes``) parameterizes the same end-to-end
-story over every registered :class:`~repro.schemes.ProofScheme`:
+Every scheme of :data:`repro.schemes.SCHEMES` is a ``publish → answer →
+verify`` triple, run here the way the paper compares them:
 
-* publish a relation under the scheme, host it on a real
-  :class:`~repro.service.PublicationServer`, query it over TCP with a
-  :class:`~repro.service.VerifyingClient`, and verify the honest answer under
-  the scheme tag of the pinned manifest;
-* a shared tamper set (modified row value, forged signature material, dropped
-  row) is rejected by every scheme that claims to catch it — and the naive
-  scheme's *inability* to catch omissions is asserted explicitly, as is the
-  typed :class:`~repro.schemes.CompletenessUnsupported` opt-in gate;
-* live owner updates rotate scheme-tagged manifests for every scheme, and a
-  rotation that swaps the scheme is refused with a typed
-  :class:`~repro.schemes.SchemeMismatchError` even when correctly signed.
+* the honest answer verifies under every scheme, and a shared tamper set
+  (modified row value, forged signature material, dropped row) is rejected by
+  every scheme that claims to catch it — the naive scheme's *inability* to
+  catch omissions is asserted explicitly;
+* the frozen reason table maps every (scheme variant, tamper case) to its
+  exact typed refusal;
+* every scheme's update leaves an answer that verifies — the update-cost
+  column measures correct updates;
+* only the chain scheme is served: a router refuses a baseline's publisher
+  or publication at construction, and a server that answers with a
+  baseline's VO is refused by the client's decode.
 """
 
 import dataclasses
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.errors import (
     ProofConstructionError,
+    UpdateApplicationError,
     VerificationError,
 )
 from repro.db import workload
 from repro.db.query import Conjunction, Projection, Query, RangeCondition
-from repro.schemes import (
-    CompletenessUnsupported,
-    PublisherProtocol,
-    SchemeMismatchError,
-    UnknownSchemeError,
-    available_schemes,
-    get_scheme,
-    scheme_of,
-)
+from repro.schemes import SCHEMES
 from repro.service import (
     FailoverClient,
-    OwnerClient,
     PublicationServer,
     QuerySpec,
-    RemoteError,
     ServerConfig,
     ShardRouter,
     VerifyingClient,
 )
-from repro.wire import decode, encode, manifest_id
-from repro.wire.updates import ManifestRotated, manifest_signing_message
-
-pytestmark = pytest.mark.schemes
+from repro.service.handler import HandledFrame
+from repro.service.protocol import QueryResponse
+from repro.wire import WireFormatError, codec, decode, encode
+from repro.wire.updates import RecordDelta
 
 ROWS = 40
 RANGE_QUERY = Query(
     "employees", Conjunction((RangeCondition("salary", 20_000, 60_000),))
 )
 
+BY_NAME = {scheme.name: scheme for scheme in SCHEMES}
+NAMES = tuple(BY_NAME)
 #: Schemes that prove completeness (dropping a qualifying row must be caught).
-COMPLETE = tuple(
-    name for name in available_schemes() if get_scheme(name).proves_completeness
-)
+COMPLETE = tuple(name for name in NAMES if BY_NAME[name].proves_completeness)
+BASELINES = tuple(name for name in NAMES if name != "chain")
 
 
 def _fresh_relation(seed=42):
@@ -66,209 +59,130 @@ def _fresh_relation(seed=42):
 
 
 def _publish(scheme_name, signature_scheme, seed=42):
-    scheme = get_scheme(scheme_name)
+    scheme = BY_NAME[scheme_name]
     relation = _fresh_relation(seed)
     publication = scheme.publish(relation, signature_scheme)
     publisher = scheme.make_publisher({"employees": publication})
     return publication, publisher
 
 
-@pytest.fixture(scope="module", params=available_schemes())
-def scheme_world(request, signature_scheme):
-    """One live server per scheme, hosting the same employee workload."""
-    publication, publisher = _publish(request.param, signature_scheme)
-    router = ShardRouter({"shard": publisher})
-    with PublicationServer(router, config=ServerConfig(max_workers=4)) as server:
-        host, port = server.address
-        yield request.param, publication, publisher, server, host, port
-
-
-@pytest.fixture()
-def scheme_client(scheme_world):
-    _, _, _, _, host, port = scheme_world
-    with VerifyingClient(host, port) as client:
-        yield client
-
-
-# -- registry ------------------------------------------------------------------
-
-
 def test_all_expected_schemes_registered():
-    assert available_schemes() == ["chain", "devanbu", "naive", "vbtree"]
-
-
-def test_unknown_scheme_is_typed():
-    with pytest.raises(UnknownSchemeError):
-        get_scheme("aggregation-5.2")
+    assert NAMES == ("chain", "devanbu", "naive", "vbtree")
 
 
 def test_scheme_capabilities():
-    assert get_scheme("chain").proves_completeness
-    assert get_scheme("chain").supports_joins
-    assert get_scheme("devanbu").proves_completeness
-    assert not get_scheme("devanbu").supports_joins
-    assert not get_scheme("naive").proves_completeness
-    assert not get_scheme("vbtree").proves_completeness
+    assert BY_NAME["chain"].proves_completeness
+    assert BY_NAME["devanbu"].proves_completeness
+    assert not BY_NAME["naive"].proves_completeness
+    assert not BY_NAME["vbtree"].proves_completeness
 
 
-@pytest.mark.parametrize("scheme_name", available_schemes())
-def test_every_scheme_publisher_satisfies_publisher_protocol(
-    scheme_name, signature_scheme
-):
-    """Conformance: the surface the service duck-types against is explicit.
+@pytest.mark.parametrize("scheme_name", BASELINES)
+def test_the_router_hosts_chain_publishers_only(scheme_name, signature_scheme):
+    """A baseline's publisher or publication is not a service shard."""
+    publication, publisher = _publish(scheme_name, signature_scheme)
+    for shard in (publisher, publication):
+        with pytest.raises(TypeError, match="chain-scheme Publisher"):
+            ShardRouter({"s": shard})
 
-    ``handler.py`` / ``pool.py`` / ``router.py`` consume shard publishers
-    through :class:`~repro.schemes.PublisherProtocol` exactly; every
-    registered scheme's publisher must satisfy it (the protocol is
-    ``runtime_checkable``, so ``isinstance`` checks member presence).
-    """
+
+@pytest.mark.parametrize("shape", ["signed-relation", "database", "none"])
+def test_a_shard_that_is_not_a_publisher_is_refused(shape, signature_scheme):
+    """Hosting the signed relation itself, or its database mapping, is the
+    easy mistake; a good shard beside the bad one builds no partial router."""
+    publication, publisher = _publish("chain", signature_scheme)
+    bad = {
+        "signed-relation": publication,
+        "database": {"employees": publication},
+        "none": None,
+    }[shape]
+    with pytest.raises(TypeError, match="shard 'bad' is a"):
+        ShardRouter({"good": publisher, "bad": bad})
+    assert ShardRouter({"good": publisher}).current_id("employees")
+
+
+@pytest.mark.parametrize("scheme_name", BASELINES)
+def test_baseline_schemes_reject_unsupported_query_shapes(scheme_name, signature_scheme):
     _, publisher = _publish(scheme_name, signature_scheme)
-    assert isinstance(publisher, PublisherProtocol)
-    # Spot-check the members actually bind (presence, not just annotation).
-    assert "employees" in publisher.database
-    assert publisher.signed_relation("employees") is not None
-    assert isinstance(publisher.cache_stats(), dict)
-
-
-def test_publisher_protocol_rejects_partial_surfaces():
-    class _NotAPublisher:
-        database = {}
-
-        def answer(self, query, role=None):  # pragma: no cover - never called
-            raise NotImplementedError
-
-    assert not isinstance(_NotAPublisher(), PublisherProtocol)
-
-
-def test_manifests_carry_their_scheme_tag(signature_scheme):
-    for name in available_schemes():
-        publication, _ = _publish(name, signature_scheme)
-        manifest = publication.manifest
-        assert manifest.scheme == name
-        assert scheme_of(manifest) is get_scheme(name)
-        # the tag is inside the canonical bytes the 32-byte id commits to
-        swapped = dataclasses.replace(
-            manifest, scheme="chain" if name != "chain" else "naive"
-        )
-        assert manifest_id(swapped) != manifest_id(manifest)
-
-
-# -- end-to-end serving over the wire -----------------------------------------
-
-
-def test_honest_answer_verifies_over_the_wire(scheme_world, scheme_client):
-    scheme_name, publication, publisher, _, _, _ = scheme_world
-    allow = not get_scheme(scheme_name).proves_completeness
-    result = scheme_client.execute(QuerySpec(RANGE_QUERY, allow_incomplete=allow))
-    assert result.report is not None
-    expected = [
-        record.as_dict()
-        for record in publication.relation.range_scan(20_000, 60_000)
-    ] if scheme_name != "chain" else None
-    assert len(result.rows) == result.report.result_rows
-    assert result.rows, "the workload always has rows in this range"
-    if expected is not None:
-        assert [dict(row) for row in result.rows] == expected
-    # the VO round-trips the codec as this scheme's artifact type
-    assert isinstance(result.proof, get_scheme(scheme_name).vo_type)
-    assert decode(encode(result.proof)) == result.proof
-
-
-def test_incomplete_schemes_require_explicit_opt_in(scheme_world, scheme_client):
-    scheme_name = scheme_world[0]
-    if get_scheme(scheme_name).proves_completeness:
-        scheme_client.execute(QuerySpec(RANGE_QUERY))  # no opt-in needed
-    else:
-        with pytest.raises(CompletenessUnsupported):
-            scheme_client.execute(QuerySpec(RANGE_QUERY))
-
-
-def test_baseline_schemes_reject_unsupported_query_shapes(scheme_world, scheme_client):
-    scheme_name = scheme_world[0]
-    if scheme_name == "chain":
-        pytest.skip("the chain scheme supports projections")
     projected = Query(
         "employees",
         Conjunction((RangeCondition("salary", 20_000, 60_000),)),
         Projection(("name",)),
     )
-    with pytest.raises(RemoteError) as excinfo:
-        scheme_client.execute(QuerySpec(projected, allow_incomplete=True))
-    assert excinfo.value.code == "ProofConstructionError"
+    with pytest.raises(ProofConstructionError):
+        publisher.answer(projected)
 
 
-def test_vacuous_range_needs_no_proof(scheme_world, scheme_client):
-    scheme_name = scheme_world[0]
+@pytest.mark.parametrize("scheme_name", NAMES)
+def test_vacuous_range_needs_no_proof(scheme_name, signature_scheme):
+    publication, publisher = _publish(scheme_name, signature_scheme)
     empty = Query(
         "employees", Conjunction((RangeCondition("salary", 50, 10),))
     )
-    allow = not get_scheme(scheme_name).proves_completeness
-    result = scheme_client.execute(QuerySpec(empty, allow_incomplete=allow))
-    assert result.rows == ()
-    assert result.proof is None
+    result = publisher.answer(empty)
+    assert result.rows == [] and result.proof is None
+    _verifier_for(scheme_name, publication).verify(empty, [], None)
 
 
-# -- a publisher answering under the wrong scheme -------------------------------
+@pytest.mark.parametrize("scheme_name", NAMES)
+def test_bad_delta_batches_stay_all_or_nothing(scheme_name, signature_scheme):
+    publication, publisher = _publish(scheme_name, signature_scheme)
+    good = RecordDelta(
+        kind="insert",
+        values={
+            "salary": 44_444,
+            "emp_id": "x-good",
+            "name": "good",
+            "dept": 2,
+            "photo": b"\x01" * 8,
+        },
+    )
+    bad = RecordDelta(kind="delete", values={"salary": 1, "emp_id": "nope",
+                                             "name": "?", "dept": 0,
+                                             "photo": b"\x00" * 8})
+    with pytest.raises(UpdateApplicationError):
+        publisher.apply_deltas("employees", (good, bad))
+    assert len(publication.relation) == ROWS
+    assert not publication.relation.range_scan(44_444, 44_444)
 
 
-class _WrongVOPublisher:
-    """Hosts one scheme's publication but answers with another scheme's VO.
-
-    ``QueryResponse.proof`` is a wire union over every registered VO type, so
-    nothing at the codec layer stops a publisher from doing this.
-    """
-
-    def __init__(self, honest, liar):
-        self._honest, self._liar = honest, liar
-
-    def __getattr__(self, name):
-        return getattr(self._honest, name)
-
-    def answer(self, query, role=None):
-        return self._liar.answer(query, role=role)
+_NEWCOMER = {
+    "salary": 33_333,
+    "emp_id": "x-new",
+    "name": "newcomer",
+    "dept": 1,
+    "photo": b"\x07" * 8,
+}
 
 
-def _lying_publisher(scheme_name, signature_scheme):
-    _, honest = _publish(scheme_name, signature_scheme)
-    other = "naive" if scheme_name != "naive" else "vbtree"
-    _, liar = _publish(other, signature_scheme)
-    return honest, _WrongVOPublisher(honest, liar)
-
-
-@pytest.mark.parametrize("scheme_name", available_schemes())
-def test_wrong_scheme_vo_over_the_wire_is_a_typed_mismatch(
-    scheme_name, signature_scheme
+@pytest.mark.parametrize("kind", ["insert", "delete", "update"])
+@pytest.mark.parametrize("scheme_name", NAMES)
+def test_every_scheme_verifies_its_answer_after_an_update(
+    scheme_name, kind, signature_scheme
 ):
-    """Every scheme's client refuses a foreign VO with the frozen reason —
-    never a raw AttributeError out of a verifier reading the wrong fields."""
-    _, lying = _lying_publisher(scheme_name, signature_scheme)
-    router = ShardRouter({"shard": lying})
-    with PublicationServer(router, config=ServerConfig(max_workers=2)) as server:
-        with VerifyingClient(*server.address) as client:
-            with pytest.raises(VerificationError) as excinfo:
-                client.execute(QuerySpec(RANGE_QUERY, allow_incomplete=True))
-    assert (type(excinfo.value).__name__, excinfo.value.reason) == _WRONG_VO
-
-
-def test_failover_leaves_a_replica_answering_under_the_wrong_scheme(
-    signature_scheme,
-):
-    """The lying replica is distrusted and the honest one answers."""
-    honest, lying = _lying_publisher("chain", signature_scheme)
-    config = ServerConfig(max_workers=2)
-    with PublicationServer(
-        ShardRouter({"shard": lying}), config=config
-    ) as liar, PublicationServer(
-        ShardRouter({"shard": honest}), config=config
-    ) as replica:
-        with FailoverClient(
-            [liar.address, replica.address], failure_threshold=1
-        ) as client:
-            result = client.execute(QuerySpec(RANGE_QUERY))
-            assert result.report is not None and result.rows
-            stats = client.stats()
-            assert stats["failovers"] == 1
-            assert stats["endpoint_states"][liar.address] == "open"
+    """The update-cost column counts the work of a *correct* update: after
+    the batch, the scheme's answer shows the change and still verifies."""
+    publication, publisher = _publish(scheme_name, signature_scheme)
+    before, _ = _direct_answer(publisher)
+    victim = before[len(before) // 2]
+    delta = {
+        "insert": RecordDelta(kind="insert", values=_NEWCOMER),
+        "delete": RecordDelta(kind="delete", values=victim),
+        "update": RecordDelta(
+            kind="update", values=dict(victim, name="renamed"), old_values=victim
+        ),
+    }[kind]
+    receipt = publisher.apply_deltas("employees", (delta,))
+    assert receipt.signatures_recomputed >= (0 if scheme_name == "naive" else 1)
+    rows, proof = _direct_answer(publisher)
+    report = _verifier_for(scheme_name, publication).verify(RANGE_QUERY, rows, proof)
+    assert report.result_rows == len(rows)
+    expected = {
+        "insert": sorted(before + [_NEWCOMER], key=lambda row: row["salary"]),
+        "delete": [row for row in before if row is not victim],
+        "update": [dict(row, name="renamed") if row is victim else row for row in before],
+    }[kind]
+    assert rows == expected
 
 
 # -- cross-scheme tamper property ---------------------------------------------
@@ -282,12 +196,12 @@ def _direct_answer(publisher, query=RANGE_QUERY):
 
 
 def _verifier_for(scheme_name, publication):
-    return get_scheme(scheme_name).verifier_for(
+    return BY_NAME[scheme_name].verifier_for(
         "employees", publication.manifest
     )
 
 
-@pytest.mark.parametrize("scheme_name", available_schemes())
+@pytest.mark.parametrize("scheme_name", NAMES)
 def test_every_scheme_accepts_the_honest_answer(scheme_name, signature_scheme):
     publication, publisher = _publish(scheme_name, signature_scheme)
     rows, proof = _direct_answer(publisher)
@@ -297,7 +211,7 @@ def test_every_scheme_accepts_the_honest_answer(scheme_name, signature_scheme):
     assert report.result_rows == len(rows)
 
 
-@pytest.mark.parametrize("scheme_name", available_schemes())
+@pytest.mark.parametrize("scheme_name", NAMES)
 def test_every_scheme_rejects_a_tampered_row(scheme_name, signature_scheme):
     """The shared tamper set: a modified attribute value in one row."""
     publication, publisher = _publish(scheme_name, signature_scheme)
@@ -307,7 +221,7 @@ def test_every_scheme_rejects_a_tampered_row(scheme_name, signature_scheme):
         _verifier_for(scheme_name, publication).verify(RANGE_QUERY, rows, proof)
 
 
-@pytest.mark.parametrize("scheme_name", available_schemes())
+@pytest.mark.parametrize("scheme_name", NAMES)
 def test_every_scheme_rejects_a_spurious_row(scheme_name, signature_scheme):
     """The shared tamper set: an invented row appended to the result."""
     publication, publisher = _publish(scheme_name, signature_scheme)
@@ -320,7 +234,7 @@ def test_every_scheme_rejects_a_spurious_row(scheme_name, signature_scheme):
         _verifier_for(scheme_name, publication).verify(RANGE_QUERY, rows, proof)
 
 
-@pytest.mark.parametrize("scheme_name", available_schemes())
+@pytest.mark.parametrize("scheme_name", NAMES)
 def test_every_scheme_rejects_a_wrong_scheme_proof(scheme_name, signature_scheme):
     """A VO of a different scheme's type is a typed rejection, not confusion."""
     publication, publisher = _publish(scheme_name, signature_scheme)
@@ -343,6 +257,91 @@ def test_completeness_schemes_reject_a_dropped_row(scheme_name, signature_scheme
         _verifier_for(scheme_name, publication).verify(
             RANGE_QUERY, rows[:-1], proof
         )
+
+
+# -- over the wire: the chain is served, every VO has a canonical encoding -----
+
+
+@contextmanager
+def _serving(publisher, foreign_vo=None):
+    """A live server over one chain shard; with ``foreign_vo`` it puts that VO
+    in the proof slot of every answer, laid out the way a scheme-polymorphic
+    server wrote it (presence byte, the VO's artifact tag, its body)."""
+    router = ShardRouter({"shard": publisher})
+    with PublicationServer(router, config=ServerConfig(max_workers=2)) as server:
+        if foreign_vo is not None:
+            honest = server.handler.handle_frame
+
+            def handle_frame(frame):
+                handled = honest(frame)
+                response = None if handled.is_error else decode(handled.payload)
+                if not isinstance(response, QueryResponse):
+                    return handled
+                tail = codec.encode_tail(response, "manifest_id")
+                empty = encode(dataclasses.replace(response, proof=None))
+                rows = empty[: -len(tail) - 1]  # before the absent-proof byte
+                return HandledFrame(rows + b"\x01" + encode(foreign_vo)[3:] + tail)
+
+            server.handler.handle_frame = handle_frame
+        yield server
+
+
+@pytest.mark.parametrize("scheme_name", NAMES)
+def test_honest_answer_verifies_over_the_wire(scheme_name, signature_scheme):
+    """Every scheme's VO crosses the codec as its own artifact — the bytes the
+    comparison counts — and verifies from the decoded copy; the chain's answer
+    is also served by a live server and verified by a client."""
+    publication, publisher = _publish(scheme_name, signature_scheme)
+    rows, proof = _direct_answer(publisher)
+    decoded = decode(encode(proof))
+    assert isinstance(decoded, BY_NAME[scheme_name].vo_type) and decoded == proof
+    report = _verifier_for(scheme_name, publication).verify(RANGE_QUERY, rows, decoded)
+    assert report.result_rows == len(rows)
+    expected = [
+        record.as_dict() for record in publication.relation.range_scan(20_000, 60_000)
+    ]
+    assert rows == expected
+    if scheme_name == "chain":
+        with _serving(publisher) as server, VerifyingClient(*server.address) as client:
+            result = client.execute(QuerySpec(RANGE_QUERY))
+        assert [dict(row) for row in result.rows] == expected
+        assert result.proof == proof and result.report.result_rows == len(rows)
+
+
+@pytest.mark.parametrize("scheme_name", BASELINES)
+def test_wrong_scheme_vo_over_the_wire_is_a_typed_mismatch(
+    scheme_name, signature_scheme
+):
+    """A server answering a chain relation with a baseline's VO is refused by
+    the client's decode — a typed wire error, before any verifier runs."""
+    _, publisher = _publish("chain", signature_scheme)
+    _, foreign = _direct_answer(_publish(scheme_name, signature_scheme)[1])
+    with _serving(publisher, foreign) as server:
+        with VerifyingClient(*server.address) as client:
+            with pytest.raises(WireFormatError):
+                client.execute(QuerySpec(RANGE_QUERY))
+            # the same server's chain manifest still serves and verifies
+            assert client.fetch_manifest("employees") == publisher.signed_relation(
+                "employees"
+            ).manifest
+
+
+def test_failover_leaves_a_replica_answering_under_the_wrong_scheme(
+    signature_scheme,
+):
+    """The replica whose answers carry a foreign VO is distrusted and the
+    honest one answers."""
+    _, publisher = _publish("chain", signature_scheme)
+    _, foreign = _direct_answer(_publish("naive", signature_scheme)[1])
+    with _serving(publisher, foreign) as liar, _serving(publisher) as replica:
+        with FailoverClient(
+            [liar.address, replica.address], failure_threshold=1
+        ) as client:
+            result = client.execute(QuerySpec(RANGE_QUERY))
+            assert result.report is not None and result.rows
+            stats = client.stats()
+            assert stats["failovers"] == 1
+            assert stats["endpoint_states"][liar.address] == "open"
 
 
 # -- frozen reason table --------------------------------------------------------
@@ -415,7 +414,7 @@ REASON_TABLE = {
 def _variant_answer(variant, signature_scheme):
     """(scheme name, publication, honest rows, honest VO) for one variant."""
     scheme_name = variant.split("-")[0]
-    scheme = get_scheme(scheme_name)
+    scheme = BY_NAME[scheme_name]
     publication = scheme.publish(_fresh_relation(), signature_scheme)
     if variant == "chain-individual":
         publisher = scheme.make_publisher({"employees": publication}, aggregate=False)
@@ -518,11 +517,8 @@ def test_frozen_reason_table(variant, case, signature_scheme):
 
 
 def test_naive_omission_gap_is_real_and_documented(signature_scheme):
-    """The naive scheme's fundamental gap: a dropped row still verifies.
-
-    This is exactly why the client requires allow_incomplete=True — the
-    under-verification is possible, so accepting it must be explicit.
-    """
+    """The naive scheme's fundamental gap: a dropped row still verifies —
+    the completeness the chain scheme adds."""
     publication, publisher = _publish("naive", signature_scheme)
     rows, proof = _direct_answer(publisher)
     truncated_proof = type(proof)(signatures=proof.signatures[:-1])
@@ -532,142 +528,16 @@ def test_naive_omission_gap_is_real_and_documented(signature_scheme):
     assert report.result_rows == len(rows) - 1
 
 
-# -- live updates under every scheme ------------------------------------------
-
-
-def test_updates_rotate_scheme_tagged_manifests(scheme_world, signature_scheme):
-    scheme_name, publication, publisher, server, host, port = scheme_world
-    new_row = {
-        "salary": 33_333,
-        "emp_id": "x-new",
-        "name": "newcomer",
-        "dept": 1,
-        "photo": b"\x07" * 8,
-    }
-    with OwnerClient(host, port, signature_scheme) as owner_client:
-        before = owner_client.manifest("employees")
-        assert before.scheme == scheme_name
-        response = owner_client.insert("employees", new_row)
-        assert response.signatures_recomputed >= (0 if scheme_name == "naive" else 1)
-        after = owner_client.manifest("employees")
-    assert after.scheme == scheme_name
-    assert after.sequence == before.sequence + 1
-    # a fresh client sees (and verifies) the new row under the rotated manifest
-    allow = not get_scheme(scheme_name).proves_completeness
-    with VerifyingClient(host, port) as reader:
-        result = reader.execute(
-            QuerySpec.point("employees", "salary", 33_333, allow_incomplete=allow)
-        )
-    assert [dict(row) for row in result.rows] == [new_row]
-    # leave the world as found for the other tests in this module
-    with OwnerClient(host, port, signature_scheme) as owner_client:
-        owner_client.delete("employees", new_row)
-
-
-def test_bad_delta_batches_stay_all_or_nothing(scheme_world):
-    scheme_name, publication, publisher, _, _, _ = scheme_world
-    from repro.core.errors import UpdateApplicationError
-    from repro.wire.updates import RecordDelta
-
-    version = publication.version
-    good = RecordDelta(
-        kind="insert",
-        values={
-            "salary": 44_444,
-            "emp_id": "x-good",
-            "name": "good",
-            "dept": 2,
-            "photo": b"\x01" * 8,
-        },
-    )
-    bad = RecordDelta(kind="delete", values={"salary": 1, "emp_id": "nope",
-                                             "name": "?", "dept": 0,
-                                             "photo": b"\x00" * 8})
-    with pytest.raises(UpdateApplicationError):
-        publisher.apply_deltas("employees", (good, bad))
-    assert publication.version == version
-    assert not publication.relation.range_scan(44_444, 44_444)
-
-
-# -- scheme-swap rejection -----------------------------------------------------
-
-
-def test_scheme_swapping_rotation_rejected_even_when_signed(
-    scheme_world, scheme_client, signature_scheme
-):
-    """A correctly-signed rotation that changes the scheme is still refused."""
-    scheme_name, publication, publisher, _, host, port = scheme_world
-    pinned = scheme_client.fetch_manifest("employees")
-    other = "naive" if scheme_name != "naive" else "chain"
-    swapped = dataclasses.replace(
-        pinned, scheme=other, sequence=pinned.sequence + 1
-    )
-    previous = manifest_id(pinned)
-    forged_rotation = ManifestRotated(
-        manifest=swapped,
-        previous_id=previous,
-        owner_signature=signature_scheme.sign(
-            manifest_signing_message(swapped, previous)
-        ),
-    )
-    with pytest.raises(SchemeMismatchError):
-        scheme_client._validate_rotation("employees", pinned, forged_rotation)
-
-
-def test_join_refused_under_schemes_without_join_proofs(signature_scheme):
-    from repro.db.query import JoinQuery
-
-    publication, publisher = _publish("vbtree", signature_scheme)
-    router = ShardRouter({"shard": publisher})
-    with PublicationServer(router, config=ServerConfig(max_workers=2)) as server:
-        host, port = server.address
-        with VerifyingClient(host, port) as client:
-            client.fetch_manifest("employees")
-            join = JoinQuery("employees", "employees", "salary", "salary")
-            with pytest.raises(CompletenessUnsupported):
-                client.execute(QuerySpec(join))
-
-
-def test_mixed_scheme_shards_behind_one_server(signature_scheme):
-    """One server fronting one shard per scheme; each verifies under its tag."""
-    publications = {}
-    shards = {}
-    for name in available_schemes():
-        scheme = get_scheme(name)
-        relation = _fresh_relation(seed=11)
-        publication = scheme.publish(relation, signature_scheme)
-        # each scheme needs its own hosting name (names are unique per server)
-        hosting = f"employees_{name}"
-        shards[name] = scheme.make_publisher({hosting: publication})
-        publications[hosting] = publication
-    router = ShardRouter(shards)
-    with PublicationServer(router, config=ServerConfig(max_workers=4)) as server:
-        host, port = server.address
-        with VerifyingClient(host, port) as client:
-            for name in available_schemes():
-                hosting = f"employees_{name}"
-                manifest = client.fetch_manifest(hosting)
-                assert manifest.scheme == name
-                allow = not get_scheme(name).proves_completeness
-                query = Query(
-                    hosting,
-                    Conjunction((RangeCondition("salary", 20_000, 60_000),)),
-                )
-                result = client.execute(QuerySpec(query, allow_incomplete=allow))
-                assert result.report is not None and result.rows
-                assert isinstance(result.proof, get_scheme(name).vo_type)
-
-
 def test_scheme_publisher_refuses_foreign_publications(signature_scheme):
     publication, _ = _publish("naive", signature_scheme)
     with pytest.raises(ValueError):
-        get_scheme("vbtree").make_publisher({"employees": publication})
+        BY_NAME["vbtree"].make_publisher({"employees": publication})
 
 
 def test_scheme_publisher_refuses_policies(signature_scheme):
     publication, _ = _publish("naive", signature_scheme)
     with pytest.raises(ProofConstructionError):
-        get_scheme("naive").make_publisher(
+        BY_NAME["naive"].make_publisher(
             {"employees": publication}, policy=object()
         )
 

@@ -17,7 +17,6 @@ from repro.core.publisher import Publisher
 from repro.core.relational import UpdateReceipt
 from repro.db import workload
 from repro.db.query import Conjunction, JoinQuery, Query, RangeCondition
-from repro.schemes import SchemeMismatchError
 from repro.service import (
     JoinRequest,
     OwnerClient,
@@ -393,6 +392,59 @@ def test_client_rejects_forged_and_replayed_rotations(world, forged_scheme):
         assert refreshed.sequence == 1
 
 
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        ("public_key", "rotation-key-mismatch"),
+        ("schema", "rotation-scheme-mismatch"),
+        ("scheme_kind", "rotation-scheme-mismatch"),
+        ("base", "rotation-scheme-mismatch"),
+        ("hash_name", "rotation-scheme-mismatch"),
+    ],
+)
+def test_a_signed_rotation_must_keep_the_chain_parameters(
+    world, forged_scheme, field, reason
+):
+    """A data update may only advance the sequence: a rotation that changes
+    anything a verifier reads is refused even when correctly signed — by the
+    key it names, which for ``public_key`` is the new one."""
+    with _verifying_client(world) as client:
+        pinned = client.fetch_manifest("employees")
+        changed = {
+            "public_key": forged_scheme.verifier,
+            "schema": workload.stock_schema(),
+            "scheme_kind": "conceptual",
+            "base": 3,
+            "hash_name": "sha1",
+        }[field]
+        manifest = dataclasses.replace(
+            pinned, sequence=pinned.sequence + 1, **{field: changed}
+        )
+        signer = forged_scheme if field == "public_key" else world["owner"].signature_scheme
+        previous = manifest_id(pinned)
+        rotation = ManifestRotated(
+            manifest=manifest,
+            previous_id=previous,
+            owner_signature=signer.sign(manifest_signing_message(manifest, previous)),
+        )
+        with pytest.raises(StaleManifestError) as excinfo:
+            client._validate_rotation("employees", pinned, rotation)
+        assert excinfo.value.reason == reason
+        # the same rotation, parameters kept, is accepted
+        kept = dataclasses.replace(pinned, sequence=pinned.sequence + 1)
+        client._validate_rotation(
+            "employees",
+            pinned,
+            ManifestRotated(
+                manifest=kept,
+                previous_id=previous,
+                owner_signature=world["owner"].signature_scheme.sign(
+                    manifest_signing_message(kept, previous)
+                ),
+            ),
+        )
+
+
 def test_id_only_pinned_client_survives_rotations(world):
     """A client pinned via expected_ids (no manifest object) connects *after*
     the relation rotated past its pinned id: it bootstraps the historical
@@ -637,7 +689,8 @@ def _read(client, shape):
         # The stamp falls out of the server's history before the refresh.
         ("stamp-evicted", 4, ["RotationRequest", "ManifestByIdRequest"], None),
         ("forged-rotation", None, ["RotationRequest"], "rotation-forged"),
-        ("scheme-swap", None, ["RotationRequest"], "scheme-mismatch"),
+        # Correctly signed, but the rotated manifest changes the chain's base.
+        ("parameter-swap", None, ["RotationRequest"], "rotation-scheme-mismatch"),
     ],
 )
 def test_one_attribution_policy_for_every_read_shape(
@@ -692,10 +745,10 @@ def test_one_attribution_policy_for_every_read_shape(
                 client.rewrite_rotation = lambda rotation: resign(
                     rotation, rotation.manifest, forged_scheme
                 )
-            elif scenario == "scheme-swap":
+            elif scenario == "parameter-swap":
                 client.rewrite_rotation = lambda rotation: resign(
                     rotation,
-                    dataclasses.replace(rotation.manifest, scheme="naive"),
+                    dataclasses.replace(rotation.manifest, base=3),
                     owner.signature_scheme,
                 )
             if scenario != "pinned":
@@ -704,7 +757,7 @@ def test_one_attribution_policy_for_every_read_shape(
 
             answers = 3 if shape == "batch" else 1
             if refusal is not None:
-                with pytest.raises((StaleManifestError, SchemeMismatchError)) as excinfo:
+                with pytest.raises(StaleManifestError) as excinfo:
                     _read(client, shape)
                 assert excinfo.value.reason == refusal
                 assert client.frames == ["ask"] + follow_ups

@@ -4,8 +4,7 @@ The disk-backed relation store must be *invisible* on the wire: the same
 pre-signed update stream pushed into a durable root and into a plain
 in-RAM router (no storage at all — the reference implementation) has to
 produce byte-identical acknowledgements, listings, rotation frames and
-query-answer frames — for every registered proof scheme, before and after a
-close/recover cycle.  FDH-RSA determinism makes the comparison exact instead
+query-answer frames, before and after a close/recover cycle.  FDH-RSA determinism makes the comparison exact instead
 of merely structural.
 
 The second contract is the reason rows live in a store at all: recovery of a
@@ -28,7 +27,6 @@ from repro.core.relational import SignedRelation
 from repro.db import workload
 from repro.db.query import Conjunction, EqualityCondition, Query, RangeCondition
 from repro.db.schema import KeyDomain
-from repro.schemes import available_schemes, get_scheme
 from repro.service.handler import RequestHandler
 from repro.service.owner import build_update_request
 from repro.service.protocol import (
@@ -78,18 +76,9 @@ QUERIES = {
 }
 
 
-def _build_router(scheme_tag: str, signature_scheme) -> ShardRouter:
-    relation = _employees()
-    if scheme_tag == "chain":
-        publisher = Publisher(
-            {"employees": SignedRelation(relation, signature_scheme)}
-        )
-    else:
-        scheme = get_scheme(scheme_tag)
-        publisher = scheme.make_publisher(
-            {"employees": scheme.publish(relation, signature_scheme)}
-        )
-    return ShardRouter({"hr": publisher})
+def _build_router(signature_scheme) -> ShardRouter:
+    signed = SignedRelation(_employees(), signature_scheme)
+    return ShardRouter({"hr": Publisher({"employees": signed})})
 
 
 def _insert_frame(signature_scheme, router: ShardRouter, index: int) -> bytes:
@@ -122,18 +111,13 @@ def _serving_frames(router: ShardRouter, storage=None) -> dict:
     return frames
 
 
-@pytest.mark.parametrize("scheme_tag", sorted(available_schemes()))
-def test_backends_serve_byte_identical_frames(
-    tmp_path, signature_scheme, scheme_tag
-):
+def test_backends_serve_byte_identical_frames(tmp_path, signature_scheme):
     """One signed stream, a durable root and a RAM router, identical bytes."""
-    reference = _build_router(scheme_tag, signature_scheme)
+    reference = _build_router(signature_scheme)
     reference_handler = RequestHandler(reference, response_cache=False)
     root = str(tmp_path / "pub")
     router, storage = open_publication_storage(
-        root,
-        lambda: _build_router(scheme_tag, signature_scheme),
-        checkpoint_every=2,
+        root, lambda: _build_router(signature_scheme), checkpoint_every=2
     )
     handler = RequestHandler(router, response_cache=False, storage=storage)
     for index in range(UPDATES):
@@ -150,13 +134,13 @@ def test_backends_serve_byte_identical_frames(
     assert _serving_frames(router, storage=storage) == expected, (
         "the durable root serves different bytes for the same state"
     )
-    if scheme_tag == "chain":  # the queries are the shapes their names claim
-        answers = {name: decode(expected[name]) for name in QUERIES}
-        assert len(answers["point"].rows) == 1 and len(answers["range40"].rows) >= 40
-        assert not answers["empty"].rows and answers["empty"].proof.outer_neighbor_digest
-        assert any(
-            hasattr(entry, "upper_chain_digest") for entry in answers["filtered"].proof.entries
-        )
+    # the queries are the shapes their names claim
+    answers = {name: decode(expected[name]) for name in QUERIES}
+    assert len(answers["point"].rows) == 1 and len(answers["range40"].rows) >= 40
+    assert not answers["empty"].rows and answers["empty"].proof.outer_neighbor_digest
+    assert any(
+        hasattr(entry, "upper_chain_digest") for entry in answers["filtered"].proof.entries
+    )
     storage.close()
     recovered_router, recovered_storage = open_publication_storage(
         root, lambda: pytest.fail("must recover, not rebuild")
@@ -182,7 +166,7 @@ def test_sqlite_resubmission_survives_checkpoint_compaction(
     """
     root = str(tmp_path / "pub")
     router, storage = open_publication_storage(
-        root, lambda: _build_router("chain", signature_scheme), checkpoint_every=2
+        root, lambda: _build_router(signature_scheme), checkpoint_every=2
     )
     handler = RequestHandler(router, response_cache=False, storage=storage)
     outcomes = []
@@ -218,7 +202,7 @@ def test_a_root_not_marked_sqlite_is_refused(tmp_path, signature_scheme, marker)
     it is refused with a typed error, never reinterpreted.
     """
     root = str(tmp_path / "pub")
-    PublicationStorage.create(root, _build_router("chain", signature_scheme))
+    PublicationStorage.create(root, _build_router(signature_scheme))
     manifest_path = os.path.join(root, "storage.json")
     with open(manifest_path) as handle:
         document = json.load(handle)

@@ -25,7 +25,6 @@ from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.db import workload
 from repro.db.query import Conjunction, Query, RangeCondition
-from repro.schemes import get_scheme
 from repro.service.handler import RequestHandler
 from repro.service.owner import OwnerClient, build_update_request
 from repro.service.router import ShardRouter
@@ -37,6 +36,7 @@ from repro.storage import (
     open_publication_storage,
     recover_router,
 )
+from repro.storage.store import STORAGE_FORMAT, check_storage_format
 from repro.storage.checkpoint import save_keys
 from repro.storage.errors import CheckpointCorruptError
 from repro.storage.faults import FaultInjected
@@ -372,21 +372,6 @@ def test_crash_between_checkpoint_and_compaction_recovers(
     assert _state_fingerprint(recovered) == before
 
 
-# -- scheme polymorphism -------------------------------------------------------
-
-
-@pytest.mark.parametrize("scheme_tag", ["devanbu", "naive", "vbtree"])
-def test_non_chain_scheme_roundtrip(tmp_path, signature_scheme, scheme_tag):
-    relation = workload.generate_employees(10, seed=23, photo_bytes=8)
-    publication = get_scheme(scheme_tag).publish(relation, signature_scheme)
-    publisher = get_scheme(scheme_tag).make_publisher({"employees": publication})
-    router = ShardRouter({"hr": publisher})
-    PublicationStorage.create(str(tmp_path / "pub"), router)
-    recovered = recover_router(PublicationStorage.open(str(tmp_path / "pub")))
-    assert recovered.current_id("employees") == router.current_id("employees")
-    assert recovered.rotation("employees") == router.rotation("employees")
-
-
 # -- what a stored chain holds, and the roots this build refuses ---------------
 
 
@@ -438,28 +423,37 @@ def test_crash_between_the_two_edits_of_an_update_recovers_whole(
         twin_storage.close()
 
 
+@pytest.mark.parametrize("found", [1, 2, 4, None, "3"])
+def test_every_other_format_is_refused_with_the_remedy(found):
+    """Older, newer, missing or mistyped: one typed refusal naming the fix."""
+    check_storage_format("/srv/pub", STORAGE_FORMAT)
+    with pytest.raises(StorageError, match=rf"format {found!r}; .*republish"):
+        check_storage_format("/srv/pub", found)
+
+
 def test_parent_format_root_is_refused_with_the_remedy(
     durable_world, tmp_path, signature_scheme, capsys
 ):
-    """Format 1 kept ``g`` where format 2 keeps the roots: same bytes, other
-    meaning — refused by the typed format check, reported by ``inspect``."""
+    """Format 2 kept a ``NOT NULL`` scheme column in ``chain_state`` that
+    format 3 does not write — refused by the typed format check, reported by
+    ``inspect``."""
     _, storage, _, _ = durable_world
     storage.close()
     root = str(tmp_path / "pub")
     manifest_path = os.path.join(root, "storage.json")
     with open(manifest_path) as handle:
         document = json.load(handle)
-    assert document["format"] == 2
-    document["format"] = 1
+    assert document["format"] == 3
+    document["format"] = 2
     with open(manifest_path, "w") as handle:
         json.dump(document, handle)
-    with pytest.raises(StorageError, match="format 1.*republish"):
+    with pytest.raises(StorageError, match="format 2.*republish"):
         PublicationStorage.open(root)
     with pytest.raises(StorageError, match="republish"):
         open_publication_storage(root, lambda: pytest.fail("must not rebuild"))
     assert walctl(["inspect", root]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["format"] == 1 and "republish" in report["format_error"]
+    assert report["format"] == 2 and "republish" in report["format_error"]
     assert report["shards"]["hr"]["employees"]["store"] == {"rows": 17, "sequence": 3}
 
 
@@ -496,7 +490,7 @@ def test_walctl_inspect_and_verify_clean_root(durable_world, tmp_path, capsys):
     assert '"records": 6' in report  # 3 updates + 3 rotations
     # The genesis checkpoint stands at sequence 0; the store committed the
     # three single-row inserts on top of the 14 published rows.
-    assert json.loads(report)["format"] == 2 and "format_error" not in report
+    assert json.loads(report)["format"] == 3 and "format_error" not in report
     entry = json.loads(report)["shards"]["hr"]["employees"]
     assert entry["checkpoint"]["sequence"] == 0
     assert entry["store"] == {"rows": 17, "sequence": 3}

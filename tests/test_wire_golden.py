@@ -49,7 +49,7 @@ from repro.db.query import (
     RangeCondition,
 )
 from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
-from repro.wire import WireFormatError, decode, encode, to_json, updates
+from repro.wire import WireFormatError, codec, decode, encode, to_json, updates
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_vectors.json")
 OUTCOMES_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_outcomes.json")
@@ -178,15 +178,6 @@ def build_vectors():
         public_key=public_key,
         sequence=7,
     )
-    devanbu_manifest = RelationManifest(
-        schema=_schema(),
-        scheme_kind="optimized",
-        base=2,
-        hash_name="sha256",
-        public_key=public_key,
-        sequence=3,
-        scheme="devanbu",
-    )
     naive_proof = NaiveProof(signatures=(11, 2**70 + 5))
     naive_proof_aggregated = NaiveProof(aggregate=aggregate)
     devanbu_proof = DevanbuProof(
@@ -282,7 +273,6 @@ def build_vectors():
         "schema": _schema(),
         "relation_manifest": manifest,
         "relation_manifest_rotated": rotated_manifest,
-        "relation_manifest_devanbu_scheme": devanbu_manifest,
         "naive_proof": naive_proof,
         "naive_proof_aggregated": naive_proof_aggregated,
         "devanbu_proof": devanbu_proof,
@@ -323,13 +313,6 @@ def build_vectors():
             relation_name="employees", sequence=7, epoch=3
         ),
         "svc_attestation_request": protocol.AttestationRequest("employees"),
-        # the proof field is a union over registered scheme VO types: pin the
-        # encoding of a baseline-scheme answer too
-        "svc_query_response_vbtree": protocol.QueryResponse(
-            rows=({"salary": 4100, "name": "Ann"},),
-            proof=vbtree_proof,
-            manifest_id=_digest(21),
-        ),
         "svc_join_request": protocol.JoinRequest(
             left_manifest_id=_digest(22),
             right_manifest_id=_digest(23),
@@ -377,19 +360,17 @@ def test_golden_vector(name):
 
 
 def test_previous_wire_version_rejected_with_typed_error():
-    """A v3 frame is refused with a typed version error, never mis-decoded.
+    """A v4 frame is refused with a typed version error, never mis-decoded.
 
-    Wire version 4 added owner-signed freshness (the attestation artifact
-    and the attestation stamps on answers), so a v3 frame's body layout
-    differs; decoding must stop at the envelope with
-    ``reason == "bad-version"`` rather than producing garbage.
+    Wire version 5 dropped the manifest's scheme tag and the union tag of a
+    query response's proof, so a v4 frame's body layout differs; decoding
+    must stop at the envelope with ``reason == "bad-version"`` rather than
+    producing garbage.
     """
-    from repro.wire.errors import WireFormatError
-
     for name, artifact in build_vectors().items():
         blob = bytearray(encode(artifact))
-        assert blob[2] == 4, "vectors must be encoded at WIRE_VERSION 4"
-        blob[2] = 3  # re-stamp the envelope as the previous format version
+        assert blob[2] == 5, "vectors must be encoded at WIRE_VERSION 5"
+        blob[2] = 4  # re-stamp the envelope as the previous format version
         with pytest.raises(WireFormatError) as excinfo:
             decode(bytes(blob))
         assert excinfo.value.reason == "bad-version", name
@@ -397,12 +378,28 @@ def test_previous_wire_version_rejected_with_typed_error():
 
 def test_future_wire_version_rejected_with_typed_error():
     blob = bytearray(encode(build_vectors()["relation_manifest"]))
-    blob[2] = 5
-    from repro.wire.errors import WireFormatError
-
+    blob[2] = 6
     with pytest.raises(WireFormatError) as excinfo:
         decode(bytes(blob))
     assert excinfo.value.reason == "bad-version"
+
+
+@pytest.mark.parametrize("vo", ["naive_proof", "devanbu_proof", "vbtree_proof"])
+def test_a_query_response_carries_only_a_chain_proof(vo):
+    """A baseline VO in a response's proof slot does not decode.
+
+    The frame is laid out the way a scheme-polymorphic server wrote one — a
+    presence byte, the VO's union tag, its body — so only the proof slot's
+    type is refused, at the codec, with a typed error.
+    """
+    vectors = build_vectors()
+    response = vectors["svc_query_response"]
+    empty = encode(protocol.QueryResponse(response.rows, None, response.manifest_id))
+    tail = codec.encode_tail(response, "manifest_id")
+    rows = empty[: -len(tail) - 1]  # header and rows, before the absent-proof byte
+    frame = rows + b"\x01" + encode(vectors[vo])[3:] + tail
+    with pytest.raises(WireFormatError):
+        decode(frame)
 
 
 def _sweep(blob: bytes):

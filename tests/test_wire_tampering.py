@@ -353,53 +353,55 @@ def test_replayed_stale_update_response_rejected(update_world, owner):
         )
 
 
-# -- per-scheme VO artifacts through real server dispatch ----------------------
+# -- VO artifacts of every scheme ----------------------------------------------
 #
-# Wire version 3 serves every registered proof scheme; the byte-flip contract
-# extends unchanged: for any flip in a scheme-tagged query response produced
-# by the *real* server dispatch path (handler decode -> route -> proof
-# construction -> encode), the verifying side either rejects with a typed
-# error or the flip is visible (manifest-id mismatch) — never a silent accept
-# and never an unhandled crash.
+# The byte-flip contract holds for the chain answer the *real* server dispatch
+# path serves (handler decode -> route -> proof construction -> encode): the
+# verifying side either rejects with a typed error or the flip is visible
+# (manifest-id mismatch) — never a silent accept and never an unhandled crash.
+# Every scheme's VO, built in process, gets the same sweep over its own
+# canonical encoding.
 
-from repro.db.query import Query as _Query  # noqa: E402
-from repro.schemes import available_schemes, get_scheme  # noqa: E402
+from repro.core.relational import SignedRelation  # noqa: E402
+from repro.schemes import SCHEMES  # noqa: E402
 from repro.service import PublicationServer as _Server  # noqa: E402
 from repro.service.protocol import QueryRequest, encode_frame  # noqa: E402
 
+_SCHEME_QUERY = Query(
+    "employees", Conjunction((RangeCondition("salary", 20_000, 60_000),))
+)
 
-@pytest.fixture(scope="module", params=available_schemes())
-def scheme_dispatch_world(request, signature_scheme):
-    """An unstarted server hosting one relation under one scheme."""
-    scheme = get_scheme(request.param)
-    relation = workload.generate_employees(30, seed=77, photo_bytes=8)
-    publication = scheme.publish(relation, signature_scheme)
-    publisher = scheme.make_publisher({"employees": publication})
-    router = ShardRouter({"shard": publisher})
-    server = _Server(router)
+
+def _scheme_relation():
+    return workload.generate_employees(30, seed=77, photo_bytes=8)
+
+
+@pytest.fixture(scope="module", params=SCHEMES, ids=lambda scheme: scheme.name)
+def scheme_world(request, signature_scheme):
+    """One relation under one scheme, answered in process."""
+    scheme = request.param
+    publication = scheme.publish(_scheme_relation(), signature_scheme)
+    result = scheme.make_publisher({"employees": publication}).answer(_SCHEME_QUERY)
     verifier = scheme.verifier_for("employees", publication.manifest)
-    return request.param, router, server, verifier
+    return scheme.name, [dict(row) for row in result.rows], result.proof, verifier
 
 
-def test_tampered_scheme_response_rejected_via_server_dispatch(
-    scheme_dispatch_world,
-):
-    """Byte flips in any scheme's served answer never slip through."""
-    scheme_name, router, server, verifier = scheme_dispatch_world
+def test_tampered_scheme_response_rejected_via_server_dispatch(signature_scheme):
+    """Byte flips in a served chain answer never slip through."""
+    publication = SignedRelation(_scheme_relation(), signature_scheme)
+    router = ShardRouter({"shard": Publisher({"employees": publication})})
+    server = _Server(router)
+    verifier = ResultVerifier({"employees": publication.manifest})
     identifier = router.current_id("employees")
-    query = _Query(
-        "employees",
-        Conjunction((RangeCondition("salary", 20_000, 60_000),)),
-    )
     request_frame = encode_frame(
-        QueryRequest(manifest_id=identifier, query=query)
+        QueryRequest(manifest_id=identifier, query=_SCHEME_QUERY)
     )[4:]
     handled = server.handler.handle_frame(request_frame)
     assert not handled.is_error
     blob = handled.payload
     honest = decode(blob)
     assert isinstance(honest, QueryResponse) and honest.rows
-    verifier.verify(query, honest.rows, honest.proof)  # sanity: honest accepts
+    verifier.verify(_SCHEME_QUERY, honest.rows, honest.proof)  # sanity: honest accepts
 
     def check(artifact):
         if not isinstance(artifact, QueryResponse):
@@ -408,36 +410,22 @@ def test_tampered_scheme_response_rejected_via_server_dispatch(
             # a client compares the stamp against its pinned id first; a
             # flipped stamp is a visible mismatch, not a silent accept
             raise VerificationError("manifest stamp differs, as expected")
-        verifier.verify(query, artifact.rows, artifact.proof)
-        _assert_equivalent_statement(
-            scheme_name, honest.rows, honest.proof, artifact.rows, artifact.proof
-        )
-        raise VerificationError("equivalent proof of the same statement")
+        verifier.verify(_SCHEME_QUERY, artifact.rows, artifact.proof)
+        raise AssertionError("a tampered chain answer verified cleanly")
 
     for mask in _MASKS:
         for offset in _sample_offsets(len(blob), step=19):
             _assert_rejected(blob, offset, mask, check)
 
 
-def test_tampered_scheme_proof_rejected(scheme_dispatch_world):
-    """Flips inside the scheme's VO itself, checked against untampered rows."""
-    scheme_name, router, server, verifier = scheme_dispatch_world
-    identifier = router.current_id("employees")
-    query = _Query(
-        "employees",
-        Conjunction((RangeCondition("salary", 20_000, 60_000),)),
-    )
-    request_frame = encode_frame(
-        QueryRequest(manifest_id=identifier, query=query)
-    )[4:]
-    honest = decode(server.handler.handle_frame(request_frame).payload)
-    blob = encode(honest.proof)
+def test_tampered_scheme_proof_rejected(scheme_world):
+    """Flips inside a scheme's VO, checked against untampered rows."""
+    scheme_name, rows, proof, verifier = scheme_world
+    blob = encode(proof)
 
-    def check(proof):
-        verifier.verify(query, honest.rows, proof)
-        _assert_equivalent_statement(
-            scheme_name, honest.rows, honest.proof, honest.rows, proof
-        )
+    def check(tampered):
+        verifier.verify(_SCHEME_QUERY, rows, tampered)
+        _assert_equivalent_statement(scheme_name, rows, proof, rows, tampered)
         raise VerificationError("equivalent proof of the same statement")
 
     for mask in _MASKS:
