@@ -37,7 +37,7 @@ def signature_scheme():
 
 @pytest.fixture(scope="session")
 def owner(signature_scheme):
-    return DataOwner(signature_scheme=signature_scheme, scheme_kind="optimized", base=2)
+    return DataOwner(signature_scheme=signature_scheme, base=2)
 
 
 def report(name: str, lines) -> None:

@@ -231,7 +231,6 @@ def _attach(
 
     manifest = RelationManifest(
         schema=schema,
-        scheme_kind="optimized",
         base=2,
         hash_name="sha256",
         public_key=signature_scheme.verifier,

@@ -14,14 +14,13 @@ hash whose exponent is the distance of ``v`` from a domain bound:
 Both directions share the same machinery, parameterised by a *namespace* so the
 two chains of one record can never be confused for each other.
 
-Two interchangeable implementations are provided:
-
-* :class:`ConceptualChainScheme` — the direct construction of formula (2);
-  O(domain width) hashing, fine for small domains, teaching and tests,
-* :class:`OptimizedChainScheme` — the Section 5.1 construction; the exponent is
-  decomposed in base ``B``, one short chain per digit, the ``m`` preferred
-  non-canonical representations are committed under a Merkle tree, and hashing
-  drops to O(B · log_B(domain width)).
+* :class:`OptimizedChainScheme` — Section 5.1, the only kernel a relation is
+  published, served, stored or verified with: the exponent is decomposed in
+  base ``B``, one short chain per digit, the ``m`` preferred non-canonical
+  representations are committed under a Merkle tree, and hashing drops to
+  O(B · log_B(domain width)),
+* :class:`ConceptualChainScheme` — formula (2), O(domain width) hashing, run
+  in-process only: Section 3's value list, the ablation bench, property tests.
 
 The optimized scheme does that work in one pass per ``(value, total)``.  A
 preferred representation only ever raises a digit by ``B`` (position 0) or
@@ -80,10 +79,9 @@ _EMPTY_REPRESENTATION_SENTINEL = b"__no_preferred_representations__"
 class EntryAssist:
     """Publisher-supplied help for recomputing the chain digest of a *known* value.
 
-    The conceptual scheme needs no help (the verifier re-hashes from the value
-    itself); the optimized scheme ships the root of the Merkle tree over the
-    non-canonical representations, which the verifier cannot derive from the
-    value alone without recomputing every representation.
+    Section 5.1 (every served chain) ships the root of the Merkle tree over
+    the non-canonical representations, which the verifier cannot derive from
+    the value alone; formula (2) (Section 3's in-process list) needs none.
     """
 
     mht_root: Optional[bytes] = None
@@ -98,13 +96,13 @@ class EntryAssist:
 class BoundaryAssist:
     """Publisher-supplied proof that a *hidden* value lies beyond a query bound.
 
-    Contents depend on the scheme:
-
-    * conceptual — a single intermediate digest at exponent ``delta_e``;
-    * optimized — one intermediate digest per base-``B`` digit, plus either the
-      Merkle root over the unused non-canonical representations (when the
-      canonical representation was selected) or the canonical representation's
-      digest together with a Merkle path covering the unused representations.
+    * Section 5.1 (every served chain) — one intermediate digest per base-``B``
+      digit, plus either the Merkle root over the unused non-canonical
+      representations (when the canonical representation was selected) or the
+      canonical representation's digest together with a Merkle path covering
+      the unused representations;
+    * formula (2) (Section 3's in-process list) — one intermediate digest at
+      exponent ``delta_e``.
     """
 
     intermediate_digests: Tuple[bytes, ...]

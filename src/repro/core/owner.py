@@ -46,6 +46,9 @@ class PublishedDatabase:
 class DataOwner:
     """Creates and maintains signed data sets.
 
+    Everything it publishes uses the Section 5.1 chain digests; formula (2)'s
+    exist only in a directly built Section 3 ``SignedValueList``.
+
     Parameters
     ----------
     signature_scheme:
@@ -55,23 +58,18 @@ class DataOwner:
     key_bits:
         Modulus size for a freshly generated key (ignored when a scheme is
         supplied).  1024 matches the paper's ``Msign``.
-    scheme_kind:
-        ``"optimized"`` (Section 5.1, the default) or ``"conceptual"``
-        (formula (2); only sensible for small key domains).
     base:
-        Polynomial base ``B`` of the optimized scheme.
+        Polynomial base ``B`` of the Section 5.1 digests.
     """
 
     def __init__(
         self,
         signature_scheme: Optional[SignatureScheme] = None,
         key_bits: int = 1024,
-        scheme_kind: str = "optimized",
         base: int = 2,
         hash_function: Optional[HashFunction] = None,
     ) -> None:
         self.signature_scheme = signature_scheme or rsa_scheme(bits=key_bits)
-        self.scheme_kind = scheme_kind
         self.base = base
         self.hash_function = hash_function or default_hash()
 
@@ -92,7 +90,6 @@ class DataOwner:
             domain=domain,
             values=values,
             signature_scheme=self.signature_scheme,
-            scheme_kind=self.scheme_kind,
             base=self.base,
             hash_function=self.hash_function,
         )
@@ -102,7 +99,6 @@ class DataOwner:
         return SignedRelation(
             relation=relation,
             signature_scheme=self.signature_scheme,
-            scheme_kind=self.scheme_kind,
             base=self.base,
             hash_function=self.hash_function,
         )

@@ -82,7 +82,7 @@ class GreaterThanProof:
         it.
     entry_assists:
         Per result entry, the publisher-supplied assist needed to recompute its
-        chain digest (empty assists under the conceptual scheme).
+        chain digest (empty under formula (2), whose digest needs no help).
     right_delimiter_digest:
         The opaque digest ``g(r_{n+1})`` of the right delimiter.
     signatures:

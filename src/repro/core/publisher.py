@@ -206,10 +206,8 @@ class Publisher:
         }
         totals = CacheStats(hits=0, misses=0, evictions=0, size=0, capacity=0)
         for scheme in schemes:
-            memo = getattr(scheme, "_boundary_memo", None)  # the conceptual scheme has none
-            if memo is not None:
-                for counter, value in memo.stats().items():
-                    totals[counter] += value
+            for counter, value in scheme._boundary_memo.stats().items():
+                totals[counter] += value
         return {"vo_fragments": totals}
 
     # -- helpers ------------------------------------------------------------------

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.digest import (
-    ChainDigestScheme,
-    ConceptualChainScheme,
-    EntryAssist,
-    OptimizedChainScheme,
-)
+from repro.core.digest import ChainDigestScheme, EntryAssist, OptimizedChainScheme
 from repro.crypto.encoding import concat_digests, encode_many
 from repro.crypto.hashing import HashFunction, default_hash
 from repro.crypto.merkle import MerkleTree
@@ -45,29 +40,21 @@ _RIGHT_DELIMITER = "right-delimiter"
 _RECORD = "record"
 
 #: The representation-tree roots of an entry's (upper, lower) chains; ``None``
-#: where there is no tree (the conceptual scheme, a delimiter's sentinel chain).
+#: for a delimiter's sentinel chain, which has no tree.
 _Roots = Tuple[Optional[bytes], Optional[bytes]]
 
 
 def build_chain_schemes(
-    kind: str,
     domain: KeyDomain,
     base: int,
     hash_function: HashFunction,
     memoize: bool = True,
 ) -> Tuple[ChainDigestScheme, ChainDigestScheme]:
-    """The (upper, lower) chain digest schemes for a key domain."""
-    if kind == "conceptual":
-        return (
-            ConceptualChainScheme(domain.width, "upper", hash_function, memoize),
-            ConceptualChainScheme(domain.width, "lower", hash_function, memoize),
-        )
-    if kind == "optimized":
-        return (
-            OptimizedChainScheme(domain.width, "upper", base, hash_function, memoize),
-            OptimizedChainScheme(domain.width, "lower", base, hash_function, memoize),
-        )
-    raise ValueError(f"unknown digest scheme kind {kind!r}")
+    """The (upper, lower) Section 5.1 chain digest schemes for a key domain."""
+    return (
+        OptimizedChainScheme(domain.width, "upper", base, hash_function, memoize),
+        OptimizedChainScheme(domain.width, "lower", base, hash_function, memoize),
+    )
 
 
 @dataclass(frozen=True)
@@ -75,13 +62,12 @@ class RelationManifest:
     """Public metadata a user needs to verify results over one signed relation.
 
     The manifest is what the owner distributes (alongside its public key); it
-    carries no record data.  It always describes a signature chain:
-    ``scheme_kind``, ``base`` and ``hash_name`` are the chain's digest
-    parameters, and a rotation may change none of them.
+    carries no record data.  It always describes a Section 5.1 signature
+    chain: ``base`` and ``hash_name`` are the chain's digest parameters, and
+    a rotation may change no field but ``sequence``.
     """
 
     schema: Schema
-    scheme_kind: str
     base: int
     hash_name: str
     public_key: object  # RSAPublicKey
@@ -107,9 +93,7 @@ class RelationManifest:
         cost-model benchmarks, which count the hash operations a from-scratch
         verification performs.
         """
-        return build_chain_schemes(
-            self.scheme_kind, self.domain, self.base, self.hash_function(), memoize
-        )
+        return build_chain_schemes(self.domain, self.base, self.hash_function(), memoize)
 
     @cached_property
     def _anchors(self) -> Tuple[bytes, bytes]:
@@ -220,7 +204,6 @@ class SignedRelation:
         self,
         relation: Relation,
         signature_scheme: SignatureScheme,
-        scheme_kind: str = "optimized",
         base: int = 2,
         hash_function: Optional[HashFunction] = None,
     ) -> None:
@@ -228,11 +211,10 @@ class SignedRelation:
         self.schema: Schema = relation.schema
         self.domain: KeyDomain = self.schema.key_domain
         self.hash_function = hash_function or default_hash()
-        self.scheme_kind = scheme_kind
         self.base = base
         self._signature_scheme = signature_scheme
         self.upper_scheme, self.lower_scheme = build_chain_schemes(
-            scheme_kind, self.domain, base, self.hash_function
+            self.domain, base, self.hash_function
         )
         self._manifest: Optional[RelationManifest] = None
         self._entries: List[ChainEntry] = []
@@ -258,7 +240,6 @@ class SignedRelation:
         if self._manifest is None or self._manifest.sequence != self._version:
             self._manifest = RelationManifest(
                 schema=self.schema,
-                scheme_kind=self.scheme_kind,
                 base=self.base,
                 hash_name=self.hash_function.name,
                 public_key=self._signature_scheme.verifier,

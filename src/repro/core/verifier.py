@@ -137,7 +137,7 @@ class ResultVerifier:
 
     def _chain_schemes(self, manifest: RelationManifest) -> tuple:
         """The manifest's (upper, lower) chain schemes, built once per parameter set."""
-        key = (manifest.scheme_kind, manifest.base, manifest.hash_name, manifest.domain)
+        key = (manifest.base, manifest.hash_name, manifest.domain)
         cached = self._scheme_cache.get(key)
         if cached is None:
             cached = manifest.chain_schemes(self.memoize)

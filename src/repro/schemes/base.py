@@ -80,7 +80,6 @@ class SchemePublication(abc.ABC):
         self._signature_scheme = signature_scheme
         self.manifest = RelationManifest(
             schema=self.schema,
-            scheme_kind="optimized",
             base=2,
             hash_name=self.hash_function.name,
             public_key=signature_scheme.verifier,

@@ -61,14 +61,12 @@ class ChainScheme(ProofScheme):
         relation: Relation,
         signature_scheme: SignatureScheme,
         hash_function: Optional[HashFunction] = None,
-        scheme_kind: str = "optimized",
         base: int = 2,
         **parameters,
     ) -> SignedRelation:
         return SignedRelation(
             relation=relation,
             signature_scheme=signature_scheme,
-            scheme_kind=scheme_kind,
             base=base,
             hash_function=hash_function,
             **parameters,

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.relational import RelationManifest
@@ -728,12 +728,7 @@ class VerifyingClient(ServiceConnection):
                 "different owner key",
                 reason="rotation-key-mismatch",
             )
-        if (
-            manifest.schema != pinned.schema
-            or manifest.scheme_kind != pinned.scheme_kind
-            or manifest.base != pinned.base
-            or manifest.hash_name != pinned.hash_name
-        ):
+        if not _same_parameters(manifest, pinned):
             raise StaleManifestError(
                 f"rotated manifest for {relation_name!r} changes scheme "
                 "parameters; data updates must preserve them",
@@ -976,11 +971,5 @@ class VerifyingClient(ServiceConnection):
 
 
 def _same_parameters(a: RelationManifest, b: RelationManifest) -> bool:
-    """Whether two manifests agree on everything a rotation must preserve."""
-    return (
-        a.public_key == b.public_key
-        and a.schema == b.schema
-        and a.scheme_kind == b.scheme_kind
-        and a.base == b.base
-        and a.hash_name == b.hash_name
-    )
+    """Whether two manifests agree on every field but the sequence."""
+    return replace(a, sequence=b.sequence) == b

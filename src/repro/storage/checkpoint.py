@@ -45,7 +45,7 @@ from repro.crypto.signature import SignatureScheme
 from repro.storage.errors import CheckpointCorruptError
 from repro.storage.faults import FaultRegistry
 from repro.storage.wal import _fsync_directory, encode_record, iter_wal_records
-from repro.wire import decode, encode
+from repro.wire import WireFormatError, decode, encode
 from repro.wire.updates import ManifestRotated, manifest_signing_message
 
 __all__ = [
@@ -104,9 +104,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     Verifies: record CRCs (via the shared WAL reader — a torn or corrupt
     checkpoint is a :class:`CheckpointCorruptError`, never a partial load),
-    the header shape, that the file holds the header and the rotation and
-    nothing else, and the rotation's owner signature under the manifest's
-    own public key.
+    the header shape, that the file holds the header and a rotation that
+    decodes (another wire version's is corrupt here) and nothing else, and
+    the rotation's owner signature under the manifest's own public key.
     """
     try:
         records = list(iter_wal_records(path))
@@ -133,7 +133,11 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"this build reads format {CHECKPOINT_FORMAT}",
             path=path,
         )
-    rotation = decode(records[1], expect=ManifestRotated)
+    try:
+        rotation = decode(records[1], expect=ManifestRotated)
+    except WireFormatError as error:
+        detail = f"checkpoint {path}: the rotation record does not decode: {error}"
+        raise CheckpointCorruptError(detail, path=path) from error
     manifest = rotation.manifest
     message = manifest_signing_message(manifest, rotation.previous_id)
     if not manifest.public_key.verify(message, rotation.owner_signature):

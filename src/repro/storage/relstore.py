@@ -1,9 +1,9 @@
 """Disk-backed relation + digest store: serve a signed relation without RAM rows.
 
 One SQLite file per shard (``relstore.db``) holds, per relation, the exact
-artifacts the chain-signature scheme serves — using the repo's
-schema-over-SQL idiom (three fixed tables keyed by relation name, not one
-SQL schema per relational schema):
+artifacts a Section 5.1 chain serves (the only chain a manifest names) in
+the repo's schema-over-SQL idiom (three fixed tables keyed by relation
+name, not one SQL schema per relational schema):
 
 ``entries``
     One row per chain entry: the two domain delimiters and every record,
@@ -108,7 +108,7 @@ KIND_RIGHT = "right"
 #: mirrors the router's in-memory replayed-update registry bound.
 MAX_APPLIED_REMEMBERED = 256
 
-#: Default size of a stored relation's faulted-record LRU cache.
+#: Size of a stored relation's faulted-record LRU cache.
 DEFAULT_RECORD_CACHE = 4096
 
 _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "off": "OFF"}
@@ -514,7 +514,6 @@ class _RecordColumn:
         "_schema",
         "_sort_keys",
         "_cache",
-        "_cache_size",
         "_pending",
         "faulted",
     )
@@ -525,14 +524,12 @@ class _RecordColumn:
         relation_name: str,
         schema: Schema,
         sort_keys: List[Tuple[int, bytes]],
-        cache_size: int = DEFAULT_RECORD_CACHE,
     ) -> None:
         self._store = store
         self._relation_name = relation_name
         self._schema = schema
         self._sort_keys = sort_keys
         self._cache: "OrderedDict[Tuple[int, bytes], Record]" = OrderedDict()
-        self._cache_size = max(1, cache_size)
         self._pending: Dict[Tuple[int, bytes], Record] = {}
         self.faulted = 0
 
@@ -559,7 +556,7 @@ class _RecordColumn:
             )
         self.faulted += 1
         self._cache[identity] = record
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > DEFAULT_RECORD_CACHE:
             self._cache.popitem(last=False)
         return record
 
@@ -594,7 +591,7 @@ class _RecordColumn:
         while self._pending:
             identity, record = self._pending.popitem()
             self._cache[identity] = record
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > DEFAULT_RECORD_CACHE:
             self._cache.popitem(last=False)
 
 
@@ -606,18 +603,10 @@ class StoredRelation(Relation):
     themselves are faulted in on demand through :class:`_RecordColumn`.
     """
 
-    def __init__(
-        self,
-        store: RelationStore,
-        relation_name: str,
-        schema: Schema,
-        cache_size: int = DEFAULT_RECORD_CACHE,
-    ) -> None:
+    def __init__(self, store: RelationStore, relation_name: str, schema: Schema) -> None:
         self.schema = schema
         self._sort_keys = store.load_record_index(relation_name)
-        self._records = _RecordColumn(
-            store, relation_name, schema, self._sort_keys, cache_size
-        )
+        self._records = _RecordColumn(store, relation_name, schema, self._sort_keys)
 
     @property
     def records(self) -> Sequence[Record]:
@@ -678,14 +667,6 @@ class _LazyChainColumn:
             yield self[index]
 
 
-def _require_optimized(relation_name: str, scheme_kind: str) -> None:
-    if scheme_kind != "optimized":
-        raise StorageError(
-            f"relation {relation_name!r}: a stored chain keeps each entry's Section 5.1 "
-            f"representation-tree roots, which a {scheme_kind!r} chain does not have"
-        )
-
-
 def _stored_roots(components: Tuple[bytes, bytes, bytes], roots) -> bytes:
     """An entry's ``entries.digest`` value: ``upper_root | lower_root | attribute_root``.
 
@@ -712,19 +693,16 @@ class StoredSignedRelation(SignedRelation):
         relation_name: str,
         manifest: RelationManifest,
         signature_scheme: SignatureScheme,
-        cache_size: int = DEFAULT_RECORD_CACHE,
     ) -> None:
-        _require_optimized(relation_name, manifest.scheme_kind)
-        relation = StoredRelation(store, relation_name, manifest.schema, cache_size)
+        relation = StoredRelation(store, relation_name, manifest.schema)
         self.relation = relation
         self.schema = manifest.schema
         self.domain = self.schema.key_domain
         self.hash_function = manifest.hash_function()
-        self.scheme_kind = manifest.scheme_kind
         self.base = manifest.base
         self._signature_scheme = signature_scheme
         self.upper_scheme, self.lower_scheme = build_chain_schemes(
-            manifest.scheme_kind, self.domain, manifest.base, self.hash_function
+            self.domain, manifest.base, self.hash_function
         )
         self._manifest = None
         self._store = store
@@ -879,7 +857,6 @@ def dump_publication(
     The roots the owner's walk left behind and the signatures are copied
     as-is: nothing is re-hashed or re-signed.
     """
-    _require_optimized(relation_name, publication.scheme_kind)
     domain = publication.domain
     signatures = publication.signatures
 
@@ -920,12 +897,11 @@ def build_stored_chain(
     schema: Schema,
     rows: Iterable[Dict[str, object]],
     signature_scheme: SignatureScheme,
-    scheme_kind: str = "optimized",
     base: int = 2,
     hash_function: Optional[HashFunction] = None,
     batch_size: int = 512,
 ) -> int:
-    """Stream ``rows`` (ascending by key) into a signed chain on disk.
+    """Stream ``rows`` (ascending by key) into a signed Section 5.1 chain on disk.
 
     Peak memory is O(``batch_size``): each entry's digest is computed once,
     its chain message is derived as soon as its right neighbour's digest is
@@ -934,13 +910,11 @@ def build_stored_chain(
     :class:`~repro.core.relational.SignedRelation` over the same rows.
     Returns the number of records stored.
     """
-    _require_optimized(relation_name, scheme_kind)
     hash_function = hash_function or default_hash()
     domain = schema.key_domain
-    upper, lower = build_chain_schemes(scheme_kind, domain, base, hash_function)
+    upper, lower = build_chain_schemes(domain, base, hash_function)
     manifest = RelationManifest(
         schema=schema,
-        scheme_kind=scheme_kind,
         base=base,
         hash_name=hash_function.name,
         public_key=signature_scheme.verifier,

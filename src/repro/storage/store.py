@@ -76,7 +76,9 @@ __all__ = [
 #: representation-tree roots (format 1 held its ``g`` digest in the same bytes).
 #: 3: every stored relation is a signature chain; ``chain_state`` has no
 #: ``scheme`` column (format 2's ``NOT NULL`` one refuses this build's writes).
-STORAGE_FORMAT = 3
+#: 4: every stored rotation, checkpoint, WAL frame and applied-update response
+#: holds a wire-v6 manifest, which names no digest-scheme kind.
+STORAGE_FORMAT = 4
 
 _MANIFEST_FILE = "storage.json"
 _KEYS_FILE = "keys.json"

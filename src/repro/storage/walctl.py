@@ -45,11 +45,16 @@ from typing import List
 
 from repro.service.owner import delta_sequence_cost
 from repro.storage.checkpoint import load_checkpoint
-from repro.storage.errors import CheckpointCorruptError, StorageError, WalCorruptError
+from repro.storage.errors import (
+    CheckpointCorruptError,
+    RecoveryError,
+    StorageError,
+    WalCorruptError,
+)
 from repro.storage.relstore import RelationStore
 from repro.storage.store import PublicationStorage, check_storage_format
 from repro.storage.wal import iter_wal_records, scan_wal
-from repro.wire import decode, manifest_id
+from repro.wire import WireFormatError, decode, manifest_id
 from repro.wire.updates import (
     FreshnessAttestation,
     ManifestRotated,
@@ -80,7 +85,11 @@ def _replication_mark(storage: PublicationStorage, shard: str, name: str):
     sequence = checkpoint.sequence
     epoch = 0
     for frame in iter_wal_records(storage.wal_path(shard, name)):
-        artifact = decode(frame)
+        try:
+            artifact = decode(frame)
+        except WireFormatError as error:  # what recovery refuses the root with
+            message = f"{shard}/{name}: a WAL record does not decode: {error}"
+            raise RecoveryError(message, reason="undecodable-record") from error
         if isinstance(artifact, UpdateRequest):
             sequence = artifact.sequence + delta_sequence_cost(artifact.deltas)
         elif isinstance(artifact, ManifestRotated):
@@ -140,7 +149,7 @@ def _cmd_inspect(args) -> int:
             if args.replication:
                 try:
                     entry["replication"] = _replication_mark(storage, shard, name)
-                except (CheckpointCorruptError, WalCorruptError) as error:
+                except (CheckpointCorruptError, RecoveryError, WalCorruptError) as error:
                     entry["replication"] = {"error": str(error)}
             entries[name] = entry
         report["shards"][shard] = entries

@@ -45,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 from repro.core.proof import (
     BoundaryEntryProof,
     FilteredEntryProof,
-    GreaterThanProof,
     JoinQueryProof,
     MatchedEntryProof,
     RangeQueryProof,
@@ -106,7 +105,9 @@ __all__ = [
 #: push/fetch service messages (:mod:`repro.service.protocol`).
 #: Version 5 serves the chain only: manifests lose the ``scheme`` tag and a
 #: query response's proof is a ``RangeQueryProof`` body, no union tag.
-WIRE_VERSION = 5
+#: Version 6 drops the manifest's digest-scheme kind (every served chain is
+#: Section 5.1's) and the Section 3 list proof's registration (tag 0x06).
+WIRE_VERSION = 6
 _MAGIC = b"PV"
 
 
@@ -739,18 +740,6 @@ register_artifact(
 )
 
 register_artifact(
-    0x06,
-    GreaterThanProof,
-    [
-        ("alpha", INT),
-        ("predecessor_boundary", _Nested(BoundaryAssist)),
-        ("entry_assists", _Tuple(_Nested(EntryAssist))),
-        ("right_delimiter_digest", BYTES),
-        ("signatures", _Nested(SignatureBundle)),
-    ],
-)
-
-register_artifact(
     0x07,
     BoundaryEntryProof,
     [
@@ -857,7 +846,6 @@ register_artifact(
     RelationManifest,
     [
         ("schema", _Nested(Schema)),
-        ("scheme_kind", _EnumStr("conceptual", "optimized")),
         ("base", INT),
         ("hash_name", STR),
         ("public_key", _Nested(RSAPublicKey)),

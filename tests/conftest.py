@@ -36,14 +36,8 @@ def forged_scheme() -> SignatureScheme:
 
 @pytest.fixture(scope="session")
 def owner(signature_scheme) -> DataOwner:
-    """A data owner using the shared key and the optimized digest scheme (B=2)."""
-    return DataOwner(signature_scheme=signature_scheme, scheme_kind="optimized", base=2)
-
-
-@pytest.fixture(scope="session")
-def conceptual_owner(signature_scheme) -> DataOwner:
-    """A data owner using the conceptual (formula (2)) digest scheme."""
-    return DataOwner(signature_scheme=signature_scheme, scheme_kind="conceptual")
+    """A data owner using the shared key and the Section 5.1 digests (B=2)."""
+    return DataOwner(signature_scheme=signature_scheme, base=2)
 
 
 @pytest.fixture(scope="session")
@@ -72,12 +66,6 @@ def figure1_publisher(figure1_database, figure1_policy) -> Publisher:
 @pytest.fixture(scope="session")
 def figure1_verifier(figure1_database, figure1_policy) -> ResultVerifier:
     return ResultVerifier(figure1_database.manifests, policy=figure1_policy)
-
-
-@pytest.fixture(scope="session")
-def small_domain() -> KeyDomain:
-    """A small key domain that keeps even the conceptual scheme fast."""
-    return KeyDomain(0, 256)
 
 
 @pytest.fixture(scope="session")

@@ -223,8 +223,10 @@ class TestConceptualScheme:
     """The same behaviour under the formula (2) conceptual digests."""
 
     @pytest.fixture(scope="class")
-    def published_conceptual(self, conceptual_owner):
-        return conceptual_owner.publish_value_list([5, 10, 20, 30, 40], KeyDomain(0, 64))
+    def published_conceptual(self, signature_scheme):
+        return SignedValueList(
+            KeyDomain(0, 64), [5, 10, 20, 30, 40], signature_scheme, scheme_kind="conceptual"
+        )
 
     def test_round_trip(self, published_conceptual):
         publisher = ListPublisher(published_conceptual)

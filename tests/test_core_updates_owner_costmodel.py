@@ -148,7 +148,6 @@ class TestDataOwner:
         relation = generate_employees(5, seed=1, photo_bytes=2)
         signed = owner.publish_relation(relation)
         manifest = signed.manifest
-        assert manifest.scheme_kind == "optimized"
         assert manifest.base == 2
         assert manifest.hash_name == "sha256"
         assert manifest.domain.width == 100_000

@@ -206,29 +206,25 @@ class TestDifferentSchemeConfigurations:
         verifier.verify(query, result.rows, result.proof)
 
     def test_conceptual_relational_scheme_small_domain(self, signature_scheme):
+        """Formula (2)'s Section 3 list and the served chain agree on a small domain."""
+        from repro.core.basic_scheme import ListPublisher, ListVerifier, SignedValueList
         from repro.core.owner import DataOwner
         from repro.db.relation import Relation
         from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
 
-        schema = Schema.build(
-            "tiny",
-            [
-                Attribute("id", AttributeType.INTEGER, domain=KeyDomain(0, 128)),
-                Attribute("label", AttributeType.STRING),
-            ],
-            key="id",
-        )
+        domain, keys = KeyDomain(0, 128), list(range(1, 40, 3))
+        attributes = [Attribute("id", AttributeType.INTEGER, domain=domain), Attribute("label", AttributeType.STRING)]
         relation = Relation.from_rows(
-            schema, [{"id": i, "label": f"row{i}"} for i in range(1, 40, 3)]
+            Schema.build("tiny", attributes, key="id"), [{"id": i, "label": f"row{i}"} for i in keys]
         )
-        owner = DataOwner(signature_scheme=signature_scheme, scheme_kind="conceptual")
-        signed = owner.publish_relation(relation)
-        publisher = Publisher({"tiny": signed})
-        verifier = ResultVerifier({"tiny": signed.manifest})
-        query = Query("tiny", Conjunction((RangeCondition("id", 10, 30),)))
-        result = publisher.answer(query)
-        assert [row["id"] for row in result.rows] == [10, 13, 16, 19, 22, 25, 28]
-        verifier.verify(query, result.rows, result.proof)
+        signed = DataOwner(signature_scheme=signature_scheme).publish_relation(relation)
+        query = Query("tiny", Conjunction((RangeCondition("id", 10, None),)))
+        result = Publisher({"tiny": signed}).answer(query)
+        ResultVerifier({"tiny": signed.manifest}).verify(query, result.rows, result.proof)
+        conceptual = SignedValueList(domain, keys, signature_scheme, scheme_kind="conceptual")
+        values, proof = ListPublisher(conceptual).answer_greater_than(10)
+        ListVerifier(conceptual.manifest).verify_greater_than(10, values, proof)
+        assert [row["id"] for row in result.rows] == values == [10, 13, 16, 19, 22, 25, 28, 31, 34, 37]
 
     def test_mixed_hash_function(self, signature_scheme):
         from repro.core.owner import DataOwner

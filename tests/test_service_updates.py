@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.errors import UpdateApplicationError
 from repro.core.publisher import Publisher
-from repro.core.relational import UpdateReceipt
+from repro.core.relational import RelationManifest, UpdateReceipt
 from repro.db import workload
 from repro.db.query import Conjunction, JoinQuery, Query, RangeCondition
 from repro.service import (
@@ -395,25 +395,23 @@ def test_client_rejects_forged_and_replayed_rotations(world, forged_scheme):
 @pytest.mark.parametrize(
     "field, reason",
     [
-        ("public_key", "rotation-key-mismatch"),
-        ("schema", "rotation-scheme-mismatch"),
-        ("scheme_kind", "rotation-scheme-mismatch"),
-        ("base", "rotation-scheme-mismatch"),
-        ("hash_name", "rotation-scheme-mismatch"),
+        (name, "rotation-key-mismatch" if name == "public_key" else "rotation-scheme-mismatch")
+        for name in (field.name for field in dataclasses.fields(RelationManifest))
+        if name != "sequence"
     ],
 )
 def test_a_signed_rotation_must_keep_the_chain_parameters(
     world, forged_scheme, field, reason
 ):
     """A data update may only advance the sequence: a rotation that changes
-    anything a verifier reads is refused even when correctly signed — by the
-    key it names, which for ``public_key`` is the new one."""
+    any other manifest field is refused even when correctly signed — by the
+    key it names, which for ``public_key`` is the new one.  A field added to
+    the manifest fails here until it is given a changed value below."""
     with _verifying_client(world) as client:
         pinned = client.fetch_manifest("employees")
         changed = {
             "public_key": forged_scheme.verifier,
             "schema": workload.stock_schema(),
-            "scheme_kind": "conceptual",
             "base": 3,
             "hash_name": "sha1",
         }[field]

@@ -40,8 +40,9 @@ from repro.storage import (
     StorageError,
     open_publication_storage,
     recover_router,
+    relstore,
 )
-from repro.storage.relstore import StoredSignedRelation
+from repro.storage.relstore import RelationStore, StoredSignedRelation, build_stored_chain
 from repro.wire import decode, encode
 from repro.wire.updates import RecordDelta
 
@@ -193,6 +194,24 @@ def test_sqlite_resubmission_survives_checkpoint_compaction(
         recovered_storage.close()
 
 
+def test_a_streamed_chain_serves_the_in_memory_chain_bytes(tmp_path, signature_scheme):
+    """``build_stored_chain`` writes the chain ``SignedRelation`` signs: attached
+    under that chain's manifest, it answers every query shape byte for byte."""
+    relation = _employees()
+    signed = SignedRelation(relation, signature_scheme)
+    store = RelationStore(str(tmp_path / "relstore.db"))
+    try:
+        rows = (record.as_dict() for record in relation)
+        assert build_stored_chain(store, "employees", relation.schema, rows, signature_scheme) == ROWS
+        stored = StoredSignedRelation(store, "employees", signed.manifest, signature_scheme)
+        for query in QUERIES.values():
+            expected = Publisher({"employees": signed}).answer(query)
+            served = Publisher({"employees": stored}).answer(query)
+            assert (served.rows, encode(served.proof)) == (expected.rows, encode(expected.proof))
+    finally:
+        store.close()
+
+
 @pytest.mark.parametrize("marker", [None, 'memory', "postgres"])
 def test_a_root_not_marked_sqlite_is_refused(tmp_path, signature_scheme, marker):
     """``storage.json`` must say the rows live in the sqlite relation store.
@@ -272,6 +291,25 @@ def test_stored_recovery_does_not_materialize_rows(tmp_path, signature_scheme):
         f"stored recovery peaked at {stored_peak} bytes vs {ram_peak} for the "
         "in-RAM chain — the store is materialising rows"
     )
+
+
+def test_faulted_rows_stay_within_the_record_cache(tmp_path, signature_scheme, monkeypatch):
+    """A stored relation keeps the ``DEFAULT_RECORD_CACHE`` rows read last."""
+    assert relstore.DEFAULT_RECORD_CACHE == 4_096
+    monkeypatch.setattr(relstore, "DEFAULT_RECORD_CACHE", 16)
+    root = _bootstrap_rows(tmp_path, signature_scheme, ROWS)
+    storage = PublicationStorage.open(root)
+    try:
+        router = recover_router(storage)
+        publisher = router.route(router.current_id("employees")).publisher
+        assert len(publisher.answer(FULL_RANGE).rows) == ROWS
+        column = publisher.signed_relation("employees").relation.records
+        assert column.faulted >= ROWS and len(column._cache) == 16
+        faulted = column.faulted
+        column[ROWS - 1], column[0]  # the last row read is cached, the first evicted
+        assert column.faulted == faulted + 1
+    finally:
+        storage.close()
 
 
 @pytest.mark.scale

@@ -40,14 +40,10 @@ from repro.storage.store import STORAGE_FORMAT, check_storage_format
 from repro.storage.checkpoint import save_keys
 from repro.storage.errors import CheckpointCorruptError
 from repro.storage.faults import FaultInjected
-from repro.storage.relstore import (
-    RelationStore,
-    StoredSignedRelation,
-    build_stored_chain,
-)
+from repro.storage.relstore import RelationStore, StoredSignedRelation
 from repro.storage.wal import encode_record, iter_wal_records
 from repro.storage.walctl import main as walctl
-from repro.wire import decode, encode, manifest_id
+from repro.wire import WIRE_VERSION, decode, encode, manifest_id
 from repro.wire.updates import RecordDelta, UpdateRequest, UpdateResponse
 
 SALARIES = Query(
@@ -423,7 +419,7 @@ def test_crash_between_the_two_edits_of_an_update_recovers_whole(
         twin_storage.close()
 
 
-@pytest.mark.parametrize("found", [1, 2, 4, None, "3"])
+@pytest.mark.parametrize("found", [1, 2, 3, 5, None, "4"])
 def test_every_other_format_is_refused_with_the_remedy(found):
     """Older, newer, missing or mistyped: one typed refusal naming the fix."""
     check_storage_format("/srv/pub", STORAGE_FORMAT)
@@ -431,51 +427,50 @@ def test_every_other_format_is_refused_with_the_remedy(found):
         check_storage_format("/srv/pub", found)
 
 
-def test_parent_format_root_is_refused_with_the_remedy(
-    durable_world, tmp_path, signature_scheme, capsys
-):
-    """Format 2 kept a ``NOT NULL`` scheme column in ``chain_state`` that
-    format 3 does not write — refused by the typed format check, reported by
-    ``inspect``."""
+def _restamp_frames(path: str) -> None:
+    """Rewrite a log or checkpoint with its wire frames one version back."""
+    records = list(iter_wal_records(path))
+    with open(path, "wb") as handle:
+        for record in records:
+            if record[:2] == b"PV":
+                record = record[:2] + bytes((WIRE_VERSION - 1,)) + record[3:]
+            handle.write(encode_record(record))
+
+
+def test_parent_format_root_is_refused_with_the_remedy(durable_world, tmp_path, capsys):
+    """A parent root — ``storage.json`` one format back, its WAL and checkpoint
+    frames one wire version back — is refused by the typed format check, and
+    ``walctl`` reports it instead of dying on a raw wire error."""
     _, storage, _, _ = durable_world
     storage.close()
     root = str(tmp_path / "pub")
     manifest_path = os.path.join(root, "storage.json")
     with open(manifest_path) as handle:
         document = json.load(handle)
-    assert document["format"] == 3
-    document["format"] = 2
+    assert document["format"] == STORAGE_FORMAT
+    document["format"] = STORAGE_FORMAT - 1
     with open(manifest_path, "w") as handle:
         json.dump(document, handle)
-    with pytest.raises(StorageError, match="format 2.*republish"):
+    shard = os.path.join(root, "shards", "hr")
+    _restamp_frames(os.path.join(shard, "employees.wal"))
+    assert walctl(["inspect", root, "--replication"]) == 0
+    entry = json.loads(capsys.readouterr().out)["shards"]["hr"]["employees"]
+    assert "does not decode" in entry["replication"]["error"]
+    _restamp_frames(os.path.join(shard, "employees.ckpt"))
+
+    with pytest.raises(StorageError, match=f"format {STORAGE_FORMAT - 1}.*republish"):
         PublicationStorage.open(root)
     with pytest.raises(StorageError, match="republish"):
         open_publication_storage(root, lambda: pytest.fail("must not rebuild"))
-    assert walctl(["inspect", root]) == 0
+    assert walctl(["inspect", root, "--replication"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["format"] == 2 and "republish" in report["format_error"]
-    assert report["shards"]["hr"]["employees"]["store"] == {"rows": 17, "sequence": 3}
-
-
-def test_conceptual_chain_is_refused_by_the_store(tmp_path, signature_scheme):
-    """A conceptual chain has no representation-tree roots to store."""
-    relation = workload.generate_employees(6, seed=19, photo_bytes=8)
-    signed = SignedRelation(relation, signature_scheme, scheme_kind="conceptual")
-    router = ShardRouter({"hr": Publisher({"employees": signed})})
-    with pytest.raises(StorageError, match="'conceptual' chain"):
-        PublicationStorage.create(str(tmp_path / "pub"), router)
-    store = RelationStore(str(tmp_path / "relstore.db"))
-    try:
-        with pytest.raises(StorageError, match="'conceptual' chain"):
-            build_stored_chain(
-                store, "employees", relation.schema, relation, signature_scheme,
-                scheme_kind="conceptual",
-            )
-        build_stored_chain(store, "employees", relation.schema, relation, signature_scheme)
-        with pytest.raises(StorageError, match="'conceptual' chain"):
-            StoredSignedRelation(store, "employees", signed.manifest, signature_scheme)
-    finally:
-        store.close()
+    assert report["format"] == STORAGE_FORMAT - 1 and "republish" in report["format_error"]
+    entry = report["shards"]["hr"]["employees"]
+    assert "does not decode" in entry["checkpoint"]["error"]
+    assert "does not decode" in entry["replication"]["error"]
+    assert entry["store"] == {"rows": 17, "sequence": 3}
+    assert walctl(["verify", root]) == 1
+    assert "FAIL hr/employees: checkpoint:" in capsys.readouterr().out
 
 
 # -- walctl --------------------------------------------------------------------
@@ -490,7 +485,7 @@ def test_walctl_inspect_and_verify_clean_root(durable_world, tmp_path, capsys):
     assert '"records": 6' in report  # 3 updates + 3 rotations
     # The genesis checkpoint stands at sequence 0; the store committed the
     # three single-row inserts on top of the 14 published rows.
-    assert json.loads(report)["format"] == 3 and "format_error" not in report
+    assert json.loads(report)["format"] == STORAGE_FORMAT and "format_error" not in report
     entry = json.loads(report)["shards"]["hr"]["employees"]
     assert entry["checkpoint"]["sequence"] == 0
     assert entry["store"] == {"rows": 17, "sequence": 3}

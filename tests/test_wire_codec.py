@@ -5,12 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.basic_scheme import ListPublisher
-from repro.core.proof import (
-    GreaterThanProof,
-    JoinQueryProof,
-    RangeQueryProof,
-    SignatureBundle,
-)
+from repro.core.proof import JoinQueryProof, RangeQueryProof, SignatureBundle
 from repro.core.publisher import Publisher
 from repro.core.relational import RelationManifest, UpdateReceipt
 from repro.crypto.aggregate import AggregateSignature
@@ -122,14 +117,14 @@ def test_join_proof_roundtrip(customers_orders):
     assert isinstance(decode(blob, expect=JoinQueryProof), JoinQueryProof)
 
 
-def test_greater_than_proof_roundtrip(owner):
-    published = owner.publish_value_list(
-        [2000, 3500, 8010, 12100, 25000], KeyDomain(0, 100_000)
-    )
-    publisher = ListPublisher(published)
-    _result, proof = publisher.answer_greater_than(10_000)
-    blob = _roundtrip(proof)
-    assert isinstance(decode(blob, expect=GreaterThanProof), GreaterThanProof)
+def test_greater_than_proof_has_no_wire_codec(owner):
+    """Section 3's list proof is in-process only; its old tag 0x06 is unknown."""
+    published = owner.publish_value_list([20, 35, 80, 121, 250], KeyDomain(0, 1_000))
+    _result, proof = ListPublisher(published).answer_greater_than(100)
+    with pytest.raises(ValueError, match="no wire codec registered for GreaterThanProof"):
+        encode(proof)
+    blob = encode(UpdateReceipt(0, 0, (), 0))
+    _expect_reject(blob[:3] + b"\x06" + blob[4:], "bad-tag")
 
 
 def test_manifest_and_receipt_roundtrip(employee_world):

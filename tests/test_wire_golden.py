@@ -30,7 +30,6 @@ from repro.core.digest import BoundaryAssist, EntryAssist
 from repro.core.proof import (
     BoundaryEntryProof,
     FilteredEntryProof,
-    GreaterThanProof,
     JoinQueryProof,
     MatchedEntryProof,
     RangeQueryProof,
@@ -155,24 +154,15 @@ def build_vectors():
         left_proof=empty_range_proof,
         right_point_proofs={7: empty_range_proof},
     )
-    greater_than = GreaterThanProof(
-        alpha=10_000,
-        predecessor_boundary=boundary_canonical,
-        entry_assists=(entry_assist, EntryAssist(None)),
-        right_delimiter_digest=_digest(19),
-        signatures=bundle_aggregate,
-    )
     public_key = RSAPublicKey(modulus=0xC0FFEE_0000_0001, exponent=65537)
     manifest = RelationManifest(
         schema=_schema(),
-        scheme_kind="optimized",
         base=2,
         hash_name="sha256",
         public_key=public_key,
     )
     rotated_manifest = RelationManifest(
         schema=_schema(),
-        scheme_kind="optimized",
         base=2,
         hash_name="sha256",
         public_key=public_key,
@@ -267,7 +257,6 @@ def build_vectors():
         "range_query_proof": range_proof,
         "empty_range_query_proof": empty_range_proof,
         "join_query_proof": join_proof,
-        "greater_than_proof": greater_than,
         "rsa_public_key": public_key,
         "key_domain": KeyDomain(0, 100_000),
         "schema": _schema(),
@@ -360,17 +349,16 @@ def test_golden_vector(name):
 
 
 def test_previous_wire_version_rejected_with_typed_error():
-    """A v4 frame is refused with a typed version error, never mis-decoded.
+    """A v5 frame is refused with a typed version error, never mis-decoded.
 
-    Wire version 5 dropped the manifest's scheme tag and the union tag of a
-    query response's proof, so a v4 frame's body layout differs; decoding
-    must stop at the envelope with ``reason == "bad-version"`` rather than
-    producing garbage.
+    Wire version 6 dropped the manifest's digest-scheme kind, so a v5
+    manifest's body layout differs; decoding must stop at the envelope with
+    ``reason == "bad-version"`` rather than producing garbage.
     """
     for name, artifact in build_vectors().items():
         blob = bytearray(encode(artifact))
-        assert blob[2] == 5, "vectors must be encoded at WIRE_VERSION 5"
-        blob[2] = 4  # re-stamp the envelope as the previous format version
+        assert blob[2] == 6, "vectors must be encoded at WIRE_VERSION 6"
+        blob[2] = 5  # re-stamp the envelope as the previous format version
         with pytest.raises(WireFormatError) as excinfo:
             decode(bytes(blob))
         assert excinfo.value.reason == "bad-version", name
@@ -378,7 +366,7 @@ def test_previous_wire_version_rejected_with_typed_error():
 
 def test_future_wire_version_rejected_with_typed_error():
     blob = bytearray(encode(build_vectors()["relation_manifest"]))
-    blob[2] = 6
+    blob[2] = 7
     with pytest.raises(WireFormatError) as excinfo:
         decode(bytes(blob))
     assert excinfo.value.reason == "bad-version"
