@@ -38,11 +38,6 @@ _COMMITTED = os.path.join(_ROOT, "BENCH_hot_paths.json")
 _FLOOR_WORKLOADS = {
     "crt_single_shot_signing_speedup_min": "crt_single_shot_signing",
     "batch_verify_speedup_min": "batch_verify",
-    # The fixed-base floor is backend-aware: the committed (pure-Python)
-    # report stores the modest pure floor, while a fresh report produced with
-    # gmpy2 active carries a 2.0x floor in its own targets section — the gate
-    # takes the max of the two, so the native lane is held to the native bar.
-    "fixed_base_verify_speedup_min": "fixed_base_verify",
     # For wal_ingest "speedup" is the fraction of storage-less in-RAM ingest
     # throughput retained over a durable root under fsync="batch" (< 1 by
     # construction) — the floor bounds the overhead of the log append plus
@@ -397,15 +392,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="gate on the zipfian scale workload instead of the hot paths",
     )
-    parser.add_argument(
-        "--expect-backend",
-        metavar="NAME",
-        help=(
-            "fail unless the fresh report was produced with this crypto "
-            "backend active (e.g. 'gmpy2' in the CI native lane, so a silent "
-            "fallback to pure Python cannot masquerade as a passing run)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     with open(args.floors, "r", encoding="utf-8") as handle:
@@ -414,15 +400,6 @@ def main(argv=None) -> int:
         fresh = json.load(handle)
 
     failures: list = []
-    if args.expect_backend:
-        actual = fresh.get("crypto_backend", {}).get("backend")
-        status = "ok" if actual == args.expect_backend else "REGRESSION"
-        print(f"crypto backend               {actual}  expected {args.expect_backend}  {status}")
-        if actual != args.expect_backend:
-            failures.append(
-                f"fresh report was produced with crypto backend {actual!r}, "
-                f"expected {args.expect_backend!r}"
-            )
     if args.wire:
         _check_wire(floors, fresh, failures)
     elif args.schemes:

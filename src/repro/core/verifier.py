@@ -151,9 +151,9 @@ class ResultVerifier:
         dominant verification cache: every chain message's representative is
         hashed once and reused across answers); ``chain_schemes`` counts the
         per-parameter-set persistent schemes this verifier holds;
-        ``crypto_backend`` reports which arithmetic backend (gmpy2 or pure
-        Python) is serving the modular exponentiations and how many per-key
-        verification contexts are cached.
+        ``crypto_backend`` reports which arithmetic backend (``libcrypto`` or
+        ``python``) is serving the modular exponentiations, and whether it is
+        native.
         """
         return {
             "fdh": fdh_cache_stats(),

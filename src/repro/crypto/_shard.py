@@ -21,11 +21,13 @@ from typing import Callable, List, Sequence
 logger = logging.getLogger("repro.crypto")
 
 #: Shard only when every shard gets at least this many items.  Measured on the
-#: 2-core reference box: fork + pipe + reap of one child is 2.3 ms from a bare
-#: interpreter, 3.2 ms from a 40 MiB publisher — four 1024-bit signatures (0.75
-#: ms each), 27 of the 512-bit test key's.  At 32 per shard a 512-bit batch
-#: breaks even and a 1024-bit one runs 1.5x faster.
-MIN_SHARD_ITEMS = 32
+#: 2-core reference box with the libcrypto backend: a 1024-bit signature costs
+#: 0.16-0.25 ms, and a two-way split loses ~7 ms to fork + pipe + reap and to
+#: two vCPUs overlapping imperfectly, about 16 signatures' worth.  A 64-signature
+#: batch then runs 0.90-1.01x serial speed, 96 1.12-1.15x, 128 1.20-1.26x
+#: (medians of 9 alternating pairs).  The pure backend (0.75 ms per signature)
+#: would gain 1.55x at 64, but it is the fallback, not what is tuned for.
+MIN_SHARD_ITEMS = 64
 
 
 def shard_count(items: int) -> int:

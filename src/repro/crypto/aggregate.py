@@ -62,7 +62,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.crypto.backend import key_context, powmod
+from repro.crypto.backend import powmod
 from repro.crypto.rsa import (
     RSAPublicKey,
     SIGN_COUNTER,
@@ -154,8 +154,7 @@ def verify_aggregate(
         message_list, modulus, public_key.hash_name
     ):
         expected = (expected * representative) % modulus
-    context = key_context(modulus, public_key.exponent)
-    return context.pow_verify(aggregate.value) == expected
+    return powmod(aggregate.value, public_key.exponent, modulus) == expected
 
 
 def batch_verify_signatures(
@@ -184,17 +183,17 @@ def batch_verify_signatures(
     if not messages:
         raise ValueError("cannot batch-verify an empty sequence of signatures")
     modulus = public_key.modulus
+    exponent = public_key.exponent
     hash_name = public_key.hash_name
     SIGN_COUNTER.verifications += 1
     for signature in signatures:
         if not 0 < signature < modulus:
             return False
-    context = key_context(modulus, public_key.exponent)
     if weight_bits == 0 and len(set(messages)) != len(messages):
         # Screening is only sound for distinct messages; duplicates are
         # verified one by one (the slow-but-always-correct path).
         return all(
-            context.pow_verify(signature)
+            powmod(signature, exponent, modulus)
             == full_domain_hash(message, modulus, hash_name)
             for message, signature in zip(messages, signatures)
         )
@@ -205,7 +204,7 @@ def batch_verify_signatures(
         for signature, representative in zip(signatures, representatives):
             accumulated = (accumulated * signature) % modulus
             expected = (expected * representative) % modulus
-        return context.pow_verify(accumulated) == expected
+        return powmod(accumulated, exponent, modulus) == expected
     accumulated = 1
     expected = 1
     representatives = full_domain_hash_many(messages, modulus, hash_name)
@@ -215,7 +214,7 @@ def batch_verify_signatures(
         weight = secrets.randbits(weight_bits) + 1
         accumulated = (accumulated * powmod(signature, weight, modulus)) % modulus
         expected = (expected * powmod(representative, weight, modulus)) % modulus
-    return context.pow_verify(accumulated) == expected
+    return powmod(accumulated, exponent, modulus) == expected
 
 
 def find_invalid_signature(

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import bounded_put
 from repro.crypto import _shard
-from repro.crypto.backend import active_backend, key_context
+from repro.crypto.backend import powmod, powmod_secret
 from repro.crypto.hashing import resolve_hash_constructor
 from repro.crypto.primes import generate_prime, modular_inverse
 
@@ -248,17 +248,15 @@ class RSAPublicKey:
     def verify(self, message: bytes, signature: int) -> bool:
         """Check a single signature over ``message``.
 
-        The modular exponentiation runs through the per-key
-        :class:`~repro.crypto.backend.VerifyKeyContext`, so repeated
-        verifications under one pinned key (the verifying-client steady
-        state) reuse the backend-wrapped operands.
+        ``signature ** e mod n`` runs through the public entry point of
+        :mod:`repro.crypto.backend` (``BN_mod_exp`` when libcrypto is active):
+        nothing about a public key needs constant time.
         """
         SIGN_COUNTER.verifications += 1
         if not 0 < signature < self.modulus:
             return False
         expected = full_domain_hash(message, self.modulus, self.hash_name)
-        context = key_context(self.modulus, self.exponent)
-        return context.pow_verify(signature) == expected
+        return powmod(signature, self.exponent, self.modulus) == expected
 
     def message_representative(self, message: bytes) -> int:
         """The FDH representative of ``message`` under this key."""
@@ -314,40 +312,23 @@ class RSAPrivateKey:
         object.__setattr__(self, "_exponents", exponents)
         object.__setattr__(self, "_garner_prefixes", tuple(prefixes))
         object.__setattr__(self, "_garner_inverses", tuple(inverses))
-        object.__setattr__(self, "_crt_operand_cache", {})
 
     def public_key(self) -> RSAPublicKey:
         """Derive the matching public key."""
         return RSAPublicKey(self.modulus, self.public_exponent, self.hash_name)
 
-    def _crt_operands(self, backend) -> Tuple[Tuple[object, object], ...]:
-        """Per-prime ``(exponent, prime)`` pairs in the backend's native form.
-
-        gmpy2's ``powmod`` accepts plain ints, but converting the (constant)
-        per-prime exponents and moduli to ``mpz`` once per key — instead of
-        once per signature per prime — shaves the conversion overhead off
-        every CRT exponentiation.  Cached per backend name so a test-forced
-        backend swap never feeds one backend another's operand type.
-        """
-        cached = self._crt_operand_cache.get(backend.name)
-        if cached is None:
-            wrap = backend.wrap
-            cached = tuple(
-                (wrap(exponent), wrap(prime))
-                for prime, exponent in zip(self._primes, self._exponents)
-            )
-            self._crt_operand_cache[backend.name] = cached
-        return cached
-
     def _sign_representative(self, representative: int) -> int:
-        """CRT exponentiation with the precomputed per-key constants."""
-        backend = active_backend()
-        powmod = backend.powmod_wrapped
+        """CRT exponentiation with the precomputed per-key constants.
+
+        Each half's exponent and modulus are the private key, so it runs
+        through the backend's constant-time entry point
+        (``BN_mod_exp_mont_consttime`` when libcrypto is active, which also
+        clears its operands); the Garner recombination is plain ``int``.
+        """
         primes = self._primes
-        operands = self._crt_operands(backend)
         residues = [
-            powmod(representative % primes[index], exponent, prime)
-            for index, (exponent, prime) in enumerate(operands)
+            powmod_secret(representative % prime, exponent, prime)
+            for prime, exponent in zip(primes, self._exponents)
         ]
         value = residues[0]
         for index in range(1, len(primes)):

@@ -22,7 +22,6 @@ from repro.db.workload import generate_employees
 EXPECTED_WORKLOADS = {
     "crt_single_shot_signing",
     "batch_verify",
-    "fixed_base_verify",
     "verifier_repeated_check",
     "wal_ingest",
 }
@@ -73,9 +72,9 @@ def test_publish_sign_section_and_its_gate(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     cut_over = _shard.MIN_SHARD_ITEMS
-    publish = cli.bench_publish_sign(messages=64, rounds=1)
+    publish = cli.bench_publish_sign(messages=128, rounds=1)
     assert _shard.MIN_SHARD_ITEMS == cut_over
-    assert publish["messages"] == 64 and publish["key_bits"] == 1024
+    assert publish["messages"] == 128 and publish["key_bits"] == 1024
     assert publish["shards"] == 2 and publish["signatures_identical"] is True
     assert publish["core_scaling"] > 0
     assert publish["serial_ms_per_signature"] > 0 and publish["sharded_ms_per_signature"] > 0

@@ -1,41 +1,38 @@
-"""Cross-backend parity: pure Python vs the native (gmpy2) arithmetic backend.
+"""Cross-backend parity: pure Python vs the libcrypto modexp backend.
 
 The backend contract (:mod:`repro.crypto.backend`) is that every public
 artifact — signatures, FDH representatives, aggregates, chain digests, wire
-frames — is byte-identical regardless of which arithmetic implementation
-computed it.  These tests run the same workloads under
-``force_backend(pure_backend())`` and under the import-selected backend and
-compare the results exactly.  On a machine without gmpy2 the two coincide
-and the suite degenerates to (still useful) self-consistency plus the
-powmod algebraic properties; in the CI native lane the active
-backend is gmpy2 and every comparison is a true cross-implementation check.
-
-A tamper sweep runs under the *active* backend so the native lane proves
-that acceleration never widens what verifies, and a subprocess test pins the
-``REPRO_NATIVE=0`` escape hatch.
+frames — is byte-identical whichever implementation computed it.  These tests
+build the libcrypto backend from the library ``_hashlib`` mapped and compare it
+with ``pow`` and with the pure backend exactly, so a run under
+``REPRO_NATIVE=0`` still cross-checks the native path.  Around that sit the
+selection rules (the default, the ``REPRO_NATIVE=0`` escape hatch, a failed
+probe), concurrent and forked use, and a leak guard on both entry points.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.crypto import _shard, backend
 from repro.crypto.aggregate import (
     aggregate_signatures,
     batch_verify_signatures,
     verify_aggregate,
 )
 from repro.crypto.backend import (
+    LibcryptoBackend,
     active_backend,
     backend_name,
     backend_stats,
     force_backend,
-    key_context,
-    powmod,
     pure_backend,
 )
 from repro.crypto.rsa import full_domain_hash, full_domain_hash_many
@@ -46,56 +43,87 @@ def _src_path() -> str:
     return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _run_python(code: str, **env_changes) -> str:
+    env = dict(os.environ, PYTHONPATH=_src_path())
+    env.pop("REPRO_NATIVE", None)
+    env.update(env_changes)
+    return subprocess.check_output([sys.executable, "-c", code], env=env, text=True, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def native():
+    """The libcrypto backend, whatever ``REPRO_NATIVE`` selected for this process."""
+    path = backend._mapped_libcrypto()
+    if path is None or not sys.platform.startswith("linux"):
+        pytest.skip("no libcrypto mapped by _hashlib on this platform")
+    return LibcryptoBackend(path)
+
+
+@pytest.fixture(params=["python", "libcrypto"])
+def each_backend(request, native):
+    return native if request.param == "libcrypto" else pure_backend()
+
+
 # ---------------------------------------------------------------------------
 # Backend selection and reporting
 # ---------------------------------------------------------------------------
 
 
 def test_backend_identity_is_reported():
-    stats = backend_stats()
-    assert stats["backend"] == backend_name()
-    assert stats["backend"] in ("python", "gmpy2")
-    assert stats["native"] == active_backend().native
-    assert 0 <= stats["key_contexts"] <= stats["key_context_capacity"]
+    assert backend_stats() == {
+        "backend": backend_name(),
+        "native": active_backend().native,
+    }
+    assert backend_name() in ("python", "libcrypto")
 
 
 def test_repro_native_zero_forces_pure_python_in_a_fresh_process():
-    """``REPRO_NATIVE=0`` must select the pure backend even with gmpy2 present."""
-    env = dict(os.environ, REPRO_NATIVE="0", PYTHONPATH=_src_path())
-    output = subprocess.check_output(
-        [
-            sys.executable,
-            "-c",
-            "from repro.crypto.backend import backend_name, active_backend; "
-            "print(backend_name(), active_backend().native)",
-        ],
-        env=env,
-        text=True,
+    output = _run_python(
+        "from repro.crypto.backend import backend_name, active_backend; "
+        "print(backend_name(), active_backend().native)",
+        REPRO_NATIVE="0",
     )
     assert output.split() == ["python", "False"]
 
 
-def test_default_selection_matches_gmpy2_importability():
-    """Without the override, the backend is gmpy2 iff gmpy2 imports cleanly."""
-    env = dict(os.environ, PYTHONPATH=_src_path())
-    env.pop("REPRO_NATIVE", None)
-    output = subprocess.check_output(
-        [
-            sys.executable,
-            "-c",
-            "from repro.crypto.backend import backend_name\n"
-            "try:\n"
-            "    import gmpy2  # noqa: F401\n"
-            "    expected = 'gmpy2'\n"
-            "except Exception:\n"
-            "    expected = 'python'\n"
-            "print(backend_name(), expected)",
-        ],
-        env=env,
-        text=True,
+def test_default_selection_is_libcrypto_wherever_hashlib_maps_it():
+    """Not skipped anywhere: off Linux, or without ``_hashlib``, it pins ``python``."""
+    output = _run_python(
+        "import sys\n"
+        "from repro.crypto.backend import backend_name\n"
+        "try:\n"
+        "    import _hashlib  # noqa: F401\n"
+        "    linked = sys.platform.startswith('linux')\n"
+        "except ImportError:\n"
+        "    linked = False\n"
+        "print(backend_name(), 'libcrypto' if linked else 'python')",
     )
     name, expected = output.split()
     assert name == expected
+
+
+def test_a_probe_that_disagrees_with_pow_downgrades_to_python(monkeypatch, caplog, native):
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    real = LibcryptoBackend.powmod_secret
+    monkeypatch.setattr(
+        LibcryptoBackend, "powmod_secret", lambda self, b, e, m: real(self, b, e, m) ^ 1
+    )
+    with caplog.at_level(logging.INFO, logger="repro.crypto"):
+        selected = backend._select_backend()
+    assert selected.name == "python" and not selected.native
+    assert [record.getMessage() for record in caplog.records] == [
+        f"crypto backend: python ({backend._mapped_libcrypto()} disagrees with builtin pow)"
+    ]
+
+
+def test_force_backend_restores_the_previous_backend(native):
+    before = active_backend()
+    with force_backend(native) as pinned:
+        assert active_backend() is pinned is native
+        with force_backend(pure_backend()):
+            assert active_backend() is pure_backend()
+        assert active_backend() is native
+    assert active_backend() is before
 
 
 # ---------------------------------------------------------------------------
@@ -104,32 +132,70 @@ def test_default_selection_matches_gmpy2_importability():
 
 
 @given(
-    base=st.integers(min_value=0, max_value=2**521),
+    base=st.integers(min_value=-(2**530), max_value=2**530),
     exponent=st.integers(min_value=0, max_value=2**521),
-    modulus=st.integers(min_value=2, max_value=2**521),
+    modulus=st.one_of(
+        st.integers(min_value=2, max_value=2**521),
+        st.sampled_from([1, 2]),
+        st.integers(min_value=1, max_value=2**520).map(lambda half: 2 * half + 1),
+    ),
+    exponent_zero=st.booleans(),
 )
-@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-def test_powmod_matches_builtin_pow_on_both_backends(base, exponent, modulus):
+@settings(
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_both_entry_points_match_builtin_pow(each_backend, base, exponent, modulus, exponent_zero):
+    """Even moduli, moduli 1 and 2, exponent 0, bases at or above the modulus
+    and negative bases included: what does not go native must still be ``pow``."""
+    if exponent_zero:
+        exponent = 0
     expected = pow(base, exponent, modulus)
-    assert powmod(base, exponent, modulus) == expected
-    with force_backend(pure_backend()):
-        assert powmod(base, exponent, modulus) == expected
+    assert each_backend.powmod(base, exponent, modulus) == expected
+    assert each_backend.powmod_secret(base, exponent, modulus) == expected
+    assert each_backend.powmod(base + modulus, exponent, modulus) == expected
+    with force_backend(each_backend):
+        assert backend.powmod(base, exponent, modulus) == expected
+        assert backend.powmod_secret(base, exponent, modulus) == expected
 
 
-@given(value=st.integers(min_value=0, max_value=2**600))
-@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-def test_key_context_pow_verify_matches_pow_on_both_backends(
-    value, signature_scheme
-):
-    public_key = signature_scheme.verifier
-    expected = pow(value, public_key.exponent, public_key.modulus)
-    assert key_context(public_key.modulus, public_key.exponent).pow_verify(
-        value
-    ) == expected
-    with force_backend(pure_backend()):
-        assert key_context(public_key.modulus, public_key.exponent).pow_verify(
-            value
-        ) == expected
+def test_concurrent_calls_from_eight_threads_all_equal_pow(native):
+    modulus = backend._PROBE_MODULUS
+    errors = []
+
+    def worker(seed: int) -> None:
+        for index in range(200):
+            value = seed * 7919 + index
+            exponent = (value << 64) | 65537
+            expected = pow(value, exponent, modulus)
+            for entry in (native.powmod, native.powmod_secret):
+                if entry(value, exponent, modulus) != expected:
+                    errors.append((seed, index, entry.__name__))
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm", "r", encoding="ascii") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.parametrize("entry", ["powmod", "powmod_secret"])
+def test_a_hundred_thousand_calls_do_not_grow_resident_memory(native, entry):
+    call = getattr(native, entry)
+    modulus = (1 << 127) - 1
+    for value in range(1_000):  # allocator pools and ctypes caches settle first
+        call(value, 65537, modulus)
+    before = _resident_bytes()
+    for value in range(100_000):
+        call(value, 65537, modulus)
+    assert _resident_bytes() - before < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -149,47 +215,54 @@ def test_fdh_is_byte_identical_across_backends(messages, signature_scheme):
 
 
 @given(messages=st.lists(st.binary(min_size=0, max_size=48), min_size=1, max_size=6))
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_signatures_are_byte_identical_across_backends(messages, signature_scheme):
-    signer = signature_scheme.signer
-    active_signatures = signature_scheme.sign_batch(messages)
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_signatures_are_byte_identical_across_backends(messages, signature_scheme, native):
+    verifier = signature_scheme.verifier
+    with force_backend(native):
+        native_signatures = signature_scheme.sign_batch(messages)
     with force_backend(pure_backend()):
-        pure_signatures = [signer.sign(message) for message in messages]
-        # Cross-check: pure-backend verification accepts the active batch.
-        assert all(
-            signature_scheme.verifier.verify(message, signature)
-            for message, signature in zip(messages, active_signatures)
-        )
-    assert active_signatures == pure_signatures
-    assert all(
-        signature_scheme.verifier.verify(message, signature)
-        for message, signature in zip(messages, pure_signatures)
-    )
+        pure_signatures = [signature_scheme.signer.sign(message) for message in messages]
+        # Cross-check: pure-backend verification accepts the native batch.
+        assert all(verifier.verify(m, s) for m, s in zip(messages, native_signatures))
+    assert native_signatures == pure_signatures
+    with force_backend(native):
+        assert all(verifier.verify(m, s) for m, s in zip(messages, pure_signatures))
 
 
-def test_aggregates_and_batch_verify_are_identical_across_backends(
-    signature_scheme,
+def test_sharded_sign_batch_in_forked_children_equals_serial_signing(
+    monkeypatch, signature_scheme, native
 ):
+    messages = [b"parity-shard|%04d" % index for index in range(128)]
+    with force_backend(pure_backend()):
+        serial = [signature_scheme.signer.sign(message) for message in messages]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    assert _shard.shard_count(len(messages)) == 2
+    with force_backend(native):
+        assert signature_scheme.signer.sign_batch(messages) == serial
+
+
+def test_aggregates_and_batch_verify_are_identical_across_backends(signature_scheme, native):
     messages = [b"parity-agg|%04d" % index for index in range(16)]
     signatures = signature_scheme.sign_batch(messages)
     public_key = signature_scheme.verifier
-    active_aggregate = aggregate_signatures(signatures, public_key, messages)
-    assert verify_aggregate(active_aggregate, messages, public_key)
-    assert batch_verify_signatures(messages, signatures, public_key)
-    assert batch_verify_signatures(
-        messages, signatures, public_key, weight_bits=16
-    )
-    with force_backend(pure_backend()):
-        pure_aggregate = aggregate_signatures(signatures, public_key, messages)
-        assert pure_aggregate.value == active_aggregate.value
-        assert verify_aggregate(pure_aggregate, messages, public_key)
-        assert batch_verify_signatures(messages, signatures, public_key)
-        assert batch_verify_signatures(
-            messages, signatures, public_key, weight_bits=16
-        )
+    aggregates = []
+    for arithmetic in (native, pure_backend()):
+        with force_backend(arithmetic):
+            aggregate = aggregate_signatures(signatures, public_key, messages)
+            aggregates.append(aggregate.value)
+            assert verify_aggregate(aggregate, messages, public_key)
+            assert batch_verify_signatures(messages, signatures, public_key)
+            assert batch_verify_signatures(messages, signatures, public_key, weight_bits=16)
+    assert aggregates[0] == aggregates[1]
 
 
-def test_answer_frames_are_byte_identical_across_backends(signature_scheme):
+def test_answer_frames_are_byte_identical_across_backends(signature_scheme, native):
     from repro.core.publisher import Publisher
     from repro.core.relational import SignedRelation
     from repro.core.verifier import ResultVerifier
@@ -208,17 +281,15 @@ def test_answer_frames_are_byte_identical_across_backends(signature_scheme):
         verifier = ResultVerifier({"employees": signed.manifest})
         answer = publisher.answer(query)
         verifier.verify(query, answer.rows, answer.proof)
-        return answer
+        return answer, encode(answer.proof)
 
-    active_answer = build_answer()
-    active_frame = encode(active_answer.proof)
+    with force_backend(native):
+        native_answer, native_frame = build_answer()
     with force_backend(pure_backend()):
-        pure_answer = build_answer()
-        pure_frame = encode(pure_answer.proof)
-        assert decode(pure_frame) == pure_answer.proof
-    assert pure_frame == active_frame
-    assert decode(active_frame) == active_answer.proof
-    assert pure_answer.rows == active_answer.rows
+        pure_answer, pure_frame = build_answer()
+    assert pure_frame == native_frame
+    assert decode(native_frame) == native_answer.proof == pure_answer.proof
+    assert pure_answer.rows == native_answer.rows
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +300,7 @@ def test_answer_frames_are_byte_identical_across_backends(signature_scheme):
 def test_tampering_is_rejected_under_the_active_backend(signature_scheme):
     """Acceleration must never widen what verifies: every single-bit/byte
     perturbation of a genuine signature (and a swapped-message pairing) is
-    rejected through the per-key fast path and the batch screening test."""
+    rejected by single verification and by the batch screening test."""
     messages = [b"parity-tamper|%04d" % index for index in range(12)]
     signatures = signature_scheme.sign_batch(messages)
     public_key = signature_scheme.verifier
@@ -254,19 +325,3 @@ def test_tampering_is_rejected_under_the_active_backend(signature_scheme):
     assert not public_key.verify(messages[0], signatures[0] + public_key.modulus)
     for bogus in (0, 1, public_key.modulus - 1):
         assert not public_key.verify(messages[0], bogus)
-
-
-def test_force_backend_restores_the_previous_backend():
-    before = active_backend()
-    with force_backend(pure_backend()) as pinned:
-        assert active_backend() is pinned is pure_backend()
-    assert active_backend() is before
-
-
-@pytest.mark.skipif(
-    not active_backend().native, reason="gmpy2 backend not active"
-)
-def test_native_backend_is_actually_native():
-    """In the CI native lane this pins that the fast path is really gmpy2."""
-    assert backend_name() == "gmpy2"
-    assert backend_stats()["native"] is True

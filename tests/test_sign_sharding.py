@@ -104,10 +104,10 @@ def _open_fds():
 @pytest.mark.parametrize(
     "cpus, count, expected_shards",
     [
-        (4, 63, None),  # one short of two full shards: serial
-        (4, 64, [32, 32]),
-        (3, 100, [34, 33, 33]),  # uneven: the remainder goes to the first shards
-        (4, 129, [33, 32, 32, 32]),
+        (4, 127, None),  # one short of two full shards: serial
+        (4, 128, [64, 64]),
+        (3, 200, [67, 67, 66]),  # uneven: the remainder goes to the first shards
+        (4, 257, [65, 64, 64, 64]),
         (2, 200, [100, 100]),
     ],
 )
@@ -140,10 +140,10 @@ def test_accept_sees_each_child_shard_at_its_offset(monkeypatch):
         offered.append((offset, results))
         return True
 
-    assert _shard.map_sharded(lambda item: item + 1, list(range(100)), 2, accept) == list(
-        range(1, 101)
+    assert _shard.map_sharded(lambda item: item + 1, list(range(200)), 2, accept) == list(
+        range(1, 201)
     )
-    assert offered == [(34, list(range(35, 68))), (67, list(range(68, 101)))]
+    assert offered == [(67, list(range(68, 135))), (134, list(range(135, 201)))]
 
 
 def test_single_cpu_mask_stays_serial(monkeypatch, keys):
@@ -170,18 +170,18 @@ def _signed_and_counted(key, messages):
 
 def test_duplicates_in_a_batch_sign_once(monkeypatch, keys):
     """Each distinct message is signed once, wherever its copies sit in the batch."""
-    fresh = _messages(150, b"fresh")
+    fresh = _messages(195, b"fresh")
     batch = fresh[:20] + fresh + fresh[:30] + fresh[100:]
     reference = _serial_reference(keys[3], batch)
 
     _force_cpus(monkeypatch, 3)
     seen = _record_shards(monkeypatch)
     sharded = _signed_and_counted(keys[3], batch)
-    assert seen == [[50, 50, 50]]
+    assert seen == [[65, 65, 65]]
     _force_serial(monkeypatch)
     serial = _signed_and_counted(keys[3], batch)
     assert len(seen) == 1
-    assert sharded == serial == (reference, 150)
+    assert sharded == serial == (reference, 195)
 
 
 def test_each_pending_message_is_hashed_once(monkeypatch, keys):
@@ -289,14 +289,14 @@ def test_failed_child_shard_is_resigned_with_one_warning(
     monkeypatch, caplog, capfd, keys, on_item, reason
 ):
     key = keys[3]
-    messages = _messages(96)
+    messages = _messages(128)
     reference = _serial_reference(key, messages)
     _force_cpus(monkeypatch, 2)
     _patch_child_signing(monkeypatch, on_item)
     fds = _open_fds()
     with caplog.at_level(logging.DEBUG, logger="repro.crypto"):
         signed = _signed_and_counted(key, messages)
-    assert signed == (reference, 96)
+    assert signed == (reference, 128)
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert warnings[0].getMessage() == f"sign_batch: shard 1 of 2 re-signed serially: {reason}"
@@ -306,7 +306,7 @@ def test_failed_child_shard_is_resigned_with_one_warning(
 
 def test_truncated_pipe_is_a_short_read(monkeypatch, caplog, keys):
     key = keys[3]
-    messages = _messages(96)
+    messages = _messages(128)
     parent = os.getpid()
     real_write = os.write
 
@@ -330,7 +330,7 @@ def test_truncated_pipe_is_a_short_read(monkeypatch, caplog, keys):
 def test_short_writes_are_resumed(monkeypatch, caplog, keys):
     """``os.write`` may take less than it was given; the child loops until done."""
     key = keys[3]
-    messages = _messages(96)
+    messages = _messages(128)
     real_write = os.write
     monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:100])))
     _force_cpus(monkeypatch, 2)
@@ -370,10 +370,10 @@ def test_interrupt_in_the_parent_reaps_the_children(monkeypatch, keys):
 def test_sharded_batch_logs_one_debug_line(monkeypatch, caplog, keys):
     _force_cpus(monkeypatch, 2)
     with caplog.at_level(logging.DEBUG, logger="repro.crypto"):
-        keys[3].sign_batch(_messages(64))
-        keys[3].sign_batch(_messages(63))
+        keys[3].sign_batch(_messages(128))
+        keys[3].sign_batch(_messages(127))
     lines = [r.getMessage() for r in caplog.records]
-    assert len(lines) == 1 and lines[0].startswith("sign_batch: 64 messages in 2 shards, ")
+    assert len(lines) == 1 and lines[0].startswith("sign_batch: 128 messages in 2 shards, ")
 
 
 def test_second_thread_alive_stays_serial_and_quiet(monkeypatch, keys):
@@ -401,7 +401,7 @@ key = generate_keypair(bits=512).private_key
 os.sched_getaffinity = lambda pid: {0, 1}
 os.sched_setaffinity = lambda pid, mask: None
 print("READY before the fork")  # stdout is a pipe: block-buffered, not flushed
-key.sign_batch([b"m%d" % index for index in range(64)])
+key.sign_batch([b"m%d" % index for index in range(128)])
 """
 
 
@@ -411,5 +411,5 @@ def test_child_does_not_flush_the_inherited_stdout_buffer():
         [sys.executable, "-c", _UNFLUSHED_PRINT], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert "64 messages in 2 shards" in done.stderr
+    assert "128 messages in 2 shards" in done.stderr
     assert done.stdout.count("READY before the fork") == 1
