@@ -4,7 +4,7 @@ Compares a freshly measured benchmark report (usually a ``--smoke`` run
 produced in CI) against the speedup floors stored in the committed
 ``BENCH_hot_paths.json`` (its ``targets`` section).  Exits non-zero when any
 measured speedup is below its floor, when a cold range read performs more
-hashes than the stored ceiling, when a bulk ``sign_batch`` stops scaling
+hashes than the stored ceiling or makes other than one store read, when a bulk ``sign_batch`` stops scaling
 across the runner's cores, or — if the fresh report carries the wire/service
 workloads — when decoding fell below its floor against encoding or an owner
 update stales more of a cached read pool than the chain window it touched.
@@ -89,6 +89,19 @@ def _check_hot_paths(floors: dict, fresh: dict, failures: list) -> None:
             failures.append(
                 f"a cold range read performs {hashes:.0f} hashes "
                 f"(the ceiling is {ceiling:.0f})"
+            )
+    # Exact too: the store calls one such answer makes.  Its chain span is
+    # one range scan; more means the relation went back to per-row loads.
+    expected = floors.get("cold_range_store_reads_per_read")
+    if expected is None:
+        failures.append("committed report is missing 'cold_range_store_reads_per_read'")
+    elif cold is not None:
+        reads = cold.get("store_reads_per_read", float("inf"))
+        status = "ok" if reads == expected else "REGRESSION"
+        print(f"cold_range                   {reads:7.2f} store reads/read  exactly {expected}  {status}")
+        if reads != expected:
+            failures.append(
+                f"a cold range read makes {reads:g} store reads (it must make {expected})"
             )
     _check_publish_sign(floors, fresh, failures)
 

@@ -48,6 +48,7 @@ from repro.service.server import PublicationServer
 from repro.storage.relstore import (
     RelationStore,
     StoredSignedRelation,
+    _UNLOADED,
     build_stored_chain,
 )
 from repro.wire.updates import RecordDelta
@@ -251,7 +252,7 @@ def _recovery(
         attach_seconds = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        streams = len(signed.relation._records._cache) < config.rows
+        streams = all(slot is _UNLOADED for slot in signed._payloads._memo)
         return {
             "seconds": round(attach_seconds, 3),
             "peak_mib": round(peak / (1024 * 1024), 2),

@@ -63,8 +63,8 @@ def rebuild_stored_publication(
 ):
     """One relation served from its shard's relation store.
 
-    The relation *attaches*: identity index, stored roots and signatures
-    load from SQLite, rows fault in lazily, and nothing is re-signed — the
+    The relation *attaches*: the identity index loads from SQLite, rows,
+    stored roots and signatures are read lazily, and nothing is re-signed — the
     stored signatures are the owner's chain, so peak memory is a few dozen
     bytes per row instead of the rows themselves.  The store may be *ahead*
     of the checkpoint (it commits every update batch; checkpoints are

@@ -33,9 +33,10 @@ name, not one SQL schema per relational schema):
     recovered server answers a retransmitted update byte-identically.
 
 **Trust boundary.**  Rows on disk are integrity-checked against owner-signed
-digests on load, not blindly trusted.  Every record faulted in from SQLite
-is re-fingerprinted and compared against the fingerprint under which it was
-filed — the same identity that orders the owner-signed chain — and the
+digests on load, not blindly trusted.  Every record is re-fingerprinted each
+time it is read and compared against the fingerprint under which it was
+filed — the same identity that orders the owner-signed chain — a span read
+that does not line up with the identity index is refused, and the
 roots and signatures served alongside it are client-checked like every other
 served artifact: a verifying client recomputes each ``g`` from the row and
 the root it was handed and checks the owner's signature over the result, so
@@ -64,7 +65,6 @@ import os
 import sqlite3
 import tempfile
 import threading
-from collections import OrderedDict
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -107,9 +107,6 @@ KIND_RIGHT = "right"
 #: How many applied update frames the store remembers per relation —
 #: mirrors the router's in-memory replayed-update registry bound.
 MAX_APPLIED_REMEMBERED = 256
-
-#: Size of a stored relation's faulted-record LRU cache.
-DEFAULT_RECORD_CACHE = 4096
 
 _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "off": "OFF"}
 
@@ -362,36 +359,24 @@ class RelationStore:
         ).fetchone()
         return int(row[0])
 
-    def load_entry_chain(
-        self, relation: str, kind: str, key: int, fingerprint: bytes
-    ) -> Tuple[bytes, int]:
-        """(stored roots, signature) of one chain entry, by identity."""
-        row = self.connection.execute(
-            "SELECT digest, signature FROM entries"
-            " WHERE relation=? AND kind=? AND key=? AND fingerprint=?",
-            (relation, kind, key, fingerprint),
-        ).fetchone()
-        if row is None:
-            raise StorageError(
-                f"relation {relation!r}: no stored {kind} entry at key {key}"
+    def load_entry_span(
+        self, relation: str, first: Tuple[str, int, bytes], last: Tuple[str, int, bytes]
+    ) -> List[Tuple[str, int, bytes, Optional[bytes], bytes, int]]:
+        """Chain entries from identity ``first`` to ``last``, inclusive, in chain order.
+
+        One range scan of the primary key, which *is* the chain order
+        (``'left' < 'record' < 'right'``).  Rows are ``(kind, key,
+        fingerprint, payload, stored roots, signature)``.
+        """
+        return [
+            (kind, key, fingerprint, payload, digest, _signature_int(signature))
+            for kind, key, fingerprint, payload, digest, signature in self.connection.execute(
+                "SELECT kind, key, fingerprint, payload, digest, signature FROM entries"
+                " WHERE relation=? AND (kind, key, fingerprint) BETWEEN (?, ?, ?) AND (?, ?, ?)"
+                " ORDER BY kind, key, fingerprint",
+                (relation, *first, *last),
             )
-        return row[0], _signature_int(row[1])
-
-    def load_row_payload(self, relation: str, key: int, fingerprint: bytes) -> Optional[bytes]:
-        row = self.connection.execute(
-            "SELECT payload FROM entries WHERE relation=? AND kind=? AND key=? AND fingerprint=?",
-            (relation, KIND_RECORD, key, fingerprint),
-        ).fetchone()
-        return None if row is None else row[0]
-
-    def iter_row_values(self, relation: str) -> Iterator[Dict[str, object]]:
-        """Stream the stored rows as plain dicts, in canonical order."""
-        for row in self.connection.execute(
-            "SELECT payload FROM entries WHERE relation=? AND kind=? ORDER BY key, fingerprint",
-            (relation, KIND_RECORD),
-        ):
-            delta = decode(row[0], expect=RecordDelta)
-            yield dict(delta.values)
+        ]
 
     def count_records(self, relation: str) -> int:
         row = self.connection.execute(
@@ -495,128 +480,72 @@ class RelationStore:
         ]
 
 
-# -- lazy record faulting ------------------------------------------------------
+# -- records: stored payloads, decoded per read --------------------------------
 
 
-class _RecordColumn:
-    """The ``_records`` list of a :class:`StoredRelation`, faulted from disk.
+class _RecordView:
+    """The ``_records`` list of a :class:`StoredRelation`: its chain's payloads.
 
-    Shares the relation's ``_sort_keys`` list object: an index into the
-    column resolves to a record *identity* ``(key, fingerprint)``, which is
-    loaded from the store, integrity-checked against its fingerprint, and
-    kept in a bounded LRU cache.  Freshly inserted records sit in the
-    unevictable ``_pending`` overlay until their transaction commits.
+    Relation position ``p`` is chain entry ``p + 1``.  A non-empty
+    contiguous slice first reads the chain span it covers plus one neighbour
+    on each side — exactly the entries a range answer over those positions
+    touches.  (An empty answer's first touch is its lower boundary, whose
+    own neighbourhood is the span it needs.)  The chain files and drops
+    payloads itself, so ``insert`` and ``pop`` (which :class:`Relation`
+    calls before it edits ``_sort_keys``) only read.
     """
 
-    __slots__ = (
-        "_store",
-        "_relation_name",
-        "_schema",
-        "_sort_keys",
-        "_cache",
-        "_pending",
-        "faulted",
-    )
+    __slots__ = ("_chain",)
 
-    def __init__(
-        self,
-        store: RelationStore,
-        relation_name: str,
-        schema: Schema,
-        sort_keys: List[Tuple[int, bytes]],
-    ) -> None:
-        self._store = store
-        self._relation_name = relation_name
-        self._schema = schema
-        self._sort_keys = sort_keys
-        self._cache: "OrderedDict[Tuple[int, bytes], Record]" = OrderedDict()
-        self._pending: Dict[Tuple[int, bytes], Record] = {}
-        self.faulted = 0
-
-    def _materialise(self, identity: Tuple[int, bytes]) -> Record:
-        record = self._pending.get(identity)
-        if record is not None:
-            return record
-        record = self._cache.get(identity)
-        if record is not None:
-            self._cache.move_to_end(identity)
-            return record
-        key, fingerprint = identity
-        payload = self._store.load_row_payload(self._relation_name, key, fingerprint)
-        if payload is None:
-            raise StorageError(
-                f"relation {self._relation_name!r}: stored row for key {key} is missing"
-            )
-        delta = decode(payload, expect=RecordDelta)
-        record = Record(self._schema, dict(delta.values))
-        if record.fingerprint() != fingerprint:
-            raise StorageError(
-                f"relation {self._relation_name!r}: stored row for key {key} does not "
-                "match the fingerprint it was filed under"
-            )
-        self.faulted += 1
-        self._cache[identity] = record
-        while len(self._cache) > DEFAULT_RECORD_CACHE:
-            self._cache.popitem(last=False)
-        return record
+    def __init__(self, chain: "StoredSignedRelation") -> None:
+        self._chain = chain
 
     def __len__(self) -> int:
-        return len(self._sort_keys)
+        return len(self._chain._entries) - 2
 
     def __getitem__(self, index):
+        chain = self._chain
         if isinstance(index, slice):
-            return [self._materialise(identity) for identity in self._sort_keys[index]]
-        return self._materialise(self._sort_keys[index])
+            positions = range(len(self))[index]
+            if positions and positions.step == 1:
+                chain._load_span(positions.start, positions.stop + 1)
+            return [chain._record(position + 1) for position in positions]
+        return chain._record(range(len(self))[index] + 1)
 
     def __iter__(self) -> Iterator[Record]:
-        for identity in list(self._sort_keys):
-            yield self._materialise(identity)
+        for position in range(len(self)):
+            yield self[position]
 
     def insert(self, position: int, record: Record) -> None:
-        # Called by Relation.insert *before* it updates _sort_keys, so the
-        # position cannot be resolved to an identity yet — the record is
-        # parked in the pending overlay under its own identity instead.
-        self._pending[(record.key, record.fingerprint())] = record
+        pass
 
     def pop(self, position: int) -> Record:
-        # Called by Relation.delete_at *before* it pops _sort_keys.
-        identity = self._sort_keys[position]
-        record = self._materialise(identity)
-        self._pending.pop(identity, None)
-        self._cache.pop(identity, None)
-        return record
-
-    def committed(self) -> None:
-        """Move the pending inserts into the evictable cache (post-commit)."""
-        while self._pending:
-            identity, record = self._pending.popitem()
-            self._cache[identity] = record
-        while len(self._cache) > DEFAULT_RECORD_CACHE:
-            self._cache.popitem(last=False)
+        return self[position]
 
 
 class StoredRelation(Relation):
-    """A :class:`Relation` whose records live in a :class:`RelationStore`.
+    """A :class:`Relation` whose records are the payloads of a stored chain.
 
     The sorted identity index (``_sort_keys``) is in RAM — bisection,
-    range bounds and duplicate checks never touch disk — while the records
-    themselves are faulted in on demand through :class:`_RecordColumn`.
+    range bounds and duplicate checks never touch disk.  A record is decoded
+    from its stored payload, and checked against the fingerprint it is filed
+    under, each time it is read; the decoded record is not kept.
     """
 
-    def __init__(self, store: RelationStore, relation_name: str, schema: Schema) -> None:
-        self.schema = schema
-        self._sort_keys = store.load_record_index(relation_name)
-        self._records = _RecordColumn(store, relation_name, schema, self._sort_keys)
+    def __init__(self, chain: "StoredSignedRelation", sort_keys: List[Tuple[int, bytes]]) -> None:
+        self.schema = chain.schema
+        self._sort_keys = sort_keys
+        self._records = _RecordView(chain)
 
     @property
     def records(self) -> Sequence[Record]:
-        """The records as a lazily-faulting, sliceable sequence view."""
+        """The records as a lazily-read, sliceable sequence view."""
         return self._records
 
 
 # -- lazy chain columns --------------------------------------------------------
 
-#: placeholder for a chain value not yet faulted in
+#: placeholder for a chain value not yet read
 _UNLOADED = object()
 
 
@@ -626,11 +555,12 @@ class _LazyChainColumn:
     Presents the list surface the chain mutators use — indexing, assignment,
     ``insert``/``del`` and iteration — over ``_UNLOADED`` placeholders, so
     recovery holds eight bytes per untouched entry; indexing a placeholder
-    calls ``fault(index)``, which must fill the slot.  Stored roots and
-    signatures come from disk, both in one store read; component triples
-    are only needed where the server needs an entry's ``g`` — a boundary or
-    filtered entry, the neighbours of a re-sign window — and are re-derived
-    from the entry's key and stored roots.
+    calls ``fault(index)``, which must fill the slot.  Payloads, stored
+    roots and signatures come from disk, all three in one store read of the
+    entry and its two neighbours; component triples are only needed where
+    the server needs an entry's ``g`` — a boundary or filtered entry, the
+    neighbours of a re-sign window — and are re-derived from the entry's key
+    and stored roots.
     """
 
     __slots__ = ("_fault", "_memo")
@@ -680,11 +610,14 @@ class StoredSignedRelation(SignedRelation):
     """A :class:`SignedRelation` served from a :class:`RelationStore`.
 
     Construction attaches to an existing store: only the sorted identity
-    index (keys and fingerprints) loads eagerly; rows, stored roots,
-    signatures and component triples all fault in lazily, and nothing is
-    re-signed — the signatures on disk *are* the owner's chain.  Mutations
-    re-sign the usual window and persist the changed entries and chain
-    state in one SQLite transaction.
+    index (keys and fingerprints) loads eagerly, and nothing is re-signed —
+    the signatures on disk *are* the owner's chain.  The first touch of an
+    unloaded entry reads the chain span its caller needs in one range scan
+    (:meth:`RelationStore.load_entry_span`), which fills the payload, stored
+    roots and signature of every entry in it; component triples are derived
+    from the roots on demand.  Mutations re-sign the usual window (one such
+    read covers a delete's or a window's neighbours) and persist the changed
+    entries and chain state in one SQLite transaction.
     """
 
     def __init__(
@@ -694,9 +627,8 @@ class StoredSignedRelation(SignedRelation):
         manifest: RelationManifest,
         signature_scheme: SignatureScheme,
     ) -> None:
-        relation = StoredRelation(store, relation_name, manifest.schema)
-        self.relation = relation
         self.schema = manifest.schema
+        self.relation = StoredRelation(self, store.load_record_index(relation_name))
         self.domain = self.schema.key_domain
         self.hash_function = manifest.hash_function()
         self.base = manifest.base
@@ -710,7 +642,7 @@ class StoredSignedRelation(SignedRelation):
         self._width = self.hash_function.digest_size
         self._entries = (
             [ChainEntry(_LEFT_DELIMITER, self.domain.lower)]
-            + [ChainEntry(_RECORD, key) for key, _ in relation._sort_keys]
+            + [ChainEntry(_RECORD, key) for key, _ in self.relation._sort_keys]
             + [ChainEntry(_RIGHT_DELIMITER, self.domain.upper)]
         )
         stored = store.count_chain_entries(relation_name)
@@ -719,8 +651,9 @@ class StoredSignedRelation(SignedRelation):
                 f"relation {relation_name!r}: store holds {stored} chain entries, "
                 f"the identity index implies {len(self._entries)}"
             )
-        self._roots = _LazyChainColumn(self._fault_chain, len(self._entries))
-        self.signatures = _LazyChainColumn(self._fault_chain, len(self._entries))
+        self._payloads = _LazyChainColumn(self._fault_neighbourhood, len(self._entries))
+        self._roots = _LazyChainColumn(self._fault_neighbourhood, len(self._entries))
+        self.signatures = _LazyChainColumn(self._fault_neighbourhood, len(self._entries))
         self._components = _LazyChainColumn(self._fault_components, len(self._entries))
         self._version = 0
 
@@ -734,7 +667,7 @@ class StoredSignedRelation(SignedRelation):
         """Entry ``index``'s ``g`` components, from its key and stored roots.
 
         The canonical-only walk a verifier does for a value it knows: no
-        record is faulted and no representation rebuilt.
+        record is read and no representation rebuilt.
         """
         stored, width = self._roots[index], self._width
         upper, lower, attribute_root = (
@@ -751,22 +684,50 @@ class StoredSignedRelation(SignedRelation):
             )
         self._components[index] = (upper, lower, attribute_root)
 
-    def _fault_chain(self, index: int) -> None:
-        kind, key, fingerprint = self._entry_identity(index)
-        stored, signature = self._store.load_entry_chain(
-            self._name, kind, key, fingerprint
-        )
-        if len(stored) != 3 * self._width:
+    def _fault_neighbourhood(self, index: int) -> None:
+        self._load_span(index - 1, index + 1)
+
+    def _load_span(self, first: int, last: int) -> None:
+        """Read chain entries ``first..last`` (clipped to the chain) in one range scan.
+
+        Nothing is read when every payload, roots and signature slot of the
+        span is already filled.
+        """
+        first, last = max(first, 0), min(last, len(self._entries) - 1)
+        columns = (self._payloads._memo, self._roots._memo, self.signatures._memo)
+        if not any(_UNLOADED in column[first : last + 1] for column in columns):
+            return
+        identities = [self._entry_identity(index) for index in range(first, last + 1)]
+        rows = self._store.load_entry_span(self._name, identities[0], identities[-1])
+        if [row[:3] for row in rows] != identities:
             raise StorageError(
-                f"relation {self._name!r}: the stored {kind} entry at key {key} does "
-                "not hold upper_root | lower_root | attribute_root"
+                f"relation {self._name!r}: the store holds {len(rows)} entries for chain "
+                f"entries {first}..{last}, not the {len(identities)} its identity index implies"
             )
-        # Fill only still-unloaded slots: a freshly re-signed (or inserted)
-        # in-memory value is newer than what a sibling-column fault read.
-        if self._roots._memo[index] is _UNLOADED:
-            self._roots._memo[index] = stored
-        if self.signatures._memo[index] is _UNLOADED:
-            self.signatures._memo[index] = signature
+        for index, (kind, key, _, payload, stored, signature) in enumerate(rows, first):
+            if len(stored) != 3 * self._width:
+                raise StorageError(
+                    f"relation {self._name!r}: the stored {kind} entry at key {key} does "
+                    "not hold upper_root | lower_root | attribute_root"
+                )
+            # Fill only still-unloaded slots: a freshly re-signed (or
+            # inserted) in-memory value is newer than what the store holds.
+            for column, value in zip(columns, (payload, stored, signature)):
+                if column[index] is _UNLOADED:
+                    column[index] = value
+
+    def _record(self, index: int) -> Record:
+        """Entry ``index``'s row, decoded from its payload and checked against
+        the fingerprint it is filed under."""
+        key, fingerprint = self.relation._sort_keys[index - 1]
+        delta = decode(self._payloads[index] or b"", expect=RecordDelta)
+        record = Record(self.schema, dict(delta.values))
+        if record.fingerprint() != fingerprint:
+            raise StorageError(
+                f"relation {self._name!r}: stored row for key {key} does not "
+                "match the fingerprint it was filed under"
+            )
+        return record
 
     def _entry_identity(self, index: int) -> Tuple[str, int, bytes]:
         if index == 0:
@@ -779,20 +740,24 @@ class StoredSignedRelation(SignedRelation):
     # -- persisted mutations ---------------------------------------------------
 
     def _insert_entry(self, record) -> int:
-        chain_index = super()._insert_entry(record)
-        inserted = self._entries[chain_index].record
-        # The entry is kept key-only: the record itself stays behind the
-        # faulting column, so long-running servers do not re-grow an
-        # in-memory copy of every row they ever inserted.
-        self._entries[chain_index] = ChainEntry(_RECORD, inserted.key)
-        stored = _stored_roots(self._components[chain_index], self._roots[chain_index])
-        self._roots[chain_index] = stored
+        inserted = self.relation._coerce(record)
+        chain_index = self.record_chain_index(self.relation.insert(inserted))
+        components, roots = self._entry_components(ChainEntry(_RECORD, inserted.key, inserted))
+        stored = _stored_roots(components, roots)
+        payload = encode(RecordDelta(kind="insert", values=inserted.as_dict()))
+        # The entry is kept key-only and the row as its payload, so a
+        # long-running server holds no decoded copy of a row it inserted.
+        self._entries.insert(chain_index, ChainEntry(_RECORD, inserted.key))
+        self._components.insert(chain_index, components)
+        self._roots.insert(chain_index, stored)
+        self._payloads.insert(chain_index, payload)
+        self.signatures.insert(chain_index, 0)
         self._store.put_entry(
             self._name,
             KIND_RECORD,
             inserted.key,
             inserted.fingerprint(),
-            payload=encode(RecordDelta(kind="insert", values=inserted.as_dict())),
+            payload=payload,
             digest=stored,
             signature=0,  # signed, with its neighbours, by the re-sign that follows
         )
@@ -800,13 +765,19 @@ class StoredSignedRelation(SignedRelation):
 
     def _remove_entry(self, record) -> int:
         materialised = self.relation._coerce(record)
+        # The row is read, then the window around its gap re-signed: one span.
+        index = self.record_chain_index(self.relation.position_of(materialised))
+        self._load_span(index - 2, index + 2)
         chain_index = super()._remove_entry(materialised)
+        del self._payloads[chain_index]
         self._store.delete_entry(
             self._name, KIND_RECORD, materialised.key, materialised.fingerprint()
         )
         return chain_index
 
     def _resign_window(self, candidates, digests_recomputed):
+        # Each re-signed message reads its entry's neighbours' digests.
+        self._load_span(min(candidates) - 1, max(candidates) + 1)
         receipt = super()._resign_window(candidates, digests_recomputed)
         for index in receipt.entries_affected:
             kind, key, fingerprint = self._entry_identity(index)
@@ -828,7 +799,6 @@ class StoredSignedRelation(SignedRelation):
                 sequence=self._version,
                 previous_sequence=None if batched else version_before,
             )
-        self.relation._records.committed()
 
     def insert_record(self, record):
         with self._persisted():

@@ -588,7 +588,7 @@ def open_publication_storage(
     data) and writes it out (:meth:`PublicationStorage.create`); either way
     the root is then opened and the router rebuilt through recovery (see
     :mod:`repro.storage.recovery`).  So the returned router always serves
-    chain relations from the store (lazy row faulting, the stored owner
+    chain relations from the store (rows read lazily, the stored owner
     signatures), and on an existing root it resumes with the *same* manifest
     ids, rotation history and applied-update registry as before the crash.
 

@@ -57,6 +57,19 @@ def test_cold_range_section():
     # (~80 x 40 hashes) is what the ceiling keeps out.
     assert 40 < cold["hashes_per_read"] <= cli.COLD_RANGE_HASHES_PER_READ_MAX < 80 * 40
     assert cold["hash_floor_ratio"] > 1.0  # still reported, no longer gated
+    # One range scan per answer, and the gate binds on exactly that.
+    assert cold["store_reads_per_read"] == cli.COLD_RANGE_STORE_READS_PER_READ == 1
+    gate = _load_benchmark_script("check_bench_floors.py")
+    floors = {
+        "cold_range_hashes_per_read_max": cli.COLD_RANGE_HASHES_PER_READ_MAX,
+        "cold_range_store_reads_per_read": cli.COLD_RANGE_STORE_READS_PER_READ,
+    }
+    for reads, refused in ((1, False), (42, True), (0, True)):
+        failures = []
+        gate._check_hot_paths(
+            floors, {"cold_range": dict(cold, store_reads_per_read=reads)}, failures
+        )
+        assert any("store reads" in failure for failure in failures) is refused
 
 
 def test_publish_sign_section_and_its_gate(monkeypatch, capsys):

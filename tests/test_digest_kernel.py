@@ -341,14 +341,17 @@ def test_stored_roots_are_the_reference_roots(tmp_path, signature_scheme, via_du
                 lower.entry_assist(key, key - domain.lower - 1).mht_root,
             )
 
+        chain = store.load_entry_span(
+            signed._name, signed._entry_identity(0), signed._entry_identity(62)
+        )
+        assert [row[:3] for row in chain] == [signed._entry_identity(i) for i in range(63)]
         for index in (1, 2, 17, 40, 60, 61):
-            stored, _ = store.load_entry_chain(signed._name, *signed._entry_identity(index))
+            stored = chain[index][4]
             key = signed.entry(index).key
             assert (stored[:32], stored[32:64]) == reference_roots(key)
             assert stored[64:] == signed.relation[index - 1].attribute_root()
             assert signed.entry_assists(index) == tuple(map(EntryAssist, reference_roots(key)))
-        left, _ = store.load_entry_chain(signed._name, *signed._entry_identity(0))
-        right, _ = store.load_entry_chain(signed._name, *signed._entry_identity(62))
+        left, right = chain[0][4], chain[62][4]
         span = domain.upper - domain.lower - 1
         assert left[:32] == upper.entry_assist(domain.lower, span).mht_root
         assert right[32:64] == lower.entry_assist(domain.upper, span).mht_root

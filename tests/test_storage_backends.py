@@ -40,9 +40,14 @@ from repro.storage import (
     StorageError,
     open_publication_storage,
     recover_router,
-    relstore,
 )
-from repro.storage.relstore import RelationStore, StoredSignedRelation, build_stored_chain
+from repro.storage.relstore import (
+    _UNLOADED,
+    RelationStore,
+    StoredSignedRelation,
+    _stored_roots,
+    build_stored_chain,
+)
 from repro.wire import decode, encode
 from repro.wire.updates import RecordDelta
 
@@ -293,23 +298,134 @@ def test_stored_recovery_does_not_materialize_rows(tmp_path, signature_scheme):
     )
 
 
-def test_faulted_rows_stay_within_the_record_cache(tmp_path, signature_scheme, monkeypatch):
-    """A stored relation keeps the ``DEFAULT_RECORD_CACHE`` rows read last."""
-    assert relstore.DEFAULT_RECORD_CACHE == 4_096
-    monkeypatch.setattr(relstore, "DEFAULT_RECORD_CACHE", 16)
+@pytest.fixture
+def store_reads(monkeypatch):
+    """The names of the ``RelationStore.load_*`` calls made, in order (every
+    such call is what ``benchmarks/e2e`` times as one store read)."""
+    reads = []
+
+    def counted(method):
+        def read(*args, **kwargs):
+            reads.append(method.__name__)
+            return method(*args, **kwargs)
+
+        return read
+
+    for name in dir(RelationStore):
+        if name.startswith("load_"):
+            monkeypatch.setattr(RelationStore, name, counted(getattr(RelationStore, name)))
+    return reads
+
+
+def test_an_answer_is_one_store_read(tmp_path, signature_scheme, store_reads):
+    """A cold range, point or empty-range answer over a re-attached root reads
+    the chain span it touches with one store call; the same answer again
+    reads nothing."""
+    reads = store_reads
+    root = _bootstrap_rows(tmp_path, signature_scheme, ROWS)
+    keys = sorted(record.key for record in _wide_employees(ROWS))  # all distinct
+    gap = next(s + 1 for s, t in zip(keys, keys[1:]) if t - s > 1)
+    shapes = {
+        "range40": (_salary_query(keys[3], keys[42]), 40),
+        "point": (_salary_query(keys[20], keys[20]), 1),
+        "empty": (_salary_query(gap, gap), 0),
+    }
+    for name, (query, rows) in shapes.items():
+        storage = PublicationStorage.open(root)
+        try:
+            router = recover_router(storage)
+            publisher = router.route(router.current_id("employees")).publisher
+            reads.clear()
+            answer = publisher.answer(query)
+            assert len(answer.rows) == rows, name
+            assert reads == ["load_entry_span"], name
+            again = publisher.answer(query)
+            assert reads == ["load_entry_span"], name
+            assert encode(again.proof) == encode(answer.proof)
+        finally:
+            storage.close()
+
+
+def test_a_mutation_is_one_store_read(tmp_path, signature_scheme, store_reads):
+    """An update, a delete and an insert, each in a cold part of a re-attached
+    chain, read the row and the neighbours their re-signed window needs with
+    one store call each."""
+    relation = _wide_employees(ROWS)
     root = _bootstrap_rows(tmp_path, signature_scheme, ROWS)
     storage = PublicationStorage.open(root)
     try:
         router = recover_router(storage)
         publisher = router.route(router.current_id("employees")).publisher
-        assert len(publisher.answer(FULL_RANGE).rows) == ROWS
-        column = publisher.signed_relation("employees").relation.records
-        assert column.faulted >= ROWS and len(column._cache) == 16
-        faulted = column.faulted
-        column[ROWS - 1], column[0]  # the last row read is cached, the first evicted
-        assert column.faulted == faulted + 1
+        signed = publisher.signed_relation("employees")
+        store_reads.clear()
+        signed.update_record(relation[5], dict(relation[5].as_dict(), name="Moved"))
+        assert store_reads == ["load_entry_span"]
+        signed.delete_record(relation[20])
+        assert store_reads == ["load_entry_span"] * 2
+        signed.insert_record(dict(relation[35].as_dict(), emp_id="twin", name="Twin"))
+        assert store_reads == ["load_entry_span"] * 3
+        assert signed.verify_internal_consistency()
     finally:
         storage.close()
+
+
+def _chain_columns(signed) -> dict:
+    """Every chain-aligned column of a signed relation, in stored form."""
+    count = signed.entry_count()
+    if isinstance(signed, StoredSignedRelation):
+        roots = list(signed._roots)
+    else:
+        roots = [_stored_roots(signed.components(i), signed._roots[i]) for i in range(count)]
+    return {
+        "entries": [(entry.kind, entry.key) for entry in signed.entries],
+        "rows": [record.as_dict() for record in signed.relation],
+        "roots": roots,
+        "signatures": list(signed.signatures),
+        "components": [signed.components(i) for i in range(count)],
+        "version": signed.version,
+    }
+
+
+#: Relation positions around the span ``records[10:20]`` loads (chain entries
+#: 10..21, i.e. positions 9..20): just outside, on and just inside each edge,
+#: and one inside the unloaded gap above it.
+_SPAN_EDGE_POSITIONS = (8, 9, 10, 19, 20, 21, 35)
+
+
+@pytest.mark.parametrize("position", _SPAN_EDGE_POSITIONS)
+@pytest.mark.parametrize("mutation", ["insert", "delete", "update"])
+def test_mutations_at_the_edges_of_a_loaded_span(
+    tmp_path, signature_scheme, mutation, position
+):
+    """A partially loaded stored chain, mutated at and around the edges of its
+    loaded span or inside an unloaded gap, matches byte for byte both a fresh
+    re-attach of its store and the in-RAM twin it was built from."""
+    twin = SignedRelation(_employees(), signature_scheme)
+    store = RelationStore(str(tmp_path / "relstore.db"))
+    try:
+        rows = (record.as_dict() for record in twin.relation)
+        build_stored_chain(store, "employees", twin.schema, rows, signature_scheme)
+        stored = StoredSignedRelation(store, "employees", twin.manifest, signature_scheme)
+        stored.relation.records[10:20]
+        loaded = [i for i, slot in enumerate(stored._payloads._memo) if slot is not _UNLOADED]
+        assert loaded == list(range(10, 22))
+
+        victim = twin.relation[position]
+        for signed in (twin, stored):
+            if mutation == "insert":
+                signed.insert_record(dict(victim.as_dict(), emp_id="edge", name="Edge"))
+            elif mutation == "delete":
+                signed.delete_record(victim)
+            else:
+                signed.update_record(victim, dict(victim.as_dict(), name="Edge"))
+
+        expected = _chain_columns(twin)
+        assert _chain_columns(stored) == expected
+        reattached = StoredSignedRelation(store, "employees", twin.manifest, signature_scheme)
+        reattached.restore_sequence(twin.version)
+        assert _chain_columns(reattached) == expected
+    finally:
+        store.close()
 
 
 @pytest.mark.scale

@@ -382,10 +382,11 @@ def test_crash_between_the_two_edits_of_an_update_recovers_whole(
     router, storage = _open_world(tmp_path, signature_scheme)
     victim = router.route(router.current_id("employees")).publisher.answer(SALARIES).rows[4]
     moved = dict(victim, salary=victim["salary"] + 1, name="Moved")
+    manifest = router.manifest_by_name("employees")
     frame = encode(
         build_update_request(
             signature_scheme,
-            router.manifest_by_name("employees"),
+            manifest,
             (RecordDelta(kind="update", values=moved, old_values=victim),),
         )
     )
@@ -402,7 +403,8 @@ def test_crash_between_the_two_edits_of_an_update_recovers_whole(
     store = RelationStore(str(tmp_path / "pub" / "shards" / "hr" / "relstore.db"))
     try:  # neither edit landed: 14 rows at sequence 0, the old row among them
         assert store.chain_state("employees").sequence == 0
-        assert victim in list(store.iter_row_values("employees"))
+        stored = StoredSignedRelation(store, "employees", manifest, signature_scheme)
+        assert victim in [record.as_dict() for record in stored.relation]
         assert store.count_records("employees") == 14
     finally:
         store.close()

@@ -7,10 +7,12 @@ the signing key itself).  Each test edits one stored
 row of a chain root — the payload alone (the fingerprint it is filed under
 no longer matches), or payload and fingerprint together (the store is
 self-consistent again, only the owner's signature is not) — and asserts the
-edit is refused when the row is faulted in, or fails verification at the
+edit is refused when the row is read, or fails verification at the
 client.  It is never returned as a verified answer; that holds for a root
 edited offline and for a replica bootstrapped from a snapshot that was
-edited in flight.
+edited in flight.  A deleted row fares no better: deleted offline, the
+client refuses the answer around the gap; deleted behind a server that has
+already attached, the read of the span that held it is refused by name.
 
 The same goes for the other stored artifact a row carries: the Section 5.1
 representation-tree roots the server hands out as the row's entry assists and
@@ -172,6 +174,51 @@ def test_row_edited_offline_is_never_served_verified(
         os.path.join(root, "shards", "hr", "relstore.db"), schema, fix_fingerprint
     )
     _assert_forged_row_is_never_verified(root, fix_fingerprint)
+
+
+def _delete_stored_row(db_path: str) -> None:
+    """Delete the employee ``_forge_stored_row`` edits: mid-span for ``FULL_RANGE``."""
+    connection = sqlite3.connect(db_path)
+    try:
+        connection.execute(
+            "DELETE FROM entries WHERE rowid = (SELECT rowid FROM entries"
+            " WHERE relation='employees' AND kind='record' ORDER BY key LIMIT 1 OFFSET 5)"
+        )
+        connection.commit()
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("attached", [False, True], ids=["offline", "behind-an-attached-server"])
+def test_row_deleted_from_the_store_is_never_served_verified(
+    tmp_path, signature_scheme, attached
+):
+    """A row deleted from ``relstore.db``, from the middle of the span an
+    answer reads.  Deleted offline, the store is self-consistent and the
+    client refuses an answer its neighbours' signatures no longer cover.
+    Deleted after the server attached, the read no longer lines up with the
+    identity index and is refused with a typed error naming the relation —
+    never an ``IndexError``, never a misaligned answer."""
+    root = str(tmp_path / "pub")
+    _, storage = open_publication_storage(root, lambda: _build_router(signature_scheme))
+    storage.close()
+    db_path = os.path.join(root, "shards", "hr", "relstore.db")
+    if not attached:
+        _delete_stored_row(db_path)
+    router, storage = open_publication_storage(root, _must_not_rebuild)
+    try:
+        if attached:
+            _delete_stored_row(db_path)
+        with PublicationServer(router, storage=storage) as server:
+            with VerifyingClient(*server.address) as client:
+                with pytest.raises(RemoteError if attached else VerificationError) as excinfo:
+                    client.execute(QuerySpec(FULL_RANGE))
+        if attached:
+            message = str(excinfo.value)
+            assert "StorageError" in message and "relation 'employees'" in message
+            assert "identity index" in message
+    finally:
+        storage.close()
 
 
 def test_root_flipped_offline_is_never_served_verified(tmp_path, signature_scheme):
