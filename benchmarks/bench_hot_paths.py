@@ -3,16 +3,19 @@
 Writes ``BENCH_hot_paths.json`` at the repository root (override with
 ``--output``): ops/sec for owner signing, signature verification, verifier
 checking and durable ingest, each fast path vs. a faithful replica of the
-path it replaced — and a ``cold_range`` section where no cache can help:
-first-touch 40-key range answers over a stored relation re-attached the way
-recovery does it, reported as ms per read and as ``hashes_per_read``, the
-exact number of hashes one such answer performs.  The server hashes for the
-two boundary records only — a matched row's representation-tree roots are
-read off its stored row — so the count is the same on any machine and has a
-ceiling (``cold_range_hashes_per_read_max``); ``store_reads_per_read``, the
-``RelationStore.load_*`` calls one answer makes, is exact too and must be 1
-(``cold_range_store_reads_per_read``).  ``hash_floor_ratio``, the read's time
-over what those hashes cost on this runner, is printed beside them, ungated.
+path it replaced — and ``cold_range`` and ``cold_point`` sections where no
+cache can help: first-touch 40-key range and single-key answers over a
+stored relation re-attached the way recovery does it, reported as ms per
+read and as ``hashes_per_read``, the exact number of hashes one such answer
+performs.  The server hashes for the two boundary records (one chain proof
+and the one chain digest it ships beside it, each) and the re-fingerprint of
+the rows it reads — a matched row's representation-tree roots are read off
+its stored row — so both counts are the same on any machine and gated
+exactly (``cold_range_hashes_per_read``, ``cold_point_hashes_per_read``);
+``store_reads_per_read``, the ``RelationStore.load_*`` calls one answer
+makes, is exact too and must be 1 (``cold_range_store_reads_per_read``).
+``hash_floor_ratio``, the read's time over what those hashes cost on this
+runner, is printed beside them, ungated.
 A ``publish_sign`` section does the like for bulk signing:
 ``core_scaling`` is a batch's serial time over its time sharded across this
 runner's CPUs, floored (``publish_sign_core_scaling_min``) wherever the
@@ -73,10 +76,16 @@ COLD_RANGE_BLOCK = COLD_RANGE_KEYS + 2
 #: The key domain is that benchmark's 16,384-key one whatever the table size,
 #: so a smoke run walks the same 15 digit chains per commitment as a full one.
 COLD_RANGE_DOMAIN_ROWS = 16_384
-#: Two boundary proofs, the boundary entries' ``g`` and the fingerprint
-#: re-check of the 40 rows read come to ~415; one digit-chain walk per matched
-#: row, the cost this ceiling exists to keep out, would add ~3,000.
-COLD_RANGE_HASHES_PER_READ_MAX = 800
+#: Exactly what one such answer hashes: per boundary record, a boundary proof
+#: (a full walk of one chain) and the digest of the other chain, the one it
+#: ships (a canonical walk), plus the fingerprint re-check (4 hashes) of each
+#: of the 40 rows read.  Over this domain a record's two chain exponents are
+#: binary complements, so the count is the same for every key; one digit-chain
+#: walk per matched row, or of a chain nobody ships, would move it.
+COLD_RANGE_HASHES_PER_READ = 364
+#: The same for a first-touch point read (the middle key of a block): two
+#: boundary records and one row.
+COLD_POINT_HASHES_PER_READ = 208
 #: The store calls one such answer makes: the chain span it touches is one
 #: range scan of the ``entries`` primary key.
 COLD_RANGE_STORE_READS_PER_READ = 1
@@ -112,21 +121,22 @@ def _hashlib_call_seconds(calls: int = 2_000) -> float:
     return (time.perf_counter() - start) / calls
 
 
-def bench_cold_range(reads: int, key_bits: int = 512) -> dict:
-    """First-touch range answers over a re-attached stored relation.
+def bench_cold_reads(reads: int, keys: int, key_bits: int = 512) -> dict:
+    """First-touch ``keys``-key reads over a re-attached stored relation.
 
-    Every row, root and signature is read from sqlite and every proof
-    fragment built from nothing, so the time is proof construction.  Each
-    read is set against the cost of the hashes it performed, calibrated with
-    a burst of ``hashlib`` calls right after it — a shared box changes speed
-    by the tenth of a second, and both sides of the ratio must see the same
-    one.  Medians over the reads are reported.
+    One read per 42-key block, centred in it, so that its boundary records
+    are the block's own.  Every row, root and signature is read from sqlite
+    and every proof fragment built from nothing, so the time is proof
+    construction.  Each read is set against the cost of the hashes it
+    performed, calibrated with a burst of ``hashlib`` calls right after it —
+    a shared box changes speed by the tenth of a second, and both sides of
+    the ratio must see the same one.  Medians over the reads are reported.
     """
     scheme = rsa_scheme(bits=key_bits)
     schema = metrics_schema(COLD_RANGE_DOMAIN_ROWS)
     rows = reads * COLD_RANGE_BLOCK
     seconds, hashes, call_seconds, store_reads = [], [], [], []
-    tmp = tempfile.mkdtemp(prefix="bench-cold-range-")
+    tmp = tempfile.mkdtemp(prefix="bench-cold-reads-")
     path = os.path.join(tmp, "relstore.db")
     try:
         store = RelationStore(path, fsync="off")
@@ -138,8 +148,9 @@ def bench_cold_range(reads: int, key_bits: int = 512) -> dict:
         try:
             publisher = Publisher({RELATION: _attach(store, schema, scheme)})
             calls = _counted_reads(store)
-            for low in range(2, rows, COLD_RANGE_BLOCK):
-                bounds = RangeCondition(schema.key, low, low + COLD_RANGE_KEYS - 1)
+            for block in range(1, rows, COLD_RANGE_BLOCK):
+                low = block + (COLD_RANGE_BLOCK - keys) // 2
+                bounds = RangeCondition(schema.key, low, low + keys - 1)
                 query = Query(RELATION, Conjunction((bounds,)))
                 hashes_before, calls_before = HASH_COUNTER.count, len(calls)
                 start = time.perf_counter()
@@ -148,7 +159,7 @@ def bench_cold_range(reads: int, key_bits: int = 512) -> dict:
                 hashes.append(HASH_COUNTER.count - hashes_before)
                 store_reads.append(len(calls) - calls_before)
                 call_seconds.append(_hashlib_call_seconds())
-                assert len(result.rows) == COLD_RANGE_KEYS
+                assert len(result.rows) == keys
         finally:
             store.close()
     finally:
@@ -160,12 +171,23 @@ def bench_cold_range(reads: int, key_bits: int = 512) -> dict:
     return {
         "reads": reads,
         "table_rows": rows,
+        "keys_per_read": keys,
         "ms_per_read": round(statistics.median(seconds) * 1e3, 3),
         "hashes_per_read": round(statistics.mean(hashes), 1),
         "store_reads_per_read": round(statistics.mean(store_reads), 2),
         "hashlib_call_us": round(statistics.median(call_seconds) * 1e6, 4),
         "hash_floor_ratio": round(statistics.median(ratios), 2),
     }
+
+
+def bench_cold_range(reads: int, key_bits: int = 512) -> dict:
+    """``bench_cold_reads`` of 40-key ranges: the ``cold_range`` section."""
+    return bench_cold_reads(reads, COLD_RANGE_KEYS, key_bits)
+
+
+def bench_cold_point(reads: int, key_bits: int = 512) -> dict:
+    """``bench_cold_reads`` of single keys: the ``cold_point`` section."""
+    return bench_cold_reads(reads, 1, key_bits)
 
 
 PUBLISH_SIGN_CORE_SCALING_MIN = 1.3
@@ -222,14 +244,16 @@ def main(argv=None) -> int:
 
     config = SMOKE_CONFIG if args.smoke else HotPathConfig()
     report = run_hot_path_benchmarks(config)
-    cold = report["cold_range"] = bench_cold_range(
-        reads=12 if args.smoke else 48, key_bits=config.key_bits
-    )
-    report["targets"]["cold_range_hashes_per_read_max"] = COLD_RANGE_HASHES_PER_READ_MAX
+    cold_reads = 12 if args.smoke else 48
+    cold = report["cold_range"] = bench_cold_range(cold_reads, key_bits=config.key_bits)
+    point = report["cold_point"] = bench_cold_point(cold_reads, key_bits=config.key_bits)
+    report["targets"]["cold_range_hashes_per_read"] = COLD_RANGE_HASHES_PER_READ
+    report["targets"]["cold_point_hashes_per_read"] = COLD_POINT_HASHES_PER_READ
     report["targets"]["cold_range_store_reads_per_read"] = COLD_RANGE_STORE_READS_PER_READ
     report["targets_met"]["cold_range"] = (
-        cold["hashes_per_read"] <= COLD_RANGE_HASHES_PER_READ_MAX
+        cold["hashes_per_read"] == COLD_RANGE_HASHES_PER_READ
         and cold["store_reads_per_read"] == COLD_RANGE_STORE_READS_PER_READ
+        and point["hashes_per_read"] == COLD_POINT_HASHES_PER_READ
     )
     publish = report["publish_sign"] = bench_publish_sign(
         messages=512 if args.smoke else 2048, rounds=3
@@ -246,7 +270,8 @@ def main(argv=None) -> int:
         with open(args.output, "r", encoding="utf-8") as handle:
             existing = json.load(handle)
         for key, value in existing.get("targets", {}).items():
-            report["targets"].setdefault(key, value)
+            if key != "cold_range_hashes_per_read_max":  # now the exact target above
+                report["targets"].setdefault(key, value)
         for name, entry in existing.get("workloads", {}).items():
             report["workloads"].setdefault(name, entry)
         for section in ("wire_config", "scale_config"):
@@ -266,12 +291,13 @@ def main(argv=None) -> int:
             f"  cached {entry['cached_ops_per_sec']:>10.1f}/s"
             f"  speedup {entry['speedup']:>6.2f}x"
         )
-    print(
-        f"  cold_range                   {cold['ms_per_read']:.2f} ms/read, "
-        f"{cold['hashes_per_read']:.0f} hashes/read, "
-        f"{cold['store_reads_per_read']:g} store reads/read, "
-        f"hash-floor ratio {cold['hash_floor_ratio']:.2f}"
-    )
+    for name, section in (("cold_range", cold), ("cold_point", point)):
+        print(
+            f"  {name:28s} {section['ms_per_read']:.2f} ms/read, "
+            f"{section['hashes_per_read']:.0f} hashes/read, "
+            f"{section['store_reads_per_read']:g} store reads/read, "
+            f"hash-floor ratio {section['hash_floor_ratio']:.2f}"
+        )
     print(
         f"  publish_sign                 {publish['serial_ms_per_signature']:.3f} ms/signature serial, "
         f"{publish['sharded_ms_per_signature']:.3f} over {publish['shards']} shard(s), "

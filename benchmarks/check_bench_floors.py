@@ -3,9 +3,10 @@
 Compares a freshly measured benchmark report (usually a ``--smoke`` run
 produced in CI) against the speedup floors stored in the committed
 ``BENCH_hot_paths.json`` (its ``targets`` section).  Exits non-zero when any
-measured speedup is below its floor, when a cold range read performs more
-hashes than the stored ceiling or makes other than one store read, when a bulk ``sign_batch`` stops scaling
-across the runner's cores, or — if the fresh report carries the wire/service
+measured speedup is below its floor, when a cold range or point read
+performs other than its exact hash count or makes other than one store read,
+when a bulk ``sign_batch`` stops scaling across the runner's cores, or — if
+the fresh report carries the wire/service
 workloads — when decoding fell below its floor against encoding or an owner
 update stales more of a cached read pool than the chain window it touched.
 
@@ -68,28 +69,33 @@ def _check_hot_paths(floors: dict, fresh: dict, failures: list) -> None:
                 f"{workload} speedup {speedup:.2f}x fell below the {floor:.2f}x floor"
             )
     # Exact and machine-independent: the hashes one first-touch 40-key range
-    # answer performs.  A ceiling: it rises when the server goes back to
-    # walking digit chains for rows whose roots it has stored.
-    ceiling = floors.get("cold_range_hashes_per_read_max")
+    # answer, and one single-key answer, performs.  It moves when the server
+    # walks digit chains for rows whose roots it has stored, or a chain it
+    # does not ship, or when a row read stops re-checking its fingerprint.
     cold = fresh.get("cold_range")
-    if ceiling is None:
-        failures.append(
-            "committed report is missing ceiling 'cold_range_hashes_per_read_max'"
-        )
-    elif cold is None:
-        failures.append("fresh report is missing section 'cold_range'")
-    else:
-        hashes = cold.get("hashes_per_read", float("inf"))
-        status = "ok" if hashes <= ceiling else "REGRESSION"
-        print(
-            f"cold_range                   {hashes:7.1f} hashes/read  ceiling {ceiling:5.0f}  "
-            f"{status}  (hash-floor ratio {cold.get('hash_floor_ratio', float('nan')):.2f}, ungated)"
-        )
-        if hashes > ceiling:
-            failures.append(
-                f"a cold range read performs {hashes:.0f} hashes "
-                f"(the ceiling is {ceiling:.0f})"
+    for section, target in (
+        ("cold_range", "cold_range_hashes_per_read"),
+        ("cold_point", "cold_point_hashes_per_read"),
+    ):
+        expected_hashes = floors.get(target)
+        measured = fresh.get(section)
+        if expected_hashes is None:
+            failures.append(f"committed report is missing {target!r}")
+        elif measured is None:
+            failures.append(f"fresh report is missing section {section!r}")
+        else:
+            hashes = measured.get("hashes_per_read", float("inf"))
+            status = "ok" if hashes == expected_hashes else "REGRESSION"
+            print(
+                f"{section:28s} {hashes:7.1f} hashes/read  exactly {expected_hashes}  "
+                f"{status}  (hash-floor ratio "
+                f"{measured.get('hash_floor_ratio', float('nan')):.2f}, ungated)"
             )
+            if hashes != expected_hashes:
+                failures.append(
+                    f"a {section.replace('_', ' ')} read performs {hashes:g} hashes "
+                    f"(it must perform {expected_hashes})"
+                )
     # Exact too: the store calls one such answer makes.  Its chain span is
     # one range scan; more means the relation went back to per-row loads.
     expected = floors.get("cold_range_store_reads_per_read")

@@ -35,7 +35,10 @@ the representation-tree root beside the commitment, to be *stored* with the
 entry and served as its :class:`EntryAssist`) and when the publisher proves a
 boundary.  Everything else — the verifier, and a server re-deriving a stored
 entry's ``g`` — is :meth:`~ChainDigestScheme.recompute_from_value`: the
-canonical digits only, combined with the root it was given.  Two memos sit on
+canonical digits only, combined with the root it was given, walked straight
+on the constructor with the digits peeled off the exponent as it goes (no
+chain lists, no digit tuple), as :meth:`~ChainDigestScheme.recompute_from_boundary`
+advances a boundary proof's intermediates.  Two memos sit on
 top, both of pure functions of their keys, so no insert, delete or update can
 stale them: that method's ``(value, total) -> canonical digest`` and
 :meth:`~ChainDigestScheme.boundary_proof`'s ``(value, total, delta_c) ->
@@ -53,7 +56,7 @@ from typing import List, Optional, Tuple
 from repro.cache import BoundedCache, bounded_put
 from repro.core import polynomial
 from repro.core.errors import CheatingAttemptError
-from repro.crypto.encoding import encode_many
+from repro.crypto.encoding import encode_many, encode_value
 from repro.crypto.hashing import (
     HASH_COUNTER,
     HashFunction,
@@ -260,6 +263,10 @@ class OptimizedChainScheme(ChainDigestScheme):
         self.base = base
         self.num_digits = polynomial.num_digits_for(domain_width, base)
         self._suffixes = tuple(map(chain_preimage_suffix, range(self.num_digits)))
+        # ``chain_preimage_stem(self._anchor(value))`` is this head followed by
+        # the value's own length-prefixed encoding (see :meth:`_stem`).
+        self._stem_head = chain_preimage_stem(encode_many([namespace]))
+        self._span = base**self.num_digits
         # (value, total) -> canonical digest, filled by recompute_from_value
         # only: a client re-verifying a hot query pool lives off it (2.2x on
         # ``hot_read``); the owner's full walk never sees a pair twice.
@@ -272,25 +279,36 @@ class OptimizedChainScheme(ChainDigestScheme):
 
     # -- the single-pass kernel ---------------------------------------------------
 
-    def _walk(
-        self, value: int, total: int, canonical_only: bool = False
-    ) -> Tuple[_Digits, _Chains]:
+    def _stem(self, value: int) -> bytes:
+        """``chain_preimage_stem(self._anchor(value))``, the namespace part precomputed."""
+        encoded = encode_value(int(value))
+        return self._stem_head + len(encoded).to_bytes(4, "big") + encoded
+
+    def _check_exponent(self, total: int) -> None:
+        """The range :func:`polynomial.to_canonical_digits` accepts, with its errors."""
+        if total < 0:
+            raise ValueError("exponents are non-negative")
+        if total >= self._span:
+            raise ValueError(
+                f"value {total} does not fit in {self.num_digits} base-{self.base} digits"
+            )
+
+    def _walk(self, value: int, total: int) -> Tuple[_Digits, _Chains]:
         """Walk each digit chain once: ``chains[p][e] = h^e(value | p)``.
 
         Position ``p`` is walked as far as any representation of ``total``
         reaches: ``c_0 + B`` at position 0, ``c_p + B - 1`` in the middle and
-        ``c_p`` at the top position, which no borrow cascade ever raises —
-        or just ``c_p`` everywhere when only the canonical digest is wanted.
+        ``c_p`` at the top position, which no borrow cascade ever raises.
         """
         new = self.hash_function.constructor
         digits = polynomial.to_canonical_digits(total, self.base, self.num_digits)
-        stem = chain_preimage_stem(self._anchor(value))
+        stem = self._stem(value)
         top = self.num_digits - 1
         chains = []
         hashes = 0
         for position, (digit, suffix) in enumerate(zip(digits, self._suffixes)):
             reach = digit
-            if not canonical_only and position != top:
+            if position != top:
                 reach += self.base - (1 if position else 0)
             digest = new(stem + suffix).digest()
             chain = [digest]
@@ -301,6 +319,32 @@ class OptimizedChainScheme(ChainDigestScheme):
             chains.append(chain)
         HASH_COUNTER.count += hashes
         return digits, chains
+
+    def _canonical_walk(self, value: int, total: int) -> bytes:
+        """The canonical representation's digest, ``h(h^{c_0}(value | 0) | ...)``.
+
+        The verifier's kernel: each position is walked to its canonical digit
+        straight on the :mod:`hashlib` constructor, digits peeled off
+        ``total`` as it goes, and the call count added to ``HASH_COUNTER``
+        once.  Byte-identical to :meth:`_canonical_digest` over :meth:`_walk`.
+        """
+        self._check_exponent(total)
+        new = self.hash_function.constructor
+        stem = self._stem(value)
+        base = self.base
+        parts = []
+        append = parts.append
+        hashes = self.num_digits + 1  # each chain's head, and the concatenation
+        for suffix in self._suffixes:
+            total, digit = divmod(total, base)
+            digest = new(stem + suffix).digest()
+            hashes += digit
+            while digit:
+                digest = new(digest).digest()
+                digit -= 1
+            append(digest)
+        HASH_COUNTER.count += hashes
+        return new(b"".join(parts)).digest()
 
     def _canonical_digest(self, digits: _Digits, chains: _Chains) -> bytes:
         return self.hash_function.combine(
@@ -386,30 +430,49 @@ class OptimizedChainScheme(ChainDigestScheme):
     def recompute_from_value(
         self, value: int, total: int, assist: EntryAssist
     ) -> bytes:
-        if assist.mht_root is None:
+        root = assist.mht_root
+        if root is None:
             raise ValueError(
                 "the optimized scheme needs the representation-tree root to verify an entry"
             )
-        canonical_digest = self._memo.get((value, total)) if self.memoize else None
-        if canonical_digest is None:
-            canonical_digest = self._canonical_digest(
-                *self._walk(value, total, canonical_only=True)
-            )
-            if self.memoize:
-                bounded_put(self._memo, (value, total), canonical_digest, _SCHEME_MEMO_MAX)
-        return self.hash_function.combine(canonical_digest, assist.mht_root)
+        if self.memoize:
+            canonical_digest = self._memo.get((value, total))
+            if canonical_digest is None:
+                canonical_digest = bounded_put(
+                    self._memo, (value, total), self._canonical_walk(value, total),
+                    _SCHEME_MEMO_MAX,
+                )
+        else:
+            canonical_digest = self._canonical_walk(value, total)
+        HASH_COUNTER.count += 1
+        return self.hash_function.constructor(canonical_digest + root).digest()
 
     def recompute_from_boundary(self, delta_c: int, assist: BoundaryAssist) -> bytes:
-        if len(assist.intermediate_digests) != self.num_digits:
+        """Advance each intermediate digest by ``delta_c``'s digit, then close the proof.
+
+        The same straight-line walk as :meth:`_canonical_walk`: no per-position
+        lists or digit tuples, one ``HASH_COUNTER`` update per chain part.
+        """
+        digests = assist.intermediate_digests
+        if len(digests) != self.num_digits:
             raise ValueError(
                 "boundary proof carries the wrong number of intermediate digests"
             )
-        c_digits = polynomial.to_canonical_digits(delta_c, self.base, self.num_digits)
-        advanced = [
-            self.hasher.extend(digest, c_digits[position])
-            for position, digest in enumerate(assist.intermediate_digests)
-        ]
-        representation_digest = self.hash_function.combine(*advanced)
+        self._check_exponent(delta_c)
+        new = self.hash_function.constructor
+        base = self.base
+        advanced = []
+        append = advanced.append
+        hashes = 1  # the representation digest
+        for digest in digests:
+            delta_c, digit = divmod(delta_c, base)
+            hashes += digit
+            while digit:
+                digest = new(digest).digest()
+                digit -= 1
+            append(digest)
+        representation_digest = new(b"".join(advanced)).digest()
+        HASH_COUNTER.count += hashes
         if assist.used_canonical:
             if assist.mht_root is None:
                 raise ValueError("canonical boundary proof is missing the tree root")

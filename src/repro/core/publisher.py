@@ -275,13 +275,19 @@ class Publisher:
         seen_projected: set = set()
         projection = rewritten.projection
         projected_names = projection.effective_attributes(schema)
+        # Per answer, not per row: a name the schema lacks still fails the
+        # first row it would be projected from, as Record.project fails it.
+        projectable = all(schema.has_attribute(name) for name in projected_names)
         dropped_names = projection.dropped_attributes(schema)
 
         for offset, record in enumerate(scanned):
             chain_index = signed.record_chain_index(start + offset)
             matches = all(condition.matches(record) for condition in non_key_conditions)
             if matches:
-                row = record.project(projected_names)
+                if not projectable:
+                    record.project(projected_names)
+                values = record.values
+                row = {name: values[name] for name in projected_names}
                 if projection.distinct:
                     row_signature = tuple(sorted(row.items(), key=lambda item: str(item[0])))
                     if row_signature in seen_projected:
@@ -298,9 +304,7 @@ class Publisher:
                         continue
                     seen_projected.add(row_signature)
                 rows.append(row)
-                entries.append(
-                    self._matched_entry(signed, chain_index, record, dropped_names)
-                )
+                entries.append(self._matched_entry(signed, chain_index, record, dropped_names))
             else:
                 entries.append(
                     self._filtered_entry(
@@ -340,7 +344,7 @@ class Publisher:
         """
         chain_index = start  # record at relation position start-1, or the left delimiter
         entry = signed.entry(chain_index)
-        _, lower, attribute_root = signed.components(chain_index)
+        lower, attribute_root = signed.boundary_components(chain_index, 1)
         return BoundaryEntryProof(
             side="lower",
             chain_boundary=signed.upper_scheme.boundary_proof(
@@ -358,7 +362,7 @@ class Publisher:
         """Proof for the entry immediately above the query range."""
         chain_index = stop + 1
         entry = signed.entry(chain_index)
-        upper, _, attribute_root = signed.components(chain_index)
+        upper, attribute_root = signed.boundary_components(chain_index, 0)
         return BoundaryEntryProof(
             side="upper",
             chain_boundary=signed.lower_scheme.boundary_proof(
@@ -433,11 +437,7 @@ class Publisher:
         else:  # pragma: no cover - caller only passes non-matching records
             raise ProofConstructionError("record unexpectedly satisfies every condition")
 
-        hidden = [
-            attribute.name
-            for attribute in schema.non_key_attributes
-            if attribute.name not in revealed
-        ]
+        hidden = [name for name in schema.non_key_positions if name not in revealed]
         leaf_digests = self._attribute_leaf_digests(signed, record, hidden)
         upper, lower, _ = signed.components(chain_index)
         return FilteredEntryProof(
@@ -451,12 +451,16 @@ class Publisher:
     def _attribute_leaf_digests(
         self, signed: SignedRelation, record: Record, names: Sequence[str]
     ) -> Dict[str, bytes]:
-        """Leaf digests of the per-record attribute Merkle tree for ``names``."""
+        """Leaf digests of the record's attribute Merkle tree for ``names``.
+
+        Read off the record's attribute-tree kernel run (a stored row's
+        re-fingerprint has already made it), so shipping them hashes nothing.
+        """
         if not names:
             return {}
         positions = record.schema.non_key_positions
-        tree = record.attribute_tree(signed.hash_function)
-        return {name: tree.leaf_digest(positions[name]) for name in names}
+        digests = record.attribute_leaf_digests(signed.hash_function)
+        return {name: digests[positions[name]] for name in names}
 
     def _signature_bundle(
         self, signed: SignedRelation, start: int, stop: int

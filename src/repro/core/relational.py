@@ -312,6 +312,15 @@ class SignedRelation:
         """The (upper-chain, lower-chain, attribute-root) digests of entry ``index``."""
         return self._components[index]
 
+    def boundary_components(self, index: int, chain: int) -> Tuple[bytes, bytes]:
+        """What a boundary proof over entry ``index`` ships beside its chain proof.
+
+        The entry's other chain's digest — ``chain`` 0 is the upper chain, 1
+        the lower — and its attribute root.
+        """
+        components = self._components[index]
+        return components[chain], components[2]
+
     def entry_assists(self, index: int) -> Tuple[EntryAssist, EntryAssist]:
         """What a verifier needs to recompute entry ``index``'s two chain digests.
 

@@ -41,11 +41,11 @@ from repro.crypto.aggregate import (
 )
 from repro.crypto.backend import backend_stats
 from repro.crypto.rsa import fdh_cache_stats
-from repro.crypto.encoding import concat_digests, encode_many
+from repro.crypto.encoding import concat_digests
 from repro.crypto.hashing import HASH_COUNTER
-from repro.crypto.merkle import MerkleTree
 from repro.db.access_control import AccessControlPolicy, visibility_column_name
 from repro.db.query import Conjunction, JoinQuery, Projection, Query, RangeCondition
+from repro.db.records import attribute_digests
 from repro.db.schema import Schema
 
 __all__ = ["ResultVerifier", "check_signature_bundle"]
@@ -253,11 +253,7 @@ class ResultVerifier:
             lower_scheme=lower_scheme,
             hash_function=manifest.hash_function(),
             expected_names=set(projection.effective_attributes(schema)),
-            # (non-key attribute, its encoded name: the head of its leaf payload)
-            leaf_heads=[
-                (attribute.name, encode_many([attribute.name]))
-                for attribute in schema.non_key_attributes
-            ],
+            leaf_heads=schema.attribute_leaf_heads,
         )
 
         lower_digest = self._boundary_digest(
@@ -390,7 +386,7 @@ class ResultVerifier:
                 f"result row key {key!r} falls outside the query range",
                 reason="key-out-of-range",
             )
-        if set(row.keys()) != constants.expected_names:
+        if row.keys() != constants.expected_names:
             raise VerificationError(
                 "result row attributes do not match the query projection",
                 reason="projection-mismatch",
@@ -506,24 +502,16 @@ class ResultVerifier:
         constants: SimpleNamespace,
     ) -> bytes:
         """Rebuild ``MHT(r.A)`` from revealed values and provided leaf digests."""
-        hash_function = constants.hash_function
-        leaf_digests: List[bytes] = []
-        if not constants.leaf_heads:
-            return MerkleTree(
-                [b"__no_non_key_attributes__"], hash_function
-            ).root
-        for name, head in constants.leaf_heads:
-            if name in revealed:
-                payload = head + encode_many([revealed[name]])
-                leaf_digests.append(MerkleTree.leaf_digest_of(payload, hash_function))
-            elif name in provided_digests:
-                leaf_digests.append(provided_digests[name])
-            else:
-                raise VerificationError(
-                    f"the proof provides neither value nor digest for attribute {name!r}",
-                    reason="missing-attribute-digest",
-                )
-        return MerkleTree.root_from_leaf_digests(leaf_digests, hash_function)
+        try:
+            return attribute_digests(
+                constants.leaf_heads, revealed, constants.hash_function, provided_digests
+            )[1]
+        except KeyError as missing:
+            raise VerificationError(
+                "the proof provides neither value nor digest for attribute "
+                f"{missing.args[0]!r}",
+                reason="missing-attribute-digest",
+            ) from None
 
     # -- chain messages and signatures --------------------------------------------------------
 
@@ -536,11 +524,14 @@ class ResultVerifier:
         hash_function,
     ) -> List[bytes]:
         if entry_digests:
+            new = hash_function.constructor
             chain = [lower_digest] + entry_digests + [upper_digest]
-            return [
-                hash_function.combine(chain[i - 1], chain[i], chain[i + 1])
+            messages = [
+                new(chain[i - 1] + chain[i] + chain[i + 1]).digest()
                 for i in range(1, len(chain) - 1)
             ]
+            HASH_COUNTER.count += len(messages)
+            return messages
         if proof.outer_neighbor_digest is None:
             raise CompletenessError(
                 "an empty result needs the outer neighbour digest of the boundary pair",

@@ -67,6 +67,11 @@ def encode_value(value: Encodable) -> bytes:
     Each supported type gets a distinct one-byte tag so that, for instance, the
     integer ``1`` and the string ``"1"`` hash differently.
     """
+    kind = type(value)  # the two common exact types first; bool is not int here
+    if kind is int:
+        return b"I" + int_to_bytes(value)
+    if kind is str:
+        return b"S" + value.encode("utf-8")
     if value is None:
         return b"N"
     if isinstance(value, bool):  # bool must be tested before int

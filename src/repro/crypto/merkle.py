@@ -24,9 +24,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import HASH_COUNTER, HashFunction, default_hash
 
-__all__ = ["MerkleTree", "MerkleProof", "merkle_root"]
+__all__ = ["MerkleTree", "MerkleProof", "merkle_root", "LEAF_PREFIX"]
 
-_LEAF_PREFIX = b"\x00leaf|"
+#: What every leaf digest's pre-image starts with (node pre-images start with
+#: ``_NODE_PREFIX``), so a leaf can never pass for an inner node.
+LEAF_PREFIX = b"\x00leaf|"
 _NODE_PREFIX = b"\x01node|"
 
 
@@ -88,7 +90,7 @@ class MerkleTree:
     # -- construction ------------------------------------------------------
 
     def _hash_leaf(self, payload: bytes) -> bytes:
-        return self.hash_function.digest(_LEAF_PREFIX + payload)
+        return self.hash_function.digest(LEAF_PREFIX + payload)
 
     def _hash_node(self, left: bytes, right: bytes) -> bytes:
         return self.hash_function.digest(_NODE_PREFIX + left + right)
@@ -162,7 +164,7 @@ class MerkleTree:
     ) -> bool:
         """Stateless verification usable by a client that never saw the tree."""
         hasher = hash_function or default_hash()
-        digest = hasher.digest(_LEAF_PREFIX + payload)
+        digest = hasher.digest(LEAF_PREFIX + payload)
         for sibling, is_left in proof.siblings:
             if is_left:
                 digest = hasher.digest(_NODE_PREFIX + sibling + digest)
@@ -179,7 +181,7 @@ class MerkleTree:
         rebuilds the root with :meth:`root_from_leaf_digests`.
         """
         hasher = hash_function or default_hash()
-        return hasher.digest(_LEAF_PREFIX + payload)
+        return hasher.digest(LEAF_PREFIX + payload)
 
     @staticmethod
     def root_from_leaf_digests(
@@ -215,7 +217,7 @@ class MerkleTree:
         """
         hasher = hash_function or default_hash()
         return MerkleTree.root_from_proof(
-            hasher.digest(_LEAF_PREFIX + payload), proof, hasher
+            hasher.digest(LEAF_PREFIX + payload), proof, hasher
         )
 
     @staticmethod
@@ -246,5 +248,5 @@ def merkle_root(leaves: Sequence[bytes], hash_function: Optional[HashFunction] =
     new = hasher.constructor
     HASH_COUNTER.count += len(leaves)
     return MerkleTree.root_from_leaf_digests(
-        [new(_LEAF_PREFIX + leaf).digest() for leaf in leaves], hasher
+        [new(LEAF_PREFIX + leaf).digest() for leaf in leaves], hasher
     )

@@ -3,16 +3,52 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.encoding import encode_many, encode_value
-from repro.crypto.hashing import HashFunction, default_hash
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.hashing import HASH_COUNTER, HashFunction, default_hash
+from repro.crypto.merkle import LEAF_PREFIX, MerkleTree
 from repro.db.schema import Schema
 
-__all__ = ["Record"]
+__all__ = ["Record", "attribute_digests"]
+
+
+def attribute_digests(
+    leaf_heads: Sequence[Tuple[str, bytes]],
+    values: Mapping[str, object],
+    hash_function: HashFunction,
+    provided: Mapping[str, bytes] = MappingProxyType({}),
+) -> Tuple[List[bytes], bytes]:
+    """``MHT(r.A)`` from a schema's leaf heads: ``(leaf digests, root)``.
+
+    The attribute-tree kernel every party runs: the owner and a stored row's
+    re-fingerprint (through :class:`Record`), the publisher (the leaf digests
+    it ships for hidden attributes) and the verifier (revealed values plus
+    shipped digests).  ``leaf_heads`` are
+    :attr:`~repro.db.schema.Schema.attribute_leaf_heads`.  The leaf of an
+    attribute named in ``values`` is hashed from its value straight on the
+    :mod:`hashlib` constructor; any other is taken from ``provided``, and a
+    ``KeyError`` names an attribute that neither holds.  A schema without
+    non-key attributes commits one fixed sentinel leaf, so ``g(r)`` stays
+    computable.  Byte-identical to :class:`~repro.crypto.merkle.MerkleTree`
+    over :meth:`Record.attribute_leaves`, with the same ``HASH_COUNTER`` count.
+    """
+    new = hash_function.constructor
+    if not leaf_heads:
+        HASH_COUNTER.count += 1
+        return [], new(LEAF_PREFIX + b"__no_non_key_attributes__").digest()
+    leaves = []
+    hashed = 0
+    for name, head in leaf_heads:
+        if name in values:
+            encoded = encode_value(values[name])
+            leaves.append(new(head + len(encoded).to_bytes(4, "big") + encoded).digest())
+            hashed += 1
+        else:
+            leaves.append(provided[name])
+    HASH_COUNTER.count += hashed
+    return leaves, MerkleTree.root_from_leaf_digests(leaves, hash_function)
 
 
 @dataclass(frozen=True)
@@ -39,6 +75,9 @@ class Record:
         materialised: Dict[str, object] = dict(self.values)
         self.schema.validate_values(materialised)
         object.__setattr__(self, "values", MappingProxyType(materialised))
+        # Per-hash-algorithm memos, ((leaf digests, root), fingerprint): the
+        # record can never change underneath them.
+        object.__setattr__(self, "_digest_caches", ({}, {}))
 
     # -- value access -------------------------------------------------------
 
@@ -77,54 +116,42 @@ class Record:
 
     # -- hashing ------------------------------------------------------------
 
-    @cached_property
-    def _leaf_payloads(self) -> Tuple[bytes, ...]:
-        """Computed once — records are immutable.  (``cached_property`` writes
-        to ``__dict__`` directly, which is why it works on a frozen dataclass.)
-        """
-        return tuple(
-            encode_many([name, value]) for name, value in self.non_key_items()
-        )
-
-    @cached_property
-    def _digest_caches(self) -> Tuple[Dict[str, MerkleTree], Dict[str, bytes]]:
-        """Per-hash-algorithm memos: (attribute trees, fingerprints)."""
-        return ({}, {})
-
     def attribute_leaves(self) -> List[bytes]:
-        """Canonical leaf payloads for the per-record attribute Merkle tree.
+        """Canonical leaf payloads of the per-record attribute Merkle tree.
 
         One leaf per non-key attribute, in schema order; each leaf binds the
         attribute *name* and its value so that swapping two values between
         columns is detected (the authenticity example in the paper's
-        introduction).  A fresh list over the cached payloads is returned.
+        introduction).
         """
-        return list(self._leaf_payloads)
+        return [encode_many([name, value]) for name, value in self.non_key_items()]
 
-    def attribute_tree(self, hash_function: Optional[HashFunction] = None) -> MerkleTree:
-        """The Merkle tree over the non-key attributes, ``MHT(r.A)``.
-
-        Cached per hash algorithm: the tree is consulted for every query that
-        touches the record (projection leaf digests, the ``g`` digest), and the
-        record can never change underneath it.
-        """
+    def _attribute_digests(
+        self, hash_function: Optional[HashFunction]
+    ) -> Tuple[Tuple[bytes, ...], bytes]:
         hasher = hash_function or default_hash()
         cache = self._digest_caches[0]
-        tree = cache.get(hasher.name)
-        if tree is None:
-            leaves = self.attribute_leaves()
-            if not leaves:
-                # A relation with only the key attribute still needs a
-                # well-defined digest; hash a fixed sentinel so g(r) remains
-                # computable.
-                leaves = [b"__no_non_key_attributes__"]
-            tree = MerkleTree(leaves, hasher)
-            cache[hasher.name] = tree
-        return tree
+        digests = cache.get(hasher.name)
+        if digests is None:
+            leaves, root = attribute_digests(
+                self.schema.attribute_leaf_heads, self.values, hasher
+            )
+            digests = cache[hasher.name] = (tuple(leaves), root)
+        return digests
+
+    def attribute_leaf_digests(
+        self, hash_function: Optional[HashFunction] = None
+    ) -> Tuple[bytes, ...]:
+        """The leaf digests of ``MHT(r.A)``, in schema order.
+
+        Cached per hash algorithm with the root: the publisher ships the ones
+        a projection or filter hides, and the record can never change.
+        """
+        return self._attribute_digests(hash_function)[0]
 
     def attribute_root(self, hash_function: Optional[HashFunction] = None) -> bytes:
-        """Root digest of :meth:`attribute_tree` — the ``MHT(r.A)`` term."""
-        return self.attribute_tree(hash_function).root
+        """Root digest of the attribute Merkle tree — the ``MHT(r.A)`` term."""
+        return self._attribute_digests(hash_function)[1]
 
     def fingerprint(self, hash_function: Optional[HashFunction] = None) -> bytes:
         """A digest of the full record (key and payload), for deterministic ordering.

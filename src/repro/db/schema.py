@@ -15,6 +15,9 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.crypto.encoding import encode_many
+from repro.crypto.merkle import LEAF_PREFIX
+
 __all__ = ["AttributeType", "Attribute", "KeyDomain", "Schema"]
 
 
@@ -185,6 +188,20 @@ class Schema:
         )
         return (positions, non_key, non_key_positions)
 
+    @cached_property
+    def attribute_leaf_heads(self) -> Tuple[Tuple[str, bytes], ...]:
+        """``(name, head)`` per non-key attribute, in schema order.
+
+        ``head`` is how the pre-image of the attribute's ``MHT(r.A)`` leaf
+        digest starts, ``LEAF_PREFIX | encode_many([name])``; the value's own
+        length-prefixed encoding completes it (see
+        :func:`repro.db.records.attribute_digests`).  Built once per schema.
+        """
+        return tuple(
+            (attribute.name, LEAF_PREFIX + encode_many([attribute.name]))
+            for attribute in self._lookup_maps[1]
+        )
+
     @property
     def attribute_positions(self) -> Mapping[str, int]:
         """Attribute name -> position in declaration order (read-only, O(1))."""
@@ -246,11 +263,14 @@ class Schema:
 
     def validate_values(self, values: Dict[str, object]) -> None:
         """Validate a full record's values against the schema."""
-        unknown = set(values) - set(self.attribute_names)
-        if unknown:
-            raise ValueError(f"unknown attributes {sorted(unknown)} for schema {self.name!r}")
-        missing = set(self.attribute_names) - set(values)
-        if missing:
+        names = self._lookup_maps[0]
+        if values.keys() != names.keys():
+            unknown = set(values) - set(names)
+            if unknown:
+                raise ValueError(
+                    f"unknown attributes {sorted(unknown)} for schema {self.name!r}"
+                )
+            missing = set(names) - set(values)
             raise ValueError(f"missing attributes {sorted(missing)} for schema {self.name!r}")
         for attribute in self.attributes:
             attribute.validate(values[attribute.name])

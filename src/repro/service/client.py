@@ -27,23 +27,24 @@ strictly increasing sequence), re-pins, and verifies the answer it already
 has — so a caller just sees a verified answer, attributed via
 :attr:`VerifiedResult.manifest_sequence` to the data version it reflects.
 
-**Bounded staleness.**  Chain signatures prove authenticity and completeness
-but never bind *when*: a publisher replaying a captured pre-rotation answer
-under the current manifest id used to present stale-but-genuine data as
-current.  A client constructed with a
-:class:`~repro.service.config.FreshnessPolicy` closes that hole: every
-verified answer must carry an owner-signed
+**Bounded staleness — of the attestation, not of the data.**  Chain
+signatures prove authenticity and completeness but never bind *when*.  A
+client constructed with a :class:`~repro.service.config.FreshnessPolicy`
+requires every verified answer to carry an owner-signed
 :class:`~repro.wire.updates.FreshnessAttestation` binding the attributed
 ``(manifest_id, sequence)`` plus a freshness epoch and validity window, and
-the client refuses — with a typed
-:class:`~repro.service.protocol.StaleAnswerError` — answers whose
-attestation is missing, mismatched, forged, expired, older than the policy's
-``max_staleness``, or regressed behind a ``(sequence, epoch)`` this client
-already accepted.  The policy's clock is injectable, and the guarantee is
-honest about its limits: it is bounded by clock skew against the owner, and
-an *active* in-path attacker who splices the live current attestation onto a
-stale answer frame is not stopped (binding every answer to its attestation
-would require the owner to re-sign the data itself per epoch).
+refuses — with a typed :class:`~repro.service.protocol.StaleAnswerError` —
+answers whose attestation is missing, mismatched, forged, expired, older
+than the policy's ``max_staleness``, or regressed behind a
+``(sequence, epoch)`` this client already accepted.  The policy's clock is
+injectable, so the bound is exact up to clock skew against the owner.  What
+that window bounds is the attestation's age, not the data's: a chain
+message signs its entry and two neighbours and binds no manifest sequence,
+so a chain window the owner has since superseded (rows a delete removed, an
+empty range an insert filled) still verifies under the current manifest id
+and its live attestation, however old the window is.  A server, or an
+in-path attacker, that splices the live attestation onto such a frame is
+not stopped; ``tests/test_superseded_window.py`` pins the gap.
 """
 
 from __future__ import annotations

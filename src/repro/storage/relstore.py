@@ -15,10 +15,10 @@ name, not one SQL schema per relational schema):
     walk of the entry's two digit chains produced, and the root of its
     attribute tree.  The roots are what the publisher ships with a result
     row (its entry assists), so a read looks them up and hashes nothing;
-    where the server needs the entry's ``g`` itself — a boundary or filtered
-    entry, the neighbours of a re-sign window — it re-derives each chain
-    digest from the key and the stored root with the canonical-only walk a
-    verifier does.  Delimiters carry the same column and a signature (the
+    where the server needs a chain digest itself — the one a boundary entry
+    ships beside its proof, both of a filtered entry or of the neighbours of
+    a re-sign window — it re-derives it from the key and the stored root with
+    the canonical-only walk a verifier does.  Delimiters carry the same column and a signature (the
     slot of the chain a delimiter does not have keeps its sentinel digest).
 
 ``chain_state``
@@ -558,9 +558,9 @@ class _LazyChainColumn:
     calls ``fault(index)``, which must fill the slot.  Payloads, stored
     roots and signatures come from disk, all three in one store read of the
     entry and its two neighbours; component triples are only needed where
-    the server needs an entry's ``g`` — a boundary or filtered entry, the
-    neighbours of a re-sign window — and are re-derived from the entry's key
-    and stored roots.
+    the server needs an entry's ``g`` — a filtered entry, the neighbours of a
+    re-sign window — and are re-derived from the entry's key and stored
+    roots (a boundary entry re-derives just the one chain digest it ships).
     """
 
     __slots__ = ("_fault", "_memo")
@@ -663,26 +663,50 @@ class StoredSignedRelation(SignedRelation):
         stored, width = self._roots[index], self._width
         return EntryAssist(stored[:width]), EntryAssist(stored[width : 2 * width])
 
-    def _fault_components(self, index: int) -> None:
-        """Entry ``index``'s ``g`` components, from its key and stored roots.
+    def _chain_digest(self, index: int, chain: int, stored: bytes) -> bytes:
+        """Entry ``index``'s upper (``chain`` 0) or lower (1) chain digest.
 
-        The canonical-only walk a verifier does for a value it knows: no
-        record is read and no representation rebuilt.
+        The canonical-only walk a verifier does for a value it knows, from
+        the entry's key and the root stored in ``stored``: no record is read
+        and no representation rebuilt.  A delimiter's sentinel chain is
+        stored as is.
         """
-        stored, width = self._roots[index], self._width
-        upper, lower, attribute_root = (
-            stored[:width], stored[width : 2 * width], stored[2 * width :]
-        )
+        width = self._width
+        root = stored[chain * width : (chain + 1) * width]
         entry, domain = self._entries[index], self.domain
-        if entry.kind != _RIGHT_DELIMITER:
-            upper = self.upper_scheme.recompute_from_value(
-                entry.key, domain.upper - entry.key - 1, EntryAssist(upper)
+        if chain == 0:
+            if entry.kind == _RIGHT_DELIMITER:
+                return root
+            return self.upper_scheme.recompute_from_value(
+                entry.key, domain.upper - entry.key - 1, EntryAssist(root)
             )
-        if entry.kind != _LEFT_DELIMITER:
-            lower = self.lower_scheme.recompute_from_value(
-                entry.key, entry.key - domain.lower - 1, EntryAssist(lower)
-            )
-        self._components[index] = (upper, lower, attribute_root)
+        if entry.kind == _LEFT_DELIMITER:
+            return root
+        return self.lower_scheme.recompute_from_value(
+            entry.key, entry.key - domain.lower - 1, EntryAssist(root)
+        )
+
+    def _fault_components(self, index: int) -> None:
+        """Entry ``index``'s ``g`` components, both chains re-derived."""
+        stored = self._roots[index]
+        self._components[index] = (
+            self._chain_digest(index, 0, stored),
+            self._chain_digest(index, 1, stored),
+            stored[2 * self._width :],
+        )
+
+    def boundary_components(self, index: int, chain: int) -> Tuple[bytes, bytes]:
+        """The one chain digest a boundary proof ships, and the attribute root.
+
+        Only that chain is walked: the other is the one the boundary proof
+        itself proves.  Nothing is kept, so an entry's component triple is
+        faulted only where its full ``g`` is needed.
+        """
+        components = self._components._memo[index]
+        if components is not _UNLOADED:
+            return components[chain], components[2]
+        stored = self._roots[index]
+        return self._chain_digest(index, chain, stored), stored[2 * self._width :]
 
     def _fault_neighbourhood(self, index: int) -> None:
         self._load_span(index - 1, index + 1)
@@ -721,7 +745,7 @@ class StoredSignedRelation(SignedRelation):
         the fingerprint it is filed under."""
         key, fingerprint = self.relation._sort_keys[index - 1]
         delta = decode(self._payloads[index] or b"", expect=RecordDelta)
-        record = Record(self.schema, dict(delta.values))
+        record = Record(self.schema, delta.values)  # validated against the schema
         if record.fingerprint() != fingerprint:
             raise StorageError(
                 f"relation {self._name!r}: stored row for key {key} does not "

@@ -29,9 +29,13 @@ the binary format is the one that crosses the network and the only one read.
 
 Each codec is declared as a field-spec table, so the binary writer, the binary
 reader and the JSON printer are always generated from one source of truth.
-There is one decode path: each artifact's table is compiled, on first use,
-into one flat ``read_body`` function whose every byte-level read is a call
-into the strict :class:`~repro.wire.primitives.WireReader` primitives.
+There is one decode path and one encode path: each artifact's table is
+compiled, on first use, into one flat ``read_body`` and one flat
+``write_body`` function, leaf artifacts inlined and the primitives written
+out as statements.  A generated reader reads the well-formed common case
+inline; any anomaly rewinds to the start of that primitive and re-reads it
+through the strict :class:`~repro.wire.primitives.WireReader` method, so
+every rejection keeps its typed reason and message.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.proof import (
@@ -53,6 +58,7 @@ from repro.core.proof import (
 from repro.core.digest import BoundaryAssist, EntryAssist
 from repro.core.relational import RelationManifest, UpdateReceipt
 from repro.crypto.aggregate import AggregateSignature
+from repro.crypto.encoding import encode_value
 from repro.crypto.merkle import MerkleProof
 from repro.crypto.rsa import RSAPublicKey
 from repro.db.query import (
@@ -65,7 +71,7 @@ from repro.db.query import (
 )
 from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
 from repro.wire.errors import WireFormatError
-from repro.wire.primitives import WireReader, WireWriter
+from repro.wire.primitives import _SHORT_STR_MEMO, _U32, MAX_FIELD_BYTES, WireReader
 
 __all__ = [
     "encode",
@@ -112,78 +118,201 @@ _MAGIC = b"PV"
 
 
 # ---------------------------------------------------------------------------
+# Code generation
+# ---------------------------------------------------------------------------
+
+
+class _Emitter:
+    """The body of one generated function: indented lines, fresh locals, bindings.
+
+    Reader code keeps the cursor in three locals — ``d`` (the input bytes),
+    ``e`` (their length) and ``o`` (the offset) — and primitives are read
+    inline from them.  Whenever an inline read meets anything it does not
+    handle (a short input, an oversized or non-canonical field, a string not
+    in the short-string memo), :meth:`strict` hands the offset back to
+    ``reader`` and re-reads that one primitive through the strict
+    :class:`~repro.wire.primitives.WireReader` method, which either raises
+    its typed error or returns the value; the fast path then resumes.  The
+    accepted language and every rejection are therefore the strict reader's.
+    Writer code appends to ``ap`` (a list's ``append``) the exact bytes the
+    strict encoding defines, raising the same exception types.
+    """
+
+    def __init__(self, bindings: Dict[str, object]) -> None:
+        self.bindings = bindings
+        self.lines: List[str] = []
+        self.depth = 1
+        self.locals = 0
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    @contextmanager
+    def block(self, header: str):
+        self.line(header)
+        self.depth += 1
+        yield
+        self.depth -= 1
+
+    def local(self, prefix: str) -> str:
+        self.locals += 1
+        return f"{prefix}{self.locals}"
+
+    def bind(self, prefix: str, value) -> str:
+        """Register ``value`` under a fresh global name of the generated code."""
+        name = f"_{prefix}{len(self.bindings)}"
+        self.bindings[name] = value
+        return name
+
+    def strict(self, target: str, call: str) -> None:
+        """Re-read the field at ``o`` through a strict ``reader`` method."""
+        self.line("reader._offset = o")
+        self.line(f"{target} = {call}")
+        self.line("o = reader._offset")
+
+    def compile(self, header: str, name: str, filename: str):
+        source = "\n".join([header] + self.lines)
+        exec(  # noqa: S102 - codegen from the trusted field-spec tables
+            compile(source, filename, "exec"), self.bindings
+        )
+        return self.bindings[name]
+
+
+def _emit_count(em: _Emitter, target: str, label: str) -> None:
+    """A u32 element count, bounded by the remaining bytes (``WireReader.count``)."""
+    em.line("s = o + 4")
+    with em.block(f"if s <= e and ({target} := _U32(d, o)[0]) <= e - s:"):
+        em.line("o = s")
+    with em.block("else:"):
+        em.strict(target, f"reader.count({label})")
+
+
+def _emit_length(em: _Emitter, sized: str) -> None:
+    """Write ``len(sized)`` as a u32 (a byte string's prefix, a collection's count)."""
+    em.line(f"n = len({sized})")
+    with em.block("if n > 0xFFFFFFFF:"):
+        em.line("raise ValueError(f'u32 out of range: {n}')")
+    em.line("ap(n.to_bytes(4, 'big'))")
+
+
+def _emit_prefixed(em: _Emitter, raw: str) -> None:
+    """Write the bytes in local ``raw`` behind their u32 length prefix."""
+    _emit_length(em, raw)
+    em.line(f"ap({raw})")
+
+
+def _emit_int_bytes(em: _Emitter, value: str, target: str, tag: str = "") -> None:
+    """``target = [tag] sign byte | minimal big-endian magnitude`` of ``value``."""
+    head = f"b{tag!r} + " if tag else ""
+    em.line(
+        f"{target} = {head}(b'\\x01' if {value} < 0 else b'\\x00') + "
+        f"(m := abs({value})).to_bytes(max(1, (m.bit_length() + 7) // 8), 'big')"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Field types
 # ---------------------------------------------------------------------------
 
 
 class _Field:
-    """One wire-field type: binary write, decoder emission, the JSON mirror.
+    """One wire-field type: reader and writer emission, and the JSON mirror.
 
-    ``emit`` contributes to the generated per-artifact decoder (see
-    :meth:`_ArtifactCodec._generate_read_body`): it returns a Python
-    *expression* that reads this field from ``reader``, with any objects the
-    expression needs registered in ``bindings``.  A field type whose read
-    needs statements (a validating ``raise``) defines ``read(reader, what)``
-    instead, and the default emission calls it.
+    ``emit_read`` appends the statements that read this field into the local
+    ``target`` (``label`` names the bound error-context string);
+    ``emit_write`` appends the statements that write the value in the local
+    ``value``.  Both are composed into one flat function per artifact (see
+    :class:`_ArtifactCodec`).
     """
 
-    def write(self, writer: WireWriter, value) -> None:
+    #: Whether the field embeds another artifact (possibly inside an
+    #: optional, tuple, pair or map).
+    nests = False
+
+    def emit_read(self, em: _Emitter, target: str, label: str) -> None:
         raise NotImplementedError
 
-    def emit(self, label_expr: str, bindings: Dict[str, object]) -> str:
-        name = _bind(bindings, "f", self.read)
-        return f"{name}(reader, {label_expr})"
+    def emit_write(self, em: _Emitter, value: str) -> None:
+        raise NotImplementedError
 
     def to_json(self, value):
         raise NotImplementedError
 
 
-def _bind(bindings: Dict[str, object], prefix: str, value) -> str:
-    """Register ``value`` under a fresh name in a codegen namespace."""
-    name = f"_{prefix}{len(bindings)}"
-    bindings[name] = value
-    return name
-
-
 class _Int(_Field):
-    def write(self, writer, value):
-        writer.int_(value)
+    def emit_read(self, em, target, label):
+        # Canonical sign+magnitude: a 0/1 sign byte, a minimal magnitude
+        # (no leading zero byte unless it is the only one) and no negative
+        # zero; anything else is the strict reader's to refuse.
+        em.line("s = o + 4")
+        with em.block(
+            "if s <= e and 2 <= (n := _U32(d, o)[0]) <= _MAX and (t := s + n) <= e"
+            " and (c := d[s]) <= 1 and (d[s + 1] or (n == 2 and not c)):"
+        ):
+            em.line(
+                f"{target} = -int.from_bytes(d[s + 1:t], 'big') if c"
+                " else int.from_bytes(d[s + 1:t], 'big')"
+            )
+            em.line("o = t")
+        with em.block("else:"):
+            em.strict(target, f"reader.int_({label})")
 
-    def emit(self, label_expr, bindings):
-        return f"reader.int_({label_expr})"
+    def emit_write(self, em, value):
+        _emit_int_bytes(em, value, "b")
+        _emit_prefixed(em, "b")
 
     def to_json(self, value):
         return int(value)
 
 
 class _Bool(_Field):
-    def write(self, writer, value):
-        writer.bool_(value)
+    def emit_read(self, em, target, label):
+        with em.block("if o < e and (c := d[o]) <= 1:"):
+            em.line(f"{target} = c == 1")
+            em.line("o += 1")
+        with em.block("else:"):
+            em.strict(target, f"reader.bool_({label})")
 
-    def emit(self, label_expr, bindings):
-        return f"reader.bool_({label_expr})"
+    def emit_write(self, em, value):
+        em.line(f"ap(b'\\x01' if {value} else b'\\x00')")
 
     def to_json(self, value):
         return bool(value)
 
 
 class _Str(_Field):
-    def write(self, writer, value):
-        writer.str_(value)
+    def emit_read(self, em, target, label):
+        # Short strings are overwhelmingly repeated identifiers: a memo hit
+        # is read inline, anything else decodes (and fills the memo) strictly.
+        em.line("s = o + 4")
+        with em.block(
+            "if s <= e and (n := _U32(d, o)[0]) <= 32 and (t := s + n) <= e"
+            f" and ({target} := _STRS(d[s:t])) is not None:"
+        ):
+            em.line("o = t")
+        with em.block("else:"):
+            em.strict(target, f"reader.str_({label})")
 
-    def emit(self, label_expr, bindings):
-        return f"reader.str_({label_expr})"
+    def emit_write(self, em, value):
+        em.line(f"b = {value}.encode('utf-8')")
+        _emit_prefixed(em, "b")
 
     def to_json(self, value):
         return str(value)
 
 
 class _Bytes(_Field):
-    def write(self, writer, value):
-        writer.bytes_(value)
+    def emit_read(self, em, target, label):
+        em.line("s = o + 4")
+        with em.block("if s <= e and (n := _U32(d, o)[0]) <= _MAX and (t := s + n) <= e:"):
+            em.line(f"{target} = d[s:t]")
+            em.line("o = t")
+        with em.block("else:"):
+            em.strict(target, f"reader.bytes_({label})")
 
-    def emit(self, label_expr, bindings):
-        return f"reader.bytes_({label_expr})"
+    def emit_write(self, em, value):
+        em.line(f"b = bytes({value})")
+        _emit_prefixed(em, "b")
 
     def to_json(self, value):
         return bytes(value).hex()
@@ -192,11 +321,44 @@ class _Bytes(_Field):
 class _Scalar(_Field):
     """A typed attribute value (None/bool/int/float/str/bytes)."""
 
-    def write(self, writer, value):
-        writer.scalar(value)
+    def emit_read(self, em, target, label):
+        # Inline: the canonical int ('I'), text ('S') and bytes ('Y') tags;
+        # every other or rejected shape is the strict scalar reader's.
+        em.line("s = o + 4")
+        with em.block("if s <= e and 0 < (n := _U32(d, o)[0]) <= _MAX and (t := s + n) <= e:"):
+            em.line("c = d[s]")
+            with em.block(
+                "if c == 73 and n >= 3 and (z := d[s + 1]) <= 1"
+                " and (d[s + 2] or (n == 3 and not z)):"
+            ):
+                em.line(
+                    f"{target} = -int.from_bytes(d[s + 2:t], 'big') if z"
+                    " else int.from_bytes(d[s + 2:t], 'big')"
+                )
+                em.line("o = t")
+            with em.block("elif c == 83:"):
+                with em.block("try:"):
+                    em.line(f"{target} = str(d[s + 1:t], 'utf-8')")
+                with em.block("except UnicodeDecodeError:"):
+                    em.strict(target, f"reader.scalar({label})")
+                with em.block("else:"):
+                    em.line("o = t")
+            with em.block("elif c == 89:"):
+                em.line(f"{target} = d[s + 1:t]")
+                em.line("o = t")
+            with em.block("else:"):
+                em.strict(target, f"reader.scalar({label})")
+        with em.block("else:"):
+            em.strict(target, f"reader.scalar({label})")
 
-    def emit(self, label_expr, bindings):
-        return f"reader.scalar({label_expr})"
+    def emit_write(self, em, value):
+        with em.block(f"if type({value}) is int:"):
+            _emit_int_bytes(em, value, "b", tag="I")
+        with em.block(f"elif type({value}) is str:"):
+            em.line(f"b = b'S' + {value}.encode('utf-8')")
+        with em.block("else:"):
+            em.line(f"b = _encode_value({value})")
+        _emit_prefixed(em, "b")
 
     def to_json(self, value):
         if isinstance(value, (bytes, bytearray, memoryview)):
@@ -218,11 +380,21 @@ class _FixedBytes(_Field):
             raise ValueError("fixed-width byte fields need a positive size")
         self.size = size
 
-    def write(self, writer, value):
-        writer.fixed_bytes(value, self.size)
+    def emit_read(self, em, target, label):
+        with em.block(f"if (t := o + {self.size}) <= e:"):
+            em.line(f"{target} = d[o:t]")
+            em.line("o = t")
+        with em.block("else:"):
+            em.strict(target, f"reader.fixed_bytes({self.size}, {label})")
 
-    def emit(self, label_expr, bindings):
-        return f"reader.fixed_bytes({self.size}, {label_expr})"
+    def emit_write(self, em, value):
+        em.line(f"b = bytes({value})")
+        with em.block(f"if len(b) != {self.size}:"):
+            em.line(
+                "raise ValueError(f'fixed-width field needs exactly "
+                f"{self.size} bytes, got {{len(b)}}')"
+            )
+        em.line("ap(b)")
 
     def to_json(self, value):
         return bytes(value).hex()
@@ -231,17 +403,25 @@ class _FixedBytes(_Field):
 class _Optional(_Field):
     def __init__(self, inner: _Field) -> None:
         self.inner = inner
+        self.nests = inner.nests
 
-    def write(self, writer, value):
-        writer.bool_(value is not None)
-        if value is not None:
-            self.inner.write(writer, value)
+    def emit_read(self, em, target, label):
+        present = em.local("p")
+        with em.block(f"if o < e and ({present} := d[o]) <= 1:"):
+            em.line("o += 1")
+        with em.block("else:"):
+            em.strict(present, f"reader.optional({label})")
+        with em.block(f"if {present}:"):
+            self.inner.emit_read(em, target, label)
+        with em.block("else:"):
+            em.line(f"{target} = None")
 
-    def emit(self, label_expr, bindings):
-        inner = self.inner.emit(label_expr, bindings)
-        # A conditional expression evaluates its test first, so the presence
-        # byte is consumed before the inner field reads anything.
-        return f"({inner} if reader.optional({label_expr}) else None)"
+    def emit_write(self, em, value):
+        with em.block(f"if {value} is None:"):
+            em.line("ap(b'\\x00')")
+        with em.block("else:"):
+            em.line("ap(b'\\x01')")
+            self.inner.emit_write(em, value)
 
     def to_json(self, value):
         return None if value is None else self.inner.to_json(value)
@@ -250,20 +430,25 @@ class _Optional(_Field):
 class _Tuple(_Field):
     def __init__(self, inner: _Field) -> None:
         self.inner = inner
+        self.nests = inner.nests
 
-    def write(self, writer, value):
-        items = tuple(value)
-        writer.u32(len(items))
-        for item in items:
-            self.inner.write(writer, item)
-
-    def emit(self, label_expr, bindings):
+    def emit_read(self, em, target, label):
         # One label for every element (the element index would cost a string
         # format per field and only ever shows up in error text).
-        inner = self.inner.emit(label_expr, bindings)
-        return (
-            f"tuple([{inner} for _ in range(reader.count({label_expr}))])"
-        )
+        count, items, item = em.local("k"), em.local("a"), em.local("x")
+        _emit_count(em, count, label)
+        em.line(f"{items} = []")
+        with em.block(f"for _ in range({count}):"):
+            self.inner.emit_read(em, item, label)
+            em.line(f"{items}.append({item})")
+        em.line(f"{target} = tuple({items})")
+
+    def emit_write(self, em, value):
+        items, item = em.local("a"), em.local("x")
+        em.line(f"{items} = tuple({value})")
+        _emit_length(em, items)
+        with em.block(f"for {item} in {items}:"):
+            self.inner.emit_write(em, item)
 
     def to_json(self, value):
         return [self.inner.to_json(item) for item in value]
@@ -273,17 +458,19 @@ class _Pair(_Field):
     def __init__(self, first: _Field, second: _Field) -> None:
         self.first = first
         self.second = second
+        self.nests = first.nests or second.nests
 
-    def write(self, writer, value):
-        a, b = value
-        self.first.write(writer, a)
-        self.second.write(writer, b)
+    def emit_read(self, em, target, label):
+        first, second = em.local("x"), em.local("x")
+        self.first.emit_read(em, first, label)
+        self.second.emit_read(em, second, label)
+        em.line(f"{target} = ({first}, {second})")
 
-    def emit(self, label_expr, bindings):
-        # Tuple displays evaluate left to right, preserving the field order.
-        first = self.first.emit(label_expr, bindings)
-        second = self.second.emit(label_expr, bindings)
-        return f"({first}, {second})"
+    def emit_write(self, em, value):
+        first, second = em.local("x"), em.local("x")
+        em.line(f"{first}, {second} = {value}")
+        self.first.emit_write(em, first)
+        self.second.emit_write(em, second)
 
     def to_json(self, value):
         a, b = value
@@ -296,44 +483,33 @@ class _Map(_Field):
     def __init__(self, key: _Field, value: _Field) -> None:
         self.key = key
         self.value = value
+        self.nests = key.nests or value.nests
 
-    def write(self, writer, value):
-        items = sorted(value.items())
-        writer.u32(len(items))
-        for k, v in items:
-            self.key.write(writer, k)
-            self.value.write(writer, v)
+    def emit_read(self, em, target, label):
+        count, result, previous = em.local("k"), em.local("r"), em.local("q")
+        key, value = em.local("x"), em.local("x")
+        _emit_count(em, count, label)
+        em.line(f"{result} = {{}}")
+        em.line(f"{previous} = None")
+        with em.block(f"for _ in range({count}):"):
+            self.key.emit_read(em, key, label)
+            with em.block(f"if {previous} is not None and not {key} > {previous}:"):
+                em.line(
+                    f"raise _WireFormatError(f'map keys of {{{label}}} are not "
+                    "strictly increasing', reason='unsorted-map')"
+                )
+            em.line(f"{previous} = {key}")
+            self.value.emit_read(em, value, label)
+            em.line(f"{result}[{key}] = {value}")
+        em.line(f"{target} = {result}")
 
-    def emit(self, label_expr, bindings):
-        # A map needs a statement loop (the strictly-increasing key check), so
-        # it is generated as a standalone helper the artifact decoder calls.
-        generated = getattr(self, "_generated_read", None)
-        if generated is None:
-            inner_bindings: Dict[str, object] = {"_WireFormatError": WireFormatError}
-            key_expr = self.key.emit("what", inner_bindings)
-            value_expr = self.value.emit("what", inner_bindings)
-            lines = [
-                "def _read_map(reader, what):",
-                "    result = {}",
-                "    previous = None",
-                "    for _ in range(reader.count(what)):",
-                f"        key = {key_expr}",
-                "        if previous is not None and not key > previous:",
-                "            raise _WireFormatError(",
-                "                f'map keys of {what} are not strictly increasing',",
-                "                reason='unsorted-map',",
-                "            )",
-                "        previous = key",
-                f"        result[key] = {value_expr}",
-                "    return result",
-            ]
-            exec(  # noqa: S102 - codegen from the trusted field-spec table
-                compile("\n".join(lines), "<wire codec map>", "exec"),
-                inner_bindings,
-            )
-            generated = self._generated_read = inner_bindings["_read_map"]
-        name = _bind(bindings, "m", generated)
-        return f"{name}(reader, {label_expr})"
+    def emit_write(self, em, value):
+        items, key, item = em.local("a"), em.local("x"), em.local("x")
+        em.line(f"{items} = sorted({value}.items())")
+        _emit_length(em, items)
+        with em.block(f"for {key}, {item} in {items}:"):
+            self.key.emit_write(em, key)
+            self.value.emit_write(em, item)
 
     def to_json(self, value):
         return {
@@ -344,109 +520,106 @@ class _Map(_Field):
 class _Nested(_Field):
     """An embedded artifact of one fixed type (body-only, no tag)."""
 
+    nests = True
+
     def __init__(self, cls: type) -> None:
         self.cls = cls
-        self._resolved: Optional["_ArtifactCodec"] = None
 
-    def _codec(self) -> "_ArtifactCodec":
-        codec = self._resolved
-        if codec is None:
-            codec = self._resolved = _codec_for_type(self.cls)
-        return codec
+    def emit_read(self, em, target, label):
+        _codec_for_type(self.cls).emit_read_nested(em, target)
 
-    def write(self, writer, value):
-        self._codec().write_body(writer, value)
-
-    def emit(self, label_expr, bindings):
-        # Late-bound attribute lookup: the nested codec's read_body may itself
-        # be replaced by a generated decoder after its first use.
-        name = _bind(bindings, "c", self._codec())
-        return f"{name}.read_body(reader)"
+    def emit_write(self, em, value):
+        _codec_for_type(self.cls).emit_write_nested(em, value)
 
     def to_json(self, value):
-        return self._codec().json_body(value)
+        return _codec_for_type(self.cls).json_body(value)
 
 
 class _Union(_Field):
     """An embedded artifact of one of several types (1-byte tag + body)."""
 
+    nests = True
+
     def __init__(self, *classes: type) -> None:
         self.classes = classes
-        self._by_tag: Optional[Dict[int, "_ArtifactCodec"]] = None
 
-    def _members(self) -> Dict[int, "_ArtifactCodec"]:
-        members = self._by_tag
-        if members is None:
-            members = self._by_tag = {
-                _codec_for_type(cls).tag: _codec_for_type(cls)
-                for cls in self.classes
-            }
-        return members
+    def emit_read(self, em, target, label):
+        tag = em.local("g")
+        with em.block("if o < e:"):
+            em.line(f"{tag} = d[o]")
+            em.line("o += 1")
+        with em.block("else:"):
+            em.strict(tag, f"reader.u8({label})")
+        keyword = "if"
+        for cls in self.classes:
+            codec = _codec_for_type(cls)
+            with em.block(f"{keyword} {tag} == {codec.tag}:"):
+                codec.emit_read_nested(em, target)
+            keyword = "elif"
+        allowed = em.bind("s", "/".join(cls.__name__ for cls in self.classes))
+        with em.block("else:"):
+            em.line(
+                f"raise _WireFormatError(f'tag {{{tag}:#04x}} of {{{label}}} is not "
+                f"one of {{{allowed}}}', reason='bad-union-tag')"
+            )
 
-    def write(self, writer, value):
+    def emit_write(self, em, value):
+        kind = em.local("y")
+        em.line(f"{kind} = type({value})")
+        keyword = "if"
+        for cls in self.classes:
+            codec = _codec_for_type(cls)
+            with em.block(f"{keyword} {kind} is {em.bind('k', cls)}:"):
+                em.line(f"ap({bytes((codec.tag,))!r})")
+                codec.emit_write_nested(em, value)
+            keyword = "elif"
+        with em.block("else:"):
+            em.line(f"{em.bind('f', self._refuse)}({value})")
+
+    def _refuse(self, value) -> None:
         codec = _codec_for_type(type(value))
         if codec.cls not in self.classes:
-            raise ValueError(
-                f"{type(value).__name__} is not a member of this union"
-            )
-        writer.u8(codec.tag)
-        codec.write_body(writer, value)
-
-    def read(self, reader, what):
-        tag = reader.u8(what)
-        members = self._by_tag
-        if members is None:
-            members = self._members()
-        codec = members.get(tag)
-        if codec is None:
-            allowed = "/".join(cls.__name__ for cls in self.classes)
-            raise WireFormatError(
-                f"tag {tag:#04x} of {what} is not one of {allowed}",
-                reason="bad-union-tag",
-            )
-        return codec.read_body(reader)
+            raise ValueError(f"{type(value).__name__} is not a member of this union")
 
     def to_json(self, value):
         codec = _codec_for_type(type(value))
         return {"type": codec.name, "body": codec.json_body(value)}
 
 
-class _EnumStr(_Field):
+class _EnumStr(_Str):
     """A string restricted to a fixed set of values (validated on decode)."""
 
     def __init__(self, *allowed: str) -> None:
         self.allowed = frozenset(allowed)
 
-    def write(self, writer, value):
-        writer.str_(value)
+    def emit_read(self, em, target, label):
+        super().emit_read(em, target, label)
+        with em.block(f"if {target} not in {em.bind('e', self.allowed)}:"):
+            em.line(f"raise {em.bind('f', self._refusal)}({label}, {target})")
 
-    def read(self, reader, what):
-        value = reader.str_(what)
-        if value not in self.allowed:
-            raise WireFormatError(
-                f"{what} must be one of {sorted(self.allowed)}, got {value!r}",
-                reason="bad-enum",
-            )
-        return value
-
-    def to_json(self, value):
-        return str(value)
+    def _refusal(self, what: str, value: str) -> WireFormatError:
+        return WireFormatError(
+            f"{what} must be one of {sorted(self.allowed)}, got {value!r}",
+            reason="bad-enum",
+        )
 
 
 class _AttrType(_Field):
     """:class:`~repro.db.schema.AttributeType` as its canonical value string."""
 
-    def write(self, writer, value):
-        writer.str_(value.value)
+    def emit_read(self, em, target, label):
+        STR.emit_read(em, target, label)
+        em.line(f"{target} = {em.bind('f', self._member)}({target})")
 
-    def read(self, reader, what):
-        raw = reader.str_(what)
+    @staticmethod
+    def _member(raw: str) -> AttributeType:
         try:
             return AttributeType(raw)
         except ValueError:
-            raise WireFormatError(
-                f"unknown attribute type {raw!r}", reason="bad-enum"
-            ) from None
+            raise WireFormatError(f"unknown attribute type {raw!r}", reason="bad-enum") from None
+
+    def emit_write(self, em, value):
+        STR.emit_write(em, f"{value}.value")
 
     def to_json(self, value):
         return value.value
@@ -475,7 +648,16 @@ FixedBytesField = _FixedBytes
 
 
 class _ArtifactCodec:
-    """Binary and JSON (de)serialisation of one artifact class."""
+    """Binary and JSON (de)serialisation of one artifact class.
+
+    The binary reader and writer are *generated* from the field-spec table,
+    on first use (so that nested artifact types registered later — the
+    service layer extends the registry — are resolvable by then): each field
+    type emits the statements that read or write it, an embedded artifact
+    that embeds none itself is inlined, and the result is one flat function
+    per artifact with the wire primitives written out in it.  Construction is
+    positional, or a direct ``__dict__`` fill for a plain dataclass.
+    """
 
     def __init__(
         self,
@@ -490,6 +672,7 @@ class _ArtifactCodec:
         self.fields = tuple(fields)
         self.post = post
         self._names = tuple(name for name, _ in self.fields)
+        self.header = _MAGIC + bytes((WIRE_VERSION, tag))
         # The generated decoder constructs positionally, so the field table
         # must be the constructor's parameter list; a mismatch is a
         # registration (import-time) error, never a second decode path.
@@ -500,6 +683,10 @@ class _ArtifactCodec:
                 f"parameters in order: registered {list(self._names)}, "
                 f"constructor takes {list(parameters)}"
             )
+        self._plain = self._plain_dataclass()
+        self._leaf = not any(field.nests for _, field in self.fields)
+        #: generated writers of the fields from index ``i`` on (``encode_tail``)
+        self._tail_writers: Dict[int, Callable] = {}
 
     def _invalid(self, error) -> WireFormatError:
         return WireFormatError(
@@ -507,71 +694,59 @@ class _ArtifactCodec:
             reason="invalid-artifact",
         )
 
-    def write_body(self, writer: WireWriter, artifact) -> None:
-        for name, field in self.fields:
-            field.write(writer, getattr(artifact, name))
+    # -- reading ---------------------------------------------------------------
 
     def read_body(self, reader: WireReader):
-        """Decode one body; replaced by a generated decoder on first use.
+        """Decode one body; replaced by the generated decoder on first use."""
+        em = _Emitter(_codegen_bindings())
+        em.line("d = reader._data")
+        em.line("e = reader._end")
+        em.line("o = reader._offset")
+        self.emit_read_body(em, "_artifact")
+        em.line("reader._offset = o")
+        em.line("return _artifact")
+        read_body = em.compile("def _read_body(reader):", "_read_body", f"<wire codec {self.name}>")
+        self.read_body = read_body  # shadows the method for this codec
+        return read_body(reader)
 
-        The decoder is *generated* from the same field-spec table that drives
-        the writer and the JSON mirror: each field type emits the expression
-        that reads it, the expressions are compiled into one flat function per
-        artifact, and construction is positional.  This removes a layer of
-        dynamic dispatch per field — the wire decode hot path handles a few
-        thousand fields per verification object.
+    def emit_read_nested(self, em: _Emitter, target: str) -> None:
+        """Statements reading this artifact where another embeds it.
 
-        Generation is deferred to the first decode so that nested artifact
-        types registered later (the service layer extends the registry) are
-        resolvable by then.
+        An artifact that embeds none is inlined; any other is read through
+        its own generated function, so each body is compiled once.
         """
-        return self._generate_read_body()(reader)
+        if self._leaf:
+            self.emit_read_body(em, target)
+            return
+        em.line("reader._offset = o")
+        em.line(f"{target} = {em.bind('c', self)}.read_body(reader)")
+        em.line("o = reader._offset")
 
-    def _generate_read_body(self):
-        bindings: Dict[str, object] = {
-            "_cls": self.cls,
-            "_invalid": self._invalid,
-            "_post": self.post,
-            "_new": object.__new__,
-        }
-        expressions = []
-        for name, field in self.fields:
-            label = _bind(bindings, "L", f"{self.name}.{name}")
-            expressions.append(field.emit(label, bindings))
-        if self._plain_dataclass():
-            # A plain frozen/record dataclass whose __init__ only assigns the
-            # registered fields: build the instance directly (field reads
-            # still run left to right via the dict display).  The codec-level
-            # ``post`` validation hook runs as usual.
+    def emit_read_body(self, em: _Emitter, target: str) -> None:
+        """Statements reading this artifact's body into the local ``target``."""
+        values = [em.local("v") for _ in self.fields]
+        labels = [em.bind("L", f"{self.name}.{name}") for name in self._names]
+        cls = em.bind("k", self.cls)
+        if self._plain:
+            # A plain dataclass whose __init__ only assigns the registered
+            # fields: fill the instance directly, after every field is read
+            # (reading __dict__ bypasses a frozen dataclass's __setattr__).
+            for (_, field), value, label in zip(self.fields, values, labels):
+                field.emit_read(em, value, label)
             assignments = ", ".join(
-                f"{name!r}: {expression}"
-                for name, expression in zip(self._names, expressions)
+                f"{name!r}: {value}" for name, value in zip(self._names, values)
             )
-            lines = [
-                "def _read_body(reader):",
-                "    _artifact = _new(_cls)",
-                # In-place __dict__ update: reading __dict__ bypasses the
-                # frozen dataclass's __setattr__ guard.
-                f"    _artifact.__dict__.update({{{assignments}}})",
-            ]
+            em.line(f"{target} = _new({cls})")
+            em.line(f"{target}.__dict__.update({{{assignments}}})")
         else:
-            lines = [
-                "def _read_body(reader):",
-                "    try:",
-                f"        _artifact = _cls({', '.join(expressions)})",
-                "    except (ValueError, TypeError, KeyError) as _error:",
-                "        raise _invalid(_error) from None",
-            ]
+            with em.block("try:"):
+                for (_, field), value, label in zip(self.fields, values, labels):
+                    field.emit_read(em, value, label)
+                em.line(f"{target} = {cls}({', '.join(values)})")
+            with em.block("except (ValueError, TypeError, KeyError) as _error:"):
+                em.line(f"raise {em.bind('i', self._invalid)}(_error) from None")
         if self.post is not None:
-            lines.append("    _post(_artifact)")
-        lines.append("    return _artifact")
-        exec(  # noqa: S102 - codegen from the trusted field-spec table
-            compile("\n".join(lines), f"<wire codec {self.name}>", "exec"),
-            bindings,
-        )
-        _read_body = bindings["_read_body"]
-        self.read_body = _read_body  # shadows the method for this codec
-        return _read_body
+            em.line(f"{em.bind('p', self.post)}({target})")
 
     def _plain_dataclass(self) -> bool:
         """True when direct construction is indistinguishable from __init__.
@@ -590,11 +765,58 @@ class _ArtifactCodec:
             return False
         return tuple(field.name for field in fields) == self._names
 
+    # -- writing ---------------------------------------------------------------
+
+    def write_body(self, ap: Callable[[bytes], None], artifact) -> None:
+        """Encode one body through ``ap``; replaced by the generated writer on first use."""
+        write_body = self.write_body = self.tail_writer(0)
+        write_body(ap, artifact)
+
+    def tail_writer(self, first: int) -> Callable:
+        """The generated writer of fields ``first..`` of an artifact, into ``ap``."""
+        writer = self._tail_writers.get(first)
+        if writer is None:
+            em = _Emitter(_codegen_bindings())
+            em.line("pass")
+            self._emit_write_fields(em, "a", first)
+            writer = self._tail_writers[first] = em.compile(
+                "def _write_body(ap, a):", "_write_body", f"<wire codec {self.name}>"
+            )
+        return writer
+
+    def emit_write_nested(self, em: _Emitter, value: str) -> None:
+        """Statements writing the artifact in the local ``value`` where another embeds it.
+
+        Inlined when it embeds no artifact itself, as :meth:`emit_read_nested`.
+        """
+        if self._leaf:
+            self._emit_write_fields(em, value, 0)
+        else:
+            em.line(f"{em.bind('c', self)}.write_body(ap, {value})")
+
+    def _emit_write_fields(self, em: _Emitter, value: str, first: int) -> None:
+        for name, field in self.fields[first:]:
+            item = em.local("w")
+            em.line(f"{item} = {value}.{name}")
+            field.emit_write(em, item)
+
     def json_body(self, artifact) -> Dict[str, object]:
         return {
             name: field.to_json(getattr(artifact, name))
             for name, field in self.fields
         }
+
+
+def _codegen_bindings() -> Dict[str, object]:
+    """The names every generated reader and writer may use."""
+    return {
+        "_U32": _U32,
+        "_MAX": MAX_FIELD_BYTES,
+        "_STRS": _SHORT_STR_MEMO.get,
+        "_WireFormatError": WireFormatError,
+        "_encode_value": encode_value,
+        "_new": object.__new__,
+    }
 
 
 _TAGS: Dict[int, _ArtifactCodec] = {}
@@ -912,15 +1134,14 @@ register_artifact(
 def encode(artifact) -> bytes:
     """Encode ``artifact`` to its canonical framed wire bytes."""
     codec = _codec_for_type(type(artifact))
-    writer = WireWriter()
-    writer.u8(codec.tag)
-    codec.write_body(writer, artifact)
-    return _MAGIC + bytes((WIRE_VERSION,)) + writer.getvalue()
+    parts = [codec.header]
+    codec.write_body(parts.append, artifact)
+    return b"".join(parts)
 
 
 def frame_header(cls: type) -> bytes:
     """The four bytes every framed ``cls`` artifact starts with."""
-    return _MAGIC + bytes((WIRE_VERSION, _codec_for_type(cls).tag))
+    return _codec_for_type(cls).header
 
 
 def cut_leading_bytes(
@@ -946,10 +1167,9 @@ def cut_leading_bytes(
 def encode_tail(artifact, first_field: str) -> bytes:
     """What ``encode(artifact)`` ends with: its fields from ``first_field`` on."""
     codec = _codec_for_type(type(artifact))
-    writer = WireWriter()
-    for name, field in codec.fields[codec._names.index(first_field) :]:
-        field.write(writer, getattr(artifact, name))
-    return writer.getvalue()
+    parts: List[bytes] = []
+    codec.tail_writer(codec._names.index(first_field))(parts.append, artifact)
+    return b"".join(parts)
 
 
 def decode(data, expect: Optional[type] = None):
@@ -961,20 +1181,25 @@ def decode(data, expect: Optional[type] = None):
     with a join proof and hope the client mixes them up).
     """
     reader = WireReader(data)
-    magic = reader.raw(2, "magic")
-    if magic != _MAGIC:
-        raise WireFormatError(
-            f"bad magic {bytes(magic)!r}; expected {_MAGIC!r}", reason="bad-magic"
-        )
-    version = reader.u8("format version")
-    if version != WIRE_VERSION:
-        raise WireFormatError(
-            f"unsupported wire format version {version}", reason="bad-version"
-        )
-    tag = reader.u8("artifact tag")
-    codec = _TAGS.get(tag)
-    if codec is None:
-        raise WireFormatError(f"unknown artifact tag {tag:#04x}", reason="bad-tag")
+    frame = reader._data
+    codec = _TAGS.get(frame[3]) if len(frame) > 3 else None
+    if codec is not None and frame[:4] == codec.header:
+        reader._offset = 4
+    else:  # the header read field by field, for the typed refusal
+        magic = reader.raw(2, "magic")
+        if magic != _MAGIC:
+            raise WireFormatError(
+                f"bad magic {bytes(magic)!r}; expected {_MAGIC!r}", reason="bad-magic"
+            )
+        version = reader.u8("format version")
+        if version != WIRE_VERSION:
+            raise WireFormatError(
+                f"unsupported wire format version {version}", reason="bad-version"
+            )
+        tag = reader.u8("artifact tag")
+        codec = _TAGS.get(tag)
+        if codec is None:
+            raise WireFormatError(f"unknown artifact tag {tag:#04x}", reason="bad-tag")
     artifact = codec.read_body(reader)
     reader.expect_end()
     if expect is not None and not isinstance(artifact, expect):

@@ -1,4 +1,4 @@
-"""Low-level byte readers and writers for the wire format.
+"""The strict byte-level reader of the wire format.
 
 Every multi-byte quantity is big-endian; every variable-length field is
 length-prefixed with an unsigned 32-bit count.  The reader is *strict*: it
@@ -7,30 +7,25 @@ validates bounds before every read, rejects non-canonical primitive encodings
 :class:`~repro.wire.errors.WireFormatError` with a machine-readable reason, so
 a malformed or tampered byte string can never silently decode.
 
-The reader is also the decode **hot path** (a verification object is a few
-thousand fields), so it is a cursor over one ``bytes`` object: one advancing
-offset, every field a plain slice of the input (the remaining input is never
-re-sliced), and error context strings only materialised on the failure
-branch.  A ``bytearray``/``memoryview`` argument is copied to ``bytes`` once
-at construction.  These primitives are the only byte-level readers: the
-per-artifact decoders :mod:`repro.wire.codec` generates are compositions of
-calls into them.
+It is a cursor over one ``bytes`` object: one advancing offset, every field
+a plain slice of the input, and error context strings only materialised on
+the failure branch.  A ``bytearray``/``memoryview`` argument is copied to
+``bytes`` once at construction.  The per-artifact readers
+:mod:`repro.wire.codec` generates read the well-formed common case inline
+from the same cursor and hand every other field to these methods, so what
+they define is exactly what decodes; the generated writers emit the bytes
+they accept.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional
+from typing import Optional
 
-from repro.crypto.encoding import (
-    Encodable,
-    decode_sign_magnitude,
-    decode_value,
-    encode_value,
-)
+from repro.crypto.encoding import Encodable, decode_sign_magnitude, decode_value
 from repro.wire.errors import WireFormatError
 
-__all__ = ["WireWriter", "WireReader"]
+__all__ = ["WireReader"]
 
 #: Upper bound on any single length prefix (also the service frame cap).
 MAX_FIELD_BYTES = 64 * 1024 * 1024
@@ -45,66 +40,6 @@ _U32 = struct.Struct(">I").unpack_from
 #: growing, so adversarial unique strings cannot balloon it.
 _SHORT_STR_MEMO: dict = {}
 _SHORT_STR_MEMO_MAX = 4096
-
-
-class WireWriter:
-    """Accumulates canonical wire bytes."""
-
-    def __init__(self) -> None:
-        self._parts: List[bytes] = []
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
-
-    # -- fixed-width primitives ---------------------------------------------
-
-    def u8(self, value: int) -> None:
-        if not 0 <= value <= 0xFF:
-            raise ValueError(f"u8 out of range: {value}")
-        self._parts.append(bytes((value,)))
-
-    def u32(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise ValueError(f"u32 out of range: {value}")
-        self._parts.append(value.to_bytes(4, "big"))
-
-    def bool_(self, value: bool) -> None:
-        self.u8(1 if value else 0)
-
-    # -- length-prefixed primitives -----------------------------------------
-
-    def bytes_(self, value: bytes) -> None:
-        value = bytes(value)
-        self.u32(len(value))
-        self._parts.append(value)
-
-    def fixed_bytes(self, value: bytes, size: int) -> None:
-        """Exactly ``size`` raw bytes, no length prefix.
-
-        For fields whose length is part of the format (manifest ids, digests):
-        the wire carries no redundant length, and a wrong-sized value is a
-        programming error caught at encode time.
-        """
-        value = bytes(value)
-        if len(value) != size:
-            raise ValueError(
-                f"fixed-width field needs exactly {size} bytes, got {len(value)}"
-            )
-        self._parts.append(value)
-
-    def str_(self, value: str) -> None:
-        self.bytes_(value.encode("utf-8"))
-
-    def int_(self, value: int) -> None:
-        """Arbitrary-precision signed integer: sign byte + minimal magnitude."""
-        sign = b"\x01" if value < 0 else b"\x00"
-        magnitude = abs(value)
-        length = max(1, (magnitude.bit_length() + 7) // 8)
-        self.bytes_(sign + magnitude.to_bytes(length, "big"))
-
-    def scalar(self, value: Encodable) -> None:
-        """A typed attribute value, via the canonical crypto-layer encoding."""
-        self.bytes_(encode_value(value))
 
 
 class WireReader:

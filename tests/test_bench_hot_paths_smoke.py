@@ -47,29 +47,64 @@ def _load_benchmark_script(name):
     return module
 
 
+def _cold_floors(cli):
+    return {
+        "cold_range_hashes_per_read": cli.COLD_RANGE_HASHES_PER_READ,
+        "cold_point_hashes_per_read": cli.COLD_POINT_HASHES_PER_READ,
+        "cold_range_store_reads_per_read": cli.COLD_RANGE_STORE_READS_PER_READ,
+    }
+
+
 def test_cold_range_section():
     """The CLI's ``cold_range`` section, at toy size: the exact hash count."""
     cli = _load_benchmark_script("bench_hot_paths.py")
     cold = cli.bench_cold_range(reads=3)
     assert cold["reads"] == 3 and cold["table_rows"] == 3 * 42
-    # Hashing at the two boundaries plus the fingerprint re-check of the 40
-    # faulted rows; one walk of 15 digit chains per matched row and chain
-    # (~80 x 40 hashes) is what the ceiling keeps out.
-    assert 40 < cold["hashes_per_read"] <= cli.COLD_RANGE_HASHES_PER_READ_MAX < 80 * 40
-    assert cold["hash_floor_ratio"] > 1.0  # still reported, no longer gated
+    # Per boundary record one chain proof and the one chain digest shipped
+    # beside it, plus the 4-hash fingerprint re-check of the 40 rows read;
+    # one walk of 15 digit chains per matched row and chain (~80 x 40 hashes)
+    # or of an unshipped chain (~25) would move it.
+    assert cold["hashes_per_read"] == cli.COLD_RANGE_HASHES_PER_READ == 364
+    assert cold["hash_floor_ratio"] > 1.0  # still reported, not gated
     # One range scan per answer, and the gate binds on exactly that.
     assert cold["store_reads_per_read"] == cli.COLD_RANGE_STORE_READS_PER_READ == 1
     gate = _load_benchmark_script("check_bench_floors.py")
-    floors = {
-        "cold_range_hashes_per_read_max": cli.COLD_RANGE_HASHES_PER_READ_MAX,
-        "cold_range_store_reads_per_read": cli.COLD_RANGE_STORE_READS_PER_READ,
-    }
-    for reads, refused in ((1, False), (42, True), (0, True)):
+    point = {"hashes_per_read": cli.COLD_POINT_HASHES_PER_READ}
+    for reads, hashes, refused in (
+        (1, 364, False),
+        (42, 364, True),
+        (0, 364, True),
+        (1, 363, True),
+        (1, 364 + 25, True),
+    ):
         failures = []
-        gate._check_hot_paths(
-            floors, {"cold_range": dict(cold, store_reads_per_read=reads)}, failures
-        )
-        assert any("store reads" in failure for failure in failures) is refused
+        fresh = {
+            "cold_range": dict(cold, store_reads_per_read=reads, hashes_per_read=hashes),
+            "cold_point": point,
+        }
+        gate._check_hot_paths(_cold_floors(cli), fresh, failures)
+        assert bool([f for f in failures if "cold" in f or "store reads" in f]) is refused
+
+
+def test_cold_point_section():
+    """The ``cold_point`` section: two boundary records and one row read."""
+    cli = _load_benchmark_script("bench_hot_paths.py")
+    point = cli.bench_cold_point(reads=3)
+    assert point["keys_per_read"] == 1 and point["store_reads_per_read"] == 1
+    assert point["hashes_per_read"] == cli.COLD_POINT_HASHES_PER_READ == 208
+    # A range answer differs from a point answer by its 39 more rows' re-checks.
+    assert cli.COLD_RANGE_HASHES_PER_READ - cli.COLD_POINT_HASHES_PER_READ == 39 * 4
+    assert point["hash_floor_ratio"] > 1.0
+    gate = _load_benchmark_script("check_bench_floors.py")
+    cold = {"hashes_per_read": cli.COLD_RANGE_HASHES_PER_READ, "store_reads_per_read": 1}
+    for hashes, refused in ((208, False), (207, True), (233, True)):
+        failures = []
+        fresh = {"cold_range": cold, "cold_point": dict(point, hashes_per_read=hashes)}
+        gate._check_hot_paths(_cold_floors(cli), fresh, failures)
+        assert any("cold point" in failure for failure in failures) is refused
+    missing = []
+    gate._check_hot_paths(_cold_floors(cli), {"cold_range": cold}, missing)
+    assert any("'cold_point'" in failure for failure in missing)
 
 
 def test_publish_sign_section_and_its_gate(monkeypatch, capsys):

@@ -363,8 +363,10 @@ def test_stored_roots_are_the_reference_roots(tmp_path, signature_scheme, via_du
 
 def test_cold_range_answer_hashes_at_the_boundaries_only(tmp_path, signature_scheme):
     """A first-touch 40-key range over a stored chain: two boundary proofs (a
-    full walk each), the two boundary entries' ``g`` (canonical walks) and the
-    fingerprint re-check of the faulted rows — nothing per matched entry."""
+    full walk each), the one chain digest each boundary entry ships beside its
+    proof (a canonical walk: the lower chain below the range, the upper chain
+    above it) and the fingerprint re-check of the faulted rows — nothing per
+    matched entry, and no walk of a chain that is not shipped."""
     from repro.bench.scale import RELATION
     from repro.db.records import Record
 
@@ -382,9 +384,11 @@ def test_cold_range_answer_hashes_at_the_boundaries_only(tmp_path, signature_sch
         start = HASH_COUNTER.count
         upper.boundary_proof(low - 1, domain.upper - low, domain.upper - low)
         lower.boundary_proof(high + 1, high - domain.lower, high - domain.lower)
-        for key in (low - 1, high + 1):
-            for scheme, total in ((upper, domain.upper - key - 1), (lower, key - domain.lower - 1)):
-                scheme.recompute_from_value(key, total, EntryAssist(b"\0" * 32))
+        for scheme, key, total in (
+            (lower, low - 1, low - 1 - domain.lower - 1),
+            (upper, high + 1, domain.upper - (high + 1) - 1),
+        ):
+            scheme.recompute_from_value(key, total, EntryAssist(b"\0" * 32))
         for row in answer.rows:
             Record(signed.schema, row).fingerprint()
         at_the_boundaries = HASH_COUNTER.count - start
