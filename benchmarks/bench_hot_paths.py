@@ -10,8 +10,9 @@ read and as ``hashes_per_read``, the exact number of hashes one such answer
 performs.  The server hashes for the two boundary records (one chain proof
 and the one chain digest it ships beside it, each) and the re-fingerprint of
 the rows it reads — a matched row's representation-tree roots are read off
-its stored row — so both counts are the same on any machine and gated
-exactly (``cold_range_hashes_per_read``, ``cold_point_hashes_per_read``);
+its stored row — so both counts are the same on any machine (and equal to
+what ``repro.core.cost_model``'s kernel counts predict for the keys read)
+and gated exactly (``cold_range_hashes_per_read``, ``cold_point_hashes_per_read``);
 ``store_reads_per_read``, the ``RelationStore.load_*`` calls one answer
 makes, is exact too and must be 1 (``cold_range_store_reads_per_read``).
 ``hash_floor_ratio``, the read's time over what those hashes cost on this
@@ -51,6 +52,7 @@ from repro.bench.hot_paths import (  # noqa: E402
     run_hot_path_benchmarks,
 )
 from repro.bench.scale import RELATION, _attach, _row_stream, metrics_schema  # noqa: E402
+from repro.core import cost_model  # noqa: E402
 from repro.core.publisher import Publisher  # noqa: E402
 from repro.crypto import _shard  # noqa: E402
 from repro.crypto.hashing import HASH_COUNTER, resolve_hash_constructor  # noqa: E402
@@ -74,18 +76,25 @@ _BENCH_KEY = os.path.join(
 COLD_RANGE_KEYS = 40
 COLD_RANGE_BLOCK = COLD_RANGE_KEYS + 2
 #: The key domain is that benchmark's 16,384-key one whatever the table size,
-#: so a smoke run walks the same 15 digit chains per commitment as a full one.
+#: so a smoke run walks the same digit chains per commitment as a full one.
 COLD_RANGE_DOMAIN_ROWS = 16_384
-#: Exactly what one such answer hashes: per boundary record, a boundary proof
-#: (a full walk of one chain) and the digest of the other chain, the one it
-#: ships (a canonical walk), plus the fingerprint re-check (4 hashes) of each
-#: of the 40 rows read.  Over this domain a record's two chain exponents are
-#: binary complements, so the count is the same for every key; one digit-chain
-#: walk per matched row, or of a chain nobody ships, would move it.
-COLD_RANGE_HASHES_PER_READ = 364
+#: Reads per section, in every mode: a chain walk costs its exponent's digits,
+#: so the mean per read is a fixed number only over a fixed set of blocks.
+COLD_READS = 12
+#: The row re-fingerprint a served row costs: its attribute tree's hashes.
+FINGERPRINT_HASHES = 4
+#: Exactly what one such answer hashes, as a mean over the ``COLD_READS``
+#: blocks: per boundary record, a boundary proof (a full walk of one chain)
+#: and the digest of the other chain, the one it ships (a canonical walk),
+#: plus the fingerprint re-check of each of the 40 rows read.  At the
+#: default base (3) a walk's count depends on the key's digits, so it is
+#: pinned over fixed keys and checked read by read against the cost model
+#: (``model_hashes_per_read``); one digit-chain walk per matched row
+#: (~20 x 80 hashes) or of a chain nobody ships (~20) would move it.
+COLD_RANGE_HASHES_PER_READ = 307.7
 #: The same for a first-touch point read (the middle key of a block): two
 #: boundary records and one row.
-COLD_POINT_HASHES_PER_READ = 208
+COLD_POINT_HASHES_PER_READ = 154.5
 #: The store calls one such answer makes: the chain span it touches is one
 #: range scan of the ``entries`` primary key.
 COLD_RANGE_STORE_READS_PER_READ = 1
@@ -121,6 +130,23 @@ def _hashlib_call_seconds(calls: int = 2_000) -> float:
     return (time.perf_counter() - start) / calls
 
 
+def model_hashes(low: int, high: int, base: int, domain) -> int:
+    """The kernel's exact count for the answer ``[low, high]`` (see :mod:`repro.core.cost_model`).
+
+    The lower boundary record ``low - 1`` proves its upper chain and ships its
+    lower one; the upper boundary record ``high + 1`` the reverse.
+    """
+    lower, upper, width = domain.lower, domain.upper, domain.width
+    below, above = low - 1, high + 1
+    return (
+        cost_model.kernel_boundary_proof_hashes(upper - low, upper - low, base, width)
+        + cost_model.kernel_canonical_walk_hashes(below - lower - 1, base, width) + 1
+        + cost_model.kernel_boundary_proof_hashes(high - lower, high - lower, base, width)
+        + cost_model.kernel_canonical_walk_hashes(upper - above - 1, base, width) + 1
+        + FINGERPRINT_HASHES * (high - low + 1)
+    )
+
+
 def bench_cold_reads(reads: int, keys: int, key_bits: int = 512) -> dict:
     """First-touch ``keys``-key reads over a re-attached stored relation.
 
@@ -135,7 +161,7 @@ def bench_cold_reads(reads: int, keys: int, key_bits: int = 512) -> dict:
     scheme = rsa_scheme(bits=key_bits)
     schema = metrics_schema(COLD_RANGE_DOMAIN_ROWS)
     rows = reads * COLD_RANGE_BLOCK
-    seconds, hashes, call_seconds, store_reads = [], [], [], []
+    seconds, hashes, call_seconds, store_reads, modelled = [], [], [], [], []
     tmp = tempfile.mkdtemp(prefix="bench-cold-reads-")
     path = os.path.join(tmp, "relstore.db")
     try:
@@ -146,7 +172,8 @@ def bench_cold_reads(reads: int, keys: int, key_bits: int = 512) -> dict:
             store.close()
         store = RelationStore(path, fsync="off")
         try:
-            publisher = Publisher({RELATION: _attach(store, schema, scheme)})
+            signed = _attach(store, schema, scheme)
+            publisher = Publisher({RELATION: signed})
             calls = _counted_reads(store)
             for block in range(1, rows, COLD_RANGE_BLOCK):
                 low = block + (COLD_RANGE_BLOCK - keys) // 2
@@ -157,6 +184,7 @@ def bench_cold_reads(reads: int, keys: int, key_bits: int = 512) -> dict:
                 result = publisher.answer(query)
                 seconds.append(time.perf_counter() - start)
                 hashes.append(HASH_COUNTER.count - hashes_before)
+                modelled.append(model_hashes(low, low + keys - 1, signed.base, schema.key_domain))
                 store_reads.append(len(calls) - calls_before)
                 call_seconds.append(_hashlib_call_seconds())
                 assert len(result.rows) == keys
@@ -173,7 +201,10 @@ def bench_cold_reads(reads: int, keys: int, key_bits: int = 512) -> dict:
         "table_rows": rows,
         "keys_per_read": keys,
         "ms_per_read": round(statistics.median(seconds) * 1e3, 3),
+        "base": signed.base,
         "hashes_per_read": round(statistics.mean(hashes), 1),
+        "model_hashes_per_read": round(statistics.mean(modelled), 1),
+        "hashes_match_model": hashes == modelled,
         "store_reads_per_read": round(statistics.mean(store_reads), 2),
         "hashlib_call_us": round(statistics.median(call_seconds) * 1e6, 4),
         "hash_floor_ratio": round(statistics.median(ratios), 2),
@@ -244,9 +275,8 @@ def main(argv=None) -> int:
 
     config = SMOKE_CONFIG if args.smoke else HotPathConfig()
     report = run_hot_path_benchmarks(config)
-    cold_reads = 12 if args.smoke else 48
-    cold = report["cold_range"] = bench_cold_range(cold_reads, key_bits=config.key_bits)
-    point = report["cold_point"] = bench_cold_point(cold_reads, key_bits=config.key_bits)
+    cold = report["cold_range"] = bench_cold_range(COLD_READS, key_bits=config.key_bits)
+    point = report["cold_point"] = bench_cold_point(COLD_READS, key_bits=config.key_bits)
     report["targets"]["cold_range_hashes_per_read"] = COLD_RANGE_HASHES_PER_READ
     report["targets"]["cold_point_hashes_per_read"] = COLD_POINT_HASHES_PER_READ
     report["targets"]["cold_range_store_reads_per_read"] = COLD_RANGE_STORE_READS_PER_READ
@@ -254,6 +284,8 @@ def main(argv=None) -> int:
         cold["hashes_per_read"] == COLD_RANGE_HASHES_PER_READ
         and cold["store_reads_per_read"] == COLD_RANGE_STORE_READS_PER_READ
         and point["hashes_per_read"] == COLD_POINT_HASHES_PER_READ
+        and cold["hashes_match_model"]
+        and point["hashes_match_model"]
     )
     publish = report["publish_sign"] = bench_publish_sign(
         messages=512 if args.smoke else 2048, rounds=3
@@ -294,7 +326,7 @@ def main(argv=None) -> int:
     for name, section in (("cold_range", cold), ("cold_point", point)):
         print(
             f"  {name:28s} {section['ms_per_read']:.2f} ms/read, "
-            f"{section['hashes_per_read']:.0f} hashes/read, "
+            f"{section['hashes_per_read']:g} hashes/read, "
             f"{section['store_reads_per_read']:g} store reads/read, "
             f"hash-floor ratio {section['hash_floor_ratio']:.2f}"
         )

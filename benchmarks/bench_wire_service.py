@@ -5,8 +5,9 @@ traffic-overhead trend), codec throughput, and end-to-end requests/sec
 against a live :class:`~repro.service.server.PublicationServer`.
 
 Results are merged into ``BENCH_hot_paths.json`` (``wire`` section +
-``workloads`` entries) and the VO-size table is written to
-``benchmarks/results/figure9_serialized_vo_sizes.txt``.
+``workloads`` entries; the selectivity sweep is ``wire_vo_sizes``).  The
+Figure 9 table of record, VO bytes per base and result size beside formula
+(4), is ``benchmarks/paper_sweep.py``'s.
 
 One workload is a count, not a rate: ``update_locality`` — what a seeded
 stream of owner updates leaves of a cached read pool — reads the same on
@@ -51,11 +52,6 @@ from repro.wire.updates import RecordDelta  # noqa: E402
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _DEFAULT_OUTPUT = os.path.join(_ROOT, "BENCH_hot_paths.json")
-_RESULTS_TXT = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)),
-    "results",
-    "figure9_serialized_vo_sizes.txt",
-)
 
 
 #: Gates on ``bench_update_locality``'s counts (0.1473 and 0.8527 measured; a
@@ -112,34 +108,6 @@ def bench_update_locality(key_bits: int = 512) -> dict:
     }
 
 
-def _render_vo_table(sizes: dict) -> str:
-    lines = [
-        "Serialized VO size vs. query selectivity (Figure 9 traffic-overhead trend)",
-        "",
-        f"employees table: {sizes['table_rows']} rows, "
-        f"{sizes['digest_bytes']}-byte digests, "
-        f"{sizes['signature_bytes']}-byte signatures (512-bit demo keys)",
-        "",
-        "selectivity  rows  result_bytes  vo_bytes  vo_analytic_bytes  vo/result",
-        "-----------  ----  ------------  --------  -----------------  ---------",
-    ]
-    for point in sizes["points"]:
-        lines.append(
-            f"{point['selectivity']:>11.2f}  {point['result_rows']:>4d}  "
-            f"{point['result_bytes']:>12d}  {point['vo_bytes']:>8d}  "
-            f"{point['vo_analytic_bytes']:>17d}  {point['overhead_ratio']:>9.3f}"
-        )
-    lines += [
-        "",
-        "Trend check (paper Fig. 9): authentication traffic grows with the number",
-        "of result records only — per-record chain assists plus one condensed",
-        "signature — so the VO/result overhead ratio falls as selectivity rises.",
-        "vo_analytic_bytes is formula (4)'s digest/signature count model; the",
-        "wire encoding adds framing, length prefixes and per-entry structure.",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -171,16 +139,7 @@ def main(argv=None) -> int:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    if args.smoke:
-        # Smoke numbers are for harness validation only; never overwrite the
-        # committed full-run Figure 9 table with them.
-        print(f"merged wire workloads into {args.output} (smoke: results table not written)")
-    else:
-        os.makedirs(os.path.dirname(_RESULTS_TXT), exist_ok=True)
-        with open(_RESULTS_TXT, "w", encoding="utf-8") as handle:
-            handle.write(_render_vo_table(fragment["workloads"]["wire_vo_sizes"]))
-        print(f"merged wire workloads into {args.output}")
-        print(f"wrote {_RESULTS_TXT}")
+    print(f"merged wire workloads into {args.output}")
     codec = fragment["workloads"]["wire_codec_throughput"]
     service = fragment["workloads"]["service_throughput"]
     print(

@@ -23,6 +23,12 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke --output fresh.json
     python benchmarks/check_bench_floors.py fresh.json --scale
+
+    PYTHONPATH=src python benchmarks/paper_sweep.py --smoke --output fresh.json
+    python benchmarks/check_bench_floors.py fresh.json --sweep
+
+``--sweep`` compares the Figure 9/10 sweep's exact counts, cell by cell,
+against the committed ``benchmarks/results/paper_sweep.json``.
 """
 
 from __future__ import annotations
@@ -34,6 +40,16 @@ import sys
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _COMMITTED = os.path.join(_ROOT, "BENCH_hot_paths.json")
+_SWEEP_RECORD = os.path.join(_ROOT, "benchmarks", "results", "paper_sweep.json")
+
+#: The sweep's counts: exact, so a fresh cell must equal the committed one.
+_SWEEP_EXACT = (
+    "owner_hashes_per_row",
+    "publisher_hashes_per_answer",
+    "verifier_hashes_per_answer",
+    "kernel_chain_hashes_per_answer",
+    "vo_bytes_per_answer",
+)
 
 #: targets key in the committed report -> workload whose speedup it bounds
 _FLOOR_WORKLOADS = {
@@ -69,9 +85,11 @@ def _check_hot_paths(floors: dict, fresh: dict, failures: list) -> None:
                 f"{workload} speedup {speedup:.2f}x fell below the {floor:.2f}x floor"
             )
     # Exact and machine-independent: the hashes one first-touch 40-key range
-    # answer, and one single-key answer, performs.  It moves when the server
-    # walks digit chains for rows whose roots it has stored, or a chain it
-    # does not ship, or when a row read stops re-checking its fingerprint.
+    # answer, and one single-key answer, performs (a mean over fixed keys),
+    # and read by read the cost model's kernel count for those keys.  It
+    # moves when the server walks digit chains for rows whose roots it has
+    # stored, or a chain it does not ship, or when a row read stops
+    # re-checking its fingerprint.
     cold = fresh.get("cold_range")
     for section, target in (
         ("cold_range", "cold_range_hashes_per_read"),
@@ -95,6 +113,11 @@ def _check_hot_paths(floors: dict, fresh: dict, failures: list) -> None:
                 failures.append(
                     f"a {section.replace('_', ' ')} read performs {hashes:g} hashes "
                     f"(it must perform {expected_hashes})"
+                )
+            if measured.get("hashes_match_model") is False:
+                failures.append(
+                    f"a {section.replace('_', ' ')} read hashes other than the "
+                    "cost model's kernel count for its keys"
                 )
     # Exact too: the store calls one such answer makes.  Its chain span is
     # one range scan; more means the relation went back to per-row loads.
@@ -330,6 +353,60 @@ _SCALE_LATENCY_CEILINGS = {
 }
 
 
+def _check_sweep(record: dict, fresh: dict, failures: list) -> None:
+    """Gate the Figure 9/10 sweep: every count exact, and the shipped base its argmin.
+
+    Per cell the fresh counts must equal the committed ones; per key domain
+    and ``|Q|`` the verifier's hashes outside the chains (attribute roots,
+    chain messages) must not depend on ``B``, i.e. the chain share is exactly
+    what the cost model's kernel counts predict; and on the served 16,385-wide
+    domain the shipped base must hash least for a 40-row answer.
+    """
+    cells = fresh.get("cells", {})
+    committed = record.get("cells", {})
+    if not cells:
+        failures.append("fresh sweep report carries no cells")
+    for name, cell in sorted(cells.items()):
+        reference = committed.get(name)
+        if reference is None:
+            failures.append(f"sweep cell {name!r} is not in the committed record")
+            continue
+        moved = [
+            f"{field} {reference[field]} -> {cell[field]}"
+            for field in _SWEEP_EXACT
+            if cell[field] != reference[field]
+        ]
+        print(f"{name:20s} verifier {cell['verifier_hashes_per_answer']:>9} hashes  "
+              f"VO {cell['vo_bytes_per_answer']:>9} B  {'MOVED' if moved else 'ok'}")
+        if moved:
+            failures.append(f"sweep cell {name}: " + ", ".join(moved))
+    overheads: dict = {}
+    for name, cell in cells.items():
+        overhead = cell["verifier_hashes_per_answer"] - cell["kernel_chain_hashes_per_answer"]
+        overheads.setdefault((cell["domain"], cell["result_size"]), set()).add(overhead)
+    for (domain, size), seen in sorted(overheads.items()):
+        if len(seen) != 1:
+            failures.append(
+                f"sweep {domain} |Q|={size}: the verifier's chain hashes differ from the "
+                f"kernel counts by a base-dependent amount ({sorted(seen)})"
+            )
+    shipped = fresh.get("default_base")
+    served = {
+        cell["base"]: cell["verifier_hashes_per_answer"]
+        for cell in cells.values()
+        if cell["domain"] == "16385" and cell["result_size"] == 40
+    }
+    if shipped not in served:
+        failures.append("fresh sweep does not measure the shipped base on the served domain")
+    elif min(served, key=served.get) != shipped:
+        failures.append(
+            f"the shipped base B={shipped} is not the measured argmin of the verifier's "
+            f"hashes per 40-row answer on the served domain ({served})"
+        )
+    if fresh.get("kernel_optimal_base", {}).get("16385") != shipped:
+        failures.append(f"the shipped base B={shipped} is not the cost model's argmin")
+
+
 def _check_scale(floors: dict, fresh: dict, failures: list) -> None:
     """Gates on the zipfian scale workload (run with ``--scale``).
 
@@ -411,6 +488,11 @@ def main(argv=None) -> int:
         action="store_true",
         help="gate on the zipfian scale workload instead of the hot paths",
     )
+    parser.add_argument(
+        "--sweep",
+        action="store_true",
+        help="gate on the Figure 9/10 sweep's exact counts (paper_sweep.py)",
+    )
     args = parser.parse_args(argv)
 
     with open(args.floors, "r", encoding="utf-8") as handle:
@@ -425,6 +507,9 @@ def main(argv=None) -> int:
         _check_schemes(fresh, failures)
     elif args.scale:
         _check_scale(floors, fresh, failures)
+    elif args.sweep:
+        with open(_SWEEP_RECORD, "r", encoding="utf-8") as handle:
+            _check_sweep(json.load(handle), fresh, failures)
     else:
         _check_hot_paths(floors, fresh, failures)
 

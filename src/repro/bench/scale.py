@@ -51,7 +51,8 @@ from repro.storage.relstore import (
     _UNLOADED,
     build_stored_chain,
 )
-from repro.wire.updates import RecordDelta
+from repro.wire import decode
+from repro.wire.updates import ManifestRotated, RecordDelta
 
 __all__ = [
     "ScaleConfig",
@@ -228,16 +229,11 @@ def _ingest(
 def _attach(
     store: RelationStore, schema: Schema, signature_scheme: SignatureScheme
 ) -> StoredSignedRelation:
-    from repro.core.relational import RelationManifest
-
-    manifest = RelationManifest(
-        schema=schema,
-        base=2,
-        hash_name="sha256",
-        public_key=signature_scheme.verifier,
-        sequence=0,
-    )
-    return StoredSignedRelation(store, RELATION, manifest, signature_scheme)
+    """Attach the stored chain under the manifest its stored rotation names."""
+    rotation = decode(store.chain_state(RELATION).rotation, expect=ManifestRotated)
+    if rotation.manifest.schema != schema:
+        raise ValueError("the stored chain was published under another schema")
+    return StoredSignedRelation(store, RELATION, rotation.manifest, signature_scheme)
 
 
 def _recovery(

@@ -33,6 +33,7 @@ from repro.core.errors import (
     ProofConstructionError,
     VerificationError,
 )
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.proof import GreaterThanProof, SignatureBundle
 from repro.core.report import VerificationReport
 from repro.core.verifier import check_signature_bundle
@@ -103,7 +104,7 @@ class SignedValueList:
         values: Sequence[int],
         signature_scheme: SignatureScheme,
         scheme_kind: str = "optimized",
-        base: int = 2,
+        base: int = DEFAULT_BASE,
         hash_function: Optional[HashFunction] = None,
     ) -> None:
         self.domain = domain

@@ -55,7 +55,7 @@ from typing import List, Optional, Tuple
 
 from repro.cache import BoundedCache, bounded_put
 from repro.core import polynomial
-from repro.core.errors import CheatingAttemptError
+from repro.core.errors import CheatingAttemptError, VerificationError
 from repro.crypto.encoding import encode_many, encode_value
 from repro.crypto.hashing import (
     HASH_COUNTER,
@@ -245,15 +245,16 @@ class OptimizedChainScheme(ChainDigestScheme):
     namespace:
         Chain namespace (``"upper"``, ``"lower"`` …).
     base:
-        The polynomial base ``B``; the paper shows user computation is
-        minimised for ``B`` in {2, 3}.
+        The polynomial base ``B`` (:data:`polynomial.DEFAULT_BASE` unless
+        given); the paper shows user computation is minimised for ``B`` in
+        {2, 3}.
     """
 
     def __init__(
         self,
         domain_width: int,
         namespace: str,
-        base: int = 2,
+        base: int = polynomial.DEFAULT_BASE,
         hash_function: Optional[HashFunction] = None,
         memoize: bool = True,
     ) -> None:
@@ -480,6 +481,17 @@ class OptimizedChainScheme(ChainDigestScheme):
         if assist.canonical_digest is None or assist.mht_proof is None:
             raise ValueError(
                 "non-canonical boundary proof needs the canonical digest and a Merkle path"
+            )
+        # The root is rebuilt from the siblings alone, so the proof's index
+        # and size must be the ones those siblings spell in this tree of
+        # ``m - 1`` representations, or a flipped field would go unnoticed.
+        path = assist.mht_proof
+        if path.tree_size != self.num_digits - 1 or not path.spells_its_leaf():
+            raise VerificationError(
+                f"the representation path claims leaf {path.leaf_index} of "
+                f"{path.tree_size}, which its siblings do not spell in a tree "
+                f"of {self.num_digits - 1}",
+                reason="representation-path-mismatch",
             )
         root = MerkleTree.root_from_payload(
             representation_digest, assist.mht_proof, self.hash_function

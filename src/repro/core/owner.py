@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.core.basic_scheme import SignedValueList
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.relational import RelationManifest, SignedRelation
 from repro.crypto.hashing import HashFunction, default_hash
 from repro.crypto.rsa import RSAPublicKey
@@ -59,14 +60,15 @@ class DataOwner:
         Modulus size for a freshly generated key (ignored when a scheme is
         supplied).  1024 matches the paper's ``Msign``.
     base:
-        Polynomial base ``B`` of the Section 5.1 digests.
+        Polynomial base ``B`` of the Section 5.1 digests
+        (:data:`~repro.core.polynomial.DEFAULT_BASE` unless given).
     """
 
     def __init__(
         self,
         signature_scheme: Optional[SignatureScheme] = None,
         key_bits: int = 1024,
-        base: int = 2,
+        base: int = DEFAULT_BASE,
         hash_function: Optional[HashFunction] = None,
     ) -> None:
         self.signature_scheme = signature_scheme or rsa_scheme(bits=key_bits)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
+    "DEFAULT_BASE",
     "Representation",
     "num_digits_for",
     "to_canonical_digits",
@@ -42,6 +43,17 @@ __all__ = [
     "select_boundary_representation",
     "subtract_digitwise",
 ]
+
+#: The base ``B`` a relation is published at unless its owner picks another.
+#: It is the argmin over ``B`` in 2..8 of the chain hashes a verifier spends
+#: on a 40-row answer over the benchmark's 16,385-wide key domain
+#: (:func:`repro.core.cost_model.kernel_optimal_base`): B=3, with B=4 4.8 %
+#: and B=2 22 % behind.  Formula (5) leaves out the kernel's one head hash
+#: per digit chain, which costs B=2, the base with the most digits, the most.
+#: One constant rather than a rule per domain: at ``2^32`` B=4 leads B=3 by
+#: only 1.9 %.  A manifest names its base, so roots published at another base
+#: keep verifying.
+DEFAULT_BASE = 3
 
 
 def num_digits_for(width: int, base: int) -> int:

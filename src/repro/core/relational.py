@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.digest import ChainDigestScheme, EntryAssist, OptimizedChainScheme
+from repro.core.polynomial import DEFAULT_BASE
 from repro.crypto.encoding import concat_digests, encode_many
 from repro.crypto.hashing import HashFunction, default_hash
 from repro.crypto.merkle import MerkleTree
@@ -204,7 +205,7 @@ class SignedRelation:
         self,
         relation: Relation,
         signature_scheme: SignatureScheme,
-        base: int = 2,
+        base: int = DEFAULT_BASE,
         hash_function: Optional[HashFunction] = None,
     ) -> None:
         self.relation = relation

@@ -60,6 +60,23 @@ class MerkleProof:
         """Total VO size in bytes assuming ``digest_size``-byte digests."""
         return self.digest_count * digest_size
 
+    def spells_its_leaf(self) -> bool:
+        """Do the ``is_left`` bits spell the path of ``leaf_index`` in a ``tree_size`` tree?
+
+        :meth:`MerkleTree.root_from_proof` reads only the siblings, so a
+        verifier that relies on the proof's index or size must check them
+        against the path first: one sibling per level where the leaf's node
+        has a partner (odd nodes are promoted without one), on its left
+        exactly when the node is a right child.
+        """
+        position, size, bits = self.leaf_index, self.tree_size, []
+        while size > 1:
+            if position ^ 1 < size:
+                bits.append(bool(position & 1))
+            position //= 2
+            size = (size + 1) // 2
+        return [is_left for _, is_left in self.siblings] == bits
+
 
 class MerkleTree:
     """Binary Merkle hash tree over a sequence of byte-string leaves.

@@ -34,6 +34,7 @@ import abc
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ProofConstructionError, VerificationError
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.publisher import PublishedResult, plan_deltas, simulate_deltas
 from repro.core.relational import RelationManifest, UpdateReceipt
 from repro.core.report import VerificationReport
@@ -80,7 +81,7 @@ class SchemePublication(abc.ABC):
         self._signature_scheme = signature_scheme
         self.manifest = RelationManifest(
             schema=self.schema,
-            base=2,
+            base=DEFAULT_BASE,
             hash_name=self.hash_function.name,
             public_key=signature_scheme.verifier,
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.proof import RangeQueryProof
 from repro.core.publisher import Publisher
 from repro.core.relational import RelationManifest, SignedRelation
@@ -61,7 +62,7 @@ class ChainScheme(ProofScheme):
         relation: Relation,
         signature_scheme: SignatureScheme,
         hash_function: Optional[HashFunction] = None,
-        base: int = 2,
+        base: int = DEFAULT_BASE,
         **parameters,
     ) -> SignedRelation:
         return SignedRelation(

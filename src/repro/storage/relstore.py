@@ -70,6 +70,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.digest import EntryAssist
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.relational import (
     ChainEntry,
     RelationManifest,
@@ -87,7 +88,7 @@ from repro.db.schema import Schema
 from repro.storage.errors import StorageError
 from repro.storage.faults import FaultRegistry
 from repro.wire import decode, encode, manifest_id
-from repro.wire.updates import ManifestRotated, RecordDelta
+from repro.wire.updates import ManifestRotated, RecordDelta, manifest_signing_message
 
 __all__ = [
     "ChainState",
@@ -891,7 +892,7 @@ def build_stored_chain(
     schema: Schema,
     rows: Iterable[Dict[str, object]],
     signature_scheme: SignatureScheme,
-    base: int = 2,
+    base: int = DEFAULT_BASE,
     hash_function: Optional[HashFunction] = None,
     batch_size: int = 512,
 ) -> int:
@@ -901,8 +902,9 @@ def build_stored_chain(
     its chain message is derived as soon as its right neighbour's digest is
     known (one entry of lag), and signatures are batch-signed and written
     ``batch_size`` at a time.  Produces bytes identical to building a
-    :class:`~repro.core.relational.SignedRelation` over the same rows.
-    Returns the number of records stored.
+    :class:`~repro.core.relational.SignedRelation` over the same rows, and
+    stores the genesis rotation, so the manifest (and its ``base``) can be
+    read back from the store.  Returns the number of records stored.
     """
     hash_function = hash_function or default_hash()
     domain = schema.key_domain
@@ -972,11 +974,12 @@ def build_stored_chain(
         held_messages.append(hash_function.combine(left, held[1], right_anchor))
         held_entries.append(held[0])
         flush()
+        genesis = signature_scheme.sign(manifest_signing_message(manifest, b""))
         store.set_chain_state(
             relation_name,
             sequence=0,
             previous_sequence=-1,
-            rotation=None,
+            rotation=encode(ManifestRotated(manifest, b"", genesis)),
         )
     return row_count[0]
 

@@ -31,7 +31,11 @@ class ReferenceOptimizedScheme:
     """Cache-free ``OptimizedChainScheme`` with the same five operations."""
 
     def __init__(
-        self, domain_width: int, namespace: str, base: int = 2, hash_name: str = "sha256"
+        self,
+        domain_width: int,
+        namespace: str,
+        base: int = polynomial.DEFAULT_BASE,
+        hash_name: str = "sha256",
     ) -> None:
         self.namespace = namespace
         self.base = base

@@ -12,11 +12,13 @@ import os
 import threading
 
 from repro.bench.hot_paths import SMOKE_CONFIG, run_hot_path_benchmarks
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.crypto import _shard
 from repro.crypto.rsa import fdh_cache_stats
 from repro.db.query import Conjunction, Query, RangeCondition
+from repro.db.schema import KeyDomain
 from repro.db.workload import generate_employees
 
 EXPECTED_WORKLOADS = {
@@ -58,24 +60,27 @@ def _cold_floors(cli):
 def test_cold_range_section():
     """The CLI's ``cold_range`` section, at toy size: the exact hash count."""
     cli = _load_benchmark_script("bench_hot_paths.py")
-    cold = cli.bench_cold_range(reads=3)
-    assert cold["reads"] == 3 and cold["table_rows"] == 3 * 42
+    cold = cli.bench_cold_range(reads=cli.COLD_READS)
+    assert cold["reads"] == 12 and cold["table_rows"] == 12 * 42
     # Per boundary record one chain proof and the one chain digest shipped
     # beside it, plus the 4-hash fingerprint re-check of the 40 rows read;
-    # one walk of 15 digit chains per matched row and chain (~80 x 40 hashes)
-    # or of an unshipped chain (~25) would move it.
-    assert cold["hashes_per_read"] == cli.COLD_RANGE_HASHES_PER_READ == 364
+    # one walk of 10 digit chains per matched row and chain (~20 x 80 hashes)
+    # or of an unshipped chain (~20) would move it.  Each read's count is the
+    # cost model's for its keys.
+    assert cold["base"] == DEFAULT_BASE == 3
+    assert cold["hashes_per_read"] == cli.COLD_RANGE_HASHES_PER_READ == 307.7
+    assert cold["hashes_match_model"]
     assert cold["hash_floor_ratio"] > 1.0  # still reported, not gated
     # One range scan per answer, and the gate binds on exactly that.
     assert cold["store_reads_per_read"] == cli.COLD_RANGE_STORE_READS_PER_READ == 1
     gate = _load_benchmark_script("check_bench_floors.py")
     point = {"hashes_per_read": cli.COLD_POINT_HASHES_PER_READ}
     for reads, hashes, refused in (
-        (1, 364, False),
-        (42, 364, True),
-        (0, 364, True),
-        (1, 363, True),
-        (1, 364 + 25, True),
+        (1, 307.7, False),
+        (42, 307.7, True),
+        (0, 307.7, True),
+        (1, 307.6, True),
+        (1, 307.7 + 20, True),
     ):
         failures = []
         fresh = {
@@ -89,15 +94,21 @@ def test_cold_range_section():
 def test_cold_point_section():
     """The ``cold_point`` section: two boundary records and one row read."""
     cli = _load_benchmark_script("bench_hot_paths.py")
-    point = cli.bench_cold_point(reads=3)
+    point = cli.bench_cold_point(reads=cli.COLD_READS)
     assert point["keys_per_read"] == 1 and point["store_reads_per_read"] == 1
-    assert point["hashes_per_read"] == cli.COLD_POINT_HASHES_PER_READ == 208
-    # A range answer differs from a point answer by its 39 more rows' re-checks.
-    assert cli.COLD_RANGE_HASHES_PER_READ - cli.COLD_POINT_HASHES_PER_READ == 39 * 4
+    assert point["hashes_per_read"] == cli.COLD_POINT_HASHES_PER_READ == 154.5
+    assert point["hashes_match_model"]
+    # At B=2 a record's two exponents are binary complements over this
+    # domain, so every block costs the same: the model gives the counts
+    # gated before B=3 shipped, a range answer 39 rows' re-checks more.
+    domain = KeyDomain(0, 16_385)
+    for block in (1, 43, 8_191):
+        assert cli.model_hashes(block + 1, block + 40, 2, domain) == 364
+        assert cli.model_hashes(block + 20, block + 20, 2, domain) == 208 == 364 - 39 * 4
     assert point["hash_floor_ratio"] > 1.0
     gate = _load_benchmark_script("check_bench_floors.py")
     cold = {"hashes_per_read": cli.COLD_RANGE_HASHES_PER_READ, "store_reads_per_read": 1}
-    for hashes, refused in ((208, False), (207, True), (233, True)):
+    for hashes, refused in ((154.5, False), (154.4, True), (174.5, True)):
         failures = []
         fresh = {"cold_range": cold, "cold_point": dict(point, hashes_per_read=hashes)}
         gate._check_hot_paths(_cold_floors(cli), fresh, failures)

@@ -1,5 +1,7 @@
 """Tests for projection (Section 4.2) and multipoint queries (Section 4.4)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.errors import (
@@ -7,6 +9,8 @@ from repro.core.errors import (
     PolicyViolationError,
     VerificationError,
 )
+from repro.core.owner import DataOwner
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.proof import FilteredEntryProof, MatchedEntryProof, RangeQueryProof
 from repro.core.publisher import Publisher
 from repro.core.verifier import ResultVerifier
@@ -104,6 +108,78 @@ class TestProjection:
         result = publisher.answer(query)
         assert len(result.rows) == 4
         verifier.verify(query, result.rows, result.proof)
+
+
+#: Four records, two of which share their key (1001) and the projected
+#: ``name``/``dept``: a DISTINCT projection onto those returns three rows and
+#: eliminates the fourth record as a duplicate (Section 4.2).
+DUPLICATE_ROWS = [
+    {"salary": 1000, "emp_id": "a", "name": "same", "dept": 1, "photo": b""},
+    {"salary": 1001, "emp_id": "b", "name": "same", "dept": 1, "photo": b""},
+    {"salary": 1001, "emp_id": "c", "name": "same", "dept": 1, "photo": b"x"},
+    {"salary": 1002, "emp_id": "d", "name": "other", "dept": 2, "photo": b""},
+]
+DISTINCT_QUERY = Query(
+    "employees",
+    Conjunction((RangeCondition("salary", 1000, 1002),)),
+    Projection(attributes=("name", "dept"), distinct=True),
+)
+
+
+def _distinct_world(signature_scheme, base):
+    from repro.db.relation import Relation
+    from repro.db.workload import employee_schema
+
+    relation = Relation.from_rows(employee_schema(), DUPLICATE_ROWS)
+    signed = DataOwner(signature_scheme=signature_scheme, base=base).publish_relation(relation)
+    answer = Publisher({"employees": signed}).answer(DISTINCT_QUERY)
+    return ResultVerifier({"employees": signed.manifest}), answer
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("base", [2, DEFAULT_BASE])
+    def test_honest_distinct_answer_eliminates_a_duplicate(self, signature_scheme, base):
+        verifier, answer = _distinct_world(signature_scheme, base)
+        assert answer.rows == [
+            {"salary": 1000, "name": "same", "dept": 1},
+            {"salary": 1001, "name": "same", "dept": 1},
+            {"salary": 1002, "name": "other", "dept": 2},
+        ]
+        eliminated = [entry for entry in answer.proof.entries if entry.eliminated_duplicate]
+        assert len(eliminated) == 1 and eliminated[0].key == 1001
+        assert dict(eliminated[0].revealed_attributes) == answer.rows[1]
+        report = verifier.verify(DISTINCT_QUERY, answer.rows, answer.proof)
+        assert report.result_rows == 3 and report.checked_messages == 4
+
+    @staticmethod
+    def _refusal(signature_scheme, query=DISTINCT_QUERY, **changes):
+        """Verify the honest answer with its eliminated entry's fields replaced."""
+        verifier, answer = _distinct_world(signature_scheme, DEFAULT_BASE)
+        entries = tuple(
+            replace(entry, **changes) if entry.eliminated_duplicate else entry
+            for entry in answer.proof.entries
+        )
+        with pytest.raises(VerificationError) as rejection:
+            verifier.verify(query, answer.rows, replace(answer.proof, entries=entries))
+        return rejection.value
+
+    def test_duplicate_in_a_query_without_distinct(self, signature_scheme):
+        plain = replace(
+            DISTINCT_QUERY, projection=replace(DISTINCT_QUERY.projection, distinct=False)
+        )
+        assert self._refusal(signature_scheme, plain).reason == "unexpected-duplicate"
+
+    def test_duplicate_without_its_key(self, signature_scheme):
+        assert self._refusal(signature_scheme, key=None).reason == "missing-key"
+
+    def test_duplicate_key_outside_the_range(self, signature_scheme):
+        error = self._refusal(signature_scheme, key=1003)
+        assert isinstance(error, CompletenessError) and error.reason == "key-out-of-range"
+
+    def test_duplicate_matching_no_returned_row(self, signature_scheme):
+        forged = {"salary": 1001, "name": "nobody", "dept": 1}
+        error = self._refusal(signature_scheme, revealed_attributes=forged)
+        assert isinstance(error, CompletenessError) and error.reason == "false-duplicate"
 
 
 class TestMultipointQueries:

@@ -238,3 +238,69 @@ class TestCostModel:
             cost_model.user_traffic_overhead_percent(1, 0)
         with pytest.raises(ValueError):
             cost_model.user_computation_seconds(-1)
+
+
+class TestKernelCounts:
+    """The cost model's exact kernel counts against what the kernel hashes."""
+
+    WIDTHS = (2**8, 16_385, 2**16, 2**32)
+
+    @staticmethod
+    def _counted(call):
+        from repro.crypto.hashing import HASH_COUNTER
+
+        before = HASH_COUNTER.count
+        result = call()
+        return result, HASH_COUNTER.count - before
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("base", range(2, 9))
+    def test_counts_equal_the_hash_counter(self, base, width):
+        import random
+
+        from repro.core.digest import OptimizedChainScheme
+
+        scheme = OptimizedChainScheme(width, "upper", base, memoize=False)
+        rng = random.Random(base * width)
+        totals = [0, 1, width - 2] + [rng.randrange(width - 1) for _ in range(12)]
+        pairs = [(base, 1)]  # digits (0, 1) against (1, 0): a borrow, so non-canonical
+        for total in totals:
+            # The boundary-adjacent claim (delta_e = 0), an arbitrary one and
+            # the full walk (delta_c = 0).
+            pairs += [(total, delta_c) for delta_c in {total, rng.randrange(total + 1), 0}]
+        kinds = set()
+        for total, delta_c in pairs:
+            _, hashes = self._counted(lambda: scheme._canonical_walk(9, total))
+            assert hashes == cost_model.kernel_canonical_walk_hashes(total, base, width)
+            _, hashes = self._counted(lambda: scheme.commit(9, total))
+            assert hashes == cost_model.kernel_commit_hashes(total, base, width)
+            assist, hashes = self._counted(lambda: scheme.boundary_proof(9, total, delta_c))
+            assert hashes == cost_model.kernel_boundary_proof_hashes(total, delta_c, base, width)
+            _, hashes = self._counted(lambda: scheme.recompute_from_boundary(delta_c, assist))
+            assert hashes == cost_model.kernel_boundary_check_hashes(total, delta_c, base, width)
+            kinds.add(assist.used_canonical)
+        assert kinds == {True, False}
+
+    def test_shipped_base_is_the_kernel_argmin_on_the_served_domain(self):
+        from repro.core.polynomial import DEFAULT_BASE
+
+        assert cost_model.kernel_optimal_base(16_385) == DEFAULT_BASE == 3
+        means = {b: cost_model.kernel_mean_answer_chain_hashes(b, 16_385) for b in range(2, 9)}
+        assert sorted(means, key=means.get)[:3] == [3, 4, 5]
+        assert 1.04 < means[4] / means[3] < 1.05 and 1.2 < means[2] / means[3] < 1.25
+
+    def test_formula_5_ties_where_the_kernel_does_not(self):
+        """At 2^32 formula (5) charges B=2 and B=3 alike; the kernel picks B=4."""
+        hashes = cost_model.user_computation_hashes
+        for size in (1, 40):
+            assert hashes(size, 2) == hashes(size, 3)
+            assert cost_model.optimal_base(size, candidate_bases=range(2, 9)) == 2
+        assert cost_model.kernel_optimal_base(2**32) == 4
+
+    def test_mean_digit_sum_is_exact(self):
+        from fractions import Fraction
+
+        for limit in (1, 2, 7, 3**5 + 4, 16_384):
+            for base in range(2, 9):
+                brute = Fraction(sum(cost_model._digit_sum(v, base) for v in range(limit)), limit)
+                assert cost_model._mean_digit_sum(limit, base) == brute

@@ -18,7 +18,7 @@ import pytest
 from reference_digest import SENTINEL_LEAF, ReferenceOptimizedScheme
 from repro.core import polynomial
 from repro.core.digest import EntryAssist, OptimizedChainScheme
-from repro.core.errors import CheatingAttemptError
+from repro.core.errors import CheatingAttemptError, VerificationError
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.core.verifier import ResultVerifier
@@ -101,6 +101,31 @@ def test_non_canonical_boundary_proofs_match(base):
                 total, total
             )
     assert selected_indices == set(range(kernel.num_digits - 1))
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_representation_path_must_spell_its_index_and_size(base):
+    """The root is rebuilt from the siblings alone, so a proof whose
+    ``leaf_index`` or ``tree_size`` is not what they spell is refused."""
+    width = 64
+    kernel, _ = _pair(width, base)
+    leaves = kernel.num_digits - 1
+    for total in range(width):
+        for delta_c in range(total + 1):
+            proof = kernel.boundary_proof(total, total, delta_c)
+            if proof.used_canonical:
+                continue
+            path = proof.mht_proof
+            assert path.tree_size == leaves and path.spells_its_leaf()
+            forged = [replace(path, tree_size=size) for size in (leaves + 1, 239)]
+            forged += [replace(path, leaf_index=index) for index in range(leaves)]
+            for bad in forged:
+                if bad == path:
+                    continue
+                with pytest.raises(VerificationError) as rejection:
+                    kernel.recompute_from_boundary(delta_c, replace(proof, mht_proof=bad))
+                assert rejection.value.reason == "representation-path-mismatch"
+            break
 
 
 class TestNamedEdgeCases:
@@ -241,8 +266,8 @@ def test_cold_verify_hash_operations_is_the_real_count(counted_hashlib, signatur
 
     # The chain share of that count, rebuilt by the oracle from the proof alone.
     domain = signed.manifest.domain
-    upper = ReferenceOptimizedScheme(domain.width, "upper")
-    lower = ReferenceOptimizedScheme(domain.width, "lower")
+    upper = ReferenceOptimizedScheme(domain.width, "upper", signed.base)
+    lower = ReferenceOptimizedScheme(domain.width, "lower", signed.base)
     for row, entry in zip(answer.rows, answer.proof.entries):
         key = row["salary"]
         upper.recompute_from_value(key, domain.upper - key - 1, entry.upper_assist)
@@ -275,9 +300,9 @@ def test_verifier_schemes_survive_a_rotation_but_not_a_parameter_change(signatur
     rotated = replace(manifest, sequence=manifest.sequence + 3)
     assert verifier._chain_schemes(rotated) is schemes
 
-    other_base = replace(manifest, base=3)
+    other_base = replace(manifest, base=polynomial.DEFAULT_BASE + 1)
     assert verifier._chain_schemes(other_base) is not schemes
-    assert verifier._chain_schemes(other_base)[0].base == 3
+    assert verifier._chain_schemes(other_base)[0].base == polynomial.DEFAULT_BASE + 1
 
     schema = manifest.schema
     other_domain = replace(
@@ -331,8 +356,8 @@ def test_stored_roots_are_the_reference_roots(tmp_path, signature_scheme, via_du
     store, signed = _stored_metrics(tmp_path, signature_scheme, 60, via_dump)
     try:
         domain = signed.domain
-        upper = ReferenceOptimizedScheme(domain.width, "upper")
-        lower = ReferenceOptimizedScheme(domain.width, "lower")
+        upper = ReferenceOptimizedScheme(domain.width, "upper", signed.base)
+        lower = ReferenceOptimizedScheme(domain.width, "lower", signed.base)
         signed.insert_record({"metric_id": 9_000, "value": 1, "label": "late"})
 
         def reference_roots(key):
@@ -393,7 +418,7 @@ def test_cold_range_answer_hashes_at_the_boundaries_only(tmp_path, signature_sch
             Record(signed.schema, row).fingerprint()
         at_the_boundaries = HASH_COUNTER.count - start
         assert spent == at_the_boundaries
-        one_walk = ReferenceOptimizedScheme(domain.width, "upper")
+        one_walk = ReferenceOptimizedScheme(domain.width, "upper", signed.base)
         one_walk.commitment(low, domain.upper - low - 1)
         assert spent < 40 * one_walk.hashes / 4
     finally:

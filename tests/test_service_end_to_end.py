@@ -11,6 +11,7 @@ import socket
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -328,14 +329,47 @@ def test_client_rejects_incomplete_or_tampered_answers(demo_world, name, tamper)
         evil.close()
 
 
+def _path_field_flips(response, payload):
+    """``(offset, mask)`` flips that rewrite one field of a boundary's representation path.
+
+    Per non-canonical boundary proof: ``tree_size`` XOR 0xFF (16 -> 239 at
+    B=2) and ``leaf_index`` XOR 1 (still inside the tree, so the codec's own
+    range check passes).  Each is found by re-encoding the answer with that
+    field changed and diffing: exactly one byte moves.
+    """
+    flips = []
+    for side in ("lower_boundary", "upper_boundary"):
+        boundary = getattr(response.proof, side)
+        path = boundary.chain_boundary.mht_proof
+        if path is None:
+            continue
+        for field, mask in (("tree_size", 0xFF), ("leaf_index", 0x01)):
+            forged_path = replace(path, **{field: getattr(path, field) ^ mask})
+            forged_boundary = replace(
+                boundary, chain_boundary=replace(boundary.chain_boundary, mht_proof=forged_path)
+            )
+            forged = encode(
+                replace(response, proof=replace(response.proof, **{side: forged_boundary}))
+            )
+            moved = [i for i, (a, b) in enumerate(zip(payload, forged)) if a != b]
+            assert len(forged) == len(payload) and len(moved) == 1
+            assert payload[moved[0]] ^ forged[moved[0]] == mask
+            flips.append((moved[0], mask))
+    return flips
+
+
 def test_client_rejects_bytes_tampered_in_transit(demo_world, live_server, client):
-    """Raw protocol exchange with the real server; response bytes flipped."""
+    """Raw protocol exchange with the real server; response bytes flipped.
+
+    Each flipped frame is judged the way :class:`VerifyingClient` judges an
+    answer: attribute its ``manifest_id`` to a manifest (an id nobody serves
+    is never verified, the client asks again), then verify under that one.
+    """
     host, port = live_server.address
     employees_id = client.relations()["employees"]
     manifest = client.fetch_manifest("employees")
     from repro.core.verifier import ResultVerifier
 
-    verifier = ResultVerifier({"employees": manifest})
     with socket.create_connection((host, port), timeout=10) as sock:
         send_message(
             sock, QueryRequest(manifest_id=employees_id, query=SALARY_RANGE)
@@ -345,18 +379,32 @@ def test_client_rejects_bytes_tampered_in_transit(demo_world, live_server, clien
         payload = recv_frame(sock)
     assert payload is not None
     genuine = decode(payload)
-    verifier.verify(SALARY_RANGE, genuine.rows, genuine.proof)  # sanity
+    ResultVerifier({"employees": manifest}).verify(
+        SALARY_RANGE, genuine.rows, genuine.proof
+    )  # sanity
 
-    for offset in range(5, len(payload), max(1, len(payload) // 40)):
-        flipped = payload[:offset] + bytes((payload[offset] ^ 0xFF,)) + payload[offset + 1 :]
+    path_flips = _path_field_flips(genuine, payload)
+    assert len(path_flips) == 4  # both boundary proofs of this answer are non-canonical
+    stride = max(1, len(payload) // 40)
+    flips = [(offset, 0xFF) for offset in range(5, len(payload), stride)] + path_flips
+    for offset, mask in flips:
+        flipped = payload[:offset] + bytes((payload[offset] ^ mask,)) + payload[offset + 1 :]
         try:
             response = decode(flipped)
         except WireFormatError:
             continue
-        with pytest.raises((VerificationError, WireFormatError)):
-            if not isinstance(response, QueryResponse):
-                raise WireFormatError("tampering changed the message type")
-            verifier.verify(SALARY_RANGE, response.rows, response.proof)
+        if not isinstance(response, QueryResponse):
+            continue  # tampering changed the message type: no answer to accept
+        attributed = client._attribute("employees", response.manifest_id)
+        if attributed is None:
+            assert response.manifest_id != employees_id
+            continue
+        with pytest.raises(VerificationError) as rejection:
+            ResultVerifier({"employees": attributed}).verify(
+                SALARY_RANGE, response.rows, response.proof
+            )
+        if (offset, mask) in path_flips:
+            assert rejection.value.reason == "representation-path-mismatch"
 
 
 # -- the acceptance scenario: separate processes ------------------------------
@@ -420,3 +468,53 @@ def test_cross_process_server_and_client(tmp_path):
     finally:
         process.terminate()
         process.wait(timeout=10)
+
+
+# -- roots published at another base ------------------------------------------
+
+
+def test_a_root_published_at_b2_serves_beside_one_at_the_default(tmp_path):
+    """A relation published at B=2 (the base shipped before B=3) recovers from
+    its durable root, serves and verifies over the wire beside one published
+    at the default base on the same server: the manifest names the base."""
+    from repro.bench.scale import RELATION, _row_stream, metrics_schema
+    from repro.core.polynomial import DEFAULT_BASE
+    from repro.core.publisher import Publisher
+    from repro.core.relational import SignedRelation
+    from repro.crypto.signature import rsa_scheme
+    from repro.db.relation import Relation
+    from repro.db.workload import generate_employees
+    from repro.service.router import ShardRouter
+    from repro.storage import open_publication_storage
+
+    scheme = rsa_scheme(bits=512)
+    published = {}
+
+    def build() -> ShardRouter:
+        legacy = SignedRelation(generate_employees(60, seed=7, photo_bytes=16), scheme, base=2)
+        current = SignedRelation(Relation.from_rows(metrics_schema(256), _row_stream(256)), scheme)
+        published.update(employees=legacy.manifest, metrics=current.manifest)
+        return ShardRouter({"only": Publisher({"employees": legacy, RELATION: current})})
+
+    root = str(tmp_path / "root")
+    _, storage = open_publication_storage(root, build, fsync="off")
+    storage.close()
+    assert published["employees"].base == 2 and published["metrics"].base == DEFAULT_BASE == 3
+
+    router, storage = open_publication_storage(
+        root, lambda: pytest.fail("must recover, not rebuild"), fsync="off"
+    )
+    metrics_range = Query(RELATION, Conjunction((RangeCondition("metric_id", 10, 49),)))
+    try:
+        with PublicationServer(router, storage=storage) as server:
+            host, port = server.address
+            with VerifyingClient(host, port) as client:
+                assert client.fetch_manifest("employees") == published["employees"]
+                assert client.fetch_manifest(RELATION) == published["metrics"]
+                legacy, current = client.execute_many(
+                    [QuerySpec(SALARY_RANGE), QuerySpec(metrics_range)]
+                )
+    finally:
+        storage.close()
+    assert legacy.rows and legacy.report.checked_messages == len(legacy.rows)
+    assert [row["metric_id"] for row in current.rows] == list(range(10, 50))
