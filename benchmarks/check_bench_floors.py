@@ -28,7 +28,8 @@ Usage::
     python benchmarks/check_bench_floors.py fresh.json --sweep
 
 ``--sweep`` compares the Figure 9/10 sweep's exact counts, cell by cell,
-against the committed ``benchmarks/results/paper_sweep.json``.
+against the committed ``benchmarks/results/paper_sweep.json``, and fails any
+cell whose serialized VO exceeds its digests and signatures by more than 8 %.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ _SWEEP_EXACT = (
     "verifier_hashes_per_answer",
     "kernel_chain_hashes_per_answer",
     "vo_bytes_per_answer",
+    "vo_payload_bytes",
 )
+#: A cell's serialized VO over its digest-plus-signature payload, at most.
+_SWEEP_FRAMING_MAX = 1.08
 
 #: targets key in the committed report -> workload whose speedup it bounds
 _FLOOR_WORKLOADS = {
@@ -380,6 +384,12 @@ def _check_sweep(record: dict, fresh: dict, failures: list) -> None:
               f"VO {cell['vo_bytes_per_answer']:>9} B  {'MOVED' if moved else 'ok'}")
         if moved:
             failures.append(f"sweep cell {name}: " + ", ".join(moved))
+        framing = cell["vo_bytes_per_answer"] / cell["vo_payload_bytes"]
+        if framing > _SWEEP_FRAMING_MAX:
+            failures.append(
+                f"sweep cell {name}: the VO is {framing:.3f}x its digests and signatures "
+                f"(at most {_SWEEP_FRAMING_MAX}x)"
+            )
     overheads: dict = {}
     for name, cell in cells.items():
         overhead = cell["verifier_hashes_per_answer"] - cell["kernel_chain_hashes_per_answer"]

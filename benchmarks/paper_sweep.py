@@ -19,7 +19,9 @@ over the eight blocks:
   :func:`repro.core.cost_model.kernel_answer_chain_hashes` predicts) and
   formula (5)'s hash count;
 * ``vo_bytes_per_answer``: the serialized VO (``repro.wire.encode`` of the
-  proof), beside formula (4) at 256-bit digests and 1024-bit signatures;
+  proof), beside ``vo_payload_bytes`` (its digests and signatures alone, at
+  the published hash's digest size and the key's signature size) and
+  formula (4) at 256-bit digests and 1024-bit signatures;
 * ``verifier_ms``: the median first-touch verification time, beside formula
   (5) with ``c_hash`` and ``c_sign`` calibrated on this machine.
 
@@ -138,9 +140,11 @@ def measure_root(domain: str, base: int, result_sizes, signer, calibration: dict
         m_sign_bits=SIGN_BITS,
     )
     width = key_domain.width
+    digest_bytes = signed.manifest.hash_function().digest_size
+    signature_bytes = (signer.verifier.modulus.bit_length() + 7) // 8
     cells = {}
     for size in result_sizes:
-        published, verified, modelled, vo_bytes, seconds = [], [], [], [], []
+        published, verified, modelled, vo_bytes, payload, seconds = [], [], [], [], [], []
         for start in starts:
             low = start + (BLOCK_KEYS - size) // 2
             high = low + size - 1
@@ -159,6 +163,7 @@ def measure_root(domain: str, base: int, result_sizes, signer, calibration: dict
                 )
             )
             vo_bytes.append(len(encode(answer.proof)))
+            payload.append(answer.proof.size_bytes(digest_bytes, signature_bytes))
         cells[cell_name(domain, base, size)] = {
             "domain": domain,
             "base": base,
@@ -169,6 +174,7 @@ def measure_root(domain: str, base: int, result_sizes, signer, calibration: dict
             "kernel_chain_hashes_per_answer": statistics.mean(modelled),
             "formula5_hashes": cost_model.user_computation_hashes(size, base, width),
             "vo_bytes_per_answer": statistics.mean(vo_bytes),
+            "vo_payload_bytes": statistics.mean(payload),
             "formula4_bytes": cost_model.user_traffic_bytes(size, base, width, parameters),
             "verifier_ms": round(statistics.median(seconds) * 1e3, 3),
             "formula5_ms": round(
@@ -211,6 +217,7 @@ def _table(report: dict, domain: str) -> list:
         ("verifier ms", "verifier_ms", "{:.3f}"),
         ("formula (5) ms", "formula5_ms", "{:.3f}"),
         ("VO bytes", "vo_bytes_per_answer", "{:.10g}"),
+        ("VO payload bytes", "vo_payload_bytes", "{:.10g}"),
         ("formula (4) bytes", "formula4_bytes", "{:.10g}"),
     )
     rows = [

@@ -241,6 +241,15 @@ class ResultVerifier:
                 "the proof speaks about a different key range than the query",
                 reason="range-mismatch",
             )
+        hash_function = manifest.hash_function()
+        width = len(proof.lower_boundary.attribute_root)
+        if width != hash_function.digest_size:
+            # A decoded proof carries every digest at the one width it declares.
+            raise VerificationError(
+                f"the proof's digests are {width} bytes, the manifest's "
+                f"{manifest.hash_name} digests {hash_function.digest_size}",
+                reason="malformed-proof",
+            )
 
         projection = rewritten.projection
         upper_scheme, lower_scheme = self._chain_schemes(manifest)
@@ -251,7 +260,7 @@ class ResultVerifier:
             domain=manifest.domain,
             upper_scheme=upper_scheme,
             lower_scheme=lower_scheme,
-            hash_function=manifest.hash_function(),
+            hash_function=hash_function,
             expected_names=set(projection.effective_attributes(schema)),
             leaf_heads=schema.attribute_leaf_heads,
         )

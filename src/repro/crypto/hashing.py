@@ -67,6 +67,11 @@ def resolve_hash_constructor(name: str) -> Callable:
     return constructor
 
 
+@lru_cache(maxsize=32)
+def _digest_size(name: str) -> int:
+    return hashlib.new(name).digest_size
+
+
 class HashCounter:
     """Global counter of primitive hash invocations.
 
@@ -114,8 +119,8 @@ class HashFunction:
 
     @property
     def digest_size(self) -> int:
-        """Digest size in bytes."""
-        return self.constructor(b"").digest_size
+        """Digest size in bytes (probed once per name, hashing nothing counted)."""
+        return _digest_size(self.name)
 
     @property
     def digest_bits(self) -> int:

@@ -461,8 +461,6 @@ class ReplicaSnapshot:
     files: Tuple[Tuple[str, bytes], ...]
 
 
-_ROW = codec.MapField(codec.STR, codec.SCALAR)
-
 codec.register_artifact(0x40, ListRelationsRequest, [])
 codec.register_artifact(
     0x41,
@@ -486,7 +484,7 @@ codec.register_artifact(
     0x45,
     QueryResponse,
     [
-        ("rows", codec.TupleField(_ROW)),
+        ("rows", codec.ROWS),
         ("proof", codec.OptionalField(codec.NestedField(RangeQueryProof))),
         ("manifest_id", codec.BYTES),
         ("attestation", codec.OptionalField(codec.NestedField(FreshnessAttestation))),
@@ -506,8 +504,8 @@ codec.register_artifact(
     0x47,
     JoinResponse,
     [
-        ("rows", codec.TupleField(_ROW)),
-        ("left_rows", codec.TupleField(_ROW)),
+        ("rows", codec.ROWS),
+        ("left_rows", codec.ROWS),
         ("proof", codec.OptionalField(codec.NestedField(JoinQueryProof))),
         ("left_manifest_id", codec.BYTES),
         ("right_manifest_id", codec.BYTES),

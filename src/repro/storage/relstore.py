@@ -67,7 +67,7 @@ import tempfile
 import threading
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.digest import EntryAssist
 from repro.core.polynomial import DEFAULT_BASE
@@ -842,6 +842,26 @@ class StoredSignedRelation(SignedRelation):
 
 
 def dump_publication(
+    path: str,
+    publications: Mapping[str, Tuple[SignedRelation, ManifestRotated]],
+    fsync: str = "always",
+    faults: Optional[FaultRegistry] = None,
+) -> None:
+    """Write the relation store at ``path`` from in-memory signed relations.
+
+    ``publications`` maps each hosting name to its signed relation and the
+    rotation it is published under.  The store is opened, written and closed
+    here, so its whole cost is the dump's.
+    """
+    store = RelationStore(path, fsync=fsync, faults=faults)
+    try:
+        for relation_name, (publication, rotation) in publications.items():
+            _mirror_publication(store, relation_name, publication, rotation)
+    finally:
+        store.close()
+
+
+def _mirror_publication(
     store: RelationStore,
     relation_name: str,
     publication: SignedRelation,

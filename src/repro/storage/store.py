@@ -78,7 +78,9 @@ __all__ = [
 #: ``scheme`` column (format 2's ``NOT NULL`` one refuses this build's writes).
 #: 4: every stored rotation, checkpoint, WAL frame and applied-update response
 #: holds a wire-v6 manifest, which names no digest-scheme kind.
-STORAGE_FORMAT = 4
+#: 5: every stored frame carries wire version 7 (the row payload frames keep
+#: their layout; only the version byte moves).
+STORAGE_FORMAT = 5
 
 _MANIFEST_FILE = "storage.json"
 _KEYS_FILE = "keys.json"
@@ -231,27 +233,23 @@ class PublicationStorage:
         storage = cls(root, fsync=fsync, faults=faults)
         os.makedirs(os.path.join(root, _SHARDS_DIR), exist_ok=True)
         layout: Dict[str, List[str]] = {}
-        try:
-            for shard_name, publisher in router.shards.items():
-                os.makedirs(storage.shard_dir(shard_name), exist_ok=True)
-                schemes = {}
-                for relation_name in sorted(publisher.database):
-                    layout.setdefault(shard_name, []).append(relation_name)
-                    signed = publisher.signed_relation(relation_name)
-                    schemes[relation_name] = signed.signature_scheme
-                    rotation = router.rotation(relation_name)
-                    dump_publication(
-                        storage.relation_store(shard_name), relation_name, signed, rotation
-                    )
-                    write_checkpoint(
-                        storage.checkpoint_path(shard_name, relation_name),
-                        relation_name,
-                        rotation,
-                        faults=faults,
-                    )
-                save_keys(storage.keys_path(shard_name), schemes)
-        finally:
-            storage.close()
+        for shard_name, publisher in router.shards.items():
+            os.makedirs(storage.shard_dir(shard_name), exist_ok=True)
+            names = layout[shard_name] = sorted(publisher.database)
+            publications = {
+                name: (publisher.signed_relation(name), router.rotation(name)) for name in names
+            }
+            save_keys(
+                storage.keys_path(shard_name),
+                {name: signed.signature_scheme for name, (signed, _) in publications.items()},
+            )
+            dump_publication(
+                storage.relstore_path(shard_name), publications, fsync=fsync, faults=faults
+            )
+            for name, (_, rotation) in publications.items():
+                write_checkpoint(
+                    storage.checkpoint_path(shard_name, name), name, rotation, faults=faults
+                )
         manifest_path = os.path.join(root, _MANIFEST_FILE)
         with open(manifest_path + ".tmp", "w") as handle:
             json.dump(

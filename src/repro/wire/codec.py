@@ -13,8 +13,21 @@ length-prefixed byte strings, sign+magnitude arbitrary-precision integers and
 the canonical scalar encoding shared with the hashing layer.  Mappings are
 serialised with strictly increasing keys, optionals carry an explicit presence
 byte, and nested artifacts of a *fixed* type are embedded body-only while
-union-typed fields (e.g. the matched/filtered entries of a range proof) carry
-a one-byte type tag.
+union-typed fields carry a one-byte type tag.
+
+A verified answer spends its bytes on digests, signatures and values:
+
+* every digest of a range proof is written bare, at the one width (a byte,
+  1..64) the proof declares first; an artifact that carries digests but
+  declares none (a proof part framed on its own) has its frame declare it,
+  0 when it holds no digest;
+* a proof part (matched, filtered and boundary entries, boundary assists)
+  opens with one flags byte: one bit per boolean, two-valued string, optional
+  or map field, so an absent part takes no bytes.  An unknown bit and a map
+  flagged present but empty are refused, and the high bit tells the matched
+  and filtered entries of a proof apart;
+* answer rows name their sorted columns once, then carry each row's scalars
+  in column order.
 
 The encoding is **canonical**: for every artifact there is exactly one valid
 byte string, and :func:`decode` rejects everything else —
@@ -41,6 +54,7 @@ every rejection keeps its typed reason and message.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -71,7 +85,7 @@ from repro.db.query import (
 )
 from repro.db.schema import Attribute, AttributeType, KeyDomain, Schema
 from repro.wire.errors import WireFormatError
-from repro.wire.primitives import _SHORT_STR_MEMO, _U32, MAX_FIELD_BYTES, WireReader
+from repro.wire.primitives import _U32, MAX_FIELD_BYTES, WireReader
 
 __all__ = [
     "encode",
@@ -90,6 +104,7 @@ __all__ = [
     "STR",
     "BYTES",
     "SCALAR",
+    "ROWS",
     "OptionalField",
     "TupleField",
     "PairField",
@@ -113,8 +128,15 @@ __all__ = [
 #: query response's proof is a ``RangeQueryProof`` body, no union tag.
 #: Version 6 drops the manifest's digest-scheme kind (every served chain is
 #: Section 5.1's) and the Section 3 list proof's registration (tag 0x06).
-WIRE_VERSION = 6
+#: Version 7 writes a proof's digests at one declared width, opens each proof
+#: part with a flags byte, and names an answer's row columns once.
+WIRE_VERSION = 7
 _MAGIC = b"PV"
+
+#: The widest digest a proof may declare (hashlib's largest fixed output).
+MAX_DIGEST_WIDTH = 64
+#: ``_BYTE[i] == bytes((i,))``: flags and width bytes without a call.
+_BYTE = tuple(bytes((i,)) for i in range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +150,8 @@ class _Emitter:
     Reader code keeps the cursor in three locals — ``d`` (the input bytes),
     ``e`` (their length) and ``o`` (the offset) — and primitives are read
     inline from them.  Whenever an inline read meets anything it does not
-    handle (a short input, an oversized or non-canonical field, a string not
-    in the short-string memo), :meth:`strict` hands the offset back to
+    handle (a short input, an oversized or non-canonical field, invalid
+    UTF-8), :meth:`strict` hands the offset back to
     ``reader`` and re-reads that one primitive through the strict
     :class:`~repro.wire.primitives.WireReader` method, which either raises
     its typed error or returns the value; the fast path then resumes.  The
@@ -228,6 +250,8 @@ class _Field:
     #: Whether the field embeds another artifact (possibly inside an
     #: optional, tuple, pair or map).
     nests = False
+    #: Whether the field holds digests at its proof's width.
+    digests = False
 
     def emit_read(self, em: _Emitter, target: str, label: str) -> None:
         raise NotImplementedError
@@ -237,6 +261,10 @@ class _Field:
 
     def to_json(self, value):
         raise NotImplementedError
+
+    def walk(self, value):
+        """The digests the field's ``value`` carries (declared width only)."""
+        return ()
 
 
 class _Int(_Field):
@@ -282,14 +310,14 @@ class _Bool(_Field):
 
 class _Str(_Field):
     def emit_read(self, em, target, label):
-        # Short strings are overwhelmingly repeated identifiers: a memo hit
-        # is read inline, anything else decodes (and fills the memo) strictly.
         em.line("s = o + 4")
-        with em.block(
-            "if s <= e and (n := _U32(d, o)[0]) <= 32 and (t := s + n) <= e"
-            f" and ({target} := _STRS(d[s:t])) is not None:"
-        ):
-            em.line("o = t")
+        with em.block("if s <= e and (n := _U32(d, o)[0]) <= _MAX and (t := s + n) <= e:"):
+            with em.block("try:"):
+                em.line(f"{target} = str(d[s:t], 'utf-8')")
+            with em.block("except UnicodeDecodeError:"):
+                em.strict(target, f"reader.str_({label})")
+            with em.block("else:"):
+                em.line("o = t")
         with em.block("else:"):
             em.strict(target, f"reader.str_({label})")
 
@@ -400,10 +428,38 @@ class _FixedBytes(_Field):
         return bytes(value).hex()
 
 
+class _Digest(_FixedBytes):
+    """A digest at the width of its proof: the local ``dw`` of the generated code."""
+
+    digests = True
+
+    def __init__(self) -> None:
+        self.size = "dw"
+
+    def emit_write(self, em, value):
+        em.line(f"b = bytes({value})")
+        with em.block("if len(b) != dw:"):
+            em.line(
+                "raise ValueError(f'a digest of {len(b)} bytes in a proof of "
+                "{dw}-byte digests')"
+            )
+        em.line("ap(b)")
+
+    def walk(self, value):
+        yield value
+
+
 class _Optional(_Field):
     def __init__(self, inner: _Field) -> None:
         self.inner = inner
         self.nests = inner.nests
+
+    @property
+    def digests(self) -> bool:
+        return self.inner.digests
+
+    def walk(self, value):
+        return () if value is None else self.inner.walk(value)
 
     def emit_read(self, em, target, label):
         present = em.local("p")
@@ -431,6 +487,14 @@ class _Tuple(_Field):
     def __init__(self, inner: _Field) -> None:
         self.inner = inner
         self.nests = inner.nests
+
+    @property
+    def digests(self) -> bool:
+        return self.inner.digests
+
+    def walk(self, value):
+        for item in value:
+            yield from self.inner.walk(item)
 
     def emit_read(self, em, target, label):
         # One label for every element (the element index would cost a string
@@ -460,6 +524,14 @@ class _Pair(_Field):
         self.second = second
         self.nests = first.nests or second.nests
 
+    @property
+    def digests(self) -> bool:
+        return self.first.digests or self.second.digests
+
+    def walk(self, value):
+        yield from self.first.walk(value[0])
+        yield from self.second.walk(value[1])
+
     def emit_read(self, em, target, label):
         first, second = em.local("x"), em.local("x")
         self.first.emit_read(em, first, label)
@@ -484,6 +556,14 @@ class _Map(_Field):
         self.key = key
         self.value = value
         self.nests = key.nests or value.nests
+
+    @property
+    def digests(self) -> bool:
+        return self.value.digests
+
+    def walk(self, value):
+        for item in value.values():
+            yield from self.value.walk(item)
 
     def emit_read(self, em, target, label):
         count, result, previous = em.local("k"), em.local("r"), em.local("q")
@@ -525,6 +605,14 @@ class _Nested(_Field):
     def __init__(self, cls: type) -> None:
         self.cls = cls
 
+    @property
+    def digests(self) -> bool:
+        return _codec_for_type(self.cls).inherits_width
+
+    def walk(self, value):
+        codec = _codec_for_type(self.cls)
+        return codec.walk(value) if codec.inherits_width else ()
+
     def emit_read(self, em, target, label):
         _codec_for_type(self.cls).emit_read_nested(em, target)
 
@@ -539,6 +627,7 @@ class _Union(_Field):
     """An embedded artifact of one of several types (1-byte tag + body)."""
 
     nests = True
+    tagged = True
 
     def __init__(self, *classes: type) -> None:
         self.classes = classes
@@ -570,7 +659,8 @@ class _Union(_Field):
         for cls in self.classes:
             codec = _codec_for_type(cls)
             with em.block(f"{keyword} {kind} is {em.bind('k', cls)}:"):
-                em.line(f"ap({bytes((codec.tag,))!r})")
+                if self.tagged:
+                    em.line(f"ap({bytes((codec.tag,))!r})")
                 codec.emit_write_nested(em, value)
             keyword = "elif"
         with em.block("else:"):
@@ -584,6 +674,227 @@ class _Union(_Field):
     def to_json(self, value):
         codec = _codec_for_type(type(value))
         return {"type": codec.name, "body": codec.json_body(value)}
+
+
+class _FlagUnion(_Union):
+    """An embedded artifact of one of several flag-opened types, no tag.
+
+    Each member's flags byte sets its own ``kind`` bits, so the union reads
+    the flags byte, picks the member by its kind bits and hands the byte on
+    to the member's body, which checks the rest of it.
+    """
+
+    tagged = False
+
+    @property
+    def digests(self) -> bool:
+        return any(_codec_for_type(cls).inherits_width for cls in self.classes)
+
+    def walk(self, value):
+        return _codec_for_type(type(value)).walk(value)
+
+    def emit_read(self, em, target, label):
+        members = [_codec_for_type(cls) for cls in self.classes]
+        mask = 0
+        for codec in members:
+            mask |= codec.kind
+        flags = em.local("g")
+        with em.block("if o < e:"):
+            em.line(f"{flags} = d[o]")
+            em.line("o += 1")
+        with em.block("else:"):
+            em.strict(flags, f"reader.u8({label})")
+        keyword = "if"
+        for codec in members[:-1]:
+            with em.block(f"{keyword} {flags} & {mask} == {codec.kind}:"):
+                codec.emit_read_nested(em, target, flags)
+            keyword = "elif"
+        # The last member reads any other kind, and refuses it as bad flags.
+        with em.block("else:"):
+            members[-1].emit_read_nested(em, target, flags)
+
+
+class _Flag(_Field):
+    """One bit of its artifact's flags byte, and what a set bit announces.
+
+    :meth:`present` is the expression, over the value in a local, that sets
+    the bit; :meth:`emit_write` writes the bytes a set bit announces (none
+    unless ``payload``), and :meth:`emit_read_flagged` reads the field given
+    the expression of its bit.
+    """
+
+    payload = True
+
+    def present(self, value: str) -> str:
+        raise NotImplementedError
+
+    def emit_check(self, em: _Emitter, value: str) -> None:
+        """Statements refusing a value the bit cannot stand for."""
+
+    def emit_read_flagged(self, em: _Emitter, target: str, label: str, bit: str) -> None:
+        raise NotImplementedError
+
+
+class _FlagBool(_Flag):
+    """A boolean that is its bit."""
+
+    payload = False
+
+    def present(self, value):
+        return value
+
+    def emit_read_flagged(self, em, target, label, bit):
+        em.line(f"{target} = ({bit}) != 0")
+
+    def to_json(self, value):
+        return bool(value)
+
+
+class _FlagChoice(_Flag):
+    """A string of two allowed values: its bit is set for ``on``."""
+
+    payload = False
+
+    def __init__(self, off: str, on: str) -> None:
+        self.off = off
+        self.on = on
+
+    def present(self, value):
+        return f"{value} == {self.on!r}"
+
+    def emit_check(self, em, value):
+        with em.block(f"if {value} != {self.on!r} and {value} != {self.off!r}:"):
+            em.line(f"{em.bind('f', self._refuse)}({value})")
+
+    def _refuse(self, value) -> None:
+        raise ValueError(f"{value!r} is neither {self.off!r} nor {self.on!r}")
+
+    def emit_read_flagged(self, em, target, label, bit):
+        em.line(f"{target} = {self.on!r} if {bit} else {self.off!r}")
+
+    def to_json(self, value):
+        return str(value)
+
+
+class _FlagOptional(_Flag, _Optional):
+    """An optional whose presence is its bit: ``None`` takes no bytes."""
+
+    def present(self, value):
+        return f"{value} is not None"
+
+    def emit_write(self, em, value):
+        self.inner.emit_write(em, value)
+
+    def emit_read_flagged(self, em, target, label, bit):
+        with em.block(f"if {bit}:"):
+            self.inner.emit_read(em, target, label)
+        with em.block("else:"):
+            em.line(f"{target} = None")
+
+
+class _FlagMap(_Flag, _Map):
+    """A map whose bit says it is non-empty: an empty map takes no bytes."""
+
+    def present(self, value):
+        return value
+
+    def emit_write(self, em, value):
+        _Map.emit_write(self, em, value)
+
+    def emit_read_flagged(self, em, target, label, bit):
+        with em.block(f"if {bit}:"):
+            _Map.emit_read(self, em, target, label)
+            with em.block(f"if not {target}:"):
+                em.line(f"raise {em.bind('f', _empty_map)}({label})")
+        with em.block("else:"):
+            em.line(f"{target} = {{}}")
+
+
+class _FlagAssist(_Flag):
+    """An :class:`EntryAssist` as one bit, plus its root digest when it has one."""
+
+    digests = True
+
+    def present(self, value):
+        return f"{value}.mht_root is not None"
+
+    def emit_write(self, em, value):
+        DIGEST.emit_write(em, f"{value}.mht_root")
+
+    def emit_read_flagged(self, em, target, label, bit):
+        root = em.local("x")
+        with em.block(f"if {bit}:"):
+            DIGEST.emit_read(em, root, label)
+            em.line(f"{target} = _new({em.bind('k', EntryAssist)})")
+            em.line(f"{target}.__dict__['mht_root'] = {root}")
+        with em.block("else:"):
+            em.line(f"{target} = {em.bind('a', EntryAssist())}")
+
+    def walk(self, value):
+        return () if value.mht_root is None else (value.mht_root,)
+
+    def to_json(self, value):
+        return _codec_for_type(EntryAssist).json_body(value)
+
+
+class _Rows(_Field):
+    """Answer rows of one column set.
+
+    The row count, then, when there are rows, the sorted column names once
+    and each row's scalars in column order.  A scalar keeps its
+    ``u32 length | encode_value(v)`` bytes, an attribute leaf's pre-image
+    tail.  Rows whose key sets differ are refused at encode.
+    """
+
+    def emit_read(self, em, target, label):
+        count, width, rows = em.local("k"), em.local("k"), em.local("a")
+        columns, name, previous = em.local("a"), em.local("x"), em.local("q")
+        values, item = em.local("a"), em.local("x")
+        _emit_count(em, count, label)
+        em.line(f"{rows} = []")
+        with em.block(f"if {count}:"):
+            _emit_count(em, width, label)
+            em.line(f"{columns} = []")
+            em.line(f"{previous} = None")
+            with em.block(f"for _ in range({width}):"):
+                STR.emit_read(em, name, label)
+                with em.block(f"if {previous} is not None and not {name} > {previous}:"):
+                    em.line(
+                        f"raise _WireFormatError(f'column names of {{{label}}} are not "
+                        "strictly increasing', reason='unsorted-map')"
+                    )
+                em.line(f"{previous} = {name}")
+                em.line(f"{columns}.append({name})")
+            with em.block(f"for _ in range({count}):"):
+                em.line(f"{values} = []")
+                with em.block(f"for _ in range({width}):"):
+                    SCALAR.emit_read(em, item, label)
+                    em.line(f"{values}.append({item})")
+                em.line(f"{rows}.append(dict(zip({columns}, {values})))")
+        em.line(f"{target} = tuple({rows})")
+
+    def emit_write(self, em, value):
+        rows, columns, keys = em.local("a"), em.local("a"), em.local("y")
+        row, name, item = em.local("x"), em.local("x"), em.local("x")
+        em.line(f"{rows} = tuple({value})")
+        _emit_length(em, rows)
+        with em.block(f"if {rows}:"):
+            em.line(f"{keys} = {rows}[0].keys()")
+            em.line(f"{columns} = sorted({keys})")
+            _emit_length(em, columns)
+            with em.block(f"for {name} in {columns}:"):
+                STR.emit_write(em, name)
+            with em.block(f"for {row} in {rows}:"):
+                with em.block(f"if {row}.keys() != {keys}:"):
+                    em.line("raise ValueError('rows of one answer must share their columns')")
+                with em.block(f"for {name} in {columns}:"):
+                    em.line(f"{item} = {row}[{name}]")
+                    SCALAR.emit_write(em, item)
+
+    def to_json(self, value):
+        return [
+            {str(k): SCALAR.to_json(v) for k, v in sorted(row.items())} for row in value
+        ]
 
 
 class _EnumStr(_Str):
@@ -630,6 +941,8 @@ BOOL = _Bool()
 STR = _Str()
 BYTES = _Bytes()
 SCALAR = _Scalar()
+DIGEST = _Digest()
+ROWS = _Rows()
 
 #: Public aliases for composite field types, so extension modules (the service
 #: protocol) can declare their own artifacts without reaching for underscores.
@@ -657,6 +970,12 @@ class _ArtifactCodec:
     that embeds none itself is inlined, and the result is one flat function
     per artifact with the wire primitives written out in it.  Construction is
     positional, or a direct ``__dict__`` fill for a plain dataclass.
+
+    ``width`` makes the artifact declare the width of the digests it holds
+    (it maps an artifact to that width); the body then opens with the width
+    byte.  An artifact with flag fields (:class:`_Flag`) opens its body with
+    a flags byte: bit ``i`` for its ``i``-th flag field, plus the fixed
+    ``kind`` bits above them that a :class:`_FlagUnion` picks it by.
     """
 
     def __init__(
@@ -665,13 +984,24 @@ class _ArtifactCodec:
         cls: type,
         fields: Sequence[Tuple[str, _Field]],
         post: Optional[Callable[[object], None]] = None,
+        width: Optional[Callable[[object], int]] = None,
+        kind: int = 0,
     ) -> None:
         self.tag = tag
         self.cls = cls
         self.name = cls.__name__
         self.fields = tuple(fields)
         self.post = post
+        self.width = width
+        self.kind = kind
         self._names = tuple(name for name, _ in self.fields)
+        flagged = [i for i, (_, field) in enumerate(self.fields) if isinstance(field, _Flag)]
+        self._bits = {index: 1 << bit for bit, index in enumerate(flagged)}
+        #: the flags-byte bits no flag field owns: they must equal ``kind``
+        self._fixed_bits = 0xFF & -(1 << len(flagged))
+        if kind & ~self._fixed_bits:
+            raise ValueError(f"the kind bits of {self.name} overlap its flag bits")
+        self._flagged = bool(flagged or kind)
         self.header = _MAGIC + bytes((WIRE_VERSION, tag))
         # The generated decoder constructs positionally, so the field table
         # must be the constructor's parameter list; a mismatch is a
@@ -684,7 +1014,8 @@ class _ArtifactCodec:
                 f"constructor takes {list(parameters)}"
             )
         self._plain = self._plain_dataclass()
-        self._leaf = not any(field.nests for _, field in self.fields)
+        # A width-declaring body reads into its own ``dw``: never inlined.
+        self._leaf = width is None and not any(field.nests for _, field in self.fields)
         #: generated writers of the fields from index ``i`` on (``encode_tail``)
         self._tail_writers: Dict[int, Callable] = {}
 
@@ -694,9 +1025,43 @@ class _ArtifactCodec:
             reason="invalid-artifact",
         )
 
+    # -- digest width ------------------------------------------------------------
+
+    @functools.cached_property
+    def inherits_width(self) -> bool:
+        """True when the artifact holds digests at a width it does not declare."""
+        return self.width is None and any(field.digests for _, field in self.fields)
+
+    def walk(self, artifact):
+        """The digests of ``artifact`` written at its inherited width."""
+        for name, field in self.fields:
+            yield from field.walk(getattr(artifact, name))
+
+    def frame_width(self, artifact) -> int:
+        """The width a frame of ``artifact`` on its own declares (0: no digest)."""
+        widths = {len(digest) for digest in self.walk(artifact)}
+        if not widths:
+            return 0
+        width = widths.pop()
+        if widths or not 0 < width <= MAX_DIGEST_WIDTH:
+            raise ValueError(
+                f"the digests of one {self.name} frame must share one width of "
+                f"1..{MAX_DIGEST_WIDTH} bytes"
+            )
+        return width
+
+    def check_frame_width(self, artifact, width: int) -> None:
+        """Refuse a frame whose declared width is not the one it would encode at."""
+        if self.frame_width(artifact) != width:
+            raise WireFormatError(
+                f"a {self.name} frame declares {width}-byte digests and carries "
+                "no digest at that width",
+                reason="bad-digest-width",
+            )
+
     # -- reading ---------------------------------------------------------------
 
-    def read_body(self, reader: WireReader):
+    def read_body(self, reader: WireReader, dw: int = 0):
         """Decode one body; replaced by the generated decoder on first use."""
         em = _Emitter(_codegen_bindings())
         em.line("d = reader._data")
@@ -705,43 +1070,71 @@ class _ArtifactCodec:
         self.emit_read_body(em, "_artifact")
         em.line("reader._offset = o")
         em.line("return _artifact")
-        read_body = em.compile("def _read_body(reader):", "_read_body", f"<wire codec {self.name}>")
+        read_body = em.compile(
+            "def _read_body(reader, dw=0):", "_read_body", f"<wire codec {self.name}>"
+        )
         self.read_body = read_body  # shadows the method for this codec
-        return read_body(reader)
+        return read_body(reader, dw)
 
-    def emit_read_nested(self, em: _Emitter, target: str) -> None:
+    def emit_read_nested(self, em: _Emitter, target: str, flags: Optional[str] = None) -> None:
         """Statements reading this artifact where another embeds it.
 
         An artifact that embeds none is inlined; any other is read through
         its own generated function, so each body is compiled once.
+        ``flags`` names a local holding the artifact's flags byte, already
+        read.
         """
         if self._leaf:
-            self.emit_read_body(em, target)
+            self.emit_read_body(em, target, flags)
             return
+        if flags is not None:
+            em.line("o -= 1")  # the body reads its own flags byte
         em.line("reader._offset = o")
-        em.line(f"{target} = {em.bind('c', self)}.read_body(reader)")
+        em.line(f"{target} = {em.bind('c', self)}.read_body(reader, dw)")
         em.line("o = reader._offset")
 
-    def emit_read_body(self, em: _Emitter, target: str) -> None:
+    def emit_read_body(self, em: _Emitter, target: str, flags: Optional[str] = None) -> None:
         """Statements reading this artifact's body into the local ``target``."""
         values = [em.local("v") for _ in self.fields]
         labels = [em.bind("L", f"{self.name}.{name}") for name in self._names]
         cls = em.bind("k", self.cls)
+        if self.width is not None:
+            with em.block(f"if o < e and 0 < (dw := d[o]) <= {MAX_DIGEST_WIDTH}:"):
+                em.line("o += 1")
+            with em.block("else:"):
+                em.strict("dw", f"_read_width(reader, {em.bind('L', f'{self.name} digest width')})")
+        if self._flagged:
+            name = em.bind("L", f"{self.name} flags")
+            if flags is None:
+                flags = em.local("f")
+                with em.block("if o < e:"):
+                    em.line(f"{flags} = d[o]")
+                    em.line("o += 1")
+                with em.block("else:"):
+                    em.strict(flags, f"reader.u8({name})")
+            with em.block(f"if {flags} & {self._fixed_bits} != {self.kind}:"):
+                em.line(f"raise _bad_flags({name}, {flags})")
+
+        def read_fields():
+            for index, ((_, field), value, label) in enumerate(zip(self.fields, values, labels)):
+                if index in self._bits:
+                    field.emit_read_flagged(em, value, label, f"{flags} & {self._bits[index]}")
+                else:
+                    field.emit_read(em, value, label)
+
         if self._plain:
             # A plain dataclass whose __init__ only assigns the registered
             # fields: fill the instance directly, after every field is read
             # (reading __dict__ bypasses a frozen dataclass's __setattr__).
-            for (_, field), value, label in zip(self.fields, values, labels):
-                field.emit_read(em, value, label)
-            assignments = ", ".join(
-                f"{name!r}: {value}" for name, value in zip(self._names, values)
-            )
+            read_fields()
             em.line(f"{target} = _new({cls})")
-            em.line(f"{target}.__dict__.update({{{assignments}}})")
+            fill = em.local("z")
+            em.line(f"{fill} = {target}.__dict__")
+            for name, value in zip(self._names, values):
+                em.line(f"{fill}[{name!r}] = {value}")
         else:
             with em.block("try:"):
-                for (_, field), value, label in zip(self.fields, values, labels):
-                    field.emit_read(em, value, label)
+                read_fields()
                 em.line(f"{target} = {cls}({', '.join(values)})")
             with em.block("except (ValueError, TypeError, KeyError) as _error:"):
                 em.line(f"raise {em.bind('i', self._invalid)}(_error) from None")
@@ -767,10 +1160,10 @@ class _ArtifactCodec:
 
     # -- writing ---------------------------------------------------------------
 
-    def write_body(self, ap: Callable[[bytes], None], artifact) -> None:
+    def write_body(self, ap: Callable[[bytes], None], artifact, dw: int = 0) -> None:
         """Encode one body through ``ap``; replaced by the generated writer on first use."""
         write_body = self.write_body = self.tail_writer(0)
-        write_body(ap, artifact)
+        write_body(ap, artifact, dw)
 
     def tail_writer(self, first: int) -> Callable:
         """The generated writer of fields ``first..`` of an artifact, into ``ap``."""
@@ -780,7 +1173,7 @@ class _ArtifactCodec:
             em.line("pass")
             self._emit_write_fields(em, "a", first)
             writer = self._tail_writers[first] = em.compile(
-                "def _write_body(ap, a):", "_write_body", f"<wire codec {self.name}>"
+                "def _write_body(ap, a, dw=0):", "_write_body", f"<wire codec {self.name}>"
             )
         return writer
 
@@ -792,13 +1185,37 @@ class _ArtifactCodec:
         if self._leaf:
             self._emit_write_fields(em, value, 0)
         else:
-            em.line(f"{em.bind('c', self)}.write_body(ap, {value})")
+            em.line(f"{em.bind('c', self)}.write_body(ap, {value}, dw)")
 
     def _emit_write_fields(self, em: _Emitter, value: str, first: int) -> None:
-        for name, field in self.fields[first:]:
-            item = em.local("w")
-            em.line(f"{item} = {value}.{name}")
-            field.emit_write(em, item)
+        if self.width is not None:
+            em.line(f"dw = {em.bind('w', self.width)}({value})")
+            with em.block(f"if not 0 < dw <= {MAX_DIGEST_WIDTH}:"):
+                em.line(
+                    f"raise ValueError(f'{self.name} digests of {{dw}} bytes; "
+                    f"a width is 1..{MAX_DIGEST_WIDTH}')"
+                )
+            if first == 0:
+                em.line("ap(_BYTE[dw])")
+        items = {}
+        for index, (name, field) in enumerate(self.fields):
+            if index >= first:
+                items[index] = item = em.local("w")
+                em.line(f"{item} = {value}.{name}")
+                if index in self._bits:
+                    field.emit_check(em, item)
+        if self._flagged and first == 0:
+            bits = [str(self.kind)] + [
+                f"({bit} if {self.fields[index][1].present(items[index])} else 0)"
+                for index, bit in self._bits.items()
+            ]
+            em.line(f"ap(_BYTE[{' | '.join(bits)}])")
+        for index, (_, field) in enumerate(self.fields[first:], first):
+            if index not in self._bits:
+                field.emit_write(em, items[index])
+            elif field.payload:
+                with em.block(f"if {field.present(items[index])}:"):
+                    field.emit_write(em, items[index])
 
     def json_body(self, artifact) -> Dict[str, object]:
         return {
@@ -812,10 +1229,12 @@ def _codegen_bindings() -> Dict[str, object]:
     return {
         "_U32": _U32,
         "_MAX": MAX_FIELD_BYTES,
-        "_STRS": _SHORT_STR_MEMO.get,
         "_WireFormatError": WireFormatError,
         "_encode_value": encode_value,
         "_new": object.__new__,
+        "_BYTE": _BYTE,
+        "_read_width": _read_width,
+        "_bad_flags": _bad_flags,
     }
 
 
@@ -828,8 +1247,10 @@ def register_artifact(
     cls: type,
     fields: Sequence[Tuple[str, _Field]],
     post: Optional[Callable[[object], None]] = None,
+    width: Optional[Callable[[object], int]] = None,
+    kind: int = 0,
 ) -> None:
-    """Register a codec for ``cls`` under ``tag``.
+    """Register a codec for ``cls`` under ``tag`` (see :class:`_ArtifactCodec`).
 
     The service layer uses this to add its request/response envelopes to the
     same registry the proof artifacts live in, so one :func:`decode` call
@@ -839,7 +1260,7 @@ def register_artifact(
         raise ValueError(f"wire tag {tag:#04x} is already registered")
     if cls in _TYPES:
         raise ValueError(f"{cls.__name__} is already registered")
-    codec = _ArtifactCodec(tag, cls, fields, post)
+    codec = _ArtifactCodec(tag, cls, fields, post, width, kind)
     _TAGS[tag] = codec
     _TYPES[cls] = codec
 
@@ -851,7 +1272,26 @@ def _codec_for_type(cls: type) -> _ArtifactCodec:
     return codec
 
 
-# -- validation hooks ---------------------------------------------------------
+# -- refusals and validation hooks --------------------------------------------
+
+
+def _read_width(reader: WireReader, what: str, allow_zero: bool = False) -> int:
+    """A declared digest width: 1..64, or 0 where a frame may hold no digest."""
+    width = reader.u8(what)
+    if not (0 < width <= MAX_DIGEST_WIDTH or (allow_zero and width == 0)):
+        raise WireFormatError(
+            f"{what} of {width} bytes is not 1..{MAX_DIGEST_WIDTH}",
+            reason="bad-digest-width",
+        )
+    return width
+
+
+def _bad_flags(what: str, flags: int) -> WireFormatError:
+    return WireFormatError(f"{what} {flags:#04x} set a bit of no field", reason="bad-flags")
+
+
+def _empty_map(what: str) -> WireFormatError:
+    return WireFormatError(f"{what} is flagged present but empty", reason="empty-map")
 
 
 def _check(condition: bool, message: str) -> None:
@@ -870,13 +1310,6 @@ def _post_merkle_proof(proof: MerkleProof) -> None:
 def _post_aggregate(aggregate: AggregateSignature) -> None:
     _check(aggregate.value >= 1, "aggregate signature value must be positive")
     _check(aggregate.count >= 1, "aggregate signature count must be positive")
-
-
-def _post_filtered(entry: FilteredEntryProof) -> None:
-    _check(
-        entry.reason in ("predicate", "access-control"),
-        f"unknown filtering reason {entry.reason!r}",
-    )
 
 
 def _post_public_key(key: RSAPublicKey) -> None:
@@ -920,17 +1353,17 @@ def _post_receipt(receipt: UpdateReceipt) -> None:
 
 # -- registrations ------------------------------------------------------------
 
-register_artifact(0x01, EntryAssist, [("mht_root", _Optional(BYTES))])
+register_artifact(0x01, EntryAssist, [("mht_root", _FlagOptional(DIGEST))])
 
 register_artifact(
     0x02,
     BoundaryAssist,
     [
-        ("intermediate_digests", _Tuple(BYTES)),
-        ("used_canonical", BOOL),
-        ("mht_root", _Optional(BYTES)),
-        ("canonical_digest", _Optional(BYTES)),
-        ("mht_proof", _Optional(_Nested(MerkleProof))),
+        ("intermediate_digests", _Tuple(DIGEST)),
+        ("used_canonical", _FlagBool()),
+        ("mht_root", _FlagOptional(DIGEST)),
+        ("canonical_digest", _FlagOptional(DIGEST)),
+        ("mht_proof", _FlagOptional(_Nested(MerkleProof))),
     ],
 )
 
@@ -939,7 +1372,7 @@ register_artifact(
     MerkleProof,
     [
         ("leaf_index", INT),
-        ("siblings", _Tuple(_Pair(BYTES, BOOL))),
+        ("siblings", _Tuple(_Pair(DIGEST, BOOL))),
         ("tree_size", INT),
     ],
     post=_post_merkle_proof,
@@ -965,10 +1398,10 @@ register_artifact(
     0x07,
     BoundaryEntryProof,
     [
-        ("side", _EnumStr("lower", "upper")),
+        ("side", _FlagChoice("lower", "upper")),
         ("chain_boundary", _Nested(BoundaryAssist)),
-        ("other_chain_digest", BYTES),
-        ("attribute_root", BYTES),
+        ("other_chain_digest", DIGEST),
+        ("attribute_root", DIGEST),
     ],
 )
 
@@ -976,12 +1409,12 @@ register_artifact(
     0x08,
     MatchedEntryProof,
     [
-        ("upper_assist", _Nested(EntryAssist)),
-        ("lower_assist", _Nested(EntryAssist)),
-        ("dropped_attribute_digests", _Map(STR, BYTES)),
-        ("eliminated_duplicate", BOOL),
-        ("revealed_attributes", _Map(STR, SCALAR)),
-        ("key", _Optional(INT)),
+        ("upper_assist", _FlagAssist()),
+        ("lower_assist", _FlagAssist()),
+        ("dropped_attribute_digests", _FlagMap(STR, DIGEST)),
+        ("eliminated_duplicate", _FlagBool()),
+        ("revealed_attributes", _FlagMap(STR, SCALAR)),
+        ("key", _FlagOptional(INT)),
     ],
 )
 
@@ -989,13 +1422,13 @@ register_artifact(
     0x09,
     FilteredEntryProof,
     [
-        ("revealed_attributes", _Map(STR, SCALAR)),
-        ("attribute_leaf_digests", _Map(STR, BYTES)),
-        ("upper_chain_digest", BYTES),
-        ("lower_chain_digest", BYTES),
-        ("reason", _EnumStr("predicate", "access-control")),
+        ("revealed_attributes", _FlagMap(STR, SCALAR)),
+        ("attribute_leaf_digests", _FlagMap(STR, DIGEST)),
+        ("upper_chain_digest", DIGEST),
+        ("lower_chain_digest", DIGEST),
+        ("reason", _FlagChoice("predicate", "access-control")),
     ],
-    post=_post_filtered,
+    kind=0x80,
 )
 
 register_artifact(
@@ -1006,10 +1439,12 @@ register_artifact(
         ("key_high", INT),
         ("lower_boundary", _Nested(BoundaryEntryProof)),
         ("upper_boundary", _Nested(BoundaryEntryProof)),
-        ("entries", _Tuple(_Union(MatchedEntryProof, FilteredEntryProof))),
+        ("entries", _Tuple(_FlagUnion(MatchedEntryProof, FilteredEntryProof))),
         ("signatures", _Nested(SignatureBundle)),
         ("outer_neighbor_digest", _Optional(BYTES)),
     ],
+    # every proof carries its lower boundary's attribute root
+    width=lambda proof: len(proof.lower_boundary.attribute_root),
 )
 
 register_artifact(
@@ -1125,6 +1560,13 @@ register_artifact(
     ],
 )
 
+# A router indexes its relations by manifest id when it is built, so a
+# manifest is the first artifact every publishing or serving process encodes:
+# its writers are compiled here, at import, rather than inside that first
+# publish or recovery.
+for _cls in (RelationManifest, Schema, Attribute):
+    _codec_for_type(_cls).write_body = _codec_for_type(_cls).tail_writer(0)
+
 
 # ---------------------------------------------------------------------------
 # Public API
@@ -1135,7 +1577,12 @@ def encode(artifact) -> bytes:
     """Encode ``artifact`` to its canonical framed wire bytes."""
     codec = _codec_for_type(type(artifact))
     parts = [codec.header]
-    codec.write_body(parts.append, artifact)
+    if codec.inherits_width:
+        width = codec.frame_width(artifact)
+        parts.append(_BYTE[width])
+        codec.write_body(parts.append, artifact, width)
+    else:
+        codec.write_body(parts.append, artifact)
     return b"".join(parts)
 
 
@@ -1168,7 +1615,11 @@ def encode_tail(artifact, first_field: str) -> bytes:
     """What ``encode(artifact)`` ends with: its fields from ``first_field`` on."""
     codec = _codec_for_type(type(artifact))
     parts: List[bytes] = []
-    codec.tail_writer(codec._names.index(first_field))(parts.append, artifact)
+    writer = codec.tail_writer(codec._names.index(first_field))
+    if codec.inherits_width:
+        writer(parts.append, artifact, codec.frame_width(artifact))
+    else:
+        writer(parts.append, artifact)
     return b"".join(parts)
 
 
@@ -1200,7 +1651,12 @@ def decode(data, expect: Optional[type] = None):
         codec = _TAGS.get(tag)
         if codec is None:
             raise WireFormatError(f"unknown artifact tag {tag:#04x}", reason="bad-tag")
-    artifact = codec.read_body(reader)
+    if codec.inherits_width:
+        width = _read_width(reader, "frame digest width", allow_zero=True)
+        artifact = codec.read_body(reader, width)
+        codec.check_frame_width(artifact, width)
+    else:
+        artifact = codec.read_body(reader)
     reader.expect_end()
     if expect is not None and not isinstance(artifact, expect):
         raise WireFormatError(

@@ -35,11 +35,6 @@ MAX_FIELD_BYTES = 64 * 1024 * 1024
 #: line of the decoder.
 _U32 = struct.Struct(">I").unpack_from
 
-#: Decoded spellings of short wire strings (attribute/relation names repeat
-#: on every row of every answer).  Fills up to the cap and then stops
-#: growing, so adversarial unique strings cannot balloon it.
-_SHORT_STR_MEMO: dict = {}
-_SHORT_STR_MEMO_MAX = 4096
 
 
 class WireReader:
@@ -147,21 +142,12 @@ class WireReader:
 
     def str_(self, what="string") -> str:
         raw = self.bytes_(what)
-        # Short strings on the wire are overwhelmingly repeated identifiers
-        # (attribute names, relation names): decode each spelling once.
-        if len(raw) <= 32:
-            cached = _SHORT_STR_MEMO.get(raw)
-            if cached is not None:
-                return cached
         try:
-            value = str(raw, "utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as error:
             raise WireFormatError(
                 f"invalid UTF-8 in {what}: {error}", reason="bad-utf8"
             ) from None
-        if len(raw) <= 32 and len(_SHORT_STR_MEMO) < _SHORT_STR_MEMO_MAX:
-            _SHORT_STR_MEMO[raw] = value
-        return value
 
     def int_(self, what="int") -> int:
         # Inlined sign+magnitude decode (the strict dual of WireWriter.int_);

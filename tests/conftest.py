@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.owner import DataOwner
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.publisher import Publisher
 from repro.core.verifier import ResultVerifier
 from repro.crypto.signature import SignatureScheme, rsa_scheme
@@ -36,8 +37,9 @@ def forged_scheme() -> SignatureScheme:
 
 @pytest.fixture(scope="session")
 def owner(signature_scheme) -> DataOwner:
-    """A data owner using the shared key and the Section 5.1 digests (B=2)."""
-    return DataOwner(signature_scheme=signature_scheme, base=2)
+    """A data owner using the shared key and the Section 5.1 digests at the
+    shipped base (``DEFAULT_BASE``)."""
+    return DataOwner(signature_scheme=signature_scheme, base=DEFAULT_BASE)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from repro.core.errors import CompletenessError, VerificationError
 from repro.core.publisher import Publisher
 from repro.core.verifier import ResultVerifier
 from repro.db.query import Conjunction, Projection, Query, RangeCondition
+from repro.db.relation import Relation
 from repro.db.workload import generate_employees
 
 
@@ -179,18 +180,26 @@ class TestRangeQueries:
         assert report.hash_operations > 0
 
     def test_proof_size_independent_of_table_size(self, owner):
-        """Section 6.1: VO size depends on the result, not on the database."""
+        """Section 6.1: VO size depends on the result, not on the database.
+
+        Above B=2 a key's base-B digits shape its boundary proof, so both
+        tables hold the same ten answer keys and the same two boundary keys;
+        only the rest of the table differs."""
+        large = generate_employees(200, seed=3, photo_bytes=4)
+        records = sorted(large, key=lambda record: record.key)
+        window = records[99:111]  # boundary, the ten answer keys, boundary
+        small = Relation.from_rows(
+            large.schema,
+            [record.as_dict() for record in window + records[:99:4] + records[111::4]],
+        )
+        query = _range_query(window[1].key, window[10].key)
         sizes = {}
-        for table_size in (50, 200):
-            relation = generate_employees(table_size, seed=3, photo_bytes=4)
+        for relation in (small, large):
             signed = owner.publish_relation(relation)
-            publisher = Publisher({"employees": signed})
-            keys = relation.keys()
-            query = _range_query(keys[10], keys[19])
-            result = publisher.answer(query)
+            result = Publisher({"employees": signed}).answer(query)
             assert len(result.rows) == 10
-            sizes[table_size] = result.proof.digest_count
-        assert sizes[50] == sizes[200]
+            sizes[len(relation)] = result.proof.digest_count
+        assert sizes[len(small)] == sizes[200] and len(small) < 100
 
 
 class TestVerifierRejectsBadRanges:

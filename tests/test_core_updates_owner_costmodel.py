@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import cost_model
 from repro.core.owner import DataOwner
+from repro.core.polynomial import DEFAULT_BASE
 from repro.core.publisher import Publisher
 from repro.core.verifier import ResultVerifier
 from repro.db.btree import BPlusTree
@@ -148,7 +149,7 @@ class TestDataOwner:
         relation = generate_employees(5, seed=1, photo_bytes=2)
         signed = owner.publish_relation(relation)
         manifest = signed.manifest
-        assert manifest.base == 2
+        assert manifest.base == owner.base == DEFAULT_BASE
         assert manifest.hash_name == "sha256"
         assert manifest.domain.width == 100_000
 

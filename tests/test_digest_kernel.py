@@ -337,15 +337,16 @@ def _stored_metrics(tmp_path, signature_scheme, rows, via_dump):
     from repro.wire.updates import ManifestRotated
 
     schema = metrics_schema(16_384)
-    store = RelationStore(str(tmp_path / ("dump.db" if via_dump else "stream.db")), fsync="off")
+    path = str(tmp_path / ("dump.db" if via_dump else "stream.db"))
     if via_dump:
         signed = SignedRelation(Relation.from_rows(schema, _row_stream(rows)), signature_scheme)
         rotation = ManifestRotated(signed.manifest, b"", signed.sign_rotation(b""))
-        dump_publication(store, RELATION, signed, rotation)
+        dump_publication(path, {RELATION: (signed, rotation)}, fsync="off")
     else:
+        store = RelationStore(path, fsync="off")
         build_stored_chain(store, RELATION, schema, _row_stream(rows), signature_scheme)
-    store.close()
-    store = RelationStore(store.path, fsync="off")
+        store.close()
+    store = RelationStore(path, fsync="off")
     return store, _attach(store, schema, signature_scheme)
 
 

@@ -43,7 +43,9 @@ def test_served_domain_counts_at_b2_and_at_the_default():
         113.5,
     )
     assert (before["owner_hashes_per_row"], after["owner_hashes_per_row"]) == (161.191, 118.547)
-    assert (before["vo_bytes_per_answer"], after["vo_bytes_per_answer"]) == (4896.75, 4464.75)
+    assert (before["vo_bytes_per_answer"], after["vo_bytes_per_answer"]) == (3931.75, 3547.75)
+    # Wire v7: what a VO carries beyond its digests and signatures.
+    assert (before["vo_payload_bytes"], after["vo_payload_bytes"]) == (3840, 3456)
     # The chain share is what the cost model's kernel counts predict; the
     # rest (attribute roots, 40 chain messages) does not depend on B.
     for cell in (before, after):
@@ -69,6 +71,13 @@ def test_sweep_gate_binds_on_exact_counts():
     failures = []
     gate._check_sweep(record, moved, failures)
     assert any("vo_bytes_per_answer" in failure for failure in failures)
+
+    framed = copy.deepcopy(record)
+    cell = framed["cells"]["16385/B=3/Q=1"]
+    cell["vo_bytes_per_answer"] = int(cell["vo_payload_bytes"] * 1.09)
+    failures = []
+    gate._check_sweep(framed, framed, failures)
+    assert any("digests and signatures" in failure for failure in failures)
 
     off_model = copy.deepcopy(record)
     off_model["cells"]["16385/B=4/Q=40"]["kernel_chain_hashes_per_answer"] -= 1

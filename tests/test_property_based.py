@@ -10,6 +10,7 @@ End-to-end properties over the full (signed) pipeline live in
 
 import string
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core import polynomial
@@ -333,17 +334,28 @@ _SCALAR_PAYLOADS = st.one_of(
 
 @settings(max_examples=150)
 @given(
-    st.lists(
-        st.dictionaries(st.text(max_size=12), _SCALARS, max_size=6), max_size=6
+    st.lists(st.text(max_size=12), max_size=6, unique=True).flatmap(
+        lambda columns: st.lists(
+            st.fixed_dictionaries({name: _SCALARS for name in columns}), max_size=6
+        )
     )
 )
 def test_wire_rows_of_arbitrary_scalars_round_trip(rows):
+    """Rows of one answer share their columns: named once, then values."""
     response = QueryResponse(rows=tuple(rows), proof=None)
     blob = encode(response)
     decoded = decode(blob)
     assert decoded == response
     # Re-encoding is type-sensitive where ``==`` is not (True vs 1, -0.0 vs 0.0).
     assert encode(decoded) == blob
+    if rows:  # a row with one column more or less is refused at encode
+        ragged = dict(rows[-1])
+        if ragged:
+            ragged.popitem()
+        else:
+            ragged["extra"] = None
+        with pytest.raises(ValueError, match="share their columns"):
+            encode(QueryResponse(rows=tuple(rows) + (ragged,), proof=None))
 
 
 @settings(max_examples=400)

@@ -412,7 +412,7 @@ def test_a_signed_rotation_must_keep_the_chain_parameters(
         changed = {
             "public_key": forged_scheme.verifier,
             "schema": workload.stock_schema(),
-            "base": 3,
+            "base": pinned.base + 1,  # any base but the published one
             "hash_name": "sha1",
         }[field]
         manifest = dataclasses.replace(
@@ -687,7 +687,8 @@ def _read(client, shape):
         # The stamp falls out of the server's history before the refresh.
         ("stamp-evicted", 4, ["RotationRequest", "ManifestByIdRequest"], None),
         ("forged-rotation", None, ["RotationRequest"], "rotation-forged"),
-        # Correctly signed, but the rotated manifest changes the chain's base.
+        # Correctly signed, but the rotated manifest changes the chain's base
+        # (to the one above the published base).
         ("parameter-swap", None, ["RotationRequest"], "rotation-scheme-mismatch"),
     ],
 )
@@ -746,7 +747,7 @@ def test_one_attribution_policy_for_every_read_shape(
             elif scenario == "parameter-swap":
                 client.rewrite_rotation = lambda rotation: resign(
                     rotation,
-                    dataclasses.replace(rotation.manifest, base=3),
+                    dataclasses.replace(rotation.manifest, base=rotation.manifest.base + 1),
                     owner.signature_scheme,
                 )
             if scenario != "pinned":

@@ -421,7 +421,7 @@ def test_crash_between_the_two_edits_of_an_update_recovers_whole(
         twin_storage.close()
 
 
-@pytest.mark.parametrize("found", [1, 2, 3, 5, None, "4"])
+@pytest.mark.parametrize("found", [1, 2, 3, 4, 6, None, "5"])
 def test_every_other_format_is_refused_with_the_remedy(found):
     """Older, newer, missing or mistyped: one typed refusal naming the fix."""
     check_storage_format("/srv/pub", STORAGE_FORMAT)

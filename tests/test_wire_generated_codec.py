@@ -42,7 +42,44 @@ def test_golden_vector_reencodes_through_the_generated_writers(name):
 # -- a strict reference decoder over the same field tables -----------------------
 
 
-def _strict_field(field, reader: WireReader, what: str):
+def _strict_flagged(field, reader: WireReader, what: str, bit: bool, dw: int):
+    if isinstance(field, codec._FlagBool):
+        return bit
+    if isinstance(field, codec._FlagChoice):
+        return field.on if bit else field.off
+    if isinstance(field, codec._FlagAssist):
+        return EntryAssist(reader.fixed_bytes(dw, what) if bit else None)
+    if isinstance(field, codec._FlagMap):
+        if not bit:
+            return {}
+        value = _strict_field(field, reader, what, dw)  # read as the map it is
+        if not value:
+            raise codec._empty_map(what)
+        return value
+    if isinstance(field, codec._FlagOptional):
+        return _strict_field(field.inner, reader, what, dw) if bit else None
+    raise AssertionError(f"no reference read for {field!r}")
+
+
+def _strict_field(field, reader: WireReader, what: str, dw: int = 0):
+    if isinstance(field, codec._Digest):
+        return reader.fixed_bytes(dw, what)
+    if isinstance(field, codec._Rows):
+        rows = []
+        count = reader.count(what)
+        if count:
+            columns = []
+            for _ in range(reader.count(what)):
+                name = reader.str_(what)
+                if columns and not name > columns[-1]:
+                    raise WireFormatError(
+                        f"column names of {what} are not strictly increasing",
+                        reason="unsorted-map",
+                    )
+                columns.append(name)
+            for _ in range(count):
+                rows.append(dict(zip(columns, [reader.scalar(what) for _ in columns])))
+        return tuple(rows)
     if isinstance(field, codec._EnumStr):
         value = reader.str_(what)
         if value not in field.allowed:
@@ -62,12 +99,14 @@ def _strict_field(field, reader: WireReader, what: str):
     if isinstance(field, codec._FixedBytes):
         return reader.fixed_bytes(field.size, what)
     if isinstance(field, codec._Optional):
-        return _strict_field(field.inner, reader, what) if reader.optional(what) else None
+        return _strict_field(field.inner, reader, what, dw) if reader.optional(what) else None
     if isinstance(field, codec._Tuple):
-        return tuple([_strict_field(field.inner, reader, what) for _ in range(reader.count(what))])
+        return tuple(
+            [_strict_field(field.inner, reader, what, dw) for _ in range(reader.count(what))]
+        )
     if isinstance(field, codec._Pair):
-        first = _strict_field(field.first, reader, what)
-        return first, _strict_field(field.second, reader, what)
+        first = _strict_field(field.first, reader, what, dw)
+        return first, _strict_field(field.second, reader, what, dw)
     if isinstance(field, codec._Map):
         result, previous = {}, None
         for _ in range(reader.count(what)):
@@ -77,10 +116,20 @@ def _strict_field(field, reader: WireReader, what: str):
                     f"map keys of {what} are not strictly increasing", reason="unsorted-map"
                 )
             previous = key
-            result[key] = _strict_field(field.value, reader, what)
+            result[key] = _strict_field(field.value, reader, what, dw)
         return result
     if isinstance(field, codec._Nested):
-        return _strict_body(codec._codec_for_type(field.cls), reader)
+        return _strict_body(codec._codec_for_type(field.cls), reader, dw)
+    if isinstance(field, codec._FlagUnion):
+        members = [codec._codec_for_type(cls) for cls in field.classes]
+        mask = 0
+        for member in members:
+            mask |= member.kind
+        if not reader.remaining:
+            reader.u8(what)  # the typed truncation
+        kind = reader._data[reader._offset] & mask
+        chosen = next((m for m in members if m.kind == kind), members[-1])
+        return _strict_body(chosen, reader, dw)
     if isinstance(field, codec._Union):
         tag = reader.u8(what)
         members = {codec._codec_for_type(cls).tag: cls for cls in field.classes}
@@ -93,12 +142,26 @@ def _strict_field(field, reader: WireReader, what: str):
     raise AssertionError(f"no reference read for {field!r}")
 
 
-def _strict_body(artifact_codec, reader: WireReader):
+def _strict_body(artifact_codec, reader: WireReader, dw: int = 0):
+    name = artifact_codec.name
+    if artifact_codec.width is not None:
+        dw = codec._read_width(reader, f"{name} digest width")
+    flags = 0
+    if artifact_codec._flagged:
+        flags = reader.u8(f"{name} flags")
+        if flags & artifact_codec._fixed_bits != artifact_codec.kind:
+            raise codec._bad_flags(f"{name} flags", flags)
+
     def read_fields():
-        return [
-            _strict_field(field, reader, f"{artifact_codec.name}.{name}")
-            for name, field in artifact_codec.fields
-        ]
+        values = []
+        for index, (field_name, field) in enumerate(artifact_codec.fields):
+            what = f"{name}.{field_name}"
+            if index in artifact_codec._bits:
+                bit = bool(flags & artifact_codec._bits[index])
+                values.append(_strict_flagged(field, reader, what, bit, dw))
+            else:
+                values.append(_strict_field(field, reader, what, dw))
+        return values
 
     if artifact_codec._plain:
         artifact = object.__new__(artifact_codec.cls)
@@ -124,7 +187,13 @@ def _strict_decode(data):
     tag = reader.u8("artifact tag")
     if tag not in codec._TAGS:
         raise WireFormatError(f"unknown artifact tag {tag:#04x}", reason="bad-tag")
-    artifact = _strict_body(codec._TAGS[tag], reader)
+    artifact_codec = codec._TAGS[tag]
+    if artifact_codec.inherits_width:
+        width = codec._read_width(reader, "frame digest width", allow_zero=True)
+        artifact = _strict_body(artifact_codec, reader, width)
+        artifact_codec.check_frame_width(artifact, width)
+    else:
+        artifact = _strict_body(artifact_codec, reader)
     reader.expect_end()
     return artifact
 

@@ -349,16 +349,17 @@ def test_golden_vector(name):
 
 
 def test_previous_wire_version_rejected_with_typed_error():
-    """A v5 frame is refused with a typed version error, never mis-decoded.
+    """A v6 frame is refused with a typed version error, never mis-decoded.
 
-    Wire version 6 dropped the manifest's digest-scheme kind, so a v5
-    manifest's body layout differs; decoding must stop at the envelope with
+    Wire version 7 writes proof digests bare at a declared width, opens proof
+    parts with a flags byte and names row columns once, so a v6 body's layout
+    differs; decoding must stop at the envelope with
     ``reason == "bad-version"`` rather than producing garbage.
     """
     for name, artifact in build_vectors().items():
         blob = bytearray(encode(artifact))
-        assert blob[2] == 6, "vectors must be encoded at WIRE_VERSION 6"
-        blob[2] = 5  # re-stamp the envelope as the previous format version
+        assert blob[2] == 7, "vectors must be encoded at WIRE_VERSION 7"
+        blob[2] = 6  # re-stamp the envelope as the previous format version
         with pytest.raises(WireFormatError) as excinfo:
             decode(bytes(blob))
         assert excinfo.value.reason == "bad-version", name
@@ -366,7 +367,7 @@ def test_previous_wire_version_rejected_with_typed_error():
 
 def test_future_wire_version_rejected_with_typed_error():
     blob = bytearray(encode(build_vectors()["relation_manifest"]))
-    blob[2] = 7
+    blob[2] = 8
     with pytest.raises(WireFormatError) as excinfo:
         decode(bytes(blob))
     assert excinfo.value.reason == "bad-version"

@@ -10,14 +10,17 @@ Silent accepts (the flip goes unnoticed) and unhandled crashes (raw
 ``ValueError``/``TypeError``/... escaping) both fail the test.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.errors import VerificationError
+from repro.core.proof import MatchedEntryProof
 from repro.core.publisher import Publisher
 from repro.core.verifier import ResultVerifier
 from repro.db.query import Conjunction, EqualityCondition, Projection, Query, RangeCondition
 from repro.service.protocol import QueryResponse
-from repro.wire import WireFormatError, decode, encode, manifest_id
+from repro.wire import WireFormatError, codec, decode, encode, manifest_id
 
 #: Every sweep flips one byte at a sampled offset; the two XOR masks catch
 #: both gross corruption (0xFF) and least-significant-bit nudges (0x01).
@@ -161,6 +164,71 @@ def test_swapped_artifact_rejected(wire_world):
         from repro.core.proof import JoinQueryProof
 
         decode(encode(result.proof), expect=JoinQueryProof)
+
+
+# -- wire v7's proof layout: one digest width, one flags byte per part ----------
+
+
+def _splice_entry(proof, index: int, body: bytes) -> bytes:
+    """The proof's frame with entry ``index``'s bytes replaced by ``body``."""
+    blob = encode(proof)
+    start = len(blob) - len(codec.encode_tail(proof, "entries")) + 4
+    for entry in proof.entries[:index]:
+        start += len(encode(entry)) - 5  # header and frame width byte
+    stop = start + len(encode(proof.entries[index])) - 5
+    return blob[:start] + body + blob[stop:]
+
+
+def test_unknown_flag_bits_and_empty_flagged_maps_are_refused(wire_world):
+    signed, verifier, query, result = wire_world
+    index, entry = next(
+        (i, e) for i, e in enumerate(result.proof.entries) if isinstance(e, MatchedEntryProof)
+    )
+    assert not entry.revealed_attributes and entry.key is None
+    body = encode(entry)[5:]
+    assert decode(_splice_entry(result.proof, index, body)) == result.proof
+    with pytest.raises(WireFormatError) as excinfo:  # a bit no field owns
+        decode(_splice_entry(result.proof, index, bytes((body[0] | 0x40,)) + body[1:]))
+    assert excinfo.value.reason == "bad-flags"
+    # The revealed map flagged present, with a zero count where it would end.
+    empty = bytes((body[0] | 0x10,)) + body[1:] + bytes(4)
+    with pytest.raises(WireFormatError) as excinfo:
+        decode(_splice_entry(result.proof, index, empty))
+    assert excinfo.value.reason == "empty-map"
+
+
+@pytest.mark.parametrize("width", [0, 65, 255])
+def test_a_width_no_digest_has_is_refused_structurally(wire_world, width):
+    signed, verifier, query, result = wire_world
+    blob = encode(result.proof)
+    assert blob[4] == 32  # the proof declares SHA-256's width first
+    with pytest.raises(WireFormatError) as excinfo:
+        decode(blob[:4] + bytes((width,)) + blob[5:])
+    assert excinfo.value.reason == "bad-digest-width"
+
+
+def test_a_proof_at_another_digest_width_is_refused(wire_world, signature_scheme):
+    """SHA-1 proofs decode (20-byte digests) but not against a SHA-256 manifest."""
+    from repro.core.owner import DataOwner
+    from repro.crypto.hashing import HashFunction
+
+    signed, verifier, query, result = wire_world
+    sha1 = DataOwner(signature_scheme, hash_function=HashFunction("sha1"))
+    other = Publisher({"employees": sha1.publish_relation(signed.relation)}).answer(query)
+    blob = encode(other.proof)
+    assert blob[4] == 20
+    with pytest.raises(VerificationError) as excinfo:
+        verifier.verify(query, other.rows, decode(blob))
+    assert excinfo.value.reason == "malformed-proof"
+    # One proof, one width: a digest of another width is refused at encode.
+    mixed = dataclasses.replace(
+        result.proof,
+        upper_boundary=dataclasses.replace(
+            result.proof.upper_boundary, attribute_root=bytes(20)
+        ),
+    )
+    with pytest.raises(ValueError, match="20 bytes in a proof of 32-byte digests"):
+        encode(mixed)
 
 
 # -- update / rotation messages (the live-update pipeline) --------------------
